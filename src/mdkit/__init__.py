@@ -67,7 +67,6 @@ from .finite import (  # noqa: F401
     MarkerCertificate,
     embed_into_universal,
     epsilon_embedding,
-    join_systems,
     map_to_unit_step_space,
     marker_search,
     periodic_points,
@@ -86,6 +85,5 @@ from .meandim import (  # noqa: F401
     face_lattice,
     headline_pipeline,
     interval_lattice,
-    mdim_combine,
     select_time_division,
 )

@@ -37,6 +37,7 @@ from .finite import (
 from .meandim import (
     Cover,
     cover_D,
+    cover_ord,
     face_lattice,
     headline_pipeline,
     interval_lattice,
@@ -109,6 +110,9 @@ def _parse_complex(text: str) -> FreeZpComplex:
     """Generator shorthand "en-zp:p=3,n=2" or a path to a complex JSON file."""
     if text.startswith("en-zp:"):
         params = dict(part.split("=") for part in text.split(":", 1)[1].split(","))
+        for key in ("p", "n"):
+            if key not in params:
+                raise ValueError(f"complex shorthand {text!r} lacks the parameter {key}=")
         return build_en_zp(int(params["p"]), int(params["n"]))
     with open(text, encoding="utf-8") as handle:
         return FreeZpComplex.from_json(json.load(handle))
@@ -119,10 +123,12 @@ def _parse_complex(text: str) -> FreeZpComplex:
 
 
 def _run_tower_verify(args) -> dict:
+    m = args.m
+    if m < 2:
+        raise ValueError("tower verify needs --m >= 2: it samples windows of level m - 1 >= 1")
     delta = frac_from_str(args.delta)
     lo, hi = _parse_window(args.window)
     length = hi - lo
-    m = args.m
     rng = random.Random(args.seed)
     checks: list[dict] = []
     identity_failures = 0
@@ -314,8 +320,7 @@ def _run_complex_coindex(args) -> dict:
 
 def _run_markers_search(args) -> dict:
     system = _parse_system(args.system)
-    mode = "greedy" if args.greedy else "exhaustive"
-    cert = marker_search(system, args.N, cap=args.cap, mode=mode)
+    cert = marker_search(system, args.N)
     ok = True
     if cert.found:
         ok, _ = verify_marker(system, cert.subset, args.N)
@@ -327,7 +332,7 @@ def _run_markers_search(args) -> dict:
             cert.to_json(system),
         )
     ]
-    config = {"system": args.system, "N": args.N, "cap": args.cap, "mode": mode}
+    config = {"system": args.system, "N": args.N}
     return _report("markers search", config, checks)
 
 
@@ -430,7 +435,7 @@ def _run_mdim_D(args) -> dict:
             "cover-D",
             "exact minimum order over refining covers by lattice opens",
             True,
-            {"D": value, "ord": _safe_ord(cover)},
+            {"D": value, "ord": cover_ord(cover)},
         )
     ]
     config = {"model": args.model, "cover": args.cover, "cap": args.cap}
@@ -441,12 +446,6 @@ def _json_atom(atom):
     if isinstance(atom, list):
         return tuple(atom)
     return atom
-
-
-def _safe_ord(cover: Cover) -> int:
-    from .meandim import cover_ord
-
-    return cover_ord(cover)
 
 
 def _run_mdim_pipeline(args) -> dict:
@@ -567,15 +566,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     markers = groups.add_parser("markers", help="marker search and transfer")
     markers_sub = markers.add_subparsers(dest="action", required=True)
-    ms = markers_sub.add_parser("search", help="exhaustive or greedy marker search")
+    ms = markers_sub.add_parser(
+        "search", help="find a marker or name the cycle that rules one out"
+    )
     ms.add_argument(
         "--system",
         required=True,
         help='shorthand "cycles:3,5" or a FiniteSystem JSON file',
     )
     ms.add_argument("--N", type=int, required=True)
-    ms.add_argument("--cap", type=int, default=24)
-    ms.add_argument("--greedy", action="store_true")
     ms.set_defaults(runner=_run_markers_search)
     mt = markers_sub.add_parser("transfer", help="two-way clock-extension transfer")
     mt.add_argument("--system", required=True)

@@ -1,14 +1,14 @@
-"""Finite permutation dynamics: markers, tower functions, joins, embeddings.
+"""Finite permutation dynamics: markers, tower functions, embeddings.
 
 A finite system is a bijection of a finite point set, optionally carrying an
-exact rational metric.  Marker search is exhaustive with pruning (a "none"
-verdict is a proof, re-checked by an independent verifier); larger systems
-fall back to a greedy mode that never claims "none".  The module also builds
-the backward first-entrance function of a marker, the induced sequences in
-the distance-one adjacent-step space, distance-preserving embeddings of
-finite metric systems into gap subshifts, clock extensions that divide time
-by n, and the exhaustive two-way marker transfer check between a system and
-its clock extension.
+exact rational metric.  Marker search decides every system in one pass over
+its cycles: a "found" subset is re-checked by an independent verifier, and a
+"none" verdict names the cycle shorter than N that proves it.  The module
+also builds the backward first-entrance function of a marker, the induced
+sequences in the distance-one adjacent-step space, distance-preserving
+embeddings of finite metric systems into gap subshifts, clock extensions
+that divide time by n, and the exhaustive two-way marker transfer check
+between a system and its clock extension.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import comb
 
 from .shiftspace import (
     Periodic,
@@ -128,6 +129,9 @@ class FiniteSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteSystem":
+        for key in ("points", "perm"):
+            if key not in data:
+                raise ValueError(f"system JSON lacks the required key {key!r}")
         metric = None
         if data.get("metric") is not None:
             metric = tuple(
@@ -163,91 +167,6 @@ def periodic_points(sys_: FiniteSystem, n: int) -> tuple[int, ...]:
         if n % len(cycle) == 0:
             out.extend(cycle)
     return tuple(sorted(out))
-
-
-# ---------------------------------------------------------------------------
-# Joins (finite systems viewed as 0-complexes)
-
-
-@dataclass(frozen=True)
-class JoinedSystem:
-    """The simplicial join of two finite systems with the product dynamics.
-
-    Vertices are tagged points of the two factors; every cross pair is an
-    edge.  The dynamics permutes vertices factorwise, hence edges to edges.
-    """
-
-    left: FiniteSystem
-    right: FiniteSystem
-
-    def vertices(self) -> list[tuple[int, int]]:
-        return [(0, i) for i in range(self.left.size)] + [
-            (1, j) for j in range(self.right.size)
-        ]
-
-    def edges(self) -> set[frozenset[tuple[int, int]]]:
-        return {
-            frozenset({(0, i), (1, j)})
-            for i in range(self.left.size)
-            for j in range(self.right.size)
-        }
-
-    def step(self, vertex: tuple[int, int]) -> tuple[int, int]:
-        side, i = vertex
-        return (side, (self.left.perm if side == 0 else self.right.perm)[i])
-
-    def periodic_subjoin(
-        self, n: int
-    ) -> tuple[set[tuple[int, int]], set[frozenset[tuple[int, int]]]]:
-        """Vertices/edges whose points are n-periodic under the product dynamics."""
-        pv = {(0, i) for i in periodic_points(self.left, n)} | {
-            (1, j) for j in periodic_points(self.right, n)
-        }
-        pe = {e for e in self.edges() if e <= pv}
-        return pv, pe
-
-
-def join_systems(left: FiniteSystem, right: FiniteSystem) -> JoinedSystem:
-    return JoinedSystem(left, right)
-
-
-def periodic_join_identity_holds(
-    left: FiniteSystem, right: FiniteSystem, n: int
-) -> bool:
-    """Structural identity: the n-periodic part of the join is the join of the
-    n-periodic parts."""
-    joined = join_systems(left, right)
-    pv, pe = joined.periodic_subjoin(n)
-    expected_v = {(0, i) for i in periodic_points(left, n)} | {
-        (1, j) for j in periodic_points(right, n)
-    }
-    expected_e = {
-        frozenset({(0, i), (1, j)})
-        for i in periodic_points(left, n)
-        for j in periodic_points(right, n)
-    }
-    return pv == expected_v and pe == expected_e
-
-
-def joined_to_zp_complex(joined: JoinedSystem, p: int):
-    """View a join of two free period-p systems as a free Z_p complex."""
-    from .complexes import FreeZpComplex
-
-    vertices = [("l", joined.left.points[i]) for i in range(joined.left.size)] + [
-        ("r", joined.right.points[j]) for j in range(joined.right.size)
-    ]
-    off = joined.left.size
-    maximal = [
-        (vertices[i], vertices[off + j])
-        for i in range(joined.left.size)
-        for j in range(joined.right.size)
-    ]
-    action = {}
-    for i in range(joined.left.size):
-        action[vertices[i]] = vertices[joined.left.perm[i]]
-    for j in range(joined.right.size):
-        action[vertices[off + j]] = vertices[off + joined.right.perm[j]]
-    return FreeZpComplex.from_maximal(p, vertices, maximal, action)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +208,7 @@ def time_division_base_conjugacy(sys_: FiniteSystem, n: int) -> bool:
 
 @dataclass(frozen=True)
 class MarkerCertificate:
-    """Search outcome: verdict "found" (with subset), "none", or "unknown"."""
+    """Search outcome: verdict "found" (with subset) or "none" (with the short cycle)."""
 
     n_marker: int
     subset: tuple[int, ...] | None
@@ -340,7 +259,7 @@ def verify_marker(
     return ok, tuple(transcript)
 
 
-def _cycle_position_subsets(length: int, n_marker: int, first_only: bool):
+def _cycle_position_subsets(length: int, n_marker: int) -> list[tuple[int, ...]]:
     """Nonempty position subsets of a cycle with all circular gaps >= N.
 
     Positions are chosen in increasing order; consecutive chosen positions
@@ -349,8 +268,6 @@ def _cycle_position_subsets(length: int, n_marker: int, first_only: bool):
     results: list[tuple[int, ...]] = []
 
     def extend(chosen: list[int], next_pos: int):
-        if first_only and results:
-            return
         for pos in range(next_pos, length):
             if chosen and pos - chosen[-1] < n_marker:
                 continue
@@ -358,9 +275,6 @@ def _cycle_position_subsets(length: int, n_marker: int, first_only: bool):
             # the wrap gap only shrinks as later positions are added
             if length - (chosen[-1] - chosen[0]) >= n_marker:
                 results.append(tuple(chosen))
-                if first_only:
-                    chosen.pop()
-                    return
                 extend(chosen, pos + 1)
             chosen.pop()
 
@@ -368,42 +282,32 @@ def _cycle_position_subsets(length: int, n_marker: int, first_only: bool):
     return results
 
 
-def marker_search(
-    sys_: FiniteSystem, n_marker: int, cap: int = 24, mode: str = "exhaustive"
-) -> MarkerCertificate:
-    """Search for an N-marker subset: exhaustive with pruning, or greedy.
+def _count_cycle_position_subsets(length: int, n_marker: int) -> int:
+    """How many subsets _cycle_position_subsets returns, without building them.
 
-    The marker conditions never couple distinct cycles, so the exhaustive
-    search factors over cycles; a cycle with no admissible subset proves that
-    no marker exists at all.  Any returned subset is re-checked by the
-    independent verifier.  Greedy mode handles systems over the cap but
-    reports "unknown" instead of ever claiming "none".
+    An L-cycle has L*C(L - k(N-1) - 1, k - 1)/k subsets of size k whose
+    circular gaps are all >= N.
+    """
+    total = 0
+    for k in range(1, length // n_marker + 1):
+        total += length * comb(length - k * (n_marker - 1) - 1, k - 1) // k
+    return total
+
+
+def marker_search(sys_: FiniteSystem, n_marker: int) -> MarkerCertificate:
+    """Find an N-marker subset, or prove that none exists.
+
+    The marker conditions never couple distinct cycles, and one point of an
+    L-cycle first returns to itself after L steps.  So a marker exists
+    exactly when every cycle has length >= N, and then the first point of
+    each cycle is one.  A cycle shorter than N is the certificate for
+    "none"; a returned subset is re-checked by the independent verifier.
     """
     if n_marker < 1:
         raise ValueError("marker length must be >= 1")
-    if mode not in ("exhaustive", "greedy"):
-        raise ValueError("mode must be 'exhaustive' or 'greedy'")
-    if mode == "exhaustive" and sys_.size > cap:
-        raise ValueError(
-            f"system has {sys_.size} points, over the exhaustive cap {cap}; "
-            f"use greedy mode (greedy returns found-or-unknown, never 'none')"
-        )
     cycles = sys_.cycles()
-    if mode == "greedy":
-        subset = tuple(cycle[0] for cycle in cycles)
-        ok, transcript = verify_marker(sys_, subset, n_marker)
-        if ok:
-            return MarkerCertificate(n_marker, subset, "found", transcript)
-        return MarkerCertificate(
-            n_marker,
-            None,
-            "unknown",
-            ({"condition": "greedy candidate failed; absence not established", "violations": []},),
-        )
-    chosen: list[int] = []
     for cycle in cycles:
-        subsets = _cycle_position_subsets(len(cycle), n_marker, first_only=True)
-        if not subsets:
+        if len(cycle) < n_marker:
             return MarkerCertificate(
                 n_marker,
                 None,
@@ -419,8 +323,7 @@ def marker_search(
                     },
                 ),
             )
-        chosen.extend(cycle[pos] for pos in subsets[0])
-    subset = tuple(sorted(chosen))
+    subset = tuple(cycle[0] for cycle in cycles)
     ok, transcript = verify_marker(sys_, subset, n_marker)
     if not ok:
         raise AssertionError("marker search returned a subset its verifier rejects")
@@ -430,25 +333,27 @@ def marker_search(
 def enumerate_markers(
     sys_: FiniteSystem, n_marker: int, cap: int = 200_000
 ) -> list[frozenset[int]]:
-    """All valid N-marker subsets (exhaustive; intended for desk-scale systems)."""
+    """All valid N-marker subsets (exhaustive; intended for desk-scale systems).
+
+    The markers are counted before any is built, so a count over the cap is
+    refused at once.
+    """
     cycles = sys_.cycles()
-    per_cycle: list[list[tuple[int, ...]]] = []
     total = 1
     for cycle in cycles:
-        subsets = _cycle_position_subsets(len(cycle), n_marker, first_only=False)
-        if not subsets:
-            return []
-        total *= len(subsets)
-        if total > cap:
-            raise ValueError(
-                f"more than {cap} markers to enumerate; tighten the marker "
-                f"length or shrink the system"
-            )
-        per_cycle.append([tuple(cycle[pos] for pos in s) for s in subsets])
-    out = []
-    for combo in iter_product(*per_cycle):
-        out.append(frozenset(i for part in combo for i in part))
-    return out
+        total *= _count_cycle_position_subsets(len(cycle), n_marker)
+    if total == 0:
+        return []
+    if total > cap:
+        raise ValueError(
+            f"more than {cap} markers to enumerate; tighten the marker "
+            f"length or shrink the system"
+        )
+    per_cycle = [
+        [tuple(cycle[pos] for pos in s) for s in _cycle_position_subsets(len(cycle), n_marker)]
+        for cycle in cycles
+    ]
+    return [frozenset(i for part in combo for i in part) for combo in iter_product(*per_cycle)]
 
 
 # ---------------------------------------------------------------------------

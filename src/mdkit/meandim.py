@@ -380,30 +380,6 @@ def time_division_bound(n: int, bound: MdimBound) -> MdimBound:
     )
 
 
-def mdim_combine(rule: str, inputs: Sequence[MdimBound], *, n: int | None = None, width: int | None = None) -> MdimBound:
-    """Dispatcher over the interval rules, for config-driven callers."""
-    if rule == "ambient-shift":
-        if width is None:
-            raise ValueError("ambient-shift needs the alphabet dimension")
-        return ambient_shift_bound(width)
-    if rule == "subsystem":
-        (b,) = inputs
-        return subsystem_bound(b)
-    if rule == "power":
-        (b,) = inputs
-        if n is None:
-            raise ValueError("power rule needs n")
-        return power_bound(n, b)
-    if rule == "inverse-limit":
-        return inverse_limit_bound(list(inputs))
-    if rule == "time-division":
-        (b,) = inputs
-        if n is None:
-            raise ValueError("time-division rule needs n")
-        return time_division_bound(n, b)
-    raise ValueError(f"unknown rule {rule!r}")
-
-
 def headline_pipeline(width: int, levels: int, n: int) -> MdimBound:
     """Ambient bound at every tower level, inverse limit, then time division."""
     level_bounds = [ambient_shift_bound(width) for _ in range(max(levels, 1))]

@@ -47,6 +47,19 @@ class TestDispatch:
         assert code == 0
         assert report["checks"][0]["witness"]["verdict"] == "none"
 
+    def test_markers_search_over_twenty_four_points(self, capsys):
+        for n_marker, verdict in (("13", "found"), ("14", "none")):
+            code, report, _ = run_cli(
+                capsys, "markers", "search", "--system", "cycles:13,13,14", "--N", n_marker
+            )
+            assert code == 0
+            assert report["checks"][0]["witness"]["verdict"] == verdict
+            assert report["config"] == {"system": "cycles:13,13,14", "N": int(n_marker)}
+        for removed in (["--greedy"], ["--cap", "100"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(["markers", "search", "--system", "cycles:3", "--N", "2"] + removed)
+            assert excinfo.value.code == 2
+
     def test_mdim_pipeline_value(self, capsys):
         code, report, _ = run_cli(
             capsys, "mdim", "pipeline", "--N", "3", "--time-division", "4"
@@ -111,6 +124,29 @@ class TestExitCodes:
         )
         code = cli.main([])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, system, named",
+        [
+            (["complex", "coindex", "--complex", "en-zp:p=3"], None, "n="),
+            (["markers", "search", "--N", "2"], {"perm": [1, 0]}, "'points'"),
+            (["markers", "search", "--N", "2"], {"points": ["a", "b"]}, "'perm'"),
+            (["tower", "verify", "--m", "1", "--window", "0:2"], None, "--m >= 2"),
+        ],
+        ids=["complex-without-n", "system-without-points", "system-without-perm", "tower-m-1"],
+    )
+    def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, system, named):
+        if system is not None:
+            path = tmp_path / "system.json"
+            path.write_text(json.dumps(system))
+            argv = argv + ["--system", str(path)]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("mdkit: error: ")
+        assert named in lines[0]
 
     def test_bad_window_is_two(self, capsys):
         code = cli.main(

@@ -1,19 +1,16 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from mdkit.complexes import build_en_zp, complexes_isomorphic
 from mdkit.finite import (
     FiniteSystem,
     embed_into_universal,
     enumerate_markers,
     epsilon_embedding,
-    join_systems,
-    joined_to_zp_complex,
     map_to_unit_step_space,
     marker_search,
-    periodic_join_identity_holds,
     periodic_points,
     random_metric,
     random_system,
@@ -75,31 +72,6 @@ class TestPeriodicPoints:
         assert periodic_points(cycles(3, 2), 6) == (0, 1, 2, 3, 4)
 
 
-class TestJoins:
-    def test_empty_periodic_join(self):
-        joined = join_systems(cycles(2), cycles(3))
-        vertices, edges = joined.periodic_subjoin(1)
-        assert vertices == set() and edges == set()
-
-    def test_full_periodic_join(self):
-        joined = join_systems(cycles(2), cycles(3))
-        vertices, edges = joined.periodic_subjoin(6)
-        assert len(vertices) == 5 and len(edges) == 6
-
-    def test_join_identity_random_pairs(self):
-        rng = random.Random(2026)
-        for _ in range(25):
-            left = random_system(rng, max_points=6)
-            right = random_system(rng, max_points=6)
-            for n in range(1, 13):
-                assert periodic_join_identity_holds(left, right, n)
-
-    def test_two_two_join_is_standard_complex(self):
-        joined = join_systems(cycles(2), cycles(2))
-        complex_ = joined_to_zp_complex(joined, 2)
-        assert complexes_isomorphic(complex_, build_en_zp(2, 1))
-
-
 class TestTimeDivision:
     def test_examples(self):
         assert sorted(time_division(cycles(3), 2).cycle_lengths()) == [6]
@@ -157,17 +129,27 @@ class TestMarkerSearch:
                 assert marker_exists_vectorized(sys_, n_marker) == \
                     marker_exists_bruteforce(sys_, n_marker)
 
-    def test_cap_error_suggests_greedy(self):
-        big = cycles(13, 13)
-        with pytest.raises(ValueError, match="greedy"):
-            marker_search(big, 3)
-
-    def test_greedy_mode(self):
-        big = cycles(13, 13)
-        cert = marker_search(big, 3, mode="greedy")
-        assert cert.found
-        unknown = marker_search(cycles(13, 2), 5, mode="greedy")
-        assert unknown.verdict == "unknown"
+    def test_uncapped_search_decides_by_shortest_cycle(self):
+        rng = random.Random(25)
+        for _ in range(40):
+            total = rng.randint(25, 60)
+            lengths = []
+            while total > 0:
+                lengths.append(min(total, rng.randint(1, 20)))
+                total -= lengths[-1]
+            sys_ = cycles(*lengths)
+            shortest = sys_.min_cycle_length()
+            for n_marker in (1, 2, shortest, shortest + 1, 25):
+                cert = marker_search(sys_, n_marker)
+                assert cert.found == (n_marker <= shortest)
+                if cert.found:
+                    assert verify_marker(sys_, cert.subset, n_marker)[0]
+                    continue
+                # "none" names a cycle of the system, by length and first point
+                named = re.search(r"the (\d+)-cycle at (\w+):", cert.transcript[0]["condition"])
+                start = sys_.points.index(named.group(2))
+                cycle = next(c for c in sys_.cycles() if start in c)
+                assert len(cycle) == int(named.group(1)) < n_marker
 
     def test_enumerate_markers(self):
         markers = enumerate_markers(cycles(5), 5)
@@ -177,8 +159,17 @@ class TestMarkerSearch:
         assert len(enumerate_markers(cycles(15), 6)) == 45
 
     def test_enumerate_markers_cap(self):
-        with pytest.raises(ValueError, match="tighten"):
-            enumerate_markers(cycles(20), 1, cap=1000)
+        # refused from the count alone: 2^40 - 1 markers are never built
+        for sys_ in (cycles(20), cycles(40)):
+            with pytest.raises(ValueError, match="tighten"):
+                enumerate_markers(sys_, 1, cap=1000)
+        # the count is exact: a cap equal to it is not exceeded
+        for lengths, n_marker in [([15], 6), ([6, 6], 2), ([9], 3), ([5, 7], 1)]:
+            sys_ = cycles(*lengths)
+            count = len(enumerate_markers(sys_, n_marker))
+            assert len(enumerate_markers(sys_, n_marker, cap=count)) == count
+            with pytest.raises(ValueError, match="tighten"):
+                enumerate_markers(sys_, n_marker, cap=count - 1)
 
     def test_certificate_json(self):
         sys_ = cycles(5)
@@ -233,8 +224,9 @@ class TestUnitStepMap:
         assert values == [0, 1]
 
     def test_mixed_cycles(self):
-        report = map_to_unit_step_space(cycles(3, 4))
-        assert report.passed
+        for sys_ in (cycles(3, 4), cycles(13, 13)):
+            report = map_to_unit_step_space(sys_, 2)
+            assert report.passed
 
     def test_fixed_point_rejected(self):
         with pytest.raises(ValueError, match="cycle shorter"):

@@ -20,7 +20,6 @@ from mdkit.meandim import (
     headline_pipeline,
     interval_lattice,
     inverse_limit_bound,
-    mdim_combine,
     power_bound,
     select_time_division,
     subsystem_bound,
@@ -218,14 +217,6 @@ class TestBoundRules:
         top = MdimBound(Fraction(0), None)
         assert inverse_limit_bound([top, ambient_shift_bound(1)]).upper is None
         assert time_division_bound(3, top).upper is None
-
-    def test_combine_dispatcher(self):
-        bound = mdim_combine("ambient-shift", [], width=2)
-        assert bound.upper == 2
-        final = mdim_combine("time-division", [bound], n=8)
-        assert final.upper == Fraction(1, 4)
-        with pytest.raises(ValueError, match="unknown rule"):
-            mdim_combine("teleport", [bound])
 
     def test_interval_never_inverts(self):
         bound = ambient_shift_bound(4)
