@@ -6,9 +6,7 @@ factor/section tower (:mod:`mdkit.tower`), free prime-order simplicial
 complexes with coindex bounds (:mod:`mdkit.complexes`), finite permutation
 dynamics with marker search (:mod:`mdkit.finite`), and a mean-dimension
 bound calculus (:mod:`mdkit.meandim`).  Everything computes with exact
-rationals; identities are asserted with equality, never tolerances.  All
-values are immutable, so any of the verification batteries can be sharded
-across workers without coordination.
+rationals; identities are asserted with equality, never tolerances.
 """
 
 __version__ = "0.1.0"

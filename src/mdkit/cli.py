@@ -36,6 +36,7 @@ from .finite import (
 )
 from .meandim import (
     Cover,
+    SearchCapExceeded,
     cover_D,
     cover_ord,
     face_lattice,
@@ -90,8 +91,10 @@ def _report(command: str, config: dict, checks: list[dict]) -> dict:
 
 def _parse_window(text: str) -> tuple[int, int]:
     """--window A:B denotes the half-open integer interval [A, B)."""
-    lo_text, hi_text = text.split(":")
-    lo, hi = int(lo_text), int(hi_text)
+    try:
+        lo, hi = (int(part) for part in text.split(":"))
+    except ValueError:
+        raise ValueError(f"window {text!r} is not of the form A:B with integers A and B") from None
     if hi <= lo:
         raise ValueError("window must be a nonempty half-open interval A:B")
     return lo, hi
@@ -126,6 +129,8 @@ def _run_tower_verify(args) -> dict:
     m = args.m
     if m < 2:
         raise ValueError("tower verify needs --m >= 2: it samples windows of level m - 1 >= 1")
+    if args.samples < 1:
+        raise ValueError("tower verify needs --samples >= 1: zero samples would check nothing")
     delta = frac_from_str(args.delta)
     lo, hi = _parse_window(args.window)
     length = hi - lo
@@ -623,7 +628,7 @@ def main(argv: list[str] | None = None) -> int:
         args.seed = _default_seed()
     try:
         report = args.runner(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, SearchCapExceeded, OSError, json.JSONDecodeError) as exc:
         print(f"mdkit: error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(report, sort_keys=True, indent=2)

@@ -11,6 +11,7 @@ conflate "nothing was checkable" with "all checks passed".
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -368,81 +369,96 @@ def _binary_word(x: SeqPoint, n: int, length: int) -> tuple[str, bool]:
 # Random sampling (deterministic under an explicit rng)
 
 
-def random_torus_vec(rng: random.Random, dim: int, denominator: int = 64) -> TorusVec:
-    """A vector with coordinates uniform on {0, 1/D, ..., (2D-1)/D}."""
-    return TorusVec(
-        tuple(Fraction(rng.randrange(2 * denominator), denominator) for _ in range(dim))
-    )
+GRID = 64  # coordinates are drawn from {k/GRID : 0 <= k < 2*GRID}
+SLOT_TRIES = 10_000  # draws for one entry before a sampler gives up
+MAX_DRAWS = 100_000  # draws for one periodic point before the sampler gives up
+
+
+def random_torus_vec(rng: random.Random, dim: int) -> TorusVec:
+    """A vector with coordinates uniform on the k/GRID grid."""
+    return TorusVec(tuple(Fraction(rng.randrange(2 * GRID), GRID) for _ in range(dim)))
+
+
+def _draw_after(
+    rng: random.Random, dim: int, threshold: Fraction, prev: TorusVec
+) -> tuple[TorusVec, int]:
+    """A grid vector at distance >= threshold from ``prev``, and the draws it took."""
+    for tries in range(1, SLOT_TRIES + 1):
+        v = random_torus_vec(rng, dim)
+        if max_circle_dist(v, prev) >= threshold:
+            return v, tries
+    raise ValueError(f"sampling gave up after {SLOT_TRIES} draws of one entry")
+
+
+def _grid_cycle_closes(dim: int, threshold: Fraction, length: int) -> bool:
+    """Whether a gap cycle of ``length`` entries has an admissible grid point.
+
+    Length 1 compares an entry with itself; for dim >= 2 the corners {0, 1}^dim
+    are pairwise at distance 1.  For dim = 1 the steps of a closed walk move by
+    a = ceil(threshold*GRID) to 2*GRID - a units and sum to a multiple of 2*GRID.
+    """
+    if length < 2 or dim >= 2:
+        return length >= 2
+    a, full = math.ceil(threshold * GRID), 2 * GRID
+    return length * (full - a) // full * full >= length * a
 
 
 def sample_periodic_gap_point(
-    dim: int,
-    gap: int,
-    threshold: Fraction,
-    period: int,
-    rng: random.Random,
-    denominator: int = 64,
-    max_tries: int = 500_000,
+    dim: int, gap: int, threshold: Fraction, period: int, rng: random.Random
 ) -> Periodic:
-    """Rejection-sample a random period-``period`` point of the gap space."""
+    """A uniform random period-``period`` grid point of the gap space.
+
+    Residues i and i + gap (mod period) are tied, so they split into
+    gcd(gap, period) cycles.  Each cycle is walked entry by entry as in
+    ``sample_gap_window`` and redrawn only when its closing edge fails; every
+    grid vector has equally many admissible successors, so the result is
+    uniform.  Emptiness is decided on the grid before any draw.
+    """
     spec = gap_space(dim, gap, threshold)
-    for _ in range(max_tries):
-        cand = Periodic(
-            tuple(random_torus_vec(rng, dim, denominator) for _ in range(period))
-        )
-        if check_membership(spec, cand).passed:
-            return cand
-    raise RuntimeError(
-        f"sampling failed after {max_tries} tries: no period-{period} point "
-        f"with distance >= {threshold} at gap {gap} was drawn"
-    )
+    cycles = math.gcd(gap, period)
+    length = period // cycles
+    what = f"period-{period} point with distance >= {spec.threshold} at gap {gap}"
+    if not _grid_cycle_closes(dim, spec.threshold, length):
+        raise ValueError(f"no {what} exists on the k/{GRID} grid")
+    values: dict[int, TorusVec] = {}
+    drawn = 0
+    for first in range(cycles):
+        while drawn < MAX_DRAWS:
+            walk = [random_torus_vec(rng, dim)]
+            for _ in range(length - 1):
+                v, tries = _draw_after(rng, dim, spec.threshold, walk[-1])
+                walk.append(v)
+                drawn += tries
+            drawn += 1
+            if max_circle_dist(walk[-1], walk[0]) >= spec.threshold:
+                break
+        else:
+            raise ValueError(
+                f"sampling gave up after {drawn} draws: a {what} exists on the "
+                f"k/{GRID} grid, but none was drawn (undetermined)"
+            )
+        values.update(((first + step * gap) % period, v) for step, v in enumerate(walk))
+    return Periodic(tuple(values[i] for i in range(period)))
 
 
 def sample_gap_window(
-    dim: int,
-    gap: int,
-    threshold: Fraction,
-    start: int,
-    length: int,
-    rng: random.Random,
-    denominator: int = 64,
-    per_slot_tries: int = 10_000,
+    dim: int, gap: int, threshold: Fraction, start: int, length: int, rng: random.Random
 ) -> Window:
     """Sample a window satisfying the gap constraint at every checkable index.
 
     The constraint couples only entries ``gap`` apart, so positions are drawn
-    left to right with per-position rejection against the entry one gap back.
+    left to right, each against the entry one gap back.
     """
-    threshold = Fraction(threshold)
-    values: list[TorusVec] = []
-    for i in range(length):
-        if i < gap:
-            values.append(random_torus_vec(rng, dim, denominator))
-            continue
-        for _ in range(per_slot_tries):
-            v = random_torus_vec(rng, dim, denominator)
-            if max_circle_dist(v, values[i - gap]) >= threshold:
-                values.append(v)
-                break
-        else:
-            raise RuntimeError(
-                f"sampling failed: no coordinate at offset {i} with distance "
-                f">= {threshold} from the entry {gap} back"
-            )
+    spec = gap_space(dim, gap, threshold)
+    values = [random_torus_vec(rng, dim) for _ in range(min(gap, length))]
+    for i in range(gap, length):
+        values.append(_draw_after(rng, dim, spec.threshold, values[i - gap])[0])
     return Window(start, tuple(values))
 
 
-def random_window(
-    dim: int,
-    start: int,
-    length: int,
-    rng: random.Random,
-    denominator: int = 64,
-) -> Window:
+def random_window(dim: int, start: int, length: int, rng: random.Random) -> Window:
     """An unconstrained random window (no membership requirement)."""
-    return Window(
-        start, tuple(random_torus_vec(rng, dim, denominator) for _ in range(length))
-    )
+    return Window(start, tuple(random_torus_vec(rng, dim) for _ in range(length)))
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +516,6 @@ def verify_conjugacy_diagram(
     p: int,
     samples: int,
     seed: int,
-    denominator: int = 64,
 ) -> ConjugacyReport:
     """Exactly verify the index-dilation conjugacy between period-p point sets.
 
@@ -512,18 +527,14 @@ def verify_conjugacy_diagram(
     """
     if p <= m:
         raise ValueError("diagram requires p > m")
+    if samples < 1:
+        raise ValueError("samples must be >= 1: zero samples would check nothing")
     k = pow(m % p, -1, p)
     rng = random.Random(seed)
     gap_m = gap_space(dim, m, threshold)
     gap_1 = gap_space(dim, 1, threshold)
-    samples_m = [
-        sample_periodic_gap_point(dim, m, threshold, p, rng, denominator)
-        for _ in range(samples)
-    ]
-    samples_1 = [
-        sample_periodic_gap_point(dim, 1, threshold, p, rng, denominator)
-        for _ in range(samples)
-    ]
+    samples_m = [sample_periodic_gap_point(dim, m, threshold, p, rng) for _ in range(samples)]
+    samples_1 = [sample_periodic_gap_point(dim, 1, threshold, p, rng) for _ in range(samples)]
 
     def collect(name: str, statement: str, pairs) -> IdentityResult:
         failures = tuple(

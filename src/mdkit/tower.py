@@ -25,6 +25,7 @@ from .shiftspace import (
     gap_space,
     periodic_witness,
     random_torus_vec,
+    random_window,
     seq_to_json,
 )
 from .torus import TorusVec, frac_from_str, frac_to_str, vec_sum
@@ -69,15 +70,10 @@ class AnchorTable:
         return cls(dim, None)
 
     @classmethod
-    def random(
-        cls, dim: int, level: int, rng: random.Random, denominator: int = 64
-    ) -> "AnchorTable":
+    def random(cls, dim: int, level: int, rng: random.Random) -> "AnchorTable":
         """A full random table for the given level's initial block."""
         size = (level - 1) * level_gap(level - 1)
-        return cls(
-            dim,
-            {k: random_torus_vec(rng, dim, denominator) for k in range(size)},
-        )
+        return cls(dim, {k: random_torus_vec(rng, dim) for k in range(size)})
 
     def to_json(self, level: int) -> list[list[str]]:
         size = (level - 1) * level_gap(level - 1)
@@ -221,12 +217,7 @@ def windows_agree_on_overlap(a: Window, b: Window) -> tuple[bool, list[int]]:
 
 
 def verify_section_identity(
-    m: int,
-    anchor: AnchorTable,
-    x: Window,
-    trials: int = 0,
-    rng: random.Random | None = None,
-    denominator: int = 64,
+    m: int, anchor: AnchorTable, x: Window, trials: int = 0, rng: random.Random | None = None
 ) -> SectionIdentityReport:
     """Assert factor(section(x)) = x exactly on the overlap of their domains.
 
@@ -234,26 +225,14 @@ def verify_section_identity(
     assumption on x and holds for every anchor.  ``trials`` extra random
     windows with the same domain are replayed through the same check.
     """
-    windows = [x]
-    if trials:
-        if rng is None:
-            raise ValueError("random trials need an rng")
-        length = x.end - x.start + 1
-        windows.extend(
-            Window(
-                x.start,
-                tuple(random_torus_vec(rng, x.dim, denominator) for _ in range(length)),
-            )
-            for _ in range(trials)
-        )
+    if trials and rng is None:
+        raise ValueError("random trials need an rng")
+    windows = [x] + [random_window(x.dim, x.start, len(x.values), rng) for _ in range(trials)]
     failures: list[dict] = []
-    overlap = (x.start, x.end)
     for idx, w in enumerate(windows):
         back = factor_map(m, section_map(m, anchor, w))
         ok, bad = windows_agree_on_overlap(back, w)
-        lo = max(back.start, w.start)
-        hi = min(back.end, w.end)
-        overlap = (lo, hi)
+        overlap = (max(back.start, w.start), min(back.end, w.end))
         if not ok:
             failures.append(
                 {
@@ -312,6 +291,11 @@ def verify_section_range(
     q = level_gap(m - 1)
     big = level_gap(m)
     pre = check_membership(gap_space(x.dim, q, threshold), x)
+    if pre.verdict == "vacuous":
+        raise ValueError(
+            f"input window of {len(x.values)} entries is too short to check anything: "
+            f"the level-{m - 1} gap constraint needs more than {q} entries"
+        )
     if not pre.passed:
         raise ValueError("input window does not satisfy its own gap constraint")
     y = section_map(m, anchor, x)

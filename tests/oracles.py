@@ -14,6 +14,7 @@ from math import gcd
 import numpy as np
 
 from mdkit.finite import FiniteSystem
+from mdkit.shiftspace import Periodic, check_membership, gap_space, random_torus_vec
 from mdkit.tower import level_gap
 
 
@@ -54,6 +55,39 @@ def marker_exists_vectorized(sys_: FiniteSystem, n_marker: int) -> bool:
             image |= ((masks >> np.int64(i)) & 1) << np.int64(target)
         valid &= (masks & image) == 0
     return bool(valid.any())
+
+
+# ---------------------------------------------------------------------------
+# Periodic gap points: whole-period rejection and closed grid walks
+
+
+def sample_periodic_gap_point_whole_period(dim, gap, threshold, period, rng):
+    """Redraw the whole period until it passes the gap constraint."""
+    spec = gap_space(dim, gap, threshold)
+    for _ in range(500_000):
+        cand = Periodic(tuple(random_torus_vec(rng, dim) for _ in range(period)))
+        if check_membership(spec, cand).passed:
+            return cand
+    raise RuntimeError(f"no period-{period} point drawn in 500,000 tries")
+
+
+def closed_grid_walk_lengths(a: int, max_length: int, grid: int = 64) -> set[int]:
+    """Lengths L <= max_length at which L steps of circular size >= a on the
+    cycle Z/(2*grid) can return to 0, by a sweep of the reachable residues
+    (bit r of ``reach`` set when residue r is reachable)."""
+    full = 2 * grid
+    mask = (1 << full) - 1
+    steps = [s for s in range(full) if min(s, full - s) >= a]
+    lengths = set()
+    reach = 1
+    for length in range(1, max_length + 1):
+        moved = 0
+        for s in steps:
+            moved |= ((reach << s) | (reach >> (full - s))) & mask
+        reach = moved
+        if reach & 1:
+            lengths.add(length)
+    return lengths
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,16 @@ class TestDispatch:
                 cli.main(["markers", "search", "--system", "cycles:3", "--N", "2"] + removed)
             assert excinfo.value.code == 2
 
+    def test_conjugacy_on_gap_cycles(self, capsys):
+        for argv in (
+            ["--p", "5", "--m", "2", "--delta", "1", "--N", "2", "--samples", "1"],
+            ["--p", "13", "--m", "4"],
+        ):
+            code, report, _ = run_cli(capsys, "shift", "conjugacy", *argv)
+            assert code == 0, argv
+            assert report["summary"]["verdict"] == "pass"
+            assert all(c["witness"]["checked"] >= 1 for c in report["checks"])
+
     def test_mdim_pipeline_value(self, capsys):
         code, report, _ = run_cli(
             capsys, "mdim", "pipeline", "--N", "3", "--time-division", "4"
@@ -132,8 +142,33 @@ class TestExitCodes:
             (["markers", "search", "--N", "2"], {"perm": [1, 0]}, "'points'"),
             (["markers", "search", "--N", "2"], {"points": ["a", "b"]}, "'perm'"),
             (["tower", "verify", "--m", "1", "--window", "0:2"], None, "--m >= 2"),
+            (["tower", "verify", "--m", "2", "--window", "0:12", "--samples", "0"], None, "--samples >= 1"),
+            (["tower", "verify", "--m", "2", "--window", "0:12", "--samples", "-2"], None, "--samples >= 1"),
+            (["shift", "conjugacy", "--p", "5", "--m", "2", "--samples", "0"], None, "samples must be >= 1"),
+            (["shift", "conjugacy", "--p", "5", "--m", "2", "--samples", "-1"], None, "samples must be >= 1"),
+            (["mdim", "D", "--model", "en-zp:p=2,n=1", "--cap", "1"], None, "exceeded 1 nodes"),
+            (["shift", "conjugacy", "--p", "3", "--m", "2", "--delta", "1"], None, "no period-3 point"),
+            (["tower", "verify", "--m", "3", "--window", "0:2"], None, "too short to check anything"),
+            (["tower", "verify", "--m", "2", "--window", "1:2:3"], None, "form A:B"),
+            (["tower", "verify", "--m", "2", "--window", "a:b"], None, "form A:B"),
+            (["tower", "verify", "--m", "2", "--delta", "3/2", "--window", "0:12"], None, "(0, 1]"),
         ],
-        ids=["complex-without-n", "system-without-points", "system-without-perm", "tower-m-1"],
+        ids=[
+            "complex-without-n",
+            "system-without-points",
+            "system-without-perm",
+            "tower-m-1",
+            "tower-zero-samples",
+            "tower-negative-samples",
+            "conjugacy-zero-samples",
+            "conjugacy-negative-samples",
+            "mdim-over-cap",
+            "conjugacy-empty-grid-set",
+            "tower-window-too-short",
+            "window-three-parts",
+            "window-not-integers",
+            "tower-delta-above-one",
+        ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, system, named):
         if system is not None:

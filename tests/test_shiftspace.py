@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mdkit import shiftspace
 from mdkit.shiftspace import (
     BinarySFT,
     EitherOrEquals,
@@ -30,6 +31,7 @@ from mdkit.shiftspace import (
     verify_conjugacy_diagram,
 )
 from mdkit.torus import TorusVec
+from oracles import closed_grid_walk_lengths, sample_periodic_gap_point_whole_period
 
 
 def vecs(*values):
@@ -264,6 +266,75 @@ class TestSampling:
         w = sample_gap_window(2, 6, HALF, -6, 30, rng)
         assert w.start == -6 and len(w.values) == 30
         assert check_membership(gap_space(2, 6, HALF), w).passed
+
+    def test_window_sampling_draws_are_pinned(self):
+        w = sample_gap_window(1, 2, HALF, -1, 7, random.Random(5))
+        assert [v.to_json() for v in w.values] == [
+            ["65/64"], ["91/64"], ["7/64"], ["13/64"], ["5/8"], ["95/64"], ["15/8"]
+        ]
+
+    def test_grid_emptiness_rule_matches_closed_walks(self):
+        for a in range(1, 65):
+            closing = closed_grid_walk_lengths(a, 13)
+            for length in range(1, 14):
+                rule = shiftspace._grid_cycle_closes(1, Fraction(a, 64), length)
+                assert rule == (length in closing), (a, length)
+        # off-grid thresholds round up to the next grid distance
+        assert not shiftspace._grid_cycle_closes(1, Fraction(2, 3), 3)
+        assert shiftspace._grid_cycle_closes(1, Fraction(41, 64) + Fraction(1, 1000), 3)
+        assert shiftspace._grid_cycle_closes(2, Fraction(1), 3)
+        assert not shiftspace._grid_cycle_closes(2, Fraction(1, 64), 1)
+
+    @pytest.mark.parametrize(
+        "dim, gap, threshold, period",
+        [
+            (1, 1, HALF, 2),
+            (1, 2, HALF, 5),
+            (2, 3, HALF, 5),
+            (1, 1, Fraction(1, 3), 4),
+            (1, 4, HALF, 6),
+            (1, 3, HALF, 6),
+            (2, 2, Fraction(1, 4), 6),
+        ],
+        ids=["N1-gap1-p2", "N1-gap2-p5", "N2-gap3-p5", "N1-gap1-p4-third", "N1-gap4-p6",
+             "N1-gap3-p6", "N2-gap2-p6-quarter"],
+    )
+    def test_cycle_walk_and_whole_period_oracle_return_members(
+        self, dim, gap, threshold, period
+    ):
+        spec = gap_space(dim, gap, threshold)
+        for seed in range(5):
+            for sampler in (sample_periodic_gap_point, sample_periodic_gap_point_whole_period):
+                x = sampler(dim, gap, threshold, period, random.Random(seed))
+                assert x.period == period
+                assert check_membership(spec, x).passed, (sampler.__name__, seed)
+
+    def test_cycle_walk_samples_sparse_sets(self):
+        for dim, gap, threshold, period in [
+            (2, 1, Fraction(1), 3),
+            (2, 2, Fraction(1), 5),
+            (1, 1, Fraction(1), 4),
+            (1, 4, HALF, 13),
+            (1, 2, Fraction(2, 3), 5),
+        ]:
+            x = sample_periodic_gap_point(dim, gap, threshold, period, random.Random(3))
+            assert check_membership(gap_space(dim, gap, threshold), x).passed
+
+    def test_empty_grid_set_is_decided_before_drawing(self):
+        for dim, gap, threshold, period in [
+            (1, 2, Fraction(1), 3),
+            (1, 1, Fraction(2, 3), 3),
+            (2, 5, HALF, 5),
+        ]:
+            with pytest.raises(ValueError, match=r"^no period-\d+ point .* exists on the k/64 grid$"):
+                sample_periodic_gap_point(dim, gap, threshold, period, random.Random(0))
+
+    def test_exhausted_budget_is_undetermined(self, monkeypatch):
+        # nonempty on the grid (5 steps of 51..77 units can sum to 256), but
+        # about one walk in 50,000 closes
+        monkeypatch.setattr(shiftspace, "MAX_DRAWS", 50)
+        with pytest.raises(ValueError, match="undetermined"):
+            sample_periodic_gap_point(1, 1, Fraction(51, 64), 5, random.Random(0))
 
 
 class TestJson:
