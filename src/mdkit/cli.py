@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -212,6 +213,8 @@ def _run_tower_aperiodicity(args) -> dict:
 
 
 def _run_shift_count_periodic(args) -> dict:
+    if args.n_max < 1:
+        raise ValueError("shift count-periodic needs --n-max >= 1: a smaller bound would check nothing")
     forbidden = frozenset(args.forbidden.split(","))
     checks = []
     for n in range(1, args.n_max + 1):
@@ -496,7 +499,9 @@ def _default_seed() -> int:
     return int(os.environ.get("MDKIT_SEED", "0"))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="mdkit",
         description=(

@@ -26,7 +26,7 @@ from .shiftspace import (
     shift,
     unit_step_space,
 )
-from .torus import TorusElem, TorusVec, frac_from_str, frac_to_str, max_circle_dist
+from .torus import TorusVec, frac_from_str, frac_to_str, max_circle_dist
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +467,7 @@ def map_to_unit_step_space(sys_: FiniteSystem, n_marker: int = 2) -> UnitStepMap
         values = []
         j = i
         for _ in range(cycle_len):
-            values.append(TorusVec((TorusElem(Fraction(rok.phi[j])),)))
+            values.append(TorusVec.of(rok.phi[j]))
             j = sys_.perm[j]
         sequences.append(Periodic(tuple(values)))
     for i, seq in enumerate(sequences):
@@ -541,7 +541,7 @@ def epsilon_embedding(
         if not any(dist[i][c] < eps / 2 for c in centers):
             centers.append(i)
     images = tuple(
-        TorusVec(tuple(TorusElem(dist[i][c]) for c in centers)) for i in range(n)
+        TorusVec(tuple(dist[i][c] for c in centers)) for i in range(n)
     )
     collision_ok = True
     separation: Fraction | None = None

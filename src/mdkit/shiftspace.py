@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .torus import TorusVec, frac_from_str, frac_to_str, max_circle_dist
+from .torus import TorusVec, frac_from_str, frac_to_str, max_circle_dist, max_dist_pair
 
 # ---------------------------------------------------------------------------
 # Sequence points
@@ -325,9 +325,10 @@ def check_membership(spec: SubshiftSpec, x: SeqPoint) -> MembershipReport:
         raise ValueError("alphabet dimension mismatch")
     records: list[CheckRecord] = []
     if isinstance(spec, GapAtLeast):
+        a, b = spec.threshold.numerator, spec.threshold.denominator
         for n in _checkable_range(x, 0, spec.gap):
-            lhs = max_circle_dist(x.value_at(n), x.value_at(n + spec.gap))
-            records.append(CheckRecord(n, lhs >= spec.threshold, lhs=lhs))
+            num, den = max_dist_pair(x.value_at(n), x.value_at(n + spec.gap))
+            records.append(CheckRecord(n, num * b >= a * den, lhs=Fraction(num, den)))
     elif isinstance(spec, (EitherOrAtLeast, EitherOrEquals)):
         for n in _checkable_range(x, -1, 1):
             d_prev = max_circle_dist(x.value_at(n - 1), x.value_at(n))
@@ -354,10 +355,10 @@ def _binary_word(x: SeqPoint, n: int, length: int) -> tuple[str, bool]:
     binary = True
     for j in range(length):
         v = x.value_at(n + j)
-        vals = {c.value for c in v.coords}
-        if vals == {Fraction(0)}:
+        vals = set(v.nums)
+        if vals == {0}:
             letters.append("0")
-        elif vals == {Fraction(1)}:
+        elif vals == {v.den}:
             letters.append("1")
         else:
             letters.append("?")
@@ -376,16 +377,18 @@ MAX_DRAWS = 100_000  # draws for one periodic point before the sampler gives up
 
 def random_torus_vec(rng: random.Random, dim: int) -> TorusVec:
     """A vector with coordinates uniform on the k/GRID grid."""
-    return TorusVec(tuple(Fraction(rng.randrange(2 * GRID), GRID) for _ in range(dim)))
+    return TorusVec(tuple(rng.randrange(2 * GRID) for _ in range(dim)), GRID)
 
 
 def _draw_after(
     rng: random.Random, dim: int, threshold: Fraction, prev: TorusVec
 ) -> tuple[TorusVec, int]:
     """A grid vector at distance >= threshold from ``prev``, and the draws it took."""
+    a, b = threshold.numerator, threshold.denominator
     for tries in range(1, SLOT_TRIES + 1):
         v = random_torus_vec(rng, dim)
-        if max_circle_dist(v, prev) >= threshold:
+        num, den = max_dist_pair(v, prev)
+        if num * b >= a * den:
             return v, tries
     raise ValueError(f"sampling gave up after {SLOT_TRIES} draws of one entry")
 
@@ -420,6 +423,7 @@ def sample_periodic_gap_point(
     what = f"period-{period} point with distance >= {spec.threshold} at gap {gap}"
     if not _grid_cycle_closes(dim, spec.threshold, length):
         raise ValueError(f"no {what} exists on the k/{GRID} grid")
+    a, b = spec.threshold.numerator, spec.threshold.denominator
     values: dict[int, TorusVec] = {}
     drawn = 0
     for first in range(cycles):
@@ -430,7 +434,8 @@ def sample_periodic_gap_point(
                 walk.append(v)
                 drawn += tries
             drawn += 1
-            if max_circle_dist(walk[-1], walk[0]) >= spec.threshold:
+            num, den = max_dist_pair(walk[-1], walk[0])
+            if num * b >= a * den:
                 break
         else:
             raise ValueError(
@@ -695,6 +700,8 @@ def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> Periodi
     distance is 1 for p = 2 and 1 - 1/p otherwise.
     """
     threshold = Fraction(threshold)
+    if p < 1:
+        raise ValueError("a periodic point needs period >= 1")
     if gap % p == 0:
         raise ValueError("no period-p points exist when p divides the gap")
     realized = best_periodic_gap(p)
@@ -702,10 +709,7 @@ def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> Periodi
         raise ValueError("witness construction insufficient for this threshold")
     c = p // 2
     g = pow(gap % p, -1, p)
-    values = tuple(
-        TorusVec.constant(Fraction(2 * n * c * g, p), dim) for n in range(p)
-    )
-    point = Periodic(values)
+    point = Periodic(tuple(TorusVec((2 * n * c * g,) * dim, p) for n in range(p)))
     report = check_membership(gap_space(dim, gap, threshold), point)
     if not report.passed:
         raise AssertionError("witness construction failed its own membership check")

@@ -1,12 +1,17 @@
 """Exact arithmetic and metric geometry on the circle R/2Z and its powers.
 
-Points of the circle are stored as canonical rational representatives in
-[0, 2).  The metric is ``min(d, 2 - d)`` where ``d`` is the representative of
-the difference, so the diameter is exactly 1 and the metric is invariant
-under translation.  Tuples of circle points form the alphabet of the sequence
+Points of the circle are stored as canonical representatives in [0, 2).  The
+metric is ``min(d, 2 - d)`` where ``d`` is the representative of the
+difference, so the diameter is exactly 1 and the metric is invariant under
+translation.  Tuples of circle points form the alphabet of the sequence
 spaces in :mod:`mdkit.shiftspace`; their metric is the coordinatewise max.
 
-Everything here is an exact rational computation: no floats, no tolerances.
+A :class:`TorusVec` holds its coordinates as integers over one shared
+denominator, ``nums[i]/den`` with ``nums[i]`` in [0, 2*den), and its group
+operations and distance are integer arithmetic mod ``2*den``.  ``Fraction``
+appears only at the edges: the scalar :class:`TorusElem`, construction from
+rationals, JSON, and :func:`max_circle_dist`.  Everything is exact: no
+floats, no tolerances.
 """
 
 from __future__ import annotations
@@ -74,73 +79,131 @@ def circle_dist(x: TorusElem, y: TorusElem) -> Fraction:
     return min(d, 2 - d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorusVec:
     """An element of the N-fold power of the circle (the sequence alphabet).
 
-    Coordinates may be given as :class:`TorusElem`, ``Fraction`` or ``int``;
-    they are canonicalized on construction.  The group operations act
-    coordinatewise and require equal dimension.
+    Coordinate i is ``nums[i]/den`` mod 2.  The stored form is canonical:
+    every ``nums[i]`` lies in [0, 2*den) and gcd(den, *nums) = 1, so ``==``
+    and ``hash`` agree with equality of values.  ``nums`` may also be given
+    as rationals (``Fraction``, ``int`` or :class:`TorusElem`), which are
+    lifted to their common denominator.  The group operations act
+    coordinatewise and require equal dimension; operands with different
+    denominators are lifted to the lcm.
     """
 
-    coords: tuple[TorusElem, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        coords = tuple(
-            c if isinstance(c, TorusElem) else TorusElem(Fraction(c))
-            for c in self.coords
-        )
-        if not coords:
+        nums, den = tuple(self.nums), self.den
+        if not nums:
             raise ValueError("alphabet dimension must be positive")
-        object.__setattr__(self, "coords", coords)
+        if not isinstance(den, int) or den < 1:
+            raise ValueError("denominator must be a positive integer")
+        if not all(isinstance(k, int) for k in nums):
+            values = [Fraction(k.value if isinstance(k, TorusElem) else k) / den for k in nums]
+            den = math.lcm(*(f.denominator for f in values))
+            nums = tuple(f.numerator * (den // f.denominator) for f in values)
+        full = 2 * den
+        _canonical(self, tuple(k % full for k in nums), den)
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
+
+    @property
+    def coords(self) -> tuple[TorusElem, ...]:
+        """Read-only view of the coordinates as scalar circle points."""
+        return tuple(TorusElem(Fraction(k, self.den)) for k in self.nums)
 
     @classmethod
     def of(cls, *values: Fraction | int | TorusElem) -> "TorusVec":
-        return cls(tuple(values))
+        return cls(values)
 
     @classmethod
     def zero(cls, dim: int) -> "TorusVec":
-        return cls((Fraction(0),) * dim)
+        return cls((0,) * dim)
 
     @classmethod
     def constant(cls, value: Fraction | int, dim: int) -> "TorusVec":
         return cls((Fraction(value),) * dim)
 
-    def _require_same_dim(self, other: "TorusVec") -> None:
-        if self.dim != other.dim:
-            raise ValueError("alphabet dimension mismatch")
-
     def __add__(self, other: "TorusVec") -> "TorusVec":
-        self._require_same_dim(other)
-        return TorusVec(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, b, den = _lift(self, other)
+        full = 2 * den
+        return _vec(tuple((x + y) % full for x, y in zip(a, b)), den)
 
     def __sub__(self, other: "TorusVec") -> "TorusVec":
-        self._require_same_dim(other)
-        return TorusVec(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        a, b, den = _lift(self, other)
+        full = 2 * den
+        return _vec(tuple((x - y) % full for x, y in zip(a, b)), den)
 
     def __neg__(self) -> "TorusVec":
-        return TorusVec(tuple(-a for a in self.coords))
+        full = 2 * self.den
+        return _vec(tuple(-k % full for k in self.nums), self.den)
 
     def __repr__(self) -> str:
-        inner = ", ".join(str(c.value) for c in self.coords)
+        inner = ", ".join(str(Fraction(k, self.den)) for k in self.nums)
         return f"TorusVec({inner})"
 
     def to_json(self) -> list[str]:
-        return [c.to_json() for c in self.coords]
+        return [frac_to_str(Fraction(k, self.den)) for k in self.nums]
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "TorusVec":
-        return cls(tuple(TorusElem.from_json(c) for c in data))
+        return cls(tuple(frac_from_str(c) for c in data))
+
+
+def _canonical(vec: TorusVec, nums: tuple[int, ...], den: int) -> None:
+    """Store ``nums/den`` (entries already in [0, 2*den)) in lowest terms."""
+    g = math.gcd(den, *nums)
+    if g > 1:
+        nums = tuple(k // g for k in nums)
+        den //= g
+    object.__setattr__(vec, "nums", nums)
+    object.__setattr__(vec, "den", den)
+
+
+def _vec(nums: tuple[int, ...], den: int) -> TorusVec:
+    """A vector from reduced-range integers, skipping the type checks."""
+    vec = object.__new__(TorusVec)
+    _canonical(vec, nums, den)
+    return vec
+
+
+def _lift(x: TorusVec, y: TorusVec) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The numerators of x and y over their common denominator, and that denominator."""
+    if len(x.nums) != len(y.nums):
+        raise ValueError("alphabet dimension mismatch")
+    a, b = x.den, y.den
+    if a == b:
+        return x.nums, y.nums, a
+    den = math.lcm(a, b)
+    sa, sb = den // a, den // b
+    return tuple(k * sa for k in x.nums), tuple(k * sb for k in y.nums), den
+
+
+def max_dist_pair(x: TorusVec, y: TorusVec) -> tuple[int, int]:
+    """The alphabet metric as ``(num, den)``, value ``num/den`` (not in lowest terms).
+
+    A threshold ``a/b`` is met exactly when ``num * b >= a * den``.
+    """
+    a, b, den = _lift(x, y)
+    full = 2 * den
+    best = 0
+    for u, v in zip(a, b):
+        d = (u - v) % full
+        if d > den:
+            d = full - d
+        if d > best:
+            best = d
+    return best, den
 
 
 def max_circle_dist(x: TorusVec, y: TorusVec) -> Fraction:
     """Alphabet metric: the max of coordinatewise circle distances; in [0, 1]."""
-    x._require_same_dim(y)
-    return max(circle_dist(a, b) for a, b in zip(x.coords, y.coords))
+    return Fraction(*max_dist_pair(x, y))
 
 
 def vec_sum(vectors: Iterable[TorusVec]) -> TorusVec:

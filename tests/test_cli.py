@@ -152,6 +152,9 @@ class TestExitCodes:
             (["tower", "verify", "--m", "2", "--window", "1:2:3"], None, "form A:B"),
             (["tower", "verify", "--m", "2", "--window", "a:b"], None, "form A:B"),
             (["tower", "verify", "--m", "2", "--delta", "3/2", "--window", "0:12"], None, "(0, 1]"),
+            (["shift", "witness", "--p", "0", "--m", "1"], None, "period >= 1"),
+            (["shift", "count-periodic", "--n-max", "0"], None, "would check nothing"),
+            (["shift", "count-periodic", "--n-max", "-1"], None, "would check nothing"),
         ],
         ids=[
             "complex-without-n",
@@ -168,6 +171,9 @@ class TestExitCodes:
             "window-three-parts",
             "window-not-integers",
             "tower-delta-above-one",
+            "witness-period-zero",
+            "count-periodic-zero-lengths",
+            "count-periodic-negative-lengths",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, system, named):

@@ -1,0 +1,50 @@
+"""Golden reports: the README's example commands print byte-identical stdout.
+
+Each file in ``tests/golden`` holds the stdout of one command of the README
+"Command line" block.  The files are regenerated only when a report is meant
+to change; a representation change must leave every byte as it is.
+"""
+
+import shlex
+from pathlib import Path
+
+import pytest
+
+from mdkit import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+COMMANDS = {
+    "tower-verify": "mdkit tower verify --m 3 --N 1 --delta 1/2 --window 0:36 --samples 100 --seed 7",
+    "tower-aperiodicity": "mdkit tower aperiodicity --m-max 5 --p-max 13",
+    "shift-count-periodic": "mdkit shift count-periodic --n-max 14",
+    "shift-conjugacy": "mdkit shift conjugacy --p 7 --m 3 --N 2 --delta 1/2 --samples 20 --seed 1",
+    "shift-witness": "mdkit shift witness --p 3 --m 2",
+    "complex-en-zp": "mdkit complex en-zp --p 3 --n 2",
+    "complex-coindex": "mdkit complex coindex --complex en-zp:p=2,n=1 --n-max 2",
+    "markers-search": "mdkit markers search --system cycles:5 --N 6",
+    "markers-transfer": "mdkit markers transfer --system cycles:3,5 --n 2 --N 3",
+    "embed": "mdkit embed --system cycles:5 --metric uniform:1/4 --epsilon 1/5",
+    "mdim-D": "mdkit mdim D --model en-zp:p=2,n=1 --cover stars",
+    "mdim-pipeline": "mdkit mdim pipeline --N 3 --eta 1/7",
+}
+
+
+def readme_commands() -> list[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.strip().splitlines()]
+
+
+def test_golden_set_is_the_readme_block():
+    assert readme_commands() == list(COMMANDS.values())
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_report_is_byte_identical(name, capsys, monkeypatch):
+    monkeypatch.delenv("MDKIT_SEED", raising=False)
+    code = cli.main(shlex.split(COMMANDS[name])[1:])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from mdkit.torus import (
     frac_from_str,
     frac_to_str,
     max_circle_dist,
+    max_dist_pair,
     torus_reduce,
     vec_sum,
 )
@@ -134,3 +136,113 @@ def test_torus_json_round_trip():
     assert TorusElem.from_json(elem.to_json()) == elem
     vec = TorusVec.of(Fraction(1, 3), Fraction(9, 5))
     assert TorusVec.from_json(vec.to_json()) == vec
+
+
+# ---------------------------------------------------------------------------
+# Integer representation of TorusVec against a plain Fraction mod-2 oracle
+
+
+def mod2(q):
+    return q - 2 * (q // 2)
+
+
+def oracle_dist(xs, ys):
+    return max(min(mod2(a - b), 2 - mod2(a - b)) for a, b in zip(xs, ys))
+
+
+def as_fractions(v):
+    return [Fraction(k, v.den) for k in v.nums]
+
+
+dens = st.integers(min_value=1, max_value=360)
+
+
+@st.composite
+def vec_pairs(draw):
+    """Two vectors of one dimension, each over its own denominator."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    nums = st.lists(st.integers(-5000, 5000), min_size=dim, max_size=dim)
+    return (draw(nums), draw(dens)), (draw(nums), draw(dens))
+
+
+@given(vec_pairs())
+def test_integer_ops_match_fraction_oracle(pair):
+    (xn, xd), (yn, yd) = pair
+    x, y = TorusVec(tuple(xn), xd), TorusVec(tuple(yn), yd)
+    xs = [mod2(Fraction(k, xd)) for k in xn]
+    ys = [mod2(Fraction(k, yd)) for k in yn]
+    assert as_fractions(x) == xs and as_fractions(y) == ys
+    assert as_fractions(x + y) == [mod2(a + b) for a, b in zip(xs, ys)]
+    assert as_fractions(x - y) == [mod2(a - b) for a, b in zip(xs, ys)]
+    assert as_fractions(-x) == [mod2(-a) for a in xs]
+    num, den = max_dist_pair(x, y)
+    assert Fraction(num, den) == oracle_dist(xs, ys) == max_circle_dist(x, y)
+
+
+@given(vec_pairs())
+def test_integer_form_is_canonical(pair):
+    (xn, xd), _ = pair
+    x = TorusVec(tuple(xn), xd)
+    assert all(0 <= k < 2 * x.den for k in x.nums)
+    assert math.gcd(x.den, *x.nums) == 1
+    scaled = TorusVec(tuple(7 * k for k in xn), 7 * xd)
+    assert scaled == x and hash(scaled) == hash(x)
+    assert TorusVec(tuple(Fraction(k, xd) for k in xn)) == x
+
+
+def test_integer_ops_seeded_mixed_denominators():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        dim = rng.randint(1, 4)
+        x = TorusVec(tuple(rng.randrange(-300, 300) for _ in range(dim)), rng.choice([1, 2, 3, 8, 12, 64, 90]))
+        y = TorusVec(tuple(rng.randrange(-300, 300) for _ in range(dim)), rng.choice([1, 5, 6, 32, 45, 64]))
+        xs, ys = as_fractions(x), as_fractions(y)
+        total = x + y
+        assert math.lcm(x.den, y.den) % total.den == 0
+        assert as_fractions(total) == [mod2(a + b) for a, b in zip(xs, ys)]
+        assert as_fractions(x - y) == [mod2(a - b) for a, b in zip(xs, ys)]
+        assert (x - y) + y == x and x + (-x) == TorusVec.zero(dim)
+        num, den = max_dist_pair(x, y)
+        assert Fraction(num, den) == oracle_dist(xs, ys)
+
+
+def test_equal_values_built_differently_are_equal_and_hash_equal():
+    half = TorusVec((32,), 64)
+    one = half + half
+    assert one == TorusVec.of(1) == TorusVec((1,)) == TorusVec((3,)) == TorusVec((-1,))
+    assert one.nums == (1,) and one.den == 1
+    assert hash(one) == hash(TorusVec.of(1))
+    assert len({one, TorusVec.of(1), TorusVec((384,), 128)}) == 1
+    mixed = TorusVec.of(Fraction(1, 3), Fraction(1, 4)) + TorusVec.of(Fraction(2, 3), Fraction(3, 4))
+    assert mixed == TorusVec.of(1, 1) == TorusVec.constant(1, 2)
+    assert hash(mixed) == hash(TorusVec.constant(1, 2))
+    assert TorusVec((0, 6), 12) == TorusVec.of(0, Fraction(1, 2)) == TorusVec.from_json(["0/1", "2/4"])
+
+
+def test_to_json_writes_reduced_fractions():
+    assert TorusVec((0, 64, 32, 96, 127), 64).to_json() == ["0/1", "1/1", "1/2", "3/2", "127/64"]
+    assert TorusVec.of(Fraction(-1, 3), 5, Fraction(8, 6)).to_json() == ["5/3", "1/1", "4/3"]
+    rng = random.Random(7)
+    for _ in range(500):
+        v = TorusVec(tuple(rng.randrange(-500, 500) for _ in range(3)), rng.randrange(1, 100))
+        for text, k in zip(v.to_json(), v.nums):
+            p, q = (int(part) for part in text.split("/"))
+            assert q > 0 and math.gcd(p, q) == 1 and Fraction(p, q) == Fraction(k, v.den)
+
+
+@given(vec_pairs(), st.fractions(min_value=0, max_value=1, max_denominator=500))
+def test_integer_threshold_test_matches_fraction_comparison(pair, t):
+    (xn, xd), (yn, yd) = pair
+    x, y = TorusVec(tuple(xn), xd), TorusVec(tuple(yn), yd)
+    num, den = max_dist_pair(x, y)
+    assert (num * t.denominator >= t.numerator * den) == (max_circle_dist(x, y) >= t)
+
+
+def test_integer_threshold_test_seeded_thresholds():
+    rng = random.Random(31)
+    for _ in range(2000):
+        x = TorusVec((rng.randrange(128), rng.randrange(128)), 64)
+        y = TorusVec((rng.randrange(128), rng.randrange(128)), rng.choice([64, 32, 3]))
+        t = Fraction(rng.randrange(0, 129), rng.choice([64, 128, 7]))
+        num, den = max_dist_pair(x, y)
+        assert (num * t.denominator >= t.numerator * den) == (max_circle_dist(x, y) >= t)
