@@ -1,6 +1,7 @@
 """mdkit: exact-rational toolkit for torus-alphabet subshifts and their towers.
 
-Modules cover circle arithmetic (:mod:`mdkit.torus`), sequence spaces and
+Modules cover circle arithmetic on one point type, the integer-encoded
+:class:`~mdkit.torus.TorusVec` (:mod:`mdkit.torus`), sequence spaces and
 membership checks (:mod:`mdkit.shiftspace`), the factorial-gap
 factor/section tower (:mod:`mdkit.tower`), free prime-order simplicial
 complexes with coindex bounds (:mod:`mdkit.complexes`), finite permutation
@@ -12,11 +13,8 @@ rationals; identities are asserted with equality, never tolerances.
 __version__ = "0.1.0"
 
 from .torus import (  # noqa: F401
-    TorusElem,
     TorusVec,
-    circle_dist,
     max_circle_dist,
-    torus_reduce,
 )
 from .shiftspace import (  # noqa: F401
     BinarySFT,

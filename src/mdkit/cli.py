@@ -104,7 +104,13 @@ def _parse_window(text: str) -> tuple[int, int]:
 def _parse_system(text: str) -> FiniteSystem:
     """Generator shorthand "cycles:3,5" or a path to a FiniteSystem JSON file."""
     if text.startswith("cycles:"):
-        lengths = [int(part) for part in text.split(":", 1)[1].split(",")]
+        try:
+            lengths = [int(part) for part in text.split(":", 1)[1].split(",")]
+        except ValueError:
+            raise ValueError(
+                f"system shorthand {text!r} is not of the form cycles:L1,L2,... "
+                "with integer cycle lengths"
+            ) from None
         return FiniteSystem.from_cycle_lengths(lengths)
     with open(text, encoding="utf-8") as handle:
         return FiniteSystem.from_json(json.load(handle))
@@ -113,11 +119,18 @@ def _parse_system(text: str) -> FiniteSystem:
 def _parse_complex(text: str) -> FreeZpComplex:
     """Generator shorthand "en-zp:p=3,n=2" or a path to a complex JSON file."""
     if text.startswith("en-zp:"):
-        params = dict(part.split("=") for part in text.split(":", 1)[1].split(","))
-        for key in ("p", "n"):
-            if key not in params:
-                raise ValueError(f"complex shorthand {text!r} lacks the parameter {key}=")
-        return build_en_zp(int(params["p"]), int(params["n"]))
+        try:
+            params = dict(part.split("=") for part in text.split(":", 1)[1].split(","))
+            p, n = int(params["p"]), int(params["n"])
+        except KeyError as missing:
+            raise ValueError(
+                f"complex shorthand {text!r} lacks the parameter {missing.args[0]}="
+            ) from None
+        except ValueError:
+            raise ValueError(
+                f"complex shorthand {text!r} is not of the form en-zp:p=P,n=N with integers"
+            ) from None
+        return build_en_zp(p, n)
     with open(text, encoding="utf-8") as handle:
         return FreeZpComplex.from_json(json.load(handle))
 

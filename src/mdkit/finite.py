@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import comb
+from typing import Sequence
 
 from .shiftspace import (
     Periodic,
@@ -460,16 +461,8 @@ def map_to_unit_step_space(sys_: FiniteSystem, n_marker: int = 2) -> UnitStepMap
         )
     rok = rokhlin_function(sys_, cert.subset, n_marker)
     space = unit_step_space()
-    sequences = []
+    sequences = _orbit_sequences(sys_, [TorusVec.of(t) for t in rok.phi])
     failures: list[dict] = []
-    for i in range(sys_.size):
-        cycle_len = next(len(c) for c in sys_.cycles() if i in c)
-        values = []
-        j = i
-        for _ in range(cycle_len):
-            values.append(TorusVec.of(rok.phi[j]))
-            j = sys_.perm[j]
-        sequences.append(Periodic(tuple(values)))
     for i, seq in enumerate(sequences):
         report = check_membership(space, seq)
         if not report.passed:
@@ -485,6 +478,16 @@ def map_to_unit_step_space(sys_: FiniteSystem, n_marker: int = 2) -> UnitStepMap
         equivariance_ok=equivariance_ok,
         failures=tuple(failures),
     )
+
+
+def _orbit_sequences(sys_: FiniteSystem, images: Sequence[TorusVec]) -> list[Periodic]:
+    """Each point's orbit read through ``images``, one period long."""
+    sequences: dict[int, Periodic] = {}
+    for cycle in sys_.cycles():
+        values = [images[j] for j in cycle]
+        for k, i in enumerate(cycle):
+            sequences[i] = Periodic(tuple(values[k:] + values[:k]))
+    return [sequences[i] for i in range(sys_.size)]
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +544,7 @@ def epsilon_embedding(
         if not any(dist[i][c] < eps / 2 for c in centers):
             centers.append(i)
     images = tuple(
-        TorusVec(tuple(dist[i][c] for c in centers)) for i in range(n)
+        TorusVec.of(*(dist[i][c] for c in centers)) for i in range(n)
     )
     collision_ok = True
     separation: Fraction | None = None
@@ -607,15 +610,7 @@ def embed_into_universal(sys_: FiniteSystem, epsilon: Fraction) -> UniversalEmbe
         max_circle_dist(emb.images[i], emb.images[sys_.perm[i]])
         for i in range(sys_.size)
     )
-    sequences = []
-    for i in range(sys_.size):
-        cycle_len = next(len(c) for c in sys_.cycles() if i in c)
-        values = []
-        j = i
-        for _ in range(cycle_len):
-            values.append(emb.images[j])
-            j = sys_.perm[j]
-        sequences.append(Periodic(tuple(values)))
+    sequences = _orbit_sequences(sys_, emb.images)
     space = gap_space(emb.n_coords, 1, delta) if delta > 0 else None
     membership_ok = space is not None and all(
         check_membership(space, seq).passed for seq in sequences

@@ -205,8 +205,8 @@ def cover_D(
             nodes += 1
             if nodes > cap:
                 raise SearchCapExceeded(
-                    f"feasibility search exceeded {cap} nodes; use bound mode, "
-                    f"which reports a best-found upper bound and trivial lower bound"
+                    f"feasibility search exceeded {cap} nodes; raise the cap "
+                    f"(--cap on mdim D) to search further"
                 )
             target = next((a for a in atoms if counts[a] == 0), None)
             if target is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .torus import TorusVec, frac_from_str, frac_to_str, max_circle_dist, max_dist_pair
+from .torus import TorusVec, dist_at_least, frac_from_str, frac_to_str, max_circle_dist
 
 # ---------------------------------------------------------------------------
 # Sequence points
@@ -325,10 +325,9 @@ def check_membership(spec: SubshiftSpec, x: SeqPoint) -> MembershipReport:
         raise ValueError("alphabet dimension mismatch")
     records: list[CheckRecord] = []
     if isinstance(spec, GapAtLeast):
-        a, b = spec.threshold.numerator, spec.threshold.denominator
         for n in _checkable_range(x, 0, spec.gap):
-            num, den = max_dist_pair(x.value_at(n), x.value_at(n + spec.gap))
-            records.append(CheckRecord(n, num * b >= a * den, lhs=Fraction(num, den)))
+            d = max_circle_dist(x.value_at(n), x.value_at(n + spec.gap))
+            records.append(CheckRecord(n, d >= spec.threshold, lhs=d))
     elif isinstance(spec, (EitherOrAtLeast, EitherOrEquals)):
         for n in _checkable_range(x, -1, 1):
             d_prev = max_circle_dist(x.value_at(n - 1), x.value_at(n))
@@ -339,31 +338,16 @@ def check_membership(spec: SubshiftSpec, x: SeqPoint) -> MembershipReport:
                 ok = d_prev == spec.value or d_next == spec.value
             records.append(CheckRecord(n, ok, lhs=max(d_prev, d_next)))
     else:
+        letters = {TorusVec.zero(x.dim): "0", TorusVec.of(*[1] * x.dim): "1"}
         length = spec.word_length
         for n in _checkable_range(x, 0, length - 1):
-            word, binary = _binary_word(x, n, length)
-            ok = binary and word not in spec.forbidden
+            word = "".join(letters.get(x.value_at(n + j), "?") for j in range(length))
+            ok = "?" not in word and word not in spec.forbidden
             records.append(CheckRecord(n, ok, word=word))
     if not records:
         return MembershipReport("vacuous", ())
     verdict = "pass" if all(r.ok for r in records) else "fail"
     return MembershipReport(verdict, tuple(records))
-
-
-def _binary_word(x: SeqPoint, n: int, length: int) -> tuple[str, bool]:
-    letters = []
-    binary = True
-    for j in range(length):
-        v = x.value_at(n + j)
-        vals = set(v.nums)
-        if vals == {0}:
-            letters.append("0")
-        elif vals == {v.den}:
-            letters.append("1")
-        else:
-            letters.append("?")
-            binary = False
-    return "".join(letters), binary
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +368,9 @@ def _draw_after(
     rng: random.Random, dim: int, threshold: Fraction, prev: TorusVec
 ) -> tuple[TorusVec, int]:
     """A grid vector at distance >= threshold from ``prev``, and the draws it took."""
-    a, b = threshold.numerator, threshold.denominator
     for tries in range(1, SLOT_TRIES + 1):
         v = random_torus_vec(rng, dim)
-        num, den = max_dist_pair(v, prev)
-        if num * b >= a * den:
+        if dist_at_least(v, prev, threshold):
             return v, tries
     raise ValueError(f"sampling gave up after {SLOT_TRIES} draws of one entry")
 
@@ -423,7 +405,6 @@ def sample_periodic_gap_point(
     what = f"period-{period} point with distance >= {spec.threshold} at gap {gap}"
     if not _grid_cycle_closes(dim, spec.threshold, length):
         raise ValueError(f"no {what} exists on the k/{GRID} grid")
-    a, b = spec.threshold.numerator, spec.threshold.denominator
     values: dict[int, TorusVec] = {}
     drawn = 0
     for first in range(cycles):
@@ -434,8 +415,7 @@ def sample_periodic_gap_point(
                 walk.append(v)
                 drawn += tries
             drawn += 1
-            num, den = max_dist_pair(walk[-1], walk[0])
-            if num * b >= a * den:
+            if dist_at_least(walk[-1], walk[0], spec.threshold):
                 break
         else:
             raise ValueError(
@@ -532,6 +512,8 @@ def verify_conjugacy_diagram(
     """
     if p <= m:
         raise ValueError("diagram requires p > m")
+    if math.gcd(m, p) != 1:
+        raise ValueError(f"m must be coprime to p: gcd({m}, {p}) = {math.gcd(m, p)}")
     if samples < 1:
         raise ValueError("samples must be >= 1: zero samples would check nothing")
     k = pow(m % p, -1, p)

@@ -1,17 +1,19 @@
 """Exact arithmetic and metric geometry on the circle R/2Z and its powers.
 
-Points of the circle are stored as canonical representatives in [0, 2).  The
-metric is ``min(d, 2 - d)`` where ``d`` is the representative of the
+A point of the N-fold power of the circle is a :class:`TorusVec`: its
+coordinates are integers over one shared denominator, ``nums[i]/den`` with
+``nums[i]`` in [0, 2*den), and its group operations are integer arithmetic
+mod ``2*den``.  A dimension-1 vector is a point of the circle itself.  The
+circle metric is ``min(d, 2 - d)`` where ``d`` is the representative of the
 difference, so the diameter is exactly 1 and the metric is invariant under
-translation.  Tuples of circle points form the alphabet of the sequence
-spaces in :mod:`mdkit.shiftspace`; their metric is the coordinatewise max.
+translation; the metric on vectors is the coordinatewise max.  Vectors form
+the alphabet of the sequence spaces in :mod:`mdkit.shiftspace`.
 
-A :class:`TorusVec` holds its coordinates as integers over one shared
-denominator, ``nums[i]/den`` with ``nums[i]`` in [0, 2*den), and its group
-operations and distance are integer arithmetic mod ``2*den``.  ``Fraction``
-appears only at the edges: the scalar :class:`TorusElem`, construction from
-rationals, JSON, and :func:`max_circle_dist`.  Everything is exact: no
-floats, no tolerances.
+The integer encoding stays inside this module: other modules build vectors
+with :meth:`TorusVec.of`, measure them with :func:`max_circle_dist` and test
+thresholds with :func:`dist_at_least`.  ``Fraction`` appears only at the
+edges: construction from rationals, JSON and :func:`max_circle_dist`.
+Everything is exact: no floats, no tolerances.
 """
 
 from __future__ import annotations
@@ -33,63 +35,16 @@ def frac_from_str(text: str) -> Fraction:
     return Fraction(str(text).strip())
 
 
-def reduce_mod2(value: Fraction | int) -> Fraction:
-    """The unique representative of ``value`` modulo 2 lying in [0, 2)."""
-    f = Fraction(value)
-    return f - 2 * math.floor(f / 2)
-
-
-@dataclass(frozen=True)
-class TorusElem:
-    """A point of R/2Z, held as its canonical representative in [0, 2)."""
-
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", reduce_mod2(self.value))
-
-    def __add__(self, other: "TorusElem") -> "TorusElem":
-        return TorusElem(self.value + other.value)
-
-    def __sub__(self, other: "TorusElem") -> "TorusElem":
-        return TorusElem(self.value - other.value)
-
-    def __neg__(self) -> "TorusElem":
-        return TorusElem(-self.value)
-
-    def __repr__(self) -> str:
-        return f"TorusElem({self.value!s})"
-
-    def to_json(self) -> str:
-        return frac_to_str(self.value)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TorusElem":
-        return cls(frac_from_str(text))
-
-
-def torus_reduce(value: Fraction | int) -> TorusElem:
-    """Canonicalize any rational into its circle representative in [0, 2)."""
-    return TorusElem(Fraction(value))
-
-
-def circle_dist(x: TorusElem, y: TorusElem) -> Fraction:
-    """Circle metric: ``min(d, 2 - d)`` for ``d = (x - y) mod 2``; in [0, 1]."""
-    d = reduce_mod2(x.value - y.value)
-    return min(d, 2 - d)
-
-
 @dataclass(frozen=True, slots=True)
 class TorusVec:
     """An element of the N-fold power of the circle (the sequence alphabet).
 
-    Coordinate i is ``nums[i]/den`` mod 2.  The stored form is canonical:
-    every ``nums[i]`` lies in [0, 2*den) and gcd(den, *nums) = 1, so ``==``
-    and ``hash`` agree with equality of values.  ``nums`` may also be given
-    as rationals (``Fraction``, ``int`` or :class:`TorusElem`), which are
-    lifted to their common denominator.  The group operations act
-    coordinatewise and require equal dimension; operands with different
-    denominators are lifted to the lcm.
+    Coordinate i is ``nums[i]/den`` mod 2, with integer ``nums`` and ``den``;
+    build a vector from rationals with :meth:`TorusVec.of`.  The stored form
+    is canonical: every ``nums[i]`` lies in [0, 2*den) and
+    gcd(den, *nums) = 1, so ``==`` and ``hash`` agree with equality of
+    values.  The group operations act coordinatewise and require equal
+    dimension; operands with different denominators are lifted to the lcm.
     """
 
     nums: tuple[int, ...]
@@ -102,9 +57,7 @@ class TorusVec:
         if not isinstance(den, int) or den < 1:
             raise ValueError("denominator must be a positive integer")
         if not all(isinstance(k, int) for k in nums):
-            values = [Fraction(k.value if isinstance(k, TorusElem) else k) / den for k in nums]
-            den = math.lcm(*(f.denominator for f in values))
-            nums = tuple(f.numerator * (den // f.denominator) for f in values)
+            raise TypeError("TorusVec takes integers; build from rationals with TorusVec.of")
         full = 2 * den
         _canonical(self, tuple(k % full for k in nums), den)
 
@@ -112,22 +65,16 @@ class TorusVec:
     def dim(self) -> int:
         return len(self.nums)
 
-    @property
-    def coords(self) -> tuple[TorusElem, ...]:
-        """Read-only view of the coordinates as scalar circle points."""
-        return tuple(TorusElem(Fraction(k, self.den)) for k in self.nums)
-
     @classmethod
-    def of(cls, *values: Fraction | int | TorusElem) -> "TorusVec":
-        return cls(values)
+    def of(cls, *values: Fraction | int) -> "TorusVec":
+        """The vector with the given rational coordinates, reduced mod 2."""
+        fracs = [Fraction(v) for v in values]
+        den = math.lcm(*(f.denominator for f in fracs))
+        return cls(tuple(f.numerator * (den // f.denominator) for f in fracs), den)
 
     @classmethod
     def zero(cls, dim: int) -> "TorusVec":
         return cls((0,) * dim)
-
-    @classmethod
-    def constant(cls, value: Fraction | int, dim: int) -> "TorusVec":
-        return cls((Fraction(value),) * dim)
 
     def __add__(self, other: "TorusVec") -> "TorusVec":
         a, b, den = _lift(self, other)
@@ -152,7 +99,7 @@ class TorusVec:
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "TorusVec":
-        return cls(tuple(frac_from_str(c) for c in data))
+        return cls.of(*(frac_from_str(c) for c in data))
 
 
 def _canonical(vec: TorusVec, nums: tuple[int, ...], den: int) -> None:
@@ -184,11 +131,8 @@ def _lift(x: TorusVec, y: TorusVec) -> tuple[tuple[int, ...], tuple[int, ...], i
     return tuple(k * sa for k in x.nums), tuple(k * sb for k in y.nums), den
 
 
-def max_dist_pair(x: TorusVec, y: TorusVec) -> tuple[int, int]:
-    """The alphabet metric as ``(num, den)``, value ``num/den`` (not in lowest terms).
-
-    A threshold ``a/b`` is met exactly when ``num * b >= a * den``.
-    """
+def _max_dist_pair(x: TorusVec, y: TorusVec) -> tuple[int, int]:
+    """The alphabet metric as ``(num, den)``, value ``num/den`` (not in lowest terms)."""
     a, b, den = _lift(x, y)
     full = 2 * den
     best = 0
@@ -203,7 +147,13 @@ def max_dist_pair(x: TorusVec, y: TorusVec) -> tuple[int, int]:
 
 def max_circle_dist(x: TorusVec, y: TorusVec) -> Fraction:
     """Alphabet metric: the max of coordinatewise circle distances; in [0, 1]."""
-    return Fraction(*max_dist_pair(x, y))
+    return Fraction(*_max_dist_pair(x, y))
+
+
+def dist_at_least(x: TorusVec, y: TorusVec, threshold: Fraction) -> bool:
+    """Whether ``max_circle_dist(x, y) >= threshold``, decided in integers."""
+    num, den = _max_dist_pair(x, y)
+    return num * threshold.denominator >= threshold.numerator * den
 
 
 def vec_sum(vectors: Iterable[TorusVec]) -> TorusVec:

@@ -25,7 +25,6 @@ from .shiftspace import (
     gap_space,
     periodic_witness,
     random_torus_vec,
-    random_window,
     seq_to_json,
 )
 from .torus import TorusVec, frac_from_str, frac_to_str, vec_sum
@@ -216,42 +215,27 @@ def windows_agree_on_overlap(a: Window, b: Window) -> tuple[bool, list[int]]:
     return not bad, bad
 
 
-def verify_section_identity(
-    m: int, anchor: AnchorTable, x: Window, trials: int = 0, rng: random.Random | None = None
-) -> SectionIdentityReport:
+def verify_section_identity(m: int, anchor: AnchorTable, x: Window) -> SectionIdentityReport:
     """Assert factor(section(x)) = x exactly on the overlap of their domains.
 
     The identity is an algebraic telescoping fact: it needs no membership
-    assumption on x and holds for every anchor.  ``trials`` extra random
-    windows with the same domain are replayed through the same check.
+    assumption on x and holds for every anchor.
     """
-    if trials and rng is None:
-        raise ValueError("random trials need an rng")
-    windows = [x] + [random_window(x.dim, x.start, len(x.values), rng) for _ in range(trials)]
-    failures: list[dict] = []
-    for idx, w in enumerate(windows):
-        back = factor_map(m, section_map(m, anchor, w))
-        ok, bad = windows_agree_on_overlap(back, w)
-        overlap = (max(back.start, w.start), min(back.end, w.end))
-        if not ok:
-            failures.append(
-                {
-                    "window": idx,
-                    "witnesses": [
-                        {
-                            "index": k,
-                            "roundtrip": back.value_at(k).to_json(),
-                            "expected": w.value_at(k).to_json(),
-                        }
-                        for k in bad[:5]
-                    ],
-                }
-            )
+    back = factor_map(m, section_map(m, anchor, x))
+    ok, bad = windows_agree_on_overlap(back, x)
+    witnesses = [
+        {
+            "index": k,
+            "roundtrip": back.value_at(k).to_json(),
+            "expected": x.value_at(k).to_json(),
+        }
+        for k in bad[:5]
+    ]
     return SectionIdentityReport(
         level=m,
-        overlap=overlap,
-        windows_checked=len(windows),
-        failures=tuple(failures),
+        overlap=(max(back.start, x.start), min(back.end, x.end)),
+        windows_checked=1,
+        failures=() if ok else ({"window": 0, "witnesses": witnesses},),
     )
 
 

@@ -146,7 +146,7 @@ class TestExitCodes:
             (["tower", "verify", "--m", "2", "--window", "0:12", "--samples", "-2"], None, "--samples >= 1"),
             (["shift", "conjugacy", "--p", "5", "--m", "2", "--samples", "0"], None, "samples must be >= 1"),
             (["shift", "conjugacy", "--p", "5", "--m", "2", "--samples", "-1"], None, "samples must be >= 1"),
-            (["mdim", "D", "--model", "en-zp:p=2,n=1", "--cap", "1"], None, "exceeded 1 nodes"),
+            (["mdim", "D", "--model", "en-zp:p=2,n=1", "--cap", "1"], None, "exceeded 1 nodes; raise the cap"),
             (["shift", "conjugacy", "--p", "3", "--m", "2", "--delta", "1"], None, "no period-3 point"),
             (["tower", "verify", "--m", "3", "--window", "0:2"], None, "too short to check anything"),
             (["tower", "verify", "--m", "2", "--window", "1:2:3"], None, "form A:B"),
@@ -155,6 +155,9 @@ class TestExitCodes:
             (["shift", "witness", "--p", "0", "--m", "1"], None, "period >= 1"),
             (["shift", "count-periodic", "--n-max", "0"], None, "would check nothing"),
             (["shift", "count-periodic", "--n-max", "-1"], None, "would check nothing"),
+            (["shift", "conjugacy", "--p", "6", "--m", "2"], None, "m must be coprime to p"),
+            (["complex", "coindex", "--complex", "en-zp:p=3,n=2,x"], None, "en-zp:p=P,n=N"),
+            (["markers", "search", "--system", "cycles:3,x", "--N", "1"], None, "cycles:L1,L2,..."),
         ],
         ids=[
             "complex-without-n",
@@ -174,6 +177,9 @@ class TestExitCodes:
             "witness-period-zero",
             "count-periodic-zero-lengths",
             "count-periodic-negative-lengths",
+            "conjugacy-m-not-coprime",
+            "complex-shorthand-malformed",
+            "system-shorthand-malformed",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, system, named):

@@ -220,7 +220,7 @@ class TestUnitStepMap:
     def test_two_cycle_alternates(self):
         report = map_to_unit_step_space(cycles(2))
         assert report.passed
-        values = [v.coords[0].value for v in report.sequences[0].values]
+        values = [Fraction(v.nums[0], v.den) for v in report.sequences[0].values]
         assert values == [0, 1]
 
     def test_mixed_cycles(self):

@@ -181,7 +181,7 @@ class TestCoverD:
         vertices = sorted({c[0] for c in lat.atoms if len(c) == 1})
         stars = tuple(frozenset(c for c in lat.atoms if v in c) for v in vertices)
         cover = Cover(stars)
-        with pytest.raises(SearchCapExceeded, match="bound mode"):
+        with pytest.raises(SearchCapExceeded, match="raise the cap"):
             cover_D(lat, cover, cap=3)
         lower, upper = cover_D(lat, cover, cap=3, mode="bound")
         assert lower == 0 and upper >= 1

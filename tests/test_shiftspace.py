@@ -231,7 +231,7 @@ class TestSftCounts:
 class TestPeriodicWitness:
     def test_explicit_small_witness(self):
         w = periodic_witness(1, 2, HALF, 3)
-        assert [v.coords[0].value for v in w.values] == [
+        assert [Fraction(v.nums[0], v.den) for v in w.values] == [
             Fraction(0),
             Fraction(4, 3),
             Fraction(2, 3),
@@ -239,7 +239,7 @@ class TestPeriodicWitness:
 
     def test_antipodal_two_cycle(self):
         w = periodic_witness(1, 1, HALF, 2)
-        assert [v.coords[0].value for v in w.values] == [Fraction(0), Fraction(1)]
+        assert [Fraction(v.nums[0], v.den) for v in w.values] == [Fraction(0), Fraction(1)]
 
     def test_membership_and_constant_gap(self):
         w = periodic_witness(2, 3, HALF, 5)

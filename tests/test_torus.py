@@ -7,79 +7,81 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdkit.torus import (
-    TorusElem,
     TorusVec,
-    circle_dist,
+    dist_at_least,
     frac_from_str,
     frac_to_str,
     max_circle_dist,
-    max_dist_pair,
-    torus_reduce,
     vec_sum,
 )
 
 rationals = st.fractions(max_denominator=10**6)
 
 
+def value(v):
+    """The one coordinate of a 1-dim vector, as its representative in [0, 2)."""
+    return Fraction(v.nums[0], v.den)
+
+
 def test_reduce_examples():
-    assert torus_reduce(0).value == 0
-    assert torus_reduce(Fraction(8, 3)).value == Fraction(2, 3)
-    assert torus_reduce(Fraction(-1, 2)).value == Fraction(3, 2)
+    assert value(TorusVec.of(0)) == 0
+    assert value(TorusVec.of(Fraction(8, 3))) == Fraction(2, 3)
+    assert value(TorusVec.of(Fraction(-1, 2))) == Fraction(3, 2)
 
 
 @given(rationals)
 def test_reduce_canonical_range(q):
-    r = torus_reduce(q).value
+    r = value(TorusVec.of(q))
     assert 0 <= r < 2
     assert (q - r) % 2 == 0
 
 
 @given(rationals)
 def test_reduce_is_2_periodic(q):
-    base = torus_reduce(q)
+    base = TorusVec.of(q)
     for k in range(-3, 4):
-        assert torus_reduce(q + 2 * k) == base
+        assert TorusVec.of(q + 2 * k) == base
 
 
 @given(rationals, rationals)
 def test_group_add_then_subtract(x, y):
-    a, b = TorusElem(x), TorusElem(y)
+    a, b = TorusVec.of(x), TorusVec.of(y)
     assert (a + b) - b == a
-    assert a + (-a) == TorusElem(Fraction(0))
+    assert a + (-a) == TorusVec.of(0)
 
 
 def test_circle_dist_examples():
-    x = TorusElem(Fraction(7, 5))
-    assert circle_dist(x, x) == 0
-    assert circle_dist(TorusElem(Fraction(0)), TorusElem(Fraction(1))) == 1
-    assert circle_dist(TorusElem(Fraction(1, 3)), TorusElem(Fraction(5, 3))) == Fraction(2, 3)
+    x = TorusVec.of(Fraction(7, 5))
+    assert max_circle_dist(x, x) == 0
+    assert max_circle_dist(TorusVec.of(0), TorusVec.of(1)) == 1
+    assert max_circle_dist(TorusVec.of(Fraction(1, 3)), TorusVec.of(Fraction(5, 3))) == Fraction(2, 3)
 
 
 def test_circle_dist_translation_invariance_1000_triples():
     rng = random.Random(20260810)
     for _ in range(1000):
         x, y, z = (
-            TorusElem(Fraction(rng.randrange(-400, 400), rng.randrange(1, 64)))
+            TorusVec.of(Fraction(rng.randrange(-400, 400), rng.randrange(1, 64)))
             for _ in range(3)
         )
-        assert circle_dist(x + z, y + z) == circle_dist(x, y)
+        assert max_circle_dist(x + z, y + z) == max_circle_dist(x, y)
 
 
 def test_circle_dist_triangle_inequality_1000_triples():
     rng = random.Random(9157)
     for _ in range(1000):
         x, y, z = (
-            TorusElem(Fraction(rng.randrange(-400, 400), rng.randrange(1, 64)))
+            TorusVec.of(Fraction(rng.randrange(-400, 400), rng.randrange(1, 64)))
             for _ in range(3)
         )
-        assert circle_dist(x, z) <= circle_dist(x, y) + circle_dist(y, z)
+        assert max_circle_dist(x, z) <= max_circle_dist(x, y) + max_circle_dist(y, z)
 
 
 @given(rationals, rationals)
 def test_circle_dist_symmetric_and_bounded(x, y):
-    a, b = TorusElem(x), TorusElem(y)
-    d = circle_dist(a, b)
-    assert d == circle_dist(b, a)
+    a, b = TorusVec.of(x), TorusVec.of(y)
+    d = max_circle_dist(a, b)
+    assert d == max_circle_dist(b, a)
     assert 0 <= d <= 1
 
 
@@ -94,8 +96,8 @@ def test_max_dist_attains_one_on_antipodal_coordinate():
     rng = random.Random(4)
     for _ in range(200):
         coords = [Fraction(rng.randrange(128), 64) for _ in range(3)]
-        x = TorusVec(tuple(coords))
-        flipped = TorusVec(tuple(c + 1 for c in coords))
+        x = TorusVec.of(*coords)
+        flipped = TorusVec.of(*(c + 1 for c in coords))
         assert max_circle_dist(x, flipped) == 1
 
 
@@ -132,8 +134,8 @@ def test_rational_serialization_round_trip():
 
 
 def test_torus_json_round_trip():
-    elem = TorusElem(Fraction(-1, 3))
-    assert TorusElem.from_json(elem.to_json()) == elem
+    elem = TorusVec.of(Fraction(-1, 3))
+    assert TorusVec.from_json(elem.to_json()) == elem
     vec = TorusVec.of(Fraction(1, 3), Fraction(9, 5))
     assert TorusVec.from_json(vec.to_json()) == vec
 
@@ -175,8 +177,7 @@ def test_integer_ops_match_fraction_oracle(pair):
     assert as_fractions(x + y) == [mod2(a + b) for a, b in zip(xs, ys)]
     assert as_fractions(x - y) == [mod2(a - b) for a, b in zip(xs, ys)]
     assert as_fractions(-x) == [mod2(-a) for a in xs]
-    num, den = max_dist_pair(x, y)
-    assert Fraction(num, den) == oracle_dist(xs, ys) == max_circle_dist(x, y)
+    assert max_circle_dist(x, y) == oracle_dist(xs, ys)
 
 
 @given(vec_pairs())
@@ -187,7 +188,7 @@ def test_integer_form_is_canonical(pair):
     assert math.gcd(x.den, *x.nums) == 1
     scaled = TorusVec(tuple(7 * k for k in xn), 7 * xd)
     assert scaled == x and hash(scaled) == hash(x)
-    assert TorusVec(tuple(Fraction(k, xd) for k in xn)) == x
+    assert TorusVec.of(*(Fraction(k, xd) for k in xn)) == x
 
 
 def test_integer_ops_seeded_mixed_denominators():
@@ -202,8 +203,7 @@ def test_integer_ops_seeded_mixed_denominators():
         assert as_fractions(total) == [mod2(a + b) for a, b in zip(xs, ys)]
         assert as_fractions(x - y) == [mod2(a - b) for a, b in zip(xs, ys)]
         assert (x - y) + y == x and x + (-x) == TorusVec.zero(dim)
-        num, den = max_dist_pair(x, y)
-        assert Fraction(num, den) == oracle_dist(xs, ys)
+        assert max_circle_dist(x, y) == oracle_dist(xs, ys)
 
 
 def test_equal_values_built_differently_are_equal_and_hash_equal():
@@ -214,8 +214,8 @@ def test_equal_values_built_differently_are_equal_and_hash_equal():
     assert hash(one) == hash(TorusVec.of(1))
     assert len({one, TorusVec.of(1), TorusVec((384,), 128)}) == 1
     mixed = TorusVec.of(Fraction(1, 3), Fraction(1, 4)) + TorusVec.of(Fraction(2, 3), Fraction(3, 4))
-    assert mixed == TorusVec.of(1, 1) == TorusVec.constant(1, 2)
-    assert hash(mixed) == hash(TorusVec.constant(1, 2))
+    assert mixed == TorusVec.of(1, 1) == TorusVec((1, 1))
+    assert hash(mixed) == hash(TorusVec((1, 1)))
     assert TorusVec((0, 6), 12) == TorusVec.of(0, Fraction(1, 2)) == TorusVec.from_json(["0/1", "2/4"])
 
 
@@ -234,8 +234,7 @@ def test_to_json_writes_reduced_fractions():
 def test_integer_threshold_test_matches_fraction_comparison(pair, t):
     (xn, xd), (yn, yd) = pair
     x, y = TorusVec(tuple(xn), xd), TorusVec(tuple(yn), yd)
-    num, den = max_dist_pair(x, y)
-    assert (num * t.denominator >= t.numerator * den) == (max_circle_dist(x, y) >= t)
+    assert dist_at_least(x, y, t) == (max_circle_dist(x, y) >= t)
 
 
 def test_integer_threshold_test_seeded_thresholds():
@@ -244,5 +243,12 @@ def test_integer_threshold_test_seeded_thresholds():
         x = TorusVec((rng.randrange(128), rng.randrange(128)), 64)
         y = TorusVec((rng.randrange(128), rng.randrange(128)), rng.choice([64, 32, 3]))
         t = Fraction(rng.randrange(0, 129), rng.choice([64, 128, 7]))
-        num, den = max_dist_pair(x, y)
-        assert (num * t.denominator >= t.numerator * den) == (max_circle_dist(x, y) >= t)
+        assert dist_at_least(x, y, t) == (max_circle_dist(x, y) >= t)
+
+
+def test_rational_numerators_are_refused():
+    with pytest.raises(TypeError, match=r"TorusVec\.of"):
+        TorusVec((Fraction(1, 2),))
+    with pytest.raises(TypeError, match=r"TorusVec\.of"):
+        TorusVec((1, Fraction(1, 3)), 3)
+    assert TorusVec.of(Fraction(1, 2)) == TorusVec((1,), 2)
