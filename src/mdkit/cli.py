@@ -429,6 +429,8 @@ def _run_embed(args) -> dict:
 
 
 def _run_mdim_D(args) -> dict:
+    if args.cap < 1:
+        raise ValueError("--cap must be >= 1")
     if args.model == "interval":
         lattice = interval_lattice()
     elif args.model.startswith("en-zp:"):
@@ -447,9 +449,7 @@ def _run_mdim_D(args) -> dict:
     elif args.cover == "trivial":
         cover = Cover((lattice.ground,))
     else:
-        with open(args.cover, encoding="utf-8") as handle:
-            data = json.load(handle)
-        cover = Cover(tuple(frozenset(map(_json_atom, m)) for m in data))
+        cover = _load_cover(args.cover)
     value = cover_D(lattice, cover, cap=args.cap)
     checks = [
         _check(
@@ -461,6 +461,17 @@ def _run_mdim_D(args) -> dict:
     ]
     config = {"model": args.model, "cover": args.cover, "cap": args.cap}
     return _report("mdim D", config, checks)
+
+
+def _load_cover(path: str) -> Cover:
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    if isinstance(data, list) and all(isinstance(m, list) for m in data):
+        try:
+            return Cover(tuple(frozenset(map(_json_atom, m)) for m in data))
+        except TypeError:  # an atom that stays unhashable, such as a JSON object
+            pass
+    raise ValueError(f"cover file {path} must hold a JSON list of atom lists")
 
 
 def _json_atom(atom):

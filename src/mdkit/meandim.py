@@ -1,6 +1,7 @@
 """Cover combinatorics on finite open lattices and a bound calculus.
 
-On a finite lattice of open sets, the order of a cover is its maximal
+A finite lattice of open sets is the up-set topology of a finite poset,
+given by its cells and their cofaces.  The order of a cover is its maximal
 overlap count minus one, and the refinement dimension of a cover is the
 exact minimum order over all covers refining it, found by feasibility search
 with a node cap.  Mean dimension itself is never computed for infinite
@@ -12,15 +13,16 @@ limits, clock extensions), each application appended to a provenance chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .torus import frac_to_str
 
 
 class SearchCapExceeded(RuntimeError):
-    """The feasibility search hit its node cap before finishing."""
+    """``cover_D`` hit its node cap before finishing."""
 
 
 # ---------------------------------------------------------------------------
@@ -29,45 +31,60 @@ class SearchCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class OpenLattice:
-    """A finite ground set with a family of opens closed under union and
-    intersection, containing the empty set and the ground set."""
+    """The up-set (Alexandrov) topology of a finite poset.
+
+    ``cofaces[a]`` is the set of atoms strictly above ``a``.  A set of atoms
+    is open iff it contains every coface of each of its members, so the empty
+    set and the ground set are open and opens are closed under union and
+    intersection by construction.
+    """
 
     atoms: tuple
-    opens: frozenset[frozenset]
+    cofaces: Mapping
 
     def __post_init__(self) -> None:
         atoms = tuple(self.atoms)
-        opens = frozenset(frozenset(o) for o in self.opens)
+        cofaces = {a: frozenset(c) for a, c in self.cofaces.items()}
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "opens", opens)
+        object.__setattr__(self, "cofaces", cofaces)
+        if cofaces.keys() != set(atoms):
+            raise ValueError("cofaces must have exactly one entry per atom")
         ground = frozenset(atoms)
-        if frozenset() not in opens or ground not in opens:
-            raise ValueError("opens must contain the empty set and the ground set")
-        for o in opens:
-            if not o <= ground:
-                raise ValueError("open set contains an unknown atom")
-        members = sorted(opens, key=_set_key)
-        for a, b in combinations(members, 2):
-            if a | b not in opens:
-                raise ValueError("opens are not closed under union")
-            if a & b not in opens:
-                raise ValueError("opens are not closed under intersection")
+        if any(not c <= ground for c in cofaces.values()):
+            raise ValueError("a coface set names an unknown atom")
 
     @property
     def ground(self) -> frozenset:
         return frozenset(self.atoms)
 
-    def to_json(self) -> dict:
-        return {
-            "atoms": [_atom_to_json(a) for a in self.atoms],
-            "opens": [sorted(_atom_to_json(a) for a in o) for o in sorted(self.opens, key=_set_key)],
-        }
+    def is_open(self, s: frozenset) -> bool:
+        return s <= self.ground and all(self.cofaces[a] <= s for a in s)
 
+    def up_sets(self, within: frozenset):
+        """Yield every open contained in ``within``, the empty set included.
 
-def _atom_to_json(atom):
-    if isinstance(atom, tuple):
-        return list(atom)
-    return atom
+        A depth-first walk decides each cell after all of its cofaces (fewer
+        cofaces first): first without the cell, then with it if its cofaces
+        are already in.  ``taken`` holds the decisions made so far.
+        """
+        cells = sorted((a for a in self.atoms if a in within), key=lambda a: len(self.cofaces[a]))
+        current: set = set()
+        taken: list[bool] = []
+        while True:
+            taken += [False] * (len(cells) - len(taken))
+            yield frozenset(current)
+            while taken and (taken[-1] or not self.cofaces[cells[len(taken) - 1]] <= current):
+                if taken.pop():
+                    current.remove(cells[len(taken)])
+            if not taken:
+                return
+            taken[-1] = True
+            current.add(cells[len(taken) - 1])
+
+    @cached_property
+    def opens(self) -> frozenset[frozenset]:
+        """Every open, enumerated on demand; ``cover_D`` never needs it."""
+        return frozenset(self.up_sets(self.ground))
 
 
 def _set_key(s: frozenset):
@@ -75,71 +92,43 @@ def _set_key(s: frozenset):
 
 
 def interval_lattice() -> OpenLattice:
-    """The three-cell model of a segment: two vertices and the edge between.
+    """The face poset of one edge: vertices v0 and v1 below the edge e.
 
-    Opens are the up-sets of the face order: {}, {e}, {v0,e}, {v1,e}, all.
+    Opens are the up-sets: {}, {e}, {v0,e}, {v1,e}, all.
     """
-    atoms = ("v0", "e", "v1")
-    opens = [
-        frozenset(),
-        frozenset({"e"}),
-        frozenset({"v0", "e"}),
-        frozenset({"v1", "e"}),
-        frozenset(atoms),
-    ]
-    return OpenLattice(atoms, frozenset(opens))
+    return OpenLattice(("v0", "e", "v1"), {"v0": {"e"}, "e": set(), "v1": {"e"}})
 
 
 def face_lattice(complex_) -> OpenLattice:
     """The up-set topology on the cells of a finite simplicial complex.
 
-    Atoms are the simplices (as sorted vertex tuples); a set of cells is open
-    iff it contains every coface of each of its members.
+    Atoms are the simplices (as sorted vertex tuples); the cofaces of a cell
+    are the simplices that strictly contain it.
     """
-    cells = sorted((tuple(sorted(s)) for s in complex_.simplices), key=lambda c: (-len(c), c))
-    cofaces = {
-        c: [d for d in cells if set(c) < set(d)]
-        for c in cells
-    }
-    opens: list[frozenset] = []
-
-    def extend(idx: int, current: set):
-        if idx == len(cells):
-            opens.append(frozenset(current))
-            return
-        cell = cells[idx]
-        extend(idx + 1, current)
-        if all(cf in current for cf in cofaces[cell]):
-            current.add(cell)
-            extend(idx + 1, current)
-            current.remove(cell)
-
-    extend(0, set())
-    return OpenLattice(tuple(sorted(cells)), frozenset(opens))
+    cells = sorted(tuple(sorted(s)) for s in complex_.simplices)
+    cofaces: dict[tuple, set] = {c: set() for c in cells}
+    for d in cells:
+        for size in range(1, len(d)):
+            for c in combinations(d, size):
+                cofaces[c].add(d)
+    return OpenLattice(tuple(cells), cofaces)
 
 
 @dataclass(frozen=True)
 class Cover:
-    """A list of opens whose union is the ground set; duplicates allowed.
-
-    The lattice reference is optional; when present, membership of every
-    member is validated and joins across different lattices are rejected.
-    """
+    """A list of opens whose union is the ground set; duplicates allowed."""
 
     members: tuple[frozenset, ...]
-    lattice: OpenLattice | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "members", tuple(frozenset(m) for m in self.members)
         )
-        if self.lattice is not None:
-            validate_cover(self.lattice, self)
 
 
 def validate_cover(lattice: OpenLattice, cover: Cover) -> None:
     for m in cover.members:
-        if m not in lattice.opens:
+        if not lattice.is_open(m):
             raise ValueError("cover member is not an open of this lattice")
     union = frozenset().union(*cover.members) if cover.members else frozenset()
     if union != lattice.ground:
@@ -154,60 +143,57 @@ def cover_ord(cover: Cover) -> int:
 
 def cover_join(a: Cover, b: Cover) -> Cover:
     """All nonempty pairwise intersections, deduplicated, in canonical order."""
-    if a.lattice is not None and b.lattice is not None and a.lattice != b.lattice:
-        raise ValueError("lattice mismatch")
     members = {
         u & v
         for u in a.members
         for v in b.members
         if u & v
     }
-    return Cover(tuple(sorted(members, key=_set_key)), a.lattice or b.lattice)
+    return Cover(tuple(sorted(members, key=_set_key)))
 
 
-def cover_D(
-    lattice: OpenLattice,
-    cover: Cover,
-    cap: int = 1 << 16,
-    mode: str = "exact",
-) -> int | tuple[int, int]:
+def _cap_exceeded(what: str, cap: int) -> SearchCapExceeded:
+    return SearchCapExceeded(
+        f"{what} exceeded {cap} nodes; raise the cap (--cap on mdim D) to search further"
+    )
+
+
+def cover_D(lattice: OpenLattice, cover: Cover, cap: int = 1 << 16) -> int:
     """Minimum order over all covers refining the given one, by lattice opens.
 
-    Exact mode runs a feasibility search for each target order t = 0, 1, ...:
-    branch on the first uncovered atom, try each admissible open containing
-    it, prune as soon as any atom is hit more than t+1 times.  Exceeding the
-    node cap raises; bound mode instead returns the interval
-    (0, best order found so far), whose upper end is always realized by the
-    deduplicated input cover itself.
+    The candidates are the nonempty opens inside some cover member.  Each
+    open listed inside each distinct member counts against ``cap``, and
+    passing it raises.  A feasibility search then runs for each target order
+    t = 0, 1, ...: branch on the first uncovered atom, try each candidate
+    containing it, prune as soon as any atom is hit more than t+1 times.
+    More than ``cap`` search nodes raises as well.
     """
-    if mode not in ("exact", "bound"):
-        raise ValueError("mode must be 'exact' or 'bound'")
     validate_cover(lattice, cover)
-    candidates = sorted(
-        {
-            o
-            for o in lattice.opens
-            if o and any(o <= m for m in cover.members)
-        },
-        key=_set_key,
-    )
+    members = set(cover.members)
+    # every set of maximal atoms is open: a member with k of them holds >= 2^k opens
+    if sum(2 ** sum(not lattice.cofaces[a] for a in m) for m in members) > cap:
+        raise _cap_exceeded("candidate enumeration", cap)
+    found: set[frozenset] = set()
+    listed = 0
+    for member in members:
+        for o in lattice.up_sets(member):
+            listed += 1
+            if listed > cap:
+                raise _cap_exceeded("candidate enumeration", cap)
+            found.add(o)
+    candidates = sorted(found - {frozenset()}, key=_set_key)
     atoms = list(lattice.atoms)
-    dedup = Cover(tuple(sorted(set(cover.members), key=_set_key)))
-    fallback = cover_ord(dedup)
+    dedup = Cover(tuple(sorted(members, key=_set_key)))
     nodes = 0
 
     def feasible(t: int) -> bool:
-        nonlocal nodes
         counts = {a: 0 for a in atoms}
 
         def search() -> bool:
             nonlocal nodes
             nodes += 1
             if nodes > cap:
-                raise SearchCapExceeded(
-                    f"feasibility search exceeded {cap} nodes; raise the cap "
-                    f"(--cap on mdim D) to search further"
-                )
+                raise _cap_exceeded("feasibility search", cap)
             target = next((a for a in atoms if counts[a] == 0), None)
             if target is None:
                 return True
@@ -226,15 +212,10 @@ def cover_D(
 
         return search()
 
-    try:
-        for t in range(0, fallback + 1):
-            if feasible(t):
-                return t if mode == "exact" else (t, t)
-        raise AssertionError("the deduplicated cover itself must be feasible")
-    except SearchCapExceeded:
-        if mode == "exact":
-            raise
-        return (0, fallback)
+    for t in range(0, cover_ord(dedup) + 1):
+        if feasible(t):
+            return t
+    raise AssertionError("the deduplicated cover itself must be feasible")
 
 
 def cover_D_bruteforce(lattice: OpenLattice, cover: Cover) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -315,12 +314,6 @@ class TowerSpec:
             raise ValueError("threshold must lie strictly between 0 and 1")
         if self.m_max < 1:
             raise ValueError("truncation depth must be >= 1")
-        if self.m_max > 6:
-            warnings.warn(
-                f"truncation depth {self.m_max} needs windows of more than "
-                f"{level_gap(self.m_max)} exact-rational entries; expect slow runs",
-                stacklevel=2,
-            )
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "anchors", dict(self.anchors))
 

@@ -86,6 +86,13 @@ class TestDispatch:
         assert record["verdict"] == "pass"
         assert record["witness"]["n"] == 22
 
+    def test_mdim_D_of_octahedron_stars(self, capsys):
+        code, report, _ = run_cli(
+            capsys, "mdim", "D", "--model", "en-zp:p=2,n=2", "--cover", "stars"
+        )
+        assert code == 0
+        assert report["checks"][0]["witness"] == {"D": 2, "ord": 2}
+
     def test_remaining_subcommands_smoke(self, capsys):
         cases = [
             ("tower", "aperiodicity", "--m-max", "3", "--p-max", "7"),
@@ -136,11 +143,11 @@ class TestExitCodes:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "argv, system, named",
+        "argv, infile, named",
         [
             (["complex", "coindex", "--complex", "en-zp:p=3"], None, "n="),
-            (["markers", "search", "--N", "2"], {"perm": [1, 0]}, "'points'"),
-            (["markers", "search", "--N", "2"], {"points": ["a", "b"]}, "'perm'"),
+            (["markers", "search", "--N", "2"], ("--system", {"perm": [1, 0]}), "'points'"),
+            (["markers", "search", "--N", "2"], ("--system", {"points": ["a", "b"]}), "'perm'"),
             (["tower", "verify", "--m", "1", "--window", "0:2"], None, "--m >= 2"),
             (["tower", "verify", "--m", "2", "--window", "0:12", "--samples", "0"], None, "--samples >= 1"),
             (["tower", "verify", "--m", "2", "--window", "0:12", "--samples", "-2"], None, "--samples >= 1"),
@@ -158,6 +165,16 @@ class TestExitCodes:
             (["shift", "conjugacy", "--p", "6", "--m", "2"], None, "m must be coprime to p"),
             (["complex", "coindex", "--complex", "en-zp:p=3,n=2,x"], None, "en-zp:p=P,n=N"),
             (["markers", "search", "--system", "cycles:3,x", "--N", "1"], None, "cycles:L1,L2,..."),
+            (["mdim", "D", "--model", "interval"], ("--cover", [1, 2]), "a JSON list of atom lists"),
+            (["mdim", "D", "--model", "interval"], ("--cover", {"a": ["e"]}), "a JSON list of atom lists"),
+            (["mdim", "D", "--model", "interval"], ("--cover", [[{"a": 1}]]), "a JSON list of atom lists"),
+            (["mdim", "D", "--model", "interval", "--cap", "0"], None, "--cap must be >= 1"),
+            (["mdim", "D", "--model", "interval", "--cap", "-5"], None, "--cap must be >= 1"),
+            (
+                ["mdim", "D", "--model", "en-zp:p=5,n=2", "--cover", "stars"],
+                None,
+                "exceeded 65536 nodes; raise the cap (--cap on mdim D)",
+            ),
         ],
         ids=[
             "complex-without-n",
@@ -180,13 +197,20 @@ class TestExitCodes:
             "conjugacy-m-not-coprime",
             "complex-shorthand-malformed",
             "system-shorthand-malformed",
+            "cover-not-list-of-lists",
+            "cover-json-object",
+            "cover-unhashable-atom",
+            "mdim-cap-zero",
+            "mdim-cap-negative",
+            "mdim-candidates-over-cap",
         ],
     )
-    def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, system, named):
-        if system is not None:
-            path = tmp_path / "system.json"
-            path.write_text(json.dumps(system))
-            argv = argv + ["--system", str(path)]
+    def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):
+        if infile is not None:
+            flag, content = infile
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(content))
+            argv = argv + [flag, str(path)]
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 2

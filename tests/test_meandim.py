@@ -37,9 +37,22 @@ def interval_cover(*members):
 
 
 def discrete_lattice():
-    atoms = ("a", "b")
-    opens = [frozenset(), frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"})]
-    return OpenLattice(atoms, frozenset(opens))
+    return OpenLattice(("a", "b"), {"a": set(), "b": set()})
+
+
+def star_cover(lat):
+    vertices = sorted({c[0] for c in lat.atoms if len(c) == 1})
+    return Cover(tuple(frozenset(c for c in lat.atoms if v in c) for v in vertices))
+
+
+def powerset_up_sets(atoms, below):
+    """Every subset S of atoms with b in S whenever a in S and below(a, b)."""
+    return {
+        frozenset(s)
+        for r in range(len(atoms) + 1)
+        for s in combinations(atoms, r)
+        if all(b in s for a in s for b in atoms if below(a, b))
+    }
 
 
 def all_covers(lattice):
@@ -56,21 +69,31 @@ class TestLattices:
         assert len(lat.opens) == 5
         assert E in lat.opens
 
-    def test_closure_validation(self):
-        with pytest.raises(ValueError, match="union"):
-            OpenLattice(
-                ("a", "b", "c"),
-                frozenset(
-                    [
-                        frozenset(),
-                        frozenset({"a"}),
-                        frozenset({"b"}),
-                        frozenset({"a", "b", "c"}),
-                    ]
-                ),
-            )
-        with pytest.raises(ValueError, match="ground"):
-            OpenLattice(("a",), frozenset([frozenset()]))
+    def test_coface_validation(self):
+        with pytest.raises(ValueError, match="unknown atom"):
+            OpenLattice(("a", "b"), {"a": {"c"}, "b": set()})
+        with pytest.raises(ValueError, match="one entry per atom"):
+            OpenLattice(("a", "b"), {"a": {"b"}})
+        with pytest.raises(ValueError, match="one entry per atom"):
+            OpenLattice(("a",), {"a": set(), "b": set()})
+
+    def test_opens_are_the_up_sets(self):
+        interval_below = {("v0", "e"), ("v1", "e")}
+        cases = [
+            (interval_lattice(), lambda a, b: (a, b) in interval_below, 5),
+            (discrete_lattice(), lambda a, b: False, 4),
+        ]
+        for p in (2, 3):
+            lat = face_lattice(build_en_zp(p, 1))
+            cases.append((lat, lambda a, b: set(a) < set(b), {2: 47, 3: 1193}[p]))
+        for lat, below, count in cases:
+            assert lat.opens == powerset_up_sets(lat.atoms, below)
+            assert len(lat.opens) == count
+            assert all(lat.is_open(o) for o in lat.opens)
+
+    def test_is_open_refuses_unknown_atoms(self):
+        lat = interval_lattice()
+        assert not lat.is_open(frozenset({"e", "x"}))
 
     def test_face_lattice_of_four_cycle(self):
         lat = face_lattice(build_en_zp(2, 1))
@@ -111,16 +134,6 @@ class TestJoin:
         assert set(joined.members) == {V0E, V1E, E}
         assert cover_ord(joined) == 2
 
-    def test_lattice_mismatch(self):
-        a = Cover((interval_lattice().ground,), interval_lattice())
-        b = Cover((discrete_lattice().ground,), discrete_lattice())
-        with pytest.raises(ValueError, match="lattice mismatch"):
-            cover_join(a, b)
-
-    def test_lattice_carrying_cover_validates(self):
-        with pytest.raises(ValueError, match="not an open"):
-            Cover((frozenset({"v0"}),), interval_lattice())
-
 
 class TestCoverD:
     def test_two_star_is_one(self):
@@ -147,11 +160,21 @@ class TestCoverD:
 
     def test_star_cover_of_four_cycle(self):
         lat = face_lattice(build_en_zp(2, 1))
-        vertices = sorted({c[0] for c in lat.atoms if len(c) == 1})
-        stars = tuple(frozenset(c for c in lat.atoms if v in c) for v in vertices)
-        cover = Cover(stars)
+        cover = star_cover(lat)
         assert cover_D(lat, cover) == 1
         assert cover_D_bruteforce(lat, cover) == 1
+
+    @pytest.mark.parametrize("p, n", [(p, n) for p in (2, 3) for n in (0, 1, 2)])
+    def test_star_cover_D_is_dimension(self, p, n):
+        # a refining open containing the vertex cell v is an up-set inside
+        # some star(w), so it holds star(v) and w = v; every star is needed,
+        # and a top simplex lies in dim K + 1 of them
+        complex_ = build_en_zp(p, n)
+        lat = face_lattice(complex_)
+        cover = star_cover(lat)
+        assert cover_D(lat, cover) == complex_.dimension() == n
+        if n == 0 or (p, n) == (2, 1):
+            assert cover_D_bruteforce(lat, cover) == n
 
     def test_monotone_under_refinement(self):
         lat = interval_lattice()
@@ -178,13 +201,23 @@ class TestCoverD:
 
     def test_cap_and_bound_mode(self):
         lat = face_lattice(build_en_zp(2, 1))
-        vertices = sorted({c[0] for c in lat.atoms if len(c) == 1})
-        stars = tuple(frozenset(c for c in lat.atoms if v in c) for v in vertices)
-        cover = Cover(stars)
         with pytest.raises(SearchCapExceeded, match="raise the cap"):
-            cover_D(lat, cover, cap=3)
-        lower, upper = cover_D(lat, cover, cap=3, mode="bound")
-        assert lower == 0 and upper >= 1
+            cover_D(lat, star_cover(lat), cap=3)
+        # a fan, e above four vertices, covered by the four stars {v, e}: the
+        # 12 opens listed inside the members fit a cap of 12, the search not
+        atoms = ("e", "v0", "v1", "v2", "v3")
+        lat = OpenLattice(atoms, {"e": set(), **{v: {"e"} for v in atoms[1:]}})
+        cover = Cover(tuple(frozenset({v, "e"}) for v in atoms[1:]))
+        with pytest.raises(SearchCapExceeded, match="candidate enumeration exceeded 11 nodes"):
+            cover_D(lat, cover, cap=11)
+        with pytest.raises(SearchCapExceeded, match="feasibility search exceeded 12 nodes"):
+            cover_D(lat, cover, cap=12)
+        assert cover_D(lat, cover) == cover_D_bruteforce(lat, cover) == 3
+        # the trivial cover of the discrete lattice holds exactly its 4 subsets
+        lat = discrete_lattice()
+        assert cover_D(lat, Cover((lat.ground,)), cap=4) == 0
+        with pytest.raises(SearchCapExceeded, match="candidate enumeration exceeded 3 nodes"):
+            cover_D(lat, Cover((lat.ground,)), cap=3)
 
     def test_non_member_rejected(self):
         lat = interval_lattice()

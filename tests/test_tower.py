@@ -1,8 +1,11 @@
+import json
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from mdkit import cli
 from mdkit.shiftspace import (
     Periodic,
     Window,
@@ -326,6 +329,36 @@ class TestTowerSpecJson:
         with pytest.raises(ValueError):
             TowerSpec(dim=1, delta=HALF, m_max=0)
 
-    def test_deep_truncation_warns(self):
-        with pytest.warns(UserWarning, match="expect slow"):
-            TowerSpec(dim=1, delta=HALF, m_max=7)
+
+class TestLevelSeven:
+    """Depth 7 runs in seconds and warns about nothing."""
+
+    def run(self, capsys, *argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        lines = captured.err.splitlines()
+        assert lines == [f"{c['name']}: {c['verdict']}" for c in report["checks"]] + [
+            "summary: pass"
+        ]
+        return code, report
+
+    def test_aperiodicity_certifies_prime_seven_empty(self, capsys):
+        code, report = self.run(capsys, "tower", "aperiodicity", "--m-max", "7", "--p-max", "13")
+        assert code == 0
+        by_prime = {c["witness"]["prime"]: c["witness"] for c in report["checks"]}
+        assert by_prime[7]["kind"] == "empty"
+        assert by_prime[7]["level"] == 7 and by_prime[7]["gap"] == level_gap(7)
+        for p in (11, 13):
+            assert by_prime[p]["kind"] == "witness" and by_prime[p]["level"] == 7
+
+    def test_verify_passes(self, capsys):
+        code, report = self.run(
+            capsys,
+            "tower", "verify", "--m", "7", "--N", "2", "--window", "0:6000",
+            "--samples", "2", "--anchors", "random", "--seed", "1",
+        )
+        assert code == 0
+        assert report["summary"]["verdict"] == "pass"
