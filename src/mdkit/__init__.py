@@ -57,6 +57,7 @@ from .complexes import (  # noqa: F401
     equivariant_map_search,
     join_complexes,
     reduced_homology,
+    reduced_homology_groups,
 )
 from .finite import (  # noqa: F401
     FiniteSystem,

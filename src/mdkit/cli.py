@@ -25,7 +25,7 @@ from .complexes import (
     check_free_action,
     coindex_bounds,
     homology_euler_consistent,
-    reduced_homology,
+    reduced_homology_groups,
 )
 from .finite import (
     FiniteSystem,
@@ -302,8 +302,8 @@ def _run_complex_en_zp(args) -> dict:
             {"dimension": complex_.dimension()},
         ),
     ]
-    for k in range(args.n):
-        group = reduced_homology(complex_, k)
+    groups = reduced_homology_groups(complex_)
+    for k, group in enumerate(groups[: args.n]):
         checks.append(
             _check(
                 f"homology-deg{k}",
@@ -316,7 +316,7 @@ def _run_complex_en_zp(args) -> dict:
         _check(
             "euler-consistency",
             "the alternating simplex count equals one plus the alternating homology ranks",
-            homology_euler_consistent(complex_),
+            homology_euler_consistent(complex_, groups),
             {"euler": complex_.euler_characteristic()},
         )
     )
@@ -325,6 +325,8 @@ def _run_complex_en_zp(args) -> dict:
 
 
 def _run_complex_coindex(args) -> dict:
+    if args.n_max < 0:
+        raise ValueError("complex coindex needs --n-max >= 0: a smaller bound would search nothing")
     complex_ = _parse_complex(args.complex)
     bound = coindex_bounds(complex_, args.n_max)
     checks = [

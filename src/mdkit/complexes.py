@@ -2,12 +2,13 @@
 
 A complex carries a vertex permutation of order dividing p that maps
 simplices to simplices; freeness (no power of the action fixing a simplex
-setwise) is checked, never assumed.  Homology is integral, via Smith normal
-form of the boundary matrices, and serves as the computable necessary
-condition for connectivity.  Coindex is never "computed": sound lower bounds
-come from explicit equivariant vertex maps found by backtracking search, the
-upper bound is the dimension, and every bound carries the rule chain that
-produced it.
+setwise) is checked, never assumed.  Homology is integral: boundaries are
+sparse columns, reduced by eliminating +-1 pivots, and only the residual
+without unit entries goes to a dense Smith normal form.  It serves as the
+computable necessary condition for connectivity.  Coindex is never
+"computed": sound lower bounds come from explicit equivariant vertex maps
+found by backtracking search, the upper bound is the dimension, and every
+bound carries the rule chain that produced it.
 """
 
 from __future__ import annotations
@@ -186,13 +187,30 @@ def check_free_action(complex_: FreeZpComplex) -> bool:
     return True
 
 
+# Largest standard complex built: en-zp(2, 8) has 19,682 simplices.
+MAX_EN_ZP_SIMPLICES = 20_000
+
+
 def build_en_zp(p: int, n: int) -> FreeZpComplex:
     """The standard n-dimensional free complex: (n+1)-fold join of free orbits.
 
     Vertices are (a, level) for a in Z_p and level in 0..n; simplices are the
     nonempty vertex sets with at most one vertex per level; the action adds 1
-    to the first coordinate.  The result is n-dimensional and free.
+    to the first coordinate.  The result is n-dimensional and free.  Its
+    (p+1)^(n+1) - 1 simplices are counted first and refused above
+    ``MAX_EN_ZP_SIMPLICES``.
     """
+    if p >= 2 and n >= 0:
+        # the count is at least p and at least 2^(n+1) - 1, so a large p or n
+        # is over the cap without forming a number that may be huge
+        small = p <= MAX_EN_ZP_SIMPLICES and n < MAX_EN_ZP_SIMPLICES.bit_length()
+        count = (p + 1) ** (n + 1) - 1 if small else None
+        if count is None or count > MAX_EN_ZP_SIMPLICES:
+            shown = f"{p + 1}^{n + 1} - 1" + (f" = {count}" if count else "")
+            raise ValueError(
+                f"en-zp:p={p},n={n} would have {shown} simplices, over the cap of "
+                f"{MAX_EN_ZP_SIMPLICES} that is checked before building"
+            )
     if not is_prime(p):
         raise ValueError("p must be prime")
     if n < 0:
@@ -327,48 +345,118 @@ class HomologyGroup:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
 
-def _boundary_matrix(complex_: FreeZpComplex, d: int) -> list[list[int]]:
-    """Boundary from d-chains to (d-1)-chains; d = 0 gives the augmentation."""
-    upper = complex_.simplices_of_dim(d)
-    if d == 0:
-        return [[1] * len(upper)]
-    lower = complex_.simplices_of_dim(d - 1)
+def _faces(complex_: FreeZpComplex, d: int) -> list[tuple[int, ...]]:
+    """The d-simplices in boundary order; degree -1 is the empty simplex alone,
+    so that the boundary of the vertices is the augmentation."""
+    return [()] if d == -1 else complex_.simplices_of_dim(d)
+
+
+def _boundary_columns(
+    upper: list[tuple[int, ...]], lower: list[tuple[int, ...]]
+) -> list[dict[int, int]]:
+    """Boundary from chains on ``upper`` to chains on ``lower``, one sparse
+    ``{row: +-1}`` column per simplex of ``upper``."""
     index = {s: i for i, s in enumerate(lower)}
-    matrix = [[0] * len(upper) for _ in range(len(lower))]
-    for j, s in enumerate(upper):
-        for drop in range(len(s)):
-            face = s[:drop] + s[drop + 1 :]
-            matrix[index[face]][j] = (-1) ** drop
-    return matrix
+    return [
+        {index[s[:drop] + s[drop + 1 :]]: -1 if drop % 2 else 1 for drop in range(len(s))}
+        for s in upper
+    ]
+
+
+def _invariant_factors(columns: list[dict[int, int]]) -> list[int]:
+    """Smith normal form diagonal of a sparse integer matrix given by columns.
+
+    Each pass walks the columns in order and pivots on a +-1 entry whose row
+    has the fewest entries: subtracting multiples of the pivot column clears
+    the pivot row, and the pivot row and column are dropped.  Up to
+    unimodular row and column operations this splits the matrix into the
+    direct sum of [1] and the remaining M'.  Passes
+    repeat while a pivot was found; what remains has no unit entry and goes
+    to the dense ``smith_normal_form_diagonal``.  Since 1 divides every
+    invariant factor, the result is [1] * pivots + the residual's diagonal.
+    """
+    cols = [dict(c) for c in columns]
+    rows: dict[int, set[int]] = {}
+    for j, col in enumerate(cols):
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    pivots = 0
+    found = True
+    while found:
+        found = False
+        for c, pivot_col in enumerate(cols):
+            units = [i for i, v in pivot_col.items() if v in (1, -1)]
+            if not units:
+                continue
+            r = min(units, key=lambda i: len(rows[i]))
+            u = pivot_col.pop(r)
+            for j in rows.pop(r) - {c}:
+                col = cols[j]
+                factor = col.pop(r) * u
+                for i, v in pivot_col.items():
+                    entry = col.get(i, 0) - factor * v
+                    if entry:
+                        col[i] = entry
+                        rows[i].add(j)
+                    elif i in col:
+                        del col[i]
+                        rows[i].discard(j)
+            for i in pivot_col:
+                rows[i].discard(c)
+            pivot_col.clear()
+            pivots += 1
+            found = True
+    rest_rows = sorted(i for i, js in rows.items() if js)
+    rest_cols = [col for col in cols if col]
+    if not rest_cols:
+        return [1] * pivots
+    residual = [[col.get(i, 0) for col in rest_cols] for i in rest_rows]
+    return [1] * pivots + smith_normal_form_diagonal(residual)
+
+
+def _homology(n_k: int, factors_k: list[int], factors_up: list[int]) -> HomologyGroup:
+    """H~_k from the k-simplex count and the invariant factors of d_k, d_{k+1}."""
+    return HomologyGroup(
+        rank=n_k - len(factors_k) - len(factors_up),
+        torsion=tuple(t for t in factors_up if t > 1),
+    )
 
 
 def reduced_homology(complex_: FreeZpComplex, k: int) -> HomologyGroup:
-    """Reduced integral homology in degree k via Smith normal form."""
+    """Reduced integral homology in degree k; reduces only d_k and d_{k+1}."""
     if k < 0 or complex_.is_empty():
         return HomologyGroup(0)
-    n_k = len(complex_.simplices_of_dim(k))
-    if n_k == 0:
+    below, at, above = (_faces(complex_, d) for d in (k - 1, k, k + 1))
+    if not at:
         return HomologyGroup(0)
-    d_k = _boundary_matrix(complex_, k)
-    rank_k = len(smith_normal_form_diagonal(d_k)) if d_k and d_k[0] else 0
-    n_k1 = len(complex_.simplices_of_dim(k + 1))
-    if n_k1:
-        diag_up = smith_normal_form_diagonal(_boundary_matrix(complex_, k + 1))
-    else:
-        diag_up = []
-    rank_up = len(diag_up)
-    torsion = tuple(t for t in diag_up if t > 1)
-    return HomologyGroup(rank=n_k - rank_k - rank_up, torsion=torsion)
+    return _homology(
+        len(at),
+        _invariant_factors(_boundary_columns(at, below)),
+        _invariant_factors(_boundary_columns(above, at)),
+    )
 
 
-def homology_euler_consistent(complex_: FreeZpComplex) -> bool:
-    """Alternating sum of reduced homology ranks must reproduce Euler - 1."""
+def reduced_homology_groups(complex_: FreeZpComplex) -> list[HomologyGroup]:
+    """Reduced integral homology in degrees 0..dim, each boundary reduced once."""
+    faces = [_faces(complex_, d) for d in range(-1, complex_.dimension() + 1)]
+    factors = [
+        _invariant_factors(_boundary_columns(upper, lower))
+        for lower, upper in zip(faces, faces[1:])
+    ] + [[]]
+    return [
+        _homology(len(faces[k + 1]), factors[k], factors[k + 1])
+        for k in range(len(faces) - 1)
+    ]
+
+
+def homology_euler_consistent(
+    complex_: FreeZpComplex, groups: Sequence[HomologyGroup]
+) -> bool:
+    """Alternating sum of the reduced homology ranks ``groups`` (degrees
+    0..dim) must reproduce Euler - 1."""
     if complex_.is_empty():
         return True
-    top = complex_.dimension()
-    alternating = sum(
-        (-1) ** k * reduced_homology(complex_, k).rank for k in range(top + 1)
-    )
+    alternating = sum((-1) ** k * group.rank for k, group in enumerate(groups))
     return complex_.euler_characteristic() == 1 + alternating
 
 

@@ -175,6 +175,9 @@ class TestExitCodes:
                 None,
                 "exceeded 65536 nodes; raise the cap (--cap on mdim D)",
             ),
+            (["complex", "coindex", "--complex", "en-zp:p=2,n=1", "--n-max", "-1"], None, "would search nothing"),
+            (["complex", "coindex", "--complex", "en-zp:p=2,n=1", "--n-max", "-4"], None, "would search nothing"),
+            (["complex", "en-zp", "--p", "13", "--n", "5"], None, "14^6 - 1 = 7529535 simplices"),
         ],
         ids=[
             "complex-without-n",
@@ -203,6 +206,9 @@ class TestExitCodes:
             "mdim-cap-zero",
             "mdim-cap-negative",
             "mdim-candidates-over-cap",
+            "coindex-n-max-minus-one",
+            "coindex-n-max-negative",
+            "en-zp-over-size-cap",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):

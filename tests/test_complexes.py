@@ -3,8 +3,10 @@ import random
 import pytest
 
 from mdkit.complexes import (
+    MAX_EN_ZP_SIMPLICES,
     CoindexBound,
     FreeZpComplex,
+    HomologyGroup,
     bound_combine,
     build_en_zp,
     check_free_action,
@@ -14,9 +16,11 @@ from mdkit.complexes import (
     homology_euler_consistent,
     join_complexes,
     reduced_homology,
+    reduced_homology_groups,
     smith_normal_form_diagonal,
     verify_equivariant_simplicial,
 )
+from mdkit.complexes import _invariant_factors
 
 from oracles import invariant_factors_by_minors
 
@@ -47,7 +51,7 @@ class TestBuildStandardComplex:
         assert k.euler_characteristic() == 6 - 9
 
     def test_battery_dimensions_and_freeness(self):
-        for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]:
+        for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 3), (2, 6), (7, 2)]:
             k = build_en_zp(p, n)
             assert k.dimension() == n
             assert check_free_action(k)
@@ -57,7 +61,7 @@ class TestBuildStandardComplex:
     def test_battery_top_homology_rank(self):
         # an (n+1)-fold join of p discrete points has top reduced homology of
         # rank (p-1)^(n+1) and no torsion
-        for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]:
+        for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 3), (2, 6), (7, 2)]:
             top = reduced_homology(build_en_zp(p, n), n)
             assert top.rank == (p - 1) ** (n + 1)
             assert top.torsion == ()
@@ -199,10 +203,100 @@ class TestHomology:
 
     def test_euler_consistency_battery(self):
         for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]:
-            assert homology_euler_consistent(build_en_zp(p, n))
-        assert homology_euler_consistent(
-            join_complexes(build_en_zp(2, 1), build_en_zp(2, 0))
+            k = build_en_zp(p, n)
+            assert homology_euler_consistent(k, reduced_homology_groups(k))
+        j = join_complexes(build_en_zp(2, 1), build_en_zp(2, 0))
+        assert homology_euler_consistent(j, reduced_homology_groups(j))
+
+
+def _columns(matrix: list[list[int]], cols: int) -> list[dict[int, int]]:
+    return [{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(cols)]
+
+
+def _random_matrix(rng: random.Random, rows: int, cols: int, entries) -> list[list[int]]:
+    matrix = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+    # a zero row and a zero column now and then
+    if rows and rng.random() < 0.3:
+        matrix[rng.randrange(rows)] = [0] * cols
+    if cols and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in matrix:
+            row[j] = 0
+    return matrix
+
+
+# the 6-vertex real projective plane, with the identity action for p = 2
+RP2_TRIANGLES = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+    (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
+]
+
+
+class TestSparseHomology:
+    def test_invariant_factors_match_dense_snf(self):
+        rng = random.Random(41)
+        # with units, sparse; without any unit, so the residual is everything
+        for entries in ([0, 0, 0, 1, -1, 2, -3], [0, 2, -2, 3, 4, -6]):
+            for _ in range(150):
+                rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+                matrix = _random_matrix(rng, rows, cols, entries)
+                assert _invariant_factors(_columns(matrix, cols)) == (
+                    smith_normal_form_diagonal(matrix)
+                ), matrix
+
+    def test_invariant_factors_empty_and_zero(self):
+        assert _invariant_factors([]) == []
+        assert _invariant_factors([{}, {}]) == []
+        assert _invariant_factors([{3: 2}, {}]) == [2]
+        assert _invariant_factors([{0: -1, 1: 1}, {0: 1, 1: 1}]) == [1, 2]
+
+    def test_invariant_factors_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
+        rng = random.Random(43)
+        for entries in ([0, 0, 1, -1, 2, 5], [0, 2, -4, 6, 9]):
+            for _ in range(20):
+                rows, cols = rng.randint(2, 6), rng.randint(2, 6)
+                matrix = _random_matrix(rng, rows, cols, entries)
+                reference = smith_normal_form(sympy.Matrix(matrix))
+                expected = [
+                    abs(reference[i, i])
+                    for i in range(min(rows, cols))
+                    if reference[i, i] != 0
+                ]
+                assert _invariant_factors(_columns(matrix, cols)) == expected, matrix
+
+    def test_torsion_projective_plane(self):
+        rp2 = FreeZpComplex.from_maximal(
+            2, range(1, 7), RP2_TRIANGLES, {v: v for v in range(1, 7)}
         )
+        assert rp2.euler_characteristic() == 1
+        expected = [HomologyGroup(0), HomologyGroup(0, (2,)), HomologyGroup(0)]
+        assert [reduced_homology(rp2, k) for k in range(3)] == expected
+        assert reduced_homology_groups(rp2) == expected
+        assert homology_euler_consistent(rp2, expected)
+
+    def test_groups_match_single_degrees(self):
+        point = FreeZpComplex(2, ("a",), frozenset({frozenset({0})}), (0,))
+        complexes = [FreeZpComplex.empty(3), point, build_en_zp(2, 0)] + [
+            build_en_zp(p, n) for p, n in [(2, 2), (3, 2), (5, 1)]
+        ] + [join_complexes(build_en_zp(2, 1), build_en_zp(2, 0))]
+        for k in complexes:
+            groups = reduced_homology_groups(k)
+            assert len(groups) == k.dimension() + 1
+            assert groups == [reduced_homology(k, d) for d in range(len(groups))]
+
+    def test_size_cap_refuses_before_building(self):
+        # en-zp(2, 8), 3^9 - 1 = 19,682 simplices, is the largest built
+        assert 3**9 - 1 <= MAX_EN_ZP_SIMPLICES < 3**10 - 1
+        with pytest.raises(ValueError, match=r"14\^6 - 1 = 7529535 simplices"):
+            build_en_zp(13, 5)
+        with pytest.raises(ValueError, match=r"3\^10 - 1 = 59048 simplices"):
+            build_en_zp(2, 9)
+        # far over the cap: the count is named without being formed
+        with pytest.raises(ValueError, match=r"3\^1000000001 - 1 simplices"):
+            build_en_zp(2, 10**9)
 
 
 class TestMapSearch:
