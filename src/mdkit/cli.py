@@ -46,6 +46,7 @@ from .meandim import (
     select_time_division,
 )
 from .shiftspace import (
+    capped_sft,
     check_membership,
     count_periodic_sft,
     count_periodic_sft_bruteforce,
@@ -229,6 +230,7 @@ def _run_shift_count_periodic(args) -> dict:
     if args.n_max < 1:
         raise ValueError("shift count-periodic needs --n-max >= 1: a smaller bound would check nothing")
     forbidden = frozenset(args.forbidden.split(","))
+    capped_sft(forbidden, args.n_max)
     checks = []
     for n in range(1, args.n_max + 1):
         count = count_periodic_sft(forbidden, n)

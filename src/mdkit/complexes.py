@@ -14,7 +14,7 @@ bound carries the rule chain that produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, product
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -216,21 +216,14 @@ def build_en_zp(p: int, n: int) -> FreeZpComplex:
     if n < 0:
         raise ValueError("n must be >= 0")
     vertices = [(a, level) for level in range(n + 1) for a in range(p)]
-    maximal = [
-        tuple((choice[level], level) for level in range(n + 1))
-        for choice in _tuples(p, n + 1)
-    ]
-    action = {(a, level): ((a + 1) % p, level) for (a, level) in vertices}
-    return FreeZpComplex.from_maximal(p, vertices, maximal, action)
-
-
-def _tuples(base: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(base, length - 1):
-        for a in range(base):
-            yield rest + (a,)
+    # one simplex per choice of "absent" or a in Z_p at each level; vertex
+    # (a, level) has index level * p + a
+    levels = [[()] + [(level * p + a,) for a in range(p)] for level in range(n + 1)]
+    simplices = frozenset(
+        frozenset(chain.from_iterable(choice)) for choice in product(*levels)
+    ) - {frozenset()}
+    action = tuple(level * p + (a + 1) % p for (a, level) in vertices)
+    return FreeZpComplex(p, vertices, simplices, action)
 
 
 def join_complexes(k: FreeZpComplex, l: FreeZpComplex) -> FreeZpComplex:

@@ -594,74 +594,91 @@ def verify_conjugacy_diagram(
 # Periodic point counting for binary SFTs
 
 
-def count_periodic_sft(forbidden: frozenset[str] | set[str], n: int) -> int:
-    """Number of circular binary words of length n avoiding the forbidden words.
+MAX_PERIOD = 20  # longest circular word counted: 2^20 words, 128 KB per bit column
+MAX_WORD_LENGTH = 8  # longest forbidden word: 2^7 = 128 transfer states
 
-    For n >= L-1 (L the forbidden word length) the count is the trace of the
-    n-th power of the transfer matrix on (L-1)-blocks; shorter lengths are
-    enumerated directly.  Both methods agree wherever both apply.
+
+def capped_sft(forbidden: frozenset[str] | set[str], n: int) -> BinarySFT:
+    """The SFT of ``forbidden``, once length ``n`` and its words are within the caps.
+
+    Both counting routes call this before they allocate anything, so a caller
+    can also check a whole range of lengths up front by passing the largest.
     """
     sft = BinarySFT(frozenset(forbidden))
     if n < 1:
         raise ValueError("length must be >= 1")
-    length = sft.word_length
-    if n < length - 1:
-        return count_periodic_sft_bruteforce(sft.forbidden, n)
-    blocks = ["".join(bits) for bits in _binary_words(length - 1)]
-    index = {b: i for i, b in enumerate(blocks)}
-    size = len(blocks)
-    matrix = [[0] * size for _ in range(size)]
-    for u in blocks:
-        for letter in "01":
-            word = u + letter
-            if word in sft.forbidden:
-                continue
-            v = word[1:]
-            matrix[index[u]][index[v]] = 1
-    power = _mat_pow(matrix, n)
-    return sum(power[i][i] for i in range(size))
+    if n > MAX_PERIOD:
+        raise ValueError(
+            f"period {n} is over the cap of {MAX_PERIOD} on periodic-point counts "
+            f"(2^{MAX_PERIOD} circular words)"
+        )
+    if sft.word_length > MAX_WORD_LENGTH:
+        raise ValueError(
+            f"forbidden words of length {sft.word_length} are over the cap of "
+            f"{MAX_WORD_LENGTH} letters on periodic-point counts "
+            f"({1 << MAX_WORD_LENGTH - 1} transfer states)"
+        )
+    return sft
+
+
+def count_periodic_sft(forbidden: frozenset[str] | set[str], n: int) -> int:
+    """Number of circular binary words of length n avoiding the forbidden words.
+
+    The count is trace(A^n) for the transfer matrix A on (L-1)-blocks, L the
+    forbidden word length, for every n >= 1: a closed walk of n steps reads
+    one period of a period-n point.  A is the de Bruijn graph less the
+    forbidden edges, so each block has at most two predecessors, and A^n is
+    reached by n sparse steps.  Raises ``ValueError`` above ``MAX_PERIOD`` or
+    ``MAX_WORD_LENGTH`` (see ``capped_sft``).
+    """
+    sft = capped_sft(forbidden, n)
+    k = sft.word_length - 1
+    size = 1 << k
+    # block v (first letter most significant) follows u = (v >> 1) | b << (k-1)
+    # along the edge word (b << k) | v; a forbidden edge leaves from the
+    # all-zero row ``size`` instead
+    banned = {int(w, 2) for w in sft.forbidden}
+    preds = [
+        tuple(size if (b << k | v) in banned else (v >> 1) | b << (k - 1) for b in (0, 1))
+        for v in range(size)
+    ]
+    # walks[v][s]: walks of the current length from block s to block v
+    walks = [[int(s == v) for s in range(size)] for v in range(size + 1)]
+    for _ in range(n):
+        walks = [[a + b for a, b in zip(walks[u], walks[w])] for u, w in preds] + [walks[size]]
+    return sum(walks[s][s] for s in range(size))
 
 
 def count_periodic_sft_bruteforce(forbidden: frozenset[str] | set[str], n: int) -> int:
-    """Independent oracle: enumerate all 2^n circular words and filter."""
-    sft = BinarySFT(frozenset(forbidden))
-    if n < 1:
-        raise ValueError("length must be >= 1")
-    length = sft.word_length
-    count = 0
-    for bits in _binary_words(n):
-        word = "".join(bits)
-        if all(
-            "".join(word[(i + j) % n] for j in range(length)) not in sft.forbidden
-            for i in range(n)
-        ):
-            count += 1
-    return count
+    """Independent oracle: check all 2^n circular words at every position.
 
-
-def _binary_words(n: int):
-    for value in range(1 << n):
-        yield tuple(format(value, f"0{n}b"))
-
-
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    size = len(a)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(size)) for j in range(size)]
-        for i in range(size)
-    ]
-
-
-def _mat_pow(matrix: list[list[int]], n: int) -> list[list[int]]:
-    size = len(matrix)
-    result = [[int(i == j) for j in range(size)] for i in range(size)]
-    base = [row[:] for row in matrix]
-    while n:
-        if n & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
-        n >>= 1
-    return result
+    Word w gets bit w of a Python int, and its letter i is bit i of w.  So
+    column i, the words whose letter i is 1, repeats 2^i zeros and 2^i ones.
+    A forbidden word f sits at position i in exactly the AND over j of
+    column (i+j) mod n, complemented where f_j is "0"; the count is 2^n less
+    the words hit at any position.  It never uses the transfer matrix.
+    Raises ``ValueError`` above ``MAX_PERIOD`` or ``MAX_WORD_LENGTH``.
+    """
+    sft = capped_sft(forbidden, n)
+    words = 1 << n
+    full = (1 << words) - 1
+    ones = []
+    for i in range(n):
+        half = 1 << i
+        column, width = ((1 << half) - 1) << half, 2 * half
+        while width < words:
+            column |= column << width
+            width *= 2
+        ones.append(column)
+    letter = {"1": ones, "0": [full ^ column for column in ones]}
+    bad = 0
+    for word in sft.forbidden:
+        for i in range(n):
+            hit = full
+            for j, c in enumerate(word):
+                hit &= letter[c][(i + j) % n]
+            bad |= hit
+    return words - bad.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -677,15 +694,20 @@ def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> Periodi
     """An explicit period-p point of the gap space, built by a rotation orbit.
 
     The point is x_n = (2*n*c*g / p mod 2) on every coordinate, where
-    c = floor(p/2) and g is the inverse of the gap mod p.  Its entries a gap
-    apart differ by exactly 2c/p in every coordinate, so the realized
-    distance is 1 for p = 2 and 1 - 1/p otherwise.
+    c = floor(p/2) and g is the inverse of the gap mod p, so the gap must be
+    coprime to p.  Its entries a gap apart differ by exactly 2c/p in every
+    coordinate, so the realized distance is 1 for p = 2 and 1 - 1/p
+    otherwise.
     """
     threshold = Fraction(threshold)
     if p < 1:
         raise ValueError("a periodic point needs period >= 1")
     if gap % p == 0:
         raise ValueError("no period-p points exist when p divides the gap")
+    if math.gcd(gap, p) != 1:
+        raise ValueError(
+            f"the witness needs the gap m coprime to p: gcd({gap}, {p}) = {math.gcd(gap, p)}"
+        )
     realized = best_periodic_gap(p)
     if realized < threshold:
         raise ValueError("witness construction insufficient for this threshold")

@@ -91,6 +91,25 @@ def closed_grid_walk_lengths(a: int, max_length: int, grid: int = 64) -> set[int
 
 
 # ---------------------------------------------------------------------------
+# Binary SFT periodic counts: one string per circular word
+
+
+def count_periodic_sft_strings(forbidden: set[str], n: int) -> int:
+    """Count the circular binary words of length n that read no forbidden
+    word at any position, building each window as a string."""
+    length = len(next(iter(forbidden)))
+    count = 0
+    for value in range(1 << n):
+        word = format(value, f"0{n}b")
+        if all(
+            "".join(word[(i + j) % n] for j in range(length)) not in forbidden
+            for i in range(n)
+        ):
+            count += 1
+    return count
+
+
+# ---------------------------------------------------------------------------
 # Section map: the literal piecewise formula
 
 

@@ -162,6 +162,9 @@ class TestExitCodes:
             (["shift", "witness", "--p", "0", "--m", "1"], None, "period >= 1"),
             (["shift", "count-periodic", "--n-max", "0"], None, "would check nothing"),
             (["shift", "count-periodic", "--n-max", "-1"], None, "would check nothing"),
+            (["shift", "count-periodic", "--n-max", "21"], None, "period 21 is over the cap of 20"),
+            (["shift", "count-periodic", "--forbidden", "000000000,111111111"], None, "cap of 8 letters"),
+            (["shift", "witness", "--p", "4", "--m", "2"], None, "coprime to p: gcd(2, 4) = 2"),
             (["shift", "conjugacy", "--p", "6", "--m", "2"], None, "m must be coprime to p"),
             (["complex", "coindex", "--complex", "en-zp:p=3,n=2,x"], None, "en-zp:p=P,n=N"),
             (["markers", "search", "--system", "cycles:3,x", "--N", "1"], None, "cycles:L1,L2,..."),
@@ -197,6 +200,9 @@ class TestExitCodes:
             "witness-period-zero",
             "count-periodic-zero-lengths",
             "count-periodic-negative-lengths",
+            "count-periodic-period-over-cap",
+            "count-periodic-word-over-cap",
+            "witness-gap-not-coprime",
             "conjugacy-m-not-coprime",
             "complex-shorthand-malformed",
             "system-shorthand-malformed",
@@ -224,6 +230,15 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("mdkit: error: ")
         assert named in lines[0]
+
+    def test_count_periodic_caps_refused_before_counting(self, capsys, monkeypatch):
+        def counted(forbidden, n):
+            raise AssertionError("counted before the caps were checked")
+
+        monkeypatch.setattr(cli, "count_periodic_sft", counted)
+        monkeypatch.setattr(cli, "count_periodic_sft_bruteforce", counted)
+        assert cli.main(["shift", "count-periodic", "--n-max", "21"]) == 2
+        assert "over the cap of 20" in capsys.readouterr().err
 
     def test_bad_window_is_two(self, capsys):
         code = cli.main(

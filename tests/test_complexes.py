@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -49,6 +50,18 @@ class TestBuildStandardComplex:
         assert reduced_homology(k, 0).is_trivial()
         assert reduced_homology(k, 1) == type(reduced_homology(k, 1))(rank=4)
         assert k.euler_characteristic() == 6 - 9
+
+    def test_equals_closure_of_maximal_faces(self):
+        # every maximal face picks one a in Z_p per level; from_maximal closes
+        # them by enumerating every subset
+        for p, n in [(2, 0), (2, 3), (3, 2), (5, 2), (3, 3), (7, 1)]:
+            vertices = [(a, level) for level in range(n + 1) for a in range(p)]
+            maximal = [
+                [(a, level) for level, a in enumerate(choice)]
+                for choice in itertools.product(range(p), repeat=n + 1)
+            ]
+            action = {(a, level): ((a + 1) % p, level) for a, level in vertices}
+            assert build_en_zp(p, n) == FreeZpComplex.from_maximal(p, vertices, maximal, action)
 
     def test_battery_dimensions_and_freeness(self):
         for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 3), (2, 6), (7, 2)]:

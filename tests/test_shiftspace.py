@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -31,7 +33,11 @@ from mdkit.shiftspace import (
     verify_conjugacy_diagram,
 )
 from mdkit.torus import TorusVec
-from oracles import closed_grid_walk_lengths, sample_periodic_gap_point_whole_period
+from oracles import (
+    closed_grid_walk_lengths,
+    count_periodic_sft_strings,
+    sample_periodic_gap_point_whole_period,
+)
 
 
 def vecs(*values):
@@ -226,6 +232,53 @@ class TestSftCounts:
     def test_unequal_word_lengths_error(self):
         with pytest.raises(ValueError, match="equal length"):
             count_periodic_sft({"000", "11"}, 3)
+
+    def test_bitsliced_oracle_equals_string_enumeration(self):
+        rng = random.Random(8)
+        sets = []
+        for length in range(2, 7):
+            words = ["".join(w) for w in itertools.product("01", repeat=length)]
+            sets += [{rng.choice(words)}, set(words)]
+            sets += [set(rng.sample(words, rng.randint(1, len(words)))) for _ in range(4)]
+        for forbidden in sets:
+            for n in range(1, 13):
+                assert count_periodic_sft_bruteforce(forbidden, n) == count_periodic_sft_strings(
+                    forbidden, n
+                ), (sorted(forbidden), n)
+
+    def test_transfer_below_block_length(self):
+        # n < L - 1: a period-n point is shorter than one transfer state
+        rng = random.Random(9)
+        for length in (4, 5, 6):
+            words = ["".join(w) for w in itertools.product("01", repeat=length)]
+            for forbidden in ({"0" * length}, {words[5]}, set(rng.sample(words, 5))):
+                for n in range(1, length - 1):
+                    assert count_periodic_sft(forbidden, n) == count_periodic_sft_strings(
+                        forbidden, n
+                    ), (sorted(forbidden), n)
+
+    @pytest.mark.parametrize("count", [count_periodic_sft, count_periodic_sft_bruteforce])
+    def test_caps_accept_the_boundary(self, count):
+        assert shiftspace.MAX_PERIOD == 20 and shiftspace.MAX_WORD_LENGTH == 8
+        assert count({"0" * 8}, 8) == 255
+        assert count({"00"}, 20) == 15127  # the Lucas number L_20
+
+    @pytest.mark.parametrize("count", [count_periodic_sft, count_periodic_sft_bruteforce])
+    @pytest.mark.parametrize(
+        "forbidden, n, named",
+        [({"00"}, 21, "period 21 is over the cap of 20"), ({"0" * 9}, 1, "cap of 8 letters")],
+        ids=["period-21", "nine-letter-word"],
+    )
+    def test_caps_refuse_before_allocating(self, count, forbidden, n, named):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=named):
+                count(forbidden, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one bit column at n = 21 alone takes 256 KB
+        assert peak < 64 * 1024
 
 
 class TestPeriodicWitness:
