@@ -58,9 +58,12 @@ from .shiftspace import (
 )
 from .torus import frac_from_str, frac_to_str
 from .tower import (
+    MAX_VERIFY_ENTRIES,
     AnchorTable,
     TowerSpec,
     level_gap,
+    section_domain,
+    section_map,
     tower_aperiodicity_report,
     verify_section_identity,
     verify_section_range,
@@ -149,6 +152,14 @@ def _run_tower_verify(args) -> dict:
     delta = frac_from_str(args.delta)
     lo, hi = _parse_window(args.window)
     length = hi - lo
+    out_lo, out_hi = section_domain(m, lo, hi - 1)
+    entries = args.samples * (length + out_hi - out_lo + 1)
+    if entries > MAX_VERIFY_ENTRIES:
+        raise ValueError(
+            f"{args.samples} samples of a {length}-entry window and its "
+            f"{out_hi - out_lo + 1}-entry section hold {entries} entries, over the "
+            f"cap of {MAX_VERIFY_ENTRIES} on tower verify"
+        )
     rng = random.Random(args.seed)
     checks: list[dict] = []
     identity_failures = 0
@@ -160,10 +171,11 @@ def _run_tower_verify(args) -> dict:
             anchor = AnchorTable.zeros(args.N)
         else:
             anchor = AnchorTable.random(args.N, m, rng)
-        ident = verify_section_identity(m, anchor, window)
+        section = section_map(m, anchor, window)
+        ident = verify_section_identity(m, window, section)
         if not ident.passed:
             identity_failures += 1
-        rng_report = verify_section_range(m, anchor, window, delta)
+        rng_report = verify_section_range(m, window, section, delta)
         if not rng_report.passed:
             range_failures += 1
         for key, value in rng_report.partition_counts.items():

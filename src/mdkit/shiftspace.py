@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .torus import TorusVec, dist_at_least, frac_from_str, frac_to_str, max_circle_dist
+from .torus import (
+    TorusVec,
+    dist_at_least,
+    first_far,
+    frac_from_str,
+    frac_to_str,
+    gap_distances,
+    max_circle_dist,
+)
 
 # ---------------------------------------------------------------------------
 # Sequence points
@@ -325,9 +333,15 @@ def check_membership(spec: SubshiftSpec, x: SeqPoint) -> MembershipReport:
         raise ValueError("alphabet dimension mismatch")
     records: list[CheckRecord] = []
     if isinstance(spec, GapAtLeast):
-        for n in _checkable_range(x, 0, spec.gap):
-            d = max_circle_dist(x.value_at(n), x.value_at(n + spec.gap))
-            records.append(CheckRecord(n, d >= spec.threshold, lhs=d))
+        dists, den = gap_distances(x.values, spec.gap, isinstance(x, Periodic))
+        # d/den >= threshold, in integers; one Fraction per distinct distance
+        bar, scale = spec.threshold.numerator * den, spec.threshold.denominator
+        lhs: dict[int, Fraction] = {}
+        for n, d in zip(_checkable_range(x, 0, spec.gap), dists):
+            f = lhs.get(d)
+            if f is None:
+                f = lhs[d] = Fraction(d, den)
+            records.append(CheckRecord(n, d * scale >= bar, lhs=f))
     elif isinstance(spec, (EitherOrAtLeast, EitherOrEquals)):
         for n in _checkable_range(x, -1, 1):
             d_prev = max_circle_dist(x.value_at(n - 1), x.value_at(n))
@@ -367,12 +381,16 @@ def random_torus_vec(rng: random.Random, dim: int) -> TorusVec:
 def _draw_after(
     rng: random.Random, dim: int, threshold: Fraction, prev: TorusVec
 ) -> tuple[TorusVec, int]:
-    """A grid vector at distance >= threshold from ``prev``, and the draws it took."""
-    for tries in range(1, SLOT_TRIES + 1):
-        v = random_torus_vec(rng, dim)
-        if dist_at_least(v, prev, threshold):
-            return v, tries
-    raise ValueError(f"sampling gave up after {SLOT_TRIES} draws of one entry")
+    """A grid vector at distance >= threshold from ``prev``, and the draws it took.
+
+    Each draw makes the same ``randrange`` calls as ``random_torus_vec`` and
+    is tested on its raw grid numerators; only the accepted one is built.
+    """
+    draws = ([rng.randrange(2 * GRID) for _ in range(dim)] for _ in range(SLOT_TRIES))
+    found = first_far(draws, prev, threshold, GRID)
+    if found is None:
+        raise ValueError(f"sampling gave up after {SLOT_TRIES} draws of one entry")
+    return found
 
 
 def _grid_cycle_closes(dim: int, threshold: Fraction, length: int) -> bool:

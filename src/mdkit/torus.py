@@ -14,6 +14,11 @@ with :meth:`TorusVec.of`, measure them with :func:`max_circle_dist` and test
 thresholds with :func:`dist_at_least`.  ``Fraction`` appears only at the
 edges: construction from rationals, JSON and :func:`max_circle_dist`.
 Everything is exact: no floats, no tolerances.
+
+Whole sequences have kernels of their own (:func:`strided_sums`,
+:func:`solve_strided_sums`, :func:`gap_distances`, :func:`first_far`): each
+lifts its vectors to one common denominator once, works on plain integers
+mod ``2*den`` one coordinate at a time, and builds each output vector once.
 """
 
 from __future__ import annotations
@@ -32,7 +37,10 @@ def frac_to_str(value: Fraction | int) -> str:
 
 def frac_from_str(text: str) -> Fraction:
     """Parse ``"p/q"``; a bare integer string is accepted as ``p/1``."""
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has denominator zero") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,3 +174,150 @@ def vec_sum(vectors: Iterable[TorusVec]) -> TorusVec:
     for v in it:
         total = total + v
     return total
+
+
+# ---------------------------------------------------------------------------
+# Sequence kernels
+
+
+def _lift_rows(values: Sequence[TorusVec], den: int) -> list[tuple[int, ...]]:
+    """The numerators of each of ``values`` over ``den``, a multiple of every denominator."""
+    return [v.nums if v.den == den else tuple(k * (den // v.den) for k in v.nums) for v in values]
+
+
+def _lift_columns(values: Sequence[TorusVec], den: int) -> list[list[int]]:
+    """The coordinate columns of ``values`` as numerators over ``den``.
+
+    ``den`` must be a multiple of every denominator; an empty sequence has
+    no columns.
+    """
+    return [list(column) for column in zip(*_lift_rows(values, den))]
+
+
+def _common_den(*sequences: Sequence[TorusVec]) -> int:
+    """The lcm of all denominators, after checking that all dimensions agree."""
+    shapes = {(len(v.nums), v.den) for seq in sequences for v in seq}
+    if len({dim for dim, _ in shapes}) > 1:
+        raise ValueError("alphabet dimension mismatch")
+    return math.lcm(*{den for _, den in shapes})
+
+
+def _build(columns: list[list[int]], den: int) -> tuple[TorusVec, ...]:
+    """One canonical vector per row of the reduced-range ``columns``."""
+    return tuple(_vec(nums, den) for nums in zip(*columns))
+
+
+def strided_sums(values: Sequence[TorusVec], stride: int, terms: int) -> tuple[TorusVec, ...]:
+    """The sums ``values[k] + values[k + stride] + ... + values[k + (terms-1)*stride]``.
+
+    There is one sum for each k whose terms all lie in ``values``.  After
+    the first ``stride`` sums each one slides from the sum one stride back,
+    ``F[k] = F[k - stride] - values[k - stride] + values[k + (terms-1)*stride]``,
+    so a sum costs O(1) whatever ``terms`` is.
+    """
+    if stride < 0 or terms < 1:
+        raise ValueError("strided sums need stride >= 0 and terms >= 1")
+    span = (terms - 1) * stride
+    count = len(values) - span
+    if count < 1:
+        raise ValueError("strided sums need more values than their span")
+    den = _common_den(values)
+    full = 2 * den
+    head = count if stride == 0 else min(stride, count)
+    out_columns = []
+    for column in _lift_columns(values, den):
+        out = [sum(column[k + t * stride] for t in range(terms)) % full for k in range(head)]
+        for k in range(head, count):
+            out.append((out[k - stride] - column[k - stride] + column[k + span]) % full)
+        out_columns.append(out)
+    return _build(out_columns, den)
+
+
+def solve_strided_sums(
+    head: Sequence[TorusVec], sums: Sequence[TorusVec], stride: int, terms: int
+) -> tuple[TorusVec, ...]:
+    """The continuation of ``head`` whose strided sums are ``sums``.
+
+    Returns ``tail`` such that ``y = head + tail`` has
+    ``strided_sums(y, stride, terms) == sums``, given the first
+    ``(terms-1)*stride`` entries of y as ``head``: entry ``c + j`` of y, with
+    ``c = len(head)``, is ``sums[j]`` less the other ``terms - 1`` terms of
+    its sum.  After the first ``stride`` entries the sums telescope,
+    ``y[c + j] = y[j - stride] + sums[j] - sums[j - stride]``.  The tail has
+    one entry per sum.
+    """
+    if stride < 1 or terms < 1:
+        raise ValueError("solving strided sums needs stride >= 1 and terms >= 1")
+    c = (terms - 1) * stride
+    if len(head) != c:
+        raise ValueError(f"solving strided sums needs a head of {c} entries")
+    if not sums:
+        return ()
+    den = _common_den(head, sums)
+    full = 2 * den
+    count = len(sums)
+    first = min(stride, count)
+    head_columns = _lift_columns(head, den) or [[] for _ in sums[0].nums]
+    out_columns = []
+    for y, s in zip(head_columns, _lift_columns(sums, den)):
+        for j in range(first):
+            y.append((s[j] - sum(y[j : j + c : stride])) % full)
+        for j in range(first, count):
+            y.append((y[j - stride] + s[j] - s[j - stride]) % full)
+        out_columns.append(y[c:])
+    return _build(out_columns, den)
+
+
+def gap_distances(
+    values: Sequence[TorusVec], gap: int, cyclic: bool
+) -> tuple[list[int], int]:
+    """Alphabet distances between entries ``gap`` apart, as numerators over one denominator.
+
+    Returns ``(nums, den)``: ``nums[k]/den`` is the distance from
+    ``values[k]`` to ``values[k + gap]``, for every k that has a partner,
+    or for every k with the index taken mod ``len(values)`` when ``cyclic``.
+    """
+    if gap < 1:
+        raise ValueError("gap must be >= 1")
+    count = len(values) if cyclic else len(values) - gap
+    if count < 1:
+        return [], 1
+    den = _common_den(values)
+    full = 2 * den
+    dim = len(values[0].nums)
+    # one flat pass over all coordinates, fast for short high-dim inputs too
+    flat = [k for row in _lift_rows(values, den) for k in row]
+    offset = (gap % count if cyclic else gap) * dim
+    partner = flat[offset:] + flat[:offset] if cyclic else flat[offset:]
+    dists = [(u - v) % full for u, v in zip(flat, partner)]
+    dists = [full - d if d > den else d for d in dists]
+    if dim == 1:
+        return dists, den
+    return list(map(max, *(dists[i::dim] for i in range(dim)))), den
+
+
+def first_far(
+    candidates: Iterable[Sequence[int]], prev: TorusVec, threshold: Fraction, den: int
+) -> tuple[TorusVec, int] | None:
+    """The first candidate at distance >= threshold from ``prev``, and its 1-based position.
+
+    Candidates are numerator sequences over ``den``, each entry in [0, 2*den).
+    ``prev`` is lifted to ``den`` once and each candidate is tested in
+    integers; only the accepted one is built as a vector.  ``den`` must be a
+    multiple of ``prev``'s denominator.  Returns None when no candidate is
+    far enough.
+    """
+    if den % prev.den:
+        raise ValueError(f"denominator {den} is not a multiple of {prev.den}")
+    (lifted,) = _lift_rows([prev], den)
+    full = 2 * den
+    # circular distance >= bound iff the difference lies in [bound, full - bound]
+    bound = -(-threshold.numerator * den // threshold.denominator)
+    high = full - bound
+    for tries, nums in enumerate(candidates, 1):
+        if len(nums) != len(lifted):
+            raise ValueError("alphabet dimension mismatch")
+        for u, v in zip(nums, lifted):
+            if bound <= (u - v) % full <= high:
+                return _vec(tuple(nums), den), tries
+    return None

@@ -14,8 +14,9 @@ from math import gcd
 import numpy as np
 
 from mdkit.finite import FiniteSystem
-from mdkit.shiftspace import Periodic, check_membership, gap_space, random_torus_vec
-from mdkit.tower import level_gap
+from mdkit.shiftspace import Periodic, Window, check_membership, gap_space, random_torus_vec
+from mdkit.torus import TorusVec, vec_sum
+from mdkit.tower import DomainError, level_gap, section_domain
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +111,61 @@ def count_periodic_sft_strings(forbidden: set[str], n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Factor and section maps: one vector operation per term of each entry
+
+
+def factor_map_per_entry(m, x):
+    """The level-m factor map summed entry by entry: m vector additions each."""
+    if m < 2:
+        raise ValueError("factor map requires level >= 2")
+    q = level_gap(m - 1)
+    span = (m - 1) * q
+    if isinstance(x, Periodic):
+        p = x.period
+        return Periodic(
+            tuple(
+                vec_sum(x.values[(i + t * q) % p] for t in range(m))
+                for i in range(p)
+            )
+        )
+    new_end = x.end - span
+    if new_end < x.start:
+        raise DomainError("domain shrinks to empty")
+    return Window(
+        x.start,
+        tuple(
+            vec_sum(x.value_at(k + t * q) for t in range(m))
+            for k in range(x.start, new_end + 1)
+        ),
+    )
+
+
+def section_map_per_entry(m, anchor, x):
+    """The level-m section built entry by entry: anchors on the initial
+    block, anchor sums on the rest of the base block, then one telescoping
+    step per entry upward and downward."""
+    if anchor.dim != x.dim:
+        raise ValueError("alphabet dimension mismatch")
+    q = level_gap(m - 1)
+    big = level_gap(m)
+    c = (m - 1) * q
+    out_lo, out_hi = section_domain(m, x.start, x.end)
+    values: dict[int, TorusVec] = {}
+    for k in range(0, c):
+        values[k] = anchor.value_at(k)
+    for k in range(c, big):
+        acc = x.value_at(k - c)
+        for i in range(1, m):
+            acc = acc - anchor.value_at(k - i * q)
+        values[k] = acc
+    for k in range(big, out_hi + 1):
+        values[k] = values[k - big] + (x.value_at(k - big + q) - x.value_at(k - big))
+    for k in range(-1, out_lo - 1, -1):
+        values[k] = values[k + big] + (x.value_at(k) - x.value_at(k + q))
+    return Window(out_lo, tuple(values[k] for k in range(out_lo, out_hi + 1)))
+
+
+# ---------------------------------------------------------------------------
 # Section map: the literal piecewise formula
 
 
@@ -180,3 +236,10 @@ def uniform_metric(size: int, value: Fraction) -> tuple[tuple[Fraction, ...], ..
         tuple(Fraction(0) if i == j else Fraction(value) for j in range(size))
         for i in range(size)
     )
+
+
+def mixed_den_vec(rng, dim, dens=(1, 2, 3, 64)):
+    """A random vector over a denominator drawn from ``dens``, so that
+    sequences of them mix denominators and every lift to the lcm counts."""
+    den = rng.choice(dens)
+    return TorusVec(tuple(rng.randrange(2 * den) for _ in range(dim)), den)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mdkit import cli
+from mdkit import cli, tower
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +181,21 @@ class TestExitCodes:
             (["complex", "coindex", "--complex", "en-zp:p=2,n=1", "--n-max", "-1"], None, "would search nothing"),
             (["complex", "coindex", "--complex", "en-zp:p=2,n=1", "--n-max", "-4"], None, "would search nothing"),
             (["complex", "en-zp", "--p", "13", "--n", "5"], None, "14^6 - 1 = 7529535 simplices"),
+            (["tower", "verify", "--m", "2", "--delta", "1/0", "--window", "0:12"], None, "'1/0' has denominator zero"),
+            (["shift", "conjugacy", "--p", "5", "--m", "2", "--delta", "1/0"], None, "'1/0' has denominator zero"),
+            (["mdim", "pipeline", "--N", "2", "--eta", "1/0"], None, "'1/0' has denominator zero"),
+            (
+                ["embed", "--system", "cycles:3", "--metric", "random:1", "--epsilon", "1/0"],
+                None,
+                "'1/0' has denominator zero",
+            ),
+            (
+                ["tower", "verify", "--m", "9", "--window=-2:10", "--anchors", "random"],
+                None,
+                "needs the input window to cover [0, 40319]",
+            ),
+            (["tower", "verify", "--m", "3", "--window=-2:100000000"], None, "over the cap of 100000 on tower verify"),
+            (["tower", "aperiodicity", "--m-max", "5", "--p-max", "1001"], None, "over the cap of 1000"),
         ],
         ids=[
             "complex-without-n",
@@ -215,6 +230,13 @@ class TestExitCodes:
             "coindex-n-max-minus-one",
             "coindex-n-max-negative",
             "en-zp-over-size-cap",
+            "tower-delta-zero-denominator",
+            "conjugacy-delta-zero-denominator",
+            "pipeline-eta-zero-denominator",
+            "embed-epsilon-zero-denominator",
+            "tower-window-misses-base-block",
+            "tower-verify-over-entry-cap",
+            "aperiodicity-p-max-over-cap",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):
@@ -239,6 +261,27 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "count_periodic_sft_bruteforce", counted)
         assert cli.main(["shift", "count-periodic", "--n-max", "21"]) == 2
         assert "over the cap of 20" in capsys.readouterr().err
+
+    def test_tower_verify_checks_come_before_any_draw(self, capsys, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("drew before the domain and the cap were checked")
+
+        monkeypatch.setattr(cli, "sample_gap_window", drawn)
+        monkeypatch.setattr(cli.AnchorTable, "random", drawn)
+        argv = ["tower", "verify", "--m", "9", "--window=-2:10", "--anchors", "random"]
+        assert cli.main(argv) == 2
+        assert "[0, 40319]" in capsys.readouterr().err
+        argv = ["tower", "verify", "--m", "3", "--window=-2:100000000", "--anchors", "random"]
+        assert cli.main(argv) == 2
+        assert "over the cap of 100000" in capsys.readouterr().err
+
+    def test_aperiodicity_cap_refused_before_the_sieve(self, capsys, monkeypatch):
+        def sieved(n):
+            raise AssertionError("sieved before the cap was checked")
+
+        monkeypatch.setattr(tower, "_primes_up_to", sieved)
+        assert cli.main(["tower", "aperiodicity", "--m-max", "5", "--p-max", "100000000"]) == 2
+        assert "over the cap of 1000" in capsys.readouterr().err
 
     def test_bad_window_is_two(self, capsys):
         code = cli.main(

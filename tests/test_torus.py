@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 from mdkit.torus import (
     TorusVec,
     dist_at_least,
+    first_far,
     frac_from_str,
     frac_to_str,
+    gap_distances,
     max_circle_dist,
+    solve_strided_sums,
+    strided_sums,
     vec_sum,
 )
+
+from oracles import mixed_den_vec
 
 rationals = st.fractions(max_denominator=10**6)
 
@@ -252,3 +258,89 @@ def test_rational_numerators_are_refused():
     with pytest.raises(TypeError, match=r"TorusVec\.of"):
         TorusVec((1, Fraction(1, 3)), 3)
     assert TorusVec.of(Fraction(1, 2)) == TorusVec((1,), 2)
+
+
+# ---------------------------------------------------------------------------
+# Sequence kernels against one vector operation per term
+
+
+def test_strided_sums_match_vec_sums():
+    rng = random.Random(909)
+    for _ in range(300):
+        dim = rng.choice((1, 2))
+        stride, terms = rng.randrange(0, 7), rng.randrange(1, 6)
+        values = [mixed_den_vec(rng, dim) for _ in range((terms - 1) * stride + rng.randrange(1, 30))]
+        count = len(values) - (terms - 1) * stride
+        expected = tuple(vec_sum(values[k + t * stride] for t in range(terms)) for k in range(count))
+        assert strided_sums(values, stride, terms) == expected
+
+
+def test_strided_sums_refuse_short_input():
+    with pytest.raises(ValueError, match="more values than their span"):
+        strided_sums([TorusVec.zero(1)] * 4, 2, 3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        strided_sums([TorusVec.zero(1), TorusVec.zero(2)], 1, 1)
+
+
+def test_solve_strided_sums_inverts_strided_sums():
+    rng = random.Random(910)
+    for _ in range(300):
+        dim = rng.choice((1, 2))
+        stride, terms = rng.randrange(1, 7), rng.randrange(1, 6)
+        head = [mixed_den_vec(rng, dim) for _ in range((terms - 1) * stride)]
+        sums = [mixed_den_vec(rng, dim) for _ in range(rng.randrange(0, 40))]
+        tail = solve_strided_sums(head, sums, stride, terms)
+        assert len(tail) == len(sums)
+        if sums:
+            assert strided_sums(list(head) + list(tail), stride, terms) == tuple(sums)
+        # entry by entry: each new entry is its sum less the other terms
+        y = list(head)
+        for j, s in enumerate(sums):
+            acc = s
+            for t in range(terms - 1):
+                acc = acc - y[j + t * stride]
+            y.append(acc)
+        assert tail == tuple(y[len(head):])
+
+
+def test_solve_strided_sums_needs_a_full_head():
+    with pytest.raises(ValueError, match="head of 4 entries"):
+        solve_strided_sums([TorusVec.zero(1)] * 3, [TorusVec.zero(1)], 2, 3)
+
+
+def test_gap_distances_match_max_circle_dist():
+    rng = random.Random(911)
+    for _ in range(300):
+        dim = rng.choice((1, 2))
+        values = [mixed_den_vec(rng, dim) for _ in range(rng.randrange(1, 25))]
+        gap = rng.randrange(1, 30)
+        n = len(values)
+        for cyclic in (False, True):
+            nums, den = gap_distances(values, gap, cyclic)
+            pairs = range(n) if cyclic else range(n - gap)
+            expected = [max_circle_dist(values[k], values[(k + gap) % n]) for k in pairs]
+            assert [Fraction(d, den) for d in nums] == expected
+
+
+def test_first_far_matches_dist_at_least():
+    rng = random.Random(912)
+    for _ in range(500):
+        dim = rng.choice((1, 2))
+        den = rng.choice((1, 2, 16, 64))  # prev's denominator must divide 64
+        prev = TorusVec(tuple(rng.randrange(2 * den) for _ in range(dim)), den)
+        t = Fraction(rng.randrange(1, 65), 64)
+        candidates = [tuple(rng.randrange(128) for _ in range(dim)) for _ in range(rng.randrange(0, 6))]
+        expected = next(
+            (
+                (TorusVec(c, 64), i)
+                for i, c in enumerate(candidates, 1)
+                if dist_at_least(TorusVec(c, 64), prev, t)
+            ),
+            None,
+        )
+        assert first_far(iter(candidates), prev, t, 64) == expected
+
+
+def test_first_far_refuses_a_coarser_denominator():
+    with pytest.raises(ValueError, match="not a multiple of 3"):
+        first_far([(0,)], TorusVec.of(Fraction(1, 3)), Fraction(1, 2), 64)

@@ -34,7 +34,12 @@ from mdkit.tower import (
     windows_agree_on_overlap,
 )
 
-from oracles import section_value_oracle
+from oracles import (
+    factor_map_per_entry,
+    mixed_den_vec,
+    section_map_per_entry,
+    section_value_oracle,
+)
 
 HALF = Fraction(1, 2)
 
@@ -168,10 +173,64 @@ class TestSectionMap:
             section_map(2, AnchorTable.zeros(2), Window(0, vecs(0, 1, 0, 1)))
 
 
+class TestKernelsMatchPerEntry:
+    """The whole-window kernels against the per-entry loops in ``oracles``,
+    on entries over mixed denominators, so every lift to the lcm counts."""
+
+    def test_factor_map_on_windows(self):
+        rng = random.Random(601)
+        for m in (2, 3, 4, 5):
+            span = (m - 1) * level_gap(m - 1)
+            for dim in (1, 2):
+                for extra in (0, 1, 7, level_gap(m) + 3):
+                    x = Window(rng.randrange(-9, 9), tuple(mixed_den_vec(rng, dim) for _ in range(span + 1 + extra)))
+                    assert factor_map(m, x) == factor_map_per_entry(m, x)
+
+    def test_factor_map_on_periodic_points(self):
+        rng = random.Random(602)
+        for m in (2, 3, 4, 5):
+            for dim in (1, 2):
+                for p in (1, 2, 3, 5, 6, 7, 13, 24, 31):
+                    x = Periodic(tuple(mixed_den_vec(rng, dim) for _ in range(p)))
+                    assert factor_map(m, x) == factor_map_per_entry(m, x)
+
+    def test_section_map(self):
+        rng = random.Random(603)
+        for m in (2, 3, 4, 5):
+            q, big = level_gap(m - 1), level_gap(m)
+            c = (m - 1) * q
+            for dim in (1, 2):
+                anchors = (
+                    AnchorTable.zeros(dim),
+                    AnchorTable.random(dim, m, rng),
+                    AnchorTable(dim, {k: mixed_den_vec(rng, dim) for k in range(c)}),
+                )
+                for lo in (0, -1, -q, -big - 3):
+                    for hi in (q - 1, big, 2 * big + 1):
+                        x = Window(lo, tuple(mixed_den_vec(rng, dim) for _ in range(hi - lo + 1)))
+                        for anchor in anchors:
+                            y = section_map(m, anchor, x)
+                            assert y == section_map_per_entry(m, anchor, x)
+                            assert verify_section_identity(m, x, y).passed
+
+    def test_gap_membership(self):
+        rng = random.Random(604)
+        for dim in (1, 2):
+            for gap in (1, 2, 6, 24):
+                spec = gap_space(dim, gap, Fraction(1, 3))
+                window = Window(-5, tuple(mixed_den_vec(rng, dim) for _ in range(gap + 20)))
+                period = Periodic(tuple(mixed_den_vec(rng, dim) for _ in range(7)))
+                for x in (window, period):
+                    report = check_membership(spec, x)
+                    for rec in report.records:
+                        d = max_circle_dist(x.value_at(rec.index), x.value_at(rec.index + gap))
+                        assert rec.lhs == d and rec.ok == (d >= spec.threshold)
+
+
 class TestSectionIdentity:
     def test_small_example_full_overlap(self):
         x = Window(0, vecs(0, 1, 0, 1))
-        report = verify_section_identity(2, AnchorTable.zeros(1), x)
+        report = verify_section_identity(2, x, section_map(2, AnchorTable.zeros(1), x))
         assert report.passed
         assert report.overlap == (0, 3)
 
@@ -179,13 +238,14 @@ class TestSectionIdentity:
         rng = random.Random(55)
         anchor = AnchorTable.random(1, 2, rng)
         windows = [random_window(1, -2, 10, rng) for _ in range(101)]
-        reports = [verify_section_identity(2, anchor, x) for x in windows]
+        reports = [verify_section_identity(2, x, section_map(2, anchor, x)) for x in windows]
         assert all(r.passed and r.windows_checked == 1 for r in reports)
 
     def test_level_four(self):
         rng = random.Random(56)
         windows = [random_window(1, 0, 3 * level_gap(4), rng) for _ in range(21)]
-        assert all(verify_section_identity(4, AnchorTable.zeros(1), x).passed for x in windows)
+        zero = AnchorTable.zeros(1)
+        assert all(verify_section_identity(4, x, section_map(4, zero, x)).passed for x in windows)
 
 
 class TestSectionRange:
@@ -193,7 +253,7 @@ class TestSectionRange:
         rng = random.Random(77)
         big = level_gap(3)
         x = sample_gap_window(1, level_gap(2), HALF, -big, 3 * big, rng)
-        report = verify_section_range(3, AnchorTable.zeros(1), x, HALF)
+        report = verify_section_range(3, x, section_map(3, AnchorTable.zeros(1), x), HALF)
         assert report.passed
         assert all(count > 0 for count in report.partition_counts.values())
 
@@ -201,13 +261,13 @@ class TestSectionRange:
         rng = random.Random(78)
         big = level_gap(2)
         x = sample_gap_window(2, level_gap(1), HALF, -big, 3 * big, rng)
-        report = verify_section_range(2, AnchorTable.random(2, 2, rng), x, HALF)
+        report = verify_section_range(2, x, section_map(2, AnchorTable.random(2, 2, rng), x), HALF)
         assert report.passed
 
     def test_invalid_input_rejected(self):
         x = Window(0, (TorusVec.zero(1),) * 12)
         with pytest.raises(ValueError, match="gap constraint"):
-            verify_section_range(2, AnchorTable.zeros(1), x, HALF)
+            verify_section_range(2, x, section_map(2, AnchorTable.zeros(1), x), HALF)
 
 
 class TestTowerElement:
@@ -293,6 +353,8 @@ class TestAperiodicity:
         spec = TowerSpec(dim=1, delta=HALF, m_max=3)
         with pytest.raises(ValueError):
             tower_aperiodicity_report(spec, 1)
+        with pytest.raises(ValueError, match="over the cap of 1000"):
+            tower_aperiodicity_report(spec, 1001)
 
 
 class TestTowerSpecJson:
