@@ -50,10 +50,13 @@ from .tower import (  # noqa: F401
 from .complexes import (  # noqa: F401
     CoindexBound,
     FreeZpComplex,
-    bound_combine,
     build_en_zp,
     check_free_action,
     coindex_bounds,
+    coindex_finite,
+    coindex_join,
+    coindex_map,
+    coindex_power,
     equivariant_map_search,
     join_complexes,
     reduced_homology,

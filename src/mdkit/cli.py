@@ -31,6 +31,7 @@ from .finite import (
     FiniteSystem,
     embed_into_universal,
     marker_search,
+    metric_from_json,
     random_metric,
     verify_marker,
     verify_marker_transfer,
@@ -151,6 +152,16 @@ def _run_tower_verify(args) -> dict:
         raise ValueError("tower verify needs --samples >= 1: zero samples would check nothing")
     delta = frac_from_str(args.delta)
     lo, hi = _parse_window(args.window)
+    # the window covers the (m-1)! entries of the base block; a running
+    # product refuses a huge level before any factorial is formed
+    block = 1
+    for k in range(2, m):
+        block *= k
+        if block > MAX_VERIFY_ENTRIES:
+            raise ValueError(
+                f"level {m} needs a window covering the {m - 1}! entries of the base "
+                f"block, over the cap of {MAX_VERIFY_ENTRIES} on tower verify"
+            )
     length = hi - lo
     out_lo, out_hi = section_domain(m, lo, hi - 1)
     entries = args.samples * (length + out_hi - out_lo + 1)
@@ -408,8 +419,7 @@ def _run_embed(args) -> dict:
             metric = random_metric(rng, system.size)
         else:
             with open(args.metric, encoding="utf-8") as handle:
-                rows = json.load(handle)
-            metric = tuple(tuple(frac_from_str(d) for d in row) for row in rows)
+                metric = metric_from_json(json.load(handle))
         system = FiniteSystem(system.points, system.perm, metric)
     report = embed_into_universal(system, frac_from_str(args.epsilon))
     checks = [

@@ -84,14 +84,9 @@ class FreeZpComplex:
         """Build from maximal faces given by vertex names; closure is computed."""
         vertices = tuple(vertices)
         index = {v: i for i, v in enumerate(vertices)}
-        simplices: set[frozenset[int]] = set()
-        for face in maximal:
-            idx = frozenset(index[v] for v in face)
-            for size in range(1, len(idx) + 1):
-                for sub in combinations(sorted(idx), size):
-                    simplices.add(frozenset(sub))
+        simplices = _closure([index[v] for v in face] for face in maximal)
         act = tuple(index[action[v]] for v in vertices)
-        return cls(p, vertices, frozenset(simplices), act)
+        return cls(p, vertices, simplices, act)
 
     @classmethod
     def empty(cls, p: int) -> "FreeZpComplex":
@@ -148,18 +143,42 @@ class FreeZpComplex:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "FreeZpComplex":
+    def from_json(cls, data) -> "FreeZpComplex":
+        """Inverse of ``to_json``; hand-written inputs may list only the
+        maximal faces, and the closure is computed."""
+        if not isinstance(data, dict):
+            raise ValueError("complex JSON must be an object")
+        for key in ("p", "vertices", "simplices", "action"):
+            if key not in data:
+                raise ValueError(f"complex JSON lacks the required key {key!r}")
+        faces, action = data["simplices"], data["action"]
+        if not (
+            isinstance(data["p"], int)
+            and isinstance(data["vertices"], list)
+            and isinstance(faces, list)
+            and all(map(_is_index_list, faces))
+            and _is_index_list(action)
+        ):
+            raise ValueError(
+                'complex JSON needs an integer "p", a "vertices" list, a "simplices" '
+                'list of vertex index lists and an "action" vertex index list'
+            )
         vertices = tuple(_name_from_json(v) for v in data["vertices"])
-        simplices = frozenset(frozenset(s) for s in data["simplices"])
-        # closure may be omitted in hand-written inputs; compute it
-        closed: set[frozenset[int]] = set()
-        for s in simplices:
-            for size in range(1, len(s) + 1):
-                for sub in combinations(sorted(s), size):
-                    closed.add(frozenset(sub))
-        return cls(
-            int(data["p"]), vertices, frozenset(closed), tuple(data["action"])
-        )
+        return cls(data["p"], vertices, _closure(faces), tuple(action))
+
+
+def _is_index_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, int) for v in value)
+
+
+def _closure(faces: Iterable[Iterable[int]]) -> frozenset[frozenset[int]]:
+    """Every nonempty subset of every face: the downward closure."""
+    return frozenset(
+        frozenset(sub)
+        for face in map(frozenset, faces)
+        for size in range(1, len(face) + 1)
+        for sub in combinations(face, size)
+    )
 
 
 def _name_to_json(name):
@@ -598,9 +617,6 @@ def _iso_search(a: FreeZpComplex, b: FreeZpComplex) -> dict[int, int] | None:
 # Coindex bounds
 
 
-INFINITE = None  # sentinel for an unbounded upper coindex
-
-
 @dataclass(frozen=True)
 class CoindexBound:
     """An interval [lower, upper] for a coindex, with its derivation chain."""
@@ -688,140 +704,94 @@ def coindex_bounds(complex_: FreeZpComplex, search_depth: int) -> CoindexBound:
 
 
 # ---------------------------------------------------------------------------
-# Bound combinators
+# Coindex rules
+#
+# Each rule takes the bounds it combines, checks that they share one prime,
+# and returns the combined interval with the inputs' provenance followed by
+# one record for the rule.
 
 
-def bound_combine(
-    rule: str,
-    inputs: Sequence[CoindexBound],
-    *,
-    p: int | None = None,
-    exponent: int | None = None,
-    dim_cap: int | None = None,
+def _ruled(
+    inputs: Sequence[CoindexBound], lower: int, upper: int | None, record: dict
 ) -> CoindexBound:
-    """Propagate coindex bounds along the sound combination rules.
-
-    join:            lower = l1 + l2 + 1; upper unbounded unless a dimension
-                     cap is supplied.
-    map:             a bound for the source of an equivariant map pushes its
-                     lower bound onto the target (optional second input: a
-                     prior bound for the target to merge with).
-    power:           bounds are unchanged under T -> T^n for n coprime to p.
-    finite-nonempty: a nonempty finite free orbit set is exactly [0, 0].
-    bump:            lower = lower + 1 (join with a nonempty finite free set
-                     followed by an equivariant map into a universal target).
-    """
-    if rule == "finite-nonempty":
-        if p is None:
-            raise ValueError("finite-nonempty rule needs p")
-        return CoindexBound(
-            p,
-            0,
-            0,
-            (
-                {
-                    "rule": "finite-nonempty",
-                    "statement": (
-                        "a nonempty finite free orbit set admits an orbit map from "
-                        "the standard level-0 complex and has dimension 0, so its "
-                        "coindex is exactly 0"
-                    ),
-                },
-            ),
-        )
-    if not inputs:
-        raise ValueError(f"rule {rule!r} needs at least one input bound")
-    shared_p = inputs[0].p
-    if any(b.p != shared_p for b in inputs):
+    p = inputs[0].p
+    if any(b.p != p for b in inputs):
         raise ValueError("prime mismatch")
     chain = tuple(rec for b in inputs for rec in b.provenance)
-    if rule == "join":
-        if len(inputs) != 2:
-            raise ValueError("join rule takes exactly two bounds")
-        a, b = inputs
-        lower = a.lower + b.lower + 1
-        upper = dim_cap
-        return CoindexBound(
-            shared_p,
-            lower,
-            upper,
-            chain
-            + (
-                {
-                    "rule": "join",
-                    "statement": (
-                        "the coindex of a join is at least the sum of the coindexes "
-                        "plus one"
-                    ),
-                    "inputs": [a.lower, b.lower],
-                },
+    return CoindexBound(p, lower, upper, chain + (record,))
+
+
+def coindex_join(
+    a: CoindexBound, b: CoindexBound, dim_cap: int | None = None
+) -> CoindexBound:
+    """The join of two free spaces: lower = l1 + l2 + 1; the upper end is
+    unbounded unless a dimension cap is supplied."""
+    return _ruled(
+        (a, b),
+        a.lower + b.lower + 1,
+        dim_cap,
+        {
+            "rule": "join",
+            "statement": (
+                "the coindex of a join is at least the sum of the coindexes plus one"
             ),
-        )
-    if rule == "map":
-        if len(inputs) == 1:
-            source, target = inputs[0], None
-        elif len(inputs) == 2:
-            source, target = inputs
-        else:
-            raise ValueError("map rule takes one or two bounds")
-        lower = source.lower if target is None else max(source.lower, target.lower)
-        upper = None if target is None else target.upper
-        return CoindexBound(
-            shared_p,
-            lower,
-            upper,
-            chain
-            + (
-                {
-                    "rule": "map",
-                    "statement": (
-                        "an equivariant continuous map cannot decrease coindex, so "
-                        "the target inherits the source's lower bound"
-                    ),
-                },
+            "inputs": [a.lower, b.lower],
+        },
+    )
+
+
+def coindex_map(source: CoindexBound, target: CoindexBound | None = None) -> CoindexBound:
+    """An equivariant map pushes the source's lower bound onto the target,
+    merged with a prior bound for the target when one is given."""
+    inputs = (source,) if target is None else (source, target)
+    return _ruled(
+        inputs,
+        max(b.lower for b in inputs),
+        None if target is None else target.upper,
+        {
+            "rule": "map",
+            "statement": (
+                "an equivariant continuous map cannot decrease coindex, so "
+                "the target inherits the source's lower bound"
             ),
-        )
-    if rule == "power":
-        if len(inputs) != 1:
-            raise ValueError("power rule takes exactly one bound")
-        if exponent is None:
-            raise ValueError("power rule needs the exponent")
-        if gcd(exponent, shared_p) != 1:
-            raise ValueError("power rule requires an exponent coprime to p")
-        b = inputs[0]
-        return CoindexBound(
-            shared_p,
-            b.lower,
-            b.upper,
-            chain
-            + (
-                {
-                    "rule": "power",
-                    "statement": (
-                        f"replacing the action by its power {exponent} (coprime to "
-                        f"{shared_p}) preserves coindex"
-                    ),
-                },
+        },
+    )
+
+
+def coindex_power(bound: CoindexBound, exponent: int) -> CoindexBound:
+    """Replacing the action T by T^exponent, exponent coprime to p, keeps the bound."""
+    if gcd(exponent, bound.p) != 1:
+        raise ValueError("power rule requires an exponent coprime to p")
+    return _ruled(
+        (bound,),
+        bound.lower,
+        bound.upper,
+        {
+            "rule": "power",
+            "statement": (
+                f"replacing the action by its power {exponent} (coprime to "
+                f"{bound.p}) preserves coindex"
             ),
-        )
-    if rule == "bump":
-        if len(inputs) != 1:
-            raise ValueError("bump rule takes exactly one bound")
-        b = inputs[0]
-        return CoindexBound(
-            shared_p,
-            b.lower + 1,
-            None,
-            chain
-            + (
-                {
-                    "rule": "bump",
-                    "statement": (
-                        "joining with a nonempty finite free set and mapping into a "
-                        "universal gap space raises the periodic coindex lower bound "
-                        "by one"
-                    ),
-                },
-            ),
-        )
-    raise ValueError(f"unknown rule {rule!r}")
+        },
+    )
+
+
+def coindex_finite(p: int) -> CoindexBound:
+    """A nonempty finite free orbit set has coindex exactly 0."""
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    return CoindexBound(
+        p,
+        0,
+        0,
+        (
+            {
+                "rule": "finite-nonempty",
+                "statement": (
+                    "a nonempty finite free orbit set admits an orbit map from "
+                    "the standard level-0 complex and has dimension 0, so its "
+                    "coindex is exactly 0"
+                ),
+            },
+        ),
+    )

@@ -53,7 +53,7 @@ class FiniteSystem:
         if self.metric is not None:
             metric = tuple(tuple(Fraction(d) for d in row) for row in self.metric)
             object.__setattr__(self, "metric", metric)
-            _validate_metric(metric)
+            _validate_metric(metric, n)
 
     @property
     def size(self) -> int:
@@ -129,23 +129,37 @@ class FiniteSystem:
         return out
 
     @classmethod
-    def from_json(cls, data: dict) -> "FiniteSystem":
+    def from_json(cls, data) -> "FiniteSystem":
+        if not isinstance(data, dict):
+            raise ValueError("system JSON must be an object")
         for key in ("points", "perm"):
             if key not in data:
                 raise ValueError(f"system JSON lacks the required key {key!r}")
-        metric = None
-        if data.get("metric") is not None:
-            metric = tuple(
-                tuple(frac_from_str(d) for d in row) for row in data["metric"]
+        points, perm = data["points"], data["perm"]
+        if not (
+            isinstance(points, list)
+            and isinstance(perm, list)
+            and all(isinstance(i, int) for i in perm)
+        ):
+            raise ValueError(
+                'system JSON needs a "points" list and a "perm" list of point indices'
             )
-        return cls(tuple(data["points"]), tuple(data["perm"]), metric)
+        metric = data.get("metric")
+        if metric is not None:
+            metric = metric_from_json(metric)
+        return cls(tuple(points), tuple(perm), metric)
 
 
-def _validate_metric(metric) -> None:
-    n = len(metric)
-    for row in metric:
-        if len(row) != n:
-            raise ValueError("metric table must be square")
+def metric_from_json(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """A metric table from JSON: a list of rows of rationals such as "1/4"."""
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError("metric JSON must be a list of rows of rationals")
+    return tuple(tuple(frac_from_str(d) for d in row) for row in rows)
+
+
+def _validate_metric(metric, n: int) -> None:
+    if len(metric) != n or any(len(row) != n for row in metric):
+        raise ValueError(f"metric table must be {n} by {n}: one row and column per point")
     for i in range(n):
         if metric[i][i] != 0:
             raise ValueError("metric diagonal must be zero")
@@ -404,25 +418,24 @@ def rokhlin_function(sys_: FiniteSystem, subset, n_marker: int) -> RokhlinReport
             steps += 1
         phi.append(steps)
     exceptional = tuple(sorted(i for i in range(sys_.size) if sys_.perm[i] in chosen))
-    failures: list[dict] = []
-    for i in range(sys_.size):
-        if i in exceptional:
-            continue
-        if phi[sys_.perm[i]] != phi[i] + 1:
-            failures.append({"kind": "increment", "point": i})
-    increment_ok = not any(f["kind"] == "increment" for f in failures)
     exc = frozenset(exceptional)
-    for n in range(1, n_marker):
-        for i in exc:
-            if sys_.apply(i, n) in exc:
-                failures.append({"kind": "separation", "point": i, "steps": n})
-    separation_ok = not any(f["kind"] == "separation" for f in failures)
+    increment = [
+        {"kind": "increment", "point": i}
+        for i in range(sys_.size)
+        if i not in exc and phi[sys_.perm[i]] != phi[i] + 1
+    ]
+    separation = [
+        {"kind": "separation", "point": i, "steps": n}
+        for n in range(1, n_marker)
+        for i in exc
+        if sys_.apply(i, n) in exc
+    ]
     return RokhlinReport(
         phi=tuple(phi),
         exceptional=exceptional,
-        increment_ok=increment_ok,
-        separation_ok=separation_ok,
-        failures=tuple(failures),
+        increment_ok=not increment,
+        separation_ok=not separation,
+        failures=tuple(increment + separation),
     )
 
 
@@ -462,21 +475,21 @@ def map_to_unit_step_space(sys_: FiniteSystem, n_marker: int = 2) -> UnitStepMap
     rok = rokhlin_function(sys_, cert.subset, n_marker)
     space = unit_step_space()
     sequences = _orbit_sequences(sys_, [TorusVec.of(t) for t in rok.phi])
-    failures: list[dict] = []
-    for i, seq in enumerate(sequences):
-        report = check_membership(space, seq)
-        if not report.passed:
-            failures.append({"kind": "membership", "point": i})
-    for i in range(sys_.size):
-        if sequences[sys_.perm[i]] != shift(sequences[i], 1):
-            failures.append({"kind": "equivariance", "point": i})
-    membership_ok = not any(f["kind"] == "membership" for f in failures)
-    equivariance_ok = not any(f["kind"] == "equivariance" for f in failures)
+    membership = [
+        {"kind": "membership", "point": i}
+        for i, seq in enumerate(sequences)
+        if not check_membership(space, seq).passed
+    ]
+    equivariance = [
+        {"kind": "equivariance", "point": i}
+        for i in range(sys_.size)
+        if sequences[sys_.perm[i]] != shift(sequences[i], 1)
+    ]
     return UnitStepMapReport(
         sequences=tuple(sequences),
-        membership_ok=membership_ok,
-        equivariance_ok=equivariance_ok,
-        failures=tuple(failures),
+        membership_ok=not membership,
+        equivariance_ok=not equivariance,
+        failures=tuple(membership + equivariance),
     )
 
 
@@ -531,8 +544,8 @@ def epsilon_embedding(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    _validate_metric(metric)
     n = len(points)
+    _validate_metric(metric, n)
     diam = max((metric[i][j] for i in range(n) for j in range(n)), default=Fraction(0))
     scale = Fraction(1)
     if diam > Fraction(1, 4):

@@ -21,7 +21,6 @@ from .torus import (
     TorusVec,
     dist_at_least,
     first_far,
-    frac_from_str,
     frac_to_str,
     gap_distances,
     max_circle_dist,
@@ -129,18 +128,6 @@ def seq_to_json(x: SeqPoint) -> dict:
     }
 
 
-def seq_from_json(data: dict) -> SeqPoint:
-    kind = data["kind"]
-    values = tuple(TorusVec.from_json(v) for v in data["values"])
-    if kind == "periodic":
-        if data.get("period") != len(values):
-            raise ValueError("periodic point period does not match value count")
-        return Periodic(values)
-    if kind == "window":
-        return Window(int(data["start"]), values)
-    raise ValueError(f"unknown sequence kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Subshift constraints
 
@@ -231,46 +218,6 @@ def unit_step_space() -> EitherOrEquals:
 def no_triple_repeat_sft() -> BinarySFT:
     """The binary subshift forbidding 000 and 111."""
     return BinarySFT(forbidden=frozenset({"000", "111"}), dim=1)
-
-
-def spec_to_json(spec: SubshiftSpec) -> dict:
-    if isinstance(spec, GapAtLeast):
-        return {
-            "kind": "gap_at_least",
-            "gap": spec.gap,
-            "threshold": frac_to_str(spec.threshold),
-            "dim": spec.dim,
-        }
-    if isinstance(spec, EitherOrAtLeast):
-        return {
-            "kind": "either_or_at_least",
-            "threshold": frac_to_str(spec.threshold),
-            "dim": spec.dim,
-        }
-    if isinstance(spec, EitherOrEquals):
-        return {
-            "kind": "either_or_equals",
-            "value": frac_to_str(spec.value),
-            "dim": spec.dim,
-        }
-    return {
-        "kind": "binary_sft",
-        "forbidden": sorted(spec.forbidden),
-        "dim": spec.dim,
-    }
-
-
-def spec_from_json(data: dict) -> SubshiftSpec:
-    kind = data["kind"]
-    if kind == "gap_at_least":
-        return GapAtLeast(int(data["gap"]), frac_from_str(data["threshold"]), int(data["dim"]))
-    if kind == "either_or_at_least":
-        return EitherOrAtLeast(frac_from_str(data["threshold"]), int(data["dim"]))
-    if kind == "either_or_equals":
-        return EitherOrEquals(frac_from_str(data["value"]), int(data["dim"]))
-    if kind == "binary_sft":
-        return BinarySFT(frozenset(data["forbidden"]), int(data["dim"]))
-    raise ValueError(f"unknown subshift kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

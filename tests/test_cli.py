@@ -196,6 +196,25 @@ class TestExitCodes:
             ),
             (["tower", "verify", "--m", "3", "--window=-2:100000000"], None, "over the cap of 100000 on tower verify"),
             (["tower", "aperiodicity", "--m-max", "5", "--p-max", "1001"], None, "over the cap of 1000"),
+            (["tower", "verify", "--m", "2000", "--window=0:10"], None, "1999! entries of the base block, over the cap of 100000"),
+            (["tower", "verify", "--m", "1000000", "--window=0:10"], None, "over the cap of 100000"),
+            (
+                ["complex", "coindex"],
+                ("--complex", {"p": 3, "vertices": [0, 1, 2], "simplices": [[0]]}),
+                "lacks the required key 'action'",
+            ),
+            (["complex", "coindex"], ("--complex", [1, 2]), "complex JSON must be an object"),
+            (
+                ["embed", "--system", "cycles:2", "--epsilon", "1/5"],
+                ("--metric", [1, 2]),
+                "metric JSON must be a list of rows",
+            ),
+            (
+                ["embed", "--system", "cycles:3", "--epsilon", "1/5"],
+                ("--metric", [["0", "1/4"], ["1/4", "0"]]),
+                "metric table must be 3 by 3",
+            ),
+            (["markers", "search", "--N", "2"], ("--system", {"points": 5, "perm": [0]}), '"points" list'),
         ],
         ids=[
             "complex-without-n",
@@ -237,6 +256,13 @@ class TestExitCodes:
             "tower-window-misses-base-block",
             "tower-verify-over-entry-cap",
             "aperiodicity-p-max-over-cap",
+            "tower-level-2000-over-cap",
+            "tower-level-million-over-cap",
+            "complex-file-without-action",
+            "complex-file-is-a-list",
+            "metric-file-not-rows",
+            "metric-file-wrong-size",
+            "system-file-points-not-a-list",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):
@@ -274,6 +300,12 @@ class TestExitCodes:
         argv = ["tower", "verify", "--m", "3", "--window=-2:100000000", "--anchors", "random"]
         assert cli.main(argv) == 2
         assert "over the cap of 100000" in capsys.readouterr().err
+        # a huge level is refused before its factorial gap is formed
+        monkeypatch.setattr(tower, "level_gap", drawn)
+        monkeypatch.setattr(cli, "level_gap", drawn)
+        for m in ("2000", "1000000"):
+            assert cli.main(["tower", "verify", "--m", m, "--window=0:10"]) == 2
+            assert "over the cap of 100000" in capsys.readouterr().err
 
     def test_aperiodicity_cap_refused_before_the_sieve(self, capsys, monkeypatch):
         def sieved(n):
@@ -390,6 +422,28 @@ class TestFileInputs:
         )
         assert code == 0
         assert report["checks"][0]["witness"]["D"] == 1
+
+    def test_complex_from_json_file_of_maximal_faces(self, capsys, tmp_path):
+        # en-zp(3, 1): vertex (a, level) has index 3 * level + a; the maximal
+        # faces are the edges with one vertex on each level
+        path = tmp_path / "complex.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "p": 3,
+                    "vertices": [[a, level] for level in range(2) for a in range(3)],
+                    "simplices": [[a, 3 + b] for a in range(3) for b in range(3)],
+                    "action": [3 * level + (a + 1) % 3 for level in range(2) for a in range(3)],
+                }
+            )
+        )
+        bounds = []
+        for complex_ in (str(path), "en-zp:p=3,n=1"):
+            code, report, _ = run_cli(capsys, "complex", "coindex", "--complex", complex_)
+            assert code == 0
+            witness = report["checks"][0]["witness"]
+            bounds.append((witness["lower"], witness["upper"]))
+        assert bounds[0] == bounds[1] == (1, 1)
 
     def test_missing_file_is_config_error(self, capsys):
         code = cli.main(

@@ -8,10 +8,13 @@ from mdkit.complexes import (
     CoindexBound,
     FreeZpComplex,
     HomologyGroup,
-    bound_combine,
     build_en_zp,
     check_free_action,
     coindex_bounds,
+    coindex_finite,
+    coindex_join,
+    coindex_map,
+    coindex_power,
     complexes_isomorphic,
     equivariant_map_search,
     homology_euler_consistent,
@@ -368,49 +371,47 @@ class TestBoundCombinators:
     def test_join_rule(self):
         a = CoindexBound(3, 0, 0)
         b = CoindexBound(3, 0, 0)
-        out = bound_combine("join", [a, b])
+        out = coindex_join(a, b)
         assert out.lower == 1 and out.upper is None
 
     def test_join_with_dim_cap(self):
-        out = bound_combine("join", [CoindexBound(2, 1, 1), CoindexBound(2, 0, 0)], dim_cap=2)
+        out = coindex_join(CoindexBound(2, 1, 1), CoindexBound(2, 0, 0), dim_cap=2)
         assert (out.lower, out.upper) == (2, 2)
 
     def test_map_rule(self):
-        out = bound_combine("map", [CoindexBound(5, 2, None)])
+        out = coindex_map(CoindexBound(5, 2, None))
         assert out.lower == 2 and out.upper is None
-        merged = bound_combine(
-            "map", [CoindexBound(5, 2, None), CoindexBound(5, 0, 4)]
-        )
+        merged = coindex_map(CoindexBound(5, 2, None), CoindexBound(5, 0, 4))
         assert (merged.lower, merged.upper) == (2, 4)
 
     def test_power_rule(self):
         b = CoindexBound(5, 1, 3)
-        out = bound_combine("power", [b], exponent=3)
+        out = coindex_power(b, 3)
         assert (out.lower, out.upper) == (1, 3)
         with pytest.raises(ValueError, match="coprime"):
-            bound_combine("power", [b], exponent=10)
+            coindex_power(b, 10)
 
     def test_finite_nonempty_rule(self):
-        out = bound_combine("finite-nonempty", [], p=7)
+        out = coindex_finite(7)
         assert (out.lower, out.upper) == (0, 0)
-
-    def test_bump_rule(self):
-        out = bound_combine("bump", [CoindexBound(3, 2, None)])
-        assert out.lower == 3
+        with pytest.raises(ValueError, match="prime"):
+            coindex_finite(4)
 
     def test_prime_mismatch(self):
         with pytest.raises(ValueError, match="prime mismatch"):
-            bound_combine("join", [CoindexBound(2, 0, 0), CoindexBound(3, 0, 0)])
+            coindex_join(CoindexBound(2, 0, 0), CoindexBound(3, 0, 0))
+        with pytest.raises(ValueError, match="prime mismatch"):
+            coindex_map(CoindexBound(2, 0, None), CoindexBound(3, 0, 0))
 
     def test_bump_chain_mirrors_universal_argument(self):
         # coindex of the target grows past any given free system's bound:
         # join with a finite free orbit set, then map into the universal space
         start = CoindexBound(5, 2, None)
-        finite = bound_combine("finite-nonempty", [], p=5)
-        joined = bound_combine("join", [start, finite])
-        universal = bound_combine("map", [joined])
+        finite = coindex_finite(5)
+        joined = coindex_join(start, finite)
+        universal = coindex_map(joined)
         assert universal.lower == 3
-        assert universal.lower == bound_combine("bump", [start]).lower
+        assert universal.lower == start.lower + 1
 
 
 class TestJsonAndInvariants:
