@@ -415,8 +415,14 @@ def _run_embed(args) -> dict:
                 for i in range(system.size)
             )
         elif args.metric.startswith("random:"):
-            rng = random.Random(int(args.metric.split(":", 1)[1]))
-            metric = random_metric(rng, system.size)
+            try:
+                seed = int(args.metric.split(":", 1)[1])
+            except ValueError:
+                raise ValueError(
+                    f"metric shorthand {args.metric!r} is not of the form random:<seed> "
+                    "with an integer seed"
+                ) from None
+            metric = random_metric(random.Random(seed), system.size)
         else:
             with open(args.metric, encoding="utf-8") as handle:
                 metric = metric_from_json(json.load(handle))

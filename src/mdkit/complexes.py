@@ -556,63 +556,6 @@ def equivariant_map_search(
     return None
 
 
-def complexes_isomorphic(a: FreeZpComplex, b: FreeZpComplex) -> bool:
-    """Action-complex isomorphism: an equivariant simplicial vertex bijection
-    matching the simplex families exactly."""
-    if a.p != b.p:
-        return False
-    if len(a.vertices) != len(b.vertices) or len(a.simplices) != len(b.simplices):
-        return False
-    if a.is_empty():
-        return True
-    mapping = _iso_search(a, b)
-    return mapping is not None
-
-
-def _iso_search(a: FreeZpComplex, b: FreeZpComplex) -> dict[int, int] | None:
-    orbits = a.vertex_orbits()
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def assign(oi: int) -> bool:
-        if oi == len(orbits):
-            image_simplices = {
-                frozenset(assignment[v] for v in s) for s in a.simplices
-            }
-            return image_simplices == set(b.simplices)
-        rep = orbits[oi][0]
-        for w in range(len(b.vertices)):
-            if w in used:
-                continue
-            trial = {}
-            vertex, image = rep, w
-            clash = False
-            for _ in range(len(orbits[oi])):
-                if image in used or vertex in trial:
-                    clash = True
-                    break
-                trial[vertex] = image
-                vertex = a.action[vertex]
-                image = b.action[image]
-            if clash or len(set(trial.values())) != len(trial):
-                continue
-            assignment.update(trial)
-            used.update(trial.values())
-            ok = all(
-                frozenset(assignment[v] for v in s) in b.simplices
-                for s in a.simplices
-                if all(v in assignment for v in s)
-            )
-            if ok and assign(oi + 1):
-                return True
-            for v, w2 in trial.items():
-                del assignment[v]
-                used.discard(w2)
-        return False
-
-    return dict(assignment) if assign(0) else None
-
-
 # ---------------------------------------------------------------------------
 # Coindex bounds
 

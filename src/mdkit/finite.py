@@ -257,8 +257,7 @@ def verify_marker(
     chosen = frozenset(subset)
     transcript = []
     ok = True
-    for n in range(1, n_marker):
-        violations = sorted(i for i in chosen if sys_.apply(i, n) in chosen)
+    for n, violations in _early_returns(sys_, sorted(chosen), n_marker):
         transcript.append(
             {"condition": f"U and its n-step preimage are disjoint, n={n}", "violations": violations}
         )
@@ -272,6 +271,18 @@ def verify_marker(
     )
     ok = ok and not uncovered
     return ok, tuple(transcript)
+
+
+def _early_returns(sys_: FiniteSystem, points, n_marker: int):
+    """For n = 1 .. N-1, the points of ``points`` whose n-th image lies in
+    ``points``, in the given order.  The images advance one step per n, so
+    the walk costs N steps per point."""
+    starts = list(points)
+    inside = frozenset(starts)
+    images = starts
+    for n in range(1, n_marker):
+        images = [sys_.perm[j] for j in images]
+        yield n, [i for i, j in zip(starts, images) if j in inside]
 
 
 def _cycle_position_subsets(length: int, n_marker: int) -> list[tuple[int, ...]]:
@@ -387,15 +398,6 @@ class RokhlinReport:
     def passed(self) -> bool:
         return self.increment_ok and self.separation_ok
 
-    def to_json(self) -> dict:
-        return {
-            "phi": list(self.phi),
-            "exceptional": list(self.exceptional),
-            "increment_ok": self.increment_ok,
-            "separation_ok": self.separation_ok,
-            "failures": list(self.failures),
-        }
-
 
 def rokhlin_function(sys_: FiniteSystem, subset, n_marker: int) -> RokhlinReport:
     """Backward first-entrance time of a verified N-marker.
@@ -426,9 +428,8 @@ def rokhlin_function(sys_: FiniteSystem, subset, n_marker: int) -> RokhlinReport
     ]
     separation = [
         {"kind": "separation", "point": i, "steps": n}
-        for n in range(1, n_marker)
-        for i in exc
-        if sys_.apply(i, n) in exc
+        for n, returning in _early_returns(sys_, exc, n_marker)
+        for i in returning
     ]
     return RokhlinReport(
         phi=tuple(phi),
@@ -654,15 +655,6 @@ class TransferReport:
     @property
     def passed(self) -> bool:
         return self.forward["ok"] and self.backward["ok"]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "N": self.n_marker,
-            "passed": self.passed,
-            "forward": self.forward,
-            "backward": self.backward,
-        }
 
 
 def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> TransferReport:

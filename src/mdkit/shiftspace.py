@@ -21,7 +21,6 @@ from .torus import (
     TorusVec,
     dist_at_least,
     first_far,
-    frac_to_str,
     gap_distances,
     max_circle_dist,
 )
@@ -231,14 +230,6 @@ class CheckRecord:
     lhs: Fraction | None = None
     word: str | None = None
 
-    def to_json(self) -> dict:
-        out: dict = {"index": self.index, "ok": self.ok}
-        if self.lhs is not None:
-            out["lhs"] = frac_to_str(self.lhs)
-        if self.word is not None:
-            out["word"] = self.word
-        return out
-
 
 @dataclass(frozen=True)
 class MembershipReport:
@@ -253,12 +244,6 @@ class MembershipReport:
 
     def failures(self) -> list[CheckRecord]:
         return [r for r in self.records if not r.ok]
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "records": [r.to_json() for r in self.records],
-        }
 
 
 def _checkable_range(x: SeqPoint, lo_off: int, hi_off: int) -> range:
@@ -426,15 +411,6 @@ class IdentityResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "checked": self.checked,
-            "ok": self.ok,
-            "failures": list(self.failures),
-        }
-
 
 @dataclass(frozen=True)
 class ConjugacyReport:
@@ -447,16 +423,6 @@ class ConjugacyReport:
     @property
     def passed(self) -> bool:
         return all(i.ok for i in self.identities)
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "k": self.k,
-            "samples": self.samples,
-            "passed": self.passed,
-            "identities": [i.to_json() for i in self.identities],
-        }
 
 
 def verify_conjugacy_diagram(

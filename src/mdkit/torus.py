@@ -105,10 +105,6 @@ class TorusVec:
     def to_json(self) -> list[str]:
         return [frac_to_str(Fraction(k, self.den)) for k in self.nums]
 
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "TorusVec":
-        return cls.of(*(frac_from_str(c) for c in data))
-
 
 def _canonical(vec: TorusVec, nums: tuple[int, ...], den: int) -> None:
     """Store ``nums/den`` (entries already in [0, 2*den)) in lowest terms."""

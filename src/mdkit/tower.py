@@ -26,7 +26,7 @@ from .shiftspace import (
     random_torus_vec,
     seq_to_json,
 )
-from .torus import TorusVec, frac_from_str, frac_to_str, solve_strided_sums, strided_sums
+from .torus import TorusVec, frac_to_str, solve_strided_sums, strided_sums
 
 
 # Entries one `tower verify` command may hold, samples * (window + section),
@@ -88,9 +88,6 @@ class AnchorTable:
         """A full random table for the given level's initial block."""
         size = (level - 1) * level_gap(level - 1)
         return cls(dim, {k: random_torus_vec(rng, dim) for k in range(size)})
-
-    def to_json(self, level: int) -> list[list[str]]:
-        return [v.to_json() for v in self.block((level - 1) * level_gap(level - 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +190,6 @@ class SectionIdentityReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "overlap": list(self.overlap),
-            "windows_checked": self.windows_checked,
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
-
 
 def windows_agree_on_overlap(a: Window, b: Window) -> tuple[bool, list[int]]:
     """Exact equality of two windows on the intersection of their domains."""
@@ -250,14 +238,6 @@ class SectionRangeReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "partition_counts": dict(self.partition_counts),
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
 
 
 def verify_section_range(
@@ -323,33 +303,6 @@ class TowerSpec:
     def anchor_for(self, level: int) -> AnchorTable:
         return self.anchors.get(level, AnchorTable.zeros(self.dim))
 
-    def to_json(self) -> dict:
-        return {
-            "N": self.dim,
-            "delta": frac_to_str(self.delta),
-            "m_max": self.m_max,
-            "anchors": {
-                str(level): table.to_json(level)
-                for level, table in sorted(self.anchors.items())
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TowerSpec":
-        dim = int(data["N"])
-        anchors = {}
-        for level_text, rows in data.get("anchors", {}).items():
-            level = int(level_text)
-            anchors[level] = AnchorTable(
-                dim, {k: TorusVec.from_json(row) for k, row in enumerate(rows)}
-            )
-        return cls(
-            dim=dim,
-            delta=frac_from_str(data["delta"]),
-            m_max=int(data["m_max"]),
-            anchors=anchors,
-        )
-
 
 @dataclass(frozen=True)
 class TowerElementTrunc:
@@ -362,12 +315,6 @@ class TowerElementTrunc:
         if not 1 <= level <= self.depth:
             raise ValueError(f"no component at level {level}")
         return self.components[level - 1]
-
-    def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "components": [seq_to_json(w) for w in self.components],
-        }
 
 
 def tower_element(spec: TowerSpec, m: int, x: Window) -> TowerElementTrunc:
@@ -439,14 +386,6 @@ class AperiodicityReport:
     @property
     def passed(self) -> bool:
         return all(c["verified"] for c in self.certificates)
-
-    def to_json(self) -> dict:
-        return {
-            "m_max": self.m_max,
-            "p_max": self.p_max,
-            "passed": self.passed,
-            "certificates": list(self.certificates),
-        }
 
 
 def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> AperiodicityReport:

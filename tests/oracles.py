@@ -58,6 +58,13 @@ def marker_exists_vectorized(sys_: FiniteSystem, n_marker: int) -> bool:
     return bool(valid.any())
 
 
+def early_returns_by_powers(sys_: FiniteSystem, subset, n_marker: int) -> list[list[int]]:
+    """For n = 1 .. N-1, the sorted points of the subset whose n-th power
+    image lies in the subset, each image taken by n steps from scratch."""
+    chosen = set(subset)
+    return [sorted(i for i in chosen if sys_.apply(i, n) in chosen) for n in range(1, n_marker)]
+
+
 # ---------------------------------------------------------------------------
 # Periodic gap points: whole-period rejection and closed grid walks
 

@@ -86,6 +86,22 @@ class TestDispatch:
         assert record["verdict"] == "pass"
         assert record["witness"]["n"] == 22
 
+    def test_markers_transfer_on_a_long_cycle(self, capsys):
+        # 1,800 extension markers, each checked for 599 return times
+        code, report, _ = run_cli(
+            capsys, "markers", "transfer", "--system", "cycles:600", "--n", "3", "--N", "600"
+        )
+        assert code == 0
+        assert report["summary"]["verdict"] == "pass"
+        backward = report["checks"][1]["witness"]["detail"]
+        assert backward.startswith("all 1800 1800-markers of the extension project to (599)-markers")
+
+    def test_mdim_pipeline_levels_at_the_cap(self, capsys):
+        code, report, _ = run_cli(capsys, "mdim", "pipeline", "--N", "2", "--levels", "1000")
+        assert code == 0
+        rules = [rec["rule"] for rec in report["checks"][0]["witness"]["provenance"]]
+        assert rules == ["ambient-shift"] * 1000 + ["inverse-limit", "time-division"]
+
     def test_mdim_D_of_octahedron_stars(self, capsys):
         code, report, _ = run_cli(
             capsys, "mdim", "D", "--model", "en-zp:p=2,n=2", "--cover", "stars"
@@ -215,6 +231,14 @@ class TestExitCodes:
                 "metric table must be 3 by 3",
             ),
             (["markers", "search", "--N", "2"], ("--system", {"points": 5, "perm": [0]}), '"points" list'),
+            (["mdim", "pipeline", "--N", "2", "--levels", "0"], None, "needs levels >= 1, got 0"),
+            (["mdim", "pipeline", "--N", "2", "--levels", "-3"], None, "needs levels >= 1, got -3"),
+            (["mdim", "pipeline", "--N", "2", "--levels", "1001"], None, "over the cap of 1000"),
+            (
+                ["embed", "--system", "cycles:3", "--metric", "random:x", "--epsilon", "1/5"],
+                None,
+                "random:<seed>",
+            ),
         ],
         ids=[
             "complex-without-n",
@@ -263,6 +287,10 @@ class TestExitCodes:
             "metric-file-not-rows",
             "metric-file-wrong-size",
             "system-file-points-not-a-list",
+            "pipeline-levels-zero",
+            "pipeline-levels-negative",
+            "pipeline-levels-over-cap",
+            "metric-random-seed-not-integer",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from mdkit.complexes import (
     coindex_join,
     coindex_map,
     coindex_power,
-    complexes_isomorphic,
     equivariant_map_search,
     homology_euler_consistent,
     join_complexes,
@@ -83,11 +83,21 @@ class TestBuildStandardComplex:
             assert top.torsion == ()
 
 
+def assert_join_is_next_level(p, a, b):
+    """E_a * E_b is E_{a+b+1} index for index: the same simplices and action,
+    with vertex (s, (x, l)) of the join named (x, l + s(a+1)) in E_{a+b+1}."""
+    j = join_complexes(build_en_zp(p, a), build_en_zp(p, b))
+    k = build_en_zp(p, a + b + 1)
+    assert j.p == k.p
+    assert j.simplices == k.simplices
+    assert j.action == k.action
+    assert [(x, level + s * (a + 1)) for s, (x, level) in j.vertices] == list(k.vertices)
+
+
 class TestJoin:
     def test_join_of_orbits_is_next_level(self):
-        for p in (2, 3):
-            j = join_complexes(build_en_zp(p, 0), build_en_zp(p, 0))
-            assert complexes_isomorphic(j, build_en_zp(p, 1))
+        for p in (2, 3, 5):
+            assert_join_is_next_level(p, 0, 0)
 
     def test_join_with_empty_is_identity(self):
         k = build_en_zp(3, 1)
@@ -101,13 +111,12 @@ class TestJoin:
         assert reduced_homology(j, 0).is_trivial()
         assert reduced_homology(j, 1).is_trivial()
         assert reduced_homology(j, 2).rank == 1
-        assert complexes_isomorphic(j, build_en_zp(2, 2))
+        assert_join_is_next_level(2, 1, 0)
 
     def test_join_next_level_battery(self):
-        for p in (2, 3):
-            for n in (1, 2):
-                j = join_complexes(build_en_zp(p, 0), build_en_zp(p, n - 1))
-                assert complexes_isomorphic(j, build_en_zp(p, n))
+        for p in (2, 3, 5):
+            for a, b in [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]:
+                assert_join_is_next_level(p, a, b)
 
     def test_prime_mismatch(self):
         with pytest.raises(ValueError, match="prime mismatch"):
@@ -416,12 +425,11 @@ class TestBoundCombinators:
 
 class TestJsonAndInvariants:
     def test_complex_round_trip(self):
-        k = build_en_zp(3, 1)
-        data = k.to_json()
-        restored = FreeZpComplex.from_json(data)
-        assert restored.p == k.p
-        assert len(restored.simplices) == len(k.simplices)
-        assert complexes_isomorphic(restored, k)
+        for p, n in [(2, 0), (3, 1), (2, 3), (5, 2)]:
+            k = build_en_zp(p, n)
+            assert FreeZpComplex.from_json(k.to_json()) == k
+        j = join_complexes(build_en_zp(3, 0), build_en_zp(3, 1))
+        assert FreeZpComplex.from_json(json.loads(json.dumps(j.to_json()))) == j
 
     def test_from_json_closes_maximal_faces(self):
         data = {

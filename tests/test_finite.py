@@ -22,7 +22,12 @@ from mdkit.finite import (
 )
 from mdkit.shiftspace import check_membership, gap_space, unit_step_space
 
-from oracles import marker_exists_bruteforce, marker_exists_vectorized, uniform_metric
+from oracles import (
+    early_returns_by_powers,
+    marker_exists_bruteforce,
+    marker_exists_vectorized,
+    uniform_metric,
+)
 
 HALF = Fraction(1, 2)
 
@@ -150,6 +155,19 @@ class TestMarkerSearch:
                 start = sys_.points.index(named.group(2))
                 cycle = next(c for c in sys_.cycles() if start in c)
                 assert len(cycle) == int(named.group(1)) < n_marker
+
+    def test_verifier_returns_match_literal_powers(self):
+        rng = random.Random(26)
+        for _ in range(400):
+            size = rng.randint(1, 14)
+            perm = list(range(size))
+            rng.shuffle(perm)
+            sys_ = FiniteSystem(tuple(range(size)), tuple(perm))
+            subset = rng.sample(range(size), rng.randint(1, size))
+            n_marker = rng.randint(1, 2 * size + 1)
+            _, transcript = verify_marker(sys_, subset, n_marker)
+            returns = [entry["violations"] for entry in transcript[:-1]]
+            assert returns == early_returns_by_powers(sys_, subset, n_marker)
 
     def test_enumerate_markers(self):
         markers = enumerate_markers(cycles(5), 5)

@@ -14,7 +14,6 @@ from mdkit.shiftspace import (
     periodic_witness,
     random_window,
     sample_gap_window,
-    seq_to_json,
 )
 from mdkit.torus import TorusVec, max_circle_dist
 from mdkit.tower import (
@@ -357,33 +356,13 @@ class TestAperiodicity:
             tower_aperiodicity_report(spec, 1001)
 
 
-class TestTowerSpecJson:
-    def test_round_trip_with_anchors(self):
-        rng = random.Random(101)
-        spec = TowerSpec(
-            dim=2,
-            delta=Fraction(1, 3),
-            m_max=3,
-            anchors={2: AnchorTable.random(2, 2, rng), 3: AnchorTable.random(2, 3, rng)},
-        )
-        data = spec.to_json()
-        assert data["N"] == 2 and data["delta"] == "1/3"
-        restored = TowerSpec.from_json(data)
-        assert restored.delta == spec.delta and restored.m_max == spec.m_max
-        for level in (2, 3):
-            size = (level - 1) * level_gap(level - 1)
-            for k in range(size):
-                assert restored.anchor_for(level).value_at(k) == spec.anchor_for(
-                    level
-                ).value_at(k)
-
-    def test_element_json(self):
+class TestTowerSpec:
+    def test_element_components(self):
         spec = TowerSpec(dim=1, delta=HALF, m_max=2)
         x = Window(0, vecs(0, 1, 0, 1))
         element = tower_element(spec, 2, x)
-        data = element.to_json()
-        assert data["depth"] == 2
-        assert data["components"][1] == seq_to_json(x)
+        assert element.depth == 2
+        assert element.components[1] == x
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
