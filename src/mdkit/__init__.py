@@ -34,18 +34,19 @@ from .shiftspace import (  # noqa: F401
     verify_conjugacy_diagram,
 )
 from .tower import (  # noqa: F401
-    AnchorTable,
     TowerElementTrunc,
     TowerSpec,
     factor_chain,
     factor_map,
     level_gap,
+    random_anchor,
     section_domain,
     section_map,
     tower_aperiodicity_report,
     tower_element,
     verify_section_identity,
     verify_section_range,
+    zero_anchor,
 )
 from .complexes import (  # noqa: F401
     CoindexBound,
@@ -59,7 +60,6 @@ from .complexes import (  # noqa: F401
     coindex_power,
     equivariant_map_search,
     join_complexes,
-    reduced_homology,
     reduced_homology_groups,
 )
 from .finite import (  # noqa: F401

@@ -121,11 +121,6 @@ class FreeZpComplex:
             orbits.append(tuple(orbit))
         return orbits
 
-    def act(self, v: int, power: int = 1) -> int:
-        for _ in range(power % self.p):
-            v = self.action[v]
-        return v
-
     def euler_characteristic(self) -> int:
         total = 0
         for s in self.simplices:
@@ -197,13 +192,12 @@ def check_free_action(complex_: FreeZpComplex) -> bool:
     """True iff no nontrivial power of the action fixes any simplex setwise.
 
     For a prime-order simplicial action a setwise-invariant simplex would fix
-    its barycenter, so this is exactly freeness of the realized action.
+    its barycenter, so this is exactly freeness of the realized action.  The
+    powers fixing a simplex form a subgroup of Z_p, which for prime p is
+    trivial or everything, so testing the generator alone decides it.
     """
-    for power in range(1, complex_.p):
-        for s in complex_.simplices:
-            if frozenset(complex_.act(v, power) for v in s) == s:
-                return False
-    return True
+    action = complex_.action
+    return all(frozenset(action[v] for v in s) != s for s in complex_.simplices)
 
 
 # Largest standard complex built: en-zp(2, 8) has 19,682 simplices.
@@ -357,12 +351,6 @@ class HomologyGroup:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
 
-def _faces(complex_: FreeZpComplex, d: int) -> list[tuple[int, ...]]:
-    """The d-simplices in boundary order; degree -1 is the empty simplex alone,
-    so that the boundary of the vertices is the augmentation."""
-    return [()] if d == -1 else complex_.simplices_of_dim(d)
-
-
 def _boundary_columns(
     upper: list[tuple[int, ...]], lower: list[tuple[int, ...]]
 ) -> list[dict[int, int]]:
@@ -426,37 +414,23 @@ def _invariant_factors(columns: list[dict[int, int]]) -> list[int]:
     return [1] * pivots + smith_normal_form_diagonal(residual)
 
 
-def _homology(n_k: int, factors_k: list[int], factors_up: list[int]) -> HomologyGroup:
-    """H~_k from the k-simplex count and the invariant factors of d_k, d_{k+1}."""
-    return HomologyGroup(
-        rank=n_k - len(factors_k) - len(factors_up),
-        torsion=tuple(t for t in factors_up if t > 1),
-    )
-
-
-def reduced_homology(complex_: FreeZpComplex, k: int) -> HomologyGroup:
-    """Reduced integral homology in degree k; reduces only d_k and d_{k+1}."""
-    if k < 0 or complex_.is_empty():
-        return HomologyGroup(0)
-    below, at, above = (_faces(complex_, d) for d in (k - 1, k, k + 1))
-    if not at:
-        return HomologyGroup(0)
-    return _homology(
-        len(at),
-        _invariant_factors(_boundary_columns(at, below)),
-        _invariant_factors(_boundary_columns(above, at)),
-    )
-
-
 def reduced_homology_groups(complex_: FreeZpComplex) -> list[HomologyGroup]:
-    """Reduced integral homology in degrees 0..dim, each boundary reduced once."""
-    faces = [_faces(complex_, d) for d in range(-1, complex_.dimension() + 1)]
+    """Reduced integral homology in degrees 0..dim, each boundary reduced once.
+
+    Degree -1 holds the empty simplex alone, so the boundary of the vertices
+    is the augmentation.  H~_k has rank n_k - rank d_k - rank d_{k+1}, and its
+    torsion is the invariant factors of d_{k+1} above 1.  Higher degrees are 0.
+    """
+    faces = [[()]] + [complex_.simplices_of_dim(d) for d in range(complex_.dimension() + 1)]
     factors = [
         _invariant_factors(_boundary_columns(upper, lower))
         for lower, upper in zip(faces, faces[1:])
     ] + [[]]
     return [
-        _homology(len(faces[k + 1]), factors[k], factors[k + 1])
+        HomologyGroup(
+            rank=len(faces[k + 1]) - len(factors[k]) - len(factors[k + 1]),
+            torsion=tuple(t for t in factors[k + 1] if t > 1),
+        )
         for k in range(len(faces) - 1)
     ]
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product as iter_product
 from math import comb
@@ -91,8 +92,9 @@ class FiniteSystem:
             inv[j] = i
         return tuple(inv)
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Cycle decomposition; each cycle starts at its smallest index."""
+    @cached_property
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Cycle decomposition, computed once; each cycle starts at its smallest index."""
         seen: set[int] = set()
         out = []
         for i in range(self.size):
@@ -106,10 +108,10 @@ class FiniteSystem:
                 seen.add(j)
                 j = self.perm[j]
             out.append(tuple(cycle))
-        return out
+        return tuple(out)
 
     def cycle_lengths(self) -> list[int]:
-        return [len(c) for c in self.cycles()]
+        return [len(c) for c in self.cycles]
 
     def min_cycle_length(self) -> int:
         return min(self.cycle_lengths())
@@ -178,7 +180,7 @@ def periodic_points(sys_: FiniteSystem, n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("period must be >= 1")
     out = []
-    for cycle in sys_.cycles():
+    for cycle in sys_.cycles:
         if n % len(cycle) == 0:
             out.extend(cycle)
     return tuple(sorted(out))
@@ -263,7 +265,7 @@ def verify_marker(
         )
         ok = ok and not violations
     uncovered = []
-    for cycle in sys_.cycles():
+    for cycle in sys_.cycles:
         if not chosen.intersection(cycle):
             uncovered.extend(cycle)
     transcript.append(
@@ -331,7 +333,7 @@ def marker_search(sys_: FiniteSystem, n_marker: int) -> MarkerCertificate:
     """
     if n_marker < 1:
         raise ValueError("marker length must be >= 1")
-    cycles = sys_.cycles()
+    cycles = sys_.cycles
     for cycle in cycles:
         if len(cycle) < n_marker:
             return MarkerCertificate(
@@ -364,7 +366,7 @@ def enumerate_markers(
     The markers are counted before any is built, so a count over the cap is
     refused at once.
     """
-    cycles = sys_.cycles()
+    cycles = sys_.cycles
     total = 1
     for cycle in cycles:
         total *= _count_cycle_position_subsets(len(cycle), n_marker)
@@ -497,7 +499,7 @@ def map_to_unit_step_space(sys_: FiniteSystem, n_marker: int = 2) -> UnitStepMap
 def _orbit_sequences(sys_: FiniteSystem, images: Sequence[TorusVec]) -> list[Periodic]:
     """Each point's orbit read through ``images``, one period long."""
     sequences: dict[int, Periodic] = {}
-    for cycle in sys_.cycles():
+    for cycle in sys_.cycles:
         values = [images[j] for j in cycle]
         for k, i in enumerate(cycle):
             sequences[i] = Periodic(tuple(values[k:] + values[:k]))
@@ -528,25 +530,23 @@ class EmbeddingReport:
         )
 
 
-def epsilon_embedding(
-    points: tuple,
-    metric: tuple[tuple[Fraction, ...], ...],
-    epsilon: Fraction,
-) -> EmbeddingReport:
-    """Map a finite metric space into a torus power by distance coordinates.
+def epsilon_embedding(sys_: FiniteSystem, epsilon: Fraction) -> EmbeddingReport:
+    """Map the points of a metric system into a torus power by distance coordinates.
 
     Centers are chosen greedily so every point is within epsilon/2 of one;
     the image of x lists its distances to the centers.  If the diameter
     exceeds 1/4 the metric (and epsilon with it) is rescaled first and the
     factor recorded.  The report checks exhaustively that image collisions
     only happen below epsilon, and records the smallest image separation
-    among pairs at distance >= epsilon.
+    among pairs at distance >= epsilon.  The metric is the one the system
+    validated when it was built.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    n = len(points)
-    _validate_metric(metric, n)
+    if sys_.metric is None:
+        raise ValueError("metric required")
+    n, metric = sys_.size, sys_.metric
     diam = max((metric[i][j] for i in range(n) for j in range(n)), default=Fraction(0))
     scale = Fraction(1)
     if diam > Fraction(1, 4):
@@ -619,7 +619,7 @@ def embed_into_universal(sys_: FiniteSystem, epsilon: Fraction) -> UniversalEmbe
         raise ValueError(
             "epsilon must be smaller than the minimal displacement min d(x, Tx)"
         )
-    emb = epsilon_embedding(sys_.points, sys_.metric, epsilon)
+    emb = epsilon_embedding(sys_, epsilon)
     delta = min(
         max_circle_dist(emb.images[i], emb.images[sys_.perm[i]])
         for i in range(sys_.size)
@@ -647,8 +647,6 @@ def embed_into_universal(sys_: FiniteSystem, epsilon: Fraction) -> UniversalEmbe
 
 @dataclass(frozen=True)
 class TransferReport:
-    n: int
-    n_marker: int
     forward: dict
     backward: dict
 
@@ -695,17 +693,19 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
         }
     markers = enumerate_markers(divided, n * n_marker)
     if markers:
-        bad = []
-        for w in sorted(markers, key=sorted):
-            pulled: set[int] = set()
-            current = set(w)
-            for _ in range(n):
-                pulled.update(i for i in current if i % n == 0)
-                current = {divided.perm[i] for i in current}
-            base_subset = tuple(sorted(i // n for i in pulled))
-            ok, _ = verify_marker(sys_, base_subset, max(n_marker - 1, 1))
-            if not ok:
-                bad.append({"marker": sorted(w), "projected": list(base_subset)})
+        # the first n clock images of point (x, k) meet phase 0 once: at x
+        # itself when k = 0, else at the base image of x
+        landing = [i // n if i % n == 0 else sys_.perm[i // n] for i in range(divided.size)]
+        # many markers share a projection: check each distinct one once, and
+        # name the first marker (in sorted order) that projects to it
+        projections: dict[tuple[int, ...], list[int]] = {}
+        for w in sorted(map(sorted, markers)):
+            projections.setdefault(tuple(sorted({landing[i] for i in w})), w)
+        bad = [
+            {"marker": w, "projected": list(base_subset)}
+            for base_subset, w in projections.items()
+            if not verify_marker(sys_, base_subset, max(n_marker - 1, 1))[0]
+        ]
         backward = {
             "ok": not bad,
             "detail": (
@@ -726,7 +726,7 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
                 else "extension has no marker but the base does: transfer violated"
             ),
         }
-    return TransferReport(n=n, n_marker=n_marker, forward=forward, backward=backward)
+    return TransferReport(forward=forward, backward=backward)
 
 
 # ---------------------------------------------------------------------------

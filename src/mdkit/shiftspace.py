@@ -414,10 +414,7 @@ class IdentityResult:
 
 @dataclass(frozen=True)
 class ConjugacyReport:
-    p: int
-    m: int
     k: int
-    samples: int
     identities: tuple[IdentityResult, ...]
 
     @property
@@ -518,7 +515,7 @@ def verify_conjugacy_diagram(
             ],
         ),
     ]
-    return ConjugacyReport(p=p, m=m, k=k, samples=samples, identities=tuple(identities))
+    return ConjugacyReport(k=k, identities=tuple(identities))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Level m of the tower is the subshift with gap m! and a fixed distance
 threshold.  The factor map from level m to level m-1 sums m translates
 spaced (m-1)! apart; its explicit one-sided inverse (the section) rebuilds a
-preimage from anchor values on the initial block and telescoping sums
-elsewhere.  All index bookkeeping is done symbolically on integer intervals
-before any value is touched, so failures surface as domain errors.
+preimage from its head block, the values on the initial block, and
+telescoping sums elsewhere.  All index bookkeeping is done symbolically on
+integer intervals before any value is touched, so failures surface as domain
+errors.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .shiftspace import (
     Periodic,
@@ -51,43 +52,22 @@ def level_gap(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Anchors
+# Anchors: the head block of a section
 
 
-@dataclass(frozen=True)
-class AnchorTable:
-    """Anchor values used by the section on its initial block.
+def _head_length(m: int) -> int:
+    """Entries of the level-m head block [0, (m-1)*(m-1)!-1]."""
+    return (m - 1) * level_gap(m - 1)
 
-    ``values = None`` means the all-zero anchor on every index; an explicit
-    mapping must supply every index the section asks for.
-    """
 
-    dim: int
-    values: Mapping[int, TorusVec] | None = None
+def zero_anchor(dim: int, m: int) -> tuple[TorusVec, ...]:
+    """The all-zero head block of the level-m section."""
+    return (TorusVec.zero(dim),) * _head_length(m)
 
-    def value_at(self, k: int) -> TorusVec:
-        if self.values is None:
-            return TorusVec.zero(self.dim)
-        try:
-            return self.values[k]
-        except KeyError:
-            raise ValueError(f"anchor table missing index {k}") from None
 
-    def block(self, size: int) -> tuple[TorusVec, ...]:
-        """The anchor values at indices 0 .. size-1."""
-        if self.values is None:
-            return (TorusVec.zero(self.dim),) * size
-        return tuple(self.value_at(k) for k in range(size))
-
-    @classmethod
-    def zeros(cls, dim: int) -> "AnchorTable":
-        return cls(dim, None)
-
-    @classmethod
-    def random(cls, dim: int, level: int, rng: random.Random) -> "AnchorTable":
-        """A full random table for the given level's initial block."""
-        size = (level - 1) * level_gap(level - 1)
-        return cls(dim, {k: random_torus_vec(rng, dim) for k in range(size)})
+def random_anchor(dim: int, m: int, rng: random.Random) -> tuple[TorusVec, ...]:
+    """A random head block of the level-m section, drawn in index order."""
+    return tuple(random_torus_vec(rng, dim) for _ in range(_head_length(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +129,10 @@ def section_domain(m: int, lo: int, hi: int) -> tuple[int, int]:
     return lo, hi + (m - 1) * q
 
 
-def section_map(m: int, anchor: AnchorTable, x: Window) -> Window:
-    """One-sided inverse of the level-m factor map, with prescribed anchors.
+def section_map(m: int, head: Sequence[TorusVec], x: Window) -> Window:
+    """One-sided inverse of the level-m factor map, with a prescribed head block.
 
-    On the initial block [0, (m-1)*(m-1)!-1] the output copies the anchor.
+    On the initial block [0, (m-1)*(m-1)!-1] the output copies ``head``.
     Every later entry k is x at k - (m-1)*(m-1)! less the other m-1 terms of
     its factor sum, and every entry below 0 is x at k less the m-1 terms
     above it; past the base block [0, m!-1] both directions telescope, by
@@ -164,15 +144,16 @@ def section_map(m: int, anchor: AnchorTable, x: Window) -> Window:
             "section consumes windows only; unroll periodic points first "
             "(the section does not preserve periodicity)"
         )
-    if anchor.dim != x.dim:
-        raise ValueError("alphabet dimension mismatch")
     q = level_gap(m - 1)
     out_lo, _ = section_domain(m, x.start, x.end)
-    head = anchor.block((m - 1) * q)
+    if len(head) != (m - 1) * q:
+        raise ValueError(f"the level-{m} section needs a head block of {(m - 1) * q} entries")
+    if any(v.dim != x.dim for v in head):
+        raise ValueError("alphabet dimension mismatch")
     split = -x.start  # position of index 0 in x.values
     above = solve_strided_sums(head, x.values[split:], q, m)
     below = solve_strided_sums(head[::-1], x.values[:split][::-1], q, m)
-    return Window(out_lo, below[::-1] + head + above)
+    return Window(out_lo, below[::-1] + tuple(head) + above)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +162,7 @@ def section_map(m: int, anchor: AnchorTable, x: Window) -> Window:
 
 @dataclass(frozen=True)
 class SectionIdentityReport:
-    level: int
     overlap: tuple[int, int]
-    windows_checked: int
     failures: tuple[dict, ...]
 
     @property
@@ -209,7 +188,7 @@ def verify_section_identity(m: int, x: Window, y: Window) -> SectionIdentityRepo
 
     ``y`` is the level-m section of x, computed once by the caller.  The
     identity is an algebraic telescoping fact: it needs no membership
-    assumption on x and holds for every anchor.
+    assumption on x and holds for every head block.
     """
     back = factor_map(m, y)
     ok, bad = windows_agree_on_overlap(back, x)
@@ -222,16 +201,13 @@ def verify_section_identity(m: int, x: Window, y: Window) -> SectionIdentityRepo
         for k in bad[:5]
     ]
     return SectionIdentityReport(
-        level=m,
         overlap=(max(back.start, x.start), min(back.end, x.end)),
-        windows_checked=1,
         failures=() if ok else ({"window": 0, "witnesses": witnesses},),
     )
 
 
 @dataclass(frozen=True)
 class SectionRangeReport:
-    level: int
     partition_counts: dict[str, int]
     failures: tuple[int, ...]
 
@@ -275,7 +251,7 @@ def verify_section_range(
         else:
             counts["upper_tail"] += 1
     failures = tuple(r.index for r in report.failures())
-    return SectionRangeReport(level=m, partition_counts=counts, failures=failures)
+    return SectionRangeReport(partition_counts=counts, failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +260,13 @@ def verify_section_range(
 
 @dataclass(frozen=True)
 class TowerSpec:
-    """Alphabet dimension, distance threshold, truncation depth and anchors."""
+    """Alphabet dimension, distance threshold, truncation depth and the head
+    block of each level's section."""
 
     dim: int
     delta: Fraction
     m_max: int
-    anchors: Mapping[int, AnchorTable] = field(default_factory=dict)
+    anchors: Mapping[int, Sequence[TorusVec]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         delta = Fraction(self.delta)
@@ -300,8 +277,10 @@ class TowerSpec:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "anchors", dict(self.anchors))
 
-    def anchor_for(self, level: int) -> AnchorTable:
-        return self.anchors.get(level, AnchorTable.zeros(self.dim))
+    def anchor_for(self, level: int) -> Sequence[TorusVec]:
+        """The level's head block; all zeros where the spec sets none."""
+        head = self.anchors.get(level)
+        return zero_anchor(self.dim, level) if head is None else head
 
 
 @dataclass(frozen=True)
@@ -321,8 +300,8 @@ def tower_element(spec: TowerSpec, m: int, x: Window) -> TowerElementTrunc:
     """Fill a truncated tower element around a level-m window.
 
     Levels below m come from the factor chain, level m is x itself, levels
-    above come from iterated sections with the spec's per-level anchors.  The
-    result is checked for factor-consistency on every consecutive overlap.
+    above come from iterated sections with the spec's per-level head blocks.
+    The result is checked for factor-consistency on every consecutive overlap.
     """
     if not 1 <= m <= spec.m_max:
         raise ValueError("level must lie within the truncation depth")
@@ -377,18 +356,7 @@ def _primes_up_to(n: int) -> list[int]:
     return primes
 
 
-@dataclass(frozen=True)
-class AperiodicityReport:
-    m_max: int
-    p_max: int
-    certificates: tuple[dict, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c["verified"] for c in self.certificates)
-
-
-def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> AperiodicityReport:
+def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> tuple[dict, ...]:
     """Per-prime certificates about period-p points of the truncated tower.
 
     For p within the truncation depth, level p has gap p! which p divides, so
@@ -454,4 +422,4 @@ def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> AperiodicityReport
                     "witness": seq_to_json(witness),
                 }
             )
-    return AperiodicityReport(m_max=spec.m_max, p_max=p_max, certificates=tuple(certificates))
+    return tuple(certificates)

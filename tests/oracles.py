@@ -13,6 +13,7 @@ from math import gcd
 
 import numpy as np
 
+from mdkit.complexes import HomologyGroup, smith_normal_form_diagonal
 from mdkit.finite import FiniteSystem
 from mdkit.shiftspace import Periodic, Window, check_membership, gap_space, random_torus_vec
 from mdkit.torus import TorusVec, vec_sum
@@ -26,7 +27,7 @@ from mdkit.tower import DomainError, level_gap, section_domain
 def marker_exists_bruteforce(sys_: FiniteSystem, n_marker: int) -> bool:
     """Pure-Python sweep of every nonempty subset against the two conditions."""
     n = sys_.size
-    cycles = [set(c) for c in sys_.cycles()]
+    cycles = [set(c) for c in sys_.cycles]
     for mask in range(1, 1 << n):
         chosen = {i for i in range(n) if mask >> i & 1}
         if any(not chosen & c for c in cycles):
@@ -46,7 +47,7 @@ def marker_exists_vectorized(sys_: FiniteSystem, n_marker: int) -> bool:
     n = sys_.size
     masks = np.arange(1, 1 << n, dtype=np.int64)
     valid = np.ones(len(masks), dtype=bool)
-    for cycle in sys_.cycles():
+    for cycle in sys_.cycles:
         cycle_mask = np.int64(sum(1 << i for i in cycle))
         valid &= (masks & cycle_mask) != 0
     for step in range(1, n_marker):
@@ -63,6 +64,17 @@ def early_returns_by_powers(sys_: FiniteSystem, subset, n_marker: int) -> list[l
     image lies in the subset, each image taken by n steps from scratch."""
     chosen = set(subset)
     return [sorted(i for i in chosen if sys_.apply(i, n) in chosen) for n in range(1, n_marker)]
+
+
+def projection_by_clock_walk(divided: FiniteSystem, marker, n: int) -> list[int]:
+    """The base points that the first n clock images of a marker of the
+    1/n-time extension visit at phase 0, walked one step at a time."""
+    pulled: set[int] = set()
+    current = set(marker)
+    for _ in range(n):
+        pulled.update(i for i in current if i % n == 0)
+        current = {divided.perm[i] for i in current}
+    return sorted(i // n for i in pulled)
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +159,11 @@ def factor_map_per_entry(m, x):
     )
 
 
-def section_map_per_entry(m, anchor, x):
-    """The level-m section built entry by entry: anchors on the initial
-    block, anchor sums on the rest of the base block, then one telescoping
-    step per entry upward and downward."""
-    if anchor.dim != x.dim:
+def section_map_per_entry(m, head, x):
+    """The level-m section built entry by entry: the head block on the
+    initial block, head sums on the rest of the base block, then one
+    telescoping step per entry upward and downward."""
+    if any(v.dim != x.dim for v in head):
         raise ValueError("alphabet dimension mismatch")
     q = level_gap(m - 1)
     big = level_gap(m)
@@ -159,11 +171,11 @@ def section_map_per_entry(m, anchor, x):
     out_lo, out_hi = section_domain(m, x.start, x.end)
     values: dict[int, TorusVec] = {}
     for k in range(0, c):
-        values[k] = anchor.value_at(k)
+        values[k] = head[k]
     for k in range(c, big):
         acc = x.value_at(k - c)
         for i in range(1, m):
-            acc = acc - anchor.value_at(k - i * q)
+            acc = acc - head[k - i * q]
         values[k] = acc
     for k in range(big, out_hi + 1):
         values[k] = values[k - big] + (x.value_at(k - big + q) - x.value_at(k - big))
@@ -176,20 +188,20 @@ def section_map_per_entry(m, anchor, x):
 # Section map: the literal piecewise formula
 
 
-def section_value_oracle(m, anchor, x, k):
+def section_value_oracle(m, head, x, k):
     """Evaluate the level-m section at index k by the raw case sums."""
     q = level_gap(m - 1)
     big = level_gap(m)
     c = (m - 1) * q
     if 0 <= k <= c - 1:
-        return anchor.value_at(k)
+        return head[k]
     if c <= k <= big - 1:
         acc = x.value_at(k - c)
         for i in range(1, m):
-            acc = acc - anchor.value_at(k - i * q)
+            acc = acc - head[k - i * q]
         return acc
     n, j = divmod(k, big)
-    base = section_value_oracle(m, anchor, x, j)
+    base = section_value_oracle(m, head, x, j)
     if n > 0:
         acc = base
         for i in range(0, n):
@@ -250,3 +262,45 @@ def mixed_den_vec(rng, dim, dens=(1, 2, 3, 64)):
     sequences of them mix denominators and every lift to the lcm counts."""
     den = rng.choice(dens)
     return TorusVec(tuple(rng.randrange(2 * den) for _ in range(dim)), den)
+
+
+# ---------------------------------------------------------------------------
+# Free complexes: freeness by every power, homology by dense matrices
+
+
+def free_action_by_all_powers(complex_) -> bool:
+    """Freeness by its definition: no power 1..p-1 of the action fixes a
+    simplex setwise."""
+    for power in range(1, complex_.p):
+        for s in complex_.simplices:
+            image = s
+            for _ in range(power):
+                image = frozenset(complex_.action[v] for v in image)
+            if image == s:
+                return False
+    return True
+
+
+def reduced_homology_dense(complex_, k):
+    """H~_k from the dense boundary matrices of d_k and d_{k+1}, each reduced
+    by the dense Smith normal form; 0 above the dimension."""
+
+    def faces(d):
+        return [()] if d == -1 else complex_.simplices_of_dim(d)
+
+    def factors(d):  # invariant factors of the boundary C_d -> C_{d-1}
+        rows, cols = faces(d - 1), faces(d)
+        if not rows or not cols:
+            return []
+        index = {s: i for i, s in enumerate(rows)}
+        matrix = [[0] * len(cols) for _ in rows]
+        for j, s in enumerate(cols):
+            for drop in range(len(s)):
+                matrix[index[s[:drop] + s[drop + 1 :]]][j] = -1 if drop % 2 else 1
+        return smith_normal_form_diagonal(matrix)
+
+    up = factors(k + 1)
+    return HomologyGroup(
+        rank=len(faces(k)) - len(factors(k)) - len(up),
+        torsion=tuple(t for t in up if t > 1),
+    )

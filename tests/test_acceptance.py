@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from mdkit import cli
-from mdkit.complexes import build_en_zp, check_free_action, coindex_bounds, reduced_homology
+from mdkit.complexes import build_en_zp, check_free_action, coindex_bounds, reduced_homology_groups
 from mdkit.finite import (
     FiniteSystem,
     embed_into_universal,
@@ -42,13 +42,14 @@ from mdkit.shiftspace import (
     verify_conjugacy_diagram,
 )
 from mdkit.tower import (
-    AnchorTable,
     TowerSpec,
     factor_map,
     level_gap,
+    random_anchor,
     section_map,
     tower_aperiodicity_report,
     windows_agree_on_overlap,
+    zero_anchor,
 )
 
 HALF = Fraction(1, 2)
@@ -63,7 +64,7 @@ def conclude(number: int, label: str, failures: list):
 @pytest.fixture(scope="module")
 def section_battery():
     """Shared data for criteria 1 and 2: 100 seeded windows per (level, dim),
-    each pushed through the section with a zero anchor and a random anchor."""
+    each pushed through the section with a zero and a random head block."""
     started = time.monotonic()
     results = {}
     rng = random.Random(20260810)
@@ -78,11 +79,11 @@ def section_battery():
                 window = sample_gap_window(
                     dim, gap_in, HALF, -gap_out, 3 * gap_out, rng
                 )
-                for kind, anchor in (
-                    ("zero", AnchorTable.zeros(dim)),
-                    ("random", AnchorTable.random(dim, m, rng)),
+                for kind, head in (
+                    ("zero", zero_anchor(dim, m)),
+                    ("random", random_anchor(dim, m, rng)),
                 ):
-                    out = section_map(m, anchor, window)
+                    out = section_map(m, head, window)
                     back = factor_map(m, out)
                     ok, bad = windows_agree_on_overlap(back, window)
                     if not ok or (back.start, back.end) != (window.start, window.end):
@@ -161,8 +162,7 @@ def test_criterion_04_sft_counts():
 def test_criterion_05_tower_aperiodicity():
     failures = []
     spec = TowerSpec(dim=1, delta=HALF, m_max=5)
-    report = tower_aperiodicity_report(spec, 13)
-    by_prime = {c["prime"]: c for c in report.certificates}
+    by_prime = {c["prime"]: c for c in tower_aperiodicity_report(spec, 13)}
     for p in (2, 3, 5):
         cert = by_prime.get(p)
         if cert is None or cert["kind"] != "empty" or cert["level"] != p or not cert["verified"]:
@@ -183,8 +183,8 @@ def test_criterion_06_standard_complex_battery():
             failures.append((p, n, "action not free"))
         if complex_.dimension() != n:
             failures.append((p, n, "wrong dimension"))
-        for deg in range(n):
-            if not reduced_homology(complex_, deg).is_trivial():
+        for deg, group in enumerate(reduced_homology_groups(complex_)[:n]):
+            if not group.is_trivial():
                 failures.append((p, n, f"homology nonzero in degree {deg}"))
     for p in (2, 3):
         for n in (0, 1, 2):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mdkit import cli, tower
+from mdkit import cli, finite, tower
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +95,28 @@ class TestDispatch:
         assert report["summary"]["verdict"] == "pass"
         backward = report["checks"][1]["witness"]["detail"]
         assert backward.startswith("all 1800 1800-markers of the extension project to (599)-markers")
+
+    def test_markers_transfer_checks_each_projection_once(self, capsys, monkeypatch):
+        calls = []
+        verify = finite.verify_marker
+        monkeypatch.setattr(finite, "verify_marker", lambda *args: calls.append(args) or verify(*args))
+        code, report, _ = run_cli(
+            capsys, "markers", "transfer", "--system", "cycles:6,6", "--n", "3", "--N", "2"
+        )
+        assert code == 0
+        # one base search, one lifted marker, and the 289 distinct projections
+        assert len(calls) == 291
+        backward = report["checks"][1]["witness"]["detail"]
+        assert backward.startswith("all 7569 6-markers of the extension project")
+
+    def test_embed_validates_its_metric_once(self, capsys, monkeypatch):
+        calls = []
+        validate = finite._validate_metric
+        monkeypatch.setattr(finite, "_validate_metric", lambda *args: calls.append(args) or validate(*args))
+        for metric in ("random:1", "random:2", "uniform:1/4"):
+            argv = ["embed", "--system", "cycles:7,5", "--metric", metric, "--epsilon", "1/10"]
+            assert run_cli(capsys, *argv)[0] == 0
+        assert len(calls) == 3
 
     def test_mdim_pipeline_levels_at_the_cap(self, capsys):
         code, report, _ = run_cli(capsys, "mdim", "pipeline", "--N", "2", "--levels", "1000")
@@ -321,7 +343,7 @@ class TestExitCodes:
             raise AssertionError("drew before the domain and the cap were checked")
 
         monkeypatch.setattr(cli, "sample_gap_window", drawn)
-        monkeypatch.setattr(cli.AnchorTable, "random", drawn)
+        monkeypatch.setattr(cli, "random_anchor", drawn)
         argv = ["tower", "verify", "--m", "9", "--window=-2:10", "--anchors", "random"]
         assert cli.main(argv) == 2
         assert "[0, 40319]" in capsys.readouterr().err

@@ -19,14 +19,13 @@ from mdkit.complexes import (
     equivariant_map_search,
     homology_euler_consistent,
     join_complexes,
-    reduced_homology,
     reduced_homology_groups,
     smith_normal_form_diagonal,
     verify_equivariant_simplicial,
 )
 from mdkit.complexes import _invariant_factors
 
-from oracles import invariant_factors_by_minors
+from oracles import free_action_by_all_powers, invariant_factors_by_minors, reduced_homology_dense
 
 
 class TestBuildStandardComplex:
@@ -43,15 +42,15 @@ class TestBuildStandardComplex:
         assert len(k.simplices_of_dim(1)) == 4
         assert k.dimension() == 1
         assert k.euler_characteristic() == 0
-        assert reduced_homology(k, 0).is_trivial()
-        assert reduced_homology(k, 1).rank == 1
+        groups = reduced_homology_groups(k)
+        assert groups[0].is_trivial()
+        assert groups[1].rank == 1
 
     def test_complete_bipartite_three(self):
         k = build_en_zp(3, 1)
         assert len(k.vertices) == 6
         assert len(k.simplices_of_dim(1)) == 9
-        assert reduced_homology(k, 0).is_trivial()
-        assert reduced_homology(k, 1) == type(reduced_homology(k, 1))(rank=4)
+        assert reduced_homology_groups(k) == [HomologyGroup(0), HomologyGroup(rank=4)]
         assert k.euler_characteristic() == 6 - 9
 
     def test_equals_closure_of_maximal_faces(self):
@@ -71,14 +70,13 @@ class TestBuildStandardComplex:
             k = build_en_zp(p, n)
             assert k.dimension() == n
             assert check_free_action(k)
-            for deg in range(n):
-                assert reduced_homology(k, deg).is_trivial()
+            assert all(group.is_trivial() for group in reduced_homology_groups(k)[:n])
 
     def test_battery_top_homology_rank(self):
         # an (n+1)-fold join of p discrete points has top reduced homology of
         # rank (p-1)^(n+1) and no torsion
         for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 3), (2, 6), (7, 2)]:
-            top = reduced_homology(build_en_zp(p, n), n)
+            top = reduced_homology_groups(build_en_zp(p, n))[n]
             assert top.rank == (p - 1) ** (n + 1)
             assert top.torsion == ()
 
@@ -108,9 +106,7 @@ class TestJoin:
         j = join_complexes(build_en_zp(2, 1), build_en_zp(2, 0))
         assert j.dimension() == 2
         assert check_free_action(j)
-        assert reduced_homology(j, 0).is_trivial()
-        assert reduced_homology(j, 1).is_trivial()
-        assert reduced_homology(j, 2).rank == 1
+        assert reduced_homology_groups(j) == [HomologyGroup(0), HomologyGroup(0), HomologyGroup(1)]
         assert_join_is_next_level(2, 1, 0)
 
     def test_join_next_level_battery(self):
@@ -169,17 +165,40 @@ class TestFreeAction:
                 (2, 3, 0, 1),
             )
 
+    def test_generator_alone_decides_freeness(self):
+        # random complexes closed under a random action of order p, with some
+        # vertices fixed and some faces setwise invariant, so both verdicts occur
+        rng = random.Random(818)
+        verdicts = []
+        for p in (2, 3, 5):
+            for _ in range(80):
+                n = rng.randint(1, 3 * p)
+                order = rng.sample(range(n), n)
+                action = {v: v for v in range(n)}
+                for o in range(rng.randint(0, n // p)):
+                    cycle = order[o * p : (o + 1) * p]
+                    action.update(zip(cycle, cycle[1:] + cycle[:1]))
+                maximal = []
+                for _ in range(rng.randint(1, 4)):
+                    face = rng.sample(range(n), rng.randint(1, min(n, p + 1)))
+                    for _ in range(p):
+                        maximal.append(face)
+                        face = [action[v] for v in face]
+                k = FreeZpComplex.from_maximal(p, range(n), maximal, action)
+                verdicts.append(check_free_action(k))
+                assert verdicts[-1] == free_action_by_all_powers(k), (p, action, maximal)
+        assert 20 < sum(verdicts) < len(verdicts) - 20
+
 
 class TestHomology:
     def test_contractible_and_discrete(self):
-        # a single point: reduced homology trivial in every degree
+        # a single point: reduced homology trivial in every degree (degrees
+        # above the dimension, past the end of the list, are 0)
         point = FreeZpComplex(2, ("a",), frozenset({frozenset({0})}), (0,))
-        for deg in range(4):
-            assert reduced_homology(point, deg).is_trivial()
-        # two points: reduced degree-0 rank is 1, higher degrees trivial
+        assert reduced_homology_groups(point) == [HomologyGroup(0)]
+        # two points: reduced degree-0 rank is 1
         pair = build_en_zp(2, 0)
-        assert reduced_homology(pair, 0).rank == 1
-        assert reduced_homology(pair, 1).is_trivial()
+        assert reduced_homology_groups(pair) == [HomologyGroup(1)]
 
     def test_snf_small_examples(self):
         assert smith_normal_form_diagonal([[2]]) == [2]
@@ -298,7 +317,7 @@ class TestSparseHomology:
         )
         assert rp2.euler_characteristic() == 1
         expected = [HomologyGroup(0), HomologyGroup(0, (2,)), HomologyGroup(0)]
-        assert [reduced_homology(rp2, k) for k in range(3)] == expected
+        assert [reduced_homology_dense(rp2, k) for k in range(3)] == expected
         assert reduced_homology_groups(rp2) == expected
         assert homology_euler_consistent(rp2, expected)
 
@@ -310,7 +329,8 @@ class TestSparseHomology:
         for k in complexes:
             groups = reduced_homology_groups(k)
             assert len(groups) == k.dimension() + 1
-            assert groups == [reduced_homology(k, d) for d in range(len(groups))]
+            assert groups == [reduced_homology_dense(k, d) for d in range(len(groups))]
+            assert reduced_homology_dense(k, len(groups)).is_trivial()
 
     def test_size_cap_refuses_before_building(self):
         # en-zp(2, 8), 3^9 - 1 = 19,682 simplices, is the largest built

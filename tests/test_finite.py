@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mdkit import finite
 from mdkit.finite import (
     FiniteSystem,
     embed_into_universal,
@@ -26,6 +27,7 @@ from oracles import (
     early_returns_by_powers,
     marker_exists_bruteforce,
     marker_exists_vectorized,
+    projection_by_clock_walk,
     uniform_metric,
 )
 
@@ -153,7 +155,7 @@ class TestMarkerSearch:
                 # "none" names a cycle of the system, by length and first point
                 named = re.search(r"the (\d+)-cycle at (\w+):", cert.transcript[0]["condition"])
                 start = sys_.points.index(named.group(2))
-                cycle = next(c for c in sys_.cycles() if start in c)
+                cycle = next(c for c in sys_.cycles if start in c)
                 assert len(cycle) == int(named.group(1)) < n_marker
 
     def test_verifier_returns_match_literal_powers(self):
@@ -260,31 +262,32 @@ class TestUnitStepMap:
             assert all(check_membership(space, s).passed for s in report.sequences)
 
 
+def metric_points(size: int, value: Fraction) -> FiniteSystem:
+    """``size`` fixed points, pairwise at distance ``value``."""
+    return FiniteSystem(tuple(range(size)), tuple(range(size)), uniform_metric(size, value))
+
+
 class TestEmbeddings:
     def test_three_equidistant_points(self):
-        report = epsilon_embedding(
-            ("a", "b", "c"), uniform_metric(3, Fraction(1, 4)), Fraction(1, 5)
-        )
+        report = epsilon_embedding(metric_points(3, Fraction(1, 4)), Fraction(1, 5))
         assert report.n_coords == 3
         assert len(set(report.images)) == 3
         assert report.separation_gap == Fraction(1, 4)
         assert report.passed
 
     def test_single_point(self):
-        report = epsilon_embedding(("a",), uniform_metric(1, Fraction(0)), Fraction(1, 5))
+        report = epsilon_embedding(metric_points(1, Fraction(0)), Fraction(1, 5))
         assert report.n_coords == 1
         assert report.separation_gap is None
         assert report.passed
 
     def test_two_close_points(self):
-        report = epsilon_embedding(
-            ("a", "b"), uniform_metric(2, Fraction(1, 10)), Fraction(1, 5)
-        )
+        report = epsilon_embedding(metric_points(2, Fraction(1, 10)), Fraction(1, 5))
         assert report.separation_gap is None
         assert report.passed
 
     def test_rescaling_recorded(self):
-        report = epsilon_embedding(("a", "b"), uniform_metric(2, Fraction(1)), Fraction(1, 5))
+        report = epsilon_embedding(metric_points(2, Fraction(1)), Fraction(1, 5))
         assert report.scale == Fraction(1, 4)
         assert report.passed
 
@@ -314,7 +317,11 @@ class TestEmbeddings:
 
     def test_epsilon_positive_required(self):
         with pytest.raises(ValueError, match="positive"):
-            epsilon_embedding(("a",), uniform_metric(1, Fraction(0)), Fraction(0))
+            epsilon_embedding(metric_points(1, Fraction(0)), Fraction(0))
+
+    def test_metric_required(self):
+        with pytest.raises(ValueError, match="metric required"):
+            epsilon_embedding(FiniteSystem.from_cycle_lengths([2]), Fraction(1, 5))
 
 
 class TestMarkerTransfer:
@@ -336,6 +343,39 @@ class TestMarkerTransfer:
         report = verify_marker_transfer(cycles(3), 2, 5)
         assert report.passed
         assert "no base" in report.forward["detail"]
+
+    def test_one_violation_record_per_projection(self, monkeypatch):
+        # reject every base 4-marker: the 15 extension 15-markers of a 5-cycle
+        # at n = 3 are single points, and they project to the 5 base points
+        verify = finite.verify_marker
+        monkeypatch.setattr(
+            finite, "verify_marker", lambda s, u, n: (False, ()) if n == 4 else verify(s, u, n)
+        )
+        report = verify_marker_transfer(cycles(5), 3, 5)
+        assert not report.passed
+        violations = report.backward["violations"]
+        assert [v["projected"] for v in violations] == [[0], [1], [2], [3], [4]]
+        # each names the first marker, in sorted order, with that projection
+        assert [v["marker"] for v in violations] == [[0], [1], [4], [7], [10]]
+
+    def test_projections_match_the_clock_walk(self, monkeypatch):
+        verify = finite.verify_marker
+        for lengths in ([5], [3, 4], [2, 2, 3]):
+            base = FiniteSystem.from_cycle_lengths(lengths)
+            for n in (1, 2, 3):
+                for n_marker in (2, 3):
+                    monkeypatch.setattr(
+                        finite,
+                        "verify_marker",
+                        lambda s, u, k: (False, ()) if s is base and k == n_marker - 1 else verify(s, u, k),
+                    )
+                    report = verify_marker_transfer(base, n, n_marker)
+                    divided = time_division(base, n)
+                    expected = {}
+                    for w in sorted(map(sorted, enumerate_markers(divided, n * n_marker))):
+                        expected.setdefault(tuple(projection_by_clock_walk(divided, w, n)), w)
+                    got = report.backward.get("violations", [])
+                    assert [(tuple(v["projected"]), v["marker"]) for v in got] == list(expected.items())
 
     def test_battery(self):
         for lengths in ([3], [5], [3, 5]):

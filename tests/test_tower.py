@@ -17,13 +17,13 @@ from mdkit.shiftspace import (
 )
 from mdkit.torus import TorusVec, max_circle_dist
 from mdkit.tower import (
-    AnchorTable,
     DomainError,
     TowerElementTrunc,
     TowerSpec,
     factor_chain,
     factor_map,
     level_gap,
+    random_anchor,
     section_domain,
     section_map,
     tower_aperiodicity_report,
@@ -31,6 +31,7 @@ from mdkit.tower import (
     verify_section_identity,
     verify_section_range,
     windows_agree_on_overlap,
+    zero_anchor,
 )
 
 from oracles import (
@@ -127,13 +128,13 @@ class TestFactorChain:
 class TestSectionMap:
     def test_frozen_small_example(self):
         x = Window(0, vecs(0, 1, 0, 1))
-        y = section_map(2, AnchorTable.zeros(1), x)
+        y = section_map(2, zero_anchor(1, 2), x)
         assert (y.start, y.end) == (0, 4)
         assert [Fraction(v.nums[0], v.den) for v in y.values] == [0, 0, 1, 1, 0]
 
     def test_zero_input_zero_anchor(self):
         x = Window(0, (TorusVec.zero(1),) * 6)
-        y = section_map(2, AnchorTable.zeros(1), x)
+        y = section_map(2, zero_anchor(1, 2), x)
         assert all(v == TorusVec.zero(1) for v in y.values)
 
     def test_matches_literal_case_formula(self):
@@ -141,13 +142,13 @@ class TestSectionMap:
         for m in (2, 3, 4):
             q = level_gap(m - 1)
             big = level_gap(m)
-            for anchor in (AnchorTable.zeros(2), AnchorTable.random(2, m, rng)):
+            for head in (zero_anchor(2, m), random_anchor(2, m, rng)):
                 x = random_window(2, -big, 3 * big, rng)
-                y = section_map(m, anchor, x)
+                y = section_map(m, head, x)
                 lo, hi = section_domain(m, x.start, x.end)
                 assert (y.start, y.end) == (lo, hi)
                 for k in range(lo, hi + 1):
-                    assert y.value_at(k) == section_value_oracle(m, anchor, x, k)
+                    assert y.value_at(k) == section_value_oracle(m, head, x, k)
 
     def test_domain_rule(self):
         assert section_domain(2, 0, 3) == (0, 4)
@@ -157,19 +158,20 @@ class TestSectionMap:
         with pytest.raises(DomainError):
             section_domain(3, 0, 0)  # must reach (m-1)! - 1
 
-    def test_missing_anchor_index_errors(self):
-        anchor = AnchorTable(1, {0: TorusVec.of(0)})
+    def test_wrong_length_head_errors(self):
         x = Window(0, vecs(0, 1, 0, 1, 0, 1))
-        with pytest.raises(ValueError, match="anchor table missing index"):
-            section_map(3, anchor, x)
+        assert len(zero_anchor(1, 3)) == 4
+        for size in (0, 1, 3, 5):
+            with pytest.raises(ValueError, match="level-3 section needs a head block of 4 entries"):
+                section_map(3, (TorusVec.of(0),) * size, x)
 
     def test_periodic_input_rejected(self):
         with pytest.raises(TypeError, match="unroll periodic points"):
-            section_map(2, AnchorTable.zeros(1), Periodic(vecs(0, 1)))
+            section_map(2, zero_anchor(1, 2), Periodic(vecs(0, 1)))
 
     def test_anchor_dimension_mismatch(self):
         with pytest.raises(ValueError, match="alphabet dimension mismatch"):
-            section_map(2, AnchorTable.zeros(2), Window(0, vecs(0, 1, 0, 1)))
+            section_map(2, zero_anchor(2, 2), Window(0, vecs(0, 1, 0, 1)))
 
 
 class TestKernelsMatchPerEntry:
@@ -199,17 +201,17 @@ class TestKernelsMatchPerEntry:
             q, big = level_gap(m - 1), level_gap(m)
             c = (m - 1) * q
             for dim in (1, 2):
-                anchors = (
-                    AnchorTable.zeros(dim),
-                    AnchorTable.random(dim, m, rng),
-                    AnchorTable(dim, {k: mixed_den_vec(rng, dim) for k in range(c)}),
+                heads = (
+                    zero_anchor(dim, m),
+                    random_anchor(dim, m, rng),
+                    tuple(mixed_den_vec(rng, dim) for _ in range(c)),
                 )
                 for lo in (0, -1, -q, -big - 3):
                     for hi in (q - 1, big, 2 * big + 1):
                         x = Window(lo, tuple(mixed_den_vec(rng, dim) for _ in range(hi - lo + 1)))
-                        for anchor in anchors:
-                            y = section_map(m, anchor, x)
-                            assert y == section_map_per_entry(m, anchor, x)
+                        for head in heads:
+                            y = section_map(m, head, x)
+                            assert y == section_map_per_entry(m, head, x)
                             assert verify_section_identity(m, x, y).passed
 
     def test_gap_membership(self):
@@ -229,21 +231,21 @@ class TestKernelsMatchPerEntry:
 class TestSectionIdentity:
     def test_small_example_full_overlap(self):
         x = Window(0, vecs(0, 1, 0, 1))
-        report = verify_section_identity(2, x, section_map(2, AnchorTable.zeros(1), x))
+        report = verify_section_identity(2, x, section_map(2, zero_anchor(1, 2), x))
         assert report.passed
         assert report.overlap == (0, 3)
 
     def test_random_anchor_and_windows(self):
         rng = random.Random(55)
-        anchor = AnchorTable.random(1, 2, rng)
+        head = random_anchor(1, 2, rng)
         windows = [random_window(1, -2, 10, rng) for _ in range(101)]
-        reports = [verify_section_identity(2, x, section_map(2, anchor, x)) for x in windows]
-        assert all(r.passed and r.windows_checked == 1 for r in reports)
+        reports = [verify_section_identity(2, x, section_map(2, head, x)) for x in windows]
+        assert all(r.passed and r.overlap == (x.start, x.end) for r, x in zip(reports, windows))
 
     def test_level_four(self):
         rng = random.Random(56)
         windows = [random_window(1, 0, 3 * level_gap(4), rng) for _ in range(21)]
-        zero = AnchorTable.zeros(1)
+        zero = zero_anchor(1, 4)
         assert all(verify_section_identity(4, x, section_map(4, zero, x)).passed for x in windows)
 
 
@@ -252,7 +254,7 @@ class TestSectionRange:
         rng = random.Random(77)
         big = level_gap(3)
         x = sample_gap_window(1, level_gap(2), HALF, -big, 3 * big, rng)
-        report = verify_section_range(3, x, section_map(3, AnchorTable.zeros(1), x), HALF)
+        report = verify_section_range(3, x, section_map(3, zero_anchor(1, 3), x), HALF)
         assert report.passed
         assert all(count > 0 for count in report.partition_counts.values())
 
@@ -260,13 +262,13 @@ class TestSectionRange:
         rng = random.Random(78)
         big = level_gap(2)
         x = sample_gap_window(2, level_gap(1), HALF, -big, 3 * big, rng)
-        report = verify_section_range(2, x, section_map(2, AnchorTable.random(2, 2, rng), x), HALF)
+        report = verify_section_range(2, x, section_map(2, random_anchor(2, 2, rng), x), HALF)
         assert report.passed
 
     def test_invalid_input_rejected(self):
         x = Window(0, (TorusVec.zero(1),) * 12)
         with pytest.raises(ValueError, match="gap constraint"):
-            verify_section_range(2, x, section_map(2, AnchorTable.zeros(1), x), HALF)
+            verify_section_range(2, x, section_map(2, zero_anchor(1, 2), x), HALF)
 
 
 class TestTowerElement:
@@ -310,8 +312,8 @@ class TestTowerElement:
             delta=HALF,
             m_max=4,
             anchors={
-                3: AnchorTable.random(1, 3, rng),
-                4: AnchorTable.random(1, 4, rng),
+                3: random_anchor(1, 3, rng),
+                4: random_anchor(1, 4, rng),
             },
         )
         x = sample_gap_window(1, level_gap(2), HALF, -2, 3 * level_gap(2) + 2, rng)
@@ -327,9 +329,9 @@ class TestTowerElement:
 class TestAperiodicity:
     def test_certificates(self):
         spec = TowerSpec(dim=1, delta=HALF, m_max=5)
-        report = tower_aperiodicity_report(spec, 13)
-        assert report.passed
-        by_prime = {c["prime"]: c for c in report.certificates}
+        certificates = tower_aperiodicity_report(spec, 13)
+        assert all(c["verified"] for c in certificates)
+        by_prime = {c["prime"]: c for c in certificates}
         assert set(by_prime) == {2, 3, 5, 7, 11, 13}
         for p in (2, 3, 5):
             assert by_prime[p]["kind"] == "empty"
@@ -342,8 +344,7 @@ class TestAperiodicity:
 
     def test_witness_gap_value(self):
         spec = TowerSpec(dim=1, delta=HALF, m_max=5)
-        report = tower_aperiodicity_report(spec, 7)
-        witness_cert = [c for c in report.certificates if c["prime"] == 7][0]
+        witness_cert = [c for c in tower_aperiodicity_report(spec, 7) if c["prime"] == 7][0]
         values = witness_cert["witness"]["values"]
         assert len(values) == 7
         assert "6/7" in witness_cert["statement"]
@@ -363,6 +364,14 @@ class TestTowerSpec:
         element = tower_element(spec, 2, x)
         assert element.depth == 2
         assert element.components[1] == x
+
+    def test_anchor_for_a_missing_level_is_zero(self):
+        rng = random.Random(93)
+        head = random_anchor(2, 3, rng)
+        spec = TowerSpec(dim=2, delta=HALF, m_max=4, anchors={3: head})
+        assert spec.anchor_for(3) == head
+        assert spec.anchor_for(4) == zero_anchor(2, 4)
+        assert len(spec.anchor_for(4)) == 3 * level_gap(3)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
