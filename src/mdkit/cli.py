@@ -117,27 +117,28 @@ def _parse_system(text: str) -> FiniteSystem:
                 "with integer cycle lengths"
             ) from None
         return FiniteSystem.from_cycle_lengths(lengths)
-    with open(text, encoding="utf-8") as handle:
-        return FiniteSystem.from_json(json.load(handle))
+    return FiniteSystem.from_json(_read_json(text))
 
 
 def _parse_complex(text: str) -> FreeZpComplex:
     """Generator shorthand "en-zp:p=3,n=2" or a path to a complex JSON file."""
     if text.startswith("en-zp:"):
         try:
-            params = dict(part.split("=") for part in text.split(":", 1)[1].split(","))
-            p, n = int(params["p"]), int(params["n"])
-        except KeyError as missing:
-            raise ValueError(
-                f"complex shorthand {text!r} lacks the parameter {missing.args[0]}="
-            ) from None
+            parts = [part.split("=") for part in text.split(":", 1)[1].split(",")]
+            params = {key: int(value) for key, value in parts}
+            if len(parts) != 2 or set(params) != {"p", "n"}:
+                raise ValueError
         except ValueError:
             raise ValueError(
                 f"complex shorthand {text!r} is not of the form en-zp:p=P,n=N with integers"
             ) from None
-        return build_en_zp(p, n)
-    with open(text, encoding="utf-8") as handle:
-        return FreeZpComplex.from_json(json.load(handle))
+        return build_en_zp(params["p"], params["n"])
+    return FreeZpComplex.from_json(_read_json(text))
+
+
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +421,7 @@ def _run_embed(args) -> dict:
                 ) from None
             metric = random_metric(random.Random(seed), system.size)
         else:
-            with open(args.metric, encoding="utf-8") as handle:
-                metric = metric_from_json(json.load(handle))
+            metric = metric_from_json(_read_json(args.metric))
         system = FiniteSystem(system.points, system.perm, metric)
     report = embed_into_universal(system, frac_from_str(args.epsilon))
     checks = [
@@ -492,8 +492,7 @@ def _run_mdim_D(args) -> dict:
 
 
 def _load_cover(path: str) -> Cover:
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _read_json(path)
     if isinstance(data, list) and all(isinstance(m, list) for m in data):
         try:
             return Cover(tuple(frozenset(map(_json_atom, m)) for m in data))

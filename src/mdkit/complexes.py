@@ -18,6 +18,8 @@ from itertools import chain, combinations, product
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
+from .finite import permutation_cycles
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -66,10 +68,8 @@ class FreeZpComplex:
             for facet in combinations(s, len(s) - 1):
                 if facet and frozenset(facet) not in simplices:
                     raise ValueError("simplex family is not downward closed")
-        current = list(range(n))
-        for _ in range(self.p):
-            current = [self.action[v] for v in current]
-        if current != list(range(n)):
+        # the order of a permutation is the lcm of its cycle lengths
+        if any(self.p % len(orbit) for orbit in permutation_cycles(self.action)):
             raise ValueError("action must have order dividing p")
         for s in simplices:
             if frozenset(self.action[v] for v in s) not in simplices:
@@ -104,22 +104,6 @@ class FreeZpComplex:
         return sorted(
             tuple(sorted(s)) for s in self.simplices if len(s) == d + 1
         )
-
-    def vertex_orbits(self) -> list[tuple[int, ...]]:
-        seen: set[int] = set()
-        orbits = []
-        for v in range(len(self.vertices)):
-            if v in seen:
-                continue
-            orbit = [v]
-            seen.add(v)
-            w = self.action[v]
-            while w != v:
-                orbit.append(w)
-                seen.add(w)
-                w = self.action[w]
-            orbits.append(tuple(orbit))
-        return orbits
 
     def euler_characteristic(self) -> int:
         total = 0
@@ -486,7 +470,7 @@ def equivariant_map_search(
         return {}
     if target.is_empty():
         return None
-    orbits = source.vertex_orbits()
+    orbits = permutation_cycles(source.action)
     orbit_of = {}
     for oi, orbit in enumerate(orbits):
         for v in orbit:

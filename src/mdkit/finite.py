@@ -77,38 +77,16 @@ class FiniteSystem:
         return cls(tuple(points), tuple(perm), metric)
 
     def apply(self, i: int, power: int = 1) -> int:
-        if power >= 0:
-            for _ in range(power):
-                i = self.perm[i]
-            return i
-        inv = self.inverse_perm()
-        for _ in range(-power):
-            i = inv[i]
+        if power < 0:
+            raise ValueError("power must be >= 0")
+        for _ in range(power):
+            i = self.perm[i]
         return i
-
-    def inverse_perm(self) -> tuple[int, ...]:
-        inv = [0] * self.size
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return tuple(inv)
 
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Cycle decomposition, computed once; each cycle starts at its smallest index."""
-        seen: set[int] = set()
-        out = []
-        for i in range(self.size):
-            if i in seen:
-                continue
-            cycle = [i]
-            seen.add(i)
-            j = self.perm[i]
-            while j != i:
-                cycle.append(j)
-                seen.add(j)
-                j = self.perm[j]
-            out.append(tuple(cycle))
-        return tuple(out)
+        """Cycle decomposition, computed once (see ``permutation_cycles``)."""
+        return permutation_cycles(self.perm)
 
     def cycle_lengths(self) -> list[int]:
         return [len(c) for c in self.cycles]
@@ -150,6 +128,25 @@ class FiniteSystem:
         if metric is not None:
             metric = metric_from_json(metric)
         return cls(tuple(points), tuple(perm), metric)
+
+
+def permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of a permutation of 0..n-1, ordered by their smallest
+    index, each one starting there and following the permutation."""
+    seen = [False] * len(perm)
+    out = []
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        cycle = [i]
+        seen[i] = True
+        j = perm[i]
+        while j != i:
+            cycle.append(j)
+            seen[j] = True
+            j = perm[j]
+        out.append(tuple(cycle))
+    return tuple(out)
 
 
 def metric_from_json(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -412,15 +409,14 @@ def rokhlin_function(sys_: FiniteSystem, subset, n_marker: int) -> RokhlinReport
     if not ok:
         raise ValueError("subset is not a valid marker")
     chosen = frozenset(subset)
-    inv = sys_.inverse_perm()
-    phi = []
-    for i in range(sys_.size):
+    # every cycle meets U, so one forward pass from a point of U fixes phi
+    phi = [0] * sys_.size
+    for cycle in sys_.cycles:
+        start = next(k for k, i in enumerate(cycle) if i in chosen)
         steps = 0
-        j = i
-        while j not in chosen:
-            j = inv[j]
-            steps += 1
-        phi.append(steps)
+        for i in cycle[start:] + cycle[:start]:
+            steps = 0 if i in chosen else steps + 1
+            phi[i] = steps
     exceptional = tuple(sorted(i for i in range(sys_.size) if sys_.perm[i] in chosen))
     exc = frozenset(exceptional)
     increment = [

@@ -390,7 +390,7 @@ def select_time_division(width: int, eta: Fraction) -> int:
     eta = Fraction(eta)
     if eta <= 0:
         raise ValueError("eta must be positive")
-    n = Fraction(width) / eta
+    n = ambient_shift_bound(width).upper / eta
     candidate = int(n) + 1
     assert Fraction(width, candidate) < eta
     return candidate

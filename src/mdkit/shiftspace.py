@@ -405,7 +405,7 @@ class IdentityResult:
     name: str
     statement: str
     checked: int
-    failures: tuple[dict, ...] = ()
+    failures: tuple[int, ...] = ()  # indices of the samples where it fails
 
     @property
     def ok(self) -> bool:
@@ -451,71 +451,32 @@ def verify_conjugacy_diagram(
     samples_m = [sample_periodic_gap_point(dim, m, threshold, p, rng) for _ in range(samples)]
     samples_1 = [sample_periodic_gap_point(dim, 1, threshold, p, rng) for _ in range(samples)]
 
-    def collect(name: str, statement: str, pairs) -> IdentityResult:
-        failures = tuple(
-            {"sample": i, "detail": detail}
-            for i, (ok, detail) in enumerate(pairs)
-            if not ok
-        )
-        return IdentityResult(name, statement, len(samples_m), failures)
-
-    identities = [
-        collect(
-            "dilation_m_lands_in_gap1",
-            "dilation by m maps period-p points of the gap-m space into the gap-1 space",
-            [
-                (check_membership(gap_1, power_map(m, x)).passed, "membership failed")
-                for x in samples_m
-            ],
-        ),
-        collect(
-            "dilation_k_lands_in_gapm",
-            "dilation by k maps period-p points of the gap-1 space into the gap-m space",
-            [
-                (check_membership(gap_m, power_map(k, z)).passed, "membership failed")
-                for z in samples_1
-            ],
-        ),
-        collect(
-            "dilation_k_then_m_is_identity",
-            "composing the dilations by m and k is the identity on period-p points",
-            [
-                (power_map(k, power_map(m, x)) == x, "composition differs from input")
-                for x in samples_m
-            ],
-        ),
-        collect(
-            "dilation_m_then_k_is_identity",
-            "composing the dilations by k and m is the identity on period-p points",
-            [
-                (power_map(m, power_map(k, z)) == z, "composition differs from input")
-                for z in samples_1
-            ],
-        ),
-        collect(
-            "shift_intertwines_dilation_m",
-            "shift after dilation by m equals dilation by m after the m-th shift power",
-            [
-                (
-                    shift(power_map(m, x), 1) == power_map(m, shift(x, m)),
-                    "intertwining identity failed",
-                )
-                for x in samples_m
-            ],
-        ),
-        collect(
-            "shift_intertwines_dilation_k",
-            "the m-th shift power after dilation by k equals dilation by k after the shift",
-            [
-                (
-                    shift(power_map(k, z), m) == power_map(k, shift(z, 1)),
-                    "intertwining identity failed",
-                )
-                for z in samples_1
-            ],
-        ),
-    ]
-    return ConjugacyReport(k=k, identities=tuple(identities))
+    # one row per identity: name, statement, samples, predicate on a sample
+    table = (
+        ("dilation_m_lands_in_gap1",
+         "dilation by m maps period-p points of the gap-m space into the gap-1 space",
+         samples_m, lambda x: check_membership(gap_1, power_map(m, x)).passed),
+        ("dilation_k_lands_in_gapm",
+         "dilation by k maps period-p points of the gap-1 space into the gap-m space",
+         samples_1, lambda z: check_membership(gap_m, power_map(k, z)).passed),
+        ("dilation_k_then_m_is_identity",
+         "composing the dilations by m and k is the identity on period-p points",
+         samples_m, lambda x: power_map(k, power_map(m, x)) == x),
+        ("dilation_m_then_k_is_identity",
+         "composing the dilations by k and m is the identity on period-p points",
+         samples_1, lambda z: power_map(m, power_map(k, z)) == z),
+        ("shift_intertwines_dilation_m",
+         "shift after dilation by m equals dilation by m after the m-th shift power",
+         samples_m, lambda x: shift(power_map(m, x), 1) == power_map(m, shift(x, m))),
+        ("shift_intertwines_dilation_k",
+         "the m-th shift power after dilation by k equals dilation by k after the shift",
+         samples_1, lambda z: shift(power_map(k, z), m) == power_map(k, shift(z, 1))),
+    )
+    identities = tuple(
+        IdentityResult(name, statement, samples, tuple(i for i, x in enumerate(xs) if not ok(x)))
+        for name, statement, xs, ok in table
+    )
+    return ConjugacyReport(k=k, identities=identities)
 
 
 # ---------------------------------------------------------------------------

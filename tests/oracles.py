@@ -66,6 +66,23 @@ def early_returns_by_powers(sys_: FiniteSystem, subset, n_marker: int) -> list[l
     return [sorted(i for i in chosen if sys_.apply(i, n) in chosen) for n in range(1, n_marker)]
 
 
+def phi_by_backward_walk(sys_: FiniteSystem, subset) -> tuple[int, ...]:
+    """The backward first-entrance time of a marker by its definition: walk
+    each point back through the inverse permutation until it meets U."""
+    inverse = [0] * sys_.size
+    for i, j in enumerate(sys_.perm):
+        inverse[j] = i
+    chosen = set(subset)
+    phi = []
+    for i in range(sys_.size):
+        steps = 0
+        while i not in chosen:
+            i = inverse[i]
+            steps += 1
+        phi.append(steps)
+    return tuple(phi)
+
+
 def projection_by_clock_walk(divided: FiniteSystem, marker, n: int) -> list[int]:
     """The base points that the first n clock images of a marker of the
     1/n-time extension visit at phase 0, walked one step at a time."""
@@ -279,6 +296,15 @@ def free_action_by_all_powers(complex_) -> bool:
             if image == s:
                 return False
     return True
+
+
+def order_divides_by_all_powers(perm, p: int) -> bool:
+    """Order dividing p by its definition: p applications of the permutation
+    return every point to itself."""
+    current = list(range(len(perm)))
+    for _ in range(p):
+        current = [perm[v] for v in current]
+    return current == list(range(len(perm)))
 
 
 def reduced_homology_dense(complex_, k):

@@ -183,7 +183,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, infile, named",
         [
-            (["complex", "coindex", "--complex", "en-zp:p=3"], None, "n="),
+            (["complex", "coindex", "--complex", "en-zp:p=3"], None, "en-zp:p=P,n=N"),
             (["markers", "search", "--N", "2"], ("--system", {"perm": [1, 0]}), "'points'"),
             (["markers", "search", "--N", "2"], ("--system", {"points": ["a", "b"]}), "'perm'"),
             (["tower", "verify", "--m", "1", "--window", "0:2"], None, "--m >= 2"),
@@ -261,6 +261,16 @@ class TestExitCodes:
                 None,
                 "random:<seed>",
             ),
+            (["mdim", "pipeline", "--N", "-3", "--eta", "1/2"], None, "alphabet dimension must be >= 1"),
+            (["complex", "coindex", "--complex", "en-zp:p=2,n=1,q=3"], None, "en-zp:p=P,n=N"),
+            (["complex", "coindex", "--complex", "en-zp:p=2,n=1,p=3"], None, "en-zp:p=P,n=N"),
+            (["mdim", "D", "--model", "en-zp:p=2,n=1,q=3"], None, "en-zp:p=P,n=N"),
+            (["mdim", "D", "--model", "en-zp:p=2,n=1,n=2"], None, "en-zp:p=P,n=N"),
+            (
+                ["embed", "--metric", "random:1", "--epsilon", "1/10"],
+                ("--system", {"points": ["a", "b"], "perm": [1, 0], "metric": "x"}),
+                "metric JSON",
+            ),
         ],
         ids=[
             "complex-without-n",
@@ -313,6 +323,12 @@ class TestExitCodes:
             "pipeline-levels-negative",
             "pipeline-levels-over-cap",
             "metric-random-seed-not-integer",
+            "pipeline-eta-negative-width",
+            "complex-shorthand-unknown-key",
+            "complex-shorthand-repeated-key",
+            "model-shorthand-unknown-key",
+            "model-shorthand-repeated-key",
+            "embed-file-metric-malformed-beside-option",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):

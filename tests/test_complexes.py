@@ -25,7 +25,12 @@ from mdkit.complexes import (
 )
 from mdkit.complexes import _invariant_factors
 
-from oracles import free_action_by_all_powers, invariant_factors_by_minors, reduced_homology_dense
+from oracles import (
+    free_action_by_all_powers,
+    invariant_factors_by_minors,
+    order_divides_by_all_powers,
+    reduced_homology_dense,
+)
 
 
 class TestBuildStandardComplex:
@@ -187,6 +192,32 @@ class TestFreeAction:
                 k = FreeZpComplex.from_maximal(p, range(n), maximal, action)
                 verdicts.append(check_free_action(k))
                 assert verdicts[-1] == free_action_by_all_powers(k), (p, action, maximal)
+        assert 20 < sum(verdicts) < len(verdicts) - 20
+
+    def test_order_from_cycle_lengths_matches_all_powers(self):
+        # random permutations of cycles of length 1, p or 2..6, so orders that
+        # divide p and orders that do not both occur
+        rng = random.Random(4207)
+        verdicts = []
+        for p in (2, 3, 5):
+            for _ in range(60):
+                lengths = [rng.choice((1, p, rng.randint(2, 6))) for _ in range(rng.randint(1, 4))]
+                n = sum(lengths)
+                order = rng.sample(range(n), n)
+                action = [0] * n
+                start = 0
+                for length in lengths:
+                    cycle = order[start : start + length]
+                    for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+                        action[v] = w
+                    start += length
+                vertices = frozenset(frozenset({v}) for v in range(n))
+                verdicts.append(order_divides_by_all_powers(action, p))
+                if verdicts[-1]:
+                    FreeZpComplex(p, tuple(range(n)), vertices, tuple(action))
+                else:
+                    with pytest.raises(ValueError, match="action must have order dividing p"):
+                        FreeZpComplex(p, tuple(range(n)), vertices, tuple(action))
         assert 20 < sum(verdicts) < len(verdicts) - 20
 
 

@@ -13,6 +13,7 @@ from mdkit.finite import (
     map_to_unit_step_space,
     marker_search,
     periodic_points,
+    permutation_cycles,
     random_metric,
     random_system,
     rokhlin_function,
@@ -27,6 +28,7 @@ from oracles import (
     early_returns_by_powers,
     marker_exists_bruteforce,
     marker_exists_vectorized,
+    phi_by_backward_walk,
     projection_by_clock_walk,
     uniform_metric,
 )
@@ -45,6 +47,26 @@ class TestStructure:
         assert sys_.min_cycle_length() == 2
         assert not sys_.has_fixed_points()
         assert cycles(1, 4).has_fixed_points()
+
+    def test_permutation_cycles(self):
+        # seeded random permutations: the cycles partition the points, each
+        # starts at its smallest index, follows the permutation, and the
+        # cycles come in the order of their starts
+        rng = random.Random(31)
+        for _ in range(100):
+            n = rng.randint(0, 12)
+            perm = rng.sample(range(n), n)
+            found = permutation_cycles(perm)
+            assert sorted(i for cycle in found for i in cycle) == list(range(n))
+            assert [cycle[0] for cycle in found] == sorted(min(cycle) for cycle in found)
+            for cycle in found:
+                assert cycle[0] == min(cycle)
+                assert [perm[i] for i in cycle] == list(cycle[1:] + cycle[:1])
+
+    def test_apply_refuses_negative_power(self):
+        assert cycles(3).apply(0, 2) == 2
+        with pytest.raises(ValueError, match="power must be >= 0"):
+            cycles(3).apply(0, -1)
 
     def test_perm_validation(self):
         with pytest.raises(ValueError, match="bijection"):
@@ -229,6 +251,20 @@ class TestRokhlin:
             cert = marker_search(sys_, 2)
             report = rokhlin_function(sys_, cert.subset, 2)
             assert report.passed
+
+    def test_phi_matches_backward_walk(self):
+        # every marker of seeded random systems, against the walk back
+        # through the inverse permutation
+        rng = random.Random(58)
+        checked = 0
+        for _ in range(30):
+            sys_ = random_system(rng, max_points=8)
+            for n_marker in (1, 2, 3):
+                for marker in enumerate_markers(sys_, n_marker):
+                    report = rokhlin_function(sys_, marker, n_marker)
+                    assert report.phi == phi_by_backward_walk(sys_, marker)
+                    checked += 1
+        assert checked > 500
 
 
 class TestUnitStepMap:

@@ -176,6 +176,18 @@ class TestConjugacyDiagram:
             "shift_intertwines_dilation_k",
         }
 
+    def test_failures_are_sample_indices(self, monkeypatch):
+        # with every membership check failing, the two membership identities
+        # fail at every sample and the four exact identities still hold
+        failed = type("FailedMembership", (), {"passed": False})()
+        monkeypatch.setattr(shiftspace, "check_membership", lambda spec, x: failed)
+        report = verify_conjugacy_diagram(1, 2, HALF, 5, samples=4, seed=7)
+        failures = {identity.name: identity.failures for identity in report.identities}
+        assert failures.pop("dilation_m_lands_in_gap1") == (0, 1, 2, 3)
+        assert failures.pop("dilation_k_lands_in_gapm") == (0, 1, 2, 3)
+        assert list(failures.values()) == [(), (), (), ()]
+        assert [identity.ok for identity in report.identities] == [False, False, True, True, True, True]
+
     def test_degenerate_m_equals_one(self):
         report = verify_conjugacy_diagram(1, 1, HALF, 5, samples=5, seed=1)
         assert report.passed
