@@ -86,4 +86,5 @@ from .meandim import (  # noqa: F401
     headline_pipeline,
     interval_lattice,
     select_time_division,
+    star_cover,
 )

@@ -36,6 +36,7 @@ from .finite import (
     verify_marker_transfer,
 )
 from .meandim import (
+    MAX_COVER_NODES,
     Cover,
     SearchCapExceeded,
     cover_D,
@@ -44,6 +45,7 @@ from .meandim import (
     headline_pipeline,
     interval_lattice,
     select_time_division,
+    star_cover,
 )
 from .shiftspace import (
     capped_sft,
@@ -165,15 +167,14 @@ def _run_tower_verify(args) -> dict:
             )
     length = hi - lo
     out_lo, out_hi = section_domain(m, lo, hi - 1)
-    entries = args.samples * (length + out_hi - out_lo + 1)
-    if entries > MAX_VERIFY_ENTRIES:
+    coordinates = args.samples * (length + out_hi - out_lo + 1) * args.N
+    if coordinates > MAX_VERIFY_ENTRIES:
         raise ValueError(
             f"{args.samples} samples of a {length}-entry window and its "
-            f"{out_hi - out_lo + 1}-entry section hold {entries} entries, over the "
-            f"cap of {MAX_VERIFY_ENTRIES} on tower verify"
+            f"{out_hi - out_lo + 1}-entry section in dimension {args.N} hold "
+            f"{coordinates} coordinates, over the cap of {MAX_VERIFY_ENTRIES} on tower verify"
         )
     rng = random.Random(args.seed)
-    checks: list[dict] = []
     identity_failures = 0
     range_failures = 0
     partition_totals = {"base_block": 0, "upper_tail": 0, "lower_tail": 0}
@@ -192,30 +193,26 @@ def _run_tower_verify(args) -> dict:
             range_failures += 1
         for key, value in rng_report.partition_counts.items():
             partition_totals[key] += value
-    checks.append(
+    checks = [
         _check(
             "section-identity",
             "factor composed with section is the identity, exactly, on the full overlap",
             identity_failures == 0,
             {"samples": args.samples, "failures": identity_failures},
-        )
-    )
-    checks.append(
+        ),
         _check(
             "section-range",
             "the section of a valid window satisfies the next level's gap constraint",
             range_failures == 0,
             {"samples": args.samples, "failures": range_failures},
-        )
-    )
-    checks.append(
+        ),
         _check(
             "range-case-partitions",
             "checkable section outputs split into base block, upper tail, lower tail",
             True,
             partition_totals,
-        )
-    )
+        ),
+    ]
     config = {
         "m": m,
         "N": args.N,
@@ -466,14 +463,7 @@ def _run_mdim_D(args) -> dict:
     else:
         raise ValueError(f"unknown lattice model {args.model!r}")
     if args.cover == "stars":
-        if args.model == "interval":
-            members = (frozenset({"v0", "e"}), frozenset({"v1", "e"}))
-        else:
-            vertices = sorted({c[0] for c in lattice.atoms if len(c) == 1})
-            members = tuple(
-                frozenset(c for c in lattice.atoms if v in c) for v in vertices
-            )
-        cover = Cover(members)
+        cover = star_cover(lattice)
     elif args.cover == "trivial":
         cover = Cover((lattice.ground,))
     else:
@@ -658,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     md = mdim_sub.add_parser("D", help="exact refinement order of a cover")
     md.add_argument("--model", default="interval", help='"interval" or "en-zp:p=2,n=1"')
     md.add_argument("--cover", default="stars", help='"stars", "trivial", or a JSON file')
-    md.add_argument("--cap", type=int, default=1 << 16)
+    md.add_argument("--cap", type=int, default=MAX_COVER_NODES)
     md.set_defaults(runner=_run_mdim_D)
     mp = mdim_sub.add_parser("pipeline", help="headline interval arithmetic")
     mp.add_argument("--N", type=int, required=True)

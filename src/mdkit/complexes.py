@@ -132,7 +132,7 @@ class FreeZpComplex:
                 raise ValueError(f"complex JSON lacks the required key {key!r}")
         faces, action = data["simplices"], data["action"]
         if not (
-            isinstance(data["p"], int)
+            type(data["p"]) is int
             and isinstance(data["vertices"], list)
             and isinstance(faces, list)
             and all(map(_is_index_list, faces))
@@ -147,7 +147,8 @@ class FreeZpComplex:
 
 
 def _is_index_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, int) for v in value)
+    # type(), not isinstance(): JSON true and false are Python ints too
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 def _closure(faces: Iterable[Iterable[int]]) -> frozenset[frozenset[int]]:

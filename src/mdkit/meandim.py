@@ -26,6 +26,9 @@ from .torus import frac_to_str
 # the report grows linearly: 1,000 levels print 0.18 MB in 0.03 s, 100,000
 # print 18 MB in 2.2 s (Python 3.11.7, 2-CPU x86-64 VM).
 MAX_PIPELINE_LEVELS = 1000
+# Default node cap of ``cover_D`` and of ``mdim D --cap``: each candidate open
+# listed and each feasibility-search node counts one.
+MAX_COVER_NODES = 1 << 16
 
 
 class SearchCapExceeded(RuntimeError):
@@ -133,6 +136,13 @@ class Cover:
         )
 
 
+def star_cover(lattice: OpenLattice) -> Cover:
+    """The open stars of the minimal cells: each atom that is no atom's coface,
+    in atom order, together with its cofaces."""
+    above = frozenset().union(*lattice.cofaces.values())
+    return Cover(tuple(lattice.cofaces[a] | {a} for a in lattice.atoms if a not in above))
+
+
 def validate_cover(lattice: OpenLattice, cover: Cover) -> None:
     for m in cover.members:
         if not lattice.is_open(m):
@@ -165,7 +175,7 @@ def _cap_exceeded(what: str, cap: int) -> SearchCapExceeded:
     )
 
 
-def cover_D(lattice: OpenLattice, cover: Cover, cap: int = 1 << 16) -> int:
+def cover_D(lattice: OpenLattice, cover: Cover, cap: int = MAX_COVER_NODES) -> int:
     """Minimum order over all covers refining the given one, by lattice opens.
 
     The candidates are the nonempty opens inside some cover member.  Each
@@ -281,53 +291,36 @@ class MdimBound:
         }
 
 
+def _ruled(
+    inputs: Sequence[MdimBound], lower: Fraction, upper: Fraction | None, rule: str, statement: str
+) -> MdimBound:
+    """The interval [lower, upper] with the inputs' provenance and one record for the rule."""
+    chain = tuple(rec for b in inputs for rec in b.provenance)
+    return MdimBound(lower, upper, chain + ({"rule": rule, "statement": statement},))
+
+
 def ambient_shift_bound(width: int) -> MdimBound:
     """Subshifts of the full shift on width-dimensional torus alphabets lie in [0, width]."""
     if width < 1:
         raise ValueError("alphabet dimension must be >= 1")
-    return MdimBound(
-        Fraction(0),
-        Fraction(width),
-        (
-            {
-                "rule": "ambient-shift",
-                "statement": (
-                    f"a subshift of the full shift on a {width}-dimensional torus "
-                    f"alphabet has mean dimension at most {width}"
-                ),
-            },
-        ),
+    statement = (
+        f"a subshift of the full shift on a {width}-dimensional torus "
+        f"alphabet has mean dimension at most {width}"
     )
+    return _ruled((), Fraction(0), Fraction(width), "ambient-shift", statement)
 
 
 def subsystem_bound(bound: MdimBound) -> MdimBound:
-    return MdimBound(
-        Fraction(0),
-        bound.upper,
-        bound.provenance
-        + (
-            {
-                "rule": "subsystem",
-                "statement": "a closed invariant subsystem has mean dimension at most the ambient one",
-            },
-        ),
-    )
+    statement = "a closed invariant subsystem has mean dimension at most the ambient one"
+    return _ruled((bound,), Fraction(0), bound.upper, "subsystem", statement)
 
 
 def power_bound(n: int, bound: MdimBound) -> MdimBound:
     if n < 1:
         raise ValueError("power must be >= 1")
-    return MdimBound(
-        bound.lower * n,
-        None if bound.upper is None else bound.upper * n,
-        bound.provenance
-        + (
-            {
-                "rule": "power",
-                "statement": f"the {n}-th power map multiplies mean dimension by {n}",
-            },
-        ),
-    )
+    upper = None if bound.upper is None else bound.upper * n
+    statement = f"the {n}-th power map multiplies mean dimension by {n}"
+    return _ruled((bound,), bound.lower * n, upper, "power", statement)
 
 
 def inverse_limit_bound(bounds: Sequence[MdimBound]) -> MdimBound:
@@ -335,37 +328,19 @@ def inverse_limit_bound(bounds: Sequence[MdimBound]) -> MdimBound:
         raise ValueError("inverse limit needs at least one level bound")
     uppers = [b.upper for b in bounds]
     upper = None if any(u is None for u in uppers) else max(uppers)
-    chain = tuple(rec for b in bounds for rec in b.provenance)
-    return MdimBound(
-        Fraction(0),
-        upper,
-        chain
-        + (
-            {
-                "rule": "inverse-limit",
-                "statement": (
-                    "the mean dimension of an inverse limit is at most the supremum "
-                    "of the level mean dimensions"
-                ),
-            },
-        ),
+    statement = (
+        "the mean dimension of an inverse limit is at most the supremum "
+        "of the level mean dimensions"
     )
+    return _ruled(bounds, Fraction(0), upper, "inverse-limit", statement)
 
 
 def time_division_bound(n: int, bound: MdimBound) -> MdimBound:
     if n < 1:
         raise ValueError("time division requires n >= 1")
-    return MdimBound(
-        bound.lower / n,
-        None if bound.upper is None else bound.upper / n,
-        bound.provenance
-        + (
-            {
-                "rule": "time-division",
-                "statement": f"the 1/{n}-time clock extension divides mean dimension by {n}",
-            },
-        ),
-    )
+    upper = None if bound.upper is None else bound.upper / n
+    statement = f"the 1/{n}-time clock extension divides mean dimension by {n}"
+    return _ruled((bound,), bound.lower / n, upper, "time-division", statement)
 
 
 def headline_pipeline(width: int, levels: int, n: int) -> MdimBound:

@@ -330,3 +330,14 @@ def reduced_homology_dense(complex_, k):
         rank=len(faces(k)) - len(factors(k)) - len(up),
         torsion=tuple(t for t in up if t > 1),
     )
+
+
+# ---------------------------------------------------------------------------
+# Covers: vertex stars of a face lattice
+
+
+def vertex_star_cover(lattice) -> tuple[frozenset, ...]:
+    """The open star of each vertex of a face lattice, in vertex order: every
+    cell (a sorted vertex tuple) that contains the vertex."""
+    vertices = sorted({c[0] for c in lattice.atoms if len(c) == 1})
+    return tuple(frozenset(c for c in lattice.atoms if v in c) for v in vertices)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mdkit import cli, finite, tower
+from mdkit import cli, finite, shiftspace, tower
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +271,46 @@ class TestExitCodes:
                 ("--system", {"points": ["a", "b"], "perm": [1, 0], "metric": "x"}),
                 "metric JSON",
             ),
+            (
+                ["markers", "search", "--N", "2"],
+                ("--system", {"points": ["a", "b"], "perm": [True, False]}),
+                '"perm" list of point indices',
+            ),
+            (
+                ["complex", "coindex"],
+                ("--complex", {"p": 2, "vertices": [0, 1], "simplices": [[0], [1]], "action": [True, False]}),
+                '"action" vertex index list',
+            ),
+            (
+                ["complex", "coindex"],
+                ("--complex", {"p": 2, "vertices": [0, 1], "simplices": [[0, True]], "action": [1, 0]}),
+                '"simplices" list of vertex index lists',
+            ),
+            (
+                ["complex", "coindex"],
+                ("--complex", {"p": True, "vertices": [0, 1], "simplices": [[0], [1]], "action": [1, 0]}),
+                'an integer "p"',
+            ),
+            (
+                ["shift", "witness", "--p", "5", "--m", "2", "--N", "20001"],
+                None,
+                "100005 coordinates, over the cap of 100000 on periodic points",
+            ),
+            (
+                ["shift", "conjugacy", "--p", "5", "--m", "2", "--N", "10001", "--samples", "1"],
+                None,
+                "100010 coordinates, over the cap of 100000 on periodic points",
+            ),
+            (
+                ["tower", "verify", "--m", "2", "--window", "0:2", "--samples", "1", "--N", "20001"],
+                None,
+                "100005 coordinates, over the cap of 100000 on tower verify",
+            ),
+            (
+                ["tower", "aperiodicity", "--m-max", "2", "--p-max", "5", "--N", "20001"],
+                None,
+                "100005 coordinates, over the cap of 100000 on periodic points",
+            ),
         ],
         ids=[
             "complex-without-n",
@@ -329,6 +369,14 @@ class TestExitCodes:
             "model-shorthand-unknown-key",
             "model-shorthand-repeated-key",
             "embed-file-metric-malformed-beside-option",
+            "system-file-perm-of-booleans",
+            "complex-file-action-of-booleans",
+            "complex-file-simplex-with-boolean",
+            "complex-file-p-boolean",
+            "witness-over-coordinate-cap",
+            "conjugacy-over-coordinate-cap",
+            "tower-verify-over-coordinate-cap",
+            "aperiodicity-over-coordinate-cap",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):
@@ -344,6 +392,20 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("mdkit: error: ")
         assert named in lines[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["shift", "witness", "--p", "5", "--m", "2", "--N", "20000"],
+            ["shift", "conjugacy", "--p", "5", "--m", "2", "--N", "10000", "--samples", "1"],
+            ["tower", "verify", "--m", "2", "--window", "0:2", "--samples", "1", "--N", "20000"],
+            ["tower", "aperiodicity", "--m-max", "2", "--p-max", "5", "--N", "20000"],
+        ],
+        ids=["witness", "conjugacy", "tower-verify", "aperiodicity"],
+    )
+    def test_exactly_at_the_coordinate_cap_runs(self, capsys, argv):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err.endswith("summary: pass\n")
 
     def test_count_periodic_caps_refused_before_counting(self, capsys, monkeypatch):
         def counted(forbidden, n):
@@ -373,6 +435,15 @@ class TestExitCodes:
             assert cli.main(["tower", "verify", "--m", m, "--window=0:10"]) == 2
             assert "over the cap of 100000" in capsys.readouterr().err
 
+    def test_conjugacy_cap_comes_before_any_draw(self, capsys, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("drew before the coordinate cap was checked")
+
+        monkeypatch.setattr(shiftspace, "sample_periodic_gap_point", drawn)
+        argv = ["shift", "conjugacy", "--p", "2003", "--m", "2", "--samples", "25"]
+        assert cli.main(argv) == 2
+        assert "100150 coordinates" in capsys.readouterr().err
+
     def test_aperiodicity_cap_refused_before_the_sieve(self, capsys, monkeypatch):
         def sieved(n):
             raise AssertionError("sieved before the cap was checked")
@@ -380,6 +451,10 @@ class TestExitCodes:
         monkeypatch.setattr(tower, "_primes_up_to", sieved)
         assert cli.main(["tower", "aperiodicity", "--m-max", "5", "--p-max", "100000000"]) == 2
         assert "over the cap of 1000" in capsys.readouterr().err
+        # the spot checks and witnesses draw up to p_max * N coordinates
+        argv = ["tower", "aperiodicity", "--m-max", "5", "--p-max", "13", "--N", "10000"]
+        assert cli.main(argv) == 2
+        assert "130000 coordinates, over the cap of 100000" in capsys.readouterr().err
 
     def test_bad_window_is_two(self, capsys):
         code = cli.main(

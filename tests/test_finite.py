@@ -22,7 +22,7 @@ from mdkit.finite import (
     verify_marker,
     verify_marker_transfer,
 )
-from mdkit.shiftspace import check_membership, gap_space, unit_step_space
+from mdkit.shiftspace import MembershipReport, check_membership, gap_space, unit_step_space
 
 from oracles import (
     early_returns_by_powers,
@@ -200,18 +200,21 @@ class TestMarkerSearch:
         # 15-cycle at length 6: 15 singletons plus pairs at gaps 6..9 (15*4/2)
         assert len(enumerate_markers(cycles(15), 6)) == 45
 
-    def test_enumerate_markers_cap(self):
+    def test_enumerate_markers_cap(self, monkeypatch):
+        cases = [(cycles(15), 6), (cycles(6, 6), 2), (cycles(9), 3), (cycles(5, 7), 1)]
+        counts = [len(enumerate_markers(sys_, n_marker)) for sys_, n_marker in cases]
         # refused from the count alone: 2^40 - 1 markers are never built
+        monkeypatch.setattr(finite, "MAX_MARKERS", 1000)
         for sys_ in (cycles(20), cycles(40)):
             with pytest.raises(ValueError, match="tighten"):
-                enumerate_markers(sys_, 1, cap=1000)
+                enumerate_markers(sys_, 1)
         # the count is exact: a cap equal to it is not exceeded
-        for lengths, n_marker in [([15], 6), ([6, 6], 2), ([9], 3), ([5, 7], 1)]:
-            sys_ = cycles(*lengths)
-            count = len(enumerate_markers(sys_, n_marker))
-            assert len(enumerate_markers(sys_, n_marker, cap=count)) == count
+        for (sys_, n_marker), count in zip(cases, counts):
+            monkeypatch.setattr(finite, "MAX_MARKERS", count)
+            assert len(enumerate_markers(sys_, n_marker)) == count
+            monkeypatch.setattr(finite, "MAX_MARKERS", count - 1)
             with pytest.raises(ValueError, match="tighten"):
-                enumerate_markers(sys_, n_marker, cap=count - 1)
+                enumerate_markers(sys_, n_marker)
 
     def test_certificate_json(self):
         sys_ = cycles(5)
@@ -358,6 +361,36 @@ class TestEmbeddings:
     def test_metric_required(self):
         with pytest.raises(ValueError, match="metric required"):
             epsilon_embedding(FiniteSystem.from_cycle_lengths([2]), Fraction(1, 5))
+
+
+# both pipelines unroll their images along orbits through one orbit map
+ORBIT_PIPELINES = {
+    "unit-step": lambda: map_to_unit_step_space(cycles(3, 5)),
+    "universal": lambda: embed_into_universal(
+        FiniteSystem.from_cycle_lengths([3, 5], metric=uniform_metric(8, Fraction(1, 4))),
+        Fraction(1, 5),
+    ),
+}
+
+
+class TestOrbitMap:
+    @pytest.mark.parametrize("pipeline", sorted(ORBIT_PIPELINES))
+    def test_failed_membership_is_reported(self, pipeline, monkeypatch):
+        monkeypatch.setattr(finite, "check_membership", lambda space, x: MembershipReport("fail", ()))
+        report = ORBIT_PIPELINES[pipeline]()
+        assert not report.membership_ok and report.equivariance_ok and not report.passed
+
+    @pytest.mark.parametrize("pipeline", sorted(ORBIT_PIPELINES))
+    def test_failed_equivariance_is_reported(self, pipeline, monkeypatch):
+        monkeypatch.setattr(finite, "shift", lambda x, k: x)
+        report = ORBIT_PIPELINES[pipeline]()
+        assert report.membership_ok and not report.equivariance_ok and not report.passed
+
+    @pytest.mark.parametrize("pipeline", sorted(ORBIT_PIPELINES))
+    def test_sequences_follow_the_orbits(self, pipeline):
+        report = ORBIT_PIPELINES[pipeline]()
+        assert report.passed
+        assert [s.period for s in report.sequences] == [3] * 3 + [5] * 5
 
 
 class TestMarkerTransfer:

@@ -22,10 +22,13 @@ from mdkit.meandim import (
     inverse_limit_bound,
     power_bound,
     select_time_division,
+    star_cover,
     subsystem_bound,
     time_division_bound,
     validate_cover,
 )
+
+from oracles import vertex_star_cover
 
 V0E = frozenset({"v0", "e"})
 V1E = frozenset({"v1", "e"})
@@ -38,11 +41,6 @@ def interval_cover(*members):
 
 def discrete_lattice():
     return OpenLattice(("a", "b"), {"a": set(), "b": set()})
-
-
-def star_cover(lat):
-    vertices = sorted({c[0] for c in lat.atoms if len(c) == 1})
-    return Cover(tuple(frozenset(c for c in lat.atoms if v in c) for v in vertices))
 
 
 def powerset_up_sets(atoms, below):
@@ -158,6 +156,14 @@ class TestCoverD:
         for cover in all_covers(lat):
             assert cover_D(lat, cover) == cover_D_bruteforce(lat, cover)
 
+    def test_star_cover_of_the_interval(self):
+        assert star_cover(interval_lattice()).members == (V0E, V1E)
+
+    @pytest.mark.parametrize("p, n", [(p, n) for p in (2, 3, 5) for n in (0, 1, 2)])
+    def test_star_cover_is_the_vertex_stars(self, p, n):
+        lat = face_lattice(build_en_zp(p, n))
+        assert star_cover(lat).members == vertex_star_cover(lat)
+
     def test_star_cover_of_four_cycle(self):
         lat = face_lattice(build_en_zp(2, 1))
         cover = star_cover(lat)
@@ -245,6 +251,27 @@ class TestBoundRules:
     def test_subsystem(self):
         bound = subsystem_bound(MdimBound(Fraction(1), Fraction(2)))
         assert (bound.lower, bound.upper) == (0, 2)
+
+    def test_subsystem_and_power_records(self):
+        # no golden report covers these two rules: their records are pinned here
+        sub = subsystem_bound(ambient_shift_bound(2))
+        power = power_bound(3, sub)
+        assert (power.lower, power.upper) == (0, 6)
+        assert power.provenance == (
+            {
+                "rule": "ambient-shift",
+                "statement": (
+                    "a subshift of the full shift on a 2-dimensional torus alphabet "
+                    "has mean dimension at most 2"
+                ),
+            },
+            {
+                "rule": "subsystem",
+                "statement": "a closed invariant subsystem has mean dimension at most the ambient one",
+            },
+            {"rule": "power", "statement": "the 3-th power map multiplies mean dimension by 3"},
+        )
+        assert sub.provenance == power.provenance[:2]
 
     def test_unbounded_propagates(self):
         top = MdimBound(Fraction(0), None)

@@ -242,6 +242,18 @@ class TestSectionIdentity:
         reports = [verify_section_identity(2, x, section_map(2, head, x)) for x in windows]
         assert all(r.passed and r.overlap == (x.start, x.end) for r, x in zip(reports, windows))
 
+    def test_corrupted_entry_fails_at_its_indices(self):
+        x = random_window(1, -2, 10, random.Random(57))
+        y = section_map(2, zero_anchor(1, 2), x)
+        k = 3  # at level 2 output j sums entries j and j + 1: entry k feeds outputs k - 1 and k
+        values = list(y.values)
+        values[k - y.start] = values[k - y.start] + TorusVec.of(Fraction(1, 4))
+        corrupted = Window(y.start, tuple(values))
+        report = verify_section_identity(2, x, corrupted)
+        _, mismatches = windows_agree_on_overlap(factor_map(2, corrupted), x)
+        assert report.failures == tuple(mismatches) == (k - 1, k)
+        assert not report.passed
+
     def test_level_four(self):
         rng = random.Random(56)
         windows = [random_window(1, 0, 3 * level_gap(4), rng) for _ in range(21)]
