@@ -188,6 +188,11 @@ def check_free_action(complex_: FreeZpComplex) -> bool:
 # Largest standard complex built: en-zp(2, 8) has 19,682 simplices.
 MAX_EN_ZP_SIMPLICES = 20_000
 
+# Most nodes (candidate orbit images) one equivariant map search tries.  A
+# node costs 15-60 us as the target grows, so a spent cap takes 0.5-3 s;
+# no coindex search in the tests or the benchmark tries more than 42.
+MAX_SEARCH_NODES = 50_000
+
 
 def build_en_zp(p: int, n: int) -> FreeZpComplex:
     """The standard n-dimensional free complex: (n+1)-fold join of free orbits.
@@ -453,7 +458,7 @@ def verify_equivariant_simplicial(
 
 
 def equivariant_map_search(
-    source: FreeZpComplex, target: FreeZpComplex
+    source: FreeZpComplex, target: FreeZpComplex, work: dict[str, int] | None = None
 ) -> dict[int, int] | None:
     """Backtracking search for an equivariant simplicial vertex map.
 
@@ -462,11 +467,20 @@ def equivariant_map_search(
     source simplex has a non-simplex image.  Exhausting the space proves no
     equivariant simplicial VERTEX map exists at this triangulation; it does
     not bound continuous maps, so callers must treat failure as inconclusive.
+
+    A node is one candidate image tried for a source orbit.  When ``work`` is
+    given, ``work["nodes"]`` is set to the number of nodes tried.  A search
+    that would try more than ``MAX_SEARCH_NODES`` raises ``ValueError``
+    naming the source's dimension (its level, for a standard complex): the
+    answer is undetermined, never "exhausted".
     """
     if source.p != target.p:
         raise ValueError("prime mismatch")
     if not check_free_action(source):
         raise ValueError("search requires a free source action")
+    if work is None:
+        work = {}
+    work["nodes"] = 0
     if source.is_empty():
         return {}
     if target.is_empty():
@@ -488,6 +502,13 @@ def equivariant_map_search(
             return True
         rep = orbits[oi][0]
         for w in range(len(target.vertices)):
+            work["nodes"] += 1
+            if work["nodes"] > MAX_SEARCH_NODES:
+                raise ValueError(
+                    f"undetermined: the equivariant map search from a level-"
+                    f"{source.dimension()} source spent its cap of "
+                    f"{MAX_SEARCH_NODES} nodes (complexes.MAX_SEARCH_NODES)"
+                )
             image = w
             trial = {}
             vertex = rep
@@ -549,9 +570,11 @@ def coindex_bounds(complex_: FreeZpComplex, search_depth: int) -> CoindexBound:
 
     The lower bound is the largest n <= search_depth for which an explicit
     equivariant vertex map from the standard n-dimensional free complex was
-    found; the upper bound is the dimension.  A failed search never tightens
-    the upper bound (sources are not subdivided) and is recorded as
-    unresolved in the provenance.
+    found; the upper bound is the dimension.  Levels above the dimension are
+    decided without a search: one record cites the level theorem for the
+    first of them.  A failed search never tightens the upper bound (sources
+    are not subdivided) and is recorded as unresolved in the provenance.
+    Each search record carries the nodes its search tried.
     """
     if complex_.is_empty():
         return CoindexBound(
@@ -562,16 +585,19 @@ def coindex_bounds(complex_: FreeZpComplex, search_depth: int) -> CoindexBound:
         )
     if not check_free_action(complex_):
         raise ValueError("coindex defined only for free actions")
+    dim = complex_.dimension()
     provenance: list[dict] = []
     lower = -1
-    for n in range(0, search_depth + 1):
-        found = equivariant_map_search(build_en_zp(complex_.p, n), complex_) is not None
+    for n in range(0, min(search_depth, dim) + 1):
+        work: dict[str, int] = {}
+        found = equivariant_map_search(build_en_zp(complex_.p, n), complex_, work) is not None
         if found:
             lower = n
             provenance.append(
                 {
                     "rule": "vertex-map witness",
                     "level": n,
+                    "nodes": work["nodes"],
                     "statement": (
                         f"an explicit equivariant simplicial map from the standard "
                         f"level-{n} free complex exists, so coindex >= {n}"
@@ -583,6 +609,7 @@ def coindex_bounds(complex_: FreeZpComplex, search_depth: int) -> CoindexBound:
                 {
                     "rule": "search exhausted",
                     "level": n,
+                    "nodes": work["nodes"],
                     "statement": (
                         f"no equivariant simplicial vertex map from the standard "
                         f"level-{n} free complex at this triangulation; inconclusive "
@@ -591,7 +618,20 @@ def coindex_bounds(complex_: FreeZpComplex, search_depth: int) -> CoindexBound:
                 }
             )
             break
-    dim = complex_.dimension()
+    else:
+        if search_depth > dim:
+            provenance.append(
+                {
+                    "rule": "level theorem",
+                    "level": dim + 1,
+                    "statement": (
+                        f"no equivariant map from the standard level-{dim + 1} free "
+                        f"complex exists: composed with this complex's map into the "
+                        f"standard level-{dim} free complex it would raise the level "
+                        f"(Dold's theorem), so no level above {dim} is searched"
+                    ),
+                }
+            )
     provenance.append(
         {
             "rule": "dimension cap",

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mdkit import cli, finite, shiftspace, tower
+from mdkit import cli, complexes, finite, shiftspace, tower
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +130,24 @@ class TestDispatch:
         )
         assert code == 0
         assert report["checks"][0]["witness"] == {"D": 2, "ord": 2}
+
+    @pytest.mark.parametrize(
+        "model, n_max, interval, nodes",
+        [
+            ("en-zp:p=5,n=3", "4", [3, 3], 1 + 7 + 18 + 34),
+            ("en-zp:p=2,n=5", "6", [5, 5], 1 + 4 + 9 + 16 + 25 + 36),
+        ],
+    )
+    def test_coindex_searches_no_level_above_the_dimension(
+        self, capsys, model, n_max, interval, nodes
+    ):
+        # deterministic node totals, not wall time, show whether a level
+        # above the dimension is searched again
+        code, report, _ = run_cli(capsys, "complex", "coindex", "--complex", model, "--n-max", n_max)
+        assert code == 0
+        witness = report["checks"][0]["witness"]
+        assert [witness["lower"], witness["upper"]] == interval
+        assert sum(rec.get("nodes", 0) for rec in witness["provenance"]) == nodes
 
     def test_remaining_subcommands_smoke(self, capsys):
         cases = [
@@ -392,6 +410,17 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("mdkit: error: ")
         assert named in lines[0]
+
+    def test_spent_search_cap_is_undetermined(self, capsys, monkeypatch):
+        monkeypatch.setattr(complexes, "MAX_SEARCH_NODES", 5)
+        code = cli.main(["complex", "coindex", "--complex", "en-zp:p=2,n=3", "--n-max", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "mdkit: error: undetermined: the equivariant map search from a level-2 "
+            "source spent its cap of 5 nodes (complexes.MAX_SEARCH_NODES)\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

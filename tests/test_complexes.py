@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mdkit import complexes
 from mdkit.complexes import (
     MAX_EN_ZP_SIMPLICES,
     CoindexBound,
@@ -397,6 +398,20 @@ class TestMapSearch:
         with pytest.raises(ValueError, match="prime mismatch"):
             equivariant_map_search(build_en_zp(2, 0), build_en_zp(3, 0))
 
+    def test_node_count_and_cap(self, monkeypatch):
+        source, target = build_en_zp(2, 4), build_en_zp(2, 3)
+        work = {}
+        assert equivariant_map_search(source, target, work) is None
+        assert work == {"nodes": 5064}
+        # a cap of exactly the nodes needed still decides; one fewer does not
+        monkeypatch.setattr(complexes, "MAX_SEARCH_NODES", 5064)
+        assert equivariant_map_search(source, target) is None
+        monkeypatch.setattr(complexes, "MAX_SEARCH_NODES", 5063)
+        with pytest.raises(
+            ValueError, match=r"^undetermined: .* level-4 source spent its cap of 5063 nodes"
+        ):
+            equivariant_map_search(source, target)
+
 
 class TestCoindexBounds:
     def test_empty_convention(self):
@@ -413,8 +428,44 @@ class TestCoindexBounds:
         k = build_en_zp(5, 0)
         bound = coindex_bounds(k, 2)
         assert (bound.lower, bound.upper) == (0, 0)
-        assert any(rec["rule"] == "search exhausted" for rec in bound.provenance)
+        assert any(
+            rec["rule"] == "level theorem" and rec["level"] == 1 for rec in bound.provenance
+        )
         assert any(rec["rule"] == "dimension cap" for rec in bound.provenance)
+
+    @pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (5, 1)])
+    @pytest.mark.parametrize("above", [-1, 0, 2])
+    def test_searches_stop_at_the_dimension(self, p, n, above):
+        n_max = n + above
+        bound = coindex_bounds(build_en_zp(p, n), n_max)
+        assert (bound.lower, bound.upper) == (min(n_max, n), n)
+        searches = [
+            rec
+            for rec in bound.provenance
+            if rec["rule"] in ("vertex-map witness", "search exhausted")
+        ]
+        assert [rec["level"] for rec in searches] == list(range(min(n_max, n) + 1))
+        assert all(rec["nodes"] >= 1 for rec in searches)
+        theorem = [rec["level"] for rec in bound.provenance if rec["rule"] == "level theorem"]
+        assert theorem == ([n + 1] if n_max > n else [])
+        assert [rec["rule"] for rec in bound.provenance][-1] == "dimension cap"
+
+    def test_exhausted_search_at_the_dimension_cites_no_theorem(self):
+        # Z_3 permutes three disjoint edges; the connected E_1 Z_3 has no
+        # vertex map into them, so the search fails at the dimension itself
+        k = FreeZpComplex.from_maximal(
+            3,
+            [(a, level) for a in range(3) for level in range(2)],
+            [[(a, 0), (a, 1)] for a in range(3)],
+            {(a, level): ((a + 1) % 3, level) for a in range(3) for level in range(2)},
+        )
+        bound = coindex_bounds(k, 3)
+        assert (bound.lower, bound.upper) == (0, 1)
+        assert [(rec["rule"], rec.get("level")) for rec in bound.provenance] == [
+            ("vertex-map witness", 0),
+            ("search exhausted", 1),
+            ("dimension cap", None),
+        ]
 
     def test_requires_free_action(self):
         k = FreeZpComplex(
