@@ -29,6 +29,7 @@ from .complexes import (
 )
 from .finite import (
     FiniteSystem,
+    _validate_metric,
     embed_into_universal,
     marker_search,
     metric_from_json,
@@ -123,7 +124,8 @@ def _parse_system(text: str) -> FiniteSystem:
 
 
 def _parse_complex(text: str) -> FreeZpComplex:
-    """Generator shorthand "en-zp:p=3,n=2" or a path to a complex JSON file."""
+    """Generator shorthand "en-zp:p=3,n=2", built valid, or a path to a
+    complex JSON file, validated by ``FreeZpComplex.from_json``."""
     if text.startswith("en-zp:"):
         try:
             parts = [part.split("=") for part in text.split(":", 1)[1].split(",")]
@@ -399,26 +401,34 @@ def _run_markers_transfer(args) -> dict:
     return _report("markers transfer", config, checks)
 
 
+def _parse_metric(text: str, size: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Shorthand "uniform:1/4" or "random:<seed>", or a path to a JSON
+    distance matrix.  A random table is a metric by construction (see
+    ``random_metric``); every other table is validated here."""
+    if text.startswith("random:"):
+        try:
+            seed = int(text.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(
+                f"metric shorthand {text!r} is not of the form random:<seed> "
+                "with an integer seed"
+            ) from None
+        return random_metric(random.Random(seed), size)
+    if text.startswith("uniform:"):
+        value = frac_from_str(text.split(":", 1)[1])
+        metric = tuple(
+            tuple(Fraction(0) if i == j else value for j in range(size)) for i in range(size)
+        )
+    else:
+        metric = metric_from_json(_read_json(text))
+    _validate_metric(metric, size)
+    return metric
+
+
 def _run_embed(args) -> dict:
     system = _parse_system(args.system)
     if args.metric is not None:
-        if args.metric.startswith("uniform:"):
-            value = frac_from_str(args.metric.split(":", 1)[1])
-            metric = tuple(
-                tuple(Fraction(0) if i == j else value for j in range(system.size))
-                for i in range(system.size)
-            )
-        elif args.metric.startswith("random:"):
-            try:
-                seed = int(args.metric.split(":", 1)[1])
-            except ValueError:
-                raise ValueError(
-                    f"metric shorthand {args.metric!r} is not of the form random:<seed> "
-                    "with an integer seed"
-                ) from None
-            metric = random_metric(random.Random(seed), system.size)
-        else:
-            metric = metric_from_json(_read_json(args.metric))
+        metric = _parse_metric(args.metric, system.size)
         system = FiniteSystem(system.points, system.perm, metric)
     report = embed_into_universal(system, frac_from_str(args.epsilon))
     checks = [

@@ -1,8 +1,11 @@
 """Finite free prime-order simplicial complexes: joins, homology, coindex.
 
 A complex carries a vertex permutation of order dividing p that maps
-simplices to simplices; freeness (no power of the action fixing a simplex
-setwise) is checked, never assumed.  Homology is integral: boundaries are
+simplices to simplices.  The builders here make valid complexes, so the
+constructor trusts its caller; a complex file is validated once, in
+``FreeZpComplex.from_json``.  Freeness (no power of the action fixing a
+simplex setwise) is checked, never assumed: ``check_free_action`` guards
+every search and every coindex bound.  Homology is integral: boundaries are
 sparse columns, reduced by eliminating +-1 pivots, and only the residual
 without unit entries goes to a dense Smith normal form.  It serves as the
 computable necessary condition for connectivity.  Coindex is never
@@ -43,37 +46,13 @@ class FreeZpComplex:
     ``vertices`` are arbitrary hashable names; ``simplices`` are frozensets of
     vertex indices (nonempty, downward closed); ``action`` maps vertex index
     to vertex index and must be a simplicial automorphism with action^p = id.
+    The constructor stores these tuples and frozensets unchecked.
     """
 
     p: int
     vertices: tuple
     simplices: frozenset[frozenset[int]]
     action: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError("p must be prime")
-        n = len(self.vertices)
-        simplices = frozenset(frozenset(s) for s in self.simplices)
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "simplices", simplices)
-        object.__setattr__(self, "action", tuple(self.action))
-        if sorted(self.action) != list(range(n)):
-            raise ValueError("action must be a permutation of the vertices")
-        for s in simplices:
-            if not s:
-                raise ValueError("simplices must be nonempty")
-            if not all(0 <= v < n for v in s):
-                raise ValueError("simplex references an unknown vertex")
-            for facet in combinations(s, len(s) - 1):
-                if facet and frozenset(facet) not in simplices:
-                    raise ValueError("simplex family is not downward closed")
-        # the order of a permutation is the lcm of its cycle lengths
-        if any(self.p % len(orbit) for orbit in permutation_cycles(self.action)):
-            raise ValueError("action must have order dividing p")
-        for s in simplices:
-            if frozenset(self.action[v] for v in s) not in simplices:
-                raise ValueError("action is not simplicial")
 
     # -- structure ---------------------------------------------------------
 
@@ -123,8 +102,8 @@ class FreeZpComplex:
 
     @classmethod
     def from_json(cls, data) -> "FreeZpComplex":
-        """Inverse of ``to_json``; hand-written inputs may list only the
-        maximal faces, and the closure is computed."""
+        """Inverse of ``to_json``, validated; hand-written inputs may list
+        only the maximal faces, and the closure is computed."""
         if not isinstance(data, dict):
             raise ValueError("complex JSON must be an object")
         for key in ("p", "vertices", "simplices", "action"):
@@ -143,7 +122,27 @@ class FreeZpComplex:
                 'list of vertex index lists and an "action" vertex index list'
             )
         vertices = tuple(_name_from_json(v) for v in data["vertices"])
-        return cls(data["p"], vertices, _closure(faces), tuple(action))
+        complex_ = cls(data["p"], vertices, _closure(faces), tuple(action))
+        _validate_complex(complex_)
+        return complex_
+
+
+def _validate_complex(complex_: FreeZpComplex) -> None:
+    """The checks a complex file must pass; its faces are closed downward
+    and nonempty, as ``_closure`` leaves them."""
+    p, simplices, action = complex_.p, complex_.simplices, complex_.action
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    n = len(complex_.vertices)
+    if sorted(action) != list(range(n)):
+        raise ValueError("action must be a permutation of the vertices")
+    if not all(0 <= v < n for s in simplices for v in s):
+        raise ValueError("simplex references an unknown vertex")
+    # the order of a permutation is the lcm of its cycle lengths
+    if any(p % len(orbit) for orbit in permutation_cycles(action)):
+        raise ValueError("action must have order dividing p")
+    if any(frozenset(action[v] for v in s) not in simplices for s in simplices):
+        raise ValueError("action is not simplicial")
 
 
 def _is_index_list(value) -> bool:
@@ -218,7 +217,7 @@ def build_en_zp(p: int, n: int) -> FreeZpComplex:
         raise ValueError("p must be prime")
     if n < 0:
         raise ValueError("n must be >= 0")
-    vertices = [(a, level) for level in range(n + 1) for a in range(p)]
+    vertices = tuple((a, level) for level in range(n + 1) for a in range(p))
     # one simplex per choice of "absent" or a in Z_p at each level; vertex
     # (a, level) has index level * p + a
     levels = [[()] + [(level * p + a,) for a in range(p)] for level in range(n + 1)]
@@ -242,20 +241,14 @@ def join_complexes(k: FreeZpComplex, l: FreeZpComplex) -> FreeZpComplex:
         return l
     if l.is_empty():
         return k
-    vertices = [(0, v) for v in k.vertices] + [(1, w) for w in l.vertices]
+    vertices = tuple((0, v) for v in k.vertices) + tuple((1, w) for w in l.vertices)
     off = len(k.vertices)
-    simplices: set[frozenset[int]] = set()
-    k_parts = [frozenset()] + list(k.simplices)
-    l_parts = [frozenset()] + list(l.simplices)
-    for sk in k_parts:
-        for sl in l_parts:
-            merged = frozenset(sk) | frozenset(v + off for v in sl)
-            if merged:
-                simplices.add(merged)
-    action = tuple(
-        list(k.action) + [off + w for w in l.action]
-    )
-    return FreeZpComplex(k.p, tuple(vertices), frozenset(simplices), action)
+    l_shifted = [frozenset(v + off for v in sl) for sl in l.simplices]
+    simplices = frozenset(
+        sk | sl for sk in (frozenset(), *k.simplices) for sl in (frozenset(), *l_shifted)
+    ) - {frozenset()}
+    action = k.action + tuple(off + w for w in l.action)
+    return FreeZpComplex(k.p, vertices, simplices, action)
 
 
 # ---------------------------------------------------------------------------

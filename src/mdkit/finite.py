@@ -1,14 +1,16 @@
 """Finite permutation dynamics: markers, tower functions, embeddings.
 
 A finite system is a bijection of a finite point set, optionally carrying an
-exact rational metric.  Marker search decides every system in one pass over
-its cycles: a "found" subset is re-checked by an independent verifier, and a
-"none" verdict names the cycle shorter than N that proves it.  The module
-also builds the backward first-entrance function of a marker, the induced
-sequences in the distance-one adjacent-step space, distance-preserving
-embeddings of finite metric systems into gap subshifts, clock extensions
-that divide time by n, and the exhaustive two-way marker transfer check
-between a system and its clock extension.
+exact rational metric.  The builders here make valid systems, so the
+constructor trusts its caller; a system file is validated once, in
+``FiniteSystem.from_json``.  Marker search decides every system in one pass
+over its cycles: a "found" subset is re-checked by an independent verifier,
+and a "none" verdict names the cycle shorter than N that proves it.  The
+module also builds the backward first-entrance function of a marker, the
+induced sequences in the distance-one adjacent-step space,
+distance-preserving embeddings of finite metric systems into gap
+subshifts, clock extensions that divide time by n, and the exhaustive
+two-way marker transfer check between a system and its clock extension.
 """
 
 from __future__ import annotations
@@ -42,24 +44,12 @@ MAX_MARKERS = 200_000
 
 @dataclass(frozen=True)
 class FiniteSystem:
-    """A permutation of named points, with an optional exact metric table."""
+    """A permutation of named points, with an optional exact metric table,
+    all tuples and stored unchecked."""
 
     points: tuple
     perm: tuple[int, ...]
     metric: tuple[tuple[Fraction, ...], ...] | None = None
-
-    def __post_init__(self) -> None:
-        points = tuple(self.points)
-        perm = tuple(self.perm)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "perm", perm)
-        n = len(points)
-        if sorted(perm) != list(range(n)):
-            raise ValueError("perm must be a bijection of the points")
-        if self.metric is not None:
-            metric = tuple(tuple(Fraction(d) for d in row) for row in self.metric)
-            object.__setattr__(self, "metric", metric)
-            _validate_metric(metric, n)
 
     @property
     def size(self) -> int:
@@ -130,9 +120,11 @@ class FiniteSystem:
             raise ValueError(
                 'system JSON needs a "points" list and a "perm" list of point indices'
             )
-        metric = data.get("metric")
+        metric = None if data.get("metric") is None else metric_from_json(data["metric"])
+        if sorted(perm) != list(range(len(points))):
+            raise ValueError("perm must be a bijection of the points")
         if metric is not None:
-            metric = metric_from_json(metric)
+            _validate_metric(metric, len(points))
         return cls(tuple(points), tuple(perm), metric)
 
 
@@ -531,8 +523,8 @@ def epsilon_embedding(sys_: FiniteSystem, epsilon: Fraction) -> EmbeddingReport:
     exceeds 1/4 the metric (and epsilon with it) is rescaled first and the
     factor recorded.  The report checks exhaustively that image collisions
     only happen below epsilon, and records the smallest image separation
-    among pairs at distance >= epsilon.  The metric is the one the system
-    validated when it was built.
+    among pairs at distance >= epsilon.  The system's metric is trusted:
+    input metrics are validated where they are read.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -732,8 +724,10 @@ def random_metric(
 ) -> tuple[tuple[Fraction, ...], ...]:
     """A random exact metric with values in [1/8, 1/4] off the diagonal.
 
-    Any symmetric table with off-diagonal values in [t, 2t] satisfies the
-    triangle inequality, so this needs no repair step.
+    Any symmetric table with a zero diagonal and off-diagonal values in
+    [t, 2t] satisfies the triangle inequality: d(i, k) <= 2t <= d(i, j) +
+    d(j, k) for distinct points, and the other cases have a zero term.  So
+    the table needs no repair step and no check.
     """
     rows = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):

@@ -264,13 +264,50 @@ def _det(matrix: list[list[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Random exact metrics with a wider spread than the library helper
+# Exact metrics and permutations: tables and the axioms by definition
 
 
 def uniform_metric(size: int, value: Fraction) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(
         tuple(Fraction(0) if i == j else Fraction(value) for j in range(size))
         for i in range(size)
+    )
+
+
+def metric_violations(metric, size: int) -> list[str]:
+    """The metric axioms a table of exact distances breaks, each tested on
+    every point, pair or triple: the table is square with ``size`` rows of
+    ``Fraction`` entries, zero on the diagonal, symmetric, nonnegative, and
+    d(i, k) <= d(i, j) + d(j, k)."""
+    if not (
+        isinstance(metric, tuple)
+        and len(metric) == size
+        and all(isinstance(row, tuple) and len(row) == size for row in metric)
+        and all(isinstance(d, Fraction) for row in metric for d in row)
+    ):
+        return ["shape"]
+    points = range(size)
+    checks = {
+        "zero diagonal": all(metric[i][i] == 0 for i in points),
+        "symmetric": all(metric[i][j] == metric[j][i] for i in points for j in points),
+        "nonnegative": all(d >= 0 for row in metric for d in row),
+        "triangle inequality": all(
+            metric[i][k] <= metric[i][j] + metric[j][k]
+            for i in points
+            for j in points
+            for k in points
+        ),
+    }
+    return [name for name, ok in checks.items() if not ok]
+
+
+def perm_is_bijection(sys_: FiniteSystem) -> bool:
+    """A system's points and perm are tuples, and every point is the image
+    of exactly one point."""
+    return (
+        isinstance(sys_.points, tuple)
+        and isinstance(sys_.perm, tuple)
+        and sorted(sys_.perm) == list(range(len(sys_.points)))
     )
 
 
@@ -305,6 +342,38 @@ def order_divides_by_all_powers(perm, p: int) -> bool:
     for _ in range(p):
         current = [perm[v] for v in current]
     return current == list(range(len(perm)))
+
+
+def complex_violations(complex_) -> list[str]:
+    """Every condition a complex must meet, each tested by its definition;
+    the names of those it breaks.  Builders are trusted at run time, so
+    the tests hold their outputs to this."""
+    p, vertices, simplices, action = (
+        complex_.p, complex_.vertices, complex_.simplices, complex_.action
+    )
+    n = len(vertices)
+    checks = {
+        "types": (
+            isinstance(vertices, tuple)
+            and isinstance(action, tuple)
+            and isinstance(simplices, frozenset)
+            and all(isinstance(s, frozenset) for s in simplices)
+        ),
+        "p prime": p >= 2 and all(p % d for d in range(2, p)),
+        "action a permutation": sorted(action) == list(range(n)),
+        "simplices nonempty": all(simplices),
+        "vertices known": all(v in range(n) for s in simplices for v in s),
+        "downward closed": all(
+            s - {v} in simplices for s in simplices if len(s) > 1 for v in s
+        ),
+    }
+    if checks["action a permutation"]:
+        checks["order divides p"] = order_divides_by_all_powers(action, p)
+    if checks["vertices known"]:
+        checks["action simplicial"] = all(
+            frozenset(action[v] for v in s) in simplices for s in simplices
+        )
+    return [name for name, ok in checks.items() if not ok]
 
 
 def reduced_homology_dense(complex_, k):

@@ -109,14 +109,39 @@ class TestDispatch:
         backward = report["checks"][1]["witness"]["detail"]
         assert backward.startswith("all 7569 6-markers of the extension project")
 
-    def test_embed_validates_its_metric_once(self, capsys, monkeypatch):
+    def test_embed_validates_its_metric_once(self, capsys, monkeypatch, tmp_path):
+        # a random table is a metric by construction; a uniform one and a
+        # metric file are validated once each
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps([["0" if i == j else "1/4" for j in range(12)] for i in range(12)]))
         calls = []
         validate = finite._validate_metric
-        monkeypatch.setattr(finite, "_validate_metric", lambda *args: calls.append(args) or validate(*args))
-        for metric in ("random:1", "random:2", "uniform:1/4"):
+        for module in (cli, finite):
+            monkeypatch.setattr(module, "_validate_metric", lambda *args: calls.append(args) or validate(*args))
+        counts = []
+        for metric in ("random:1", "random:2", "uniform:1/4", str(path)):
             argv = ["embed", "--system", "cycles:7,5", "--metric", metric, "--epsilon", "1/10"]
             assert run_cli(capsys, *argv)[0] == 0
-        assert len(calls) == 3
+            counts.append(len(calls))
+        assert counts == [0, 0, 1, 2]
+
+    def test_complex_validated_only_as_a_file(self, capsys, monkeypatch, tmp_path):
+        # standard complexes are built valid; a complex file is validated
+        # once, as it is read
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(complexes.build_en_zp(2, 1).to_json()))
+        calls = []
+        validate = complexes._validate_complex
+        monkeypatch.setattr(complexes, "_validate_complex", lambda k: calls.append(k) or validate(k))
+        counts = []
+        for argv in (
+            ["complex", "coindex", "--complex", "en-zp:p=2,n=3"],
+            ["complex", "en-zp", "--p", "2", "--n", "3"],
+            ["complex", "coindex", "--complex", str(path)],
+        ):
+            assert run_cli(capsys, *argv)[0] == 0
+            counts.append(len(calls))
+        assert counts == [0, 0, 1]
 
     def test_mdim_pipeline_levels_at_the_cap(self, capsys):
         code, report, _ = run_cli(capsys, "mdim", "pipeline", "--N", "2", "--levels", "1000")
@@ -329,6 +354,51 @@ class TestExitCodes:
                 None,
                 "100005 coordinates, over the cap of 100000 on periodic points",
             ),
+            (
+                ["complex", "coindex"],
+                ("--complex", {"p": 4, "vertices": [0, 1], "simplices": [[0], [1]], "action": [1, 0]}),
+                "p must be prime",
+            ),
+            (
+                ["complex", "coindex"],
+                ("--complex", {"p": 2, "vertices": [0, 1], "simplices": [[0, 2]], "action": [1, 0]}),
+                "simplex references an unknown vertex",
+            ),
+            (
+                ["complex", "coindex"],
+                ("--complex", {"p": 2, "vertices": [0, 1], "simplices": [[0], [1]], "action": [0, 0]}),
+                "action must be a permutation of the vertices",
+            ),
+            (
+                ["complex", "coindex"],
+                ("--complex", {"p": 2, "vertices": [0, 1, 2], "simplices": [[0], [1], [2]], "action": [1, 2, 0]}),
+                "action must have order dividing p",
+            ),
+            (
+                ["complex", "coindex"],
+                ("--complex", {"p": 2, "vertices": [0, 1, 2, 3], "simplices": [[0, 1], [2], [3]], "action": [2, 3, 0, 1]}),
+                "action is not simplicial",
+            ),
+            (
+                ["markers", "search", "--N", "2"],
+                ("--system", {"points": ["a", "b"], "perm": [0, 0]}),
+                "perm must be a bijection of the points",
+            ),
+            (
+                ["embed", "--system", "cycles:2", "--epsilon", "1/5"],
+                ("--metric", [["0", "1/4"], ["1/2", "0"]]),
+                "metric must be symmetric",
+            ),
+            (
+                ["embed", "--system", "cycles:3", "--epsilon", "1/5"],
+                ("--metric", [["0", "1/8", "1"], ["1/8", "0", "1/8"], ["1", "1/8", "0"]]),
+                "metric violates the triangle inequality",
+            ),
+            (
+                ["embed", "--system", "cycles:3", "--metric", "uniform:-1/4", "--epsilon", "1/5"],
+                None,
+                "metric must be nonnegative",
+            ),
         ],
         ids=[
             "complex-without-n",
@@ -395,6 +465,15 @@ class TestExitCodes:
             "conjugacy-over-coordinate-cap",
             "tower-verify-over-coordinate-cap",
             "aperiodicity-over-coordinate-cap",
+            "complex-file-p-not-prime",
+            "complex-file-unknown-vertex",
+            "complex-file-action-not-a-permutation",
+            "complex-file-action-order-not-dividing-p",
+            "complex-file-action-not-simplicial",
+            "system-file-perm-not-a-bijection",
+            "metric-file-asymmetric",
+            "metric-file-breaks-triangle-inequality",
+            "metric-uniform-negative",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):

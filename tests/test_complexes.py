@@ -24,9 +24,10 @@ from mdkit.complexes import (
     smith_normal_form_diagonal,
     verify_equivariant_simplicial,
 )
-from mdkit.complexes import _invariant_factors
+from mdkit.complexes import _invariant_factors, _validate_complex
 
 from oracles import (
+    complex_violations,
     free_action_by_all_powers,
     invariant_factors_by_minors,
     order_divides_by_all_powers,
@@ -155,21 +156,22 @@ class TestFreeAction:
         assert not check_free_action(k)
 
     def test_non_simplicial_action_rejected(self):
+        k = FreeZpComplex(
+            2,
+            ("a", "b", "c", "d"),
+            frozenset(
+                {
+                    frozenset({0}),
+                    frozenset({1}),
+                    frozenset({2}),
+                    frozenset({3}),
+                    frozenset({0, 1}),
+                }
+            ),
+            (2, 3, 0, 1),
+        )
         with pytest.raises(ValueError, match="not simplicial"):
-            FreeZpComplex(
-                2,
-                ("a", "b", "c", "d"),
-                frozenset(
-                    {
-                        frozenset({0}),
-                        frozenset({1}),
-                        frozenset({2}),
-                        frozenset({3}),
-                        frozenset({0, 1}),
-                    }
-                ),
-                (2, 3, 0, 1),
-            )
+            _validate_complex(k)
 
     def test_generator_alone_decides_freeness(self):
         # random complexes closed under a random action of order p, with some
@@ -191,6 +193,7 @@ class TestFreeAction:
                         maximal.append(face)
                         face = [action[v] for v in face]
                 k = FreeZpComplex.from_maximal(p, range(n), maximal, action)
+                assert complex_violations(k) == [], (p, action, maximal)
                 verdicts.append(check_free_action(k))
                 assert verdicts[-1] == free_action_by_all_powers(k), (p, action, maximal)
         assert 20 < sum(verdicts) < len(verdicts) - 20
@@ -214,11 +217,12 @@ class TestFreeAction:
                     start += length
                 vertices = frozenset(frozenset({v}) for v in range(n))
                 verdicts.append(order_divides_by_all_powers(action, p))
+                complex_ = FreeZpComplex(p, tuple(range(n)), vertices, tuple(action))
                 if verdicts[-1]:
-                    FreeZpComplex(p, tuple(range(n)), vertices, tuple(action))
+                    _validate_complex(complex_)
                 else:
                     with pytest.raises(ValueError, match="action must have order dividing p"):
-                        FreeZpComplex(p, tuple(range(n)), vertices, tuple(action))
+                        _validate_complex(complex_)
         assert 20 < sum(verdicts) < len(verdicts) - 20
 
 
@@ -523,6 +527,59 @@ class TestBoundCombinators:
         universal = coindex_map(joined)
         assert universal.lower == 3
         assert universal.lower == start.lower + 1
+
+
+class TestBuilderOutputs:
+    # builders are trusted at run time: the oracle holds their outputs to
+    # every condition a complex read from a file must meet
+
+    def test_standard_complexes_valid(self):
+        for p in (2, 3, 5, 7):
+            assert complex_violations(FreeZpComplex.empty(p)) == [], p
+            for n in range(4):
+                assert complex_violations(build_en_zp(p, n)) == [], (p, n)
+
+    def test_joins_valid(self):
+        # pairs of standard complexes whose join is at most 3-dimensional
+        for p in (2, 3, 5, 7):
+            for a, b in [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]:
+                joined = join_complexes(build_en_zp(p, a), build_en_zp(p, b))
+                assert complex_violations(joined) == [], (p, a, b)
+
+    def test_complex_file_validated_as_read(self):
+        # from_json refuses exactly the files whose closed complex breaks a
+        # condition, with p prime or not, actions of every kind, and faces
+        # naming vertices outside the list
+        rng = random.Random(1616)
+        verdicts = []
+        for _ in range(300):
+            p = rng.choice((2, 3, 4, 5))
+            n = rng.randint(1, 6)
+            if rng.random() < 0.3:
+                action = [(v + 1) % n for v in range(n)]
+            else:
+                action = rng.sample(range(n), n)
+            if rng.random() < 0.1:
+                action[rng.randrange(n)] = rng.randrange(n + 1)
+            faces = [
+                rng.sample(range(-1 if rng.random() < 0.05 else 0, n), rng.randint(1, min(n, 3)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            data = {"p": p, "vertices": list(range(n)), "simplices": faces, "action": action}
+            closure = frozenset(
+                frozenset(sub)
+                for face in faces
+                for size in range(1, len(face) + 1)
+                for sub in itertools.combinations(face, size)
+            )
+            unchecked = FreeZpComplex(p, tuple(range(n)), closure, tuple(action))
+            verdicts.append(not complex_violations(unchecked))
+            if verdicts[-1]:
+                assert FreeZpComplex.from_json(data) == unchecked
+            else:
+                with pytest.raises(ValueError):
+                    FreeZpComplex.from_json(data)
+        assert 20 < sum(verdicts) < len(verdicts) - 20
 
 
 class TestJsonAndInvariants:

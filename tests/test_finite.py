@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -28,6 +29,8 @@ from oracles import (
     early_returns_by_powers,
     marker_exists_bruteforce,
     marker_exists_vectorized,
+    metric_violations,
+    perm_is_bijection,
     phi_by_backward_walk,
     projection_by_clock_walk,
     uniform_metric,
@@ -70,19 +73,19 @@ class TestStructure:
 
     def test_perm_validation(self):
         with pytest.raises(ValueError, match="bijection"):
-            FiniteSystem(("a", "b"), (0, 0))
+            FiniteSystem.from_json({"points": ["a", "b"], "perm": [0, 0]})
 
     def test_metric_validation(self):
         bad = ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(0)))
         with pytest.raises(ValueError, match="symmetric"):
-            FiniteSystem(("a", "b"), (1, 0), bad)
+            finite._validate_metric(bad, 2)
         skewed = (
             (Fraction(0), Fraction(1), Fraction(10)),
             (Fraction(1), Fraction(0), Fraction(1)),
             (Fraction(10), Fraction(1), Fraction(0)),
         )
         with pytest.raises(ValueError, match="triangle"):
-            FiniteSystem(("a", "b", "c"), (1, 2, 0), skewed)
+            finite._validate_metric(skewed, 3)
 
     def test_json_round_trip(self):
         sys_ = FiniteSystem.from_cycle_lengths([2], metric=uniform_metric(2, Fraction(1, 4)))
@@ -468,8 +471,60 @@ class TestRandomGenerators:
             assert sys_.size <= 12
 
     def test_random_metric_valid(self):
-        rng = random.Random(7)
-        metric = random_metric(rng, 6)
-        FiniteSystem.from_cycle_lengths([6], metric=metric)
-        values = {metric[i][j] for i in range(6) for j in range(6) if i != j}
-        assert all(Fraction(1, 8) <= v <= Fraction(1, 4) for v in values)
+        # a random table is trusted at run time, so sizes 1-16 are held to
+        # the metric axioms over many seeds
+        for size in range(1, 17):
+            for seed in range(20):
+                metric = random_metric(random.Random(seed), size)
+                assert metric_violations(metric, size) == [], (size, seed)
+                values = {metric[i][j] for i in range(size) for j in range(size) if i != j}
+                assert all(Fraction(1, 8) <= v <= Fraction(1, 4) for v in values)
+
+    def test_system_builders_make_bijections(self):
+        # cycle and clock systems are trusted at run time
+        rng = random.Random(11)
+        for _ in range(100):
+            base = FiniteSystem.from_cycle_lengths(
+                [rng.randint(1, 7) for _ in range(rng.randint(1, 4))]
+            )
+            assert perm_is_bijection(base), base
+            for n in (1, 2, 3):
+                assert perm_is_bijection(time_division(base, n)), (base, n)
+            assert perm_is_bijection(random_system(rng)), base
+
+    def test_system_file_validated_as_read(self):
+        # from_json refuses exactly the perms that are not bijections, and
+        # exactly the metrics that break an axiom
+        rng = random.Random(12)
+        verdicts = []
+        for _ in range(200):
+            size = rng.randint(1, 5)
+            if rng.random() < 0.7:
+                perm = rng.sample(range(size), size)
+            else:
+                perm = [rng.randrange(size) for _ in range(size)]
+            data = {"points": list(range(size)), "perm": perm}
+            if rng.random() < 0.6:
+                # symmetric with a zero diagonal, so only the triangle
+                # inequality can fail, unless one entry is then overwritten
+                rows = [[0] * size for _ in range(size)]
+                for i, j in itertools.combinations(range(size), 2):
+                    rows[i][j] = rows[j][i] = rng.randint(1, 3)
+                if rng.random() < 0.3:
+                    rows[rng.randrange(size)][rng.randrange(size)] = rng.randint(-1, 3)
+                data["metric"] = [[f"{d}/4" for d in row] for row in rows]
+            unchecked = FiniteSystem(
+                tuple(data["points"]),
+                tuple(perm),
+                finite.metric_from_json(data["metric"]) if "metric" in data else None,
+            )
+            valid = perm_is_bijection(unchecked) and (
+                unchecked.metric is None or not metric_violations(unchecked.metric, size)
+            )
+            verdicts.append(valid)
+            if valid:
+                assert FiniteSystem.from_json(data) == unchecked
+            else:
+                with pytest.raises(ValueError):
+                    FiniteSystem.from_json(data)
+        assert 20 < sum(verdicts) < len(verdicts) - 20
