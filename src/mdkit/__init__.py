@@ -1,7 +1,8 @@
 """mdkit: exact-rational toolkit for torus-alphabet subshifts and their towers.
 
 Modules cover circle arithmetic on one point type, the integer-encoded
-:class:`~mdkit.torus.TorusVec` (:mod:`mdkit.torus`), sequence spaces and
+:class:`~mdkit.torus.TorusVec` and its sequences as integer columns,
+:class:`~mdkit.torus.TorusSeq` (:mod:`mdkit.torus`), sequence spaces and
 membership checks (:mod:`mdkit.shiftspace`), the factorial-gap
 factor/section tower (:mod:`mdkit.tower`), free prime-order simplicial
 complexes with coindex bounds (:mod:`mdkit.complexes`), finite permutation
@@ -13,6 +14,7 @@ rationals; identities are asserted with equality, never tolerances.
 __version__ = "0.1.0"
 
 from .torus import (  # noqa: F401
+    TorusSeq,
     TorusVec,
     max_circle_dist,
 )

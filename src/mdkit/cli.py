@@ -404,7 +404,9 @@ def _run_markers_transfer(args) -> dict:
 def _parse_metric(text: str, size: int) -> tuple[tuple[Fraction, ...], ...]:
     """Shorthand "uniform:1/4" or "random:<seed>", or a path to a JSON
     distance matrix.  A random table is a metric by construction (see
-    ``random_metric``); every other table is validated here."""
+    ``random_metric``); a uniform table is one exactly when it has fewer
+    than two points or a nonnegative value, since then v <= v + v; a file
+    is validated here."""
     if text.startswith("random:"):
         try:
             seed = int(text.split(":", 1)[1])
@@ -416,11 +418,12 @@ def _parse_metric(text: str, size: int) -> tuple[tuple[Fraction, ...], ...]:
         return random_metric(random.Random(seed), size)
     if text.startswith("uniform:"):
         value = frac_from_str(text.split(":", 1)[1])
-        metric = tuple(
+        if size >= 2 and value < 0:
+            raise ValueError("metric must be nonnegative")
+        return tuple(
             tuple(Fraction(0) if i == j else value for j in range(size)) for i in range(size)
         )
-    else:
-        metric = metric_from_json(_read_json(text))
+    metric = metric_from_json(_read_json(text))
     _validate_metric(metric, size)
     return metric
 

@@ -1,7 +1,15 @@
 """Finitely described points of torus-alphabet sequence spaces.
 
 A sequence point is either a full periodic orbit (period plus one period of
-values) or a finite window (start index plus consecutive values).  Subshift
+values) or a finite window (start index plus consecutive values).  Either
+holds its values as one :class:`~mdkit.torus.TorusSeq`, integer columns over
+one denominator; shifts, dilations, unrolling, the gap and adjacent-step
+membership checks and the samplers work on those columns, and a vector is
+built only when a caller reads one (``value_at``, ``values``) or a binary
+SFT reads its letters.  The samplers draw on the k/64 grid
+with the same ``randrange`` calls, in the same order, as drawing one vector
+at a time with :func:`random_torus_vec`, so a seed gives the same points
+whatever the representation.  Subshift
 constraints are declarative: a minimum distance between entries a fixed gap
 apart, a disjunction of distance conditions on the two adjacent steps, or a
 binary subshift of finite type given by its forbidden words.  Membership
@@ -15,76 +23,106 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .torus import (
+    TorusSeq,
     TorusVec,
-    dist_at_least,
+    concat,
     first_far,
     gap_distances,
-    max_circle_dist,
 )
 
 # ---------------------------------------------------------------------------
 # Sequence points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Periodic:
-    """A periodic point: ``values`` is one full period, indexed mod period."""
+    """A periodic point: ``seq`` is one full period, indexed mod period.
 
-    values: tuple[TorusVec, ...]
+    ``Periodic(values)`` takes one period of vectors and converts it once;
+    :meth:`Periodic.from_seq` takes a :class:`TorusSeq` as it is.
+    """
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
+    seq: TorusSeq
+
+    def __init__(self, values: Iterable[TorusVec]) -> None:
+        values = tuple(values)
         if not values:
             raise ValueError("a periodic point needs period >= 1")
-        dims = {v.dim for v in values}
-        if len(dims) != 1:
-            raise ValueError("alphabet dimension mismatch")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "seq", TorusSeq.of(values))
+
+    @classmethod
+    def from_seq(cls, seq: TorusSeq) -> "Periodic":
+        if not len(seq):
+            raise ValueError("a periodic point needs period >= 1")
+        point = object.__new__(cls)
+        object.__setattr__(point, "seq", seq)
+        return point
+
+    @property
+    def values(self) -> tuple[TorusVec, ...]:
+        """One period as vectors, built on each read."""
+        return tuple(self.seq)
 
     @property
     def period(self) -> int:
-        return len(self.values)
+        return len(self.seq)
 
     @property
     def dim(self) -> int:
-        return self.values[0].dim
+        return self.seq.dim
 
     def value_at(self, n: int) -> TorusVec:
-        return self.values[n % self.period]
+        return self.seq[n % len(self.seq)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Window:
-    """A finite stretch of a sequence: entries at ``start .. start+len-1``."""
+    """A finite stretch of a sequence: entries at ``start .. start+len-1``.
+
+    ``Window(start, values)`` takes vectors and converts them once;
+    :meth:`Window.from_seq` takes a :class:`TorusSeq` as it is.
+    """
 
     start: int
-    values: tuple[TorusVec, ...]
+    seq: TorusSeq
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
+    def __init__(self, start: int, values: Iterable[TorusVec]) -> None:
+        values = tuple(values)
         if not values:
             raise ValueError("a window needs at least one value")
-        dims = {v.dim for v in values}
-        if len(dims) != 1:
-            raise ValueError("alphabet dimension mismatch")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "seq", TorusSeq.of(values))
+
+    @classmethod
+    def from_seq(cls, start: int, seq: TorusSeq) -> "Window":
+        if not len(seq):
+            raise ValueError("a window needs at least one value")
+        window = object.__new__(cls)
+        object.__setattr__(window, "start", start)
+        object.__setattr__(window, "seq", seq)
+        return window
+
+    @property
+    def values(self) -> tuple[TorusVec, ...]:
+        """The entries as vectors, built on each read."""
+        return tuple(self.seq)
 
     @property
     def end(self) -> int:
         """Last defined index (inclusive)."""
-        return self.start + len(self.values) - 1
+        return self.start + len(self.seq) - 1
 
     @property
     def dim(self) -> int:
-        return self.values[0].dim
+        return self.seq.dim
 
     def value_at(self, n: int) -> TorusVec:
         if not self.start <= n <= self.end:
             raise IndexError(f"index {n} outside window [{self.start}, {self.end}]")
-        return self.values[n - self.start]
+        return self.seq[n - self.start]
 
 
 SeqPoint = Union[Periodic, Window]
@@ -94,15 +132,16 @@ def shift(x: SeqPoint, k: int) -> SeqPoint:
     """The k-fold shift: the new value at n is the old value at n + k."""
     if isinstance(x, Periodic):
         p = x.period
-        return Periodic(tuple(x.values[(i + k) % p] for i in range(p)))
-    return Window(x.start - k, x.values)
+        return Periodic.from_seq(x.seq.take([(i + k) % p for i in range(p)]))
+    return Window.from_seq(x.start - k, x.seq)
 
 
 def unroll(x: Periodic, lo: int, hi: int) -> Window:
     """Materialize a periodic point as a window on [lo, hi] (inclusive)."""
     if hi < lo:
         raise ValueError("unroll needs lo <= hi")
-    return Window(lo, tuple(x.value_at(n) for n in range(lo, hi + 1)))
+    p = x.period
+    return Window.from_seq(lo, x.seq.take([n % p for n in range(lo, hi + 1)]))
 
 
 def power_map(j: int, x: Periodic) -> Periodic:
@@ -110,7 +149,7 @@ def power_map(j: int, x: Periodic) -> Periodic:
     if not isinstance(x, Periodic):
         raise ValueError("power map requires a periodic point")
     p = x.period
-    return Periodic(tuple(x.values[(i * j) % p] for i in range(p)))
+    return Periodic.from_seq(x.seq.take([(i * j) % p for i in range(p)]))
 
 
 def seq_to_json(x: SeqPoint) -> dict:
@@ -264,20 +303,24 @@ def check_membership(spec: SubshiftSpec, x: SeqPoint) -> MembershipReport:
     if spec.dim != x.dim:
         raise ValueError("alphabet dimension mismatch")
     records: list[CheckRecord] = []
+    cyclic = isinstance(x, Periodic)
+    first = 0 if cyclic else x.start  # index of the first stored entry
     if isinstance(spec, GapAtLeast):
-        dists, den = gap_distances(x.values, spec.gap, isinstance(x, Periodic))
+        dists, den = gap_distances(x.seq, spec.gap, cyclic)
         # d/den >= threshold, in integers; one Fraction per distinct distance
         bar, scale = spec.threshold.numerator * den, spec.threshold.denominator
-        lhs: dict[int, Fraction] = {}
-        for n, d in zip(_checkable_range(x, 0, spec.gap), dists):
-            f = lhs.get(d)
-            if f is None:
-                f = lhs[d] = Fraction(d, den)
-            records.append(CheckRecord(n, d * scale >= bar, lhs=f))
+        lhs = {d: Fraction(d, den) for d in set(dists)}
+        records = [
+            CheckRecord(n, d * scale >= bar, lhs[d])
+            for n, d in zip(_checkable_range(x, 0, spec.gap), dists)
+        ]
     elif isinstance(spec, (EitherOrAtLeast, EitherOrEquals)):
+        # steps[k] is the distance from entry k to entry k + 1, cyclically
+        # for a periodic point, so steps[-1] closes the period
+        steps, den = gap_distances(x.seq, 1, cyclic)
         for n in _checkable_range(x, -1, 1):
-            d_prev = max_circle_dist(x.value_at(n - 1), x.value_at(n))
-            d_next = max_circle_dist(x.value_at(n), x.value_at(n + 1))
+            d_prev = Fraction(steps[n - 1 - first], den)
+            d_next = Fraction(steps[n - first], den)
             if isinstance(spec, EitherOrAtLeast):
                 ok = d_prev >= spec.threshold or d_next >= spec.threshold
             else:
@@ -285,9 +328,10 @@ def check_membership(spec: SubshiftSpec, x: SeqPoint) -> MembershipReport:
             records.append(CheckRecord(n, ok, lhs=max(d_prev, d_next)))
     else:
         letters = {TorusVec.zero(x.dim): "0", TorusVec.of(*[1] * x.dim): "1"}
-        length = spec.word_length
+        letter = [letters.get(v, "?") for v in x.values]
+        size, length = len(letter), spec.word_length
         for n in _checkable_range(x, 0, length - 1):
-            word = "".join(letters.get(x.value_at(n + j), "?") for j in range(length))
+            word = "".join(letter[(n + j - first) % size] for j in range(length))
             ok = "?" not in word and word not in spec.forbidden
             records.append(CheckRecord(n, ok, word=word))
     if not records:
@@ -310,16 +354,17 @@ def random_torus_vec(rng: random.Random, dim: int) -> TorusVec:
     return TorusVec(tuple(rng.randrange(2 * GRID) for _ in range(dim)), GRID)
 
 
-def _draw_after(
-    rng: random.Random, dim: int, threshold: Fraction, prev: TorusVec
-) -> tuple[TorusVec, int]:
-    """A grid vector at distance >= threshold from ``prev``, and the draws it took.
+def _draw_seq(
+    rng: random.Random, dim: int, length: int, gap: int = 1, threshold: Fraction = Fraction(0)
+) -> tuple[TorusSeq, int]:
+    """Grid entries drawn in index order, each redrawn until it lies at distance
+    >= threshold from the entry ``gap`` back; and the draws it took.
 
-    Each draw makes the same ``randrange`` calls as ``random_torus_vec`` and
-    is tested on its raw grid numerators; only the accepted one is built.
+    Each draw makes the same ``randrange`` calls as ``random_torus_vec``, and
+    threshold 0 keeps every draw, so the stream matches drawing vectors one by
+    one.
     """
-    draws = ([rng.randrange(2 * GRID) for _ in range(dim)] for _ in range(SLOT_TRIES))
-    found = first_far(draws, prev, threshold, GRID)
+    found = first_far(rng, dim, length, gap, threshold, GRID, SLOT_TRIES)
     if found is None:
         raise ValueError(f"sampling gave up after {SLOT_TRIES} draws of one entry")
     return found
@@ -350,30 +395,34 @@ def sample_periodic_gap_point(
     uniform.  Emptiness is decided on the grid before any draw.
     """
     spec = gap_space(dim, gap, threshold)
+    t = spec.threshold
     cycles = math.gcd(gap, period)
     length = period // cycles
-    what = f"period-{period} point with distance >= {spec.threshold} at gap {gap}"
-    if not _grid_cycle_closes(dim, spec.threshold, length):
+    what = f"period-{period} point with distance >= {t} at gap {gap}"
+    if not _grid_cycle_closes(dim, t, length):
         raise ValueError(f"no {what} exists on the k/{GRID} grid")
-    values: dict[int, TorusVec] = {}
+    walks = []
     drawn = 0
-    for first in range(cycles):
+    for _ in range(cycles):
         while drawn < MAX_DRAWS:
-            walk = [random_torus_vec(rng, dim)]
-            for _ in range(length - 1):
-                v, tries = _draw_after(rng, dim, spec.threshold, walk[-1])
-                walk.append(v)
-                drawn += tries
-            drawn += 1
-            if dist_at_least(walk[-1], walk[0], spec.threshold):
+            walk, tries = _draw_seq(rng, dim, length, 1, t)
+            drawn += tries
+            # the closing edge joins the walk's last entry to its first
+            (d,), den = gap_distances(walk, length - 1, False)
+            if d * t.denominator >= t.numerator * den:
                 break
         else:
             raise ValueError(
                 f"sampling gave up after {drawn} draws: a {what} exists on the "
                 f"k/{GRID} grid, but none was drawn (undetermined)"
             )
-        values.update(((first + step * gap) % period, v) for step, v in enumerate(walk))
-    return Periodic(tuple(values[i] for i in range(period)))
+        walks.append(walk)
+    # step s of walk f sits at residue (f + s*gap) % period
+    position = [0] * period
+    for f in range(cycles):
+        for s in range(length):
+            position[(f + s * gap) % period] = f * length + s
+    return Periodic.from_seq(concat(*walks).take(position))
 
 
 def sample_gap_window(
@@ -385,15 +434,12 @@ def sample_gap_window(
     left to right, each against the entry one gap back.
     """
     spec = gap_space(dim, gap, threshold)
-    values = [random_torus_vec(rng, dim) for _ in range(min(gap, length))]
-    for i in range(gap, length):
-        values.append(_draw_after(rng, dim, spec.threshold, values[i - gap])[0])
-    return Window(start, tuple(values))
+    return Window.from_seq(start, _draw_seq(rng, dim, length, gap, spec.threshold)[0])
 
 
 def random_window(dim: int, start: int, length: int, rng: random.Random) -> Window:
     """An unconstrained random window (no membership requirement)."""
-    return Window(start, tuple(random_torus_vec(rng, dim) for _ in range(length)))
+    return Window.from_seq(start, _draw_seq(rng, dim, length)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +668,7 @@ def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> Periodi
         raise ValueError("witness construction insufficient for this threshold")
     c = p // 2
     g = pow(gap % p, -1, p)
-    point = Periodic(tuple(TorusVec((2 * n * c * g,) * dim, p) for n in range(p)))
+    point = Periodic.from_seq(TorusSeq((tuple(2 * n * c * g for n in range(p)),) * dim, p))
     report = check_membership(gap_space(dim, gap, threshold), point)
     if not report.passed:
         raise AssertionError("witness construction failed its own membership check")

@@ -9,23 +9,32 @@ difference, so the diameter is exactly 1 and the metric is invariant under
 translation; the metric on vectors is the coordinatewise max.  Vectors form
 the alphabet of the sequence spaces in :mod:`mdkit.shiftspace`.
 
-The integer encoding stays inside this module: other modules build vectors
-with :meth:`TorusVec.of`, measure them with :func:`max_circle_dist` and test
-thresholds with :func:`dist_at_least`.  ``Fraction`` appears only at the
-edges: construction from rationals, JSON and :func:`max_circle_dist`.
-Everything is exact: no floats, no tolerances.
+A finite sequence of vectors is a :class:`TorusSeq`: one shared
+denominator and one column of numerators per coordinate, in lowest terms
+like a vector, so equal sequences compare and hash equal.  Windows and
+periodic points hold one, and the sequence kernels take and return one
+(:func:`strided_sums`, :func:`solve_strided_sums`, :func:`gap_distances`,
+:func:`first_far`, :func:`concat`, :func:`unequal_entries`): each works on
+plain integers mod ``2*den``, lifts to a common denominator at most once
+and only when the denominators differ, and builds no vector.  A vector is
+built from a sequence only where one is read: by indexing or iterating it.
 
-Whole sequences have kernels of their own (:func:`strided_sums`,
-:func:`solve_strided_sums`, :func:`gap_distances`, :func:`first_far`): each
-lifts its vectors to one common denominator once, works on plain integers
-mod ``2*den`` one coordinate at a time, and builds each output vector once.
+Only this module reads the integer encoding: other modules build vectors
+with :meth:`TorusVec.of` (or from integers, ``TorusVec(nums, den)``),
+sequences with :meth:`TorusSeq.of`, ``TorusSeq(columns, den)`` or a kernel,
+measure vectors with :func:`max_circle_dist` and test thresholds with
+:func:`dist_at_least`.  ``Fraction`` appears only at the edges:
+construction from rationals, JSON and :func:`max_circle_dist`.  Everything
+is exact: no floats, no tolerances.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -173,68 +182,176 @@ def vec_sum(vectors: Iterable[TorusVec]) -> TorusVec:
 
 
 # ---------------------------------------------------------------------------
-# Sequence kernels
+# Sequences: one integer column per coordinate over one shared denominator
 
 
-def _lift_rows(values: Sequence[TorusVec], den: int) -> list[tuple[int, ...]]:
-    """The numerators of each of ``values`` over ``den``, a multiple of every denominator."""
-    return [v.nums if v.den == den else tuple(k * (den // v.den) for k in v.nums) for v in values]
+@dataclass(frozen=True, slots=True)
+class TorusSeq:
+    """A finite sequence of alphabet vectors, held as integer columns.
 
-
-def _lift_columns(values: Sequence[TorusVec], den: int) -> list[list[int]]:
-    """The coordinate columns of ``values`` as numerators over ``den``.
-
-    ``den`` must be a multiple of every denominator; an empty sequence has
-    no columns.
+    Entry k has coordinate i equal to ``columns[i][k]/den`` mod 2; every
+    column has the sequence's length and there is one column per coordinate,
+    so a sequence of length 0 still has its dimension.  The stored form is
+    canonical as a :class:`TorusVec`'s is: every numerator lies in
+    [0, 2*den) and den shares no factor with all of them, so ``==`` and
+    ``hash`` agree with equality of the sequences of values.  Build one from
+    vectors with :meth:`TorusSeq.of`.  Indexing gives a vector, slicing a
+    sequence; only indexing and iteration build vectors.
     """
-    return [list(column) for column in zip(*_lift_rows(values, den))]
+
+    columns: tuple[tuple[int, ...], ...]
+    den: int = 1
+
+    def __post_init__(self) -> None:
+        columns, den = tuple(tuple(column) for column in self.columns), self.den
+        if not columns:
+            raise ValueError("alphabet dimension must be positive")
+        if not isinstance(den, int) or den < 1:
+            raise ValueError("denominator must be a positive integer")
+        if len({len(column) for column in columns}) > 1:
+            raise ValueError("every column of a sequence needs the same length")
+        if not all(isinstance(k, int) for column in columns for k in column):
+            raise TypeError("TorusSeq takes integers; build from vectors with TorusSeq.of")
+        full = 2 * den
+        _canonical_seq(self, tuple(tuple(k % full for k in column) for column in columns), den)
+
+    @classmethod
+    def of(cls, vectors: Iterable[TorusVec], dim: int | None = None) -> "TorusSeq":
+        """The sequence of ``vectors``, lifted once to their common denominator.
+
+        ``dim`` is needed only for an empty sequence; when given it must
+        agree with every vector.
+        """
+        vectors = tuple(vectors)
+        dims = {len(v.nums) for v in vectors}
+        if dim is not None:
+            dims.add(dim)
+        if not dims:
+            raise ValueError("an empty sequence needs its dimension")
+        if len(dims) > 1:
+            raise ValueError("alphabet dimension mismatch")
+        (dim,) = dims
+        den = math.lcm(*{v.den for v in vectors})
+        rows = [v.nums if v.den == den else tuple(k * (den // v.den) for k in v.nums) for v in vectors]
+        return _seq(tuple(zip(*rows)) if rows else ((),) * dim, den)
+
+    @classmethod
+    def zero(cls, dim: int, length: int) -> "TorusSeq":
+        """``length`` zero vectors of dimension ``dim``."""
+        return _seq(((0,) * length,) * dim, 1)
+
+    @property
+    def dim(self) -> int:
+        return len(self.columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _seq(tuple(column[index] for column in self.columns), self.den)
+        return _vec(tuple(column[index] for column in self.columns), self.den)
+
+    def __iter__(self):
+        den = self.den
+        return (_vec(nums, den) for nums in zip(*self.columns))
+
+    def take(self, indices: Sequence[int]) -> "TorusSeq":
+        """The entries at ``indices``, in that order."""
+        if not indices:
+            return self[:0]
+        rows = list(zip(*self.columns))
+        return _seq(zip(*[rows[i] for i in indices]), self.den)
+
+    def __repr__(self) -> str:
+        return f"TorusSeq({list(self)})"
 
 
-def _common_den(*sequences: Sequence[TorusVec]) -> int:
-    """The lcm of all denominators, after checking that all dimensions agree."""
-    shapes = {(len(v.nums), v.den) for seq in sequences for v in seq}
-    if len({dim for dim, _ in shapes}) > 1:
+def _canonical_seq(seq: TorusSeq, columns: tuple[tuple[int, ...], ...], den: int) -> None:
+    """Store ``columns/den`` (entries already in [0, 2*den)) in lowest terms."""
+    g = den
+    for column in columns:
+        if g == 1:
+            break
+        g = math.gcd(g, *column)
+    if g > 1:
+        columns = tuple(tuple(k // g for k in column) for column in columns)
+        den //= g
+    object.__setattr__(seq, "columns", columns)
+    object.__setattr__(seq, "den", den)
+
+
+def _seq(columns: Iterable[tuple[int, ...]], den: int) -> TorusSeq:
+    """A sequence from reduced-range integer columns, skipping the type checks."""
+    seq = object.__new__(TorusSeq)
+    _canonical_seq(seq, tuple(columns), den)
+    return seq
+
+
+def _columns(seq: TorusSeq, den: int) -> tuple[Sequence[int], ...]:
+    """The columns of ``seq`` as numerators over ``den``, a multiple of its denominator."""
+    if seq.den == den:
+        return seq.columns
+    scale = den // seq.den
+    return tuple([k * scale for k in column] for column in seq.columns)
+
+
+def _common_dim(*seqs: TorusSeq) -> int:
+    """The dimension shared by all of ``seqs``."""
+    if len({seq.dim for seq in seqs}) > 1:
         raise ValueError("alphabet dimension mismatch")
-    return math.lcm(*{den for _, den in shapes})
+    return seqs[0].dim
 
 
-def _build(columns: list[list[int]], den: int) -> tuple[TorusVec, ...]:
-    """One canonical vector per row of the reduced-range ``columns``."""
-    return tuple(_vec(nums, den) for nums in zip(*columns))
+def concat(*seqs: TorusSeq) -> TorusSeq:
+    """The sequences one after another, lifted once to their common denominator."""
+    dim = _common_dim(*seqs)
+    den = math.lcm(*(seq.den for seq in seqs))
+    lifted = [_columns(seq, den) for seq in seqs]
+    return _seq((tuple(chain.from_iterable(cols[i] for cols in lifted)) for i in range(dim)), den)
 
 
-def strided_sums(values: Sequence[TorusVec], stride: int, terms: int) -> tuple[TorusVec, ...]:
-    """The sums ``values[k] + values[k + stride] + ... + values[k + (terms-1)*stride]``.
+def unequal_entries(a: TorusSeq, b: TorusSeq) -> list[int]:
+    """The positions at which two sequences of one length hold different vectors."""
+    if len(a) != len(b):
+        raise ValueError("sequence length mismatch")
+    _common_dim(a, b)
+    if a == b:
+        return []
+    den = math.lcm(a.den, b.den)
+    rows_a, rows_b = zip(*_columns(a, den)), zip(*_columns(b, den))
+    return [k for k, (u, v) in enumerate(zip(rows_a, rows_b)) if u != v]
 
-    There is one sum for each k whose terms all lie in ``values``.  After
+
+def strided_sums(seq: TorusSeq, stride: int, terms: int) -> TorusSeq:
+    """The sums ``seq[k] + seq[k + stride] + ... + seq[k + (terms-1)*stride]``.
+
+    There is one sum for each k whose terms all lie in ``seq``.  After
     the first ``stride`` sums each one slides from the sum one stride back,
-    ``F[k] = F[k - stride] - values[k - stride] + values[k + (terms-1)*stride]``,
+    ``F[k] = F[k - stride] - seq[k - stride] + seq[k + (terms-1)*stride]``,
     so a sum costs O(1) whatever ``terms`` is.
     """
     if stride < 0 or terms < 1:
         raise ValueError("strided sums need stride >= 0 and terms >= 1")
     span = (terms - 1) * stride
-    count = len(values) - span
+    count = len(seq) - span
     if count < 1:
         raise ValueError("strided sums need more values than their span")
-    den = _common_den(values)
-    full = 2 * den
+    full = 2 * seq.den
     head = count if stride == 0 else min(stride, count)
     out_columns = []
-    for column in _lift_columns(values, den):
+    for column in seq.columns:
         out = [sum(column[k + t * stride] for t in range(terms)) % full for k in range(head)]
         for k in range(head, count):
             out.append((out[k - stride] - column[k - stride] + column[k + span]) % full)
-        out_columns.append(out)
-    return _build(out_columns, den)
+        out_columns.append(tuple(out))
+    return _seq(out_columns, seq.den)
 
 
-def solve_strided_sums(
-    head: Sequence[TorusVec], sums: Sequence[TorusVec], stride: int, terms: int
-) -> tuple[TorusVec, ...]:
+def solve_strided_sums(head: TorusSeq, sums: TorusSeq, stride: int, terms: int) -> TorusSeq:
     """The continuation of ``head`` whose strided sums are ``sums``.
 
-    Returns ``tail`` such that ``y = head + tail`` has
+    Returns ``tail`` such that ``y = concat(head, tail)`` has
     ``strided_sums(y, stride, terms) == sums``, given the first
     ``(terms-1)*stride`` entries of y as ``head``: entry ``c + j`` of y, with
     ``c = len(head)``, is ``sums[j]`` less the other ``terms - 1`` terms of
@@ -247,73 +364,80 @@ def solve_strided_sums(
     c = (terms - 1) * stride
     if len(head) != c:
         raise ValueError(f"solving strided sums needs a head of {c} entries")
-    if not sums:
-        return ()
-    den = _common_den(head, sums)
+    _common_dim(head, sums)
+    den = math.lcm(head.den, sums.den)
     full = 2 * den
     count = len(sums)
     first = min(stride, count)
-    head_columns = _lift_columns(head, den) or [[] for _ in sums[0].nums]
     out_columns = []
-    for y, s in zip(head_columns, _lift_columns(sums, den)):
+    for y, s in zip(_columns(head, den), _columns(sums, den)):
+        y = list(y)
         for j in range(first):
             y.append((s[j] - sum(y[j : j + c : stride])) % full)
         for j in range(first, count):
             y.append((y[j - stride] + s[j] - s[j - stride]) % full)
-        out_columns.append(y[c:])
-    return _build(out_columns, den)
+        out_columns.append(tuple(y[c:]))
+    return _seq(out_columns, den)
 
 
-def gap_distances(
-    values: Sequence[TorusVec], gap: int, cyclic: bool
-) -> tuple[list[int], int]:
+def gap_distances(seq: TorusSeq, gap: int, cyclic: bool) -> tuple[list[int], int]:
     """Alphabet distances between entries ``gap`` apart, as numerators over one denominator.
 
-    Returns ``(nums, den)``: ``nums[k]/den`` is the distance from
-    ``values[k]`` to ``values[k + gap]``, for every k that has a partner,
-    or for every k with the index taken mod ``len(values)`` when ``cyclic``.
+    Returns ``(nums, den)``: ``nums[k]/den`` is the distance from entry k
+    to entry ``k + gap``, for every k that has a partner, or for every k
+    with the index taken mod ``len(seq)`` when ``cyclic``.
     """
     if gap < 1:
         raise ValueError("gap must be >= 1")
-    count = len(values) if cyclic else len(values) - gap
+    n = len(seq)
+    count = n if cyclic else n - gap
     if count < 1:
         return [], 1
-    den = _common_den(values)
+    den = seq.den
     full = 2 * den
-    dim = len(values[0].nums)
-    # one flat pass over all coordinates, fast for short high-dim inputs too
-    flat = [k for row in _lift_rows(values, den) for k in row]
-    offset = (gap % count if cyclic else gap) * dim
+    dim = seq.dim
+    # one flat pass over all coordinates, entry by entry, fast for short
+    # high-dim inputs too
+    flat = list(chain.from_iterable(zip(*seq.columns)))
+    offset = (gap % n if cyclic else gap) * dim
     partner = flat[offset:] + flat[:offset] if cyclic else flat[offset:]
-    dists = [(u - v) % full for u, v in zip(flat, partner)]
-    dists = [full - d if d > den else d for d in dists]
+    dists = [full - d if (d := (u - v) % full) > den else d for u, v in zip(flat, partner)]
     if dim == 1:
         return dists, den
     return list(map(max, *(dists[i::dim] for i in range(dim)))), den
 
 
 def first_far(
-    candidates: Iterable[Sequence[int]], prev: TorusVec, threshold: Fraction, den: int
-) -> tuple[TorusVec, int] | None:
-    """The first candidate at distance >= threshold from ``prev``, and its 1-based position.
+    rng: random.Random, dim: int, length: int, gap: int, threshold: Fraction, den: int, tries: int
+) -> tuple[TorusSeq, int] | None:
+    """A random sequence on the k/den grid whose entries ``gap`` apart are far apart.
 
-    Candidates are numerator sequences over ``den``, each entry in [0, 2*den).
-    ``prev`` is lifted to ``den`` once and each candidate is tested in
-    integers; only the accepted one is built as a vector.  ``den`` must be a
-    multiple of ``prev``'s denominator.  Returns None when no candidate is
-    far enough.
+    Entries are drawn in index order, each as ``dim`` calls of
+    ``rng.randrange(2*den)``.  Entries 0 .. gap-1 are kept as drawn; every
+    later entry is the first of at most ``tries`` draws at distance
+    >= threshold from the entry ``gap`` back, tested in integers.  Returns
+    the sequence and the number of draws made, or None when some entry
+    finds no far draw within its tries.  Threshold 0 keeps every draw.
     """
-    if den % prev.den:
-        raise ValueError(f"denominator {den} is not a multiple of {prev.den}")
-    (lifted,) = _lift_rows([prev], den)
     full = 2 * den
     # circular distance >= bound iff the difference lies in [bound, full - bound]
     bound = -(-threshold.numerator * den // threshold.denominator)
     high = full - bound
-    for tries, nums in enumerate(candidates, 1):
-        if len(nums) != len(lifted):
-            raise ValueError("alphabet dimension mismatch")
-        for u, v in zip(nums, lifted):
-            if bound <= (u - v) % full <= high:
-                return _vec(tuple(nums), den), tries
-    return None
+    randrange, fulls = rng.randrange, (full,) * dim
+    rows = [list(map(randrange, fulls)) for _ in range(min(gap, length))]
+    drawn = len(rows)
+    for k in range(gap, length):
+        prev = rows[k - gap]
+        for tried in range(1, tries + 1):
+            nums = list(map(randrange, fulls))
+            for u, v in zip(nums, prev):
+                if bound <= (u - v) % full <= high:
+                    break
+            else:
+                continue
+            rows.append(nums)
+            drawn += tried
+            break
+        else:
+            return None
+    return _seq(zip(*rows) if rows else ((),) * dim, den), drawn

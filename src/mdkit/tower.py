@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .shiftspace import (
     Periodic,
@@ -25,10 +25,10 @@ from .shiftspace import (
     check_periodic_coordinates,
     gap_space,
     periodic_witness,
-    random_torus_vec,
+    random_window,
     seq_to_json,
 )
-from .torus import TorusVec, frac_to_str, solve_strided_sums, strided_sums
+from .torus import TorusSeq, concat, frac_to_str, solve_strided_sums, strided_sums, unequal_entries
 
 
 # Coordinates one `tower verify` command may hold, samples * N * (window +
@@ -62,14 +62,14 @@ def _head_length(m: int) -> int:
     return (m - 1) * level_gap(m - 1)
 
 
-def zero_anchor(dim: int, m: int) -> tuple[TorusVec, ...]:
+def zero_anchor(dim: int, m: int) -> TorusSeq:
     """The all-zero head block of the level-m section."""
-    return (TorusVec.zero(dim),) * _head_length(m)
+    return TorusSeq.zero(dim, _head_length(m))
 
 
-def random_anchor(dim: int, m: int, rng: random.Random) -> tuple[TorusVec, ...]:
+def random_anchor(dim: int, m: int, rng: random.Random) -> TorusSeq:
     """A random head block of the level-m section, drawn in index order."""
-    return tuple(random_torus_vec(rng, dim) for _ in range(_head_length(m)))
+    return random_window(dim, 0, _head_length(m), rng).seq
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +91,11 @@ def factor_map(m: int, x: SeqPoint) -> SeqPoint:
     if isinstance(x, Periodic):
         p = x.period
         stride = q % p
-        values = x.values
-        extended = values + tuple(values[i % p] for i in range((m - 1) * stride))
-        return Periodic(strided_sums(extended, stride, m))
+        extended = x.seq.take([i % p for i in range(p + (m - 1) * stride)])
+        return Periodic.from_seq(strided_sums(extended, stride, m))
     if x.end - (m - 1) * q < x.start:
         raise DomainError("domain shrinks to empty")
-    return Window(x.start, strided_sums(x.values, q, m))
+    return Window.from_seq(x.start, strided_sums(x.seq, q, m))
 
 
 def factor_chain(m: int, n: int, x: SeqPoint) -> SeqPoint:
@@ -131,7 +130,7 @@ def section_domain(m: int, lo: int, hi: int) -> tuple[int, int]:
     return lo, hi + (m - 1) * q
 
 
-def section_map(m: int, head: Sequence[TorusVec], x: Window) -> Window:
+def section_map(m: int, head: TorusSeq, x: Window) -> Window:
     """One-sided inverse of the level-m factor map, with a prescribed head block.
 
     On the initial block [0, (m-1)*(m-1)!-1] the output copies ``head``.
@@ -150,12 +149,12 @@ def section_map(m: int, head: Sequence[TorusVec], x: Window) -> Window:
     out_lo, _ = section_domain(m, x.start, x.end)
     if len(head) != (m - 1) * q:
         raise ValueError(f"the level-{m} section needs a head block of {(m - 1) * q} entries")
-    if any(v.dim != x.dim for v in head):
+    if head.dim != x.dim:
         raise ValueError("alphabet dimension mismatch")
-    split = -x.start  # position of index 0 in x.values
-    above = solve_strided_sums(head, x.values[split:], q, m)
-    below = solve_strided_sums(head[::-1], x.values[:split][::-1], q, m)
-    return Window(out_lo, below[::-1] + tuple(head) + above)
+    split = -x.start  # position of index 0 in x.seq
+    above = solve_strided_sums(head, x.seq[split:], q, m)
+    below = solve_strided_sums(head[::-1], x.seq[:split][::-1], q, m)
+    return Window.from_seq(out_lo, concat(below[::-1], head, above))
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +177,10 @@ def windows_agree_on_overlap(a: Window, b: Window) -> tuple[bool, list[int]]:
     hi = min(a.end, b.end)
     if hi < lo:
         raise DomainError("empty overlap")
-    left = a.values[lo - a.start : hi - a.start + 1]
-    right = b.values[lo - b.start : hi - b.start + 1]
-    if left == right:
-        return True, []
-    return False, [lo + i for i, (u, v) in enumerate(zip(left, right)) if u != v]
+    left = a.seq[lo - a.start : hi - a.start + 1]
+    right = b.seq[lo - b.start : hi - b.start + 1]
+    bad = unequal_entries(left, right)
+    return not bad, [lo + i for i in bad]
 
 
 def verify_section_identity(m: int, x: Window, y: Window) -> SectionIdentityReport:
@@ -227,7 +225,7 @@ def verify_section_range(
     pre = check_membership(gap_space(x.dim, q, threshold), x)
     if pre.verdict == "vacuous":
         raise ValueError(
-            f"input window of {len(x.values)} entries is too short to check anything: "
+            f"input window of {len(x.seq)} entries is too short to check anything: "
             f"the level-{m - 1} gap constraint needs more than {q} entries"
         )
     if not pre.passed:
@@ -257,7 +255,7 @@ class TowerSpec:
     dim: int
     delta: Fraction
     m_max: int
-    anchors: Mapping[int, Sequence[TorusVec]] = field(default_factory=dict)
+    anchors: Mapping[int, TorusSeq] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         delta = Fraction(self.delta)
@@ -268,7 +266,7 @@ class TowerSpec:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "anchors", dict(self.anchors))
 
-    def anchor_for(self, level: int) -> Sequence[TorusVec]:
+    def anchor_for(self, level: int) -> TorusSeq:
         """The level's head block; all zeros where the spec sets none."""
         head = self.anchors.get(level)
         return zero_anchor(self.dim, level) if head is None else head
@@ -372,9 +370,7 @@ def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> tuple[dict, ...]:
         if p <= spec.m_max:
             gap = level_gap(p)
             rng = random.Random(p * 7919)
-            sample = Periodic(
-                tuple(random_torus_vec(rng, spec.dim) for _ in range(p))
-            )
+            sample = Periodic.from_seq(random_window(spec.dim, 0, p, rng).seq)
             report = check_membership(gap_space(spec.dim, gap, spec.delta), sample)
             spot_ok = report.verdict == "fail" and all(
                 rec.lhs == 0 for rec in report.records

@@ -16,7 +16,7 @@ import numpy as np
 from mdkit.complexes import HomologyGroup, smith_normal_form_diagonal
 from mdkit.finite import FiniteSystem
 from mdkit.shiftspace import Periodic, Window, check_membership, gap_space, random_torus_vec
-from mdkit.torus import TorusVec, vec_sum
+from mdkit.torus import TorusVec, dist_at_least, vec_sum
 from mdkit.tower import DomainError, level_gap, section_domain
 
 
@@ -106,6 +106,48 @@ def sample_periodic_gap_point_whole_period(dim, gap, threshold, period, rng):
         if check_membership(spec, cand).passed:
             return cand
     raise RuntimeError(f"no period-{period} point drawn in 500,000 tries")
+
+
+def gap_draws_per_entry(rng, dim, length, gap, threshold, tries=None, draw=random_torus_vec):
+    """Entries drawn one vector at a time with ``draw(rng, dim)``: entries
+    0 .. gap-1 as drawn, each later one redrawn until ``dist_at_least`` its
+    entry gap back, at most ``tries`` times (None: no limit).  Returns the
+    vectors and the number of draws, or None when an entry runs out."""
+    values, drawn = [], 0
+    for k in range(length):
+        for _ in range(1 if k < gap else tries or 1 << 62):
+            v = draw(rng, dim)
+            drawn += 1
+            if k < gap or dist_at_least(v, values[k - gap], threshold):
+                values.append(v)
+                break
+        else:
+            return None
+    return values, drawn
+
+
+def sample_gap_window_per_entry(dim, gap, threshold, start, length, rng):
+    """The gap-window sampler vector by vector: one ``random_torus_vec`` per
+    draw, each entry kept once it is far enough from the entry one gap back."""
+    return Window(start, gap_draws_per_entry(rng, dim, length, gap, threshold)[0])
+
+
+def sample_periodic_gap_point_per_entry(dim, gap, threshold, period, rng):
+    """The cycle-walk sampler vector by vector: each of the gcd(gap, period)
+    cycles is walked one ``random_torus_vec`` at a time and redrawn whole
+    until its closing edge is far enough; step s of cycle f sits at residue
+    (f + s*gap) mod period."""
+    cycles = gcd(gap, period)
+    length = period // cycles
+    values = {}
+    for first in range(cycles):
+        while True:
+            walk, _ = gap_draws_per_entry(rng, dim, length, 1, threshold)
+            if dist_at_least(walk[-1], walk[0], threshold):
+                break
+        for step, v in enumerate(walk):
+            values[(first + step * gap) % period] = v
+    return Periodic(values[i] for i in range(period))
 
 
 def closed_grid_walk_lengths(a: int, max_length: int, grid: int = 64) -> set[int]:

@@ -1,8 +1,12 @@
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mdkit import cli, complexes, finite, shiftspace, tower
+from mdkit import cli, complexes, finite, shiftspace, torus, tower
+
+from oracles import uniform_metric
 
 
 def run_cli(capsys, *argv):
@@ -110,8 +114,8 @@ class TestDispatch:
         assert backward.startswith("all 7569 6-markers of the extension project")
 
     def test_embed_validates_its_metric_once(self, capsys, monkeypatch, tmp_path):
-        # a random table is a metric by construction; a uniform one and a
-        # metric file are validated once each
+        # a random table is a metric by construction and a uniform one is
+        # checked by the sign of its value; a metric file is validated once
         path = tmp_path / "metric.json"
         path.write_text(json.dumps([["0" if i == j else "1/4" for j in range(12)] for i in range(12)]))
         calls = []
@@ -123,7 +127,50 @@ class TestDispatch:
             argv = ["embed", "--system", "cycles:7,5", "--metric", metric, "--epsilon", "1/10"]
             assert run_cli(capsys, *argv)[0] == 0
             counts.append(len(calls))
-        assert counts == [0, 0, 1, 2]
+        assert counts == [0, 0, 0, 1]
+
+    def test_uniform_metric_sign_rule_agrees_with_the_validator(self):
+        for size in range(1, 7):
+            for value in (Fraction(-1), Fraction(-1, 4), Fraction(0), Fraction(1, 4), Fraction(3)):
+                table = uniform_metric(size, value)
+                try:
+                    finite._validate_metric(table, size)
+                    expected = None
+                except ValueError as exc:
+                    expected = str(exc)
+                try:
+                    assert cli._parse_metric(f"uniform:{value}", size) == table
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == expected, (size, value)
+        assert cli._parse_metric("uniform:-1/4", 1) == ((Fraction(0),),)
+
+    def test_sequence_commands_build_vectors_only_to_print_them(self, capsys, monkeypatch):
+        # windows, anchors, sections and periodic samples stay integer
+        # columns; a vector is built only where a report prints one
+        argv = {
+            "tower": ["tower", "verify", "--m", "4", "--N", "2", "--window=-24:48",
+                      "--samples", "2", "--seed", "3", "--anchors", "random"],
+            "conjugacy": "shift conjugacy --p 7 --m 3 --N 2 --delta 1/2 --samples 20 --seed 1".split(),
+            "witness": "shift witness --p 3 --m 2".split(),
+        }
+        plain = {name: run_cli(capsys, *args)[:2] for name, args in argv.items()}
+        built = []
+        vec, post_init = torus._vec, torus.TorusVec.__post_init__
+        monkeypatch.setattr(torus, "_vec", lambda *a: built.append(a) or vec(*a))
+        monkeypatch.setattr(torus.TorusVec, "__post_init__", lambda v: built.append(v) or post_init(v))
+        counts = {}
+        for name, args in argv.items():
+            start = len(built)
+            assert run_cli(capsys, *args)[:2] == plain[name]
+            counts[name] = len(built) - start
+        golden = Path(__file__).resolve().parent / "golden"
+        for name, file in (("conjugacy", "shift-conjugacy"), ("witness", "shift-witness")):
+            assert plain[name][1] == json.loads((golden / f"{file}.json").read_text(encoding="utf-8"))
+        printed = len(plain["witness"][1]["checks"][0]["witness"]["witness"]["values"])
+        # the conjugacy report prints no vector, the witness report three
+        assert counts == {"tower": 0, "conjugacy": 0, "witness": printed} and printed == 3
 
     def test_complex_validated_only_as_a_file(self, capsys, monkeypatch, tmp_path):
         # standard complexes are built valid; a complex file is validated

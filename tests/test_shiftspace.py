@@ -30,9 +30,12 @@ from mdkit.shiftspace import (
     verify_conjugacy_diagram,
 )
 from mdkit.torus import TorusVec, frac_from_str
+from mdkit.tower import random_anchor
 from oracles import (
     closed_grid_walk_lengths,
     count_periodic_sft_strings,
+    sample_gap_window_per_entry,
+    sample_periodic_gap_point_per_entry,
     sample_periodic_gap_point_whole_period,
 )
 
@@ -334,6 +337,38 @@ class TestSampling:
         assert [v.to_json() for v in w.values] == [
             ["65/64"], ["91/64"], ["7/64"], ["13/64"], ["5/8"], ["95/64"], ["15/8"]
         ]
+
+    def test_samplers_draw_the_vector_by_vector_stream(self):
+        rng = random.Random(2026)
+        for _ in range(120):
+            dim, gap = rng.choice((1, 2)), rng.randrange(1, 25)
+            start, length = -rng.randrange(0, 30), rng.randrange(1, 80)
+            threshold = rng.choice((Fraction(1, 4), HALF, Fraction(3, 4)))
+            seed = rng.randrange(1 << 30)
+            window = sample_gap_window(dim, gap, threshold, start, length, random.Random(seed))
+            oracle = sample_gap_window_per_entry(dim, gap, threshold, start, length, random.Random(seed))
+            assert window == oracle and window.values == oracle.values
+            m = rng.randrange(2, 6)
+            head = random_anchor(dim, m, random.Random(seed))
+            replay = random.Random(seed)
+            assert list(head) == [random_torus_vec(replay, dim) for _ in range(len(head))]
+
+    def test_periodic_sampler_draws_the_vector_by_vector_stream(self):
+        rng = random.Random(2027)
+        checked = 0
+        for _ in range(150):
+            dim, gap, period = rng.choice((1, 2)), rng.randrange(1, 25), rng.randrange(2, 14)
+            threshold = rng.choice((Fraction(1, 4), HALF))
+            seed = rng.randrange(1 << 30)
+            if gap % period == 0:
+                with pytest.raises(ValueError, match="exists on the k/64 grid"):
+                    sample_periodic_gap_point(dim, gap, threshold, period, random.Random(seed))
+                continue
+            x = sample_periodic_gap_point(dim, gap, threshold, period, random.Random(seed))
+            oracle = sample_periodic_gap_point_per_entry(dim, gap, threshold, period, random.Random(seed))
+            assert x == oracle and x.values == oracle.values
+            checked += 1
+        assert checked > 100
 
     def test_grid_emptiness_rule_matches_closed_walks(self):
         for a in range(1, 65):

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdkit.shiftspace import Window, random_torus_vec
 from mdkit.torus import (
+    TorusSeq,
     TorusVec,
+    concat,
     dist_at_least,
     first_far,
     frac_from_str,
@@ -19,7 +22,7 @@ from mdkit.torus import (
     vec_sum,
 )
 
-from oracles import mixed_den_vec
+from oracles import gap_draws_per_entry, mixed_den_vec
 
 rationals = st.fractions(max_denominator=10**6)
 
@@ -262,6 +265,72 @@ def test_rational_numerators_are_refused():
 
 
 # ---------------------------------------------------------------------------
+# Sequences: integer columns over one denominator
+
+
+def test_sequence_round_trips_its_vectors():
+    rng = random.Random(905)
+    for _ in range(300):
+        dim = rng.choice((1, 2, 3))
+        values = [mixed_den_vec(rng, dim) for _ in range(rng.randrange(0, 12))]
+        seq = TorusSeq.of(values, dim)
+        assert len(seq) == len(values) and seq.dim == dim
+        assert list(seq) == values
+        assert [seq[k] for k in range(-len(values), len(values))] == values + values
+        assert list(seq[2:7:2]) == values[2:7:2] and list(seq[::-1]) == values[::-1]
+        order = [rng.randrange(len(values)) for _ in range(5)] if values else []
+        assert list(seq.take(order)) == [values[i] for i in order]
+        split = rng.randrange(len(values) + 1)
+        assert concat(seq[:split], seq[split:]) == seq
+
+
+def test_sequence_form_is_canonical():
+    rng = random.Random(906)
+    for _ in range(300):
+        dim = rng.choice((1, 2))
+        values = [mixed_den_vec(rng, dim) for _ in range(rng.randrange(1, 10))]
+        seq = TorusSeq.of(values)
+        assert all(0 <= k < 2 * seq.den for column in seq.columns for k in column)
+        assert math.gcd(seq.den, *(k for column in seq.columns for k in column)) == 1
+        assert seq.den == math.lcm(*(v.den for v in values))
+
+
+def test_equal_sequences_built_differently_are_equal_and_hash_equal():
+    half, one = TorusVec.of(Fraction(1, 2)), TorusVec.of(1)
+    built = [
+        TorusSeq.of([half, one, TorusVec.zero(1)]),
+        TorusSeq(((64, 128, 0),), 128),
+        TorusSeq(((1, 6, 4),), 2),
+        TorusSeq.of([TorusVec((32,), 64), half + half, one + one]),
+        strided_sums(TorusSeq.of([TorusVec.of(Fraction(1, 6)), TorusVec.of(Fraction(1, 3)),
+                                  TorusVec.of(Fraction(2, 3)), TorusVec.of(Fraction(4, 3))]), 1, 2),
+        concat(TorusSeq.of([half]), TorusSeq.of([one]), TorusSeq.zero(1, 1)),
+    ]
+    assert all(seq == built[0] and hash(seq) == hash(built[0]) for seq in built)
+    assert built[0].den == 2 and len(set(built)) == 1
+    windows = [Window(-3, built[0])] + [Window.from_seq(-3, seq) for seq in built]
+    assert all(w == windows[0] and hash(w) == hash(windows[0]) for w in windows)
+    assert Window.from_seq(-2, built[0]) != windows[0]
+    assert TorusSeq.of([half, one]) != built[0] and TorusSeq.zero(1, 3) != TorusSeq.zero(2, 3)
+
+
+def test_sequence_constructor_checks_its_input():
+    with pytest.raises(ValueError, match="alphabet dimension mismatch"):
+        TorusSeq.of([TorusVec.zero(1), TorusVec.zero(2)])
+    with pytest.raises(ValueError, match="alphabet dimension mismatch"):
+        TorusSeq.of([TorusVec.zero(1)], 2)
+    with pytest.raises(ValueError, match="needs its dimension"):
+        TorusSeq.of([])
+    with pytest.raises(ValueError, match="same length"):
+        TorusSeq(((0, 1), (0,)), 2)
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        TorusSeq((), 2)
+    with pytest.raises(TypeError, match=r"TorusSeq\.of"):
+        TorusSeq(((Fraction(1, 2),),))
+    assert TorusSeq(((-1, 5),), 2) == TorusSeq.of([TorusVec.of(Fraction(3, 2)), TorusVec.of(Fraction(1, 2))])
+
+
+# ---------------------------------------------------------------------------
 # Sequence kernels against one vector operation per term
 
 
@@ -272,15 +341,15 @@ def test_strided_sums_match_vec_sums():
         stride, terms = rng.randrange(0, 7), rng.randrange(1, 6)
         values = [mixed_den_vec(rng, dim) for _ in range((terms - 1) * stride + rng.randrange(1, 30))]
         count = len(values) - (terms - 1) * stride
-        expected = tuple(vec_sum(values[k + t * stride] for t in range(terms)) for k in range(count))
-        assert strided_sums(values, stride, terms) == expected
+        expected = [vec_sum(values[k + t * stride] for t in range(terms)) for k in range(count)]
+        assert strided_sums(TorusSeq.of(values), stride, terms) == TorusSeq.of(expected)
 
 
 def test_strided_sums_refuse_short_input():
     with pytest.raises(ValueError, match="more values than their span"):
-        strided_sums([TorusVec.zero(1)] * 4, 2, 3)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        strided_sums([TorusVec.zero(1), TorusVec.zero(2)], 1, 1)
+        strided_sums(TorusSeq.zero(1, 4), 2, 3)
+    with pytest.raises(ValueError, match="stride >= 0 and terms >= 1"):
+        strided_sums(TorusSeq.zero(1, 4), 1, 0)
 
 
 def test_solve_strided_sums_inverts_strided_sums():
@@ -290,10 +359,11 @@ def test_solve_strided_sums_inverts_strided_sums():
         stride, terms = rng.randrange(1, 7), rng.randrange(1, 6)
         head = [mixed_den_vec(rng, dim) for _ in range((terms - 1) * stride)]
         sums = [mixed_den_vec(rng, dim) for _ in range(rng.randrange(0, 40))]
-        tail = solve_strided_sums(head, sums, stride, terms)
-        assert len(tail) == len(sums)
+        tail = solve_strided_sums(TorusSeq.of(head, dim), TorusSeq.of(sums, dim), stride, terms)
+        assert len(tail) == len(sums) and tail.dim == dim
         if sums:
-            assert strided_sums(list(head) + list(tail), stride, terms) == tuple(sums)
+            whole = concat(TorusSeq.of(head, dim), tail)
+            assert strided_sums(whole, stride, terms) == TorusSeq.of(sums)
         # entry by entry: each new entry is its sum less the other terms
         y = list(head)
         for j, s in enumerate(sums):
@@ -301,47 +371,55 @@ def test_solve_strided_sums_inverts_strided_sums():
             for t in range(terms - 1):
                 acc = acc - y[j + t * stride]
             y.append(acc)
-        assert tail == tuple(y[len(head):])
+        assert list(tail) == y[len(head):]
 
 
 def test_solve_strided_sums_needs_a_full_head():
     with pytest.raises(ValueError, match="head of 4 entries"):
-        solve_strided_sums([TorusVec.zero(1)] * 3, [TorusVec.zero(1)], 2, 3)
+        solve_strided_sums(TorusSeq.zero(1, 3), TorusSeq.zero(1, 1), 2, 3)
+    with pytest.raises(ValueError, match="alphabet dimension mismatch"):
+        solve_strided_sums(TorusSeq.zero(1, 4), TorusSeq.zero(2, 1), 2, 3)
 
 
 def test_gap_distances_match_max_circle_dist():
     rng = random.Random(911)
     for _ in range(300):
-        dim = rng.choice((1, 2))
+        dim = rng.choice((1, 2, 5))
         values = [mixed_den_vec(rng, dim) for _ in range(rng.randrange(1, 25))]
         gap = rng.randrange(1, 30)
         n = len(values)
         for cyclic in (False, True):
-            nums, den = gap_distances(values, gap, cyclic)
+            nums, den = gap_distances(TorusSeq.of(values), gap, cyclic)
             pairs = range(n) if cyclic else range(n - gap)
             expected = [max_circle_dist(values[k], values[(k + gap) % n]) for k in pairs]
             assert [Fraction(d, den) for d in nums] == expected
 
 
+def grid_draw(den):
+    """A vector draw on the k/den grid, one ``randrange`` call per coordinate."""
+    return lambda rng, dim: TorusVec(tuple(rng.randrange(2 * den) for _ in range(dim)), den)
+
+
 def test_first_far_matches_dist_at_least():
     rng = random.Random(912)
-    for _ in range(500):
+    for _ in range(400):
         dim = rng.choice((1, 2))
-        den = rng.choice((1, 2, 16, 64))  # prev's denominator must divide 64
-        prev = TorusVec(tuple(rng.randrange(2 * den) for _ in range(dim)), den)
-        t = Fraction(rng.randrange(1, 65), 64)
-        candidates = [tuple(rng.randrange(128) for _ in range(dim)) for _ in range(rng.randrange(0, 6))]
-        expected = next(
-            (
-                (TorusVec(c, 64), i)
-                for i, c in enumerate(candidates, 1)
-                if dist_at_least(TorusVec(c, 64), prev, t)
-            ),
-            None,
-        )
-        assert first_far(iter(candidates), prev, t, 64) == expected
+        den = rng.choice((1, 2, 3, 16, 64))
+        t = Fraction(rng.randrange(0, 65), 64)
+        length, gap, tries = rng.randrange(1, 30), rng.randrange(1, 8), rng.choice((1, 2, 5, 10_000))
+        seed = rng.randrange(1 << 30)
+        got = first_far(random.Random(seed), dim, length, gap, t, den, tries)
+        expected = gap_draws_per_entry(random.Random(seed), dim, length, gap, t, tries, grid_draw(den))
+        if expected is None:
+            assert got is None
+        else:
+            values, drawn = expected
+            assert got == (TorusSeq.of(values), drawn)
 
 
-def test_first_far_refuses_a_coarser_denominator():
-    with pytest.raises(ValueError, match="not a multiple of 3"):
-        first_far([(0,)], TorusVec.of(Fraction(1, 3)), Fraction(1, 2), 64)
+def test_first_far_keeps_every_draw_at_threshold_zero():
+    for dim, length in ((1, 1), (2, 17), (3, 40)):
+        seq, drawn = first_far(random.Random(dim), dim, length, 1, Fraction(0), 64, 1)
+        rng = random.Random(dim)
+        assert drawn == length
+        assert list(seq) == [random_torus_vec(rng, dim) for _ in range(length)]

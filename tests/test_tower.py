@@ -11,11 +11,14 @@ from mdkit.shiftspace import (
     Window,
     check_membership,
     gap_space,
+    half_step_space,
+    no_triple_repeat_sft,
     periodic_witness,
     random_window,
     sample_gap_window,
+    unit_step_space,
 )
-from mdkit.torus import TorusVec, max_circle_dist
+from mdkit.torus import TorusSeq, TorusVec, max_circle_dist
 from mdkit.tower import (
     DomainError,
     TowerElementTrunc,
@@ -194,6 +197,10 @@ class TestKernelsMatchPerEntry:
                 for p in (1, 2, 3, 5, 6, 7, 13, 24, 31):
                     x = Periodic(tuple(mixed_den_vec(rng, dim) for _ in range(p)))
                     assert factor_map(m, x) == factor_map_per_entry(m, x)
+                # period-p witnesses, over denominator p
+                for p in (7, 11, 13):
+                    x = periodic_witness(dim, level_gap(m), HALF, p)
+                    assert factor_map(m, x) == factor_map_per_entry(m, x)
 
     def test_section_map(self):
         rng = random.Random(603)
@@ -204,15 +211,21 @@ class TestKernelsMatchPerEntry:
                 heads = (
                     zero_anchor(dim, m),
                     random_anchor(dim, m, rng),
-                    tuple(mixed_den_vec(rng, dim) for _ in range(c)),
+                    TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(c)),
                 )
                 for lo in (0, -1, -q, -big - 3):
                     for hi in (q - 1, big, 2 * big + 1):
-                        x = Window(lo, tuple(mixed_den_vec(rng, dim) for _ in range(hi - lo + 1)))
-                        for head in heads:
-                            y = section_map(m, head, x)
-                            assert y == section_map_per_entry(m, head, x)
-                            assert verify_section_identity(m, x, y).passed
+                        mixed = Window(lo, tuple(mixed_den_vec(rng, dim) for _ in range(hi - lo + 1)))
+                        # a grid window (denominator 64) under a zero anchor (denominator 1)
+                        grid = sample_gap_window(dim, q, HALF, lo, hi - lo + 1, rng)
+                        for x in (mixed, grid):
+                            for head in heads:
+                                y = section_map(m, head, x)
+                                assert y == section_map_per_entry(m, head, x)
+                                assert verify_section_identity(m, x, y).passed
+                        y = section_map(m, heads[0], grid)
+                        for k in range(y.start, y.end + 1, 5):
+                            assert y.value_at(k) == section_value_oracle(m, heads[0], grid, k)
 
     def test_gap_membership(self):
         rng = random.Random(604)
@@ -226,6 +239,36 @@ class TestKernelsMatchPerEntry:
                     for rec in report.records:
                         d = max_circle_dist(x.value_at(rec.index), x.value_at(rec.index + gap))
                         assert rec.lhs == d and rec.ok == (d >= spec.threshold)
+
+    def test_adjacent_step_and_word_membership(self):
+        rng = random.Random(605)
+        letter = {TorusVec.of(0): "0", TorusVec.of(1): "1"}
+        for _ in range(40):
+            # entries 0 and 1 make both outcomes of each test common
+            draw = [lambda: mixed_den_vec(rng, 1), lambda: TorusVec.of(rng.randrange(2))]
+            values = [rng.choice(draw)() for _ in range(rng.randrange(1, 12))]
+            for x in (Window(rng.randrange(-5, 5), values), Periodic(values)):
+                for spec in (half_step_space(), unit_step_space()):
+                    report = check_membership(spec, x)
+                    n_checked = len(values) if isinstance(x, Periodic) else max(0, len(values) - 2)
+                    assert len(report.records) == n_checked
+                    for rec in report.records:
+                        d_prev, d_next = (
+                            max_circle_dist(x.value_at(rec.index + i), x.value_at(rec.index + i + 1))
+                            for i in (-1, 0)
+                        )
+                        if spec == half_step_space():
+                            ok = d_prev >= spec.threshold or d_next >= spec.threshold
+                        else:
+                            ok = d_prev == spec.value or d_next == spec.value
+                        assert rec.lhs == max(d_prev, d_next) and rec.ok == ok
+                sft = no_triple_repeat_sft()
+                report = check_membership(sft, x)
+                n_checked = len(values) if isinstance(x, Periodic) else max(0, len(values) - 2)
+                assert len(report.records) == n_checked
+                for rec in report.records:
+                    word = "".join(letter.get(x.value_at(rec.index + j), "?") for j in range(3))
+                    assert rec.word == word and rec.ok == ("?" not in word and word not in sft.forbidden)
 
 
 class TestSectionIdentity:
