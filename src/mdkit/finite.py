@@ -31,7 +31,7 @@ from .shiftspace import (
     shift,
     unit_step_space,
 )
-from .torus import TorusVec, frac_from_str, frac_to_str, max_circle_dist
+from .torus import TorusSeq, TorusVec, frac_from_str, frac_to_str, max_circle_dist
 
 # Largest marker count ``enumerate_markers`` lists, checked before any marker
 # is built: the 167,760 2-markers of a 25-cycle take 0.9 s and 150 MB peak
@@ -478,9 +478,9 @@ def _orbit_map(
     whether the map intertwines the dynamics with the shift."""
     unrolled: dict[int, Periodic] = {}
     for cycle in sys_.cycles:
-        values = [images[j] for j in cycle]
+        base = Periodic(TorusSeq.of(images[j] for j in cycle))
         for k, i in enumerate(cycle):
-            unrolled[i] = Periodic(tuple(values[k:] + values[:k]))
+            unrolled[i] = shift(base, k)
     sequences = tuple(unrolled[i] for i in range(sys_.size))
     membership_ok = space is not None and all(
         check_membership(space, seq).passed for seq in sequences

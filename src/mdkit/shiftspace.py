@@ -12,9 +12,10 @@ at a time with :func:`random_torus_vec`, so a seed gives the same points
 whatever the representation.  Subshift
 constraints are declarative: a minimum distance between entries a fixed gap
 apart, a disjunction of distance conditions on the two adjacent steps, or a
-binary subshift of finite type given by its forbidden words.  Membership
-checks report every index at which a constraint was checkable and never
-conflate "nothing was checkable" with "all checks passed".
+binary subshift of finite type given by its forbidden words.  A membership
+check reports the range of indices at which a constraint was checkable and
+the indices at which it fails, and never conflates "nothing was checkable"
+with "all checks passed".
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .torus import (
     TorusSeq,
@@ -37,29 +38,15 @@ from .torus import (
 # Sequence points
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Periodic:
-    """A periodic point: ``seq`` is one full period, indexed mod period.
-
-    ``Periodic(values)`` takes one period of vectors and converts it once;
-    :meth:`Periodic.from_seq` takes a :class:`TorusSeq` as it is.
-    """
+    """A periodic point: ``seq`` is one full period, indexed mod period."""
 
     seq: TorusSeq
 
-    def __init__(self, values: Iterable[TorusVec]) -> None:
-        values = tuple(values)
-        if not values:
+    def __post_init__(self) -> None:
+        if not len(self.seq):
             raise ValueError("a periodic point needs period >= 1")
-        object.__setattr__(self, "seq", TorusSeq.of(values))
-
-    @classmethod
-    def from_seq(cls, seq: TorusSeq) -> "Periodic":
-        if not len(seq):
-            raise ValueError("a periodic point needs period >= 1")
-        point = object.__new__(cls)
-        object.__setattr__(point, "seq", seq)
-        return point
 
     @property
     def values(self) -> tuple[TorusVec, ...]:
@@ -78,32 +65,16 @@ class Periodic:
         return self.seq[n % len(self.seq)]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Window:
-    """A finite stretch of a sequence: entries at ``start .. start+len-1``.
-
-    ``Window(start, values)`` takes vectors and converts them once;
-    :meth:`Window.from_seq` takes a :class:`TorusSeq` as it is.
-    """
+    """A finite stretch of a sequence: entries at ``start .. start+len-1``."""
 
     start: int
     seq: TorusSeq
 
-    def __init__(self, start: int, values: Iterable[TorusVec]) -> None:
-        values = tuple(values)
-        if not values:
+    def __post_init__(self) -> None:
+        if not len(self.seq):
             raise ValueError("a window needs at least one value")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "seq", TorusSeq.of(values))
-
-    @classmethod
-    def from_seq(cls, start: int, seq: TorusSeq) -> "Window":
-        if not len(seq):
-            raise ValueError("a window needs at least one value")
-        window = object.__new__(cls)
-        object.__setattr__(window, "start", start)
-        object.__setattr__(window, "seq", seq)
-        return window
 
     @property
     def values(self) -> tuple[TorusVec, ...]:
@@ -132,8 +103,8 @@ def shift(x: SeqPoint, k: int) -> SeqPoint:
     """The k-fold shift: the new value at n is the old value at n + k."""
     if isinstance(x, Periodic):
         p = x.period
-        return Periodic.from_seq(x.seq.take([(i + k) % p for i in range(p)]))
-    return Window.from_seq(x.start - k, x.seq)
+        return Periodic(x.seq.take([(i + k) % p for i in range(p)]))
+    return Window(x.start - k, x.seq)
 
 
 def unroll(x: Periodic, lo: int, hi: int) -> Window:
@@ -141,7 +112,7 @@ def unroll(x: Periodic, lo: int, hi: int) -> Window:
     if hi < lo:
         raise ValueError("unroll needs lo <= hi")
     p = x.period
-    return Window.from_seq(lo, x.seq.take([n % p for n in range(lo, hi + 1)]))
+    return Window(lo, x.seq.take([n % p for n in range(lo, hi + 1)]))
 
 
 def power_map(j: int, x: Periodic) -> Periodic:
@@ -149,7 +120,7 @@ def power_map(j: int, x: Periodic) -> Periodic:
     if not isinstance(x, Periodic):
         raise ValueError("power map requires a periodic point")
     p = x.period
-    return Periodic.from_seq(x.seq.take([(i * j) % p for i in range(p)]))
+    return Periodic(x.seq.take([(i * j) % p for i in range(p)]))
 
 
 def seq_to_json(x: SeqPoint) -> dict:
@@ -179,6 +150,8 @@ class GapAtLeast:
     dim: int = 1
 
     def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError("alphabet dimension must be positive")
         if self.gap < 1:
             raise ValueError("gap must be >= 1")
         t = Fraction(self.threshold)
@@ -263,26 +236,21 @@ def no_triple_repeat_sft() -> BinarySFT:
 
 
 @dataclass(frozen=True)
-class CheckRecord:
-    index: int
-    ok: bool
-    lhs: Fraction | None = None
-    word: str | None = None
-
-
-@dataclass(frozen=True)
 class MembershipReport:
-    """Per-index constraint results.  Verdict is "pass", "fail" or "vacuous"."""
+    """Where a constraint was checked and where it failed.
+
+    ``records`` is the range of indices at which the constraint was
+    checkable and ``failures`` the failing ones among them, in order.
+    Verdict is "pass", "fail" or "vacuous" (no index was checkable).
+    """
 
     verdict: str
-    records: tuple[CheckRecord, ...]
+    records: range
+    failures: tuple[int, ...]
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    def failures(self) -> list[CheckRecord]:
-        return [r for r in self.records if not r.ok]
 
 
 def _checkable_range(x: SeqPoint, lo_off: int, hi_off: int) -> range:
@@ -302,42 +270,39 @@ def check_membership(spec: SubshiftSpec, x: SeqPoint) -> MembershipReport:
     """
     if spec.dim != x.dim:
         raise ValueError("alphabet dimension mismatch")
-    records: list[CheckRecord] = []
     cyclic = isinstance(x, Periodic)
     first = 0 if cyclic else x.start  # index of the first stored entry
     if isinstance(spec, GapAtLeast):
+        checked = _checkable_range(x, 0, spec.gap)
         dists, den = gap_distances(x.seq, spec.gap, cyclic)
-        # d/den >= threshold, in integers; one Fraction per distinct distance
+        # d/den >= threshold, in integers
         bar, scale = spec.threshold.numerator * den, spec.threshold.denominator
-        lhs = {d: Fraction(d, den) for d in set(dists)}
-        records = [
-            CheckRecord(n, d * scale >= bar, lhs[d])
-            for n, d in zip(_checkable_range(x, 0, spec.gap), dists)
-        ]
+        failures = [n for n, d in zip(checked, dists) if d * scale < bar]
     elif isinstance(spec, (EitherOrAtLeast, EitherOrEquals)):
+        checked = _checkable_range(x, -1, 1)
         # steps[k] is the distance from entry k to entry k + 1, cyclically
         # for a periodic point, so steps[-1] closes the period
         steps, den = gap_distances(x.seq, 1, cyclic)
-        for n in _checkable_range(x, -1, 1):
-            d_prev = Fraction(steps[n - 1 - first], den)
-            d_next = Fraction(steps[n - first], den)
-            if isinstance(spec, EitherOrAtLeast):
-                ok = d_prev >= spec.threshold or d_next >= spec.threshold
-            else:
-                ok = d_prev == spec.value or d_next == spec.value
-            records.append(CheckRecord(n, ok, lhs=max(d_prev, d_next)))
+        if isinstance(spec, EitherOrAtLeast):
+            bar, scale = spec.threshold.numerator * den, spec.threshold.denominator
+            good = [d * scale >= bar for d in steps]
+        else:
+            bar, scale = spec.value.numerator * den, spec.value.denominator
+            good = [d * scale == bar for d in steps]
+        failures = [n for n in checked if not (good[n - 1 - first] or good[n - first])]
     else:
+        checked = _checkable_range(x, 0, spec.word_length - 1)
         letters = {TorusVec.zero(x.dim): "0", TorusVec.of(*[1] * x.dim): "1"}
         letter = [letters.get(v, "?") for v in x.values]
         size, length = len(letter), spec.word_length
-        for n in _checkable_range(x, 0, length - 1):
+        failures = []
+        for n in checked:
             word = "".join(letter[(n + j - first) % size] for j in range(length))
-            ok = "?" not in word and word not in spec.forbidden
-            records.append(CheckRecord(n, ok, word=word))
-    if not records:
-        return MembershipReport("vacuous", ())
-    verdict = "pass" if all(r.ok for r in records) else "fail"
-    return MembershipReport(verdict, tuple(records))
+            if "?" in word or word in spec.forbidden:
+                failures.append(n)
+    if not checked:
+        return MembershipReport("vacuous", checked, ())
+    return MembershipReport("fail" if failures else "pass", checked, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +387,7 @@ def sample_periodic_gap_point(
     for f in range(cycles):
         for s in range(length):
             position[(f + s * gap) % period] = f * length + s
-    return Periodic.from_seq(concat(*walks).take(position))
+    return Periodic(concat(*walks).take(position))
 
 
 def sample_gap_window(
@@ -434,12 +399,12 @@ def sample_gap_window(
     left to right, each against the entry one gap back.
     """
     spec = gap_space(dim, gap, threshold)
-    return Window.from_seq(start, _draw_seq(rng, dim, length, gap, spec.threshold)[0])
+    return Window(start, _draw_seq(rng, dim, length, gap, spec.threshold)[0])
 
 
 def random_window(dim: int, start: int, length: int, rng: random.Random) -> Window:
     """An unconstrained random window (no membership requirement)."""
-    return Window.from_seq(start, _draw_seq(rng, dim, length)[0])
+    return Window(start, _draw_seq(rng, dim, length)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +633,7 @@ def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> Periodi
         raise ValueError("witness construction insufficient for this threshold")
     c = p // 2
     g = pow(gap % p, -1, p)
-    point = Periodic.from_seq(TorusSeq((tuple(2 * n * c * g for n in range(p)),) * dim, p))
+    point = Periodic(TorusSeq((tuple(2 * n * c * g for n in range(p)),) * dim, p))
     report = check_membership(gap_space(dim, gap, threshold), point)
     if not report.passed:
         raise AssertionError("witness construction failed its own membership check")

@@ -28,7 +28,15 @@ from .shiftspace import (
     random_window,
     seq_to_json,
 )
-from .torus import TorusSeq, concat, frac_to_str, solve_strided_sums, strided_sums, unequal_entries
+from .torus import (
+    TorusSeq,
+    concat,
+    frac_to_str,
+    gap_distances,
+    solve_strided_sums,
+    strided_sums,
+    unequal_entries,
+)
 
 
 # Coordinates one `tower verify` command may hold, samples * N * (window +
@@ -92,10 +100,10 @@ def factor_map(m: int, x: SeqPoint) -> SeqPoint:
         p = x.period
         stride = q % p
         extended = x.seq.take([i % p for i in range(p + (m - 1) * stride)])
-        return Periodic.from_seq(strided_sums(extended, stride, m))
+        return Periodic(strided_sums(extended, stride, m))
     if x.end - (m - 1) * q < x.start:
         raise DomainError("domain shrinks to empty")
-    return Window.from_seq(x.start, strided_sums(x.seq, q, m))
+    return Window(x.start, strided_sums(x.seq, q, m))
 
 
 def factor_chain(m: int, n: int, x: SeqPoint) -> SeqPoint:
@@ -154,7 +162,7 @@ def section_map(m: int, head: TorusSeq, x: Window) -> Window:
     split = -x.start  # position of index 0 in x.seq
     above = solve_strided_sums(head, x.seq[split:], q, m)
     below = solve_strided_sums(head[::-1], x.seq[:split][::-1], q, m)
-    return Window.from_seq(out_lo, concat(below[::-1], head, above))
+    return Window(out_lo, concat(below[::-1], head, above))
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +239,13 @@ def verify_section_range(
     if not pre.passed:
         raise ValueError("input window does not satisfy its own gap constraint")
     report = check_membership(gap_space(x.dim, big, threshold), y)
-    counts = {"base_block": 0, "upper_tail": 0, "lower_tail": 0}
-    for rec in report.records:
-        if rec.index < 0:
-            counts["lower_tail"] += 1
-        elif rec.index < big:
-            counts["base_block"] += 1
-        else:
-            counts["upper_tail"] += 1
-    failures = tuple(r.index for r in report.failures())
-    return SectionRangeReport(partition_counts=counts, failures=failures)
+    checked = report.records
+    counts = {
+        "base_block": len(range(max(checked.start, 0), min(checked.stop, big))),
+        "upper_tail": len(range(max(checked.start, big), checked.stop)),
+        "lower_tail": len(range(checked.start, min(checked.stop, 0))),
+    }
+    return SectionRangeReport(partition_counts=counts, failures=report.failures)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +263,8 @@ class TowerSpec:
     anchors: Mapping[int, TorusSeq] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError("alphabet dimension must be positive")
         delta = Fraction(self.delta)
         if not 0 < delta < 1:
             raise ValueError("threshold must lie strictly between 0 and 1")
@@ -370,11 +377,10 @@ def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> tuple[dict, ...]:
         if p <= spec.m_max:
             gap = level_gap(p)
             rng = random.Random(p * 7919)
-            sample = Periodic.from_seq(random_window(spec.dim, 0, p, rng).seq)
+            sample = Periodic(random_window(spec.dim, 0, p, rng).seq)
             report = check_membership(gap_space(spec.dim, gap, spec.delta), sample)
-            spot_ok = report.verdict == "fail" and all(
-                rec.lhs == 0 for rec in report.records
-            )
+            dists, _ = gap_distances(sample.seq, gap, True)
+            spot_ok = report.verdict == "fail" and not any(dists)
             certificates.append(
                 {
                     "prime": p,

@@ -16,7 +16,7 @@ import numpy as np
 from mdkit.complexes import HomologyGroup, smith_normal_form_diagonal
 from mdkit.finite import FiniteSystem
 from mdkit.shiftspace import Periodic, Window, check_membership, gap_space, random_torus_vec
-from mdkit.torus import TorusVec, dist_at_least, vec_sum
+from mdkit.torus import TorusSeq, TorusVec, dist_at_least, vec_sum
 from mdkit.tower import DomainError, level_gap, section_domain
 
 
@@ -102,7 +102,7 @@ def sample_periodic_gap_point_whole_period(dim, gap, threshold, period, rng):
     """Redraw the whole period until it passes the gap constraint."""
     spec = gap_space(dim, gap, threshold)
     for _ in range(500_000):
-        cand = Periodic(tuple(random_torus_vec(rng, dim) for _ in range(period)))
+        cand = Periodic(TorusSeq.of(random_torus_vec(rng, dim) for _ in range(period)))
         if check_membership(spec, cand).passed:
             return cand
     raise RuntimeError(f"no period-{period} point drawn in 500,000 tries")
@@ -129,7 +129,7 @@ def gap_draws_per_entry(rng, dim, length, gap, threshold, tries=None, draw=rando
 def sample_gap_window_per_entry(dim, gap, threshold, start, length, rng):
     """The gap-window sampler vector by vector: one ``random_torus_vec`` per
     draw, each entry kept once it is far enough from the entry one gap back."""
-    return Window(start, gap_draws_per_entry(rng, dim, length, gap, threshold)[0])
+    return Window(start, TorusSeq.of(gap_draws_per_entry(rng, dim, length, gap, threshold)[0]))
 
 
 def sample_periodic_gap_point_per_entry(dim, gap, threshold, period, rng):
@@ -147,7 +147,7 @@ def sample_periodic_gap_point_per_entry(dim, gap, threshold, period, rng):
                 break
         for step, v in enumerate(walk):
             values[(first + step * gap) % period] = v
-    return Periodic(values[i] for i in range(period))
+    return Periodic(TorusSeq.of(values[i] for i in range(period)))
 
 
 def closed_grid_walk_lengths(a: int, max_length: int, grid: int = 64) -> set[int]:
@@ -201,7 +201,7 @@ def factor_map_per_entry(m, x):
     if isinstance(x, Periodic):
         p = x.period
         return Periodic(
-            tuple(
+            TorusSeq.of(
                 vec_sum(x.values[(i + t * q) % p] for t in range(m))
                 for i in range(p)
             )
@@ -211,7 +211,7 @@ def factor_map_per_entry(m, x):
         raise DomainError("domain shrinks to empty")
     return Window(
         x.start,
-        tuple(
+        TorusSeq.of(
             vec_sum(x.value_at(k + t * q) for t in range(m))
             for k in range(x.start, new_end + 1)
         ),
@@ -240,7 +240,7 @@ def section_map_per_entry(m, head, x):
         values[k] = values[k - big] + (x.value_at(k - big + q) - x.value_at(k - big))
     for k in range(-1, out_lo - 1, -1):
         values[k] = values[k + big] + (x.value_at(k) - x.value_at(k + q))
-    return Window(out_lo, tuple(values[k] for k in range(out_lo, out_hi + 1)))
+    return Window(out_lo, TorusSeq.of(values[k] for k in range(out_lo, out_hi + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -91,10 +91,10 @@ def section_battery():
                     membership = check_membership(gap_space(dim, gap_out, HALF), out)
                     if not membership.passed:
                         range_failures.append((m, dim, idx, kind))
-                    for rec in membership.records:
-                        if rec.index < 0:
+                    for index in membership.records:
+                        if index < 0:
                             partitions["lower_tail"] += 1
-                        elif rec.index < gap_out:
+                        elif index < gap_out:
                             partitions["base_block"] += 1
                         else:
                             partitions["upper_tail"] += 1

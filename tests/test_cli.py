@@ -446,6 +446,12 @@ class TestExitCodes:
                 None,
                 "metric must be nonnegative",
             ),
+            (["tower", "verify", "--m", "3", "--N", "0", "--window=-6:12"], None, "alphabet dimension must be positive"),
+            (["tower", "aperiodicity", "--m-max", "3", "--p-max", "7", "--N", "0"], None, "alphabet dimension must be positive"),
+            (["shift", "conjugacy", "--p", "5", "--m", "2", "--N", "0"], None, "alphabet dimension must be positive"),
+            (["tower", "verify", "--m", "3", "--N", "-1", "--window=-6:12"], None, "alphabet dimension must be positive"),
+            (["tower", "aperiodicity", "--m-max", "3", "--p-max", "7", "--N", "-1"], None, "alphabet dimension must be positive"),
+            (["shift", "conjugacy", "--p", "5", "--m", "2", "--N", "-1"], None, "alphabet dimension must be positive"),
         ],
         ids=[
             "complex-without-n",
@@ -521,6 +527,12 @@ class TestExitCodes:
             "metric-file-asymmetric",
             "metric-file-breaks-triangle-inequality",
             "metric-uniform-negative",
+            "tower-verify-dimension-zero",
+            "aperiodicity-dimension-zero",
+            "conjugacy-dimension-zero",
+            "tower-verify-dimension-negative",
+            "aperiodicity-dimension-negative",
+            "conjugacy-dimension-negative",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):

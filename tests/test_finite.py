@@ -23,7 +23,7 @@ from mdkit.finite import (
     verify_marker,
     verify_marker_transfer,
 )
-from mdkit.shiftspace import MembershipReport, check_membership, gap_space, unit_step_space
+from mdkit.shiftspace import MembershipReport, check_membership, gap_space, shift, unit_step_space
 
 from oracles import (
     early_returns_by_powers,
@@ -379,13 +379,15 @@ ORBIT_PIPELINES = {
 class TestOrbitMap:
     @pytest.mark.parametrize("pipeline", sorted(ORBIT_PIPELINES))
     def test_failed_membership_is_reported(self, pipeline, monkeypatch):
-        monkeypatch.setattr(finite, "check_membership", lambda space, x: MembershipReport("fail", ()))
+        monkeypatch.setattr(finite, "check_membership", lambda space, x: MembershipReport("fail", range(1), (0,)))
         report = ORBIT_PIPELINES[pipeline]()
         assert not report.membership_ok and report.equivariance_ok and not report.passed
 
     @pytest.mark.parametrize("pipeline", sorted(ORBIT_PIPELINES))
     def test_failed_equivariance_is_reported(self, pipeline, monkeypatch):
-        monkeypatch.setattr(finite, "shift", lambda x, k: x)
+        # a shift off by one step: the orbit sequences are still rotations
+        # of one another, but no longer intertwine the dynamics
+        monkeypatch.setattr(finite, "shift", lambda x, k: shift(x, k + 1))
         report = ORBIT_PIPELINES[pipeline]()
         assert report.membership_ok and not report.equivariance_ok and not report.passed
 
@@ -394,6 +396,13 @@ class TestOrbitMap:
         report = ORBIT_PIPELINES[pipeline]()
         assert report.passed
         assert [s.period for s in report.sequences] == [3] * 3 + [5] * 5
+        # entry n of point i's sequence is entry 0 of the sequence of its n-th image
+        perm = cycles(3, 5).perm
+        for i, seq in enumerate(report.sequences):
+            j = i
+            for n in range(seq.period):
+                assert seq.value_at(n) == report.sequences[j].value_at(0)
+                j = perm[j]
 
 
 class TestMarkerTransfer:

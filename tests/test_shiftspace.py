@@ -29,7 +29,7 @@ from mdkit.shiftspace import (
     unroll,
     verify_conjugacy_diagram,
 )
-from mdkit.torus import TorusVec, frac_from_str
+from mdkit.torus import TorusSeq, TorusVec, frac_from_str, max_circle_dist
 from mdkit.tower import random_anchor
 from oracles import (
     closed_grid_walk_lengths,
@@ -40,8 +40,8 @@ from oracles import (
 )
 
 
-def vecs(*values):
-    return tuple(TorusVec.of(Fraction(v)) for v in values)
+def seq_of(*values):
+    return TorusSeq.of(TorusVec.of(Fraction(v)) for v in values)
 
 
 HALF = Fraction(1, 2)
@@ -49,23 +49,23 @@ HALF = Fraction(1, 2)
 
 class TestShift:
     def test_periodic_rotation(self):
-        a, b, c = vecs(0, Fraction(1, 3), 1)
-        assert shift(Periodic((a, b, c)), 1) == Periodic((b, c, a))
+        a, b, c = seq_of(0, Fraction(1, 3), 1)
+        assert shift(Periodic(TorusSeq.of((a, b, c))), 1) == Periodic(TorusSeq.of((b, c, a)))
 
     def test_zero_shift_is_identity(self):
-        x = Periodic(vecs(0, 1))
+        x = Periodic(seq_of(0, 1))
         assert shift(x, 0) == x
-        w = Window(2, vecs(1, 0))
+        w = Window(2, seq_of(1, 0))
         assert shift(w, 0) == w
 
     def test_window_reindexes(self):
-        w = Window(0, vecs(Fraction(1, 4), Fraction(3, 4)))
-        assert shift(w, 2) == Window(-2, w.values)
+        w = Window(0, seq_of(Fraction(1, 4), Fraction(3, 4)))
+        assert shift(w, 2) == Window(-2, w.seq)
 
     def test_shift_inverse(self):
         rng = random.Random(3)
-        x = Periodic(tuple(random_torus_vec(rng, 2) for _ in range(5)))
-        w = Window(-3, tuple(random_torus_vec(rng, 2) for _ in range(4)))
+        x = Periodic(TorusSeq.of(random_torus_vec(rng, 2) for _ in range(5)))
+        w = Window(-3, TorusSeq.of(random_torus_vec(rng, 2) for _ in range(4)))
         for k in (-4, -1, 0, 2, 7):
             assert shift(shift(x, k), -k) == x
             assert shift(shift(w, k), -k) == w
@@ -73,84 +73,86 @@ class TestShift:
 
 class TestMembership:
     def test_gap_one_pass(self):
-        x = Periodic(vecs(0, 1))
+        x = Periodic(seq_of(0, 1))
         report = check_membership(gap_space(1, 1, HALF), x)
         assert report.verdict == "pass"
-        assert all(r.lhs == 1 for r in report.records)
+        assert report.records == range(2) and report.failures == ()
+        assert all(max_circle_dist(x.value_at(n), x.value_at(n + 1)) == 1 for n in report.records)
 
     def test_gap_dividing_period_fails_everywhere(self):
-        x = Periodic(vecs(0, 1))
+        x = Periodic(seq_of(0, 1))
         report = check_membership(gap_space(1, 2, HALF), x)
         assert report.verdict == "fail"
-        assert all(not r.ok and r.lhs == 0 for r in report.records)
+        assert report.failures == tuple(report.records) == (0, 1)
+        assert all(max_circle_dist(x.value_at(n), x.value_at(n + 2)) == 0 for n in report.records)
 
     def test_binary_sft_pass(self):
-        x = Periodic(vecs(0, 1, 0, 1))
+        x = Periodic(seq_of(0, 1, 0, 1))
         assert check_membership(no_triple_repeat_sft(), x).verdict == "pass"
 
     def test_binary_sft_circular_wrap_fail(self):
-        x = Periodic(vecs(0))
+        x = Periodic(seq_of(0))
         report = check_membership(no_triple_repeat_sft(), x)
         assert report.verdict == "fail"
-        assert report.records[0].word == "000"
+        assert report.records == range(1) and report.failures == (0,)
 
     def test_binary_sft_nonbinary_letter_fails(self):
-        x = Periodic(vecs(0, Fraction(1, 2), 1, 0))
+        x = Periodic(seq_of(0, Fraction(1, 2), 1, 0))
         assert check_membership(no_triple_repeat_sft(), x).verdict == "fail"
 
     def test_window_vacuous_distinct_from_pass(self):
-        w = Window(0, vecs(0, 1))
+        w = Window(0, seq_of(0, 1))
         report = check_membership(gap_space(1, 5, HALF), w)
         assert report.verdict == "vacuous"
-        assert report.records == ()
+        assert len(report.records) == 0 and report.failures == ()
         assert not report.passed
 
     def test_adjacent_step_window_too_short_is_vacuous(self):
-        w = Window(0, vecs(0, 1))
+        w = Window(0, seq_of(0, 1))
         assert check_membership(unit_step_space(), w).verdict == "vacuous"
         assert check_membership(half_step_space(), w).verdict == "vacuous"
 
     def test_window_checkable_indices(self):
-        w = Window(-1, vecs(0, 1, 0, 1))
+        w = Window(-1, seq_of(0, 1, 0, 1))
         report = check_membership(gap_space(1, 2, HALF), w)
-        assert [r.index for r in report.records] == [-1, 0]
+        assert list(report.records) == [-1, 0]
 
     def test_either_or_spaces(self):
-        z = Periodic(vecs(0, HALF))
+        z = Periodic(seq_of(0, HALF))
         assert check_membership(half_step_space(), z).verdict == "pass"
-        y = Periodic(vecs(0, 1))
+        y = Periodic(seq_of(0, 1))
         assert check_membership(unit_step_space(), y).verdict == "pass"
-        almost = Periodic(vecs(0, Fraction(99, 100)))
+        almost = Periodic(seq_of(0, Fraction(99, 100)))
         assert check_membership(unit_step_space(), almost).verdict == "fail"
 
     def test_shift_invariance_of_verdict(self):
         rng = random.Random(11)
         specs = [gap_space(2, 2, HALF), half_step_space(), unit_step_space()]
         for spec in specs:
-            x = Periodic(tuple(random_torus_vec(rng, spec.dim) for _ in range(6)))
+            x = Periodic(TorusSeq.of(random_torus_vec(rng, spec.dim) for _ in range(6)))
             base = check_membership(spec, x).verdict
             for k in range(1, 6):
                 assert check_membership(spec, shift(x, k)).verdict == base
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="alphabet dimension mismatch"):
-            check_membership(gap_space(2, 1, HALF), Periodic(vecs(0, 1)))
+            check_membership(gap_space(2, 1, HALF), Periodic(seq_of(0, 1)))
 
 
 class TestPowerMap:
     def test_identity(self):
-        x = Periodic(vecs(0, 1, Fraction(1, 3)))
+        x = Periodic(seq_of(0, 1, Fraction(1, 3)))
         assert power_map(1, x) == x
 
     def test_explicit_permutation(self):
-        v = vecs(0, Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
+        v = seq_of(0, Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
         y = power_map(2, Periodic(v))
         assert y.values == (v[0], v[2], v[4], v[1], v[3])
 
     def test_inverse_composition(self):
         rng = random.Random(5)
         for p in (3, 5, 7):
-            x = Periodic(tuple(random_torus_vec(rng, 1) for _ in range(p)))
+            x = Periodic(TorusSeq.of(random_torus_vec(rng, 1) for _ in range(p)))
             for j in range(1, p):
                 k = pow(j, -1, p)
                 assert power_map(k, power_map(j, x)) == x
@@ -162,7 +164,7 @@ class TestPowerMap:
 
     def test_requires_periodic(self):
         with pytest.raises(ValueError, match="periodic"):
-            power_map(2, Window(0, vecs(0, 1)))
+            power_map(2, Window(0, seq_of(0, 1)))
 
 
 class TestConjugacyDiagram:
@@ -227,9 +229,7 @@ class TestSftCounts:
         for n in range(1, 7):
             total = 0
             for mask in range(1 << n):
-                point = Periodic(
-                    tuple(TorusVec.of((mask >> i) & 1) for i in range(n))
-                )
+                point = Periodic(TorusSeq.of(TorusVec.of((mask >> i) & 1) for i in range(n)))
                 if check_membership(sft, point).passed:
                     total += 1
             assert total == count_periodic_sft(sft.forbidden, n)
@@ -310,7 +310,7 @@ class TestPeriodicWitness:
         w = periodic_witness(2, 3, HALF, 5)
         report = check_membership(gap_space(2, 3, HALF), w)
         assert report.passed
-        assert all(r.lhs == Fraction(4, 5) for r in report.records)
+        assert all(max_circle_dist(w.value_at(n), w.value_at(n + 3)) == Fraction(4, 5) for n in report.records)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="divides the gap"):
@@ -433,24 +433,35 @@ class TestSampling:
         with pytest.raises(ValueError, match="undetermined"):
             sample_periodic_gap_point(1, 1, Fraction(51, 64), 5, random.Random(0))
 
+    def test_nonpositive_dimension_is_refused_before_any_draw(self):
+        class NoDraws(random.Random):
+            def randrange(self, *args):
+                raise AssertionError("drew an entry")
+
+        for dim in (0, -1):
+            with pytest.raises(ValueError, match="alphabet dimension must be positive"):
+                sample_gap_window(dim, 2, HALF, 0, 6, NoDraws())
+            with pytest.raises(ValueError, match="alphabet dimension must be positive"):
+                sample_periodic_gap_point(dim, 2, HALF, 5, NoDraws())
+
 
 class TestJson:
     def test_seq_round_trip(self):
         def values(data):
-            return tuple(TorusVec.of(*map(frac_from_str, row)) for row in data["values"])
+            return TorusSeq.of(TorusVec.of(*map(frac_from_str, row)) for row in data["values"])
 
-        x = Periodic(vecs(0, Fraction(4, 3), Fraction(2, 3)))
+        x = Periodic(seq_of(0, Fraction(4, 3), Fraction(2, 3)))
         data = seq_to_json(x)
         assert data["kind"] == "periodic" and data["period"] == 3
         assert Periodic(values(data)) == x
-        w = Window(-2, vecs(1, 0, Fraction(1, 7)))
+        w = Window(-2, seq_of(1, 0, Fraction(1, 7)))
         data = seq_to_json(w)
         assert data["kind"] == "window" and data["start"] == -2
         assert Window(data["start"], values(data)) == w
 
 
 def test_unroll_matches_values():
-    x = Periodic(vecs(0, 1, Fraction(1, 2)))
+    x = Periodic(seq_of(0, 1, Fraction(1, 2)))
     w = unroll(x, -2, 4)
     assert w.start == -2
     for n in range(-2, 5):

@@ -308,9 +308,9 @@ def test_equal_sequences_built_differently_are_equal_and_hash_equal():
     ]
     assert all(seq == built[0] and hash(seq) == hash(built[0]) for seq in built)
     assert built[0].den == 2 and len(set(built)) == 1
-    windows = [Window(-3, built[0])] + [Window.from_seq(-3, seq) for seq in built]
+    windows = [Window(-3, seq) for seq in built]
     assert all(w == windows[0] and hash(w) == hash(windows[0]) for w in windows)
-    assert Window.from_seq(-2, built[0]) != windows[0]
+    assert Window(-2, built[0]) != windows[0]
     assert TorusSeq.of([half, one]) != built[0] and TorusSeq.zero(1, 3) != TorusSeq.zero(2, 3)
 
 

@@ -16,6 +16,7 @@ from mdkit.shiftspace import (
     periodic_witness,
     random_window,
     sample_gap_window,
+    sample_periodic_gap_point,
     unit_step_space,
 )
 from mdkit.torus import TorusSeq, TorusVec, max_circle_dist
@@ -47,8 +48,8 @@ from oracles import (
 HALF = Fraction(1, 2)
 
 
-def vecs(*values):
-    return tuple(TorusVec.of(Fraction(v)) for v in values)
+def seq_of(*values):
+    return TorusSeq.of(TorusVec.of(Fraction(v)) for v in values)
 
 
 class TestLevelGap:
@@ -68,23 +69,23 @@ class TestLevelGap:
 
 class TestFactorMap:
     def test_periodic_example(self):
-        x = Periodic(vecs(0, Fraction(4, 3), Fraction(2, 3)))
+        x = Periodic(seq_of(0, Fraction(4, 3), Fraction(2, 3)))
         y = factor_map(2, x)
-        assert y == Periodic(vecs(Fraction(4, 3), 0, Fraction(2, 3)))
+        assert y == Periodic(seq_of(Fraction(4, 3), 0, Fraction(2, 3)))
         assert check_membership(gap_space(1, 1, HALF), y).passed
 
     def test_zero_window_stays_zero(self):
-        w = Window(0, (TorusVec.zero(2),) * 8)
+        w = Window(0, TorusSeq.zero(2, 8))
         y = factor_map(2, w)
         assert all(v == TorusVec.zero(2) for v in y.values)
         assert (y.start, y.end) == (0, 6)
 
     def test_window_domain_shrink_and_error(self):
-        w = Window(-1, vecs(0, 1, 0, 1, 0, 1, 0))
+        w = Window(-1, seq_of(0, 1, 0, 1, 0, 1, 0))
         y = factor_map(3, w)  # shrink by 2 * 2! = 4
         assert (y.start, y.end) == (-1, 1)
         with pytest.raises(DomainError, match="domain shrinks to empty"):
-            factor_map(3, Window(0, vecs(0, 1, 0)))
+            factor_map(3, Window(0, seq_of(0, 1, 0)))
 
     def test_telescoping_distance_identity(self):
         # distance between outputs one sub-gap apart equals distance between
@@ -130,13 +131,13 @@ class TestFactorChain:
 
 class TestSectionMap:
     def test_frozen_small_example(self):
-        x = Window(0, vecs(0, 1, 0, 1))
+        x = Window(0, seq_of(0, 1, 0, 1))
         y = section_map(2, zero_anchor(1, 2), x)
         assert (y.start, y.end) == (0, 4)
         assert [Fraction(v.nums[0], v.den) for v in y.values] == [0, 0, 1, 1, 0]
 
     def test_zero_input_zero_anchor(self):
-        x = Window(0, (TorusVec.zero(1),) * 6)
+        x = Window(0, TorusSeq.zero(1, 6))
         y = section_map(2, zero_anchor(1, 2), x)
         assert all(v == TorusVec.zero(1) for v in y.values)
 
@@ -162,7 +163,7 @@ class TestSectionMap:
             section_domain(3, 0, 0)  # must reach (m-1)! - 1
 
     def test_wrong_length_head_errors(self):
-        x = Window(0, vecs(0, 1, 0, 1, 0, 1))
+        x = Window(0, seq_of(0, 1, 0, 1, 0, 1))
         assert len(zero_anchor(1, 3)) == 4
         for size in (0, 1, 3, 5):
             with pytest.raises(ValueError, match="level-3 section needs a head block of 4 entries"):
@@ -170,11 +171,11 @@ class TestSectionMap:
 
     def test_periodic_input_rejected(self):
         with pytest.raises(TypeError, match="unroll periodic points"):
-            section_map(2, zero_anchor(1, 2), Periodic(vecs(0, 1)))
+            section_map(2, zero_anchor(1, 2), Periodic(seq_of(0, 1)))
 
     def test_anchor_dimension_mismatch(self):
         with pytest.raises(ValueError, match="alphabet dimension mismatch"):
-            section_map(2, zero_anchor(2, 2), Window(0, vecs(0, 1, 0, 1)))
+            section_map(2, zero_anchor(2, 2), Window(0, seq_of(0, 1, 0, 1)))
 
 
 class TestKernelsMatchPerEntry:
@@ -187,7 +188,7 @@ class TestKernelsMatchPerEntry:
             span = (m - 1) * level_gap(m - 1)
             for dim in (1, 2):
                 for extra in (0, 1, 7, level_gap(m) + 3):
-                    x = Window(rng.randrange(-9, 9), tuple(mixed_den_vec(rng, dim) for _ in range(span + 1 + extra)))
+                    x = Window(rng.randrange(-9, 9), TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(span + 1 + extra)))
                     assert factor_map(m, x) == factor_map_per_entry(m, x)
 
     def test_factor_map_on_periodic_points(self):
@@ -195,7 +196,7 @@ class TestKernelsMatchPerEntry:
         for m in (2, 3, 4, 5):
             for dim in (1, 2):
                 for p in (1, 2, 3, 5, 6, 7, 13, 24, 31):
-                    x = Periodic(tuple(mixed_den_vec(rng, dim) for _ in range(p)))
+                    x = Periodic(TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(p)))
                     assert factor_map(m, x) == factor_map_per_entry(m, x)
                 # period-p witnesses, over denominator p
                 for p in (7, 11, 13):
@@ -215,7 +216,7 @@ class TestKernelsMatchPerEntry:
                 )
                 for lo in (0, -1, -q, -big - 3):
                     for hi in (q - 1, big, 2 * big + 1):
-                        mixed = Window(lo, tuple(mixed_den_vec(rng, dim) for _ in range(hi - lo + 1)))
+                        mixed = Window(lo, TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(hi - lo + 1)))
                         # a grid window (denominator 64) under a zero anchor (denominator 1)
                         grid = sample_gap_window(dim, q, HALF, lo, hi - lo + 1, rng)
                         for x in (mixed, grid):
@@ -229,51 +230,96 @@ class TestKernelsMatchPerEntry:
 
     def test_gap_membership(self):
         rng = random.Random(604)
+        third = Fraction(1, 3)
+        seen = {Window: set(), Periodic: set()}
         for dim in (1, 2):
             for gap in (1, 2, 6, 24):
-                spec = gap_space(dim, gap, Fraction(1, 3))
-                window = Window(-5, tuple(mixed_den_vec(rng, dim) for _ in range(gap + 20)))
-                period = Periodic(tuple(mixed_den_vec(rng, dim) for _ in range(7)))
-                for x in (window, period):
+                spec = gap_space(dim, gap, third)
+                points = [
+                    Window(rng.randrange(-9, 9), TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(gap + 20))),
+                    Window(rng.randrange(-9, 9), TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(gap))),
+                    sample_gap_window(dim, gap, third, rng.randrange(-9, 9), gap + 20, rng),
+                    Periodic(TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(6))),
+                    Periodic(TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(7))),
+                    sample_periodic_gap_point(dim, gap, third, 7, rng),
+                ]
+                for x in points:
+                    if isinstance(x, Periodic):
+                        checkable = range(x.period)
+                    else:
+                        checkable = range(x.start, x.end - gap + 1)
+                    failing = tuple(
+                        n for n in checkable if max_circle_dist(x.value_at(n), x.value_at(n + gap)) < third
+                    )
                     report = check_membership(spec, x)
-                    for rec in report.records:
-                        d = max_circle_dist(x.value_at(rec.index), x.value_at(rec.index + gap))
-                        assert rec.lhs == d and rec.ok == (d >= spec.threshold)
+                    assert report.records == checkable and report.failures == failing
+                    assert report.verdict == ("vacuous" if not checkable else "fail" if failing else "pass")
+                    seen[type(x)].add(report.verdict)
+        assert seen == {Window: {"pass", "fail", "vacuous"}, Periodic: {"pass", "fail"}}
 
     def test_adjacent_step_and_word_membership(self):
         rng = random.Random(605)
         letter = {TorusVec.of(0): "0", TorusVec.of(1): "1"}
-        for _ in range(40):
+        half, unit, sft = half_step_space(), unit_step_space(), no_triple_repeat_sft()
+
+        def ok_at(spec, x, n):
+            if spec == sft:
+                word = "".join(letter.get(x.value_at(n + j), "?") for j in range(3))
+                return "?" not in word and word not in sft.forbidden
+            d_prev, d_next = (max_circle_dist(x.value_at(n + i), x.value_at(n + i + 1)) for i in (-1, 0))
+            if spec == half:
+                return d_prev >= half.threshold or d_next >= half.threshold
+            return d_prev == unit.value or d_next == unit.value
+
+        seen = {}
+        for _ in range(60):
             # entries 0 and 1 make both outcomes of each test common
             draw = [lambda: mixed_den_vec(rng, 1), lambda: TorusVec.of(rng.randrange(2))]
-            values = [rng.choice(draw)() for _ in range(rng.randrange(1, 12))]
+            values = TorusSeq.of(rng.choice(draw)() for _ in range(rng.randrange(1, 12)))
             for x in (Window(rng.randrange(-5, 5), values), Periodic(values)):
-                for spec in (half_step_space(), unit_step_space()):
+                for spec in (half, unit, sft):
+                    if isinstance(x, Periodic):
+                        checkable = range(len(values))
+                    else:
+                        first = x.start if spec == sft else x.start + 1
+                        checkable = range(first, first + len(values) - 2)
+                    failing = tuple(n for n in checkable if not ok_at(spec, x, n))
                     report = check_membership(spec, x)
-                    n_checked = len(values) if isinstance(x, Periodic) else max(0, len(values) - 2)
-                    assert len(report.records) == n_checked
-                    for rec in report.records:
-                        d_prev, d_next = (
-                            max_circle_dist(x.value_at(rec.index + i), x.value_at(rec.index + i + 1))
-                            for i in (-1, 0)
-                        )
-                        if spec == half_step_space():
-                            ok = d_prev >= spec.threshold or d_next >= spec.threshold
+                    assert report.records == checkable and report.failures == failing
+                    seen.setdefault((type(x), spec), set()).add(report.verdict)
+        assert all({"pass", "fail"} <= verdicts for verdicts in seen.values()) and len(seen) == 6
+
+    def test_partition_counts_match_a_per_index_loop(self):
+        rng = random.Random(606)
+        for m in (2, 3, 4):
+            q, big = level_gap(m - 1), level_gap(m)
+            x = sample_gap_window(1, q, HALF, -big, 3 * big, rng)
+            # outputs wholly below 0, straddling 0 and big, wholly above big,
+            # and too short to check anything
+            for start, length in ((-3 * big, 2 * big), (-big - 2, 3 * big + 5), (big + 1, 2 * big), (-1, big)):
+                for y in (
+                    random_window(1, start, length, rng),
+                    sample_gap_window(1, big, HALF, start, length, rng),
+                ):
+                    counts = {"base_block": 0, "upper_tail": 0, "lower_tail": 0}
+                    failures = []
+                    for k in range(y.start, y.end - big + 1):
+                        if k < 0:
+                            counts["lower_tail"] += 1
+                        elif k < big:
+                            counts["base_block"] += 1
                         else:
-                            ok = d_prev == spec.value or d_next == spec.value
-                        assert rec.lhs == max(d_prev, d_next) and rec.ok == ok
-                sft = no_triple_repeat_sft()
-                report = check_membership(sft, x)
-                n_checked = len(values) if isinstance(x, Periodic) else max(0, len(values) - 2)
-                assert len(report.records) == n_checked
-                for rec in report.records:
-                    word = "".join(letter.get(x.value_at(rec.index + j), "?") for j in range(3))
-                    assert rec.word == word and rec.ok == ("?" not in word and word not in sft.forbidden)
+                            counts["upper_tail"] += 1
+                        if max_circle_dist(y.value_at(k), y.value_at(k + big)) < HALF:
+                            failures.append(k)
+                    report = verify_section_range(m, x, y, HALF)
+                    assert list(report.partition_counts.items()) == list(counts.items())
+                    assert report.failures == tuple(failures)
 
 
 class TestSectionIdentity:
     def test_small_example_full_overlap(self):
-        x = Window(0, vecs(0, 1, 0, 1))
+        x = Window(0, seq_of(0, 1, 0, 1))
         report = verify_section_identity(2, x, section_map(2, zero_anchor(1, 2), x))
         assert report.passed
         assert report.overlap == (0, 3)
@@ -291,7 +337,7 @@ class TestSectionIdentity:
         k = 3  # at level 2 output j sums entries j and j + 1: entry k feeds outputs k - 1 and k
         values = list(y.values)
         values[k - y.start] = values[k - y.start] + TorusVec.of(Fraction(1, 4))
-        corrupted = Window(y.start, tuple(values))
+        corrupted = Window(y.start, TorusSeq.of(values))
         report = verify_section_identity(2, x, corrupted)
         _, mismatches = windows_agree_on_overlap(factor_map(2, corrupted), x)
         assert report.failures == tuple(mismatches) == (k - 1, k)
@@ -321,7 +367,7 @@ class TestSectionRange:
         assert report.passed
 
     def test_invalid_input_rejected(self):
-        x = Window(0, (TorusVec.zero(1),) * 12)
+        x = Window(0, TorusSeq.zero(1, 12))
         with pytest.raises(ValueError, match="gap constraint"):
             verify_section_range(2, x, section_map(2, zero_anchor(1, 2), x), HALF)
 
@@ -340,13 +386,13 @@ class TestTowerElement:
 
     def test_depth_one(self):
         spec = TowerSpec(dim=1, delta=HALF, m_max=1)
-        x = Window(0, vecs(0, 1))
+        x = Window(0, seq_of(0, 1))
         element = tower_element(spec, 1, x)
         assert element.depth == 1 and element.component(1) == x
 
     def test_zero_window_zero_anchors(self):
         spec = TowerSpec(dim=1, delta=HALF, m_max=4)
-        x = Window(-6, (TorusVec.zero(1),) * 20)
+        x = Window(-6, TorusSeq.zero(1, 20))
         element = tower_element(spec, 3, x)
         for level in range(1, 5):
             assert all(v == TorusVec.zero(1) for v in element.component(level).values)
@@ -355,10 +401,10 @@ class TestTowerElement:
         spec = TowerSpec(dim=1, delta=HALF, m_max=4)
         # too short for the chain down to level 1
         with pytest.raises(DomainError, match="factor map to level 1"):
-            tower_element(spec, 3, Window(0, vecs(0, 1, 0, 1, 0)))
+            tower_element(spec, 3, Window(0, seq_of(0, 1, 0, 1, 0)))
         # chain fits but end = 3 < 3! - 1: the section to level 4 lacks its base block
         with pytest.raises(DomainError, match="section to level 4"):
-            tower_element(spec, 3, Window(-2, vecs(0, 1, 0, 1, 0, 1)))
+            tower_element(spec, 3, Window(-2, seq_of(0, 1, 0, 1, 0, 1)))
 
     def test_random_anchors_still_consistent(self):
         rng = random.Random(92)
@@ -415,7 +461,7 @@ class TestAperiodicity:
 class TestTowerSpec:
     def test_element_components(self):
         spec = TowerSpec(dim=1, delta=HALF, m_max=2)
-        x = Window(0, vecs(0, 1, 0, 1))
+        x = Window(0, seq_of(0, 1, 0, 1))
         element = tower_element(spec, 2, x)
         assert element.depth == 2
         assert element.components[1] == x
@@ -433,6 +479,9 @@ class TestTowerSpec:
             TowerSpec(dim=1, delta=Fraction(3, 2), m_max=2)
         with pytest.raises(ValueError):
             TowerSpec(dim=1, delta=HALF, m_max=0)
+        for dim in (0, -1):
+            with pytest.raises(ValueError, match="alphabet dimension must be positive"):
+                TowerSpec(dim=dim, delta=HALF, m_max=2)
 
 
 class TestLevelSeven:
