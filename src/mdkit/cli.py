@@ -109,8 +109,10 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_system(text: str) -> FiniteSystem:
-    """Generator shorthand "cycles:3,5" or a path to a FiniteSystem JSON file."""
+def _parse_system(text: str, keep_metric: bool = True) -> FiniteSystem:
+    """Generator shorthand "cycles:3,5" or a path to a FiniteSystem JSON
+    file, whose metric is shape-checked only when ``keep_metric`` is false
+    (see ``FiniteSystem.from_json``)."""
     if text.startswith("cycles:"):
         try:
             lengths = [int(part) for part in text.split(":", 1)[1].split(",")]
@@ -120,7 +122,7 @@ def _parse_system(text: str) -> FiniteSystem:
                 "with integer cycle lengths"
             ) from None
         return FiniteSystem.from_cycle_lengths(lengths)
-    return FiniteSystem.from_json(_read_json(text))
+    return FiniteSystem.from_json(_read_json(text), keep_metric)
 
 
 def _parse_complex(text: str) -> FreeZpComplex:
@@ -429,7 +431,8 @@ def _parse_metric(text: str, size: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _run_embed(args) -> dict:
-    system = _parse_system(args.system)
+    # --metric replaces a system file's metric, which is only shape-checked
+    system = _parse_system(args.system, keep_metric=args.metric is None)
     if args.metric is not None:
         metric = _parse_metric(args.metric, system.size)
         system = FiniteSystem(system.points, system.perm, metric)

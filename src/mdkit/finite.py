@@ -33,9 +33,11 @@ from .shiftspace import (
 )
 from .torus import TorusSeq, TorusVec, frac_from_str, frac_to_str, max_circle_dist
 
-# Largest marker count ``enumerate_markers`` lists, checked before any marker
-# is built: the 167,760 2-markers of a 25-cycle take 0.9 s and 150 MB peak
-# RSS (Python 3.11.7, 2-CPU x86-64 VM).
+# Largest marker count ``enumerate_markers`` lists or the marker transfer
+# decides, checked before any marker is built: listing the 167,760 2-markers
+# of a 25-cycle takes 0.9 s and 150 MB peak RSS (Python 3.11.7, 2-CPU x86-64
+# VM).  The transfer walks only each cycle's own subsets, but one cycle can
+# hold them all: a 600-cycle has 2^600 - 1 1-markers.
 MAX_MARKERS = 200_000
 
 # ---------------------------------------------------------------------------
@@ -104,7 +106,10 @@ class FiniteSystem:
         return out
 
     @classmethod
-    def from_json(cls, data) -> "FiniteSystem":
+    def from_json(cls, data, keep_metric: bool = True) -> "FiniteSystem":
+        """A validated system.  With ``keep_metric`` false the caller supplies
+        another metric, so the file's metric is only shape-checked, then
+        dropped."""
         if not isinstance(data, dict):
             raise ValueError("system JSON must be an object")
         for key in ("points", "perm"):
@@ -123,6 +128,9 @@ class FiniteSystem:
         metric = None if data.get("metric") is None else metric_from_json(data["metric"])
         if sorted(perm) != list(range(len(points))):
             raise ValueError("perm must be a bijection of the points")
+        if metric is not None and not keep_metric:
+            _check_metric_shape(metric, len(points))
+            metric = None
         if metric is not None:
             _validate_metric(metric, len(points))
         return cls(tuple(points), tuple(perm), metric)
@@ -154,9 +162,13 @@ def metric_from_json(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(frac_from_str(d) for d in row) for row in rows)
 
 
-def _validate_metric(metric, n: int) -> None:
+def _check_metric_shape(metric, n: int) -> None:
     if len(metric) != n or any(len(row) != n for row in metric):
         raise ValueError(f"metric table must be {n} by {n}: one row and column per point")
+
+
+def _validate_metric(metric, n: int) -> None:
+    _check_metric_shape(metric, n)
     for i in range(n):
         if metric[i][i] != 0:
             raise ValueError("metric diagonal must be zero")
@@ -359,22 +371,32 @@ def enumerate_markers(sys_: FiniteSystem, n_marker: int) -> list[frozenset[int]]
     The markers are counted before any is built, so a count over
     ``MAX_MARKERS`` is refused at once.
     """
-    cycles = sys_.cycles
-    total = 1
-    for cycle in cycles:
-        total *= _count_cycle_position_subsets(len(cycle), n_marker)
-    if total == 0:
+    if not _count_markers(sys_, n_marker):
         return []
+    per_cycle = [_cycle_parts(cycle, n_marker) for cycle in sys_.cycles]
+    return [frozenset(i for part in combo for i in part) for combo in iter_product(*per_cycle)]
+
+
+def _count_markers(sys_: FiniteSystem, n_marker: int) -> int:
+    """How many N-markers the system has: a marker is one part per cycle,
+    chosen independently.  A count over ``MAX_MARKERS`` is refused."""
+    total = 1
+    for cycle in sys_.cycles:
+        total *= _count_cycle_position_subsets(len(cycle), n_marker)
     if total > MAX_MARKERS:
         raise ValueError(
             f"more than {MAX_MARKERS} markers to enumerate; tighten the marker "
             f"length or shrink the system"
         )
-    per_cycle = [
-        [tuple(cycle[pos] for pos in s) for s in _cycle_position_subsets(len(cycle), n_marker)]
-        for cycle in cycles
+    return total
+
+
+def _cycle_parts(cycle: tuple[int, ...], n_marker: int) -> list[tuple[int, ...]]:
+    """The parts an N-marker can have in one cycle, as points of the cycle."""
+    return [
+        tuple(cycle[pos] for pos in positions)
+        for positions in _cycle_position_subsets(len(cycle), n_marker)
     ]
-    return [frozenset(i for part in combo for i in part) for combo in iter_product(*per_cycle)]
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +657,9 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
     projects through the union of its first n clock images to an
     (N-1)-marker of the phase-0 power subsystem (identified with the base).
     When no marker exists on one side, the other side must be empty too; that
-    consistency is what is checked.
+    consistency is what is checked.  The backward check decides every
+    extension marker one cycle at a time, never building their product, and
+    refuses a marker count over ``MAX_MARKERS`` before any is built.
     """
     if n < 1 or n_marker < 1:
         raise ValueError("transfer requires n >= 1 and N >= 1")
@@ -663,25 +687,36 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
                 else "base has no marker but the extension does: transfer violated"
             ),
         }
-    markers = enumerate_markers(divided, n * n_marker)
-    if markers:
+    total = _count_markers(divided, n * n_marker)
+    if total:
         # the first n clock images of point (x, k) meet phase 0 once: at x
         # itself when k = 0, else at the base image of x
         landing = [i // n if i % n == 0 else sys_.perm[i // n] for i in range(divided.size)]
-        # many markers share a projection: check each distinct one once, and
-        # name the first marker (in sorted order) that projects to it
-        projections: dict[tuple[int, ...], list[int]] = {}
-        for w in sorted(map(sorted, markers)):
-            projections.setdefault(tuple(sorted({landing[i] for i in w})), w)
-        bad = [
-            {"marker": w, "projected": list(base_subset)}
-            for base_subset, w in projections.items()
-            if not verify_marker(sys_, base_subset, max(n_marker - 1, 1))[0]
-        ]
+        # landing maps divided cycle c into base cycle c, and the marker
+        # conditions never couple distinct cycles, so a projection fails
+        # exactly when the projection of one cycle's part fails.  Keep each
+        # distinct per-cycle projection with the first part giving it, and
+        # check it beside the first part of every other cycle.
+        per_cycle = []
+        for cycle in divided.cycles:
+            parts: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for part in _cycle_parts(cycle, n * n_marker):
+                parts.setdefault(tuple(sorted({landing[i] for i in part})), part)
+            per_cycle.append(parts)
+        firsts = [next(iter(parts.items())) for parts in per_cycle]
+        bad = []
+        for c, parts in enumerate(per_cycle):
+            others = firsts[:c] + firsts[c + 1 :]
+            others_projected = tuple(i for projected, _ in others for i in projected)
+            others_marker = tuple(i for _, part in others for i in part)
+            for projected, part in parts.items():
+                base_subset = sorted(projected + others_projected)
+                if not verify_marker(sys_, base_subset, max(n_marker - 1, 1))[0]:
+                    bad.append({"marker": sorted(part + others_marker), "projected": base_subset})
         backward = {
             "ok": not bad,
             "detail": (
-                f"all {len(markers)} {n * n_marker}-markers of the extension project "
+                f"all {total} {n * n_marker}-markers of the extension project "
                 f"to ({max(n_marker - 1, 1)})-markers of the phase-0 power subsystem"
                 if not bad
                 else "some extension marker fails to project"

@@ -13,8 +13,9 @@ from math import gcd
 
 import numpy as np
 
+from mdkit import finite
 from mdkit.complexes import HomologyGroup, smith_normal_form_diagonal
-from mdkit.finite import FiniteSystem
+from mdkit.finite import FiniteSystem, enumerate_markers, time_division
 from mdkit.shiftspace import Periodic, Window, check_membership, gap_space, random_torus_vec
 from mdkit.torus import TorusSeq, TorusVec, dist_at_least, vec_sum
 from mdkit.tower import DomainError, level_gap, section_domain
@@ -92,6 +93,30 @@ def projection_by_clock_walk(divided: FiniteSystem, marker, n: int) -> list[int]
         pulled.update(i for i in current if i % n == 0)
         current = {divided.perm[i] for i in current}
     return sorted(i // n for i in pulled)
+
+
+def backward_transfer_by_enumeration(base: FiniteSystem, n: int, n_marker: int):
+    """The backward marker transfer decided over the full list of markers of
+    the 1/n-time extension: each marker is projected by the clock walk, and
+    each distinct projection is checked once with ``finite.verify_marker``.
+
+    Returns the verdict, the marker count, and each failing projection with
+    the first marker, in sorted order, that projects to it.  With no
+    extension marker the verdict is that the base has no N-marker either.
+    """
+    divided = time_division(base, n)
+    markers = sorted(map(sorted, enumerate_markers(divided, n * n_marker)))
+    if not markers:
+        return not marker_exists_bruteforce(base, n_marker), 0, {}
+    verdicts: dict[tuple[int, ...], bool] = {}
+    failing: dict[tuple[int, ...], list[int]] = {}
+    for w in markers:
+        projected = tuple(projection_by_clock_walk(divided, w, n))
+        if projected not in verdicts:
+            verdicts[projected] = finite.verify_marker(base, projected, max(n_marker - 1, 1))[0]
+            if not verdicts[projected]:
+                failing[projected] = w
+    return not failing, len(markers), failing
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from mdkit import cli, complexes, finite, shiftspace, torus, tower
+from mdkit.finite import FiniteSystem
 
 from oracles import uniform_metric
 
@@ -108,10 +109,31 @@ class TestDispatch:
             capsys, "markers", "transfer", "--system", "cycles:6,6", "--n", "3", "--N", "2"
         )
         assert code == 0
-        # one base search, one lifted marker, and the 289 distinct projections
-        assert len(calls) == 291
+        # one base search, one lifted marker, and the 17 distinct projections
+        # of each cycle's part
+        assert len(calls) == 36
         backward = report["checks"][1]["witness"]["detail"]
         assert backward.startswith("all 7569 6-markers of the extension project")
+
+    def test_markers_transfer_builds_no_marker_product(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the transfer listed the extension markers")
+
+        monkeypatch.setattr(finite, "enumerate_markers", refuse)
+        code, report, _ = run_cli(
+            capsys, "markers", "transfer", "--system", "cycles:9,9", "--n", "2", "--N", "2"
+        )
+        assert code == 0
+        backward = report["checks"][1]["witness"]["detail"]
+        assert backward.startswith("all 108900 4-markers of the extension project")
+        # 2^600 - 1 markers of one cycle: refused from the count alone
+        code = cli.main(["markers", "transfer", "--system", "cycles:600", "--n", "1", "--N", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"mdkit: error: more than {finite.MAX_MARKERS} markers to enumerate; "
+            "tighten the marker length or shrink the system\n"
+        )
 
     def test_embed_validates_its_metric_once(self, capsys, monkeypatch, tmp_path):
         # a random table is a metric by construction and a uniform one is
@@ -128,6 +150,14 @@ class TestDispatch:
             assert run_cli(capsys, *argv)[0] == 0
             counts.append(len(calls))
         assert counts == [0, 0, 0, 1]
+        # a system file's own metric is replaced by --metric, so only the
+        # replacing file is validated
+        system = tmp_path / "system.json"
+        data = FiniteSystem.from_cycle_lengths([7, 5], uniform_metric(12, Fraction(1, 4))).to_json()
+        system.write_text(json.dumps(data))
+        argv = ["embed", "--system", str(system), "--metric", str(path), "--epsilon", "1/10"]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(calls) - counts[-1] == 1
 
     def test_uniform_metric_sign_rule_agrees_with_the_validator(self):
         for size in range(1, 7):

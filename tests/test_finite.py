@@ -26,6 +26,7 @@ from mdkit.finite import (
 from mdkit.shiftspace import MembershipReport, check_membership, gap_space, shift, unit_step_space
 
 from oracles import (
+    backward_transfer_by_enumeration,
     early_returns_by_powers,
     marker_exists_bruteforce,
     marker_exists_vectorized,
@@ -436,10 +437,13 @@ class TestMarkerTransfer:
         assert not report.passed
         violations = report.backward["violations"]
         assert [v["projected"] for v in violations] == [[0], [1], [2], [3], [4]]
-        # each names the first marker, in sorted order, with that projection
+        # each names the first marker, in the cycle's walk, with that projection
         assert [v["marker"] for v in violations] == [[0], [1], [4], [7], [10]]
 
     def test_projections_match_the_clock_walk(self, monkeypatch):
+        # with every base check failing, each cycle's records run through
+        # the projections its marker parts can have, once each, and every
+        # record is an extension marker with its clock-walk projection
         verify = finite.verify_marker
         for lengths in ([5], [3, 4], [2, 2, 3]):
             base = FiniteSystem.from_cycle_lengths(lengths)
@@ -452,11 +456,83 @@ class TestMarkerTransfer:
                     )
                     report = verify_marker_transfer(base, n, n_marker)
                     divided = time_division(base, n)
-                    expected = {}
-                    for w in sorted(map(sorted, enumerate_markers(divided, n * n_marker))):
-                        expected.setdefault(tuple(projection_by_clock_walk(divided, w, n)), w)
+                    markers = {frozenset(w) for w in enumerate_markers(divided, n * n_marker)}
                     got = report.backward.get("violations", [])
-                    assert [(tuple(v["projected"]), v["marker"]) for v in got] == list(expected.items())
+                    for v in got:
+                        assert frozenset(v["marker"]) in markers
+                        assert projection_by_clock_walk(divided, v["marker"], n) == v["projected"]
+                    walked = [set(projection_by_clock_walk(divided, w, n)) for w in markers]
+                    start = 0
+                    for cycle in base.cycles:
+                        expected = {tuple(sorted(p.intersection(cycle))) for p in walked}
+                        records = got[start : start + len(expected)]
+                        within = [tuple(i for i in v["projected"] if i in cycle) for v in records]
+                        assert sorted(within) == sorted(expected)
+                        start += len(expected)
+                    assert start == len(got)
+
+    @staticmethod
+    def seeded_transfers():
+        """Seeded (base, n, N): cycles of length 2-8, at most 12 points."""
+        rng = random.Random(19)
+        for _ in range(40):
+            lengths = [rng.randint(2, 8)]
+            while sum(lengths) < 10 and rng.random() < 0.6:
+                lengths.append(rng.randint(2, min(8, 12 - sum(lengths))))
+            yield FiniteSystem.from_cycle_lengths(lengths), rng.randint(1, 3), rng.randint(1, 5)
+
+    def test_backward_matches_the_enumeration_oracle(self, monkeypatch):
+        # two base verifiers: the real one, which every projection passes,
+        # and one failing exactly the subsets that hold a point with its
+        # image, a rule that, like the real one, splits over cycles
+        monkeypatch.setattr(finite, "MAX_MARKERS", 5000)
+        verify = finite.verify_marker
+        verdicts = []
+        for base, n, n_marker in self.seeded_transfers():
+            pair = (0, base.perm[0])
+            for fake in (False, True):
+                monkeypatch.setattr(
+                    finite,
+                    "verify_marker",
+                    lambda s, u, k: (False, ()) if fake and s is base and set(pair) <= set(u) else verify(s, u, k),
+                )
+                try:
+                    expected_ok, count, failing = backward_transfer_by_enumeration(base, n, n_marker)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        verify_marker_transfer(base, n, n_marker)
+                    verdicts.append("refused")
+                    continue
+                backward = verify_marker_transfer(base, n, n_marker).backward
+                assert backward["ok"] == expected_ok, (base, n, n_marker, fake)
+                if count:
+                    if expected_ok:
+                        assert backward["detail"].startswith(f"all {count} ")
+                    assert {tuple(v["projected"]) for v in backward["violations"]} <= set(failing)
+                else:
+                    assert "violations" not in backward
+                verdicts.append((bool(count), expected_ok))
+        # refusals, empty extensions, passes and failures all occur
+        assert {"refused", (False, True), (True, True), (True, False)} <= set(verdicts)
+
+    def test_violations_are_real_markers(self, monkeypatch):
+        monkeypatch.setattr(finite, "MAX_MARKERS", 5000)
+        verify = finite.verify_marker
+        checked = 0
+        for base, n, n_marker in self.seeded_transfers():
+            monkeypatch.setattr(
+                finite, "verify_marker", lambda s, u, k: (False, ()) if s is base and k == n_marker - 1 else verify(s, u, k)
+            )
+            try:
+                report = verify_marker_transfer(base, n, n_marker)
+            except ValueError:
+                continue
+            divided = time_division(base, n)
+            for v in report.backward.get("violations", []):
+                assert verify(divided, v["marker"], n * n_marker)[0], (base, n, n_marker, v)
+                assert projection_by_clock_walk(divided, v["marker"], n) == v["projected"]
+                checked += 1
+        assert checked > 200
 
     def test_battery(self):
         for lengths in ([3], [5], [3, 5]):
