@@ -3,11 +3,16 @@
 A complex carries a vertex permutation of order dividing p that maps
 simplices to simplices.  The builders here make valid complexes, so the
 constructor trusts its caller; a complex file is validated once, in
-``FreeZpComplex.from_json``.  Freeness (no power of the action fixing a
-simplex setwise) is checked, never assumed: ``check_free_action`` guards
-every search and every coindex bound.  Homology is integral: boundaries are
-sparse columns, reduced by eliminating +-1 pivots, and only the residual
-without unit entries goes to a dense Smith normal form.  It serves as the
+``FreeZpComplex.from_json``.  Each complex builds its face table (every
+dimension's simplices as sorted vertex tuples, in sorted order) once, on
+first use, and the simplex lists, the Euler characteristic and homology
+read it.  Freeness (no power of the action fixing a simplex setwise) is
+checked, never assumed: ``check_free_action`` guards every search and every
+coindex bound, and decides it from the action's orbits alone.  Homology is
+integral: boundaries are sparse columns, reduced from the top dimension
+down by eliminating +-1 pivots, each boundary without the columns the one
+above pivoted on, and only the residual without unit entries goes to a
+dense Smith normal form.  It serves as the
 computable necessary condition for connectivity.  Coindex is never
 "computed": sound lower bounds come from explicit equivariant vertex maps
 found by backtracking search, the upper bound is the dimension, and every
@@ -17,6 +22,7 @@ bound carries the rule chain that produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, product
 from math import gcd
 from typing import Iterable, Mapping, Sequence
@@ -79,16 +85,22 @@ class FreeZpComplex:
             return -1
         return max(len(s) for s in self.simplices) - 1
 
+    @cached_property
+    def face_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Entry d lists the d-simplices as sorted vertex tuples, in sorted
+        order, for d = 0..dim; built on first use, once per complex."""
+        by_size: dict[int, list[tuple[int, ...]]] = {}
+        for s in self.simplices:
+            by_size.setdefault(len(s), []).append(tuple(sorted(s)))
+        top = max(by_size, default=0)
+        return tuple(tuple(sorted(by_size.get(size, ()))) for size in range(1, top + 1))
+
     def simplices_of_dim(self, d: int) -> list[tuple[int, ...]]:
-        return sorted(
-            tuple(sorted(s)) for s in self.simplices if len(s) == d + 1
-        )
+        table = self.face_table
+        return list(table[d]) if 0 <= d < len(table) else []
 
     def euler_characteristic(self) -> int:
-        total = 0
-        for s in self.simplices:
-            total += (-1) ** (len(s) - 1)
-        return total
+        return sum((-1) ** d * len(faces) for d, faces in enumerate(self.face_table))
 
     def to_json(self) -> dict:
         return {
@@ -176,12 +188,18 @@ def check_free_action(complex_: FreeZpComplex) -> bool:
     """True iff no nontrivial power of the action fixes any simplex setwise.
 
     For a prime-order simplicial action a setwise-invariant simplex would fix
-    its barycenter, so this is exactly freeness of the realized action.  The
-    powers fixing a simplex form a subgroup of Z_p, which for prime p is
-    trivial or everything, so testing the generator alone decides it.
+    its barycenter, so this is exactly freeness of the realized action.  It
+    is decided from the orbits, one membership test each.  Let p be prime,
+    the action's order divide p and the complex be downward closed (the
+    builders and ``from_json`` guarantee all three).  The powers fixing a
+    simplex form a subgroup of Z_p, trivial or everything, so a simplex
+    fixed by some nontrivial power is fixed by the generator.  Then it is a
+    union of orbits, so it has a whole orbit as a face, and that orbit is a
+    simplex fixed setwise.  So the action is free exactly when no orbit,
+    taken as a vertex set, is a simplex.
     """
-    action = complex_.action
-    return all(frozenset(action[v] for v in s) != s for s in complex_.simplices)
+    simplices = complex_.simplices
+    return not any(frozenset(orbit) in simplices for orbit in permutation_cycles(complex_.action))
 
 
 # Largest standard complex built: en-zp(2, 8) has 19,682 simplices.
@@ -335,7 +353,7 @@ class HomologyGroup:
 
 
 def _boundary_columns(
-    upper: list[tuple[int, ...]], lower: list[tuple[int, ...]]
+    upper: Sequence[tuple[int, ...]], lower: Sequence[tuple[int, ...]]
 ) -> list[dict[int, int]]:
     """Boundary from chains on ``upper`` to chains on ``lower``, one sparse
     ``{row: +-1}`` column per simplex of ``upper``."""
@@ -346,7 +364,9 @@ def _boundary_columns(
     ]
 
 
-def _invariant_factors(columns: list[dict[int, int]]) -> list[int]:
+def _invariant_factors(
+    columns: list[dict[int, int]], pivot_rows: list[int] | None = None
+) -> list[int]:
     """Smith normal form diagonal of a sparse integer matrix given by columns.
 
     Each pass walks the columns in order and pivots on a +-1 entry whose row
@@ -357,6 +377,8 @@ def _invariant_factors(columns: list[dict[int, int]]) -> list[int]:
     repeat while a pivot was found; what remains has no unit entry and goes
     to the dense ``smith_normal_form_diagonal``.  Since 1 divides every
     invariant factor, the result is [1] * pivots + the residual's diagonal.
+    When ``pivot_rows`` is given, the pivot rows are appended to it in the
+    order they were taken.
     """
     cols = [dict(c) for c in columns]
     rows: dict[int, set[int]] = {}
@@ -388,6 +410,8 @@ def _invariant_factors(columns: list[dict[int, int]]) -> list[int]:
                 rows[i].discard(c)
             pivot_col.clear()
             pivots += 1
+            if pivot_rows is not None:
+                pivot_rows.append(r)
             found = True
     rest_rows = sorted(i for i, js in rows.items() if js)
     rest_cols = [col for col in cols if col]
@@ -398,17 +422,32 @@ def _invariant_factors(columns: list[dict[int, int]]) -> list[int]:
 
 
 def reduced_homology_groups(complex_: FreeZpComplex) -> list[HomologyGroup]:
-    """Reduced integral homology in degrees 0..dim, each boundary reduced once.
+    """Reduced integral homology in degrees 0..dim, from the face table.
 
     Degree -1 holds the empty simplex alone, so the boundary of the vertices
     is the augmentation.  H~_k has rank n_k - rank d_k - rank d_{k+1}, and its
     torsion is the invariant factors of d_{k+1} above 1.  Higher degrees are 0.
+
+    The boundaries are reduced from the top dimension down, and each one
+    without the columns that the one above pivoted on (clearing).  This is
+    exact over Z.  Say the elimination of d_{k+1} pivots on the rows
+    r_1, ..., r_T of C_k, in that order, and let b_t be the pivot column
+    when r_t is taken.  Each b_t is a boundary, 0 at r_1 .. r_{t-1} (those
+    rows were cleared from every column) and +-1 at r_t.  So the b_t and the
+    unit chains e_j for j outside R = {r_t} form a Z-basis of C_k: on the
+    rows R the b_t are triangular with unit diagonal.  d_k vanishes on
+    every b_t, so in that basis d_k is 0 beside d_k without the columns R,
+    and the two have the same nonzero invariant factors: the same rank and
+    the same torsion.  The torsion still comes from the dense residual.
     """
-    faces = [[()]] + [complex_.simplices_of_dim(d) for d in range(complex_.dimension() + 1)]
-    factors = [
-        _invariant_factors(_boundary_columns(upper, lower))
-        for lower, upper in zip(faces, faces[1:])
-    ] + [[]]
+    faces = [((),), *complex_.face_table]
+    factors: list[list[int]] = [[] for _ in faces]
+    cleared: list[int] = []
+    for k in range(len(faces) - 2, -1, -1):
+        drop = set(cleared)
+        upper = [s for j, s in enumerate(faces[k + 1]) if j not in drop]
+        cleared = []
+        factors[k] = _invariant_factors(_boundary_columns(upper, faces[k]), cleared)
     return [
         HomologyGroup(
             rank=len(faces[k + 1]) - len(factors[k]) - len(factors[k + 1]),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product as iter_product
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .shiftspace import (
@@ -31,7 +31,14 @@ from .shiftspace import (
     shift,
     unit_step_space,
 )
-from .torus import TorusSeq, TorusVec, frac_from_str, frac_to_str, max_circle_dist
+from .torus import (
+    TorusSeq,
+    TorusVec,
+    dist_at_least,
+    frac_from_str,
+    frac_to_str,
+    max_circle_dist,
+)
 
 # Largest marker count ``enumerate_markers`` lists or the marker transfer
 # decides, checked before any marker is built: listing the 167,760 2-markers
@@ -547,6 +554,12 @@ def epsilon_embedding(sys_: FiniteSystem, epsilon: Fraction) -> EmbeddingReport:
     only happen below epsilon, and records the smallest image separation
     among pairs at distance >= epsilon.  The system's metric is trusted:
     input metrics are validated where they are read.
+
+    The metric is lifted once to integer numerators over the lcm of its
+    denominators, and a rescale only changes that denominator.  So the
+    diameter, the center tests, the image coordinates and the pair tests
+    are integer arithmetic; ``Fraction`` appears only in the reported scale,
+    epsilon and separation gap.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -554,28 +567,35 @@ def epsilon_embedding(sys_: FiniteSystem, epsilon: Fraction) -> EmbeddingReport:
     if sys_.metric is None:
         raise ValueError("metric required")
     n, metric = sys_.size, sys_.metric
-    diam = max((metric[i][j] for i in range(n) for j in range(n)), default=Fraction(0))
+    den = lcm(*{d.denominator for row in metric for d in row})
+    # the distance from i to j is nums[i][j] / den, before and after a rescale
+    nums = [[d.numerator * (den // d.denominator) for d in row] for row in metric]
+    diam = max(map(max, nums), default=0)
     scale = Fraction(1)
-    if diam > Fraction(1, 4):
-        scale = Fraction(1, 4) / diam
-    dist = [[metric[i][j] * scale for j in range(n)] for i in range(n)]
+    if 4 * diam > den:
+        scale = Fraction(den, 4 * diam)
+        den = 4 * diam
     eps = epsilon * scale
+    # d < eps/2 iff 2 * eps_den * num < bound; d >= eps iff eps_den * num >= bound
+    bound, eps_den = eps.numerator * den, eps.denominator
     centers: list[int] = []
     for i in range(n):
-        if not any(dist[i][c] < eps / 2 for c in centers):
+        row = nums[i]
+        if not any(2 * eps_den * row[c] < bound for c in centers):
             centers.append(i)
-    images = tuple(
-        TorusVec.of(*(dist[i][c] for c in centers)) for i in range(n)
-    )
+    images = tuple(TorusVec(tuple(row[c] for c in centers), den) for row in nums)
     collision_ok = True
     separation: Fraction | None = None
     for i in range(n):
+        row = nums[i]
         for j in range(i + 1, n):
-            if images[i] == images[j] and dist[i][j] >= eps:
-                collision_ok = False
-            if dist[i][j] >= eps:
-                gap = max_circle_dist(images[i], images[j])
-                separation = gap if separation is None else min(separation, gap)
+            if eps_den * row[j] >= bound:
+                x, y = images[i], images[j]
+                if x == y:
+                    collision_ok = False
+                # a Fraction is built only for a new smallest gap
+                if separation is None or not dist_at_least(x, y, separation):
+                    separation = max_circle_dist(x, y)
     return EmbeddingReport(
         centers=tuple(centers),
         images=images,

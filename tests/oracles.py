@@ -17,7 +17,7 @@ from mdkit import finite
 from mdkit.complexes import HomologyGroup, smith_normal_form_diagonal
 from mdkit.finite import FiniteSystem, enumerate_markers, time_division
 from mdkit.shiftspace import Periodic, Window, check_membership, gap_space, random_torus_vec
-from mdkit.torus import TorusSeq, TorusVec, dist_at_least, vec_sum
+from mdkit.torus import TorusSeq, TorusVec, dist_at_least, max_circle_dist, vec_sum
 from mdkit.tower import DomainError, level_gap, section_domain
 
 
@@ -368,6 +368,42 @@ def metric_violations(metric, size: int) -> list[str]:
     return [name for name, ok in checks.items() if not ok]
 
 
+def epsilon_embedding_by_fractions(sys_: FiniteSystem, epsilon) -> finite.EmbeddingReport:
+    """``finite.epsilon_embedding`` computed on a table of ``Fraction``
+    distances: rescale, center choice, images and the pair tests each by
+    rational arithmetic, with ``max_circle_dist`` for every far pair."""
+    epsilon = Fraction(epsilon)
+    n, metric = sys_.size, sys_.metric
+    diam = max((metric[i][j] for i in range(n) for j in range(n)), default=Fraction(0))
+    scale = Fraction(1)
+    if diam > Fraction(1, 4):
+        scale = Fraction(1, 4) / diam
+    dist = [[metric[i][j] * scale for j in range(n)] for i in range(n)]
+    eps = epsilon * scale
+    centers: list[int] = []
+    for i in range(n):
+        if not any(dist[i][c] < eps / 2 for c in centers):
+            centers.append(i)
+    images = tuple(TorusVec.of(*(dist[i][c] for c in centers)) for i in range(n))
+    collision_ok = True
+    separation = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            if images[i] == images[j] and dist[i][j] >= eps:
+                collision_ok = False
+            if dist[i][j] >= eps:
+                gap = max_circle_dist(images[i], images[j])
+                separation = gap if separation is None else min(separation, gap)
+    return finite.EmbeddingReport(
+        centers=tuple(centers),
+        images=images,
+        scale=scale,
+        epsilon=eps,
+        separation_gap=separation,
+        collision_ok=collision_ok,
+    )
+
+
 def perm_is_bijection(sys_: FiniteSystem) -> bool:
     """A system's points and perm are tuples, and every point is the image
     of exactly one point."""
@@ -445,10 +481,13 @@ def complex_violations(complex_) -> list[str]:
 
 def reduced_homology_dense(complex_, k):
     """H~_k from the dense boundary matrices of d_k and d_{k+1}, each reduced
-    by the dense Smith normal form; 0 above the dimension."""
+    by the dense Smith normal form; 0 above the dimension.  The faces are
+    read from the simplex set, not from the complex's face table."""
 
     def faces(d):
-        return [()] if d == -1 else complex_.simplices_of_dim(d)
+        if d == -1:
+            return [()]
+        return sorted(tuple(sorted(s)) for s in complex_.simplices if len(s) == d + 1)
 
     def factors(d):  # invariant factors of the boundary C_d -> C_{d-1}
         rows, cols = faces(d - 1), faces(d)

@@ -24,7 +24,7 @@ from mdkit.complexes import (
     smith_normal_form_diagonal,
     verify_equivariant_simplicial,
 )
-from mdkit.complexes import _invariant_factors, _validate_complex
+from mdkit.complexes import _boundary_columns, _invariant_factors, _validate_complex
 
 from oracles import (
     complex_violations,
@@ -198,6 +198,30 @@ class TestFreeAction:
                 assert verdicts[-1] == free_action_by_all_powers(k), (p, action, maximal)
         assert 20 < sum(verdicts) < len(verdicts) - 20
 
+    def test_unused_fixed_vertex_keeps_the_action_free(self):
+        # a vertex that no simplex uses is an orbit of its own, fixed by the
+        # action, but not a simplex: free by the definition and by the orbits
+        data = build_en_zp(3, 1).to_json()
+        data["vertices"].append("unused")
+        data["action"].append(len(data["action"]))
+        k = FreeZpComplex.from_json(data)
+        assert (len(k.vertices), k.action[-1]) == (7, 6)
+        assert free_action_by_all_powers(k)
+        assert check_free_action(k)
+
+    def test_orbit_only_inside_larger_simplices_not_free(self):
+        # the orbit {0, 1, 2} is listed only as a face of three tetrahedra,
+        # each fixed by no power; the closure holds the orbit itself
+        data = {
+            "p": 3,
+            "vertices": list(range(6)),
+            "simplices": [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]],
+            "action": [1, 2, 0, 4, 5, 3],
+        }
+        k = FreeZpComplex.from_json(data)
+        assert not free_action_by_all_powers(k)
+        assert not check_free_action(k)
+
     def test_order_from_cycle_lengths_matches_all_powers(self):
         # random permutations of cycles of length 1, p or 2..6, so orders that
         # divide p and orders that do not both occur
@@ -312,6 +336,26 @@ RP2_TRIANGLES = [
 ]
 
 
+# every standard complex whose dense oracle takes at most about 0.1 s
+EN_ZP_HOMOLOGY = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
+
+
+def projective_plane() -> FreeZpComplex:
+    return FreeZpComplex.from_maximal(2, range(1, 7), RP2_TRIANGLES, {v: v for v in range(1, 7)})
+
+
+def homology_battery() -> list[FreeZpComplex]:
+    """The projective plane (Z/2 torsion) and 60 seeded closures of random
+    maximal faces, with the identity action."""
+    rng = random.Random(61)
+    battery = [projective_plane()]
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        maximal = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(1, 6))]
+        battery.append(FreeZpComplex.from_maximal(2, range(n), maximal, {v: v for v in range(n)}))
+    return battery
+
+
 class TestSparseHomology:
     def test_invariant_factors_match_dense_snf(self):
         rng = random.Random(41)
@@ -367,6 +411,45 @@ class TestSparseHomology:
             assert len(groups) == k.dimension() + 1
             assert groups == [reduced_homology_dense(k, d) for d in range(len(groups))]
             assert reduced_homology_dense(k, len(groups)).is_trivial()
+
+    def test_pivot_rows_distinct_and_unimodular(self):
+        rng = random.Random(47)
+        for entries in ([0, 0, 0, 1, -1, 2, -3], [0, 1, 2, -2, 3, 4, -6]):
+            for _ in range(150):
+                rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+                matrix = _random_matrix(rng, rows, cols, entries)
+                pivot_rows = []
+                factors = _invariant_factors(_columns(matrix, cols), pivot_rows)
+                assert factors == smith_normal_form_diagonal(matrix), matrix
+                assert len(set(pivot_rows)) == len(pivot_rows) <= factors.count(1)
+                # the columns reach every unit vector on the pivot rows: what
+                # clearing the next boundary's columns R rests on
+                on_rows = [matrix[r] for r in pivot_rows]
+                assert smith_normal_form_diagonal(on_rows) == [1] * len(pivot_rows), matrix
+
+    def test_boundary_pivot_rows_count_the_unit_factors(self):
+        # no residual of these boundary matrices has a factor 1, so the
+        # pivot rows number exactly the 1s
+        for k in homology_battery():
+            faces = [((),), *k.face_table]
+            for lower, upper in zip(faces, faces[1:]):
+                pivot_rows = []
+                factors = _invariant_factors(_boundary_columns(upper, lower), pivot_rows)
+                assert len(set(pivot_rows)) == len(pivot_rows) == factors.count(1)
+
+    @pytest.mark.parametrize("p, n", EN_ZP_HOMOLOGY)
+    def test_standard_complexes_match_dense_oracle(self, p, n):
+        k = build_en_zp(p, n)
+        assert reduced_homology_groups(k) == [reduced_homology_dense(k, d) for d in range(n + 1)]
+        assert reduced_homology_dense(k, n + 1).is_trivial()
+
+    def test_random_complexes_match_dense_oracle(self):
+        torsion = 0
+        for k in homology_battery():
+            groups = reduced_homology_groups(k)
+            assert groups == [reduced_homology_dense(k, d) for d in range(k.dimension() + 1)]
+            torsion += any(g.torsion for g in groups)
+        assert torsion == 1
 
     def test_size_cap_refuses_before_building(self):
         # en-zp(2, 8), 3^9 - 1 = 19,682 simplices, is the largest built
@@ -599,6 +682,18 @@ class TestJsonAndInvariants:
         }
         k = FreeZpComplex.from_json(data)
         assert frozenset({0}) in k.simplices
+
+    def test_face_table_lists_each_dimension_sorted(self):
+        join = join_complexes(build_en_zp(2, 1), build_en_zp(2, 0))
+        for k in [FreeZpComplex.empty(2), projective_plane(), build_en_zp(3, 2), join]:
+            table = k.face_table
+            assert table is k.face_table
+            assert len(table) == k.dimension() + 1
+            assert table == tuple(
+                tuple(sorted(tuple(sorted(s)) for s in k.simplices if len(s) == d + 1))
+                for d in range(len(table))
+            )
+            assert k.euler_characteristic() == sum((-1) ** (len(s) - 1) for s in k.simplices)
 
     def test_coindex_bound_json(self):
         bound = CoindexBound(3, 1, None, ({"rule": "x", "statement": "y"},))

@@ -28,6 +28,7 @@ from mdkit.shiftspace import MembershipReport, check_membership, gap_space, shif
 from oracles import (
     backward_transfer_by_enumeration,
     early_returns_by_powers,
+    epsilon_embedding_by_fractions,
     marker_exists_bruteforce,
     marker_exists_vectorized,
     metric_violations,
@@ -365,6 +366,61 @@ class TestEmbeddings:
     def test_metric_required(self):
         with pytest.raises(ValueError, match="metric required"):
             epsilon_embedding(FiniteSystem.from_cycle_lengths([2]), Fraction(1, 5))
+
+    def test_integer_table_matches_fraction_oracle(self):
+        at_half = at_epsilon = rescaled = 0
+        for sys_, epsilon in embedding_cases():
+            report = epsilon_embedding(sys_, epsilon)
+            expected = epsilon_embedding_by_fractions(sys_, epsilon)
+            for field in ("centers", "images", "scale", "epsilon", "separation_gap", "collision_ok"):
+                assert getattr(report, field) == getattr(expected, field), (field, epsilon)
+            assert all(type(getattr(report, f)) is Fraction for f in ("scale", "epsilon"))
+            rescaled += report.scale != 1
+            # a point exactly epsilon/2 from a center, and a pair exactly
+            # epsilon apart (a rescale scales both sides)
+            metric = sys_.metric
+            at_half += any(2 * metric[i][c] == epsilon for i in range(sys_.size) for c in report.centers)
+            at_epsilon += any(d == epsilon for row in metric for d in row)
+        assert at_half > 10 and at_epsilon > 10 and rescaled > 10
+
+
+def mixed_metric_json(rng: random.Random, size: int, low: Fraction) -> dict:
+    """A system file on ``size`` points whose metric has entries in
+    [low, 2*low] over denominators mixed per entry: a metric, as any table
+    with off-diagonal values in [t, 2t] is."""
+    rows = [["0"] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            q = rng.choice((1, 2, 3, 7, 64))
+            d = low * (1 + Fraction(rng.randint(0, q), q))
+            rows[i][j] = rows[j][i] = f"{d.numerator}/{d.denominator}"
+    return {"points": [f"x{i}" for i in range(size)], "perm": list(range(size)), "metric": rows}
+
+
+def embedding_cases():
+    """Metric systems as the CLI builds them: ``random:`` and ``uniform:``
+    tables (values 0 to 3) on 2-40 points, and system files on 2-16 points
+    whose tables mix denominators, with diameters above and below 1/4.
+    Each comes with epsilons that include a distance and twice a distance,
+    so both threshold tests meet equality."""
+    rng = random.Random(2024)
+    systems = []
+    for seed in range(8):
+        base = cycles(rng.randint(2, 40))
+        metric = random_metric(random.Random(seed), base.size)
+        systems.append(FiniteSystem(base.points, base.perm, metric))
+    for value in (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1), Fraction(3)):
+        base = cycles(rng.randint(2, 40))
+        systems.append(FiniteSystem(base.points, base.perm, uniform_metric(base.size, value)))
+    for low in (Fraction(1, 16), Fraction(1, 9), Fraction(1, 5), Fraction(1, 3), Fraction(2)):
+        for _ in range(2):
+            systems.append(FiniteSystem.from_json(mixed_metric_json(rng, rng.randint(2, 16), low)))
+    for sys_ in systems:
+        distances = sorted({d for row in sys_.metric for d in row if d})
+        picked = rng.sample(distances, min(2, len(distances)))
+        epsilons = {Fraction(rng.randint(1, 64), 64)} | set(picked) | {2 * d for d in picked}
+        for epsilon in sorted(epsilons):
+            yield sys_, epsilon
 
 
 # both pipelines unroll their images along orbits through one orbit map
