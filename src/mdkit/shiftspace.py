@@ -6,10 +6,13 @@ holds its values as one :class:`~mdkit.torus.TorusSeq`, integer columns over
 one denominator; shifts, dilations, unrolling, the gap and adjacent-step
 membership checks and the samplers work on those columns, and a vector is
 built only when a caller reads one (``value_at``, ``values``) or a binary
-SFT reads its letters.  The samplers draw on the k/64 grid
-with the same ``randrange`` calls, in the same order, as drawing one vector
-at a time with :func:`random_torus_vec`, so a seed gives the same points
-whatever the representation.  Subshift
+SFT reads its letters.  The samplers draw on the k/64 grid; their random
+stream is defined as the ``randrange`` calls, in order, of drawing one
+vector at a time with :func:`random_torus_vec`, so a seed gives the same
+points whatever the representation.  :func:`~mdkit.torus.first_far`
+reproduces those calls through ``getrandbits``, and the tests compare it,
+generator end state included, with ``randrange`` oracles on every supported
+Python.  Subshift
 constraints are declarative: a minimum distance between entries a fixed gap
 apart, a disjunction of distance conditions on the two adjacent steps, or a
 binary subshift of finite type given by its forbidden words.  A membership
@@ -320,16 +323,19 @@ def random_torus_vec(rng: random.Random, dim: int) -> TorusVec:
 
 
 def _draw_seq(
-    rng: random.Random, dim: int, length: int, gap: int = 1, threshold: Fraction = Fraction(0)
-) -> tuple[TorusSeq, int]:
+    rng: random.Random, dim: int, length: int, gap: int = 1, threshold: Fraction = Fraction(0),
+    closed: bool = False,
+) -> tuple[TorusSeq | None, int]:
     """Grid entries drawn in index order, each redrawn until it lies at distance
     >= threshold from the entry ``gap`` back; and the draws it took.
 
-    Each draw makes the same ``randrange`` calls as ``random_torus_vec``, and
-    threshold 0 keeps every draw, so the stream matches drawing vectors one by
-    one.
+    With ``closed``, a walk whose last entry lies nearer than the threshold
+    to its first comes back as None.  The stream is that of ``random_torus_vec``, one
+    ``rng.randrange(2*GRID)`` per coordinate, which ``first_far`` reproduces
+    through ``getrandbits``, generator end state included; threshold 0 keeps
+    every draw, so the points match drawing vectors one by one.
     """
-    found = first_far(rng, dim, length, gap, threshold, GRID, SLOT_TRIES)
+    found = first_far(rng, dim, length, gap, threshold, GRID, SLOT_TRIES, closed)
     if found is None:
         raise ValueError(f"sampling gave up after {SLOT_TRIES} draws of one entry")
     return found
@@ -370,11 +376,9 @@ def sample_periodic_gap_point(
     drawn = 0
     for _ in range(cycles):
         while drawn < MAX_DRAWS:
-            walk, tries = _draw_seq(rng, dim, length, 1, t)
+            walk, tries = _draw_seq(rng, dim, length, 1, t, closed=True)
             drawn += tries
-            # the closing edge joins the walk's last entry to its first
-            (d,), den = gap_distances(walk, length - 1, False)
-            if d * t.denominator >= t.numerator * den:
+            if walk is not None:
                 break
         else:
             raise ValueError(

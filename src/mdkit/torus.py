@@ -408,36 +408,53 @@ def gap_distances(seq: TorusSeq, gap: int, cyclic: bool) -> tuple[list[int], int
 
 
 def first_far(
-    rng: random.Random, dim: int, length: int, gap: int, threshold: Fraction, den: int, tries: int
-) -> tuple[TorusSeq, int] | None:
+    rng: random.Random, dim: int, length: int, gap: int, threshold: Fraction, den: int, tries: int,
+    closed: bool = False,
+) -> tuple[TorusSeq | None, int] | None:
     """A random sequence on the k/den grid whose entries ``gap`` apart are far apart.
 
-    Entries are drawn in index order, each as ``dim`` calls of
+    Entries are drawn in index order, each as the ``dim`` values of
     ``rng.randrange(2*den)``.  Entries 0 .. gap-1 are kept as drawn; every
     later entry is the first of at most ``tries`` draws at distance
     >= threshold from the entry ``gap`` back, tested in integers.  Returns
     the sequence and the number of draws made, or None when some entry
     finds no far draw within its tries.  Threshold 0 keeps every draw.
+    ``closed`` also tests the last entry against the first; a walk that
+    fails returns ``(None, drawn)``.
+
+    The stream is ``randrange``'s, reproduced by the rule CPython 3.10-3.13
+    uses for ``randrange(n)``: ``getrandbits(n.bit_length())``, drawn again
+    while >= n.  Every coordinate of a draw is drawn, far or not, as
+    ``test_first_far_leaves_the_randrange_generator_state`` checks.
     """
     full = 2 * den
     # circular distance >= bound iff the difference lies in [bound, full - bound]
     bound = -(-threshold.numerator * den // threshold.denominator)
     high = full - bound
-    randrange, fulls = rng.randrange, (full,) * dim
-    rows = [list(map(randrange, fulls)) for _ in range(min(gap, length))]
-    drawn = len(rows)
-    for k in range(gap, length):
-        prev = rows[k - gap]
-        for tried in range(1, tries + 1):
-            nums = list(map(randrange, fulls))
-            for u, v in zip(nums, prev):
-                if bound <= (u - v) % full <= high:
-                    break
-            else:
-                continue
-            rows.append(nums)
-            drawn += tried
-            break
+    bits, getrandbits = full.bit_length(), rng.getrandbits
+    origin, once, attempts = (0,) * dim, range(1, 2), range(1, tries + 1)
+    rows = []
+    drawn = 0
+    for k in range(length):
+        # an entry with no partner gap back keeps its one draw: every
+        # difference lies in [0, full]
+        prev, lo, hi, limit = (origin, 0, full, once) if k < gap else (rows[k - gap], bound, high, attempts)
+        for tried in limit:
+            row = []
+            far = False
+            for v in prev:
+                u = getrandbits(bits)
+                while u >= full:
+                    u = getrandbits(bits)
+                row.append(u)
+                if not far and lo <= (u - v) % full <= hi:
+                    far = True
+            if far:
+                break
         else:
             return None
+        rows.append(row)
+        drawn += tried
+    if closed and not any(bound <= (u - v) % full <= high for u, v in zip(rows[-1], rows[0])):
+        return None, drawn
     return _seq(zip(*rows) if rows else ((),) * dim, den), drawn

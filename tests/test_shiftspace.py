@@ -338,6 +338,18 @@ class TestSampling:
             ["65/64"], ["91/64"], ["7/64"], ["13/64"], ["5/8"], ["95/64"], ["15/8"]
         ]
 
+    def test_periodic_sampling_draws_are_pinned(self):
+        # both seeds redraw some walks whose closing edge is too short
+        x = sample_periodic_gap_point(1, 2, HALF, 7, random.Random(10))
+        assert [v.to_json() for v in x.values] == [
+            ["61/64"], ["105/64"], ["115/64"], ["61/64"], ["83/64"], ["9/64"], ["5/8"]
+        ]
+        x = sample_periodic_gap_point(2, 2, HALF, 6, random.Random(1))
+        assert [v.to_json() for v in x.values] == [
+            ["31/16", "7/64"], ["7/8", "7/4"], ["17/16", "29/32"],
+            ["63/32", "59/64"], ["13/32", "81/64"], ["11/8", "59/64"],
+        ]
+
     def test_samplers_draw_the_vector_by_vector_stream(self):
         rng = random.Random(2026)
         for _ in range(120):
@@ -369,6 +381,33 @@ class TestSampling:
             assert x == oracle and x.values == oracle.values
             checked += 1
         assert checked > 100
+
+    def test_samplers_leave_the_vector_by_vector_generator_state(self):
+        # tower verify draws the anchor right after the window from one
+        # generator, so a sampler that drew one word more or less would shift
+        # every later point; the samplers here share one stream the same way
+        rng = random.Random(2028)
+        periodic = 0
+        for _ in range(150):
+            dim, gap = rng.choice((1, 2, 3)), rng.randrange(1, 25)
+            start, length, m = -rng.randrange(0, 30), rng.randrange(1, 80), rng.randrange(2, 6)
+            period = rng.randrange(2, 14)
+            threshold = rng.choice((Fraction(1, 4), HALF))
+            seed = rng.randrange(1 << 30)
+            got, expected = random.Random(seed), random.Random(seed)
+            sample_gap_window(dim, gap, threshold, start, length, got)
+            sample_gap_window_per_entry(dim, gap, threshold, start, length, expected)
+            assert got.getstate() == expected.getstate()
+            head = random_anchor(dim, m, got)
+            for _ in range(len(head)):
+                random_torus_vec(expected, dim)
+            assert got.getstate() == expected.getstate()
+            if gap % period:
+                sample_periodic_gap_point(dim, gap, threshold, period, got)
+                sample_periodic_gap_point_per_entry(dim, gap, threshold, period, expected)
+                assert got.getstate() == expected.getstate()
+                periodic += 1
+        assert periodic > 100
 
     def test_grid_emptiness_rule_matches_closed_walks(self):
         for a in range(1, 65):

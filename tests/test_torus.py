@@ -417,6 +417,36 @@ def test_first_far_matches_dist_at_least():
             assert got == (TorusSeq.of(values), drawn)
 
 
+def test_first_far_leaves_the_randrange_generator_state():
+    # the draw stream is randrange's; a kernel drawing one word more or less
+    # leaves the outputs right and the next sampler's input wrong.  A closed
+    # walk whose last entry is near its first is refused with its draws
+    rng = random.Random(913)
+    gave_up = opened = 0
+    for _ in range(600):
+        dim = rng.choice((1, 2, 3))
+        den = rng.choice((1, 2, 3, 16, 64))
+        t = Fraction(rng.randrange(0, 65), 64)
+        length, gap, tries = rng.randrange(1, 30), rng.randrange(1, 8), rng.choice((1, 2, 5, 10_000))
+        closed = rng.random() < 0.5
+        seed = rng.randrange(1 << 30)
+        got, expected = random.Random(seed), random.Random(seed)
+        found = first_far(got, dim, length, gap, t, den, tries, closed)
+        oracle = gap_draws_per_entry(expected, dim, length, gap, t, tries, grid_draw(den))
+        assert got.getstate() == expected.getstate()
+        if oracle is None:
+            assert found is None
+            gave_up += 1
+            continue
+        values, drawn = oracle
+        if closed and not dist_at_least(values[-1], values[0], t):
+            assert found == (None, drawn)
+            opened += 1
+        else:
+            assert found == (TorusSeq.of(values), drawn)
+    assert gave_up > 50 and opened > 50
+
+
 def test_first_far_keeps_every_draw_at_threshold_zero():
     for dim, length in ((1, 1), (2, 17), (3, 40)):
         seq, drawn = first_far(random.Random(dim), dim, length, 1, Fraction(0), 64, 1)
