@@ -1,33 +1,35 @@
 """Finite free prime-order simplicial complexes: joins, homology, coindex.
 
-A complex carries a vertex permutation of order dividing p that maps
-simplices to simplices.  The builders here make valid complexes, so the
-constructor trusts its caller; a complex file is validated once, in
-``FreeZpComplex.from_json``.  Each complex builds its face table (every
-dimension's simplices as sorted vertex tuples, in sorted order) once, on
-first use, and the simplex lists, the Euler characteristic and homology
-read it.  Freeness (no power of the action fixing a simplex setwise) is
-checked, never assumed: ``check_free_action`` guards every search and every
-coindex bound, and decides it from the action's orbits alone.  Homology is
-integral: boundaries are sparse columns, reduced from the top dimension
-down by eliminating +-1 pivots, each boundary without the columns the one
-above pivoted on, and only the residual without unit entries goes to a
-dense Smith normal form.  It serves as the
-computable necessary condition for connectivity.  Coindex is never
-"computed": sound lower bounds come from explicit equivariant vertex maps
-found by backtracking search, the upper bound is the dimension, and every
-bound carries the rule chain that produced it.
+A complex is its face table (every dimension's simplices as sorted vertex
+tuples, in sorted order) and a vertex permutation of order dividing p that
+maps simplices to simplices.  The builders emit the table, so the
+constructor trusts its caller; a complex file is closed under the simplex
+cap and validated once, in ``FreeZpComplex.from_json``.  Homology, the Euler
+characteristic and JSON read the table as it is; membership reads one set
+of its tuples.  Freeness (no power of the action fixing a simplex setwise)
+is checked, never assumed: ``check_free_action`` guards every search and
+every coindex bound, and decides it from the action's orbits alone.
+Homology is integral: boundaries are sparse columns, reduced from the top
+dimension down by eliminating +-1 pivots, each boundary without the columns
+the one above pivoted on, and only the residual without unit entries goes
+to a dense Smith normal form.  It serves as the computable necessary
+condition for connectivity.  Coindex is never "computed": sound lower
+bounds come from explicit equivariant vertex maps found by backtracking
+search, the upper bound is the dimension, and every bound carries the rule
+chain that produced it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain, product
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .finite import permutation_cycles
+
+Face = tuple[int, ...]  # a simplex: its vertex indices, increasing
 
 
 def is_prime(n: int) -> bool:
@@ -49,15 +51,15 @@ def is_prime(n: int) -> bool:
 class FreeZpComplex:
     """A finite simplicial complex with a vertex-level Z_p action.
 
-    ``vertices`` are arbitrary hashable names; ``simplices`` are frozensets of
-    vertex indices (nonempty, downward closed); ``action`` maps vertex index
-    to vertex index and must be a simplicial automorphism with action^p = id.
-    The constructor stores these tuples and frozensets unchecked.
+    ``vertices`` are arbitrary hashable names; ``face_table[d]`` is the sorted
+    tuple of the d-simplices, each a sorted tuple of vertex indices, closed
+    downward; ``action`` maps vertex index to vertex index and must be a
+    simplicial automorphism with action^p = id.  All are stored unchecked.
     """
 
     p: int
     vertices: tuple
-    simplices: frozenset[frozenset[int]]
+    face_table: tuple[tuple[Face, ...], ...]
     action: tuple[int, ...]
 
     # -- structure ---------------------------------------------------------
@@ -69,35 +71,24 @@ class FreeZpComplex:
         """Build from maximal faces given by vertex names; closure is computed."""
         vertices = tuple(vertices)
         index = {v: i for i, v in enumerate(vertices)}
-        simplices = _closure([index[v] for v in face] for face in maximal)
+        table = _closure([index[v] for v in face] for face in maximal)
         act = tuple(index[action[v]] for v in vertices)
-        return cls(p, vertices, simplices, act)
+        return cls(p, vertices, table, act)
 
     @classmethod
     def empty(cls, p: int) -> "FreeZpComplex":
-        return cls(p, (), frozenset(), ())
+        return cls(p, (), (), ())
 
     def is_empty(self) -> bool:
         return not self.vertices
 
     def dimension(self) -> int:
-        if not self.simplices:
-            return -1
-        return max(len(s) for s in self.simplices) - 1
+        return len(self.face_table) - 1
 
     @cached_property
-    def face_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Entry d lists the d-simplices as sorted vertex tuples, in sorted
-        order, for d = 0..dim; built on first use, once per complex."""
-        by_size: dict[int, list[tuple[int, ...]]] = {}
-        for s in self.simplices:
-            by_size.setdefault(len(s), []).append(tuple(sorted(s)))
-        top = max(by_size, default=0)
-        return tuple(tuple(sorted(by_size.get(size, ()))) for size in range(1, top + 1))
-
-    def simplices_of_dim(self, d: int) -> list[tuple[int, ...]]:
-        table = self.face_table
-        return list(table[d]) if 0 <= d < len(table) else []
+    def faces(self) -> frozenset[Face]:
+        """Every simplex, for membership tests of sorted vertex tuples."""
+        return frozenset(chain.from_iterable(self.face_table))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(faces) for d, faces in enumerate(self.face_table))
@@ -106,9 +97,7 @@ class FreeZpComplex:
         return {
             "p": self.p,
             "vertices": [_name_to_json(v) for v in self.vertices],
-            "simplices": sorted(
-                (sorted(s) for s in self.simplices), key=lambda s: (len(s), s)
-            ),
+            "simplices": [list(s) for s in chain.from_iterable(self.face_table)],
             "action": list(self.action),
         }
 
@@ -140,20 +129,25 @@ class FreeZpComplex:
 
 
 def _validate_complex(complex_: FreeZpComplex) -> None:
-    """The checks a complex file must pass; its faces are closed downward
-    and nonempty, as ``_closure`` leaves them."""
-    p, simplices, action = complex_.p, complex_.simplices, complex_.action
+    """The checks a complex file must pass; ``_closure`` leaves its table
+    closed downward.  A p over ``MAX_SIMPLICES`` is refused before the
+    primality test: a free complex with a simplex has p vertices or more."""
+    p, table, action = complex_.p, complex_.face_table, complex_.action
+    if p > MAX_SIMPLICES:
+        raise ValueError(f"p = {p} is over the cap of {MAX_SIMPLICES} simplices")
     if not is_prime(p):
         raise ValueError("p must be prime")
     n = len(complex_.vertices)
     if sorted(action) != list(range(n)):
         raise ValueError("action must be a permutation of the vertices")
-    if not all(0 <= v < n for s in simplices for v in s):
+    # the table is closed, so its first and last vertex bound every simplex's
+    if table and (table[0][0][0] < 0 or table[0][-1][0] >= n):
         raise ValueError("simplex references an unknown vertex")
     # the order of a permutation is the lcm of its cycle lengths
     if any(p % len(orbit) for orbit in permutation_cycles(action)):
         raise ValueError("action must have order dividing p")
-    if any(frozenset(action[v] for v in s) not in simplices for s in simplices):
+    faces = complex_.faces
+    if any(tuple(sorted(action[v] for v in s)) not in faces for s in faces):
         raise ValueError("action is not simplicial")
 
 
@@ -162,14 +156,29 @@ def _is_index_list(value) -> bool:
     return isinstance(value, list) and all(type(v) is int for v in value)
 
 
-def _closure(faces: Iterable[Iterable[int]]) -> frozenset[frozenset[int]]:
-    """Every nonempty subset of every face: the downward closure."""
-    return frozenset(
-        frozenset(sub)
-        for face in map(frozenset, faces)
-        for size in range(1, len(face) + 1)
-        for sub in combinations(face, size)
-    )
+def _closure(faces: Iterable[Iterable[int]]) -> tuple[tuple[Face, ...], ...]:
+    """The face table of every nonempty subset of every face, built downward
+    without descending below a face already held, and refused once it
+    passes ``MAX_SIMPLICES``: a face of many vertices costs the cap, not
+    its 2^size subsets."""
+    closed: set[Face] = set()
+    todo = [tuple(sorted(set(face))) for face in faces]
+    while todo and len(closed) <= MAX_SIMPLICES:
+        s = todo.pop()
+        if s and s not in closed:
+            closed.add(s)
+            todo.extend(s[:i] + s[i + 1 :] for i in range(len(s)))
+    if len(closed) > MAX_SIMPLICES:
+        raise ValueError(f"the closure passes the cap of {MAX_SIMPLICES} simplices")
+    return _face_table(closed)
+
+
+def _face_table(simplices: Iterable[Face]) -> tuple[tuple[Face, ...], ...]:
+    """Distinct sorted vertex tuples, closed downward, grouped by size."""
+    by_size: dict[int, list[Face]] = {}
+    for s in simplices:
+        by_size.setdefault(len(s), []).append(s)
+    return tuple(tuple(sorted(by_size[size])) for size in range(1, len(by_size) + 1))
 
 
 def _name_to_json(name):
@@ -198,12 +207,13 @@ def check_free_action(complex_: FreeZpComplex) -> bool:
     simplex fixed setwise.  So the action is free exactly when no orbit,
     taken as a vertex set, is a simplex.
     """
-    simplices = complex_.simplices
-    return not any(frozenset(orbit) in simplices for orbit in permutation_cycles(complex_.action))
+    faces = complex_.faces
+    return not any(tuple(sorted(orbit)) in faces for orbit in permutation_cycles(complex_.action))
 
 
-# Largest standard complex built: en-zp(2, 8) has 19,682 simplices.
-MAX_EN_ZP_SIMPLICES = 20_000
+# Most simplices of a standard complex or a complex file, checked before it
+# is built: the largest standard complex built, en-zp(2, 8), has 19,682.
+MAX_SIMPLICES = 20_000
 
 # Most nodes (candidate orbit images) one equivariant map search tries.  A
 # node costs 15-60 us as the target grows, so a spent cap takes 0.5-3 s;
@@ -218,18 +228,18 @@ def build_en_zp(p: int, n: int) -> FreeZpComplex:
     nonempty vertex sets with at most one vertex per level; the action adds 1
     to the first coordinate.  The result is n-dimensional and free.  Its
     (p+1)^(n+1) - 1 simplices are counted first and refused above
-    ``MAX_EN_ZP_SIMPLICES``.
+    ``MAX_SIMPLICES``.
     """
     if p >= 2 and n >= 0:
         # the count is at least p and at least 2^(n+1) - 1, so a large p or n
         # is over the cap without forming a number that may be huge
-        small = p <= MAX_EN_ZP_SIMPLICES and n < MAX_EN_ZP_SIMPLICES.bit_length()
+        small = p <= MAX_SIMPLICES and n < MAX_SIMPLICES.bit_length()
         count = (p + 1) ** (n + 1) - 1 if small else None
-        if count is None or count > MAX_EN_ZP_SIMPLICES:
+        if count is None or count > MAX_SIMPLICES:
             shown = f"{p + 1}^{n + 1} - 1" + (f" = {count}" if count else "")
             raise ValueError(
                 f"en-zp:p={p},n={n} would have {shown} simplices, over the cap of "
-                f"{MAX_EN_ZP_SIMPLICES} that is checked before building"
+                f"{MAX_SIMPLICES} that is checked before building"
             )
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -237,13 +247,11 @@ def build_en_zp(p: int, n: int) -> FreeZpComplex:
         raise ValueError("n must be >= 0")
     vertices = tuple((a, level) for level in range(n + 1) for a in range(p))
     # one simplex per choice of "absent" or a in Z_p at each level; vertex
-    # (a, level) has index level * p + a
+    # (a, level) has index level * p + a, so each choice is a sorted tuple
     levels = [[()] + [(level * p + a,) for a in range(p)] for level in range(n + 1)]
-    simplices = frozenset(
-        frozenset(chain.from_iterable(choice)) for choice in product(*levels)
-    ) - {frozenset()}
+    simplices = (tuple(chain.from_iterable(choice)) for choice in product(*levels))
     action = tuple(level * p + (a + 1) % p for (a, level) in vertices)
-    return FreeZpComplex(p, vertices, simplices, action)
+    return FreeZpComplex(p, vertices, _face_table(s for s in simplices if s), action)
 
 
 def join_complexes(k: FreeZpComplex, l: FreeZpComplex) -> FreeZpComplex:
@@ -261,12 +269,11 @@ def join_complexes(k: FreeZpComplex, l: FreeZpComplex) -> FreeZpComplex:
         return k
     vertices = tuple((0, v) for v in k.vertices) + tuple((1, w) for w in l.vertices)
     off = len(k.vertices)
-    l_shifted = [frozenset(v + off for v in sl) for sl in l.simplices]
-    simplices = frozenset(
-        sk | sl for sk in (frozenset(), *k.simplices) for sl in (frozenset(), *l_shifted)
-    ) - {frozenset()}
+    # k's vertices precede l's shifted ones, so each union is sorted
+    l_shifted = [tuple(v + off for v in sl) for sl in chain(((),), *l.face_table)]
+    simplices = (sk + sl for sk in chain(((),), *k.face_table) for sl in l_shifted)
     action = k.action + tuple(off + w for w in l.action)
-    return FreeZpComplex(k.p, vertices, simplices, action)
+    return FreeZpComplex(k.p, vertices, _face_table(s for s in simplices if s), action)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +490,9 @@ def verify_equivariant_simplicial(
     for v in range(len(source.vertices)):
         if mapping[source.action[v]] != target.action[mapping[v]]:
             return False
-    for s in source.simplices:
-        if frozenset(mapping[v] for v in s) not in target.simplices:
-            return False
-    return True
+    # a simplex may map onto a smaller one, so its image is a vertex set
+    faces = target.faces
+    return all(tuple(sorted({mapping[v] for v in s})) in faces for s in chain(*source.face_table))
 
 
 def equivariant_map_search(
@@ -523,9 +529,10 @@ def equivariant_map_search(
         for v in orbit:
             orbit_of[v] = oi
     # simplices grouped by the highest orbit index they touch
-    by_last_orbit: list[list[frozenset[int]]] = [[] for _ in orbits]
-    for s in source.simplices:
+    by_last_orbit: list[list[Face]] = [[] for _ in orbits]
+    for s in chain.from_iterable(source.face_table):
         by_last_orbit[max(orbit_of[v] for v in s)].append(s)
+    faces = target.faces
 
     assignment: dict[int, int] = {}
 
@@ -551,7 +558,7 @@ def equivariant_map_search(
                 image = target.action[image]
             assignment.update(trial)
             for s in by_last_orbit[oi]:
-                if frozenset(assignment[v] for v in s) not in target.simplices:
+                if tuple(sorted({assignment[v] for v in s})) not in faces:
                     ok = False
                     break
             if ok and assign_orbit(oi + 1):

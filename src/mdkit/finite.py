@@ -504,15 +504,20 @@ def _orbit_map(
 ) -> tuple[tuple[Periodic, ...], bool, bool]:
     """Each point's orbit read through ``images``, one period long; whether
     every such sequence lies in ``space`` (never when there is none); and
-    whether the map intertwines the dynamics with the shift."""
+    whether the map intertwines the dynamics with the shift.  Membership is
+    checked on each cycle's first point alone: the others read shifts of
+    that periodic point, which ``check_membership`` checks at every residue
+    of the shift-invariant space, so they share its verdict.  Equivariance
+    is still compared at every point."""
     unrolled: dict[int, Periodic] = {}
+    bases = []
     for cycle in sys_.cycles:
-        base = Periodic(TorusSeq.of(images[j] for j in cycle))
+        bases.append(Periodic(TorusSeq.of(images[j] for j in cycle)))
         for k, i in enumerate(cycle):
-            unrolled[i] = shift(base, k)
+            unrolled[i] = shift(bases[-1], k)
     sequences = tuple(unrolled[i] for i in range(sys_.size))
     membership_ok = space is not None and all(
-        check_membership(space, seq).passed for seq in sequences
+        check_membership(space, base).passed for base in bases
     )
     equivariance_ok = all(
         sequences[sys_.perm[i]] == shift(sequences[i], 1) for i in range(sys_.size)

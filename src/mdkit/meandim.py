@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Mapping, Sequence
 
 from .torus import frac_to_str
@@ -112,10 +112,11 @@ def interval_lattice() -> OpenLattice:
 def face_lattice(complex_) -> OpenLattice:
     """The up-set topology on the cells of a finite simplicial complex.
 
-    Atoms are the simplices (as sorted vertex tuples); the cofaces of a cell
-    are the simplices that strictly contain it.
+    Atoms are the face table's simplices in lexicographic order, which sets
+    ``cover_D``'s branching; the cofaces of a cell are the simplices that
+    strictly contain it.
     """
-    cells = sorted(tuple(sorted(s)) for s in complex_.simplices)
+    cells = sorted(chain.from_iterable(complex_.face_table))
     cofaces: dict[tuple, set] = {c: set() for c in cells}
     for d in cells:
         for size in range(1, len(d)):

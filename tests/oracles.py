@@ -8,7 +8,7 @@ that the library code is checked against something it does not share.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 
 import numpy as np
@@ -429,7 +429,7 @@ def free_action_by_all_powers(complex_) -> bool:
     """Freeness by its definition: no power 1..p-1 of the action fixes a
     simplex setwise."""
     for power in range(1, complex_.p):
-        for s in complex_.simplices:
+        for s in map(frozenset, chain.from_iterable(complex_.face_table)):
             image = s
             for _ in range(power):
                 image = frozenset(complex_.action[v] for v in image)
@@ -450,31 +450,50 @@ def order_divides_by_all_powers(perm, p: int) -> bool:
 def complex_violations(complex_) -> list[str]:
     """Every condition a complex must meet, each tested by its definition;
     the names of those it breaks.  Builders are trusted at run time, so
-    the tests hold their outputs to this."""
-    p, vertices, simplices, action = (
-        complex_.p, complex_.vertices, complex_.simplices, complex_.action
+    the tests hold their outputs to this.
+
+    The face table must hold in entry d strictly increasing (d+1)-tuples,
+    strictly increasing from one to the next (so sorted and without
+    duplicates), end on a nonempty entry, and hold every facet of an entry
+    d simplex in entry d - 1."""
+    p, vertices, table, action = (
+        complex_.p, complex_.vertices, complex_.face_table, complex_.action
     )
     n = len(vertices)
+    simplices = [s for entry in table for s in entry]
+    as_sets = {frozenset(s) for s in simplices}
     checks = {
         "types": (
             isinstance(vertices, tuple)
             and isinstance(action, tuple)
-            and isinstance(simplices, frozenset)
-            and all(isinstance(s, frozenset) for s in simplices)
+            and isinstance(table, tuple)
+            and all(isinstance(entry, tuple) for entry in table)
+            and all(type(s) is tuple and all(type(v) is int for v in s) for s in simplices)
         ),
         "p prime": p >= 2 and all(p % d for d in range(2, p)),
         "action a permutation": sorted(action) == list(range(n)),
-        "simplices nonempty": all(simplices),
+        "entry d holds increasing (d+1)-tuples": all(
+            len(s) == d + 1 and all(a < b for a, b in zip(s, s[1:]))
+            for d, entry in enumerate(table)
+            for s in entry
+        ),
+        "entries sorted without duplicates": all(
+            all(a < b for a, b in zip(entry, entry[1:])) for entry in table
+        ),
+        "no empty trailing entry": not table or bool(table[-1]),
         "vertices known": all(v in range(n) for s in simplices for v in s),
         "downward closed": all(
-            s - {v} in simplices for s in simplices if len(s) > 1 for v in s
+            tuple(u for u in s if u != v) in below
+            for below, entry in zip(map(set, table), table[1:])
+            for s in entry
+            for v in s
         ),
     }
     if checks["action a permutation"]:
         checks["order divides p"] = order_divides_by_all_powers(action, p)
     if checks["vertices known"]:
         checks["action simplicial"] = all(
-            frozenset(action[v] for v in s) in simplices for s in simplices
+            frozenset(action[v] for v in s) in as_sets for s in simplices
         )
     return [name for name, ok in checks.items() if not ok]
 
@@ -482,12 +501,13 @@ def complex_violations(complex_) -> list[str]:
 def reduced_homology_dense(complex_, k):
     """H~_k from the dense boundary matrices of d_k and d_{k+1}, each reduced
     by the dense Smith normal form; 0 above the dimension.  The faces are
-    read from the simplex set, not from the complex's face table."""
+    regrouped by size and sorted here, not taken from the table's entries."""
 
     def faces(d):
         if d == -1:
             return [()]
-        return sorted(tuple(sorted(s)) for s in complex_.simplices if len(s) == d + 1)
+        simplices = chain.from_iterable(complex_.face_table)
+        return sorted(tuple(sorted(s)) for s in simplices if len(s) == d + 1)
 
     def factors(d):  # invariant factors of the boundary C_d -> C_{d-1}
         rows, cols = faces(d - 1), faces(d)

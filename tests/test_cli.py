@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -589,6 +590,37 @@ class TestExitCodes:
             "mdkit: error: undetermined: the equivariant map search from a level-2 "
             "source spent its cap of 5 nodes (complexes.MAX_SEARCH_NODES)\n"
         )
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            # 2^40 - 1 faces in the closure: refused once it passes the cap
+            (
+                {"p": 2, "vertices": list(range(40)), "simplices": [list(range(40))], "action": [v ^ 1 for v in range(40)]},
+                "the closure passes the cap of 20000 simplices",
+            ),
+            # a prime that trial division would take minutes to decide
+            (
+                {"p": 2**61 - 1, "vertices": [0], "simplices": [[0]], "action": [0]},
+                f"p = {2**61 - 1} is over the cap of 20000 simplices",
+            ),
+        ],
+        ids=["complex-file-face-of-40-vertices", "complex-file-p-2-to-61-minus-1"],
+    )
+    def test_complex_file_over_the_cap_refused_in_under_a_second(
+        self, capsys, tmp_path, content, named
+    ):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(content))
+        started = time.monotonic()
+        code = cli.main(["complex", "coindex", "--complex", str(path)])
+        elapsed = time.monotonic() - started
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and named in lines[0]
+        assert elapsed < 1
 
     @pytest.mark.parametrize(
         "argv",

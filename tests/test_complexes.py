@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -6,7 +7,7 @@ import pytest
 
 from mdkit import complexes
 from mdkit.complexes import (
-    MAX_EN_ZP_SIMPLICES,
+    MAX_SIMPLICES,
     CoindexBound,
     FreeZpComplex,
     HomologyGroup,
@@ -39,14 +40,14 @@ class TestBuildStandardComplex:
     def test_two_points_swapped(self):
         k = build_en_zp(2, 0)
         assert len(k.vertices) == 2
-        assert k.simplices == frozenset({frozenset({0}), frozenset({1})})
+        assert k.face_table == (((0,), (1,)),)
         assert k.action == (1, 0)
         assert check_free_action(k)
 
     def test_four_cycle(self):
         k = build_en_zp(2, 1)
         assert len(k.vertices) == 4
-        assert len(k.simplices_of_dim(1)) == 4
+        assert len(k.face_table[1]) == 4
         assert k.dimension() == 1
         assert k.euler_characteristic() == 0
         groups = reduced_homology_groups(k)
@@ -56,7 +57,7 @@ class TestBuildStandardComplex:
     def test_complete_bipartite_three(self):
         k = build_en_zp(3, 1)
         assert len(k.vertices) == 6
-        assert len(k.simplices_of_dim(1)) == 9
+        assert len(k.face_table[1]) == 9
         assert reduced_homology_groups(k) == [HomologyGroup(0), HomologyGroup(rank=4)]
         assert k.euler_characteristic() == 6 - 9
 
@@ -94,7 +95,7 @@ def assert_join_is_next_level(p, a, b):
     j = join_complexes(build_en_zp(p, a), build_en_zp(p, b))
     k = build_en_zp(p, a + b + 1)
     assert j.p == k.p
-    assert j.simplices == k.simplices
+    assert j.face_table == k.face_table
     assert j.action == k.action
     assert [(x, level + s * (a + 1)) for s, (x, level) in j.vertices] == list(k.vertices)
 
@@ -132,43 +133,22 @@ class TestFreeAction:
             assert check_free_action(build_en_zp(p, n))
 
     def test_fixed_vertex_not_free(self):
-        k = FreeZpComplex(2, ("v",), frozenset({frozenset({0})}), (0,))
+        k = FreeZpComplex(2, ("v",), (((0,),),), (0,))
         assert not check_free_action(k)
 
     def test_identity_action_not_free(self):
-        k = FreeZpComplex(
-            3,
-            ("a", "b", "c"),
-            frozenset({frozenset({0}), frozenset({1}), frozenset({2})}),
-            (0, 1, 2),
-        )
+        k = FreeZpComplex(3, ("a", "b", "c"), (((0,), (1,), (2,)),), (0, 1, 2))
         assert not check_free_action(k)
 
     def test_setwise_invariant_edge_not_free(self):
         # the action swaps the two endpoints of an edge: free on vertices but
         # the edge is fixed setwise
-        k = FreeZpComplex(
-            2,
-            ("a", "b"),
-            frozenset({frozenset({0}), frozenset({1}), frozenset({0, 1})}),
-            (1, 0),
-        )
+        k = FreeZpComplex(2, ("a", "b"), (((0,), (1,)), ((0, 1),)), (1, 0))
         assert not check_free_action(k)
 
     def test_non_simplicial_action_rejected(self):
         k = FreeZpComplex(
-            2,
-            ("a", "b", "c", "d"),
-            frozenset(
-                {
-                    frozenset({0}),
-                    frozenset({1}),
-                    frozenset({2}),
-                    frozenset({3}),
-                    frozenset({0, 1}),
-                }
-            ),
-            (2, 3, 0, 1),
+            2, ("a", "b", "c", "d"), (((0,), (1,), (2,), (3,)), ((0, 1),)), (2, 3, 0, 1)
         )
         with pytest.raises(ValueError, match="not simplicial"):
             _validate_complex(k)
@@ -239,7 +219,7 @@ class TestFreeAction:
                     for v, w in zip(cycle, cycle[1:] + cycle[:1]):
                         action[v] = w
                     start += length
-                vertices = frozenset(frozenset({v}) for v in range(n))
+                vertices = (tuple((v,) for v in range(n)),)
                 verdicts.append(order_divides_by_all_powers(action, p))
                 complex_ = FreeZpComplex(p, tuple(range(n)), vertices, tuple(action))
                 if verdicts[-1]:
@@ -254,7 +234,7 @@ class TestHomology:
     def test_contractible_and_discrete(self):
         # a single point: reduced homology trivial in every degree (degrees
         # above the dimension, past the end of the list, are 0)
-        point = FreeZpComplex(2, ("a",), frozenset({frozenset({0})}), (0,))
+        point = FreeZpComplex(2, ("a",), (((0,),),), (0,))
         assert reduced_homology_groups(point) == [HomologyGroup(0)]
         # two points: reduced degree-0 rank is 1
         pair = build_en_zp(2, 0)
@@ -402,7 +382,7 @@ class TestSparseHomology:
         assert homology_euler_consistent(rp2, expected)
 
     def test_groups_match_single_degrees(self):
-        point = FreeZpComplex(2, ("a",), frozenset({frozenset({0})}), (0,))
+        point = FreeZpComplex(2, ("a",), (((0,),),), (0,))
         complexes = [FreeZpComplex.empty(3), point, build_en_zp(2, 0)] + [
             build_en_zp(p, n) for p, n in [(2, 2), (3, 2), (5, 1)]
         ] + [join_complexes(build_en_zp(2, 1), build_en_zp(2, 0))]
@@ -453,7 +433,7 @@ class TestSparseHomology:
 
     def test_size_cap_refuses_before_building(self):
         # en-zp(2, 8), 3^9 - 1 = 19,682 simplices, is the largest built
-        assert 3**9 - 1 <= MAX_EN_ZP_SIMPLICES < 3**10 - 1
+        assert 3**9 - 1 <= MAX_SIMPLICES < 3**10 - 1
         with pytest.raises(ValueError, match=r"14\^6 - 1 = 7529535 simplices"):
             build_en_zp(13, 5)
         with pytest.raises(ValueError, match=r"3\^10 - 1 = 59048 simplices"):
@@ -484,6 +464,17 @@ class TestMapSearch:
     def test_prime_mismatch(self):
         with pytest.raises(ValueError, match="prime mismatch"):
             equivariant_map_search(build_en_zp(2, 0), build_en_zp(3, 0))
+
+    def test_map_collapsing_a_simplex_found(self):
+        # two swapped disjoint edges map onto a swapped pair of points only
+        # by sending each edge to one vertex, a simplex as a vertex set
+        source = FreeZpComplex.from_maximal(
+            2, "abcd", ["ab", "cd"], {"a": "c", "b": "d", "c": "a", "d": "b"}
+        )
+        target = build_en_zp(2, 0)
+        found = equivariant_map_search(source, target)
+        assert found is not None and found[0] == found[1]
+        assert verify_equivariant_simplicial(found, source, target)
 
     def test_node_count_and_cap(self, monkeypatch):
         source, target = build_en_zp(2, 4), build_en_zp(2, 3)
@@ -555,12 +546,7 @@ class TestCoindexBounds:
         ]
 
     def test_requires_free_action(self):
-        k = FreeZpComplex(
-            3,
-            ("a", "b", "c"),
-            frozenset({frozenset({0}), frozenset({1}), frozenset({2})}),
-            (0, 1, 2),
-        )
+        k = FreeZpComplex(3, ("a", "b", "c"), (((0,), (1,), (2,)),), (0, 1, 2))
         with pytest.raises(ValueError, match="coindex defined only for free actions"):
             coindex_bounds(k, 1)
 
@@ -649,13 +635,17 @@ class TestBuilderOutputs:
                 for _ in range(rng.randint(1, 4))
             ]
             data = {"p": p, "vertices": list(range(n)), "simplices": faces, "action": action}
-            closure = frozenset(
-                frozenset(sub)
+            closure = {
+                tuple(sorted(sub))
                 for face in faces
                 for size in range(1, len(face) + 1)
                 for sub in itertools.combinations(face, size)
+            }
+            table = tuple(
+                tuple(sorted(s for s in closure if len(s) == size))
+                for size in range(1, max(map(len, closure)) + 1)
             )
-            unchecked = FreeZpComplex(p, tuple(range(n)), closure, tuple(action))
+            unchecked = FreeZpComplex(p, tuple(range(n)), table, tuple(action))
             verdicts.append(not complex_violations(unchecked))
             if verdicts[-1]:
                 assert FreeZpComplex.from_json(data) == unchecked
@@ -681,7 +671,7 @@ class TestJsonAndInvariants:
             "action": [2, 3, 0, 1],
         }
         k = FreeZpComplex.from_json(data)
-        assert frozenset({0}) in k.simplices
+        assert (0,) in k.face_table[0]
 
     def test_face_table_lists_each_dimension_sorted(self):
         join = join_complexes(build_en_zp(2, 1), build_en_zp(2, 0))
@@ -689,11 +679,44 @@ class TestJsonAndInvariants:
             table = k.face_table
             assert table is k.face_table
             assert len(table) == k.dimension() + 1
+            simplices = list(itertools.chain.from_iterable(k.face_table))
             assert table == tuple(
-                tuple(sorted(tuple(sorted(s)) for s in k.simplices if len(s) == d + 1))
+                tuple(sorted(tuple(sorted(s)) for s in simplices if len(s) == d + 1))
                 for d in range(len(table))
             )
-            assert k.euler_characteristic() == sum((-1) ** (len(s) - 1) for s in k.simplices)
+            assert k.euler_characteristic() == sum((-1) ** (len(s) - 1) for s in simplices)
+
+    def test_to_json_pinned(self):
+        # SHA-256 of each complex's JSON as written when complexes were held
+        # as frozensets of frozensets and sorted into this order on output
+        closure = {
+            "p": 3,
+            "vertices": list(range(6)),
+            "simplices": [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]],
+            "action": [1, 2, 0, 4, 5, 3],
+        }
+        cases = [
+            (build_en_zp(2, 0), "7c22cecba62cdfca07a847e72ad5cc051e54e8fa4b1b06c68484eb5d3db979f7"),
+            (build_en_zp(2, 3), "eb78cb48359fb77036aeb700bd1f24dfcf043abdb2a85168cfae31d17c483750"),
+            (build_en_zp(3, 2), "19908fe1f3f9e255793a5019efc50dfc7fbc89503aa6bf630752926b0afdaf71"),
+            (build_en_zp(5, 1), "56ea9c2210078f55b4bacf107bbef09ed7a9a38aa4973e6795c892d37366198a"),
+            (build_en_zp(7, 1), "8d0fbdabd37b9420302959de3d6f0a77f1eed387ef22b30a51a992f15b0716b9"),
+            (build_en_zp(2, 6), "5ad1abe7919b0e7285cc81ad6d7f8b45fc2bbff7a60785f50137234621db669d"),
+            (
+                join_complexes(build_en_zp(2, 1), build_en_zp(2, 0)),
+                "8d83d4d00e43cca0359fa6ede3245b45fae90db0ec54790772d7e301bda3cb36",
+            ),
+            (
+                join_complexes(build_en_zp(3, 0), build_en_zp(3, 1)),
+                "575802f1603794ce54fc95e07e50c2c5305b80c8082020ac34abd0cb56afc85a",
+            ),
+            (
+                FreeZpComplex.from_json(closure),
+                "6e1ea63cb215839b7c35590bffb23392a096ebf8d6dad3bb81186d46090d1d1e",
+            ),
+        ]
+        for k, digest in cases:
+            assert hashlib.sha256(json.dumps(k.to_json()).encode()).hexdigest() == digest
 
     def test_coindex_bound_json(self):
         bound = CoindexBound(3, 1, None, ({"rule": "x", "statement": "y"},))

@@ -23,7 +23,16 @@ from mdkit.finite import (
     verify_marker,
     verify_marker_transfer,
 )
-from mdkit.shiftspace import MembershipReport, check_membership, gap_space, shift, unit_step_space
+from mdkit.shiftspace import (
+    MembershipReport,
+    check_membership,
+    gap_space,
+    half_step_space,
+    no_triple_repeat_sft,
+    shift,
+    unit_step_space,
+)
+from mdkit.torus import TorusVec
 
 from oracles import (
     backward_transfer_by_enumeration,
@@ -460,6 +469,33 @@ class TestOrbitMap:
             for n in range(seq.period):
                 assert seq.value_at(n) == report.sequences[j].value_at(0)
                 j = perm[j]
+
+    def test_membership_per_cycle_matches_per_point(self):
+        # random images of random fixed-point-free systems in step, gap and
+        # word spaces: the verdict from each cycle's first point equals the
+        # verdict over every point, and in many systems one cycle fails
+        # beside one that passes
+        rng = random.Random(2203)
+        spaces = [
+            unit_step_space(),
+            half_step_space(),
+            no_triple_repeat_sft(),
+            gap_space(1, 1, Fraction(1, 4)),
+            gap_space(1, 2, Fraction(1, 4)),
+        ]
+        verdicts, mixed = [], 0
+        for _ in range(300):
+            sys_ = random_system(rng, max_points=12, min_cycle=2)
+            den = rng.choice((1, 2, 4))
+            images = [TorusVec((rng.randrange(2 * den),), den) for _ in range(sys_.size)]
+            space = rng.choice(spaces)
+            sequences, membership_ok, _ = finite._orbit_map(sys_, images, space)
+            per_point = [check_membership(space, seq).passed for seq in sequences]
+            assert membership_ok == all(per_point), (sys_.perm, images, space)
+            verdicts.append(membership_ok)
+            mixed += {all(per_point[i] for i in c) for c in sys_.cycles} == {True, False}
+        assert 20 < sum(verdicts) < len(verdicts) - 20
+        assert mixed > 20
 
 
 class TestMarkerTransfer:
