@@ -9,21 +9,22 @@ characteristic and JSON read the table as it is; membership reads one set
 of its tuples.  Freeness (no power of the action fixing a simplex setwise)
 is checked, never assumed: ``check_free_action`` guards every search and
 every coindex bound, and decides it from the action's orbits alone.
-Homology is integral: boundaries are sparse columns, reduced from the top
-dimension down by eliminating +-1 pivots, each boundary without the columns
-the one above pivoted on, and only the residual without unit entries goes
-to a dense Smith normal form.  It serves as the computable necessary
-condition for connectivity.  Coindex is never "computed": sound lower
-bounds come from explicit equivariant vertex maps found by backtracking
-search, the upper bound is the dimension, and every bound carries the rule
-chain that produced it.
+Homology is integral and read through the coboundaries, the transposed
+boundaries: sparse columns reduced at their lowest rows from degree 0 up,
+each coboundary without the columns the one below pivoted on.  A lowest
+entry that is not a unit sends that coboundary to the elimination of +-1
+pivots, whose residual without unit entries goes to a dense Smith normal
+form.  It serves as the computable necessary condition for connectivity.
+Coindex is never "computed": sound lower bounds come from explicit
+equivariant vertex maps found by backtracking search, the upper bound is
+the dimension, and every bound carries the rule chain that produced it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, combinations, product
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -359,22 +360,71 @@ class HomologyGroup:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
 
-def _boundary_columns(
-    upper: Sequence[tuple[int, ...]], lower: Sequence[tuple[int, ...]]
-) -> list[dict[int, int]]:
-    """Boundary from chains on ``upper`` to chains on ``lower``, one sparse
-    ``{row: +-1}`` column per simplex of ``upper``."""
-    index = {s: i for i, s in enumerate(lower)}
-    return [
-        {index[s[:drop] + s[drop + 1 :]]: -1 if drop % 2 else 1 for drop in range(len(s))}
-        for s in upper
-    ]
+def _coboundary_columns(lower: Sequence[Face], upper: Sequence[Face]) -> list[dict[int, int]]:
+    """Coboundary from cochains on ``lower`` to cochains on ``upper``, the
+    transpose of the boundary: one sparse ``{row: +-1}`` column per simplex
+    of ``lower``, with a row for each simplex of ``upper`` that has it as a
+    facet.  ``upper`` is walked once, so each column lists its rows in
+    increasing order.  ``combinations`` yields the facets of a sorted
+    simplex dropping its last vertex first, so the signs run backward."""
+    index = {s: j for j, s in enumerate(lower)}
+    columns: list[dict[int, int]] = [{} for _ in lower]
+    size = len(upper[0]) if upper else 1
+    signs = [-1 if drop % 2 else 1 for drop in range(size - 1, -1, -1)]
+    for i, s in enumerate(upper):
+        for facet, sign in zip(combinations(s, size - 1), signs):
+            columns[index[facet]][i] = sign
+    return columns
 
 
 def _invariant_factors(
     columns: list[dict[int, int]], pivot_rows: list[int] | None = None
 ) -> list[int]:
     """Smith normal form diagonal of a sparse integer matrix given by columns.
+
+    One lowest-row reduction: each column in turn, while its lowest (largest)
+    row is owned by an earlier pivot column, has that column's multiple
+    subtracted, which clears the entry and lowers the row.  A column left
+    with a new lowest row whose entry is +-1 becomes the pivot column of that
+    row; a column reduced to 0 is dropped.  The subtractions are unimodular
+    column operations, and the nonzero reduced columns are triangular with
+    unit diagonal on their pivot rows, so they span a direct summand and
+    every invariant factor is 1: the result is [1] * pivots.  If some
+    column's new lowest entry is not a unit, the original columns go to
+    ``_unit_pivot_factors`` instead, the only route to a factor above 1.
+    When ``pivot_rows`` is given, the pivot rows are appended to it in the
+    order they were taken.
+    """
+    owners: dict[int, dict[int, int]] = {}
+    for col in columns:
+        low = max(col, default=-1)
+        if low in owners:
+            col = dict(col)  # the originals stay intact for the fallback
+            while low in owners:
+                pivot = owners[low]
+                factor = col[low] * pivot[low]  # pivot[low] is its own inverse
+                for i, v in pivot.items():
+                    entry = col.get(i, 0) - factor * v
+                    if entry:
+                        col[i] = entry
+                    else:
+                        del col[i]
+                low = max(col, default=-1)
+        if low < 0:
+            continue
+        if col[low] not in (1, -1):
+            return _unit_pivot_factors(columns, pivot_rows)
+        owners[low] = col
+    if pivot_rows is not None:
+        pivot_rows.extend(owners)
+    return [1] * len(owners)
+
+
+def _unit_pivot_factors(
+    columns: list[dict[int, int]], pivot_rows: list[int] | None = None
+) -> list[int]:
+    """Smith normal form diagonal by unit-pivot elimination, the fallback of
+    ``_invariant_factors`` when a lowest entry is not a unit.
 
     Each pass walks the columns in order and pivots on a +-1 entry whose row
     has the fewest entries: subtracting multiples of the pivot column clears
@@ -435,26 +485,30 @@ def reduced_homology_groups(complex_: FreeZpComplex) -> list[HomologyGroup]:
     is the augmentation.  H~_k has rank n_k - rank d_k - rank d_{k+1}, and its
     torsion is the invariant factors of d_{k+1} above 1.  Higher degrees are 0.
 
-    The boundaries are reduced from the top dimension down, and each one
-    without the columns that the one above pivoted on (clearing).  This is
-    exact over Z.  Say the elimination of d_{k+1} pivots on the rows
-    r_1, ..., r_T of C_k, in that order, and let b_t be the pivot column
-    when r_t is taken.  Each b_t is a boundary, 0 at r_1 .. r_{t-1} (those
-    rows were cleared from every column) and +-1 at r_t.  So the b_t and the
-    unit chains e_j for j outside R = {r_t} form a Z-basis of C_k: on the
-    rows R the b_t are triangular with unit diagonal.  d_k vanishes on
-    every b_t, so in that basis d_k is 0 beside d_k without the columns R,
-    and the two have the same nonzero invariant factors: the same rank and
-    the same torsion.  The torsion still comes from the dense residual.
+    A matrix and its transpose have the same invariant factors, so each d_k
+    is read through its coboundary delta_k = d_k^T, from cochains on the
+    (k-1)-simplices to cochains on the k-simplices.  The coboundaries are
+    reduced from degree 0 up, and each one without the columns whose
+    indices the one below pivoted on (clearing).  This is exact over Z.  Say
+    the reduction of delta_k pivots on the rows R = {r_1, ..., r_T} of C^k
+    with the columns c_1, ..., c_T.  Each c_t is a coboundary and +-1 at
+    r_t, and on the rows R the c_t are triangular with unit diagonal: a
+    lowest-row pivot column is 0 below its pivot row, and an eliminated one
+    is 0 at the rows taken before it.  So the c_t and the unit cochains e_j
+    for j outside R form a Z-basis of C^k.  delta_{k+1} vanishes on every
+    c_t, so in that basis delta_{k+1} is 0 beside delta_{k+1} without the
+    columns R, and the two have the same nonzero invariant factors: the same
+    rank and the same torsion.
     """
     faces = [((),), *complex_.face_table]
-    factors: list[list[int]] = [[] for _ in faces]
+    factors: list[list[int]] = []
     cleared: list[int] = []
-    for k in range(len(faces) - 2, -1, -1):
+    for lower, upper in zip(faces, faces[1:]):
         drop = set(cleared)
-        upper = [s for j, s in enumerate(faces[k + 1]) if j not in drop]
+        columns = [c for j, c in enumerate(_coboundary_columns(lower, upper)) if j not in drop]
         cleared = []
-        factors[k] = _invariant_factors(_boundary_columns(upper, faces[k]), cleared)
+        factors.append(_invariant_factors(columns, cleared))
+    factors.append([])
     return [
         HomologyGroup(
             rank=len(faces[k + 1]) - len(factors[k]) - len(factors[k + 1]),

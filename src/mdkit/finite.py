@@ -787,12 +787,14 @@ def random_metric(
     Any symmetric table with a zero diagonal and off-diagonal values in
     [t, 2t] satisfies the triangle inequality: d(i, k) <= 2t <= d(i, j) +
     d(j, k) for distinct points, and the other cases have a zero term.  So
-    the table needs no repair step and no check.
+    the table needs no repair step and no check.  The denominator + 1
+    possible values are built once and indexed by the draws.
     """
+    values = [Fraction(k, 8 * denominator) for k in range(denominator, 2 * denominator + 1)]
     rows = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            d = Fraction(rng.randint(denominator, 2 * denominator), 8 * denominator)
+            d = values[rng.randint(denominator, 2 * denominator) - denominator]
             rows[i][j] = d
             rows[j][i] = d
     return tuple(tuple(row) for row in rows)

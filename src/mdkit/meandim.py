@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .torus import frac_to_str
 
@@ -97,8 +97,12 @@ class OpenLattice:
         return frozenset(self.up_sets(self.ground))
 
 
-def _set_key(s: frozenset):
-    return (len(s), sorted(repr(a) for a in s))
+def _sorted_sets(sets: Iterable[frozenset], atoms: Iterable) -> list[frozenset]:
+    """``sets`` in canonical order: by size, then by their atoms' reprs,
+    sorted.  ``atoms`` holds every atom of every set, and each atom's repr
+    is computed once."""
+    names = {a: repr(a) for a in atoms}
+    return sorted(sets, key=lambda s: (len(s), sorted(map(names.__getitem__, s))))
 
 
 def interval_lattice() -> OpenLattice:
@@ -167,7 +171,7 @@ def cover_join(a: Cover, b: Cover) -> Cover:
         for v in b.members
         if u & v
     }
-    return Cover(tuple(sorted(members, key=_set_key)))
+    return Cover(tuple(_sorted_sets(members, frozenset().union(*members))))
 
 
 def _cap_exceeded(what: str, cap: int) -> SearchCapExceeded:
@@ -199,9 +203,9 @@ def cover_D(lattice: OpenLattice, cover: Cover, cap: int = MAX_COVER_NODES) -> i
             if listed > cap:
                 raise _cap_exceeded("candidate enumeration", cap)
             found.add(o)
-    candidates = sorted(found - {frozenset()}, key=_set_key)
+    candidates = _sorted_sets(found - {frozenset()}, lattice.atoms)
     atoms = list(lattice.atoms)
-    dedup = Cover(tuple(sorted(members, key=_set_key)))
+    dedup = Cover(tuple(_sorted_sets(members, lattice.atoms)))
     nodes = 0
 
     def feasible(t: int) -> bool:
@@ -239,9 +243,8 @@ def cover_D(lattice: OpenLattice, cover: Cover, cap: int = MAX_COVER_NODES) -> i
 def cover_D_bruteforce(lattice: OpenLattice, cover: Cover) -> int:
     """Oracle: enumerate every subset of admissible opens and take the best order."""
     validate_cover(lattice, cover)
-    candidates = sorted(
-        {o for o in lattice.opens if o and any(o <= m for m in cover.members)},
-        key=_set_key,
+    candidates = _sorted_sets(
+        {o for o in lattice.opens if o and any(o <= m for m in cover.members)}, lattice.atoms
     )
     ground = lattice.ground
     best: int | None = None

@@ -341,6 +341,17 @@ def uniform_metric(size: int, value: Fraction) -> tuple[tuple[Fraction, ...], ..
     )
 
 
+def random_metric_per_entry(rng, size: int, denominator: int = 32):
+    """``finite.random_metric`` with one ``Fraction`` built per draw."""
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            d = Fraction(rng.randint(denominator, 2 * denominator), 8 * denominator)
+            rows[i][j] = d
+            rows[j][i] = d
+    return tuple(tuple(row) for row in rows)
+
+
 def metric_violations(metric, size: int) -> list[str]:
     """The metric axioms a table of exact distances breaks, each tested on
     every point, pair or triple: the table is square with ``size`` rows of

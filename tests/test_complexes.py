@@ -25,7 +25,7 @@ from mdkit.complexes import (
     smith_normal_form_diagonal,
     verify_equivariant_simplicial,
 )
-from mdkit.complexes import _boundary_columns, _invariant_factors, _validate_complex
+from mdkit.complexes import _coboundary_columns, _invariant_factors, _validate_complex
 
 from oracles import (
     complex_violations,
@@ -336,17 +336,37 @@ def homology_battery() -> list[FreeZpComplex]:
     return battery
 
 
+def _record_fallbacks(monkeypatch) -> list[tuple]:
+    """Patch ``_unit_pivot_factors`` to record the arguments of each call."""
+    calls = []
+    unit_pivot_factors = complexes._unit_pivot_factors
+
+    def recording(*args):
+        calls.append(args)
+        return unit_pivot_factors(*args)
+
+    monkeypatch.setattr(complexes, "_unit_pivot_factors", recording)
+    return calls
+
+
 class TestSparseHomology:
-    def test_invariant_factors_match_dense_snf(self):
+    def test_invariant_factors_match_dense_snf(self, monkeypatch):
         rng = random.Random(41)
+        fallbacks = _record_fallbacks(monkeypatch)
+        calls = 0
         # with units, sparse; without any unit, so the residual is everything
         for entries in ([0, 0, 0, 1, -1, 2, -3], [0, 2, -2, 3, 4, -6]):
             for _ in range(150):
                 rows, cols = rng.randint(0, 7), rng.randint(0, 7)
                 matrix = _random_matrix(rng, rows, cols, entries)
-                assert _invariant_factors(_columns(matrix, cols)) == (
-                    smith_normal_form_diagonal(matrix)
-                ), matrix
+                expected = smith_normal_form_diagonal(matrix)
+                assert _invariant_factors(_columns(matrix, cols)) == expected, matrix
+                # a matrix and its transpose have the same invariant factors
+                transpose = [list(col) for col in zip(*matrix)]
+                assert _invariant_factors(_columns(transpose, rows)) == expected, matrix
+                calls += 2
+        # both routes ran: the lowest-row reduction and the unit-pivot fallback
+        assert 0 < len(fallbacks) < calls
 
     def test_invariant_factors_empty_and_zero(self):
         assert _invariant_factors([]) == []
@@ -408,14 +428,24 @@ class TestSparseHomology:
                 assert smith_normal_form_diagonal(on_rows) == [1] * len(pivot_rows), matrix
 
     def test_boundary_pivot_rows_count_the_unit_factors(self):
-        # no residual of these boundary matrices has a factor 1, so the
+        # no residual of these coboundary matrices has a factor 1, so the
         # pivot rows number exactly the 1s
         for k in homology_battery():
             faces = [((),), *k.face_table]
             for lower, upper in zip(faces, faces[1:]):
                 pivot_rows = []
-                factors = _invariant_factors(_boundary_columns(upper, lower), pivot_rows)
+                factors = _invariant_factors(_coboundary_columns(lower, upper), pivot_rows)
                 assert len(set(pivot_rows)) == len(pivot_rows) == factors.count(1)
+
+    def test_fallback_only_for_the_projective_plane(self, monkeypatch):
+        # every lowest entry of a standard complex's cleared coboundaries is
+        # a unit; the projective plane's Z/2 needs the unit-pivot route
+        fallbacks = _record_fallbacks(monkeypatch)
+        for p, n in EN_ZP_HOMOLOGY:
+            reduced_homology_groups(build_en_zp(p, n))
+            assert fallbacks == [], (p, n)
+        reduced_homology_groups(projective_plane())
+        assert len(fallbacks) == 1
 
     @pytest.mark.parametrize("p, n", EN_ZP_HOMOLOGY)
     def test_standard_complexes_match_dense_oracle(self, p, n):

@@ -44,6 +44,7 @@ from oracles import (
     perm_is_bijection,
     phi_by_backward_walk,
     projection_by_clock_walk,
+    random_metric_per_entry,
     uniform_metric,
 )
 
@@ -656,6 +657,17 @@ class TestRandomGenerators:
                 assert metric_violations(metric, size) == [], (size, seed)
                 values = {metric[i][j] for i in range(size) for j in range(size) if i != j}
                 assert all(Fraction(1, 8) <= v <= Fraction(1, 4) for v in values)
+
+    def test_random_metric_matches_per_entry_draws(self):
+        # the value table is indexed by the same draws, so the table and the
+        # state the stream is left in are those of one Fraction per draw
+        for size in range(41):
+            for seed in range(4):
+                for denominator in (1, 7, 32):
+                    ours, oracle = random.Random(seed), random.Random(seed)
+                    got = random_metric(ours, size, denominator)
+                    assert got == random_metric_per_entry(oracle, size, denominator)
+                    assert ours.getstate() == oracle.getstate(), (size, seed, denominator)
 
     def test_system_builders_make_bijections(self):
         # cycle and clock systems are trusted at run time

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mdkit import meandim
 from mdkit.complexes import build_en_zp
 from mdkit.meandim import (
     Cover,
@@ -181,6 +182,34 @@ class TestCoverD:
         assert cover_D(lat, cover) == complex_.dimension() == n
         if n == 0 or (p, n) == (2, 1):
             assert cover_D_bruteforce(lat, cover) == n
+
+    @pytest.mark.parametrize("model", [None, (2, 1), (2, 2), (3, 1), (3, 2), (7, 1)])
+    def test_sort_orders_match_one_repr_per_atom_per_set(self, monkeypatch, model):
+        # cover_D searches its candidates in sorted order; the orders of the
+        # candidates, the members and a join's members are those of the key
+        # that took each atom's repr again for every set (en-zp(7, 1) has
+        # vertex indices past 9, where repr order is not tuple order)
+        def repr_key(s):
+            return (len(s), sorted(repr(a) for a in s))
+
+        sorts = []
+
+        def checked(sets, atoms):
+            # checked before the search runs in the order it returns
+            sets = list(sets)
+            result = sorted_sets(sets, atoms)
+            assert result == sorted(sets, key=repr_key)
+            sorts.append(result)
+            return result
+
+        sorted_sets = meandim._sorted_sets
+        monkeypatch.setattr(meandim, "_sorted_sets", checked)
+        lat = interval_lattice() if model is None else face_lattice(build_en_zp(*model))
+        cover = star_cover(lat)
+        cover_D(lat, cover)
+        assert len(sorts) == 2
+        cover_join(cover, cover)
+        assert len(sorts) == 3
 
     def test_monotone_under_refinement(self):
         lat = interval_lattice()
