@@ -5,6 +5,15 @@ output), a short human summary goes to stderr, and the exit code is 0 when
 every check passes, 1 when some verification fails, 2 on configuration or
 usage errors.  An optional CSV summary of the per-check records can be
 written alongside.
+
+Each command costs well under a millisecond, so the fixed cost of ``main``
+is kept small.  A command is parsed by its leaf parser alone, looked up by
+its leading words ("tower verify", ..., "embed"); the whole parser tree
+parses again only when the leaf exits or leaves arguments over, so every
+help text and usage error still comes from the tree.  Before Python 3.13 the
+indented report is written by a private one-pass writer instead of
+``json.dumps``, whose indenting encoder is pure Python there.  Both give the
+tree's namespaces and ``json.dumps``'s text byte for byte.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import random
@@ -556,9 +566,14 @@ def _default_seed() -> int:
     return int(os.environ.get("MDKIT_SEED", "0"))
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
+    """The parser tree and its leaf parsers, keyed by the words that select them."""
     parser = argparse.ArgumentParser(
         prog="mdkit",
         description=(
@@ -673,19 +688,117 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--eta", default=None, help="pick the clock division from a target")
     mp.set_defaults(runner=_run_mdim_pipeline)
 
-    # accept --csv after the subcommand too; SUPPRESS keeps a root-level value
+    leaves = {}
     for leaf in (tv, ta, sc, sj, sw, ce, cc, ms, mt, embed, md, mp):
+        # accept --csv after the subcommand too; SUPPRESS keeps a root-level value
         leaf.add_argument(
             "--csv", metavar="PATH", default=argparse.SUPPRESS,
             help="also write a CSV summary of the checks",
         )
+        # the prog "mdkit tower verify" names the words the tree selects it by
+        leaves[tuple(leaf.prog.split()[1:])] = leaf
 
-    return parser
+    return parser, leaves
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` gives, by the leaf where it can."""
+    args = _parse_at_leaf(argv)
+    return build_parser().parse_args(argv) if args is None else args
+
+
+def _parse_at_leaf(argv: list[str]) -> argparse.Namespace | None:
+    """The tree's namespace for ``argv``, parsed by the leaf parser alone.
+
+    None when argv names no leaf, or when the leaf exits (help or a usage
+    error) or leaves arguments over: the tree then parses argv and prints
+    its own help or error, so the leaf's output is discarded here.  Root-level
+    options (--csv before the group, -h) name no leaf, and an argument the
+    root parser refuses, such as the ambiguous "--=x", every leaf refuses too.
+    """
+    leaves = _parsers()[1]
+    words = tuple(argv[:2])
+    if words not in leaves:
+        words = words[:1]
+        if words not in leaves:
+            return None
+    # what the root and group parsers put in the namespace before the leaf
+    namespace = argparse.Namespace(csv=None, group=words[0], action=words[1] if len(words) == 2 else None)
+    stdout, stderr = sys.stdout, sys.stderr
+    sys.stdout = sys.stderr = io.StringIO()
+    try:
+        args, extras = leaves[words].parse_known_args(argv[len(words):], namespace)
+    except SystemExit:
+        return None
+    finally:
+        sys.stdout, sys.stderr = stdout, stderr
+    return None if extras else args
+
+
+# ---------------------------------------------------------------------------
+# Report output
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _indented_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, written in one pass.
+
+    Before Python 3.13 the C encoder cannot indent, so ``json.dumps`` runs
+    its pure-Python encoder, a chain of generators.  This writer appends to
+    one list and escapes strings with the same C function ``json`` uses.  It
+    takes str keys, str, int, bool, None, list, tuple and dict only; anything
+    else, a float or a ``Fraction`` among them, raises TypeError.
+    """
+    parts: list[str] = []
+    _write_json(value, parts, "\n")
+    return "".join(parts)
+
+
+def _write_json(value, parts: list[str], newline: str) -> None:
+    if isinstance(value, str):
+        parts.append(_escape(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(separator)
+            parts.append(_escape(key))
+            parts.append(": ")
+            _write_json(value[key], parts, inner)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _write_json(item, parts, inner)
+            separator = "," + inner
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
         args.seed = _default_seed()
     try:
@@ -693,7 +806,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, SearchCapExceeded, OSError, json.JSONDecodeError) as exc:
         print(f"mdkit: error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(report, sort_keys=True, indent=2)
+    # from 3.13 the C encoder indents, and is faster than the writer there
+    if sys.version_info >= (3, 13):
+        text = json.dumps(report, sort_keys=True, indent=2)
+    else:
+        text = _indented_json(report)
     print(text)
     for check in report["checks"]:
         print(f"{check['name']}: {check['verdict']}", file=sys.stderr)

@@ -289,6 +289,19 @@ def verify_marker(
     return ok, tuple(transcript)
 
 
+def _is_marker(sys_: FiniteSystem, subset, n_marker: int) -> bool:
+    """The verdict of ``verify_marker`` alone, for callers that keep no
+    transcript: no record is built, and the first violation ends the check."""
+    chosen = frozenset(subset)
+    perm = sys_.perm
+    for i in chosen:
+        for _ in range(1, n_marker):
+            i = perm[i]
+            if i in chosen:
+                return False
+    return all(not chosen.isdisjoint(cycle) for cycle in sys_.cycles)
+
+
 def _early_returns(sys_: FiniteSystem, points, n_marker: int):
     """For n = 1 .. N-1, the points of ``points`` whose n-th image lies in
     ``points``, in the given order.  The images advance one step per n, so
@@ -430,8 +443,7 @@ def rokhlin_function(sys_: FiniteSystem, subset, n_marker: int) -> RokhlinReport
     exceptional set E = preimage of U it increases by exactly one along the
     dynamics, and E has no return to itself in fewer than N steps.
     """
-    ok, _ = verify_marker(sys_, subset, n_marker)
-    if not ok:
+    if not _is_marker(sys_, subset, n_marker):
         raise ValueError("subset is not a valid marker")
     chosen = frozenset(subset)
     # every cycle meets U, so one forward pass from a point of U fixes phi
@@ -736,7 +748,7 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
             others_marker = tuple(i for _, part in others for i in part)
             for projected, part in parts.items():
                 base_subset = sorted(projected + others_projected)
-                if not verify_marker(sys_, base_subset, max(n_marker - 1, 1))[0]:
+                if not _is_marker(sys_, base_subset, max(n_marker - 1, 1)):
                     bad.append({"marker": sorted(part + others_marker), "projected": base_subset})
         backward = {
             "ok": not bad,

@@ -23,6 +23,7 @@ with "all checks passed".
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -365,13 +366,7 @@ def sample_periodic_gap_point(
     grid vector has equally many admissible successors, so the result is
     uniform.  Emptiness is decided on the grid before any draw.
     """
-    spec = gap_space(dim, gap, threshold)
-    t = spec.threshold
-    cycles = math.gcd(gap, period)
-    length = period // cycles
-    what = f"period-{period} point with distance >= {t} at gap {gap}"
-    if not _grid_cycle_closes(dim, t, length):
-        raise ValueError(f"no {what} exists on the k/{GRID} grid")
+    t, cycles, length, what = _periodic_plan(dim, gap, threshold, period)
     walks = []
     drawn = 0
     for _ in range(cycles):
@@ -392,6 +387,22 @@ def sample_periodic_gap_point(
         for s in range(length):
             position[(f + s * gap) % period] = f * length + s
     return Periodic(concat(*walks).take(position))
+
+
+@functools.lru_cache
+def _periodic_plan(dim: int, gap: int, threshold: Fraction, period: int) -> tuple[Fraction, int, int, str]:
+    """What ``sample_periodic_gap_point`` decides before any draw: the
+    threshold, the number and length of the cycles, and the point's
+    description; raises when no such point exists on the grid.  Decided once
+    per arguments, as a conjugacy diagram asks for every sample of one side
+    with the same ones."""
+    t = gap_space(dim, gap, threshold).threshold
+    cycles = math.gcd(gap, period)
+    length = period // cycles
+    what = f"period-{period} point with distance >= {t} at gap {gap}"
+    if not _grid_cycle_closes(dim, t, length):
+        raise ValueError(f"no {what} exists on the k/{GRID} grid")
+    return t, cycles, length, what
 
 
 def sample_gap_window(

@@ -1,14 +1,18 @@
 import json
+import shlex
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mdkit import cli, complexes, finite, shiftspace, torus, tower
 from mdkit.finite import FiniteSystem
 
 from oracles import uniform_metric
+from test_golden import COMMANDS
 
 
 def run_cli(capsys, *argv):
@@ -103,16 +107,18 @@ class TestDispatch:
         assert backward.startswith("all 1800 1800-markers of the extension project to (599)-markers")
 
     def test_markers_transfer_checks_each_projection_once(self, capsys, monkeypatch):
-        calls = []
-        verify = finite.verify_marker
+        calls, verdicts = [], []
+        verify, is_marker = finite.verify_marker, finite._is_marker
         monkeypatch.setattr(finite, "verify_marker", lambda *args: calls.append(args) or verify(*args))
+        monkeypatch.setattr(finite, "_is_marker", lambda *args: verdicts.append(args) or is_marker(*args))
         code, report, _ = run_cli(
             capsys, "markers", "transfer", "--system", "cycles:6,6", "--n", "3", "--N", "2"
         )
         assert code == 0
-        # one base search, one lifted marker, and the 17 distinct projections
-        # of each cycle's part
-        assert len(calls) == 36
+        # transcripts for the base search and the lifted marker only; a
+        # verdict for each of the 17 distinct projections of each cycle's part
+        assert len(calls) == 2
+        assert len(verdicts) == 34
         backward = report["checks"][1]["witness"]["detail"]
         assert backward.startswith("all 7569 6-markers of the extension project")
 
@@ -820,3 +826,64 @@ class TestFileInputs:
             ["markers", "search", "--system", "/nonexistent.json", "--N", "2"]
         )
         assert code == 2
+
+
+# argv lists for the parser entry: (argv, whether the leaf parser alone parses it)
+PARSER_BATTERY = {
+    **{name: (shlex.split(command)[1:], True) for name, command in COMMANDS.items()},
+    "csv-before-group": (["--csv", "out.csv", "shift", "witness", "--p", "3", "--m", "2"], False),
+    "csv-after-leaf": (["shift", "witness", "--p", "3", "--m", "2", "--csv", "out.csv"], True),
+    "csv-on-both-levels": (["--csv", "a.csv", "mdim", "pipeline", "--N", "1", "--csv", "b.csv"], False),
+    "leaf-help": (["tower", "verify", "-h"], False),
+    "embed-help": (["embed", "--help"], False),
+    "missing-required-option": (["tower", "verify", "--m", "2"], False),
+    "non-integer-N": (["markers", "search", "--system", "cycles:3", "--N", "x"], False),
+    "invalid-anchors-choice": (["tower", "verify", "--m", "2", "--window", "0:5", "--anchors", "all"], False),
+    "unrecognized-extra": (["tower", "verify", "--m", "2", "--window", "0:5", "extra"], False),
+    "root-ambiguous-option": (["tower", "verify", "--m", "2", "--window", "0:5", "--=x"], False),
+    "unknown-group": (["nonsense"], False),
+    "unknown-leaf": (["tower", "nonsense"], False),
+    "empty": ([], False),
+}
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        outcome = ("namespace", vars(parse(argv)))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+class TestParserEntry:
+    @pytest.mark.parametrize("name", sorted(PARSER_BATTERY))
+    def test_leaf_entry_matches_the_tree(self, name, capsys):
+        argv, at_leaf = PARSER_BATTERY[name]
+        assert (cli._parse_at_leaf(argv) is not None) == at_leaf
+        assert capsys.readouterr() == ("", "")
+        tree = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+        assert _parse_outcome(cli._parse_args, argv, capsys) == tree
+
+
+json_text = st.text(st.characters() | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "\xe9", "\U0001f600"]))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | json_text,
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(json_text, children),
+    max_leaves=40,
+)
+
+
+class TestReportWriter:
+    @given(json_values)
+    def test_writer_matches_json_dumps(self, value):
+        assert cli._indented_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, Fraction(1, 2), {1, 2}, {1: "a"}, {"a": [0, 0.0]}, {"a": {"b": Fraction(1, 3)}}, [{(1,): 1}]],
+        ids=["float", "fraction", "set", "int-key", "nested-float", "nested-fraction", "tuple-key"],
+    )
+    def test_writer_refuses_other_types(self, value):
+        with pytest.raises(TypeError):
+            cli._indented_json(value)

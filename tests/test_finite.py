@@ -208,6 +208,24 @@ class TestMarkerSearch:
             returns = [entry["violations"] for entry in transcript[:-1]]
             assert returns == early_returns_by_powers(sys_, subset, n_marker)
 
+    def test_verdict_only_check_matches_the_transcript(self):
+        rng = random.Random(27)
+        verdicts = []
+        for _ in range(400):
+            sys_ = random_system(rng, max_points=10)
+            n_marker = rng.randint(1, sys_.size + 1)
+            subsets = [rng.sample(range(sys_.size), rng.randint(1, sys_.size)) for _ in range(3)]
+            if sys_.min_cycle_length() >= n_marker:
+                subsets += [sorted(u) for u in rng.sample(enumerate_markers(sys_, n_marker), 1)]
+            for subset in subsets:
+                ok, _ = verify_marker(sys_, subset, n_marker)
+                assert finite._is_marker(sys_, subset, n_marker) == ok, (sys_, subset, n_marker)
+                verdicts.append(ok)
+        # markers and non-markers both occur, and rokhlin_function refuses the latter
+        assert 100 < sum(verdicts) < len(verdicts) - 100
+        with pytest.raises(ValueError, match="not a valid marker"):
+            rokhlin_function(cycles(5), (0, 2), 3)
+
     def test_enumerate_markers(self):
         markers = enumerate_markers(cycles(5), 5)
         assert sorted(map(sorted, markers)) == [[0], [1], [2], [3], [4]]
@@ -522,10 +540,8 @@ class TestMarkerTransfer:
     def test_one_violation_record_per_projection(self, monkeypatch):
         # reject every base 4-marker: the 15 extension 15-markers of a 5-cycle
         # at n = 3 are single points, and they project to the 5 base points
-        verify = finite.verify_marker
-        monkeypatch.setattr(
-            finite, "verify_marker", lambda s, u, n: (False, ()) if n == 4 else verify(s, u, n)
-        )
+        is_marker = finite._is_marker
+        monkeypatch.setattr(finite, "_is_marker", lambda s, u, n: False if n == 4 else is_marker(s, u, n))
         report = verify_marker_transfer(cycles(5), 3, 5)
         assert not report.passed
         violations = report.backward["violations"]
@@ -537,15 +553,15 @@ class TestMarkerTransfer:
         # with every base check failing, each cycle's records run through
         # the projections its marker parts can have, once each, and every
         # record is an extension marker with its clock-walk projection
-        verify = finite.verify_marker
+        is_marker = finite._is_marker
         for lengths in ([5], [3, 4], [2, 2, 3]):
             base = FiniteSystem.from_cycle_lengths(lengths)
             for n in (1, 2, 3):
                 for n_marker in (2, 3):
                     monkeypatch.setattr(
                         finite,
-                        "verify_marker",
-                        lambda s, u, k: (False, ()) if s is base and k == n_marker - 1 else verify(s, u, k),
+                        "_is_marker",
+                        lambda s, u, k: False if s is base and k == n_marker - 1 else is_marker(s, u, k),
                     )
                     report = verify_marker_transfer(base, n, n_marker)
                     divided = time_division(base, n)
@@ -577,17 +593,22 @@ class TestMarkerTransfer:
     def test_backward_matches_the_enumeration_oracle(self, monkeypatch):
         # two base verifiers: the real one, which every projection passes,
         # and one failing exactly the subsets that hold a point with its
-        # image, a rule that, like the real one, splits over cycles
+        # image, a rule that, like the real one, splits over cycles; the
+        # oracle asks verify_marker, the transfer its verdict-only check
         monkeypatch.setattr(finite, "MAX_MARKERS", 5000)
-        verify = finite.verify_marker
+        verify, is_marker = finite.verify_marker, finite._is_marker
         verdicts = []
         for base, n, n_marker in self.seeded_transfers():
             pair = (0, base.perm[0])
             for fake in (False, True):
+                def rejects(s, u):
+                    return fake and s is base and set(pair) <= set(u)
+
                 monkeypatch.setattr(
-                    finite,
-                    "verify_marker",
-                    lambda s, u, k: (False, ()) if fake and s is base and set(pair) <= set(u) else verify(s, u, k),
+                    finite, "verify_marker", lambda s, u, k: (False, ()) if rejects(s, u) else verify(s, u, k)
+                )
+                monkeypatch.setattr(
+                    finite, "_is_marker", lambda s, u, k: not rejects(s, u) and is_marker(s, u, k)
                 )
                 try:
                     expected_ok, count, failing = backward_transfer_by_enumeration(base, n, n_marker)
@@ -610,11 +631,11 @@ class TestMarkerTransfer:
 
     def test_violations_are_real_markers(self, monkeypatch):
         monkeypatch.setattr(finite, "MAX_MARKERS", 5000)
-        verify = finite.verify_marker
+        verify, is_marker = finite.verify_marker, finite._is_marker
         checked = 0
         for base, n, n_marker in self.seeded_transfers():
             monkeypatch.setattr(
-                finite, "verify_marker", lambda s, u, k: (False, ()) if s is base and k == n_marker - 1 else verify(s, u, k)
+                finite, "_is_marker", lambda s, u, k: False if s is base and k == n_marker - 1 else is_marker(s, u, k)
             )
             try:
                 report = verify_marker_transfer(base, n, n_marker)

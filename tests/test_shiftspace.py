@@ -193,6 +193,16 @@ class TestConjugacyDiagram:
         assert list(failures.values()) == [(), (), (), ()]
         assert [identity.ok for identity in report.identities] == [False, False, True, True, True, True]
 
+    def test_sampler_decides_once_per_side(self, monkeypatch):
+        # each side's threshold and grid emptiness are decided once, not per sample
+        decided = []
+        closes = shiftspace._grid_cycle_closes
+        monkeypatch.setattr(shiftspace, "_grid_cycle_closes", lambda *args: decided.append(args) or closes(*args))
+        shiftspace._periodic_plan.cache_clear()
+        report = verify_conjugacy_diagram(2, 3, Fraction(3, 8), 7, samples=6, seed=4)
+        assert report.passed
+        assert decided == [(2, Fraction(3, 8), 7), (2, Fraction(3, 8), 7)]
+
     def test_degenerate_m_equals_one(self):
         report = verify_conjugacy_diagram(1, 1, HALF, 5, samples=5, seed=1)
         assert report.passed
