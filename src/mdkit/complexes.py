@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .finite import permutation_cycles
 
@@ -360,20 +360,25 @@ class HomologyGroup:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
 
-def _coboundary_columns(lower: Sequence[Face], upper: Sequence[Face]) -> list[dict[int, int]]:
+def _coboundary_columns(
+    lower: Sequence[Face], upper: Sequence[Face], dropped: Collection[int] = ()
+) -> list[dict[int, int]]:
     """Coboundary from cochains on ``lower`` to cochains on ``upper``, the
     transpose of the boundary: one sparse ``{row: +-1}`` column per simplex
-    of ``lower``, with a row for each simplex of ``upper`` that has it as a
-    facet.  ``upper`` is walked once, so each column lists its rows in
+    of ``lower`` whose index is not in ``dropped``, with a row for each
+    simplex of ``upper`` that has it as a facet; a dropped column gets no
+    entry.  ``upper`` is walked once, so each column lists its rows in
     increasing order.  ``combinations`` yields the facets of a sorted
     simplex dropping its last vertex first, so the signs run backward."""
-    index = {s: j for j, s in enumerate(lower)}
-    columns: list[dict[int, int]] = [{} for _ in lower]
+    columns: list[dict[int, int]] = [{} for _ in range(len(lower) - len(dropped))]
+    index = dict(zip((s for j, s in enumerate(lower) if j not in dropped), columns))
     size = len(upper[0]) if upper else 1
     signs = [-1 if drop % 2 else 1 for drop in range(size - 1, -1, -1)]
     for i, s in enumerate(upper):
         for facet, sign in zip(combinations(s, size - 1), signs):
-            columns[index[facet]][i] = sign
+            column = index.get(facet)
+            if column is not None:
+                column[i] = sign
     return columns
 
 
@@ -504,8 +509,7 @@ def reduced_homology_groups(complex_: FreeZpComplex) -> list[HomologyGroup]:
     factors: list[list[int]] = []
     cleared: list[int] = []
     for lower, upper in zip(faces, faces[1:]):
-        drop = set(cleared)
-        columns = [c for j, c in enumerate(_coboundary_columns(lower, upper)) if j not in drop]
+        columns = _coboundary_columns(lower, upper, set(cleared))
         cleared = []
         factors.append(_invariant_factors(columns, cleared))
     factors.append([])

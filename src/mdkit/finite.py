@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import product as iter_product
 from math import comb, lcm
@@ -322,18 +322,18 @@ def _cycle_position_subsets(length: int, n_marker: int) -> list[tuple[int, ...]]
     """
     results: list[tuple[int, ...]] = []
 
-    def extend(chosen: list[int], next_pos: int):
-        for pos in range(next_pos, length):
-            if chosen and pos - chosen[-1] < n_marker:
-                continue
+    def extend(chosen: list[int], start: int):
+        # the wrap gap, length - (pos - chosen[0]), only shrinks as pos grows
+        for pos in range(start, min(length, chosen[0] + length - n_marker + 1)):
             chosen.append(pos)
-            # the wrap gap only shrinks as later positions are added
-            if length - (chosen[-1] - chosen[0]) >= n_marker:
-                results.append(tuple(chosen))
-                extend(chosen, pos + 1)
+            results.append(tuple(chosen))
+            extend(chosen, pos + n_marker)
             chosen.pop()
 
-    extend([], 0)
+    # one position's wrap gap is the whole cycle
+    for first in range(length if length >= n_marker else 0):
+        results.append((first,))
+        extend([first], first + n_marker)
     return results
 
 
@@ -791,6 +791,13 @@ def random_system(
     return FiniteSystem.from_cycle_lengths(lengths)
 
 
+@lru_cache(maxsize=8)
+def _metric_values(denominator: int) -> tuple[Fraction, ...]:
+    """The values ``random_metric`` draws from, k/(8*denominator) for k in
+    [denominator, 2*denominator]."""
+    return tuple(Fraction(k, 8 * denominator) for k in range(denominator, 2 * denominator + 1))
+
+
 def random_metric(
     rng: random.Random, size: int, denominator: int = 32
 ) -> tuple[tuple[Fraction, ...], ...]:
@@ -800,9 +807,9 @@ def random_metric(
     [t, 2t] satisfies the triangle inequality: d(i, k) <= 2t <= d(i, j) +
     d(j, k) for distinct points, and the other cases have a zero term.  So
     the table needs no repair step and no check.  The denominator + 1
-    possible values are built once and indexed by the draws.
+    possible values are built once per denominator and indexed by the draws.
     """
-    values = [Fraction(k, 8 * denominator) for k in range(denominator, 2 * denominator + 1)]
+    values = _metric_values(denominator)
     rows = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):

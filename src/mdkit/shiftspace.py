@@ -36,6 +36,7 @@ from .torus import (
     concat,
     first_far,
     gap_distances,
+    gap_failures,
 )
 
 # ---------------------------------------------------------------------------
@@ -278,10 +279,7 @@ def check_membership(spec: SubshiftSpec, x: SeqPoint) -> MembershipReport:
     first = 0 if cyclic else x.start  # index of the first stored entry
     if isinstance(spec, GapAtLeast):
         checked = _checkable_range(x, 0, spec.gap)
-        dists, den = gap_distances(x.seq, spec.gap, cyclic)
-        # d/den >= threshold, in integers
-        bar, scale = spec.threshold.numerator * den, spec.threshold.denominator
-        failures = [n for n, d in zip(checked, dists) if d * scale < bar]
+        failures = [checked[k] for k in gap_failures(x.seq, spec.gap, spec.threshold, cyclic)]
     elif isinstance(spec, (EitherOrAtLeast, EitherOrEquals)):
         checked = _checkable_range(x, -1, 1)
         # steps[k] is the distance from entry k to entry k + 1, cyclically

@@ -13,11 +13,27 @@ A finite sequence of vectors is a :class:`TorusSeq`: one shared
 denominator and one column of numerators per coordinate, in lowest terms
 like a vector, so equal sequences compare and hash equal.  Windows and
 periodic points hold one, and the sequence kernels take and return one
-(:func:`strided_sums`, :func:`solve_strided_sums`, :func:`gap_distances`,
-:func:`first_far`, :func:`concat`, :func:`unequal_entries`): each works on
-plain integers mod ``2*den``, lifts to a common denominator at most once
-and only when the denominators differ, and builds no vector.  A vector is
-built from a sequence only where one is read: by indexing or iterating it.
+(:func:`strided_sums`, :func:`solve_strided_sums`, :func:`gap_failures`,
+:func:`gap_distances`, :func:`first_far`, :func:`concat`,
+:func:`unequal_entries`): each works on plain integers mod ``2*den``, lifts
+to a common denominator at most once and only when the denominators
+differ, and builds no vector.  A vector is built from a sequence only where
+one is read: by indexing or iterating it.
+
+The column kernels :func:`strided_sums`, :func:`solve_strided_sums` and
+:func:`gap_failures` work on packed lanes (SIMD within a register): a
+column is packed once into one integer, entry k in lane k of W bits, a few
+big-integer adds, shifts and masks act on every lane at once, and the
+result is unpacked once.  W is 16, 32 or 64, or a multiple of 64 past
+that: the smallest that holds ``4*den - 1``, so ``2*den <= G = 2**(W-1)``,
+the lane's guard bit.  Every lane value a kernel forms, a sum or difference
+of two residues mod ``2*den`` lifted by at most ``G``, stays below
+``2**W``, so no lane carries into or borrows from the next and the lanes
+hold exactly the integers a loop over the entries would.  A lane v in
+[0, 4*den) is reduced mod ``2*den`` by the guard bit: ``v + G - 2*den``
+sets it exactly when ``v >= 2*den``, and ``2*den`` is subtracted from those
+lanes; a compare ``v >= c`` is the guard bit of ``v + G - c``.  The
+per-entry loops are the references in ``tests/oracles.py``.
 
 Only this module reads the integer encoding: other modules build vectors
 with :meth:`TorusVec.of` (or from integers, ``TorusVec(nums, den)``),
@@ -30,11 +46,13 @@ is exact: no floats, no tolerances.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 
@@ -323,29 +341,88 @@ def unequal_entries(a: TorusSeq, b: TorusSeq) -> list[int]:
     return [k for k, (u, v) in enumerate(zip(rows_a, rows_b)) if u != v]
 
 
+# ---------------------------------------------------------------------------
+# Packed lanes: a column as one integer, entry k in bits [k*W, (k+1)*W)
+
+_FORMATS = {2: "H", 4: "I", 8: "Q"}
+
+
+def _lane_bytes(den: int) -> int:
+    """The lane width, in bytes, for numerators over ``den``.
+
+    A lane of W bits holds 4*den - 1, so 2*den <= 2**(W-1): every value a
+    kernel forms, at most two residues mod 2*den plus the guard offset
+    2**(W-1) - 2*den, stays below 2**W and never carries into the next lane.
+    """
+    bits = (4 * den - 1).bit_length()
+    if bits <= 16:
+        return 2
+    if bits <= 32:
+        return 4
+    return 8 * -(-bits // 64)
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(count: int, width: int) -> tuple[struct.Struct | None, int]:
+    """The struct of ``count`` lanes of ``width`` bytes, and the integer whose lanes each hold 1.
+
+    Times c, that integer holds c in every lane.  A denominator above 2**62
+    needs lanes wider than any struct format; they pack through
+    ``int.to_bytes`` and the struct is None.
+    """
+    fmt = _FORMATS.get(width)
+    packer = None if fmt is None else struct.Struct(f"<{count}{fmt}")
+    return packer, int.from_bytes((1).to_bytes(width, "little") * count, "little")
+
+
+def _pack(column: Sequence[int], width: int) -> int:
+    """The entries of ``column`` as the lanes of one integer, entry 0 lowest."""
+    packer = _layout(len(column), width)[0]
+    if packer is None:
+        return int.from_bytes(b"".join(k.to_bytes(width, "little") for k in column), "little")
+    return int.from_bytes(packer.pack(*column), "little")
+
+
+def _unpack(lanes: int, count: int, width: int) -> tuple[int, ...]:
+    """The first ``count`` lanes of ``lanes`` as a column."""
+    data = lanes.to_bytes(count * width, "little")
+    packer = _layout(count, width)[0]
+    if packer is None:
+        return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
+    return packer.unpack(data)
+
+
 def strided_sums(seq: TorusSeq, stride: int, terms: int) -> TorusSeq:
     """The sums ``seq[k] + seq[k + stride] + ... + seq[k + (terms-1)*stride]``.
 
-    There is one sum for each k whose terms all lie in ``seq``.  After
-    the first ``stride`` sums each one slides from the sum one stride back,
-    ``F[k] = F[k - stride] - seq[k - stride] + seq[k + (terms-1)*stride]``,
-    so a sum costs O(1) whatever ``terms`` is.
+    There is one sum for each k whose terms all lie in ``seq``.  Each
+    column is packed into lanes once (see :func:`_lane_bytes`) and every
+    sum is formed at once: ``terms - 1`` times the column shifted one more
+    stride is added lane by lane and the lanes are reduced mod ``2*den``.
     """
     if stride < 0 or terms < 1:
         raise ValueError("strided sums need stride >= 0 and terms >= 1")
-    span = (terms - 1) * stride
-    count = len(seq) - span
+    count = len(seq) - (terms - 1) * stride
     if count < 1:
         raise ValueError("strided sums need more values than their span")
-    full = 2 * seq.den
-    head = count if stride == 0 else min(stride, count)
+    den = seq.den
+    full = 2 * den
+    width = _lane_bytes(den)
+    bits = 8 * width
+    top = bits - 1
+    ones = _layout(count, width)[1]
+    lift = ((1 << top) - full) * ones
+    mask = (1 << count * bits) - 1
     out_columns = []
     for column in seq.columns:
-        out = [sum(column[k + t * stride] for t in range(terms)) % full for k in range(head)]
-        for k in range(head, count):
-            out.append((out[k - stride] - column[k - stride] + column[k + span]) % full)
-        out_columns.append(tuple(out))
-    return _seq(out_columns, seq.den)
+        x = _pack(column, width)
+        total = x & mask
+        for t in range(1, terms):
+            total += (x >> t * stride * bits) & mask
+            # a lane at least 2*den sets its guard bit once lifted: subtract 2*den there
+            total -= (((total + lift) >> top) & ones) * full
+        out_columns.append(_unpack(total, count, width))
+    return _seq(out_columns, den)
 
 
 def solve_strided_sums(head: TorusSeq, sums: TorusSeq, stride: int, terms: int) -> TorusSeq:
@@ -356,8 +433,11 @@ def solve_strided_sums(head: TorusSeq, sums: TorusSeq, stride: int, terms: int) 
     ``(terms-1)*stride`` entries of y as ``head``: entry ``c + j`` of y, with
     ``c = len(head)``, is ``sums[j]`` less the other ``terms - 1`` terms of
     its sum.  After the first ``stride`` entries the sums telescope,
-    ``y[c + j] = y[j - stride] + sums[j] - sums[j - stride]``.  The tail has
-    one entry per sum.
+    ``y[c + j] = y[j - stride] + sums[j] - sums[j - stride]``: entry i of y
+    is entry ``i - terms*stride`` plus a difference of sums.  So y is the
+    running sum, ``terms*stride`` lanes apart, of the head, the first
+    ``stride`` entries and those differences, formed by doubling the lag.
+    The tail has one entry per sum.
     """
     if stride < 1 or terms < 1:
         raise ValueError("solving strided sums needs stride >= 1 and terms >= 1")
@@ -368,16 +448,85 @@ def solve_strided_sums(head: TorusSeq, sums: TorusSeq, stride: int, terms: int) 
     den = math.lcm(head.den, sums.den)
     full = 2 * den
     count = len(sums)
-    first = min(stride, count)
+    length = c + count
+    width = _lane_bytes(den)
+    bits = 8 * width
+    top = bits - 1
+    ones = _layout(length, width)[1]
+    lift = ((1 << top) - full) * ones
+    fulls = full * ones
+    mask = (1 << length * bits) - 1
+    first_mask = (1 << min(stride, count) * bits) - 1
+    lag = terms * stride
     out_columns = []
-    for y, s in zip(_columns(head, den), _columns(sums, den)):
-        y = list(y)
-        for j in range(first):
-            y.append((s[j] - sum(y[j : j + c : stride])) % full)
-        for j in range(first, count):
-            y.append((y[j - stride] + s[j] - s[j - stride]) % full)
-        out_columns.append(tuple(y[c:]))
+    for head_column, sums_column in zip(_columns(head, den), _columns(sums, den)):
+        given = _pack((*head_column, *sums_column), width)  # the head, then the sums
+        # what each sum less its new entry is: head terms for the first
+        # `stride` sums, the sum one stride back after them
+        known = 0
+        for t in range(terms - 1):
+            known += (given >> t * stride * bits) & first_mask
+            known -= (((known + lift) >> top) & ones) * full
+        known = ((given >> c * bits) << stride * bits | known) << c * bits & mask
+        y = given + fulls - known
+        y -= (((y + lift) >> top) & ones) * full
+        span = lag
+        while span < length:
+            y += (y << span * bits) & mask
+            y -= (((y + lift) >> top) & ones) * full
+            span *= 2
+        out_columns.append(_unpack(y >> c * bits, count, width))
     return _seq(out_columns, den)
+
+
+def gap_failures(seq: TorusSeq, gap: int, threshold: Fraction, cyclic: bool) -> list[int]:
+    """The positions k at which entry ``k + gap`` lies nearer than ``threshold`` to entry k.
+
+    Every k that has a partner is tested, or every k with the index taken
+    mod ``len(seq)`` when ``cyclic``; the positions come in increasing
+    order.  Per coordinate, the differences of the packed column and its
+    shift are reduced mod ``2*den`` lane by lane and a lane is far when its
+    difference d has ``bound <= d <= 2*den - bound``, two guard-bit
+    compares; a position fails when no coordinate is far.
+    """
+    if gap < 1:
+        raise ValueError("gap must be >= 1")
+    n = len(seq)
+    count = n if cyclic else n - gap
+    den = seq.den
+    # distance d/den >= threshold iff d >= bound, in integers; no distance
+    # exceeds den, so a larger bound is taken as den + 1, inside the lane
+    bound = min(-(-threshold.numerator * den // threshold.denominator), den + 1)
+    if count < 1 or bound <= 0:
+        return []
+    full = 2 * den
+    width = _lane_bytes(den)
+    bits = 8 * width
+    top = bits - 1
+    guard = 1 << top
+    ones = _layout(count, width)[1]
+    guards = ones << top
+    lift = (guard - full) * ones
+    fulls = full * ones
+    low = (guard - bound) * ones  # lifts a lane d >= bound to its guard bit
+    high = (guard - full + bound - 1) * ones  # lifts a lane d > 2*den - bound to it
+    mask = (1 << count * bits) - 1
+    shift = (gap % n if cyclic else gap) * bits
+    far = 0
+    for column in seq.columns:
+        x = _pack(column, width)
+        if cyclic:
+            partner = x >> shift | (x << n * bits - shift) & mask
+        else:
+            partner = x >> shift
+            x &= mask
+        d = x + fulls - partner
+        d -= (((d + lift) >> top) & ones) * full
+        far |= (d + low) & ~(d + high)
+    near = guards & ~far
+    if not near:
+        return []
+    return list(compress(range(count), (near >> top).to_bytes(count * width, "little")[::width]))
 
 
 def gap_distances(seq: TorusSeq, gap: int, cyclic: bool) -> tuple[list[int], int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -65,6 +65,26 @@ def early_returns_by_powers(sys_: FiniteSystem, subset, n_marker: int) -> list[l
     image lies in the subset, each image taken by n steps from scratch."""
     chosen = set(subset)
     return [sorted(i for i in chosen if sys_.apply(i, n) in chosen) for n in range(1, n_marker)]
+
+
+def cycle_position_subsets_by_scan(length: int, n_marker: int) -> list[tuple[int, ...]]:
+    """The position subsets of a cycle with all circular gaps >= N, in
+    depth-first order: every later position is scanned and those within N
+    of the last chosen one are skipped one by one."""
+    results: list[tuple[int, ...]] = []
+
+    def extend(chosen: list[int], next_pos: int):
+        for pos in range(next_pos, length):
+            if chosen and pos - chosen[-1] < n_marker:
+                continue
+            chosen.append(pos)
+            if length - (chosen[-1] - chosen[0]) >= n_marker:
+                results.append(tuple(chosen))
+                extend(chosen, pos + 1)
+            chosen.pop()
+
+    extend([], 0)
+    return results
 
 
 def phi_by_backward_walk(sys_: FiniteSystem, subset) -> tuple[int, ...]:
@@ -211,6 +231,71 @@ def count_periodic_sft_strings(forbidden: set[str], n: int) -> int:
         ):
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# Sequence kernels: one integer step per entry
+
+
+def _lifted_columns(seq, den):
+    scale = den // seq.den
+    return [[k * scale for k in column] for column in seq.columns]
+
+
+def strided_sums_per_entry(seq, stride, terms):
+    """The strided sums slid entry by entry: after the first ``stride`` sums,
+    F[k] = F[k - stride] - seq[k - stride] + seq[k + (terms-1)*stride]."""
+    span = (terms - 1) * stride
+    count = len(seq) - span
+    full = 2 * seq.den
+    head = count if stride == 0 else min(stride, count)
+    out_columns = []
+    for column in seq.columns:
+        out = [sum(column[k + t * stride] for t in range(terms)) % full for k in range(head)]
+        for k in range(head, count):
+            out.append((out[k - stride] - column[k - stride] + column[k + span]) % full)
+        out_columns.append(out)
+    return TorusSeq(out_columns, seq.den)
+
+
+def solve_strided_sums_per_entry(head, sums, stride, terms):
+    """The continuation of ``head`` entry by entry: the first ``stride``
+    entries are their sums less the head terms, every later one telescopes,
+    y[c + j] = y[j - stride] + sums[j] - sums[j - stride]."""
+    c = (terms - 1) * stride
+    den = lcm(head.den, sums.den)
+    full = 2 * den
+    count = len(sums)
+    out_columns = []
+    for y, s in zip(_lifted_columns(head, den), _lifted_columns(sums, den)):
+        for j in range(min(stride, count)):
+            y.append((s[j] - sum(y[j : j + c : stride])) % full)
+        for j in range(stride, count):
+            y.append((y[j - stride] + s[j] - s[j - stride]) % full)
+        out_columns.append(y[c:])
+    return TorusSeq(out_columns, den)
+
+
+def gap_failures_per_entry(seq, gap, threshold, cyclic):
+    """The positions k whose entry gap on, cyclically when ``cyclic``, lies
+    nearer than ``threshold``, by one ``max_circle_dist`` per pair."""
+    n = len(seq)
+    count = n if cyclic else n - gap
+    return [k for k in range(count) if max_circle_dist(seq[k], seq[(k + gap) % n]) < threshold]
+
+
+def lane_edge_seq(rng, dim, length, den):
+    """A sequence over ``den`` itself whose numerators sit at or next to 0,
+    den and 2*den half the time, where lane arithmetic would carry or
+    borrow; one numerator 1 keeps ``den`` in lowest terms."""
+    edges = (0, 1, den - 1, den, den + 1, 2 * den - 2, 2 * den - 1)
+    columns = [
+        [rng.choice(edges) % (2 * den) if rng.random() < 0.5 else rng.randrange(2 * den) for _ in range(length)]
+        for _ in range(dim)
+    ]
+    if length:
+        columns[0][rng.randrange(length)] = 1
+    return TorusSeq(columns, den)
 
 
 # ---------------------------------------------------------------------------

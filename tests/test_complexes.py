@@ -437,6 +437,23 @@ class TestSparseHomology:
                 factors = _invariant_factors(_coboundary_columns(lower, upper), pivot_rows)
                 assert len(set(pivot_rows)) == len(pivot_rows) == factors.count(1)
 
+    def test_cleared_coboundaries_leave_out_the_dropped_columns(self):
+        # the columns the degree below pivoted on are never built: the rest
+        # are the full build's, so the factors and pivot rows are unchanged
+        dropped_any = False
+        for k in (*homology_battery(), build_en_zp(2, 4), build_en_zp(3, 3)):
+            faces = [((),), *k.face_table]
+            cleared = []
+            for lower, upper in zip(faces, faces[1:]):
+                dropped = set(cleared)
+                full = _coboundary_columns(lower, upper)
+                columns = _coboundary_columns(lower, upper, dropped)
+                assert columns == [c for j, c in enumerate(full) if j not in dropped]
+                dropped_any |= bool(dropped)
+                cleared = []
+                _invariant_factors(columns, cleared)
+        assert dropped_any
+
     def test_fallback_only_for_the_projective_plane(self, monkeypatch):
         # every lowest entry of a standard complex's cleared coboundaries is
         # a unit; the projective plane's Z/2 needs the unit-pivot route

@@ -36,6 +36,7 @@ from mdkit.torus import TorusVec
 
 from oracles import (
     backward_transfer_by_enumeration,
+    cycle_position_subsets_by_scan,
     early_returns_by_powers,
     epsilon_embedding_by_fractions,
     marker_exists_bruteforce,
@@ -655,6 +656,21 @@ class TestMarkerTransfer:
                 for n_marker in (2, 3, 5):
                     assert verify_marker_transfer(sys_, n, n_marker).passed
 
+
+    def test_cycle_position_subsets_match_the_scan(self):
+        # every N <= L for L <= 12; for longer cycles the pairs with at most
+        # 5,000 subsets (N = 1 alone gives 2^L - 1 of them)
+        pairs = 0
+        for length in range(1, 31):
+            for n_marker in range(1, length + 1):
+                if finite._count_cycle_position_subsets(length, n_marker) > 5_000:
+                    continue
+                subsets = finite._cycle_position_subsets(length, n_marker)
+                assert subsets == cycle_position_subsets_by_scan(length, n_marker)
+                assert len(subsets) == finite._count_cycle_position_subsets(length, n_marker)
+                pairs += 1
+        assert pairs == 422
+        assert finite._cycle_position_subsets(3, 4) == []
 
 class TestRandomGenerators:
     def test_deterministic(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdkit import torus
 from mdkit.shiftspace import Window, random_torus_vec
 from mdkit.torus import (
     TorusSeq,
@@ -16,13 +18,21 @@ from mdkit.torus import (
     frac_from_str,
     frac_to_str,
     gap_distances,
+    gap_failures,
     max_circle_dist,
     solve_strided_sums,
     strided_sums,
     vec_sum,
 )
 
-from oracles import gap_draws_per_entry, mixed_den_vec
+from oracles import (
+    gap_draws_per_entry,
+    gap_failures_per_entry,
+    lane_edge_seq,
+    mixed_den_vec,
+    solve_strided_sums_per_entry,
+    strided_sums_per_entry,
+)
 
 rationals = st.fractions(max_denominator=10**6)
 
@@ -393,6 +403,76 @@ def test_gap_distances_match_max_circle_dist():
             pairs = range(n) if cyclic else range(n - gap)
             expected = [max_circle_dist(values[k], values[(k + gap) % n]) for k in pairs]
             assert [Fraction(d, den) for d in nums] == expected
+
+
+# Denominators on both sides of every lane-width switch: 16-bit lanes hold
+# numerators over den up to 2**14, 32-bit up to 2**30, 64-bit up to 2**62 and
+# 128-bit lanes the rest.  A kernel whose intermediate values outgrow a lane
+# near a switch fails here only.
+LANE_DENS = (1, 2, 3, 64, 2**14 - 1, 2**14, 2**14 + 1, 2**30 - 1, 2**30, 2**30 + 1,
+             2**61 + 1, 2**62, 2**62 + 1, 3**60)
+
+
+def test_lane_widths_switch_at_the_tested_denominators():
+    edges = (2**14, 2**14 + 1, 2**30, 2**30 + 1, 2**62, 2**62 + 1)
+    assert [torus._lane_bytes(den) for den in edges] == [2, 4, 4, 8, 8, 16]
+
+
+def test_packed_strided_sums_match_the_per_entry_loop():
+    rng = random.Random(914)
+    for den in LANE_DENS:
+        # every lane at its largest value, summed six times
+        top = TorusSeq(((2 * den - 1,) * 40,), den)
+        assert strided_sums(top, 3, 6) == strided_sums_per_entry(top, 3, 6)
+        for stride in (0, 1, 2, 5):
+            for terms in (1, 2, 3, 6):
+                dim = rng.choice((1, 2))
+                seq = lane_edge_seq(rng, dim, (terms - 1) * stride + rng.randrange(1, 30), den)
+                assert seq.den == den
+                assert strided_sums(seq, stride, terms) == strided_sums_per_entry(seq, stride, terms)
+
+
+def test_packed_solve_matches_the_per_entry_loop():
+    rng = random.Random(915)
+    for den in LANE_DENS:
+        for stride in (1, 2, 5):
+            for terms in (1, 2, 3, 6):
+                dim = rng.choice((1, 2))
+                c = (terms - 1) * stride
+                head = lane_edge_seq(rng, dim, c, den) if rng.random() < 0.7 else TorusSeq.zero(dim, c)
+                for length in (0, 1, stride, c + stride + 1, rng.randrange(1, 40)):
+                    # sums over another denominator lift both to the lcm
+                    sums = lane_edge_seq(rng, dim, length, rng.choice((den, den, 1, 3)))
+                    tail = solve_strided_sums(head, sums, stride, terms)
+                    assert tail == solve_strided_sums_per_entry(head, sums, stride, terms)
+                    if length:
+                        assert strided_sums(concat(head, tail), stride, terms) == sums
+                    else:
+                        assert len(tail) == 0 and tail.dim == dim
+
+
+def test_packed_gap_failures_match_the_per_entry_loop():
+    rng = random.Random(916)
+    outcomes = set()
+    for den in LANE_DENS:
+        thresholds = (
+            Fraction(0), Fraction(1, 3), Fraction(1), Fraction(3, 2),
+            Fraction(rng.randrange(den + 2), den), Fraction(rng.randrange(1, 2 * den + 3), 2 * den + 1),
+        )
+        for n in (*range(1, 14), 40):
+            dim = rng.choice((1, 2, 3))
+            seq = lane_edge_seq(rng, dim, n, den)
+            for gap in sorted({1, 2, max(n - 1, 1), n, n + 3, 2 * n + 1}):
+                for cyclic, t in itertools.product((False, True), thresholds):
+                    got = gap_failures(seq, gap, t, cyclic)
+                    expected = gap_failures_per_entry(seq, gap, t, cyclic)
+                    assert got == expected
+                    count = n if cyclic else n - gap
+                    if count > 0:
+                        outcomes.add("none" if not got else "all" if len(got) == count else "some")
+    assert outcomes == {"none", "some", "all"}
+    with pytest.raises(ValueError, match="gap must be >= 1"):
+        gap_failures(TorusSeq.zero(1, 3), 0, Fraction(1, 2), True)
 
 
 def grid_draw(den):

@@ -40,6 +40,7 @@ from mdkit.tower import (
 
 from oracles import (
     factor_map_per_entry,
+    lane_edge_seq,
     mixed_den_vec,
     section_map_per_entry,
     section_value_oracle,
@@ -256,6 +257,35 @@ class TestKernelsMatchPerEntry:
                     assert report.verdict == ("vacuous" if not checkable else "fail" if failing else "pass")
                     seen[type(x)].add(report.verdict)
         assert seen == {Window: {"pass", "fail", "vacuous"}, Periodic: {"pass", "fail"}}
+
+    def test_maps_and_gap_membership_across_lane_widths(self):
+        # windows, sections and periodic points over denominators on both
+        # sides of each lane-width switch of the packed kernels, with
+        # numerators next to 0, den and 2*den
+        rng = random.Random(607)
+        for den in (2**14, 2**14 + 1, 2**30, 2**30 + 1, 2**61 + 1, 2**62 + 1):
+            for m in (2, 3, 4):
+                q, big = level_gap(m - 1), level_gap(m)
+                dim = rng.choice((1, 2))
+                x = Window(-big, lane_edge_seq(rng, dim, 3 * big, den))
+                assert factor_map(m, x) == factor_map_per_entry(m, x)
+                head = lane_edge_seq(rng, dim, (m - 1) * q, den)
+                y = section_map(m, head, x)
+                assert y == section_map_per_entry(m, head, x)
+                assert verify_section_identity(m, x, y).passed
+                periodic = Periodic(lane_edge_seq(rng, dim, rng.randrange(1, 14), den))
+                assert factor_map(m, periodic) == factor_map_per_entry(m, periodic)
+                for point in (x, y, periodic):
+                    if isinstance(point, Periodic):
+                        checkable = range(point.period)
+                    else:
+                        checkable = range(point.start, point.end - big + 1)
+                    for threshold in (Fraction(1, 3), Fraction(den - 1, den), Fraction(1)):
+                        failing = tuple(
+                            n for n in checkable
+                            if max_circle_dist(point.value_at(n), point.value_at(n + big)) < threshold
+                        )
+                        assert check_membership(gap_space(dim, big, threshold), point).failures == failing
 
     def test_adjacent_step_and_word_membership(self):
         rng = random.Random(605)
