@@ -71,7 +71,6 @@ from .finite import (  # noqa: F401
     epsilon_embedding,
     map_to_unit_step_space,
     marker_search,
-    periodic_points,
     rokhlin_function,
     time_division,
     verify_marker,
@@ -82,7 +81,6 @@ from .meandim import (  # noqa: F401
     MdimBound,
     OpenLattice,
     cover_D,
-    cover_join,
     cover_ord,
     face_lattice,
     headline_pipeline,

@@ -38,6 +38,7 @@ from .complexes import (
     reduced_homology_groups,
 )
 from .finite import (
+    MAX_EMBED_POINTS,
     FiniteSystem,
     _validate_metric,
     embed_into_universal,
@@ -441,12 +442,18 @@ def _parse_metric(text: str, size: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _run_embed(args) -> dict:
+    epsilon = frac_from_str(args.epsilon)
     # --metric replaces a system file's metric, which is only shape-checked
     system = _parse_system(args.system, keep_metric=args.metric is None)
+    if system.size > MAX_EMBED_POINTS:
+        raise ValueError(
+            f"embed takes at most {MAX_EMBED_POINTS} points, got {system.size}: "
+            "its metric and pair checks grow with the square of the size"
+        )
     if args.metric is not None:
         metric = _parse_metric(args.metric, system.size)
         system = FiniteSystem(system.points, system.perm, metric)
-    report = embed_into_universal(system, frac_from_str(args.epsilon))
+    report = embed_into_universal(system, epsilon)
     checks = [
         _check(
             "embedding-collisions",

@@ -46,6 +46,17 @@ from .torus import (
 # VM).  The transfer walks only each cycle's own subsets, but one cycle can
 # hold them all: a 600-cycle has 2^600 - 1 1-markers.
 MAX_MARKERS = 200_000
+# Largest system an embedding takes, checked before its metric is built.  The
+# metric has n^2 entries and the pair checks run n^2 times over n coordinates:
+# `embed --system cycles:n --metric random:1 --epsilon 1/10` takes 1.0 s in
+# process at 200 points and 5.1 s at 300 (Python 3.11.7, 2-CPU x86-64 VM).
+MAX_EMBED_POINTS = 200
+# Largest clock extension, n*|X| points, a marker transfer builds, checked
+# before ``time_division``: at 10,000 points `markers transfer --system
+# cycles:3333 --n 3 --N 3333` takes 1.0 s in process and `--system cycles:5000
+# --n 2 --N 2` refuses its marker count after 0.9 s; at 30,000 they take 7.6 s
+# and 15.7 s (same VM).
+MAX_TRANSFER_POINTS = 10_000
 
 # ---------------------------------------------------------------------------
 # Systems
@@ -79,13 +90,6 @@ class FiniteSystem:
             perm.extend(offset + (j + 1) % length for j in range(length))
             offset += length
         return cls(tuple(points), tuple(perm), metric)
-
-    def apply(self, i: int, power: int = 1) -> int:
-        if power < 0:
-            raise ValueError("power must be >= 0")
-        for _ in range(power):
-            i = self.perm[i]
-        return i
 
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -189,17 +193,6 @@ def _validate_metric(metric, n: int) -> None:
                     raise ValueError("metric violates the triangle inequality")
 
 
-def periodic_points(sys_: FiniteSystem, n: int) -> tuple[int, ...]:
-    """Indices of points on cycles whose length divides n."""
-    if n < 1:
-        raise ValueError("period must be >= 1")
-    out = []
-    for cycle in sys_.cycles:
-        if n % len(cycle) == 0:
-            out.extend(cycle)
-    return tuple(sorted(out))
-
-
 # ---------------------------------------------------------------------------
 # Clock extension (1/n-time system)
 
@@ -221,16 +214,6 @@ def time_division(sys_: FiniteSystem, n: int) -> FiniteSystem:
             else:
                 perm.append(sys_.perm[i] * n)
     return FiniteSystem(points, tuple(perm))
-
-
-def time_division_base_conjugacy(sys_: FiniteSystem, n: int) -> bool:
-    """The phase-0 subsystem under the n-th power is conjugate to the base
-    system via x -> (x, 0); checked structurally."""
-    divided = time_division(sys_, n)
-    for i in range(sys_.size):
-        if divided.apply(i * n, n) != sys_.perm[i] * n:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +683,11 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
     """
     if n < 1 or n_marker < 1:
         raise ValueError("transfer requires n >= 1 and N >= 1")
+    if n * sys_.size > MAX_TRANSFER_POINTS:
+        raise ValueError(
+            f"the 1/{n}-time extension of {sys_.size} points has {n * sys_.size} points, "
+            f"over the cap of {MAX_TRANSFER_POINTS} on a marker transfer"
+        )
     divided = time_division(sys_, n)
     base_cert = marker_search(sys_, n_marker)
     if base_cert.found:
@@ -774,21 +762,7 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
 
 
 # ---------------------------------------------------------------------------
-# Seeded random generators for test batteries
-
-
-def random_system(
-    rng: random.Random, max_points: int = 12, min_cycle: int = 1
-) -> FiniteSystem:
-    """A random disjoint union of cycles with at most max_points points."""
-    total = rng.randint(min_cycle, max_points)
-    lengths = []
-    remaining = total
-    while remaining >= min_cycle:
-        length = rng.randint(min_cycle, remaining)
-        lengths.append(length)
-        remaining -= length
-    return FiniteSystem.from_cycle_lengths(lengths)
+# Random metrics
 
 
 @lru_cache(maxsize=8)

@@ -6,8 +6,8 @@ overlap count minus one, and the refinement dimension of a cover is the
 exact minimum order over all covers refining it, found by feasibility search
 with a node cap.  Mean dimension itself is never computed for infinite
 systems: it is only bracketed by exact rational interval rules (ambient
-bound for subshifts of the full torus shift, subsystems, powers, inverse
-limits, clock extensions), each application appended to a provenance chain.
+bound for subshifts of the full torus shift, inverse limits, clock
+extensions), each application appended to a provenance chain.
 """
 
 from __future__ import annotations
@@ -163,17 +163,6 @@ def cover_ord(cover: Cover) -> int:
     return max(sum(1 for m in cover.members if a in m) for a in atoms) - 1
 
 
-def cover_join(a: Cover, b: Cover) -> Cover:
-    """All nonempty pairwise intersections, deduplicated, in canonical order."""
-    members = {
-        u & v
-        for u in a.members
-        for v in b.members
-        if u & v
-    }
-    return Cover(tuple(_sorted_sets(members, frozenset().union(*members))))
-
-
 def _cap_exceeded(what: str, cap: int) -> SearchCapExceeded:
     return SearchCapExceeded(
         f"{what} exceeded {cap} nodes; raise the cap (--cap on mdim D) to search further"
@@ -240,27 +229,6 @@ def cover_D(lattice: OpenLattice, cover: Cover, cap: int = MAX_COVER_NODES) -> i
     raise AssertionError("the deduplicated cover itself must be feasible")
 
 
-def cover_D_bruteforce(lattice: OpenLattice, cover: Cover) -> int:
-    """Oracle: enumerate every subset of admissible opens and take the best order."""
-    validate_cover(lattice, cover)
-    candidates = _sorted_sets(
-        {o for o in lattice.opens if o and any(o <= m for m in cover.members)}, lattice.atoms
-    )
-    ground = lattice.ground
-    best: int | None = None
-    for size_mask in range(1, 1 << len(candidates)):
-        chosen = [candidates[i] for i in range(len(candidates)) if size_mask >> i & 1]
-        if frozenset().union(*chosen) != ground:
-            continue
-        order = cover_ord(Cover(tuple(chosen)))
-        best = order if best is None else min(best, order)
-        if best == 0:
-            return 0
-    if best is None:
-        raise AssertionError("no refining cover found; input cover invalid?")
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Mean-dimension interval calculus
 
@@ -312,19 +280,6 @@ def ambient_shift_bound(width: int) -> MdimBound:
         f"alphabet has mean dimension at most {width}"
     )
     return _ruled((), Fraction(0), Fraction(width), "ambient-shift", statement)
-
-
-def subsystem_bound(bound: MdimBound) -> MdimBound:
-    statement = "a closed invariant subsystem has mean dimension at most the ambient one"
-    return _ruled((bound,), Fraction(0), bound.upper, "subsystem", statement)
-
-
-def power_bound(n: int, bound: MdimBound) -> MdimBound:
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    upper = None if bound.upper is None else bound.upper * n
-    statement = f"the {n}-th power map multiplies mean dimension by {n}"
-    return _ruled((bound,), bound.lower * n, upper, "power", statement)
 
 
 def inverse_limit_bound(bounds: Sequence[MdimBound]) -> MdimBound:

@@ -231,11 +231,6 @@ def unit_step_space() -> EitherOrEquals:
     return EitherOrEquals(value=Fraction(1), dim=1)
 
 
-def no_triple_repeat_sft() -> BinarySFT:
-    """The binary subshift forbidding 000 and 111."""
-    return BinarySFT(forbidden=frozenset({"000", "111"}), dim=1)
-
-
 # ---------------------------------------------------------------------------
 # Membership
 

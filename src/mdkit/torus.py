@@ -187,18 +187,6 @@ def dist_at_least(x: TorusVec, y: TorusVec, threshold: Fraction) -> bool:
     return num * threshold.denominator >= threshold.numerator * den
 
 
-def vec_sum(vectors: Iterable[TorusVec]) -> TorusVec:
-    """Group sum of one or more alphabet vectors."""
-    it = iter(vectors)
-    try:
-        total = next(it)
-    except StopIteration:
-        raise ValueError("vec_sum requires at least one vector") from None
-    for v in it:
-        total = total + v
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Sequences: one integer column per coordinate over one shared denominator
 

@@ -17,8 +17,34 @@ from mdkit import finite
 from mdkit.complexes import HomologyGroup, smith_normal_form_diagonal
 from mdkit.finite import FiniteSystem, enumerate_markers, time_division
 from mdkit.shiftspace import Periodic, Window, check_membership, gap_space, random_torus_vec
-from mdkit.torus import TorusSeq, TorusVec, dist_at_least, max_circle_dist, vec_sum
+from mdkit.meandim import Cover, cover_ord, validate_cover
+from mdkit.torus import TorusSeq, TorusVec, dist_at_least, max_circle_dist
 from mdkit.tower import DomainError, level_gap, section_domain
+
+
+# ---------------------------------------------------------------------------
+# Systems: powers by repeated steps, and seeded random systems
+
+
+def apply(sys_: FiniteSystem, i: int, power: int = 1) -> int:
+    """The image of point i under the power-th iterate, one step at a time."""
+    if power < 0:
+        raise ValueError("power must be >= 0")
+    for _ in range(power):
+        i = sys_.perm[i]
+    return i
+
+
+def random_system(rng, max_points: int = 12, min_cycle: int = 1) -> FiniteSystem:
+    """A random disjoint union of cycles with at most max_points points."""
+    total = rng.randint(min_cycle, max_points)
+    lengths = []
+    remaining = total
+    while remaining >= min_cycle:
+        length = rng.randint(min_cycle, remaining)
+        lengths.append(length)
+        remaining -= length
+    return FiniteSystem.from_cycle_lengths(lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +61,7 @@ def marker_exists_bruteforce(sys_: FiniteSystem, n_marker: int) -> bool:
             continue
         ok = True
         for step in range(1, n_marker):
-            if any(sys_.apply(i, step) in chosen for i in chosen):
+            if any(apply(sys_, i, step) in chosen for i in chosen):
                 ok = False
                 break
         if ok:
@@ -54,7 +80,7 @@ def marker_exists_vectorized(sys_: FiniteSystem, n_marker: int) -> bool:
     for step in range(1, n_marker):
         image = np.zeros(len(masks), dtype=np.int64)
         for i in range(n):
-            target = sys_.apply(i, step)
+            target = apply(sys_, i, step)
             image |= ((masks >> np.int64(i)) & 1) << np.int64(target)
         valid &= (masks & image) == 0
     return bool(valid.any())
@@ -64,7 +90,7 @@ def early_returns_by_powers(sys_: FiniteSystem, subset, n_marker: int) -> list[l
     """For n = 1 .. N-1, the sorted points of the subset whose n-th power
     image lies in the subset, each image taken by n steps from scratch."""
     chosen = set(subset)
-    return [sorted(i for i in chosen if sys_.apply(i, n) in chosen) for n in range(1, n_marker)]
+    return [sorted(i for i in chosen if apply(sys_, i, n) in chosen) for n in range(1, n_marker)]
 
 
 def cycle_position_subsets_by_scan(length: int, n_marker: int) -> list[tuple[int, ...]]:
@@ -300,6 +326,18 @@ def lane_edge_seq(rng, dim, length, den):
 
 # ---------------------------------------------------------------------------
 # Factor and section maps: one vector operation per term of each entry
+
+
+def vec_sum(vectors) -> TorusVec:
+    """Group sum of one or more alphabet vectors, one addition at a time."""
+    it = iter(vectors)
+    try:
+        total = next(it)
+    except StopIteration:
+        raise ValueError("vec_sum requires at least one vector") from None
+    for v in it:
+        total = total + v
+    return total
 
 
 def factor_map_per_entry(m, x):
@@ -624,7 +662,39 @@ def reduced_homology_dense(complex_, k):
 
 
 # ---------------------------------------------------------------------------
-# Covers: vertex stars of a face lattice
+# Covers: joins, refinement by every subset of opens, vertex stars
+
+
+def _repr_key(s: frozenset):
+    return (len(s), sorted(map(repr, s)))
+
+
+def cover_join(a: Cover, b: Cover) -> Cover:
+    """All nonempty pairwise intersections, deduplicated, by size and then
+    by their atoms' reprs."""
+    members = {u & v for u in a.members for v in b.members if u & v}
+    return Cover(tuple(sorted(members, key=_repr_key)))
+
+
+def cover_D_bruteforce(lattice, cover: Cover) -> int:
+    """The least order of a cover refining ``cover``, over every subset of
+    the nonempty opens inside some member."""
+    validate_cover(lattice, cover)
+    candidates = sorted(
+        (o for o in lattice.opens if o and any(o <= m for m in cover.members)), key=_repr_key
+    )
+    best: int | None = None
+    for mask in range(1, 1 << len(candidates)):
+        chosen = [candidates[i] for i in range(len(candidates)) if mask >> i & 1]
+        if frozenset().union(*chosen) != lattice.ground:
+            continue
+        order = cover_ord(Cover(tuple(chosen)))
+        best = order if best is None else min(best, order)
+        if best == 0:
+            return 0
+    if best is None:
+        raise AssertionError("no refining cover found; input cover invalid?")
+    return best
 
 
 def vertex_star_cover(lattice) -> tuple[frozenset, ...]:

@@ -19,14 +19,11 @@ from mdkit.finite import (
     map_to_unit_step_space,
     marker_search,
     random_metric,
-    random_system,
     verify_marker_transfer,
 )
 from mdkit.meandim import (
     Cover,
     cover_D,
-    cover_D_bruteforce,
-    cover_join,
     cover_ord,
     face_lattice,
     headline_pipeline,
@@ -51,6 +48,8 @@ from mdkit.tower import (
     windows_agree_on_overlap,
     zero_anchor,
 )
+
+from oracles import cover_D_bruteforce, cover_join, random_system
 
 HALF = Fraction(1, 2)
 

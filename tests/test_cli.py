@@ -489,6 +489,24 @@ class TestExitCodes:
             (["tower", "verify", "--m", "3", "--N", "-1", "--window=-6:12"], None, "alphabet dimension must be positive"),
             (["tower", "aperiodicity", "--m-max", "3", "--p-max", "7", "--N", "-1"], None, "alphabet dimension must be positive"),
             (["shift", "conjugacy", "--p", "5", "--m", "2", "--N", "-1"], None, "alphabet dimension must be positive"),
+            # unbounded before their caps: a 10^10-entry metric table built
+            # before the epsilon was read, an n^3 embedding of 3,000 points,
+            # and a clock extension of 2^34 points
+            (
+                ["embed", "--system", "cycles:100000", "--metric", "uniform:0", "--epsilon", "1/0"],
+                None,
+                "'1/0' has denominator zero",
+            ),
+            (
+                ["embed", "--system", "cycles:3000", "--metric", "random:1", "--epsilon", "1/10"],
+                None,
+                "embed takes at most 200 points, got 3000",
+            ),
+            (
+                ["markers", "transfer", "--system", "cycles:3,5", "--n", "2147483648", "--N", "7"],
+                None,
+                "has 17179869184 points, over the cap of 10000 on a marker transfer",
+            ),
         ],
         ids=[
             "complex-without-n",
@@ -570,6 +588,9 @@ class TestExitCodes:
             "tower-verify-dimension-negative",
             "aperiodicity-dimension-negative",
             "conjugacy-dimension-negative",
+            "embed-epsilon-checked-before-system",
+            "embed-over-point-cap",
+            "transfer-over-point-cap",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):
@@ -669,6 +690,42 @@ class TestExitCodes:
         for m in ("2000", "1000000"):
             assert cli.main(["tower", "verify", "--m", m, "--window=0:10"]) == 2
             assert "over the cap of 100000" in capsys.readouterr().err
+
+    def test_embed_checks_come_before_the_metric(self, capsys, monkeypatch):
+        def built(*args):
+            raise AssertionError("built the metric before the checks")
+
+        monkeypatch.setattr(cli, "random_metric", built)
+        argv = ["embed", "--system", "cycles:3", "--metric", "random:1", "--epsilon", "1/0"]
+        assert cli.main(argv) == 2
+        assert "denominator zero" in capsys.readouterr().err
+        size = finite.MAX_EMBED_POINTS + 1
+        argv = ["embed", "--system", f"cycles:{size}", "--metric", "random:1", "--epsilon", "1/10"]
+        assert cli.main(argv) == 2
+        assert f"at most {size - 1} points, got {size}" in capsys.readouterr().err
+
+    def test_transfer_cap_comes_before_the_extension(self, capsys, monkeypatch):
+        def built(*args):
+            raise AssertionError("built the clock extension before the cap was checked")
+
+        monkeypatch.setattr(finite, "time_division", built)
+        # one point over the cap, and the largest n the cap allows plus one
+        for system, n in (("cycles:1", finite.MAX_TRANSFER_POINTS + 1), ("cycles:3,5", 1251)):
+            argv = ["markers", "transfer", "--system", system, "--n", str(n), "--N", "2"]
+            assert cli.main(argv) == 2
+            assert "over the cap of 10000 on a marker transfer" in capsys.readouterr().err
+
+    def test_caps_hold_at_their_boundaries(self, capsys, monkeypatch):
+        # lowered so the boundary runs fast: the cap itself is accepted
+        monkeypatch.setattr(cli, "MAX_EMBED_POINTS", 12)
+        monkeypatch.setattr(finite, "MAX_TRANSFER_POINTS", 24)
+        for system, code in (("cycles:5,7", 0), ("cycles:6,7", 2)):
+            argv = ["embed", "--system", system, "--metric", "uniform:1/4", "--epsilon", "1/10"]
+            assert cli.main(argv) == code
+        for system, code in (("cycles:3,5", 0), ("cycles:3,5,1", 2)):
+            argv = ["markers", "transfer", "--system", system, "--n", "3", "--N", "2"]
+            assert cli.main(argv) == code
+        capsys.readouterr()
 
     def test_conjugacy_cap_comes_before_any_draw(self, capsys, monkeypatch):
         def drawn(*args):

@@ -13,28 +13,26 @@ from mdkit.finite import (
     epsilon_embedding,
     map_to_unit_step_space,
     marker_search,
-    periodic_points,
     permutation_cycles,
     random_metric,
-    random_system,
     rokhlin_function,
     time_division,
-    time_division_base_conjugacy,
     verify_marker,
     verify_marker_transfer,
 )
 from mdkit.shiftspace import (
+    BinarySFT,
     MembershipReport,
     check_membership,
     gap_space,
     half_step_space,
-    no_triple_repeat_sft,
     shift,
     unit_step_space,
 )
 from mdkit.torus import TorusVec
 
 from oracles import (
+    apply,
     backward_transfer_by_enumeration,
     cycle_position_subsets_by_scan,
     early_returns_by_powers,
@@ -46,6 +44,7 @@ from oracles import (
     phi_by_backward_walk,
     projection_by_clock_walk,
     random_metric_per_entry,
+    random_system,
     uniform_metric,
 )
 
@@ -80,9 +79,9 @@ class TestStructure:
                 assert [perm[i] for i in cycle] == list(cycle[1:] + cycle[:1])
 
     def test_apply_refuses_negative_power(self):
-        assert cycles(3).apply(0, 2) == 2
+        assert apply(cycles(3), 0, 2) == 2
         with pytest.raises(ValueError, match="power must be >= 0"):
-            cycles(3).apply(0, -1)
+            apply(cycles(3), 0, -1)
 
     def test_perm_validation(self):
         with pytest.raises(ValueError, match="bijection"):
@@ -106,17 +105,6 @@ class TestStructure:
         assert restored == sys_
 
 
-class TestPeriodicPoints:
-    def test_full_cycle(self):
-        assert periodic_points(cycles(5), 5) == (0, 1, 2, 3, 4)
-
-    def test_no_divisor(self):
-        assert periodic_points(cycles(5), 3) == ()
-
-    def test_union_of_divisors(self):
-        assert periodic_points(cycles(3, 2), 6) == (0, 1, 2, 3, 4)
-
-
 class TestTimeDivision:
     def test_examples(self):
         assert sorted(time_division(cycles(3), 2).cycle_lengths()) == [6]
@@ -134,11 +122,12 @@ class TestTimeDivision:
         assert sorted(twice.cycle_lengths()) == sorted(once.cycle_lengths())
 
     def test_base_conjugacy(self):
+        # the phase-0 points under the n-th power step like the base: x -> (x, 0)
         for lengths in ([3], [2, 5], [4, 4]):
             for n in (1, 2, 3):
-                assert time_division_base_conjugacy(
-                    FiniteSystem.from_cycle_lengths(lengths), n
-                )
+                base = FiniteSystem.from_cycle_lengths(lengths)
+                divided = time_division(base, n)
+                assert all(apply(divided, i * n, n) == base.perm[i] * n for i in range(base.size))
 
 
 class TestMarkerSearch:
@@ -499,7 +488,7 @@ class TestOrbitMap:
         spaces = [
             unit_step_space(),
             half_step_space(),
-            no_triple_repeat_sft(),
+            BinarySFT(frozenset({"000", "111"})),
             gap_space(1, 1, Fraction(1, 4)),
             gap_space(1, 2, Fraction(1, 4)),
         ]

@@ -1,0 +1,160 @@
+"""Every top-level definition in ``src/mdkit`` serves a command or a named
+ROADMAP item.
+
+The walk is name-level and static.  It parses every module of the package
+except ``__init__.py`` and starts from ``cli.main``, from every module-level
+statement that is not a ``def`` or ``class``, and from ``ALLOWLIST``.  A
+``Name`` or ``Attribute`` reaches the same-module definition of that name, or
+the definition a ``from .x import y`` brought in under it.  Reaching a
+function reaches its body, decorators and annotations; reaching a class
+reaches its whole body.  A test helper or oracle belongs in
+``tests/oracles.py``, not in the package.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mdkit"
+
+# definitions no command reaches yet, each with the ROADMAP item that will
+# consume it; the list must be empty when item 6 closes
+ALLOWLIST = {
+    ("complexes", "coindex_join"): 3,
+    ("complexes", "coindex_map"): 3,
+    ("complexes", "coindex_power"): 3,
+    ("complexes", "coindex_finite"): 3,
+    ("complexes", "join_complexes"): 3,
+    ("finite", "map_to_unit_step_space"): 6,
+    ("tower", "tower_element"): 16,
+    ("tower", "factor_chain"): 16,
+    ("shiftspace", "half_step_space"): 4,
+    # bench/tracer.py looks these up by name until item 15 removes its patches
+    ("shiftspace", "unroll"): 15,
+    ("shiftspace", "random_torus_vec"): 15,
+    ("finite", "enumerate_markers"): 15,
+}
+
+
+def _modules():
+    """Per module: its top-level definitions, the names it imports from
+    sibling modules, and its other module-level statements."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs, imports, rest = {}, {}, []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    imports[alias.asname or alias.name] = (node.module, alias.name)
+            else:
+                rest.append(node)
+        out[path.stem] = (defs, imports, rest)
+    return out
+
+
+def _resolve(modules, module, name):
+    """The (module, name) of the definition ``name`` stands for in ``module``."""
+    seen = set()
+    while module in modules and (module, name) not in seen:
+        seen.add((module, name))
+        defs, imports, _ = modules[module]
+        if name in defs:
+            return module, name
+        if name not in imports:
+            return None
+        module, name = imports[name]
+    return None
+
+
+def _walk(modules, roots):
+    """Every (module, name) reached from the root definitions and from the
+    module-level statements that are not definitions."""
+    reached = set()
+    todo = [(module, node) for module, (_, _, rest) in modules.items() for node in rest]
+    for module, name in roots:
+        todo.append((module, modules[module][0][name]))
+        reached.add((module, name))
+    while todo:
+        module, node = todo.pop()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                ref = sub.id
+            elif isinstance(sub, ast.Attribute):
+                ref = sub.attr
+            else:
+                continue
+            target = _resolve(modules, module, ref)
+            if target is not None and target not in reached:
+                reached.add(target)
+                todo.append((target[0], modules[target[0]][0][target[1]]))
+    return reached
+
+
+MODULES = _modules()
+
+
+def test_every_definition_is_reached():
+    reached = _walk(MODULES, [("cli", "main"), *ALLOWLIST])
+    orphans = sorted(
+        f"{module}.{name}"
+        for module, (defs, _, _) in MODULES.items()
+        for name in defs
+        if (module, name) not in reached
+    )
+    assert orphans == [], (
+        "no command reaches these definitions: give each a command, move a test "
+        "helper to tests/oracles.py, or delete it"
+    )
+
+
+def test_allowlist_names_definitions_no_command_reaches():
+    from_main = _walk(MODULES, [("cli", "main")])
+    for module, name in ALLOWLIST:
+        assert name in MODULES[module][0], f"{module}.{name} is not a top-level definition"
+        assert (module, name) not in from_main, f"{module}.{name} is reached from cli.main: drop it"
+
+
+def test_item_fifteen_entries_are_named_by_the_tracer():
+    # item 15 replaces the tracer's name lookups; until then only a name the
+    # tracer reads is kept for it
+    tracer = (ROOT / "bench" / "tracer.py").read_text(encoding="utf-8")
+    for (module, name), item in ALLOWLIST.items():
+        if item == 15:
+            assert f'"{module}.{name}"' in tracer, f"bench/tracer.py does not name {module}.{name}"
+
+
+def test_walk_follows_imports_attributes_and_class_bodies():
+    modules = {
+        "cli": (
+            {"main": ast.parse("def main():\n    helper()\n").body[0]},
+            {"helper": ("lib", "helper")},
+            [],
+        ),
+        "lib": (
+            {
+                name: ast.parse(source).body[0]
+                for name, source in {
+                    "helper": "def helper():\n    return Box().method\n",
+                    "Box": "class Box:\n    def m(self):\n        return inner()\n",
+                    "inner": "def inner():\n    pass\n",
+                    "method": "def method():\n    pass\n",
+                    "orphan": "def orphan():\n    helper()\n",
+                }.items()
+            },
+            {},
+            [],
+        ),
+    }
+    reached = _walk(modules, [("cli", "main")])
+    assert reached == {
+        ("cli", "main"),
+        ("lib", "helper"),
+        ("lib", "Box"),
+        ("lib", "inner"),
+        ("lib", "method"),
+    }

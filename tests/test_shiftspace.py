@@ -17,7 +17,6 @@ from mdkit.shiftspace import (
     count_periodic_sft_bruteforce,
     gap_space,
     half_step_space,
-    no_triple_repeat_sft,
     periodic_witness,
     power_map,
     random_torus_vec,
@@ -88,17 +87,17 @@ class TestMembership:
 
     def test_binary_sft_pass(self):
         x = Periodic(seq_of(0, 1, 0, 1))
-        assert check_membership(no_triple_repeat_sft(), x).verdict == "pass"
+        assert check_membership(BinarySFT(frozenset({"000", "111"})), x).verdict == "pass"
 
     def test_binary_sft_circular_wrap_fail(self):
         x = Periodic(seq_of(0))
-        report = check_membership(no_triple_repeat_sft(), x)
+        report = check_membership(BinarySFT(frozenset({"000", "111"})), x)
         assert report.verdict == "fail"
         assert report.records == range(1) and report.failures == (0,)
 
     def test_binary_sft_nonbinary_letter_fails(self):
         x = Periodic(seq_of(0, Fraction(1, 2), 1, 0))
-        assert check_membership(no_triple_repeat_sft(), x).verdict == "fail"
+        assert check_membership(BinarySFT(frozenset({"000", "111"})), x).verdict == "fail"
 
     def test_window_vacuous_distinct_from_pass(self):
         w = Window(0, seq_of(0, 1))
@@ -235,7 +234,7 @@ class TestSftCounts:
     def test_counts_match_membership_enumeration(self):
         # dual route: enumerate binary periodic points and run the membership
         # checker on each
-        sft = no_triple_repeat_sft()
+        sft = BinarySFT(frozenset({"000", "111"}))
         for n in range(1, 7):
             total = 0
             for mask in range(1 << n):

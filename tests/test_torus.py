@@ -22,7 +22,6 @@ from mdkit.torus import (
     max_circle_dist,
     solve_strided_sums,
     strided_sums,
-    vec_sum,
 )
 
 from oracles import (
@@ -32,6 +31,7 @@ from oracles import (
     mixed_den_vec,
     solve_strided_sums_per_entry,
     strided_sums_per_entry,
+    vec_sum,
 )
 
 rationals = st.fractions(max_denominator=10**6)

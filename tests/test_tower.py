@@ -7,12 +7,12 @@ import pytest
 
 from mdkit import cli
 from mdkit.shiftspace import (
+    BinarySFT,
     Periodic,
     Window,
     check_membership,
     gap_space,
     half_step_space,
-    no_triple_repeat_sft,
     periodic_witness,
     random_window,
     sample_gap_window,
@@ -290,7 +290,7 @@ class TestKernelsMatchPerEntry:
     def test_adjacent_step_and_word_membership(self):
         rng = random.Random(605)
         letter = {TorusVec.of(0): "0", TorusVec.of(1): "1"}
-        half, unit, sft = half_step_space(), unit_step_space(), no_triple_repeat_sft()
+        half, unit, sft = half_step_space(), unit_step_space(), BinarySFT(frozenset({"000", "111"}))
 
         def ok_at(spec, x, n):
             if spec == sft:
