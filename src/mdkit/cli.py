@@ -4,7 +4,9 @@ Reports are deterministic JSON on stdout (same config, byte-identical
 output), a short human summary goes to stderr, and the exit code is 0 when
 every check passes, 1 when some verification fails, 2 on configuration or
 usage errors.  An optional CSV summary of the per-check records can be
-written alongside.
+written alongside.  A report's ``config`` holds every option of its command
+as parsed (``--delta 2/4`` reads "1/2"), plus what the run worked out from
+them, such as the conjugacy's k; its ``command`` is the command's words.
 
 Each command costs well under a millisecond, so the fixed cost of ``main``
 is kept small.  A command is parsed by its leaf parser alone, looked up by
@@ -23,7 +25,6 @@ import csv
 import functools
 import io
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -94,11 +95,20 @@ def _check(name: str, statement: str, ok: bool, witness=None) -> dict:
     }
 
 
-def _report(command: str, config: dict, checks: list[dict]) -> dict:
+# what the parser tree puts in a namespace beside the leaf's options
+_NOT_OPTIONS = frozenset(("group", "action", "runner", "csv"))
+
+
+def _report(args: argparse.Namespace, checks: list[dict], **parsed) -> dict:
+    """The report of a leaf's run: ``config`` holds every option of the leaf
+    by its dest, with ``parsed`` giving the values the runner parsed or
+    worked out in place of the text given, and ``command`` is the leaf's words."""
+    config = {key: value for key, value in vars(args).items() if key not in _NOT_OPTIONS}
+    config.update(parsed)
     failures = sum(1 for c in checks if c["verdict"] != "pass")
     return {
         "toolkit": f"mdkit {__version__}",
-        "command": command,
+        "command": args.group if args.action is None else f"{args.group} {args.action}",
         "config": config,
         "checks": checks,
         "summary": {
@@ -120,9 +130,9 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_system(text: str, keep_metric: bool = True) -> FiniteSystem:
+def _parse_system(text: str, check_metric: bool = True) -> FiniteSystem:
     """Generator shorthand "cycles:3,5" or a path to a FiniteSystem JSON
-    file, whose metric is shape-checked only when ``keep_metric`` is false
+    file, whose metric is shape-checked only when ``check_metric`` is false
     (see ``FiniteSystem.from_json``)."""
     if text.startswith("cycles:"):
         try:
@@ -133,7 +143,7 @@ def _parse_system(text: str, keep_metric: bool = True) -> FiniteSystem:
                 "with integer cycle lengths"
             ) from None
         return FiniteSystem.from_cycle_lengths(lengths)
-    return FiniteSystem.from_json(_read_json(text), keep_metric)
+    return FiniteSystem.from_json(_read_json(text), check_metric)
 
 
 def _parse_complex(text: str) -> FreeZpComplex:
@@ -228,16 +238,7 @@ def _run_tower_verify(args) -> dict:
             partition_totals,
         ),
     ]
-    config = {
-        "m": m,
-        "N": args.N,
-        "delta": frac_to_str(delta),
-        "window": [lo, hi],
-        "samples": args.samples,
-        "seed": args.seed,
-        "anchors": args.anchors,
-    }
-    return _report("tower verify", config, checks)
+    return _report(args, checks, delta=frac_to_str(delta), window=[lo, hi])
 
 
 def _run_tower_aperiodicity(args) -> dict:
@@ -252,13 +253,7 @@ def _run_tower_aperiodicity(args) -> dict:
         )
         for cert in tower_aperiodicity_report(spec, args.p_max)
     ]
-    config = {
-        "m_max": args.m_max,
-        "N": args.N,
-        "delta": frac_to_str(delta),
-        "p_max": args.p_max,
-    }
-    return _report("tower aperiodicity", config, checks)
+    return _report(args, checks, delta=frac_to_str(delta))
 
 
 def _run_shift_count_periodic(args) -> dict:
@@ -278,8 +273,7 @@ def _run_shift_count_periodic(args) -> dict:
                 {"n": n, "count": count, "bruteforce": brute},
             )
         )
-    config = {"forbidden": sorted(forbidden), "n_max": args.n_max}
-    return _report("shift count-periodic", config, checks)
+    return _report(args, checks, forbidden=sorted(forbidden))
 
 
 def _run_shift_conjugacy(args) -> dict:
@@ -291,16 +285,7 @@ def _run_shift_conjugacy(args) -> dict:
         _check(ident.name, ident.statement, ident.ok, {"checked": ident.checked})
         for ident in report.identities
     ]
-    config = {
-        "p": args.p,
-        "m": args.m,
-        "k": report.k,
-        "N": args.N,
-        "delta": frac_to_str(delta),
-        "samples": args.samples,
-        "seed": args.seed,
-    }
-    return _report("shift conjugacy", config, checks)
+    return _report(args, checks, delta=frac_to_str(delta), k=report.k)
 
 
 def _run_shift_witness(args) -> dict:
@@ -315,13 +300,7 @@ def _run_shift_witness(args) -> dict:
             {"witness": seq_to_json(witness)},
         )
     ]
-    config = {
-        "p": args.p,
-        "m": args.m,
-        "N": args.N,
-        "delta": frac_to_str(delta),
-    }
-    return _report("shift witness", config, checks)
+    return _report(args, checks, delta=frac_to_str(delta))
 
 
 def _run_complex_en_zp(args) -> dict:
@@ -357,8 +336,7 @@ def _run_complex_en_zp(args) -> dict:
             {"euler": complex_.euler_characteristic()},
         )
     )
-    config = {"p": args.p, "n": args.n}
-    return _report("complex en-zp", config, checks)
+    return _report(args, checks)
 
 
 def _run_complex_coindex(args) -> dict:
@@ -374,8 +352,7 @@ def _run_complex_coindex(args) -> dict:
             bound.to_json(),
         )
     ]
-    config = {"complex": args.complex, "n_max": args.n_max}
-    return _report("complex coindex", config, checks)
+    return _report(args, checks)
 
 
 def _run_markers_search(args) -> dict:
@@ -389,8 +366,7 @@ def _run_markers_search(args) -> dict:
             cert.to_json(system),
         )
     ]
-    config = {"system": args.system, "N": args.N}
-    return _report("markers search", config, checks)
+    return _report(args, checks)
 
 
 def _run_markers_transfer(args) -> dict:
@@ -410,8 +386,7 @@ def _run_markers_transfer(args) -> dict:
             {"detail": report.backward["detail"]},
         ),
     ]
-    config = {"system": args.system, "n": args.n, "N": args.N}
-    return _report("markers transfer", config, checks)
+    return _report(args, checks)
 
 
 def _parse_metric(text: str, size: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -443,8 +418,9 @@ def _parse_metric(text: str, size: int) -> tuple[tuple[Fraction, ...], ...]:
 
 def _run_embed(args) -> dict:
     epsilon = frac_from_str(args.epsilon)
-    # --metric replaces a system file's metric, which is only shape-checked
-    system = _parse_system(args.system, keep_metric=args.metric is None)
+    # the size is refused before any metric value is checked, and --metric
+    # replaces a system file's metric, which is then only shape-checked
+    system = _parse_system(args.system, check_metric=False)
     if system.size > MAX_EMBED_POINTS:
         raise ValueError(
             f"embed takes at most {MAX_EMBED_POINTS} points, got {system.size}: "
@@ -453,6 +429,8 @@ def _run_embed(args) -> dict:
     if args.metric is not None:
         metric = _parse_metric(args.metric, system.size)
         system = FiniteSystem(system.points, system.perm, metric)
+    elif system.metric is not None:
+        _validate_metric(system.metric, system.size)
     report = embed_into_universal(system, epsilon)
     checks = [
         _check(
@@ -478,12 +456,7 @@ def _run_embed(args) -> dict:
             report.equivariance_ok,
         ),
     ]
-    config = {
-        "system": args.system,
-        "metric": args.metric,
-        "epsilon": args.epsilon,
-    }
-    return _report("embed", config, checks)
+    return _report(args, checks)
 
 
 def _run_mdim_D(args) -> dict:
@@ -510,8 +483,7 @@ def _run_mdim_D(args) -> dict:
             {"D": value, "ord": cover_ord(cover)},
         )
     ]
-    config = {"model": args.model, "cover": args.cover, "cap": args.cap}
-    return _report("mdim D", config, checks)
+    return _report(args, checks)
 
 
 def _load_cover(path: str) -> Cover:
@@ -556,21 +528,11 @@ def _run_mdim_pipeline(args) -> dict:
                 {"eta": frac_to_str(eta), "n": n, "upper": frac_to_str(Fraction(width, n))},
             )
         )
-    config = {
-        "N": width,
-        "levels": args.levels,
-        "time_division": n,
-        "eta": args.eta,
-    }
-    return _report("mdim pipeline", config, checks)
+    return _report(args, checks, time_division=n)
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("MDKIT_SEED", "0"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -607,7 +569,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.
         help="half-open index interval A:B for the sampled input windows",
     )
     tv.add_argument("--samples", type=int, default=20)
-    tv.add_argument("--seed", type=int, default=None)
+    tv.add_argument("--seed", type=int, default=0)
     tv.add_argument("--anchors", choices=["zero", "random"], default="zero")
     tv.set_defaults(runner=_run_tower_verify)
     ta = tower_sub.add_parser("aperiodicity", help="per-prime period certificates")
@@ -629,7 +591,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.
     sj.add_argument("--N", type=int, default=1)
     sj.add_argument("--delta", default="1/2")
     sj.add_argument("--samples", type=int, default=20)
-    sj.add_argument("--seed", type=int, default=None)
+    sj.add_argument("--seed", type=int, default=0)
     sj.set_defaults(runner=_run_shift_conjugacy)
     sw = shift_sub.add_parser("witness", help="explicit periodic gap-space point")
     sw.add_argument("--p", type=int, required=True)
@@ -806,11 +768,9 @@ def _write_json(value, parts: list[str], newline: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     try:
         report = args.runner(args)
-    except (ValueError, SearchCapExceeded, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, SearchCapExceeded, OSError) as exc:
         print(f"mdkit: error: {exc}", file=sys.stderr)
         return 2
     # from 3.13 the C encoder indents, and is faster than the writer there

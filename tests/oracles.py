@@ -475,6 +475,23 @@ def random_metric_per_entry(rng, size: int, denominator: int = 32):
     return tuple(tuple(row) for row in rows)
 
 
+def first_metric_fault(metric, size: int) -> str | None:
+    """The message ``finite._validate_metric`` gives a square table, by a
+    scan of i, then j, then k with one ``Fraction`` sum per triple."""
+    for i in range(size):
+        if metric[i][i] != 0:
+            return "metric diagonal must be zero"
+        for j in range(size):
+            if metric[i][j] != metric[j][i]:
+                return "metric must be symmetric"
+            if metric[i][j] < 0:
+                return "metric must be nonnegative"
+            for k in range(size):
+                if metric[i][k] > metric[i][j] + metric[j][k]:
+                    return "metric violates the triangle inequality"
+    return None
+
+
 def metric_violations(metric, size: int) -> list[str]:
     """The metric axioms a table of exact distances breaks, each tested on
     every point, pair or triple: the table is square with ``size`` rows of

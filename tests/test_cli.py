@@ -292,9 +292,7 @@ class TestExitCodes:
 
     def test_verification_failure_is_one(self, capsys, monkeypatch):
         def failing_runner(args):
-            return cli._report(
-                "demo", {}, [cli._check("demo", "always fails", False)]
-            )
+            return cli._report(args, [cli._check("demo", "always fails", False)])
 
         parser = cli.build_parser()
         monkeypatch.setattr(cli, "build_parser", lambda: parser)
@@ -776,12 +774,24 @@ class TestReportContract:
         assert first == second
 
     def test_env_seed_default(self, capsys, monkeypatch):
+        # the seed comes from --seed alone; MDKIT_SEED once set its default
         monkeypatch.setenv("MDKIT_SEED", "123")
         code, report, _ = run_cli(
             capsys, "shift", "conjugacy", "--p", "5", "--m", "2", "--samples", "2"
         )
         assert code == 0
-        assert report["config"]["seed"] == 123
+        assert report["config"]["seed"] == 0
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_config_holds_every_option(self, name, capsys):
+        argv = shlex.split(COMMANDS[name])[1:]
+        leaves = cli._parsers()[1]
+        words = tuple(argv[:2]) if tuple(argv[:2]) in leaves else tuple(argv[:1])
+        dests = {a.dest for a in leaves[words]._actions} - {"help", "csv"}
+        code, report, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert report["command"] == " ".join(words)
+        assert dests <= set(report["config"]), sorted(dests - set(report["config"]))
 
     def test_report_shape(self, capsys):
         code, report, _ = run_cli(capsys, "complex", "en-zp", "--p", "2", "--n", "1")

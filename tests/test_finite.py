@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -37,6 +38,7 @@ from oracles import (
     cycle_position_subsets_by_scan,
     early_returns_by_powers,
     epsilon_embedding_by_fractions,
+    first_metric_fault,
     marker_exists_bruteforce,
     marker_exists_vectorized,
     metric_violations,
@@ -98,6 +100,33 @@ class TestStructure:
         )
         with pytest.raises(ValueError, match="triangle"):
             finite._validate_metric(skewed, 3)
+
+    def test_metric_faults_match_the_fraction_scan(self):
+        # integer numerators over one denominator give the message of a scan
+        # of every triple in Fractions, the first fault in scan order
+        rng = random.Random(13)
+        messages = set()
+        for _ in range(400):
+            size = rng.randint(1, 6)
+            rows = [[Fraction(0)] * size for _ in range(size)]
+            for i, j in itertools.combinations(range(size), 2):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 4, 6)))
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                # one entry, or a pair kept symmetric, overwritten
+                i, j = rng.randrange(size), rng.randrange(size)
+                rows[i][j] = Fraction(rng.randint(-2, 6), rng.choice((1, 3, 5)))
+                if rng.random() < 0.5:
+                    rows[j][i] = rows[i][j]
+            metric = tuple(map(tuple, rows))
+            expected = first_metric_fault(metric, size)
+            messages.add(expected)
+            try:
+                finite._validate_metric(metric, size)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected, metric
+        assert len(messages) == 5
 
     def test_json_round_trip(self):
         sys_ = FiniteSystem.from_cycle_lengths([2], metric=uniform_metric(2, Fraction(1, 4)))
@@ -238,6 +267,19 @@ class TestMarkerSearch:
             monkeypatch.setattr(finite, "MAX_MARKERS", count - 1)
             with pytest.raises(ValueError, match="tighten"):
                 enumerate_markers(sys_, n_marker)
+
+    def test_marker_count_stops_at_the_cap(self, monkeypatch):
+        # the 10,000-point extension of a 5,000-cycle passes the cap at its
+        # pairs: the sizes above them are never counted
+        calls = []
+        monkeypatch.setattr(finite, "comb", lambda n, k: calls.append(k) or math.comb(n, k))
+        with pytest.raises(ValueError, match="tighten"):
+            verify_marker_transfer(cycles(5000), 2, 2)
+        assert calls == [0, 1]
+        # a cycle shorter than N makes the count 0 before any is counted
+        calls.clear()
+        assert enumerate_markers(cycles(5000, 3), 4) == []
+        assert calls == []
 
     def test_certificate_json(self):
         sys_ = cycles(5)
@@ -652,11 +694,12 @@ class TestMarkerTransfer:
         pairs = 0
         for length in range(1, 31):
             for n_marker in range(1, length + 1):
-                if finite._count_cycle_position_subsets(length, n_marker) > 5_000:
+                counts = list(finite._cycle_position_subset_counts(length, n_marker))
+                if sum(counts) > 5_000:
                     continue
                 subsets = finite._cycle_position_subsets(length, n_marker)
                 assert subsets == cycle_position_subsets_by_scan(length, n_marker)
-                assert len(subsets) == finite._count_cycle_position_subsets(length, n_marker)
+                assert [sum(len(s) == k for s in subsets) for k in range(1, len(counts) + 1)] == counts
                 pairs += 1
         assert pairs == 422
         assert finite._cycle_position_subsets(3, 4) == []

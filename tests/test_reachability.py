@@ -2,7 +2,7 @@
 ROADMAP item.
 
 The walk is name-level and static.  It parses every module of the package
-except ``__init__.py`` and starts from ``cli.main``, from every module-level
+and starts from ``cli.main``, from every module-level
 statement that is not a ``def`` or ``class``, and from ``ALLOWLIST``.  A
 ``Name`` or ``Attribute`` reaches the same-module definition of that name, or
 the definition a ``from .x import y`` brought in under it.  Reaching a
@@ -41,8 +41,6 @@ def _modules():
     sibling modules, and its other module-level statements."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defs, imports, rest = {}, {}, []
         for node in tree.body:
