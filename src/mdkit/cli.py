@@ -42,6 +42,7 @@ from .finite import (
     MAX_EMBED_POINTS,
     FiniteSystem,
     _validate_metric,
+    check_transfer_size,
     embed_into_universal,
     marker_search,
     metric_from_json,
@@ -130,10 +131,10 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_system(text: str, check_metric: bool = True) -> FiniteSystem:
-    """Generator shorthand "cycles:3,5" or a path to a FiniteSystem JSON
-    file, whose metric is shape-checked only when ``check_metric`` is false
-    (see ``FiniteSystem.from_json``)."""
+def _parse_system(text: str, check_size=lambda size: None) -> FiniteSystem:
+    """Generator shorthand "cycles:3,5" or a path to a FiniteSystem JSON file,
+    its metric only shape-checked (``embed`` checks it itself); ``check_size``
+    refuses a point count, a shorthand's before any point is built."""
     if text.startswith("cycles:"):
         try:
             lengths = [int(part) for part in text.split(":", 1)[1].split(",")]
@@ -142,8 +143,13 @@ def _parse_system(text: str, check_metric: bool = True) -> FiniteSystem:
                 f"system shorthand {text!r} is not of the form cycles:L1,L2,... "
                 "with integer cycle lengths"
             ) from None
+        if min(lengths) < 1:
+            raise ValueError("cycle lengths must be >= 1")
+        check_size(sum(lengths))
         return FiniteSystem.from_cycle_lengths(lengths)
-    return FiniteSystem.from_json(_read_json(text), check_metric)
+    system = FiniteSystem.from_json(_read_json(text), check_metric=False)
+    check_size(system.size)
+    return system
 
 
 def _parse_complex(text: str) -> FreeZpComplex:
@@ -203,12 +209,10 @@ def _run_tower_verify(args) -> dict:
     identity_failures = 0
     range_failures = 0
     partition_totals = {"base_block": 0, "upper_tail": 0, "lower_tail": 0}
+    q, zero = level_gap(m - 1), zero_anchor(args.N, m)
     for idx in range(args.samples):
-        window = sample_gap_window(args.N, level_gap(m - 1), delta, lo, length, rng)
-        if args.anchors == "zero":
-            head = zero_anchor(args.N, m)
-        else:
-            head = random_anchor(args.N, m, rng)
+        window = sample_gap_window(args.N, q, delta, lo, length, rng)
+        head = zero if args.anchors == "zero" else random_anchor(args.N, m, rng)
         section = section_map(m, head, window)
         ident = verify_section_identity(m, window, section)
         if not ident.passed:
@@ -370,7 +374,7 @@ def _run_markers_search(args) -> dict:
 
 
 def _run_markers_transfer(args) -> dict:
-    system = _parse_system(args.system)
+    system = _parse_system(args.system, lambda size: check_transfer_size(size, args.n))
     report = verify_marker_transfer(system, args.n, args.N)
     checks = [
         _check(
@@ -416,16 +420,19 @@ def _parse_metric(text: str, size: int) -> tuple[tuple[Fraction, ...], ...]:
     return metric
 
 
+def _check_embed_size(size: int) -> None:
+    if size > MAX_EMBED_POINTS:
+        raise ValueError(
+            f"embed takes at most {MAX_EMBED_POINTS} points, got {size}: "
+            "its metric and pair checks grow with the square of the size"
+        )
+
+
 def _run_embed(args) -> dict:
     epsilon = frac_from_str(args.epsilon)
     # the size is refused before any metric value is checked, and --metric
-    # replaces a system file's metric, which is then only shape-checked
-    system = _parse_system(args.system, check_metric=False)
-    if system.size > MAX_EMBED_POINTS:
-        raise ValueError(
-            f"embed takes at most {MAX_EMBED_POINTS} points, got {system.size}: "
-            "its metric and pair checks grow with the square of the size"
-        )
+    # replaces a system file's metric
+    system = _parse_system(args.system, _check_embed_size)
     if args.metric is not None:
         metric = _parse_metric(args.metric, system.size)
         system = FiniteSystem(system.points, system.perm, metric)

@@ -681,6 +681,15 @@ class TransferReport:
         return self.forward["ok"] and self.backward["ok"]
 
 
+def check_transfer_size(size: int, n: int) -> None:
+    """Refuse a 1/n-time extension of ``size`` points over ``MAX_TRANSFER_POINTS``."""
+    if n * size > MAX_TRANSFER_POINTS:
+        raise ValueError(
+            f"the 1/{n}-time extension of {size} points has {n * size} points, "
+            f"over the cap of {MAX_TRANSFER_POINTS} on a marker transfer"
+        )
+
+
 def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> TransferReport:
     """Exhaustively verify both directions of the marker transfer.
 
@@ -695,11 +704,7 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
     """
     if n < 1 or n_marker < 1:
         raise ValueError("transfer requires n >= 1 and N >= 1")
-    if n * sys_.size > MAX_TRANSFER_POINTS:
-        raise ValueError(
-            f"the 1/{n}-time extension of {sys_.size} points has {n * sys_.size} points, "
-            f"over the cap of {MAX_TRANSFER_POINTS} on a marker transfer"
-        )
+    check_transfer_size(sys_.size, n)
     divided = time_division(sys_, n)
     base_cert = marker_search(sys_, n_marker)
     if base_cert.found:

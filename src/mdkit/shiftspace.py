@@ -216,8 +216,10 @@ class BinarySFT:
 SubshiftSpec = Union[GapAtLeast, EitherOrAtLeast, EitherOrEquals, BinarySFT]
 
 
+@functools.lru_cache(maxsize=256)
 def gap_space(dim: int, gap: int, threshold: Fraction) -> GapAtLeast:
-    """The subshift demanding distance >= threshold between entries gap apart."""
+    """The subshift demanding distance >= threshold between entries gap apart;
+    built and validated once per arguments, as every sample of a level reuses it."""
     return GapAtLeast(gap=gap, threshold=Fraction(threshold), dim=dim)
 
 

@@ -20,20 +20,21 @@ to a common denominator at most once and only when the denominators
 differ, and builds no vector.  A vector is built from a sequence only where
 one is read: by indexing or iterating it.
 
-The column kernels :func:`strided_sums`, :func:`solve_strided_sums` and
-:func:`gap_failures` work on packed lanes (SIMD within a register): a
-column is packed once into one integer, entry k in lane k of W bits, a few
-big-integer adds, shifts and masks act on every lane at once, and the
-result is unpacked once.  W is 16, 32 or 64, or a multiple of 64 past
-that: the smallest that holds ``4*den - 1``, so ``2*den <= G = 2**(W-1)``,
-the lane's guard bit.  Every lane value a kernel forms, a sum or difference
-of two residues mod ``2*den`` lifted by at most ``G``, stays below
-``2**W``, so no lane carries into or borrows from the next and the lanes
-hold exactly the integers a loop over the entries would.  A lane v in
-[0, 4*den) is reduced mod ``2*den`` by the guard bit: ``v + G - 2*den``
-sets it exactly when ``v >= 2*den``, and ``2*den`` is subtracted from those
-lanes; a compare ``v >= c`` is the guard bit of ``v + G - c``.  The
-per-entry loops are the references in ``tests/oracles.py``.
+The column kernels :func:`strided_sums`, :func:`solve_strided_sums` (both
+directions from a given block, at once) and :func:`gap_failures` work on
+packed lanes (SIMD within a register): a column is packed once into one
+integer, entry k in lane k of W bits, a few big-integer adds, shifts and
+masks act on every lane at once, and the result is unpacked once.  W is
+16, 32 or 64, or a multiple of 64 past that: the smallest that holds
+``4*den - 1``, so ``2*den <= G = 2**(W-1)``, the lane's guard bit.  Every
+lane value a kernel forms, a sum or difference of two residues mod
+``2*den`` lifted by at most ``G``, stays below ``2**W``, so no lane
+carries into or borrows from the next and the lanes hold exactly the
+integers a loop over the entries would.  A lane v in [0, 4*den) is
+reduced mod ``2*den`` by the guard bit: ``v + G - 2*den`` sets it exactly
+when ``v >= 2*den``, and ``2*den`` is subtracted from those lanes; a
+compare ``v >= c`` is the guard bit of ``v + G - c``.  The per-entry
+loops are the references in ``tests/oracles.py``.
 
 Only this module reads the integer encoding: other modules build vectors
 with :meth:`TorusVec.of` (or from integers, ``TorusVec(nums, den)``),
@@ -413,57 +414,61 @@ def strided_sums(seq: TorusSeq, stride: int, terms: int) -> TorusSeq:
     return _seq(out_columns, den)
 
 
-def solve_strided_sums(head: TorusSeq, sums: TorusSeq, stride: int, terms: int) -> TorusSeq:
-    """The continuation of ``head`` whose strided sums are ``sums``.
+def solve_strided_sums(head: TorusSeq, sums: TorusSeq, below: int, stride: int, terms: int) -> TorusSeq:
+    """The sequence y with strided sums ``sums`` that holds ``head`` from entry ``below`` on.
 
-    Returns ``tail`` such that ``y = concat(head, tail)`` has
-    ``strided_sums(y, stride, terms) == sums``, given the first
-    ``(terms-1)*stride`` entries of y as ``head``: entry ``c + j`` of y, with
-    ``c = len(head)``, is ``sums[j]`` less the other ``terms - 1`` terms of
-    its sum.  After the first ``stride`` entries the sums telescope,
-    ``y[c + j] = y[j - stride] + sums[j] - sums[j - stride]``: entry i of y
-    is entry ``i - terms*stride`` plus a difference of sums.  So y is the
-    running sum, ``terms*stride`` lanes apart, of the head, the first
-    ``stride`` entries and those differences, formed by doubling the lag.
-    The tail has one entry per sum.
+    ``head`` is ``c = (terms-1)*stride`` entries and y is ``c`` entries
+    longer than ``sums``: ``strided_sums(y, stride, terms) == sums``.  Past
+    the head, entry ``below + c + j`` of y is ``sums[below + j]`` less the
+    earlier terms of its sum; before the head, entry i is ``sums[i]`` less
+    the later ones.  More than a stride from the head the sums telescope:
+    y[i] is y[i -/+ terms*stride] plus a difference of two sums a stride
+    apart.  So each side of y is a running sum, ``terms*stride`` lanes
+    apart, formed by doubling the lag.  Both running sums act on one
+    packing of the sums with the head in their midst, in the same steps:
+    they meet only on the head's lanes, to which neither adds.
     """
     if stride < 1 or terms < 1:
         raise ValueError("solving strided sums needs stride >= 1 and terms >= 1")
     c = (terms - 1) * stride
     if len(head) != c:
         raise ValueError(f"solving strided sums needs a head of {c} entries")
+    if not 0 <= below <= len(sums):
+        raise ValueError("the head must sit within the sums")
     _common_dim(head, sums)
     den = math.lcm(head.den, sums.den)
     full = 2 * den
-    count = len(sums)
-    length = c + count
+    length = len(sums) + c
     width = _lane_bytes(den)
     bits = 8 * width
     top = bits - 1
     ones = _layout(length, width)[1]
     lift = ((1 << top) - full) * ones
-    fulls = full * ones
     mask = (1 << length * bits) - 1
-    first_mask = (1 << min(stride, count) * bits) - 1
-    lag = terms * stride
+    step = stride * bits
+    ones_h = _layout(stride, width)[1]  # the head terms are summed on one stride of lanes
+    lift_h = ((1 << top) - full) * ones_h
+    start, stop = below * bits, (below + c) * bits  # the head's lanes
     out_columns = []
     for head_column, sums_column in zip(_columns(head, den), _columns(sums, den)):
-        given = _pack((*head_column, *sums_column), width)  # the head, then the sums
-        # what each sum less its new entry is: head terms for the first
-        # `stride` sums, the sum one stride back after them
-        known = 0
+        given = _pack((*sums_column[:below], *head_column, *sums_column[below:]), width)
+        # the head terms of the sums within a stride of the head, either side
+        h = 0
         for t in range(terms - 1):
-            known += (given >> t * stride * bits) & first_mask
-            known -= (((known + lift) >> top) & ones) * full
-        known = ((given >> c * bits) << stride * bits | known) << c * bits & mask
-        y = given + fulls - known
+            h += (given >> start + t * step) & ((1 << step) - 1)
+            h -= (((h + lift_h) >> top) & ones_h) * full
+        # each sum less its own entry of y: those head terms, or the sum a
+        # stride nearer the head
+        up = (given >> stop << step | h) << stop & mask
+        down = (given & (1 << start) - 1 | h << start) >> step
+        y = given + full * ones - (up | down)
         y -= (((y + lift) >> top) & ones) * full
-        span = lag
-        while span < length:
-            y += (y << span * bits) & mask
+        span = terms * stride * bits
+        while span < max(length * bits - start, stop):
+            y += (y >> start << start + span) & mask | (y & (1 << stop) - 1) >> span
             y -= (((y + lift) >> top) & ones) * full
             span *= 2
-        out_columns.append(_unpack(y >> c * bits, count, width))
+        out_columns.append(_unpack(y, length, width))
     return _seq(out_columns, den)
 
 

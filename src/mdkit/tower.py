@@ -30,7 +30,6 @@ from .shiftspace import (
 )
 from .torus import (
     TorusSeq,
-    concat,
     frac_to_str,
     gap_distances,
     solve_strided_sums,
@@ -145,8 +144,8 @@ def section_map(m: int, head: TorusSeq, x: Window) -> Window:
     Every later entry k is x at k - (m-1)*(m-1)! less the other m-1 terms of
     its factor sum, and every entry below 0 is x at k less the m-1 terms
     above it; past the base block [0, m!-1] both directions telescope, by
-    differences of input entries one sub-gap apart.  Both directions are
-    one ``solve_strided_sums``, the downward one on reversed sequences.
+    differences of input entries one sub-gap apart.  Both directions are one
+    ``solve_strided_sums``, on one packing of the window and head, built once.
     """
     if not isinstance(x, Window):
         raise TypeError(
@@ -157,12 +156,7 @@ def section_map(m: int, head: TorusSeq, x: Window) -> Window:
     out_lo, _ = section_domain(m, x.start, x.end)
     if len(head) != (m - 1) * q:
         raise ValueError(f"the level-{m} section needs a head block of {(m - 1) * q} entries")
-    if head.dim != x.dim:
-        raise ValueError("alphabet dimension mismatch")
-    split = -x.start  # position of index 0 in x.seq
-    above = solve_strided_sums(head, x.seq[split:], q, m)
-    below = solve_strided_sums(head[::-1], x.seq[:split][::-1], q, m)
-    return Window(out_lo, concat(below[::-1], head, above))
+    return Window(out_lo, solve_strided_sums(head, x.seq, -x.start, q, m))
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +174,15 @@ class SectionIdentityReport:
 
 
 def windows_agree_on_overlap(a: Window, b: Window) -> tuple[bool, list[int]]:
-    """Exact equality of two windows on the intersection of their domains."""
+    """Exact equality of two windows on the intersection of their domains; a
+    window the intersection covers whole is compared as it is, unsliced."""
     lo = max(a.start, b.start)
     hi = min(a.end, b.end)
     if hi < lo:
         raise DomainError("empty overlap")
-    left = a.seq[lo - a.start : hi - a.start + 1]
-    right = b.seq[lo - b.start : hi - b.start + 1]
+    left, right = (
+        w.seq if (w.start, w.end) == (lo, hi) else w.seq[lo - w.start : hi - w.start + 1] for w in (a, b)
+    )
     bad = unequal_entries(left, right)
     return not bad, [lo + i for i in bad]
 

@@ -713,6 +713,39 @@ class TestExitCodes:
             assert cli.main(argv) == 2
             assert "over the cap of 10000 on a marker transfer" in capsys.readouterr().err
 
+    def test_shorthand_size_is_refused_before_any_point_is_built(self, capsys, monkeypatch):
+        def built(*args):
+            raise AssertionError("built the system before its size was checked")
+
+        monkeypatch.setattr(FiniteSystem, "from_cycle_lengths", built)
+        for argv, named in (
+            (["embed", "--system", "cycles:3000000", "--metric", "uniform:0", "--epsilon", "1/10"],
+             "embed takes at most 200 points, got 3000000"),
+            (["markers", "transfer", "--system", "cycles:3000000", "--n", "2", "--N", "2"],
+             "has 6000000 points, over the cap of 10000 on a marker transfer"),
+            # a negative length would bring the sum under the cap
+            (["embed", "--system", "cycles:3000000,-2999999", "--metric", "uniform:0", "--epsilon", "1/10"],
+             "cycle lengths must be >= 1"),
+            (["markers", "transfer", "--system", "cycles:0,3000000", "--n", "2", "--N", "2"],
+             "cycle lengths must be >= 1"),
+        ):
+            assert cli.main(argv) == 2
+            assert named in capsys.readouterr().err
+
+    def test_marker_commands_check_only_the_shape_of_a_system_metric(self, capsys, tmp_path):
+        # neither marker command reads the metric; embed does, and refuses it
+        system = tmp_path / "asymmetric.json"
+        metric = [["0", "1/4", "1/4"], ["1/2", "0", "1/4"], ["1/4", "1/4", "0"]]
+        system.write_text(json.dumps({"points": ["a", "b", "c"], "perm": [1, 2, 0], "metric": metric}))
+        assert run_cli(capsys, "markers", "search", "--system", str(system), "--N", "2")[0] == 0
+        assert run_cli(capsys, "markers", "transfer", "--system", str(system), "--n", "2", "--N", "1")[0] == 0
+        assert cli.main(["embed", "--system", str(system), "--epsilon", "1/10"]) == 2
+        assert "metric must be symmetric" in capsys.readouterr().err
+        # the shape is still checked
+        system.write_text(json.dumps({"points": ["a", "b", "c"], "perm": [1, 2, 0], "metric": metric[:2]}))
+        assert cli.main(["markers", "search", "--system", str(system), "--N", "2"]) == 2
+        assert "metric table must be 3 by 3" in capsys.readouterr().err
+
     def test_caps_hold_at_their_boundaries(self, capsys, monkeypatch):
         # lowered so the boundary runs fast: the cap itself is accepted
         monkeypatch.setattr(cli, "MAX_EMBED_POINTS", 12)

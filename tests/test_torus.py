@@ -367,28 +367,38 @@ def test_solve_strided_sums_inverts_strided_sums():
     for _ in range(300):
         dim = rng.choice((1, 2))
         stride, terms = rng.randrange(1, 7), rng.randrange(1, 6)
-        head = [mixed_den_vec(rng, dim) for _ in range((terms - 1) * stride)]
+        c = (terms - 1) * stride
+        head = [mixed_den_vec(rng, dim) for _ in range(c)]
         sums = [mixed_den_vec(rng, dim) for _ in range(rng.randrange(0, 40))]
-        tail = solve_strided_sums(TorusSeq.of(head, dim), TorusSeq.of(sums, dim), stride, terms)
-        assert len(tail) == len(sums) and tail.dim == dim
+        below = rng.randrange(len(sums) + 1)
+        y = solve_strided_sums(TorusSeq.of(head, dim), TorusSeq.of(sums, dim), below, stride, terms)
+        assert len(y) == len(sums) + c and y.dim == dim
+        assert list(y[below : below + c]) == head
         if sums:
-            whole = concat(TorusSeq.of(head, dim), tail)
-            assert strided_sums(whole, stride, terms) == TorusSeq.of(sums)
-        # entry by entry: each new entry is its sum less the other terms
-        y = list(head)
-        for j, s in enumerate(sums):
-            acc = s
+            assert strided_sums(y, stride, terms) == TorusSeq.of(sums)
+        # entry by entry: each entry past the head is its sum less the terms
+        # before it, each entry before the head its sum less the terms after it
+        up = list(head)
+        for s in sums[below:]:
             for t in range(terms - 1):
-                acc = acc - y[j + t * stride]
-            y.append(acc)
-        assert list(tail) == y[len(head):]
+                s = s - up[-c + t * stride]
+            up.append(s)
+        down = list(head)
+        for s in reversed(sums[:below]):
+            for t in range(terms - 1):
+                s = s - down[(t + 1) * stride - 1]
+            down.insert(0, s)
+        assert list(y) == down[:below] + up
 
 
 def test_solve_strided_sums_needs_a_full_head():
     with pytest.raises(ValueError, match="head of 4 entries"):
-        solve_strided_sums(TorusSeq.zero(1, 3), TorusSeq.zero(1, 1), 2, 3)
+        solve_strided_sums(TorusSeq.zero(1, 3), TorusSeq.zero(1, 1), 0, 2, 3)
     with pytest.raises(ValueError, match="alphabet dimension mismatch"):
-        solve_strided_sums(TorusSeq.zero(1, 4), TorusSeq.zero(2, 1), 2, 3)
+        solve_strided_sums(TorusSeq.zero(1, 4), TorusSeq.zero(2, 1), 0, 2, 3)
+    for below in (-1, 2):
+        with pytest.raises(ValueError, match="head must sit within the sums"):
+            solve_strided_sums(TorusSeq.zero(1, 4), TorusSeq.zero(1, 1), below, 2, 3)
 
 
 def test_gap_distances_match_max_circle_dist():
@@ -433,6 +443,8 @@ def test_packed_strided_sums_match_the_per_entry_loop():
 
 
 def test_packed_solve_matches_the_per_entry_loop():
+    # both directions of one packing against the one-direction loop: the
+    # entries past the head directly, those before it on reversed sequences
     rng = random.Random(915)
     for den in LANE_DENS:
         for stride in (1, 2, 5):
@@ -443,12 +455,17 @@ def test_packed_solve_matches_the_per_entry_loop():
                 for length in (0, 1, stride, c + stride + 1, rng.randrange(1, 40)):
                     # sums over another denominator lift both to the lcm
                     sums = lane_edge_seq(rng, dim, length, rng.choice((den, den, 1, 3)))
-                    tail = solve_strided_sums(head, sums, stride, terms)
-                    assert tail == solve_strided_sums_per_entry(head, sums, stride, terms)
-                    if length:
-                        assert strided_sums(concat(head, tail), stride, terms) == sums
-                    else:
-                        assert len(tail) == 0 and tail.dim == dim
+                    for below in {0, length, length // 2, min(stride, length), rng.randrange(length + 1)}:
+                        y = solve_strided_sums(head, sums, below, stride, terms)
+                        assert y[below + c :] == solve_strided_sums_per_entry(head, sums[below:], stride, terms)
+                        assert y[:below][::-1] == solve_strided_sums_per_entry(
+                            head[::-1], sums[:below][::-1], stride, terms
+                        )
+                        assert y[below : below + c] == head
+                        if length:
+                            assert strided_sums(y, stride, terms) == sums
+                        else:
+                            assert len(y) == c and y.dim == dim
 
 
 def test_packed_gap_failures_match_the_per_entry_loop():

@@ -229,6 +229,31 @@ class TestKernelsMatchPerEntry:
                         for k in range(y.start, y.end + 1, 5):
                             assert y.value_at(k) == section_value_oracle(m, heads[0], grid, k)
 
+    def test_one_lift_section_at_levels_two_to_six(self):
+        rng = random.Random(608)
+        for m in (2, 3, 4, 5, 6):
+            big = level_gap(m)
+            for dim in (1, 2, 3):
+                x = sample_gap_window(dim, level_gap(m - 1), HALF, -big, 3 * big, rng)
+                for head in (zero_anchor(dim, m), random_anchor(dim, m, rng)):
+                    assert section_map(m, head, x) == section_map_per_entry(m, head, x)
+
+    def test_one_lift_section_over_two_denominators_and_edge_windows(self):
+        # a head over 3 beside a window over 64, lifted once to 192; windows
+        # with nothing below 0 and windows ending at (m-1)! - 1
+        rng = random.Random(609)
+        for m in (2, 3, 4, 5):
+            q, big = level_gap(m - 1), level_gap(m)
+            for dim in (1, 2):
+                head = lane_edge_seq(rng, dim, (m - 1) * q, 3)
+                for lo, hi in ((-big, 2 * big - 1), (0, 2 * big - 1), (-big - 1, q - 1), (0, q - 1)):
+                    x = Window(lo, lane_edge_seq(rng, dim, hi - lo + 1, 64))
+                    assert (head.den, x.seq.den) == (3, 64)
+                    y = section_map(m, head, x)
+                    assert y == section_map_per_entry(m, head, x)
+                    assert (y.start, y.end) == section_domain(m, lo, hi)
+                    assert verify_section_identity(m, x, y).passed
+
     def test_gap_membership(self):
         rng = random.Random(604)
         third = Fraction(1, 3)
@@ -373,6 +398,22 @@ class TestSectionIdentity:
         assert report.failures == tuple(mismatches) == (k - 1, k)
         assert not report.passed
 
+    def test_corrupted_entry_is_named_below_zero_in_the_base_block_and_upper_tail(self):
+        # output j of the level-m factor map sums entries j, j + q, ..,
+        # j + (m-1)*q of y, so a corrupted entry k shows at exactly the
+        # overlap indices k - t*q
+        rng = random.Random(58)
+        for m in (2, 3, 4):
+            q, big = level_gap(m - 1), level_gap(m)
+            x = random_window(2, -2 * big, 4 * big, rng)
+            y = section_map(m, random_anchor(2, m, rng), x)
+            for k in (-big - 1, -1, 0, big - 1, big, y.end):
+                values = list(y.values)
+                values[k - y.start] = values[k - y.start] + TorusVec.of(0, Fraction(1, 4))
+                report = verify_section_identity(m, x, Window(y.start, TorusSeq.of(values)))
+                named = tuple(j for j in (k - t * q for t in range(m - 1, -1, -1)) if x.start <= j <= x.end)
+                assert report.failures == named and named and not report.passed
+
     def test_level_four(self):
         rng = random.Random(56)
         windows = [random_window(1, 0, 3 * level_gap(4), rng) for _ in range(21)]
@@ -400,6 +441,18 @@ class TestSectionRange:
         x = Window(0, TorusSeq.zero(1, 12))
         with pytest.raises(ValueError, match="gap constraint"):
             verify_section_range(2, x, section_map(2, zero_anchor(1, 2), x), HALF)
+        # one entry of a valid window moved onto the entry one gap back; the
+        # gap space built for the valid window refuses it too
+        rng = random.Random(79)
+        for m in (2, 3, 4):
+            q, big = level_gap(m - 1), level_gap(m)
+            x = sample_gap_window(2, q, HALF, -big, 3 * big, rng)
+            assert verify_section_range(m, x, section_map(m, zero_anchor(2, m), x), HALF).passed
+            values = list(x.values)
+            values[big] = values[big - q]
+            bad = Window(x.start, TorusSeq.of(values))
+            with pytest.raises(ValueError, match="does not satisfy its own gap constraint"):
+                verify_section_range(m, bad, section_map(m, zero_anchor(2, m), bad), HALF)
 
 
 class TestTowerElement:
