@@ -147,7 +147,7 @@ def _parse_system(text: str, check_size=lambda size: None) -> FiniteSystem:
             raise ValueError("cycle lengths must be >= 1")
         check_size(sum(lengths))
         return FiniteSystem.from_cycle_lengths(lengths)
-    system = FiniteSystem.from_json(_read_json(text), check_metric=False)
+    system = FiniteSystem.from_json(_read_json(text))
     check_size(system.size)
     return system
 

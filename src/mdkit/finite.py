@@ -58,6 +58,11 @@ MAX_EMBED_POINTS = 200
 # cycles:3333 --n 3 --N 3333` takes 1.0 s in process; at 30,000 it takes 7.6 s
 # (same VM).
 MAX_TRANSFER_POINTS = 10_000
+# Largest common denominator of a metric's values, checked before any value is
+# lifted to it: `embed` on 200 points at the cap takes 2.1 s in process, where 140
+# points with a distinct prime above 1,000 per pair took 25 s (Python 3.11.7,
+# 2-CPU x86-64 VM).
+MAX_METRIC_DENOMINATOR = 2**64
 
 # ---------------------------------------------------------------------------
 # Systems
@@ -118,10 +123,10 @@ class FiniteSystem:
         return out
 
     @classmethod
-    def from_json(cls, data, check_metric: bool = True) -> "FiniteSystem":
-        """A validated system.  With ``check_metric`` false the caller checks
-        the metric's values itself or replaces the metric, so it is only
-        shape-checked here."""
+    def from_json(cls, data) -> "FiniteSystem":
+        """A system with a bijective perm and, if it carries one, a metric of
+        the right shape; ``_validate_metric`` checks the metric's values, for
+        the one command that reads them."""
         if not isinstance(data, dict):
             raise ValueError("system JSON must be an object")
         for key in ("points", "perm"):
@@ -141,10 +146,7 @@ class FiniteSystem:
         if sorted(perm) != list(range(len(points))):
             raise ValueError("perm must be a bijection of the points")
         if metric is not None:
-            if check_metric:
-                _validate_metric(metric, len(points))
-            else:
-                _check_metric_shape(metric, len(points))
+            _check_metric_shape(metric, len(points))
         return cls(tuple(points), tuple(perm), metric)
 
 
@@ -168,10 +170,20 @@ def permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def metric_from_json(rows) -> tuple[tuple[Fraction, ...], ...]:
-    """A metric table from JSON: a list of rows of rationals such as "1/4"."""
+    """A metric table from JSON: a list of rows of rationals such as "1/4".
+    Each distinct string is parsed once per table."""
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError("metric JSON must be a list of rows of rationals")
-    return tuple(tuple(frac_from_str(d) for d in row) for row in rows)
+    parsed: dict[str, Fraction] = {}
+
+    def parse(d) -> Fraction:
+        if type(d) is str:  # not JSON true, which hashes like 1, nor a list
+            if d not in parsed:
+                parsed[d] = frac_from_str(d)
+            return parsed[d]
+        return frac_from_str(d)
+
+    return tuple(tuple(map(parse, row)) for row in rows)
 
 
 def _check_metric_shape(metric, n: int) -> None:
@@ -183,11 +195,16 @@ def _validate_metric(metric, n: int) -> None:
     """Refuse a table that is not a metric on n points, naming the first
     fault of a scan of i, then j, then k.  The values are compared as integer
     numerators over one common denominator, so the triangle inequality for
-    (i, j) and every k is one max of row differences: `markers search` checks
-    a 200-point file in 0.9 s per process, where a Fraction sum per triple
-    took 25 s (Python 3.11.7, 2-CPU x86-64 VM)."""
+    (i, j) and every k is one max of row differences: a 200-point file is
+    checked in 0.9 s per process, where a Fraction sum per triple took 25 s
+    (Python 3.11.7, 2-CPU x86-64 VM)."""
     _check_metric_shape(metric, n)
-    scale = lcm(*(d.denominator for row in metric for d in row))
+    scale = 1
+    for den in {d.denominator for row in metric for d in row}:
+        scale = lcm(scale, den)
+        if scale > MAX_METRIC_DENOMINATOR:
+            cap = MAX_METRIC_DENOMINATOR
+            raise ValueError(f"the metric's values have a common denominator over the cap of {cap}")
     rows = [[d.numerator * (scale // d.denominator) for d in row] for row in metric]
     for i, row_i in enumerate(rows):
         if row_i[i] != 0:

@@ -6,13 +6,15 @@ holds its values as one :class:`~mdkit.torus.TorusSeq`, integer columns over
 one denominator; shifts, dilations, unrolling, the gap and adjacent-step
 membership checks and the samplers work on those columns, and a vector is
 built only when a caller reads one (``value_at``, ``values``) or a binary
-SFT reads its letters.  The samplers draw on the k/64 grid; their random
-stream is defined as the ``randrange`` calls, in order, of drawing one
-vector at a time with :func:`random_torus_vec`, so a seed gives the same
-points whatever the representation.  :func:`~mdkit.torus.first_far`
-reproduces those calls through ``getrandbits``, and the tests compare it,
-generator end state included, with ``randrange`` oracles on every supported
-Python.  Subshift
+SFT reads its letters.  A shift or dilation of a periodic point is a cached
+index map i -> i*j + k mod p, one ``itemgetter`` per column; only a
+non-bijection, gcd(j, p) > 1, takes the gcd pass.  The samplers draw on the
+k/64 grid; their random stream is defined as the ``randrange`` calls, in
+order, of drawing one vector at a time with :func:`random_torus_vec`, so a
+seed gives the same points whatever the representation.
+:func:`~mdkit.torus.first_far` reproduces those calls through
+``getrandbits``, and the tests compare it, generator end state included,
+with ``randrange`` oracles on every supported Python.  Subshift
 constraints are declarative: a minimum distance between entries a fixed gap
 apart, a disjunction of distance conditions on the two adjacent steps, or a
 binary subshift of finite type given by its forbidden words.  A membership
@@ -28,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Union
 
 from .torus import (
@@ -104,11 +107,21 @@ class Window:
 SeqPoint = Union[Periodic, Window]
 
 
+# 32 maps of at most MAX_PERIODIC_COORDINATES indices, 3.6 MB each at that cap
+@functools.lru_cache(maxsize=32)
+def _affine_map(p: int, j: int, k: int) -> tuple[itemgetter, bool]:
+    """The gather of the entries at i*j + k mod p, for i = 0 .. p-1, from a
+    period; and whether it is a bijection, gcd(j, p) = 1."""
+    if p == 1:
+        return itemgetter(slice(None)), True  # itemgetter of one index gives no tuple
+    return itemgetter(*[(i * j + k) % p for i in range(p)]), math.gcd(j, p) == 1
+
+
 def shift(x: SeqPoint, k: int) -> SeqPoint:
     """The k-fold shift: the new value at n is the old value at n + k."""
     if isinstance(x, Periodic):
         p = x.period
-        return Periodic(x.seq.take([(i + k) % p for i in range(p)]))
+        return Periodic(x.seq._gather(*_affine_map(p, 1, k % p)))
     return Window(x.start - k, x.seq)
 
 
@@ -125,7 +138,7 @@ def power_map(j: int, x: Periodic) -> Periodic:
     if not isinstance(x, Periodic):
         raise ValueError("power map requires a periodic point")
     p = x.period
-    return Periodic(x.seq.take([(i * j) % p for i in range(p)]))
+    return Periodic(x.seq._gather(*_affine_map(p, j % p, 0)))
 
 
 def seq_to_json(x: SeqPoint) -> dict:
@@ -376,12 +389,19 @@ def sample_periodic_gap_point(
                 f"k/{GRID} grid, but none was drawn (undetermined)"
             )
         walks.append(walk)
-    # step s of walk f sits at residue (f + s*gap) % period
-    position = [0] * period
-    for f in range(cycles):
-        for s in range(length):
-            position[(f + s * gap) % period] = f * length + s
-    return Periodic(concat(*walks).take(position))
+    seq = walks[0] if cycles == 1 else concat(*walks)
+    return Periodic(seq._gather(_residue_positions(gap, period), True))
+
+
+# 32 tables of at most MAX_PERIODIC_COORDINATES positions, 3.6 MB each at that cap
+@functools.lru_cache(maxsize=32)
+def _residue_positions(gap: int, period: int) -> itemgetter:
+    """The gather that puts the c = gcd(gap, period) walks of the sampler, one
+    after another, in residue order (period >= 2): step s of walk f sits at
+    r = (f + s*gap) % period, so f = r % c and s = (r // c) / (gap / c) mod period / c."""
+    c = math.gcd(gap, period)
+    length, inverse = period // c, pow(gap // c, -1, period // c)
+    return itemgetter(*[r % c * length + r // c * inverse % length for r in range(period)])
 
 
 @functools.lru_cache
@@ -490,31 +510,34 @@ def verify_conjugacy_diagram(
     gap_1 = gap_space(dim, 1, threshold)
     samples_m = [sample_periodic_gap_point(dim, m, threshold, p, rng) for _ in range(samples)]
     samples_1 = [sample_periodic_gap_point(dim, 1, threshold, p, rng) for _ in range(samples)]
+    # each sample with its dilation, built once: by m on the gap-m side, by k on the gap-1 side
+    pairs_m = [(x, power_map(m, x)) for x in samples_m]
+    pairs_1 = [(z, power_map(k, z)) for z in samples_1]
 
-    # one row per identity: name, statement, samples, predicate on a sample
+    # one row per identity: name, statement, pairs, predicate on a sample and its dilation
     table = (
         ("dilation_m_lands_in_gap1",
          "dilation by m maps period-p points of the gap-m space into the gap-1 space",
-         samples_m, lambda x: check_membership(gap_1, power_map(m, x)).passed),
+         pairs_m, lambda x, y: check_membership(gap_1, y).passed),
         ("dilation_k_lands_in_gapm",
          "dilation by k maps period-p points of the gap-1 space into the gap-m space",
-         samples_1, lambda z: check_membership(gap_m, power_map(k, z)).passed),
+         pairs_1, lambda z, w: check_membership(gap_m, w).passed),
         ("dilation_k_then_m_is_identity",
          "composing the dilations by m and k is the identity on period-p points",
-         samples_m, lambda x: power_map(k, power_map(m, x)) == x),
+         pairs_m, lambda x, y: power_map(k, y) == x),
         ("dilation_m_then_k_is_identity",
          "composing the dilations by k and m is the identity on period-p points",
-         samples_1, lambda z: power_map(m, power_map(k, z)) == z),
+         pairs_1, lambda z, w: power_map(m, w) == z),
         ("shift_intertwines_dilation_m",
          "shift after dilation by m equals dilation by m after the m-th shift power",
-         samples_m, lambda x: shift(power_map(m, x), 1) == power_map(m, shift(x, m))),
+         pairs_m, lambda x, y: shift(y, 1) == power_map(m, shift(x, m))),
         ("shift_intertwines_dilation_k",
          "the m-th shift power after dilation by k equals dilation by k after the shift",
-         samples_1, lambda z: shift(power_map(k, z), m) == power_map(k, shift(z, 1))),
+         pairs_1, lambda z, w: shift(w, m) == power_map(k, shift(z, 1))),
     )
     identities = tuple(
-        IdentityResult(name, statement, samples, tuple(i for i, x in enumerate(xs) if not ok(x)))
-        for name, statement, xs, ok in table
+        IdentityResult(name, statement, samples, tuple(i for i, pair in enumerate(pairs) if not ok(*pair)))
+        for name, statement, pairs, ok in table
     )
     return ConjugacyReport(k=k, identities=identities)
 

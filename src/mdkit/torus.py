@@ -54,6 +54,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -264,11 +265,22 @@ class TorusSeq:
         return (_vec(nums, den) for nums in zip(*self.columns))
 
     def take(self, indices: Sequence[int]) -> "TorusSeq":
-        """The entries at ``indices``, in that order."""
-        if not indices:
-            return self[:0]
-        rows = list(zip(*self.columns))
-        return _seq(zip(*[rows[i] for i in indices]), self.den)
+        """The entries at ``indices``, in that order: one gather per column."""
+        if len(indices) < 2:  # itemgetter of one index returns the entry, not a 1-tuple
+            return _seq((tuple(column[i] for i in indices) for column in self.columns), self.den)
+        return self._gather(itemgetter(*indices), False)
+
+    def _gather(self, getter: itemgetter, bijection: bool) -> "TorusSeq":
+        """Each column read through ``getter``, which gives a tuple of entries.
+        A ``bijection`` gives every entry once, which keeps their gcd with
+        ``den`` and so the canonical form: the gcd pass is skipped."""
+        columns = tuple(map(getter, self.columns))
+        if not bijection:
+            return _seq(columns, self.den)
+        seq = object.__new__(TorusSeq)
+        object.__setattr__(seq, "columns", columns)
+        object.__setattr__(seq, "den", self.den)
+        return seq
 
     def __repr__(self) -> str:
         return f"TorusSeq({list(self)})"

@@ -221,6 +221,18 @@ def sample_periodic_gap_point_per_entry(dim, gap, threshold, period, rng):
     return Periodic(TorusSeq.of(values[i] for i in range(period)))
 
 
+def shift_per_entry(x, k):
+    """The k-fold shift of a periodic point, vector by vector: the value at n
+    is x at n + k."""
+    return Periodic(TorusSeq.of((x.value_at(n + k) for n in range(x.period)), x.dim))
+
+
+def power_map_per_entry(j, x):
+    """The dilation by j of a periodic point, vector by vector: the value at n
+    is x at n*j."""
+    return Periodic(TorusSeq.of((x.value_at(n * j) for n in range(x.period)), x.dim))
+
+
 def closed_grid_walk_lengths(a: int, max_length: int, grid: int = 64) -> set[int]:
     """Lengths L <= max_length at which L steps of circular size >= a on the
     cycle Z/(2*grid) can return to 0, by a sweep of the reachable residues

@@ -476,6 +476,20 @@ class TestExitCodes:
                 ("--metric", [["0", "1/8", "1"], ["1/8", "0", "1/8"], ["1", "1/8", "0"]]),
                 "metric violates the triangle inequality",
             ),
+            # three primes near 2^32, one per pair: a metric, but its values'
+            # common denominator passes 2^64 before any value is lifted
+            (
+                ["embed", "--system", "cycles:3", "--epsilon", "1/5"],
+                (
+                    "--metric",
+                    [
+                        ["0", "1/4294967291", "1/4294967279"],
+                        ["1/4294967291", "0", "1/4294967231"],
+                        ["1/4294967279", "1/4294967231", "0"],
+                    ],
+                ),
+                "common denominator over the cap of 18446744073709551616",
+            ),
             (
                 ["embed", "--system", "cycles:3", "--metric", "uniform:-1/4", "--epsilon", "1/5"],
                 None,
@@ -579,6 +593,7 @@ class TestExitCodes:
             "system-file-perm-not-a-bijection",
             "metric-file-asymmetric",
             "metric-file-breaks-triangle-inequality",
+            "metric-file-denominator-over-cap",
             "metric-uniform-negative",
             "tower-verify-dimension-zero",
             "aperiodicity-dimension-zero",

@@ -30,7 +30,7 @@ from mdkit.shiftspace import (
     shift,
     unit_step_space,
 )
-from mdkit.torus import TorusVec
+from mdkit.torus import TorusVec, frac_from_str
 
 from oracles import (
     apply,
@@ -100,6 +100,21 @@ class TestStructure:
         )
         with pytest.raises(ValueError, match="triangle"):
             finite._validate_metric(skewed, 3)
+
+    def test_metric_file_parses_as_each_entry_alone(self, monkeypatch):
+        # repeated strings share one parse, and the first bad entry raises
+        # what parsing it alone raises
+        rows = [["0", "1/4", " 1/4"], ["1/4", "0", "2/8"], [" 1/4", "2/8", "0"]]
+        parsed = []
+        monkeypatch.setattr(finite, "frac_from_str", lambda d: parsed.append(d) or frac_from_str(d))
+        assert finite.metric_from_json(rows) == tuple(tuple(map(frac_from_str, row)) for row in rows)
+        assert sorted(parsed) == [" 1/4", "0", "1/4", "2/8"]
+        for bad in (True, [1], "1/0", "x"):
+            with pytest.raises(ValueError) as expected:
+                frac_from_str(bad)
+            with pytest.raises(ValueError) as got:
+                finite.metric_from_json([[0, 1], [1, bad], [bad, "1/0"]])
+            assert str(got.value) == str(expected.value)
 
     def test_metric_faults_match_the_fraction_scan(self):
         # integer numerators over one denominator give the message of a scan
@@ -752,7 +767,7 @@ class TestRandomGenerators:
 
     def test_system_file_validated_as_read(self):
         # from_json refuses exactly the perms that are not bijections, and
-        # exactly the metrics that break an axiom
+        # _validate_metric exactly the metrics that break an axiom
         rng = random.Random(12)
         verdicts = []
         for _ in range(200):
@@ -776,13 +791,21 @@ class TestRandomGenerators:
                 tuple(perm),
                 finite.metric_from_json(data["metric"]) if "metric" in data else None,
             )
-            valid = perm_is_bijection(unchecked) and (
+            bijective = perm_is_bijection(unchecked)
+            valid = bijective and (
                 unchecked.metric is None or not metric_violations(unchecked.metric, size)
             )
             verdicts.append(valid)
-            if valid:
-                assert FiniteSystem.from_json(data) == unchecked
-            else:
+            if not bijective:
                 with pytest.raises(ValueError):
                     FiniteSystem.from_json(data)
+                continue
+            # a metric of the right shape is read unchecked
+            assert FiniteSystem.from_json(data) == unchecked
+            if valid:
+                if unchecked.metric is not None:
+                    finite._validate_metric(unchecked.metric, size)
+            else:
+                with pytest.raises(ValueError):
+                    finite._validate_metric(unchecked.metric, size)
         assert 20 < sum(verdicts) < len(verdicts) - 20

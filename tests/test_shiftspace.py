@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -33,9 +34,12 @@ from mdkit.tower import random_anchor
 from oracles import (
     closed_grid_walk_lengths,
     count_periodic_sft_strings,
+    mixed_den_vec,
+    power_map_per_entry,
     sample_gap_window_per_entry,
     sample_periodic_gap_point_per_entry,
     sample_periodic_gap_point_whole_period,
+    shift_per_entry,
 )
 
 
@@ -164,6 +168,31 @@ class TestPowerMap:
     def test_requires_periodic(self):
         with pytest.raises(ValueError, match="periodic"):
             power_map(2, Window(0, seq_of(0, 1)))
+
+    def test_index_maps_match_the_per_entry_oracles(self):
+        # every shift and dilation, a bijection of the residues or not, equals
+        # the point rebuilt vector by vector, in value and in hash
+        rng = random.Random(29)
+        for p in range(1, 32):
+            for dim in (1, 2, 3):
+                x = Periodic(TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(p)))
+                coprime = next(j for j in itertools.count(rng.randint(1, 2 * p)) if math.gcd(j, p) == 1)
+                shared = next((j for j in range(2, p) if math.gcd(j, p) > 1), p)
+                for j in (0, -1, -coprime, coprime, shared, shared + p, rng.randint(-3 * p, 3 * p)):
+                    expected = power_map_per_entry(j, x)
+                    got = power_map(j, x)
+                    assert got == expected and hash(got) == hash(expected), (p, dim, j)
+                for k in (0, 1, -1, rng.randint(-3 * p, 3 * p)):
+                    expected = shift_per_entry(x, k)
+                    got = shift(x, k)
+                    assert got == expected and hash(got) == hash(expected), (p, dim, k)
+
+    def test_non_bijection_reduces_the_denominator(self):
+        # dilation by 2 at period 2 keeps only the entry 1/2, over 2, not 4
+        x = Periodic(seq_of(HALF, Fraction(1, 4)))
+        y = power_map(2, x)
+        assert y == Periodic(seq_of(HALF, HALF)) and y.seq.den == 2
+        assert hash(y) == hash(Periodic(seq_of(HALF, HALF)))
 
 
 class TestConjugacyDiagram:
