@@ -3,7 +3,7 @@
 Modules cover circle arithmetic on one point type, the integer-encoded
 :class:`~mdkit.torus.TorusVec` and its sequences as integer columns,
 :class:`~mdkit.torus.TorusSeq` (:mod:`mdkit.torus`), sequence spaces and
-membership checks (:mod:`mdkit.shiftspace`), the factorial-gap
+membership checks (:mod:`mdkit.shiftspace`), the gap-m!
 factor/section tower (:mod:`mdkit.tower`), free prime-order simplicial
 complexes with coindex bounds (:mod:`mdkit.complexes`), finite permutation
 dynamics with marker search (:mod:`mdkit.finite`), and a mean-dimension

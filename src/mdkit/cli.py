@@ -39,9 +39,10 @@ from .complexes import (
     reduced_homology_groups,
 )
 from .finite import (
-    MAX_EMBED_POINTS,
     FiniteSystem,
     _validate_metric,
+    check_embed_size,
+    check_search_size,
     check_transfer_size,
     embed_into_universal,
     marker_search,
@@ -74,11 +75,9 @@ from .shiftspace import (
 )
 from .torus import frac_from_str, frac_to_str
 from .tower import (
-    MAX_VERIFY_ENTRIES,
     TowerSpec,
-    level_gap,
+    check_verify_size,
     random_anchor,
-    section_domain,
     section_map,
     tower_aperiodicity_report,
     verify_section_identity,
@@ -131,7 +130,7 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_system(text: str, check_size=lambda size: None) -> FiniteSystem:
+def _parse_system(text: str, check_size) -> FiniteSystem:
     """Generator shorthand "cycles:3,5" or a path to a FiniteSystem JSON file,
     its metric only shape-checked (``embed`` checks it itself); ``check_size``
     refuses a point count, a shorthand's before any point is built."""
@@ -186,40 +185,18 @@ def _run_tower_verify(args) -> dict:
         raise ValueError("tower verify needs --samples >= 1: zero samples would check nothing")
     delta = frac_from_str(args.delta)
     lo, hi = _parse_window(args.window)
-    # the window covers the (m-1)! entries of the base block; a running
-    # product refuses a huge level before any factorial is formed
-    block = 1
-    for k in range(2, m):
-        block *= k
-        if block > MAX_VERIFY_ENTRIES:
-            raise ValueError(
-                f"level {m} needs a window covering the {m - 1}! entries of the base "
-                f"block, over the cap of {MAX_VERIFY_ENTRIES} on tower verify"
-            )
-    length = hi - lo
-    out_lo, out_hi = section_domain(m, lo, hi - 1)
-    coordinates = args.samples * (length + out_hi - out_lo + 1) * args.N
-    if coordinates > MAX_VERIFY_ENTRIES:
-        raise ValueError(
-            f"{args.samples} samples of a {length}-entry window and its "
-            f"{out_hi - out_lo + 1}-entry section in dimension {args.N} hold "
-            f"{coordinates} coordinates, over the cap of {MAX_VERIFY_ENTRIES} on tower verify"
-        )
+    plan = check_verify_size(m, lo, hi, args.samples, args.N)
     rng = random.Random(args.seed)
-    identity_failures = 0
-    range_failures = 0
+    identity_failures = range_failures = 0
     partition_totals = {"base_block": 0, "upper_tail": 0, "lower_tail": 0}
-    q, zero = level_gap(m - 1), zero_anchor(args.N, m)
-    for idx in range(args.samples):
-        window = sample_gap_window(args.N, q, delta, lo, length, rng)
+    zero = zero_anchor(args.N, m)
+    for _ in range(args.samples):
+        window = sample_gap_window(args.N, plan.stride, delta, lo, hi - lo, rng)
         head = zero if args.anchors == "zero" else random_anchor(args.N, m, rng)
         section = section_map(m, head, window)
-        ident = verify_section_identity(m, window, section)
-        if not ident.passed:
-            identity_failures += 1
+        identity_failures += not verify_section_identity(m, window, section).passed
         rng_report = verify_section_range(m, window, section, delta)
-        if not rng_report.passed:
-            range_failures += 1
+        range_failures += not rng_report.passed
         for key, value in rng_report.partition_counts.items():
             partition_totals[key] += value
     checks = [
@@ -360,7 +337,7 @@ def _run_complex_coindex(args) -> dict:
 
 
 def _run_markers_search(args) -> dict:
-    system = _parse_system(args.system)
+    system = _parse_system(args.system, check_search_size)
     cert = marker_search(system, args.N)
     checks = [
         _check(
@@ -420,19 +397,11 @@ def _parse_metric(text: str, size: int) -> tuple[tuple[Fraction, ...], ...]:
     return metric
 
 
-def _check_embed_size(size: int) -> None:
-    if size > MAX_EMBED_POINTS:
-        raise ValueError(
-            f"embed takes at most {MAX_EMBED_POINTS} points, got {size}: "
-            "its metric and pair checks grow with the square of the size"
-        )
-
-
 def _run_embed(args) -> dict:
     epsilon = frac_from_str(args.epsilon)
     # the size is refused before any metric value is checked, and --metric
     # replaces a system file's metric
-    system = _parse_system(args.system, _check_embed_size)
+    system = _parse_system(args.system, check_embed_size)
     if args.metric is not None:
         metric = _parse_metric(args.metric, system.size)
         system = FiniteSystem(system.points, system.perm, metric)

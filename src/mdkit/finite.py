@@ -58,6 +58,10 @@ MAX_EMBED_POINTS = 200
 # cycles:3333 --n 3 --N 3333` takes 1.0 s in process; at 30,000 it takes 7.6 s
 # (same VM).
 MAX_TRANSFER_POINTS = 10_000
+# Largest system a marker search takes, checked before any point of a
+# shorthand is built: `markers search --system cycles:1000000 --N 2` answers
+# in 0.85 s per process, where cycles:20000000 ran out of memory (same VM).
+MAX_SEARCH_POINTS = 1_000_000
 # Largest common denominator of a metric's values, checked before any value is
 # lifted to it: `embed` on 200 points at the cap takes 2.1 s in process, where 140
 # points with a distinct prime above 1,000 per pair took 25 s (Python 3.11.7,
@@ -354,6 +358,12 @@ def _cycle_position_subset_counts(length: int, n_marker: int):
         yield length * comb(length - k * (n_marker - 1) - 1, k - 1) // k
 
 
+def check_search_size(size: int) -> None:
+    """Refuse a marker search on ``size`` points over ``MAX_SEARCH_POINTS``."""
+    if size > MAX_SEARCH_POINTS:
+        raise ValueError(f"markers search takes at most {MAX_SEARCH_POINTS} points, got {size}")
+
+
 def marker_search(sys_: FiniteSystem, n_marker: int) -> MarkerCertificate:
     """Find an N-marker subset, or prove that none exists.
 
@@ -570,6 +580,15 @@ class EmbeddingReport:
     def passed(self) -> bool:
         return self.collision_ok and (
             self.separation_gap is None or self.separation_gap > 0
+        )
+
+
+def check_embed_size(size: int) -> None:
+    """Refuse an embedding of ``size`` points over ``MAX_EMBED_POINTS``."""
+    if size > MAX_EMBED_POINTS:
+        raise ValueError(
+            f"embed takes at most {MAX_EMBED_POINTS} points, got {size}: "
+            "its metric and pair checks grow with the square of the size"
         )
 
 

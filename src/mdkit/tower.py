@@ -1,21 +1,21 @@
-"""Factor and section maps between gap subshifts at factorial gaps.
+"""Factor and section maps between the gap subshifts of the tower.
 
 Level m of the tower is the subshift with gap m! and a fixed distance
-threshold.  The factor map from level m to level m-1 sums m translates
-spaced (m-1)! apart; its explicit one-sided inverse (the section) rebuilds a
-preimage from its head block, the values on the initial block, and
-telescoping sums elsewhere.  All index bookkeeping is done symbolically on
-integer intervals before any value is touched, so failures surface as domain
-errors.
+threshold.  Its ``LevelPlan`` holds all its index arithmetic: the factor map
+to level m-1 sums m translates spaced (m-1)! apart, and its one-sided inverse
+(the section) rebuilds a preimage from a head block of (m-1)*(m-1)! entries
+and telescoping sums.  Index bookkeeping is done on integer intervals before
+any value is touched, so failures surface as domain errors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .shiftspace import (
     Periodic,
@@ -38,17 +38,6 @@ from .torus import (
 )
 
 
-# Coordinates one `tower verify` command may hold, samples * N * (window +
-# section), checked before any draw: 98,000 take 0.75 s per process at N = 1
-# (Python 3.11.7, 2-CPU x86-64 VM). The (m-1)! entries of the base block,
-# which every window covers, are held to it first.
-MAX_VERIFY_ENTRIES = 100_000
-# Largest prime bound of an aperiodicity report, checked before the sieve.
-# Each prime above the depth lists a witness of its own period, so the report
-# grows quadratically: p_max 1,000 prints 4.1 MB in 0.8 s on the same VM.
-MAX_APERIODICITY_PRIME = 1000
-
-
 class DomainError(ValueError):
     """An index-interval precondition failed before any evaluation."""
 
@@ -60,23 +49,47 @@ def level_gap(m: int) -> int:
     return math.factorial(m)
 
 
+class LevelPlan(NamedTuple):
+    """Level m: its gap m! is ``terms`` = m strides of (m-1)!; its factor map
+    sums ``terms`` entries a stride apart, its section's head is terms-1 strides."""
+
+    stride: int
+    terms: int
+    gap: int
+    head: int
+
+    @classmethod
+    @functools.lru_cache(maxsize=64)
+    def of(cls, m: int) -> LevelPlan:
+        gap = level_gap(m)
+        return cls(gap // m, m, gap, gap - gap // m)
+
+
+# Coordinates one `tower verify` command may hold, samples * N * (window +
+# section), checked before any draw: 98,000 take 0.75 s per process at N = 1
+# (Python 3.11.7, 2-CPU x86-64 VM). Every window covers the (m-1)! entries of
+# the base block, so the last level it admits, ``MAX_VERIFY_LEVEL``, is the
+# first whose gap m! is over it; a higher level is refused before its gap is formed.
+MAX_VERIFY_ENTRIES = 100_000
+MAX_VERIFY_LEVEL = next(m for m in range(1, MAX_VERIFY_ENTRIES) if level_gap(m) > MAX_VERIFY_ENTRIES)
+# Largest prime bound of an aperiodicity report, checked before the sieve.
+# Each prime above the depth lists a witness of its own period, so the report
+# grows quadratically: p_max 1,000 prints 4.1 MB in 0.8 s on the same VM.
+MAX_APERIODICITY_PRIME = 1000
+
+
 # ---------------------------------------------------------------------------
 # Anchors: the head block of a section
 
 
-def _head_length(m: int) -> int:
-    """Entries of the level-m head block [0, (m-1)*(m-1)!-1]."""
-    return (m - 1) * level_gap(m - 1)
-
-
 def zero_anchor(dim: int, m: int) -> TorusSeq:
     """The all-zero head block of the level-m section."""
-    return TorusSeq.zero(dim, _head_length(m))
+    return TorusSeq.zero(dim, LevelPlan.of(m).head)
 
 
 def random_anchor(dim: int, m: int, rng: random.Random) -> TorusSeq:
     """A random head block of the level-m section, drawn in index order."""
-    return random_window(dim, 0, _head_length(m), rng).seq
+    return random_window(dim, 0, LevelPlan.of(m).head, rng).seq
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +107,15 @@ def factor_map(m: int, x: SeqPoint) -> SeqPoint:
     """
     if m < 2:
         raise ValueError("factor map requires level >= 2")
-    q = level_gap(m - 1)
+    plan = LevelPlan.of(m)
     if isinstance(x, Periodic):
         p = x.period
-        stride = q % p
-        extended = x.seq.take([i % p for i in range(p + (m - 1) * stride)])
-        return Periodic(strided_sums(extended, stride, m))
-    if x.end - (m - 1) * q < x.start:
+        stride = plan.stride % p
+        extended = x.seq.take([i % p for i in range(p + (plan.terms - 1) * stride)])
+        return Periodic(strided_sums(extended, stride, plan.terms))
+    if x.end - plan.head < x.start:
         raise DomainError("domain shrinks to empty")
-    return Window(x.start, strided_sums(x.seq, q, m))
+    return Window(x.start, strided_sums(x.seq, plan.stride, plan.terms))
 
 
 def factor_chain(m: int, n: int, x: SeqPoint) -> SeqPoint:
@@ -126,15 +139,15 @@ def section_domain(m: int, lo: int, hi: int) -> tuple[int, int]:
     """
     if m < 2:
         raise ValueError("section requires level >= 2")
-    q = level_gap(m - 1)
+    plan = LevelPlan.of(m)
     if hi < lo:
         raise DomainError("output domain empty")
-    if lo > 0 or hi < q - 1:
+    if lo > 0 or hi < plan.stride - 1:
         raise DomainError(
-            f"section at level {m} needs the input window to cover [0, {q - 1}] "
+            f"section at level {m} needs the input window to cover [0, {plan.stride - 1}] "
             f"and to start at or below 0 (got [{lo}, {hi}])"
         )
-    return lo, hi + (m - 1) * q
+    return lo, hi + plan.head
 
 
 def section_map(m: int, head: TorusSeq, x: Window) -> Window:
@@ -152,11 +165,11 @@ def section_map(m: int, head: TorusSeq, x: Window) -> Window:
             "section consumes windows only; unroll periodic points first "
             "(the section does not preserve periodicity)"
         )
-    q = level_gap(m - 1)
     out_lo, _ = section_domain(m, x.start, x.end)
-    if len(head) != (m - 1) * q:
-        raise ValueError(f"the level-{m} section needs a head block of {(m - 1) * q} entries")
-    return Window(out_lo, solve_strided_sums(head, x.seq, -x.start, q, m))
+    plan = LevelPlan.of(m)
+    if len(head) != plan.head:
+        raise ValueError(f"the level-{m} section needs a head block of {plan.head} entries")
+    return Window(out_lo, solve_strided_sums(head, x.seq, -x.start, plan.stride, plan.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +237,12 @@ def verify_section_range(
     lower tail (k < 0); counts per partition are reported so a caller can see
     each case was exercised.
     """
-    q = level_gap(m - 1)
-    big = level_gap(m)
-    pre = check_membership(gap_space(x.dim, q, threshold), x)
+    stride, _, big, _ = LevelPlan.of(m)
+    pre = check_membership(gap_space(x.dim, stride, threshold), x)
     if pre.verdict == "vacuous":
         raise ValueError(
             f"input window of {len(x.seq)} entries is too short to check anything: "
-            f"the level-{m - 1} gap constraint needs more than {q} entries"
+            f"the level-{m - 1} gap constraint needs more than {stride} entries"
         )
     if not pre.passed:
         raise ValueError("input window does not satisfy its own gap constraint")
@@ -242,6 +254,25 @@ def verify_section_range(
         "lower_tail": len(range(checked.start, min(checked.stop, 0))),
     }
     return SectionRangeReport(partition_counts=counts, failures=report.failures)
+
+
+def check_verify_size(m: int, lo: int, hi: int, samples: int, dim: int) -> LevelPlan:
+    """The level-m plan for ``samples`` windows [lo, hi) and their sections in
+    dimension ``dim``; a level over the cap is refused before its gap is formed."""
+    if m > MAX_VERIFY_LEVEL:
+        raise ValueError(
+            f"level {m} needs a window covering the {m - 1}! entries of the base "
+            f"block, over the cap of {MAX_VERIFY_ENTRIES} on tower verify"
+        )
+    out_lo, out_hi = section_domain(m, lo, hi - 1)
+    coordinates = samples * (hi - lo + out_hi - out_lo + 1) * dim
+    if coordinates > MAX_VERIFY_ENTRIES:
+        raise ValueError(
+            f"{samples} samples of a {hi - lo}-entry window and its "
+            f"{out_hi - out_lo + 1}-entry section in dimension {dim} hold "
+            f"{coordinates} coordinates, over the cap of {MAX_VERIFY_ENTRIES} on tower verify"
+        )
+    return LevelPlan.of(m)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +402,7 @@ def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> tuple[dict, ...]:
     certificates: list[dict] = []
     for p in _primes_up_to(p_max):
         if p <= spec.m_max:
-            gap = level_gap(p)
+            gap = LevelPlan.of(p).gap
             rng = random.Random(p * 7919)
             sample = Periodic(random_window(spec.dim, 0, p, rng).seq)
             report = check_membership(gap_space(spec.dim, gap, spec.delta), sample)
@@ -393,7 +424,7 @@ def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> tuple[dict, ...]:
                 }
             )
         else:
-            gap = level_gap(spec.m_max)
+            gap = LevelPlan.of(spec.m_max).gap
             witness = periodic_witness(spec.dim, gap, spec.delta, p)
             verified = check_membership(
                 gap_space(spec.dim, gap, spec.delta), witness

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from mdkit.finite import FiniteSystem, enumerate_markers, time_division
 from mdkit.shiftspace import Periodic, Window, check_membership, gap_space, random_torus_vec
 from mdkit.meandim import Cover, cover_ord, validate_cover
 from mdkit.torus import TorusSeq, TorusVec, dist_at_least, max_circle_dist
-from mdkit.tower import DomainError, level_gap, section_domain
+from mdkit.tower import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +356,7 @@ def factor_map_per_entry(m, x):
     """The level-m factor map summed entry by entry: m vector additions each."""
     if m < 2:
         raise ValueError("factor map requires level >= 2")
-    q = level_gap(m - 1)
+    q = factorial(m - 1)
     span = (m - 1) * q
     if isinstance(x, Periodic):
         p = x.period
@@ -384,10 +384,12 @@ def section_map_per_entry(m, head, x):
     telescoping step per entry upward and downward."""
     if any(v.dim != x.dim for v in head):
         raise ValueError("alphabet dimension mismatch")
-    q = level_gap(m - 1)
-    big = level_gap(m)
+    q = factorial(m - 1)
+    big = factorial(m)
     c = (m - 1) * q
-    out_lo, out_hi = section_domain(m, x.start, x.end)
+    if x.start > 0 or x.end < q - 1:
+        raise DomainError("the input window must cover the base references [0, (m-1)! - 1]")
+    out_lo, out_hi = x.start, x.end + c
     values: dict[int, TorusVec] = {}
     for k in range(0, c):
         values[k] = head[k]
@@ -409,8 +411,8 @@ def section_map_per_entry(m, head, x):
 
 def section_value_oracle(m, head, x, k):
     """Evaluate the level-m section at index k by the raw case sums."""
-    q = level_gap(m - 1)
-    big = level_gap(m)
+    q = factorial(m - 1)
+    big = factorial(m)
     c = (m - 1) * q
     if 0 <= k <= c - 1:
         return head[k]
@@ -430,6 +432,25 @@ def section_value_oracle(m, head, x, k):
     for i in range(n, 0):
         acc = acc + (x.value_at(i * big + j) - x.value_at(i * big + q + j))
     return acc
+
+
+def section_range_per_index(m, y, threshold):
+    """The range check of a level-m section y, one index k at a time: the
+    indices k whose pair (k, k + m!) lies in y, counted by the partition
+    that k falls in, and those whose pair is closer than the threshold."""
+    big = factorial(m)
+    counts = {"base_block": 0, "upper_tail": 0, "lower_tail": 0}
+    failures = []
+    for k in range(y.start, y.end - big + 1):
+        if k < 0:
+            counts["lower_tail"] += 1
+        elif k < big:
+            counts["base_block"] += 1
+        else:
+            counts["upper_tail"] += 1
+        if max_circle_dist(y.value_at(k), y.value_at(k + big)) < threshold:
+            failures.append(k)
+    return counts, tuple(failures)
 
 
 # ---------------------------------------------------------------------------

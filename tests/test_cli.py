@@ -697,9 +697,10 @@ class TestExitCodes:
         argv = ["tower", "verify", "--m", "3", "--window=-2:100000000", "--anchors", "random"]
         assert cli.main(argv) == 2
         assert "over the cap of 100000" in capsys.readouterr().err
-        # a huge level is refused before its factorial gap is formed
+        # a huge level is refused before its factorial gap is formed: only
+        # mdkit.tower forms gaps, each by its level_gap
+        assert "level_gap" not in vars(cli)
         monkeypatch.setattr(tower, "level_gap", drawn)
-        monkeypatch.setattr(cli, "level_gap", drawn)
         for m in ("2000", "1000000"):
             assert cli.main(["tower", "verify", "--m", m, "--window=0:10"]) == 2
             assert "over the cap of 100000" in capsys.readouterr().err
@@ -738,6 +739,8 @@ class TestExitCodes:
              "embed takes at most 200 points, got 3000000"),
             (["markers", "transfer", "--system", "cycles:3000000", "--n", "2", "--N", "2"],
              "has 6000000 points, over the cap of 10000 on a marker transfer"),
+            (["markers", "search", "--system", "cycles:20000000", "--N", "2"],
+             "markers search takes at most 1000000 points, got 20000000"),
             # a negative length would bring the sum under the cap
             (["embed", "--system", "cycles:3000000,-2999999", "--metric", "uniform:0", "--epsilon", "1/10"],
              "cycle lengths must be >= 1"),
@@ -763,11 +766,14 @@ class TestExitCodes:
 
     def test_caps_hold_at_their_boundaries(self, capsys, monkeypatch):
         # lowered so the boundary runs fast: the cap itself is accepted
-        monkeypatch.setattr(cli, "MAX_EMBED_POINTS", 12)
+        monkeypatch.setattr(finite, "MAX_EMBED_POINTS", 12)
         monkeypatch.setattr(finite, "MAX_TRANSFER_POINTS", 24)
+        monkeypatch.setattr(finite, "MAX_SEARCH_POINTS", 8)
         for system, code in (("cycles:5,7", 0), ("cycles:6,7", 2)):
             argv = ["embed", "--system", system, "--metric", "uniform:1/4", "--epsilon", "1/10"]
             assert cli.main(argv) == code
+        for system, code in (("cycles:3,5", 0), ("cycles:3,5,1", 2)):
+            assert cli.main(["markers", "search", "--system", system, "--N", "2"]) == code
         for system, code in (("cycles:3,5", 0), ("cycles:3,5,1", 2)):
             argv = ["markers", "transfer", "--system", system, "--n", "3", "--N", "2"]
             assert cli.main(argv) == code

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -21,7 +22,10 @@ from mdkit.shiftspace import (
 )
 from mdkit.torus import TorusSeq, TorusVec, max_circle_dist
 from mdkit.tower import (
+    MAX_VERIFY_ENTRIES,
+    MAX_VERIFY_LEVEL,
     DomainError,
+    LevelPlan,
     TowerElementTrunc,
     TowerSpec,
     factor_chain,
@@ -43,6 +47,7 @@ from oracles import (
     lane_edge_seq,
     mixed_den_vec,
     section_map_per_entry,
+    section_range_per_index,
     section_value_oracle,
 )
 
@@ -66,6 +71,19 @@ class TestLevelGap:
     def test_error(self):
         with pytest.raises(ValueError):
             level_gap(0)
+
+    def test_plan(self):
+        for m in range(1, 10):
+            plan = LevelPlan.of(m)
+            assert (plan.stride, plan.terms) == (math.factorial(m - 1), m)
+            assert plan.gap == plan.terms * plan.stride == level_gap(m)
+            assert plan.head == (plan.terms - 1) * plan.stride
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="level must be >= 1"):
+                LevelPlan.of(m)
+
+    def test_verify_level_cap_is_the_last_base_block_under_the_entry_cap(self):
+        assert level_gap(MAX_VERIFY_LEVEL - 1) <= MAX_VERIFY_ENTRIES < level_gap(MAX_VERIFY_LEVEL)
 
 
 class TestFactorMap:
@@ -356,20 +374,10 @@ class TestKernelsMatchPerEntry:
                     random_window(1, start, length, rng),
                     sample_gap_window(1, big, HALF, start, length, rng),
                 ):
-                    counts = {"base_block": 0, "upper_tail": 0, "lower_tail": 0}
-                    failures = []
-                    for k in range(y.start, y.end - big + 1):
-                        if k < 0:
-                            counts["lower_tail"] += 1
-                        elif k < big:
-                            counts["base_block"] += 1
-                        else:
-                            counts["upper_tail"] += 1
-                        if max_circle_dist(y.value_at(k), y.value_at(k + big)) < HALF:
-                            failures.append(k)
+                    counts, failures = section_range_per_index(m, y, HALF)
                     report = verify_section_range(m, x, y, HALF)
                     assert list(report.partition_counts.items()) == list(counts.items())
-                    assert report.failures == tuple(failures)
+                    assert report.failures == failures
 
 
 class TestSectionIdentity:
