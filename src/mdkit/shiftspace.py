@@ -654,6 +654,9 @@ def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> Periodi
     threshold = Fraction(threshold)
     if p < 1:
         raise ValueError("a periodic point needs period >= 1")
+    # before the cap, which p * dim passes for any dim <= 0
+    if dim < 1:
+        raise ValueError("alphabet dimension must be positive")
     check_periodic_coordinates(f"a period-{p} point in dimension {dim} holds", p * dim)
     if gap % p == 0:
         raise ValueError("no period-p points exist when p divides the gap")

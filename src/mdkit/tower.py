@@ -1,11 +1,13 @@
-"""Factor and section maps between the gap subshifts of the tower.
+"""Factor and section maps between the gap subshifts of the tower, and their checks.
 
 Level m of the tower is the subshift with gap m! and a fixed distance
 threshold.  Its ``LevelPlan`` holds all its index arithmetic: the factor map
 to level m-1 sums m translates spaced (m-1)! apart, and its one-sided inverse
 (the section) rebuilds a preimage from a head block of (m-1)*(m-1)! entries
 and telescoping sums.  Index bookkeeping is done on integer intervals before
-any value is touched, so failures surface as domain errors.
+any value is touched, so failures surface as domain errors.  ``tower verify``
+checks the section identity and range at one level; ``tower aperiodicity``
+certifies period-p points up to a truncation depth given by a ``TowerSpec``.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .shiftspace import (
     Periodic,
@@ -116,15 +118,6 @@ def factor_map(m: int, x: SeqPoint) -> SeqPoint:
     if x.end - plan.head < x.start:
         raise DomainError("domain shrinks to empty")
     return Window(x.start, strided_sums(x.seq, plan.stride, plan.terms))
-
-
-def factor_chain(m: int, n: int, x: SeqPoint) -> SeqPoint:
-    """Compose factor maps from level m down to level n (m > n >= 1)."""
-    if not 1 <= n < m:
-        raise ValueError("factor chain requires m > n >= 1")
-    for level in range(m, n, -1):
-        x = factor_map(level, x)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +269,16 @@ def check_verify_size(m: int, lo: int, hi: int, samples: int, dim: int) -> Level
 
 
 # ---------------------------------------------------------------------------
-# Tower specification and truncated tower elements
+# Tower specification
 
 
 @dataclass(frozen=True)
 class TowerSpec:
-    """Alphabet dimension, distance threshold, truncation depth and the head
-    block of each level's section."""
+    """Alphabet dimension, distance threshold and truncation depth."""
 
     dim: int
     delta: Fraction
     m_max: int
-    anchors: Mapping[int, TorusSeq] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -298,70 +289,6 @@ class TowerSpec:
         if self.m_max < 1:
             raise ValueError("truncation depth must be >= 1")
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "anchors", dict(self.anchors))
-
-    def anchor_for(self, level: int) -> TorusSeq:
-        """The level's head block; all zeros where the spec sets none."""
-        head = self.anchors.get(level)
-        return zero_anchor(self.dim, level) if head is None else head
-
-
-@dataclass(frozen=True)
-class TowerElementTrunc:
-    """Windows at levels 1..depth, consistent under the factor maps."""
-
-    depth: int
-    components: tuple[Window, ...]
-
-    def component(self, level: int) -> Window:
-        if not 1 <= level <= self.depth:
-            raise ValueError(f"no component at level {level}")
-        return self.components[level - 1]
-
-
-def tower_element(spec: TowerSpec, m: int, x: Window) -> TowerElementTrunc:
-    """Fill a truncated tower element around a level-m window.
-
-    Levels below m come from the factor chain, level m is x itself, levels
-    above come from iterated sections with the spec's per-level head blocks.
-    The result is checked for factor-consistency on every consecutive overlap.
-    """
-    if not 1 <= m <= spec.m_max:
-        raise ValueError("level must lie within the truncation depth")
-    if x.dim != spec.dim:
-        raise ValueError("alphabet dimension mismatch")
-    components: dict[int, Window] = {m: x}
-    current = x
-    for level in range(m, 1, -1):
-        try:
-            current = factor_map(level, current)
-        except DomainError as exc:
-            raise DomainError(f"factor map to level {level - 1} failed: {exc}") from exc
-        components[level - 1] = current
-    current = x
-    for level in range(m + 1, spec.m_max + 1):
-        try:
-            current = section_map(level, spec.anchor_for(level), current)
-        except DomainError as exc:
-            raise DomainError(f"section to level {level} failed: {exc}") from exc
-        components[level] = current
-    element = TowerElementTrunc(
-        depth=spec.m_max,
-        components=tuple(components[level] for level in range(1, spec.m_max + 1)),
-    )
-    if element.component(m) != x:
-        raise AssertionError("level-m component must be the input window")
-    for level in range(1, spec.m_max):
-        ok, bad = windows_agree_on_overlap(
-            factor_map(level + 1, element.component(level + 1)),
-            element.component(level),
-        )
-        if not ok:
-            raise AssertionError(
-                f"factor-consistency failed between levels {level + 1} and {level} "
-                f"at indices {bad}"
-            )
-    return element
 
 
 # ---------------------------------------------------------------------------

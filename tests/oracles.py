@@ -19,7 +19,7 @@ from mdkit.finite import FiniteSystem, enumerate_markers, time_division
 from mdkit.shiftspace import Periodic, Window, check_membership, gap_space, random_torus_vec
 from mdkit.meandim import Cover, cover_ord, validate_cover
 from mdkit.torus import TorusSeq, TorusVec, dist_at_least, max_circle_dist
-from mdkit.tower import DomainError
+from mdkit.tower import DomainError, factor_map, section_map
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +403,29 @@ def section_map_per_entry(m, head, x):
     for k in range(-1, out_lo - 1, -1):
         values[k] = values[k + big] + (x.value_at(k) - x.value_at(k + q))
     return Window(out_lo, TorusSeq.of(values[k] for k in range(out_lo, out_hi + 1)))
+
+
+# ---------------------------------------------------------------------------
+# Chains of maps across levels
+
+
+def factor_chain(m, n, x):
+    """The factor maps from level m down to level n, composed."""
+    for level in range(m, n, -1):
+        x = factor_map(level, x)
+    return x
+
+
+def tower_components(m, x, m_max, heads=None):
+    """Windows at levels 1..m_max around the level-m window x, keyed by level:
+    factor maps below m, sections above it with heads[level] or a zero head."""
+    components = {m: x}
+    for level in range(m, 1, -1):
+        components[level - 1] = factor_map(level, components[level])
+    for level in range(m + 1, m_max + 1):
+        zero = TorusSeq.zero(x.dim, (level - 1) * factorial(level - 1))
+        components[level] = section_map(level, (heads or {}).get(level, zero), components[level - 1])
+    return components
 
 
 # ---------------------------------------------------------------------------

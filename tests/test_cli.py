@@ -788,6 +788,21 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert "100150 coordinates" in capsys.readouterr().err
 
+    def test_witness_dimension_comes_before_the_coordinate_cap(self, capsys, monkeypatch):
+        def built(*args):
+            raise AssertionError("built the witness before its dimension was checked")
+
+        # p * N is at most 0, under the cap, so a p-entry point was once
+        # built before the gap space refused the dimension
+        monkeypatch.setattr(shiftspace, "best_periodic_gap", built)
+        for n in ("0", "-1"):
+            started = time.monotonic()
+            code = cli.main(["shift", "witness", "--p", str(2**31), "--m", "1", "--N", n])
+            elapsed = time.monotonic() - started
+            assert code == 2
+            assert capsys.readouterr().err.splitlines() == ["mdkit: error: alphabet dimension must be positive"]
+            assert elapsed < 1
+
     def test_aperiodicity_cap_refused_before_the_sieve(self, capsys, monkeypatch):
         def sieved(n):
             raise AssertionError("sieved before the cap was checked")

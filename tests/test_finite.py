@@ -303,6 +303,18 @@ class TestMarkerSearch:
         assert data["subset_points"] == ["c0n0"]
         assert any("covers" in entry["condition"] for entry in data["transcript"])
 
+    def test_found_transcript_holds_one_record_per_condition(self):
+        # once the verifier passes, its N - 1 per-n records are all empty;
+        # a 100,000-marker keeps two records, not 100,000
+        for n_marker in (1, 2, 5, 100_000):
+            sys_ = cycles(n_marker, n_marker + 1)
+            cert = marker_search(sys_, n_marker)
+            conditions = ["the orbit of U covers every point"]
+            if n_marker > 1:
+                conditions.insert(0, f"U and its n-step preimage are disjoint, n=1..{n_marker - 1}")
+            assert [record["condition"] for record in cert.transcript] == conditions
+            assert not any(record["violations"] for record in cert.transcript)
+
 
 class TestRokhlin:
     def test_five_cycle(self):

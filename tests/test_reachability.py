@@ -26,8 +26,6 @@ ALLOWLIST = {
     ("complexes", "coindex_finite"): 3,
     ("complexes", "join_complexes"): 3,
     ("finite", "map_to_unit_step_space"): 6,
-    ("tower", "tower_element"): 16,
-    ("tower", "factor_chain"): 16,
     ("shiftspace", "half_step_space"): 4,
     # bench/tracer.py looks these up by name until item 15 removes its patches
     ("shiftspace", "unroll"): 15,

@@ -26,16 +26,13 @@ from mdkit.tower import (
     MAX_VERIFY_LEVEL,
     DomainError,
     LevelPlan,
-    TowerElementTrunc,
     TowerSpec,
-    factor_chain,
     factor_map,
     level_gap,
     random_anchor,
     section_domain,
     section_map,
     tower_aperiodicity_report,
-    tower_element,
     verify_section_identity,
     verify_section_range,
     windows_agree_on_overlap,
@@ -43,12 +40,14 @@ from mdkit.tower import (
 )
 
 from oracles import (
+    factor_chain,
     factor_map_per_entry,
     lane_edge_seq,
     mixed_den_vec,
     section_map_per_entry,
     section_range_per_index,
     section_value_oracle,
+    tower_components,
 )
 
 HALF = Fraction(1, 2)
@@ -464,56 +463,50 @@ class TestSectionRange:
 
 
 class TestTowerElement:
+    """Windows at several levels, built by ``oracles.tower_components``,
+    agree under the factor maps."""
+
     def test_three_components_consistent(self):
         rng = random.Random(91)
-        spec = TowerSpec(dim=1, delta=HALF, m_max=3)
         x = sample_gap_window(1, level_gap(2), HALF, 0, 13, rng)
-        element = tower_element(spec, 2, x)
-        assert element.depth == 3
-        assert element.component(2) == x
-        back = factor_map(3, element.component(3))
-        ok, _ = windows_agree_on_overlap(back, element.component(2))
+        components = tower_components(2, x, 3)
+        assert sorted(components) == [1, 2, 3]
+        assert components[2] == x
+        back = factor_map(3, components[3])
+        ok, _ = windows_agree_on_overlap(back, components[2])
         assert ok
 
     def test_depth_one(self):
-        spec = TowerSpec(dim=1, delta=HALF, m_max=1)
         x = Window(0, seq_of(0, 1))
-        element = tower_element(spec, 1, x)
-        assert element.depth == 1 and element.component(1) == x
+        assert tower_components(1, x, 1) == {1: x}
 
     def test_zero_window_zero_anchors(self):
-        spec = TowerSpec(dim=1, delta=HALF, m_max=4)
         x = Window(-6, TorusSeq.zero(1, 20))
-        element = tower_element(spec, 3, x)
+        components = tower_components(3, x, 4)
         for level in range(1, 5):
-            assert all(v == TorusVec.zero(1) for v in element.component(level).values)
+            assert all(v == TorusVec.zero(1) for v in components[level].values)
 
     def test_domain_failure_names_level(self):
-        spec = TowerSpec(dim=1, delta=HALF, m_max=4)
-        # too short for the chain down to level 1
-        with pytest.raises(DomainError, match="factor map to level 1"):
-            tower_element(spec, 3, Window(0, seq_of(0, 1, 0, 1, 0)))
+        # too short for the chain down to level 1: the level-2 factor map
+        # of the single level-2 entry is empty
+        with pytest.raises(DomainError, match="domain shrinks to empty"):
+            tower_components(3, Window(0, seq_of(0, 1, 0, 1, 0)), 4)
         # chain fits but end = 3 < 3! - 1: the section to level 4 lacks its base block
-        with pytest.raises(DomainError, match="section to level 4"):
-            tower_element(spec, 3, Window(-2, seq_of(0, 1, 0, 1, 0, 1)))
+        with pytest.raises(DomainError, match=r"section at level 4 needs the input window to cover \[0, 5\]"):
+            tower_components(3, Window(-2, seq_of(0, 1, 0, 1, 0, 1)), 4)
 
     def test_random_anchors_still_consistent(self):
         rng = random.Random(92)
-        spec = TowerSpec(
-            dim=1,
-            delta=HALF,
-            m_max=4,
-            anchors={
-                3: random_anchor(1, 3, rng),
-                4: random_anchor(1, 4, rng),
-            },
-        )
+        heads = {3: random_anchor(1, 3, rng), 4: random_anchor(1, 4, rng)}
         x = sample_gap_window(1, level_gap(2), HALF, -2, 3 * level_gap(2) + 2, rng)
-        element = tower_element(spec, 2, x)
+        components = tower_components(2, x, 4, heads)
+        for level, head in heads.items():
+            y = components[level]
+            assert y.seq[-y.start : len(head) - y.start] == head
         for level in range(1, 4):
             ok, _ = windows_agree_on_overlap(
-                factor_map(level + 1, element.component(level + 1)),
-                element.component(level),
+                factor_map(level + 1, components[level + 1]),
+                components[level],
             )
             assert ok
 
@@ -550,21 +543,6 @@ class TestAperiodicity:
 
 
 class TestTowerSpec:
-    def test_element_components(self):
-        spec = TowerSpec(dim=1, delta=HALF, m_max=2)
-        x = Window(0, seq_of(0, 1, 0, 1))
-        element = tower_element(spec, 2, x)
-        assert element.depth == 2
-        assert element.components[1] == x
-
-    def test_anchor_for_a_missing_level_is_zero(self):
-        rng = random.Random(93)
-        head = random_anchor(2, 3, rng)
-        spec = TowerSpec(dim=2, delta=HALF, m_max=4, anchors={3: head})
-        assert spec.anchor_for(3) == head
-        assert spec.anchor_for(4) == zero_anchor(2, 4)
-        assert len(spec.anchor_for(4)) == 3 * level_gap(3)
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             TowerSpec(dim=1, delta=Fraction(3, 2), m_max=2)
