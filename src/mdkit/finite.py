@@ -55,8 +55,8 @@ MAX_MARKERS = 200_000
 MAX_EMBED_POINTS = 200
 # Largest clock extension, n*|X| points, a marker transfer builds, checked
 # before ``time_division``: at 10,000 points `markers transfer --system
-# cycles:3333 --n 3 --N 3333` takes 1.0 s in process; at 30,000 it takes 7.6 s
-# (same VM).
+# cycles:10000 --n 1 --N 10000` takes 0.12 s in process, at 30,000 (`--n 3`)
+# 0.2 s (same VM); N adds no cost, as ``_is_marker`` reads cycle positions.
 MAX_TRANSFER_POINTS = 10_000
 # Largest system a marker search takes, checked before any point of a
 # shorthand is built: `markers search --system cycles:1000000 --N 2` answers
@@ -105,6 +105,15 @@ class FiniteSystem:
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition, computed once (see ``permutation_cycles``)."""
         return permutation_cycles(self.perm)
+
+    @cached_property
+    def cycle_positions(self) -> tuple[tuple[int, int], ...]:
+        """Per point, the index of its cycle in ``cycles`` and its position there."""
+        where = [(0, 0)] * self.size
+        for c, cycle in enumerate(self.cycles):
+            for k, i in enumerate(cycle):
+                where[i] = (c, k)
+        return tuple(where)
 
     def cycle_lengths(self) -> list[int]:
         return [len(c) for c in self.cycles]
@@ -303,16 +312,24 @@ def verify_marker(
 
 
 def _is_marker(sys_: FiniteSystem, subset, n_marker: int) -> bool:
-    """The verdict of ``verify_marker`` alone, for callers that keep no
-    transcript: no record is built, and the first violation ends the check."""
-    chosen = frozenset(subset)
-    perm = sys_.perm
-    for i in chosen:
-        for _ in range(1, n_marker):
-            i = perm[i]
-            if i in chosen:
+    """The verdict of ``verify_marker`` alone, from cycle positions: U is an
+    N-marker when every cycle holds a point of U and, per cycle, the positions
+    of U in order, the wrap from last to first included, lie N or more apart."""
+    cycles = sys_.cycles
+    # U's (cycle, position) pairs in order, closed by a pair past the last
+    # cycle, which the count of covered cycles takes in too
+    marks = sorted(map(sys_.cycle_positions.__getitem__, set(subset)))
+    covered, current = 0, -1
+    for c, k in marks + [(len(cycles), 0)]:
+        if c != current:
+            # the wrap from the last mark of the cycle before to its first
+            if covered and len(cycles[current]) - last + first < n_marker:
                 return False
-    return all(not chosen.isdisjoint(cycle) for cycle in sys_.cycles)
+            covered, current, first = covered + 1, c, k
+        elif k - last < n_marker:
+            return False
+        last = k
+    return covered == len(cycles) + 1
 
 
 def _early_returns(sys_: FiniteSystem, points, n_marker: int):

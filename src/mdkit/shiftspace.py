@@ -16,8 +16,9 @@ seed gives the same points whatever the representation.
 ``getrandbits``, and the tests compare it, generator end state included,
 with ``randrange`` oracles on every supported Python.  Subshift
 constraints are declarative: a minimum distance between entries a fixed gap
-apart, a disjunction of distance conditions on the two adjacent steps, or a
-binary subshift of finite type given by its forbidden words.  A membership
+apart, a minimum distance for one of the two adjacent steps, or a binary
+subshift of finite type given by its forbidden words.  Both distance
+constraints are decided by :func:`~mdkit.torus.gap_failures`.  A membership
 check reports the range of indices at which a constraint was checkable and
 the indices at which it fails, and never conflates "nothing was checkable"
 with "all checks passed".
@@ -38,7 +39,6 @@ from .torus import (
     TorusVec,
     concat,
     first_far,
-    gap_distances,
     gap_failures,
 )
 
@@ -190,17 +190,6 @@ class EitherOrAtLeast:
 
 
 @dataclass(frozen=True)
-class EitherOrEquals:
-    """At each n, one of the two adjacent steps has distance exactly value."""
-
-    value: Fraction
-    dim: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
-
-
-@dataclass(frozen=True)
 class BinarySFT:
     """Binary subshift of finite type: letters 0/1, forbidden equal-length words."""
 
@@ -226,7 +215,7 @@ class BinarySFT:
         return len(next(iter(self.forbidden)))
 
 
-SubshiftSpec = Union[GapAtLeast, EitherOrAtLeast, EitherOrEquals, BinarySFT]
+SubshiftSpec = Union[GapAtLeast, EitherOrAtLeast, BinarySFT]
 
 
 @functools.lru_cache(maxsize=256)
@@ -241,9 +230,10 @@ def half_step_space() -> EitherOrAtLeast:
     return EitherOrAtLeast(threshold=Fraction(1, 2), dim=1)
 
 
-def unit_step_space() -> EitherOrEquals:
-    """Adjacent-step space: one of the two neighbouring steps moves exactly 1."""
-    return EitherOrEquals(value=Fraction(1), dim=1)
+def unit_step_space() -> EitherOrAtLeast:
+    """Adjacent-step space: one of the two neighbouring steps moves exactly 1.
+    No distance exceeds the diameter 1, so that is a step of at least 1."""
+    return EitherOrAtLeast(threshold=Fraction(1), dim=1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +280,14 @@ def check_membership(spec: SubshiftSpec, x: SeqPoint) -> MembershipReport:
     if isinstance(spec, GapAtLeast):
         checked = _checkable_range(x, 0, spec.gap)
         failures = [checked[k] for k in gap_failures(x.seq, spec.gap, spec.threshold, cyclic)]
-    elif isinstance(spec, (EitherOrAtLeast, EitherOrEquals)):
+    elif isinstance(spec, EitherOrAtLeast):
         checked = _checkable_range(x, -1, 1)
-        # steps[k] is the distance from entry k to entry k + 1, cyclically
-        # for a periodic point, so steps[-1] closes the period
-        steps, den = gap_distances(x.seq, 1, cyclic)
-        if isinstance(spec, EitherOrAtLeast):
-            bar, scale = spec.threshold.numerator * den, spec.threshold.denominator
-            good = [d * scale >= bar for d in steps]
-        else:
-            bar, scale = spec.value.numerator * den, spec.value.denominator
-            good = [d * scale == bar for d in steps]
-        failures = [n for n in checked if not (good[n - 1 - first] or good[n - first])]
+        # near[k]: the step from entry k to entry k + 1 is short, cyclically
+        # for a periodic point, so near[-1] closes the period
+        near = [False] * (len(x.seq) if cyclic else len(x.seq) - 1)
+        for k in gap_failures(x.seq, 1, spec.threshold, cyclic):
+            near[k] = True
+        failures = [n for n in checked if near[n - 1 - first] and near[n - first]]
     else:
         checked = _checkable_range(x, 0, spec.word_length - 1)
         letters = {TorusVec.zero(x.dim): "0", TorusVec.of(*[1] * x.dim): "1"}
@@ -649,7 +635,8 @@ def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> Periodi
     c = floor(p/2) and g is the inverse of the gap mod p, so the gap must be
     coprime to p.  Its entries a gap apart differ by exactly 2c/p in every
     coordinate, so the realized distance is 1 for p = 2 and 1 - 1/p
-    otherwise.
+    otherwise.  The point is not checked here: each caller checks it once
+    with ``check_membership`` and reports that verdict.
     """
     threshold = Fraction(threshold)
     if p < 1:
@@ -669,8 +656,4 @@ def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> Periodi
         raise ValueError("witness construction insufficient for this threshold")
     c = p // 2
     g = pow(gap % p, -1, p)
-    point = Periodic(TorusSeq((tuple(2 * n * c * g for n in range(p)),) * dim, p))
-    report = check_membership(gap_space(dim, gap, threshold), point)
-    if not report.passed:
-        raise AssertionError("witness construction failed its own membership check")
-    return point
+    return Periodic(TorusSeq((tuple(2 * n * c * g for n in range(p)),) * dim, p))

@@ -14,11 +14,12 @@ denominator and one column of numerators per coordinate, in lowest terms
 like a vector, so equal sequences compare and hash equal.  Windows and
 periodic points hold one, and the sequence kernels take and return one
 (:func:`strided_sums`, :func:`solve_strided_sums`, :func:`gap_failures`,
-:func:`gap_distances`, :func:`first_far`, :func:`concat`,
-:func:`unequal_entries`): each works on plain integers mod ``2*den``, lifts
-to a common denominator at most once and only when the denominators
-differ, and builds no vector.  A vector is built from a sequence only where
-one is read: by indexing or iterating it.
+:func:`first_far`, :func:`concat`, :func:`unequal_entries`): each works
+on plain integers mod ``2*den``, lifts to a common denominator at most
+once and only when the denominators differ, and builds no vector.  A
+vector is built from a sequence only where one is read: by indexing or
+iterating it.  :func:`gap_failures` decides every distance test of a
+membership check, the gap constraints and the adjacent steps alike.
 
 The column kernels :func:`strided_sums`, :func:`solve_strided_sums` (both
 directions from a given block, at once) and :func:`gap_failures` work on
@@ -532,33 +533,6 @@ def gap_failures(seq: TorusSeq, gap: int, threshold: Fraction, cyclic: bool) -> 
     if not near:
         return []
     return list(compress(range(count), (near >> top).to_bytes(count * width, "little")[::width]))
-
-
-def gap_distances(seq: TorusSeq, gap: int, cyclic: bool) -> tuple[list[int], int]:
-    """Alphabet distances between entries ``gap`` apart, as numerators over one denominator.
-
-    Returns ``(nums, den)``: ``nums[k]/den`` is the distance from entry k
-    to entry ``k + gap``, for every k that has a partner, or for every k
-    with the index taken mod ``len(seq)`` when ``cyclic``.
-    """
-    if gap < 1:
-        raise ValueError("gap must be >= 1")
-    n = len(seq)
-    count = n if cyclic else n - gap
-    if count < 1:
-        return [], 1
-    den = seq.den
-    full = 2 * den
-    dim = seq.dim
-    # one flat pass over all coordinates, entry by entry, fast for short
-    # high-dim inputs too
-    flat = list(chain.from_iterable(zip(*seq.columns)))
-    offset = (gap % n if cyclic else gap) * dim
-    partner = flat[offset:] + flat[:offset] if cyclic else flat[offset:]
-    dists = [full - d if (d := (u - v) % full) > den else d for u, v in zip(flat, partner)]
-    if dim == 1:
-        return dists, den
-    return list(map(max, *(dists[i::dim] for i in range(dim)))), den
 
 
 def first_far(

@@ -106,6 +106,34 @@ class TestDispatch:
         backward = report["checks"][1]["witness"]["detail"]
         assert backward.startswith("all 1800 1800-markers of the extension project to (599)-markers")
 
+    def test_markers_transfer_cost_does_not_grow_with_N(self, capsys):
+        # 10,000 projections of one cycle, each decided from cycle positions:
+        # walking N - 1 steps from each point took about 7 s
+        started = time.monotonic()
+        code, report, _ = run_cli(
+            capsys, "markers", "transfer", "--system", "cycles:10000", "--n", "1", "--N", "10000"
+        )
+        assert time.monotonic() - started < 2
+        assert code == 0 and report["summary"]["verdict"] == "pass"
+
+    @pytest.mark.parametrize(
+        "argv, checks",
+        [
+            (["shift", "witness", "--p", "7", "--m", "3"], 1),
+            # one per witness prime, 5 and 7; none for the empty period 2 and 3
+            (["tower", "aperiodicity", "--m-max", "3", "--p-max", "7"], 2),
+        ],
+        ids=["shift-witness", "tower-aperiodicity"],
+    )
+    def test_each_witness_is_checked_once(self, capsys, monkeypatch, argv, checks):
+        calls = []
+        check = shiftspace.check_membership
+        for module in (cli, shiftspace, tower):
+            monkeypatch.setattr(module, "check_membership", lambda *args: calls.append(args) or check(*args))
+        code, report, _ = run_cli(capsys, *argv)
+        assert code == 0 and report["summary"]["verdict"] == "pass"
+        assert len(calls) == checks
+
     def test_markers_transfer_checks_each_projection_once(self, capsys, monkeypatch):
         calls, verdicts = [], []
         verify, is_marker = finite.verify_marker, finite._is_marker
@@ -432,9 +460,9 @@ class TestExitCodes:
                 "100005 coordinates, over the cap of 100000 on tower verify",
             ),
             (
-                ["tower", "aperiodicity", "--m-max", "2", "--p-max", "5", "--N", "20001"],
+                ["tower", "aperiodicity", "--m-max", "2", "--p-max", "5", "--N", "12501"],
                 None,
-                "100005 coordinates, over the cap of 100000 on periodic points",
+                "primes above 2 up to 5 in dimension 12501 hold 100008 coordinates, over the cap of 100000 on periodic points",
             ),
             (
                 ["complex", "coindex"],
@@ -668,7 +696,7 @@ class TestExitCodes:
             ["shift", "witness", "--p", "5", "--m", "2", "--N", "20000"],
             ["shift", "conjugacy", "--p", "5", "--m", "2", "--N", "10000", "--samples", "1"],
             ["tower", "verify", "--m", "2", "--window", "0:2", "--samples", "1", "--N", "20000"],
-            ["tower", "aperiodicity", "--m-max", "2", "--p-max", "5", "--N", "20000"],
+            ["tower", "aperiodicity", "--m-max", "2", "--p-max", "5", "--N", "12500"],
         ],
         ids=["witness", "conjugacy", "tower-verify", "aperiodicity"],
     )
@@ -810,10 +838,13 @@ class TestExitCodes:
         monkeypatch.setattr(tower, "_primes_up_to", sieved)
         assert cli.main(["tower", "aperiodicity", "--m-max", "5", "--p-max", "100000000"]) == 2
         assert "over the cap of 1000" in capsys.readouterr().err
-        # the spot checks and witnesses draw up to p_max * N coordinates
-        argv = ["tower", "aperiodicity", "--m-max", "5", "--p-max", "13", "--N", "10000"]
+        # the witnesses, of the primes 7, 11 and 13 above the depth, hold
+        # 31 * N coordinates, refused after the sieve and before any is built
+        monkeypatch.undo()
+        monkeypatch.setattr(tower, "periodic_witness", lambda *args: pytest.fail("built a witness over the cap"))
+        argv = ["tower", "aperiodicity", "--m-max", "5", "--p-max", "13", "--N", "3226"]
         assert cli.main(argv) == 2
-        assert "130000 coordinates, over the cap of 100000" in capsys.readouterr().err
+        assert "100006 coordinates, over the cap of 100000" in capsys.readouterr().err
 
     def test_bad_window_is_two(self, capsys):
         code = cli.main(

@@ -9,7 +9,6 @@ import pytest
 from mdkit import shiftspace
 from mdkit.shiftspace import (
     BinarySFT,
-    EitherOrEquals,
     GapAtLeast,
     Periodic,
     Window,
@@ -34,6 +33,7 @@ from mdkit.tower import random_anchor
 from oracles import (
     closed_grid_walk_lengths,
     count_periodic_sft_strings,
+    lane_edge_seq,
     mixed_den_vec,
     power_map_per_entry,
     sample_gap_window_per_entry,
@@ -127,6 +127,32 @@ class TestMembership:
         assert check_membership(unit_step_space(), y).verdict == "pass"
         almost = Periodic(seq_of(0, Fraction(99, 100)))
         assert check_membership(unit_step_space(), almost).verdict == "fail"
+
+    def test_adjacent_steps_match_the_per_entry_oracle_on_lane_edges(self):
+        # the adjacent steps are decided on packed lanes: numerators at the
+        # lane edges, over denominators on both sides of each lane-width
+        # switch; the unit space is checked against the rule "a step of
+        # exactly 1", the half space against "a step of at least 1/2"
+        rng = random.Random(1207)
+        rules = {half_step_space(): lambda d: d >= HALF, unit_step_space(): lambda d: d == 1}
+        outcomes = set()
+        for den in (2**14 - 1, 2**14, 2**14 + 1, 2**30 - 1, 2**30, 2**30 + 1, 2**62 - 1, 2**62, 2**62 + 1):
+            for n in (*range(1, 9), 40):
+                seq = lane_edge_seq(rng, 1, n, den)
+                for x in (Periodic(seq), Window(rng.randrange(-3, 4), seq)):
+                    checkable = range(n) if isinstance(x, Periodic) else range(x.start + 1, x.end)
+
+                    def step(k):
+                        return max_circle_dist(x.value_at(k), x.value_at(k + 1))
+
+                    for spec, far in rules.items():
+                        failing = tuple(k for k in checkable if not (far(step(k - 1)) or far(step(k))))
+                        report = check_membership(spec, x)
+                        assert report.records == checkable and report.failures == failing
+                        verdict = "fail" if failing else "pass" if checkable else "vacuous"
+                        assert report.verdict == verdict
+                        outcomes.add((spec, type(x), verdict))
+        assert len(outcomes) == 10  # pass and fail on both kinds, vacuous windows, per space
 
     def test_shift_invariance_of_verdict(self):
         rng = random.Random(11)

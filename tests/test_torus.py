@@ -17,7 +17,6 @@ from mdkit.torus import (
     first_far,
     frac_from_str,
     frac_to_str,
-    gap_distances,
     gap_failures,
     max_circle_dist,
     solve_strided_sums,
@@ -399,20 +398,6 @@ def test_solve_strided_sums_needs_a_full_head():
     for below in (-1, 2):
         with pytest.raises(ValueError, match="head must sit within the sums"):
             solve_strided_sums(TorusSeq.zero(1, 4), TorusSeq.zero(1, 1), below, 2, 3)
-
-
-def test_gap_distances_match_max_circle_dist():
-    rng = random.Random(911)
-    for _ in range(300):
-        dim = rng.choice((1, 2, 5))
-        values = [mixed_den_vec(rng, dim) for _ in range(rng.randrange(1, 25))]
-        gap = rng.randrange(1, 30)
-        n = len(values)
-        for cyclic in (False, True):
-            nums, den = gap_distances(TorusSeq.of(values), gap, cyclic)
-            pairs = range(n) if cyclic else range(n - gap)
-            expected = [max_circle_dist(values[k], values[(k + gap) % n]) for k in pairs]
-            assert [Fraction(d, den) for d in nums] == expected
 
 
 # Denominators on both sides of every lane-width switch: 16-bit lanes hold

@@ -341,7 +341,7 @@ class TestKernelsMatchPerEntry:
             d_prev, d_next = (max_circle_dist(x.value_at(n + i), x.value_at(n + i + 1)) for i in (-1, 0))
             if spec == half:
                 return d_prev >= half.threshold or d_next >= half.threshold
-            return d_prev == unit.value or d_next == unit.value
+            return d_prev == 1 or d_next == 1
 
         seen = {}
         for _ in range(60):
