@@ -55,8 +55,8 @@ MAX_MARKERS = 200_000
 MAX_EMBED_POINTS = 200
 # Largest clock extension, n*|X| points, a marker transfer builds, checked
 # before ``time_division``: at 10,000 points `markers transfer --system
-# cycles:10000 --n 1 --N 10000` takes 0.12 s in process, at 30,000 (`--n 3`)
-# 0.2 s (same VM); N adds no cost, as ``_is_marker`` reads cycle positions.
+# cycles:10000 --n 1 --N 10000` takes 0.09 s in process, at 30,000 (`--n 3`)
+# 0.18 s (same VM); N adds no cost, as ``_part_ok`` reads one part's positions.
 MAX_TRANSFER_POINTS = 10_000
 # Largest system a marker search takes, checked before any point of a
 # shorthand is built: `markers search --system cycles:1000000 --N 2` answers
@@ -105,15 +105,6 @@ class FiniteSystem:
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition, computed once (see ``permutation_cycles``)."""
         return permutation_cycles(self.perm)
-
-    @cached_property
-    def cycle_positions(self) -> tuple[tuple[int, int], ...]:
-        """Per point, the index of its cycle in ``cycles`` and its position there."""
-        where = [(0, 0)] * self.size
-        for c, cycle in enumerate(self.cycles):
-            for k, i in enumerate(cycle):
-                where[i] = (c, k)
-        return tuple(where)
 
     def cycle_lengths(self) -> list[int]:
         return [len(c) for c in self.cycles]
@@ -311,27 +302,6 @@ def verify_marker(
     return ok, tuple(transcript)
 
 
-def _is_marker(sys_: FiniteSystem, subset, n_marker: int) -> bool:
-    """The verdict of ``verify_marker`` alone, from cycle positions: U is an
-    N-marker when every cycle holds a point of U and, per cycle, the positions
-    of U in order, the wrap from last to first included, lie N or more apart."""
-    cycles = sys_.cycles
-    # U's (cycle, position) pairs in order, closed by a pair past the last
-    # cycle, which the count of covered cycles takes in too
-    marks = sorted(map(sys_.cycle_positions.__getitem__, set(subset)))
-    covered, current = 0, -1
-    for c, k in marks + [(len(cycles), 0)]:
-        if c != current:
-            # the wrap from the last mark of the cycle before to its first
-            if covered and len(cycles[current]) - last + first < n_marker:
-                return False
-            covered, current, first = covered + 1, c, k
-        elif k - last < n_marker:
-            return False
-        last = k
-    return covered == len(cycles) + 1
-
-
 def _early_returns(sys_: FiniteSystem, points, n_marker: int):
     """For n = 1 .. N-1, the points of ``points`` whose n-th image lies in
     ``points``, in the given order.  The images advance one step per n, so
@@ -342,6 +312,15 @@ def _early_returns(sys_: FiniteSystem, points, n_marker: int):
     for n in range(1, n_marker):
         images = [sys_.perm[j] for j in images]
         yield n, [i for i, j in zip(starts, images) if j in inside]
+
+
+def _part_ok(length: int, positions: Sequence[int], n_marker: int) -> bool:
+    """Whether the increasing positions of one L-cycle lie N or more apart,
+    the wrap from last to first included: the marker rule on one cycle,
+    whose parts ``_cycle_position_subsets`` lists."""
+    return length - positions[-1] + positions[0] >= n_marker and all(
+        b - a >= n_marker for a, b in zip(positions, positions[1:])
+    )
 
 
 def _cycle_position_subsets(length: int, n_marker: int) -> list[tuple[int, ...]]:
@@ -429,8 +408,9 @@ def enumerate_markers(sys_: FiniteSystem, n_marker: int) -> list[frozenset[int]]
     """
     if not _count_markers(sys_, n_marker):
         return []
-    per_cycle = [_cycle_parts(cycle, n_marker) for cycle in sys_.cycles]
-    return [frozenset(i for part in combo for i in part) for combo in iter_product(*per_cycle)]
+    cycles = sys_.cycles
+    combos = iter_product(*(_cycle_position_subsets(len(cycle), n_marker) for cycle in cycles))
+    return [frozenset(c[k] for c, part in zip(cycles, combo) for k in part) for combo in combos]
 
 
 def _count_markers(sys_: FiniteSystem, n_marker: int) -> int:
@@ -452,14 +432,6 @@ def _count_markers(sys_: FiniteSystem, n_marker: int) -> int:
                 )
         total *= parts
     return total
-
-
-def _cycle_parts(cycle: tuple[int, ...], n_marker: int) -> list[tuple[int, ...]]:
-    """The parts an N-marker can have in one cycle, as points of the cycle."""
-    return [
-        tuple(cycle[pos] for pos in positions)
-        for positions in _cycle_position_subsets(len(cycle), n_marker)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +458,7 @@ def rokhlin_function(sys_: FiniteSystem, subset, n_marker: int) -> RokhlinReport
     exceptional set E = preimage of U it increases by exactly one along the
     dynamics, and E has no return to itself in fewer than N steps.
     """
-    if not _is_marker(sys_, subset, n_marker):
+    if not verify_marker(sys_, subset, n_marker)[0]:
         raise ValueError("subset is not a valid marker")
     chosen = frozenset(subset)
     # every cycle meets U, so one forward pass from a point of U fixes phi
@@ -755,9 +727,10 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
     projects through the union of its first n clock images to an
     (N-1)-marker of the phase-0 power subsystem (identified with the base).
     When no marker exists on one side, the other side must be empty too; that
-    consistency is what is checked.  The backward check decides every
-    extension marker one cycle at a time, never building their product, and
-    refuses a marker count over ``MAX_MARKERS`` before any is built.
+    consistency is what is checked.  The backward check decides each distinct
+    projection of one cycle's marker parts once, on its own base cycle, never
+    building the markers' product, and refuses a marker count over
+    ``MAX_MARKERS`` before any part is built.
     """
     if n < 1 or n_marker < 1:
         raise ValueError("transfer requires n >= 1 and N >= 1")
@@ -766,14 +739,12 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
     base_cert = marker_search(sys_, n_marker)
     if base_cert.found:
         lifted = tuple(sorted(i * n for i in base_cert.subset))
-        ok, transcript = verify_marker(divided, lifted, n * n_marker)
         forward = {
-            "ok": ok,
+            "ok": verify_marker(divided, lifted, n * n_marker)[0],
             "detail": (
                 f"lifted a base {n_marker}-marker of size {len(base_cert.subset)} to "
                 f"phase 0 and verified it as a {n * n_marker}-marker of the extension"
             ),
-            "transcript": list(transcript),
         }
     else:
         divided_cert = marker_search(divided, n * n_marker)
@@ -788,35 +759,29 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
         }
     total = _count_markers(divided, n * n_marker)
     if total:
-        # the first n clock images of point (x, k) meet phase 0 once: at x
-        # itself when k = 0, else at the base image of x
-        landing = [i // n if i % n == 0 else sys_.perm[i // n] for i in range(divided.size)]
-        # landing maps divided cycle c into base cycle c, and the marker
-        # conditions never couple distinct cycles, so a projection fails
-        # exactly when the projection of one cycle's part fails.  Keep each
-        # distinct per-cycle projection with the first part giving it, and
-        # check it beside the first part of every other cycle.
-        per_cycle = []
-        for cycle in divided.cycles:
-            parts: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for part in _cycle_parts(cycle, n * n_marker):
-                parts.setdefault(tuple(sorted({landing[i] for i in part})), part)
-            per_cycle.append(parts)
-        firsts = [next(iter(parts.items())) for parts in per_cycle]
+        # time_division puts base point x at x*n and cycles are ordered by
+        # their smallest index, so extension cycle c is base cycle c opened
+        # out: the first n clock images of its position j meet phase 0 once,
+        # at position ceil(j/n) mod L of base cycle c
+        threshold = max(n_marker - 1, 1)
         bad = []
-        for c, parts in enumerate(per_cycle):
-            others = firsts[:c] + firsts[c + 1 :]
-            others_projected = tuple(i for projected, _ in others for i in projected)
-            others_marker = tuple(i for _, part in others for i in part)
-            for projected, part in parts.items():
-                base_subset = sorted(projected + others_projected)
-                if not _is_marker(sys_, base_subset, max(n_marker - 1, 1)):
-                    bad.append({"marker": sorted(part + others_marker), "projected": base_subset})
+        for base, cycle in zip(sys_.cycles, divided.cycles):
+            parts: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for part in _cycle_position_subsets(len(cycle), n * n_marker):
+                parts.setdefault(tuple(sorted({-(-j // n) % len(base) for j in part})), part)
+            bad += [
+                {
+                    "marker": sorted(cycle[j] for j in part),
+                    "projected": sorted(base[k] for k in projected),
+                }
+                for projected, part in parts.items()
+                if not _part_ok(len(base), projected, threshold)
+            ]
         backward = {
             "ok": not bad,
             "detail": (
                 f"all {total} {n * n_marker}-markers of the extension project "
-                f"to ({max(n_marker - 1, 1)})-markers of the phase-0 power subsystem"
+                f"to ({threshold})-markers of the phase-0 power subsystem"
                 if not bad
                 else "some extension marker fails to project"
             ),

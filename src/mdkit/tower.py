@@ -23,6 +23,7 @@ from .shiftspace import (
     Periodic,
     SeqPoint,
     Window,
+    best_periodic_gap,
     check_membership,
     check_periodic_coordinates,
     gap_space,
@@ -363,7 +364,7 @@ def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> tuple[dict, ...]:
                     "verified": verified,
                     "statement": (
                         f"a period-{p} point exists at level {spec.m_max} with "
-                        f"realized distance {frac_to_str(1 - Fraction(1, p))}; "
+                        f"realized distance {frac_to_str(best_periodic_gap(p))}; "
                         f"aperiodicity for period {p} is undetermined at depth "
                         f"{spec.m_max}"
                     ),

@@ -136,15 +136,16 @@ class TestDispatch:
 
     def test_markers_transfer_checks_each_projection_once(self, capsys, monkeypatch):
         calls, verdicts = [], []
-        verify, is_marker = finite.verify_marker, finite._is_marker
+        verify, part_ok = finite.verify_marker, finite._part_ok
         monkeypatch.setattr(finite, "verify_marker", lambda *args: calls.append(args) or verify(*args))
-        monkeypatch.setattr(finite, "_is_marker", lambda *args: verdicts.append(args) or is_marker(*args))
+        monkeypatch.setattr(finite, "_part_ok", lambda *args: verdicts.append(args) or part_ok(*args))
         code, report, _ = run_cli(
             capsys, "markers", "transfer", "--system", "cycles:6,6", "--n", "3", "--N", "2"
         )
         assert code == 0
-        # transcripts for the base search and the lifted marker only; a
-        # verdict for each of the 17 distinct projections of each cycle's part
+        # the verifier runs for the base search and the lifted marker only;
+        # the part rule once for each of the 17 distinct projections of each
+        # cycle's part
         assert len(calls) == 2
         assert len(verdicts) == 34
         backward = report["checks"][1]["witness"]["detail"]

@@ -253,7 +253,12 @@ class TestMarkerSearch:
                 subsets += [sorted(u) for u in rng.sample(enumerate_markers(sys_, n_marker), 1)]
             for subset in subsets:
                 ok, _ = verify_marker(sys_, subset, n_marker)
-                assert finite._is_marker(sys_, subset, n_marker) == ok, (sys_, subset, n_marker)
+                # the marker rule split over cycles: U's positions in each
+                # one form a nonempty part the one-cycle rule accepts
+                chosen = set(subset)
+                parts = [(len(c), [k for k, i in enumerate(c) if i in chosen]) for c in sys_.cycles]
+                ruled = all(part and finite._part_ok(length, part, n_marker) for length, part in parts)
+                assert ruled == ok, (sys_, subset, n_marker)
                 verdicts.append(ok)
         # markers and non-markers both occur, and rokhlin_function refuses the latter
         assert 100 < sum(verdicts) < len(verdicts) - 100
@@ -597,10 +602,11 @@ class TestMarkerTransfer:
         assert "no base" in report.forward["detail"]
 
     def test_one_violation_record_per_projection(self, monkeypatch):
-        # reject every base 4-marker: the 15 extension 15-markers of a 5-cycle
-        # at n = 3 are single points, and they project to the 5 base points
-        is_marker = finite._is_marker
-        monkeypatch.setattr(finite, "_is_marker", lambda s, u, n: False if n == 4 else is_marker(s, u, n))
+        # reject every base part at N = 4: the 15 extension 15-markers of a
+        # 5-cycle at n = 3 are single points, and they project to the 5 base
+        # points
+        part_ok = finite._part_ok
+        monkeypatch.setattr(finite, "_part_ok", lambda length, u, k: False if k == 4 else part_ok(length, u, k))
         report = verify_marker_transfer(cycles(5), 3, 5)
         assert not report.passed
         violations = report.backward["violations"]
@@ -609,33 +615,34 @@ class TestMarkerTransfer:
         assert [v["marker"] for v in violations] == [[0], [1], [4], [7], [10]]
 
     def test_projections_match_the_clock_walk(self, monkeypatch):
-        # with every base check failing, each cycle's records run through
+        # with every base part failing, each cycle's records run through
         # the projections its marker parts can have, once each, and every
-        # record is an extension marker with its clock-walk projection
-        is_marker = finite._is_marker
+        # record is one cycle's part of an extension marker with its
+        # clock-walk projection
+        part_ok = finite._part_ok
         for lengths in ([5], [3, 4], [2, 2, 3]):
             base = FiniteSystem.from_cycle_lengths(lengths)
             for n in (1, 2, 3):
                 for n_marker in (2, 3):
                     monkeypatch.setattr(
                         finite,
-                        "_is_marker",
-                        lambda s, u, k: False if s is base and k == n_marker - 1 else is_marker(s, u, k),
+                        "_part_ok",
+                        lambda length, u, k: False if k == n_marker - 1 else part_ok(length, u, k),
                     )
                     report = verify_marker_transfer(base, n, n_marker)
                     divided = time_division(base, n)
                     markers = {frozenset(w) for w in enumerate_markers(divided, n * n_marker)}
+                    parts = {w.intersection(cycle) for w in markers for cycle in divided.cycles}
                     got = report.backward.get("violations", [])
                     for v in got:
-                        assert frozenset(v["marker"]) in markers
+                        assert frozenset(v["marker"]) in parts
                         assert projection_by_clock_walk(divided, v["marker"], n) == v["projected"]
                     walked = [set(projection_by_clock_walk(divided, w, n)) for w in markers]
                     start = 0
                     for cycle in base.cycles:
                         expected = {tuple(sorted(p.intersection(cycle))) for p in walked}
                         records = got[start : start + len(expected)]
-                        within = [tuple(i for i in v["projected"] if i in cycle) for v in records]
-                        assert sorted(within) == sorted(expected)
+                        assert sorted(tuple(v["projected"]) for v in records) == sorted(expected)
                         start += len(expected)
                     assert start == len(got)
 
@@ -650,24 +657,26 @@ class TestMarkerTransfer:
             yield FiniteSystem.from_cycle_lengths(lengths), rng.randint(1, 3), rng.randint(1, 5)
 
     def test_backward_matches_the_enumeration_oracle(self, monkeypatch):
-        # two base verifiers: the real one, which every projection passes,
-        # and one failing exactly the subsets that hold a point with its
-        # image, a rule that, like the real one, splits over cycles; the
-        # oracle asks verify_marker, the transfer its verdict-only check
+        # two base rules: the real one, which every projection passes, and
+        # one also failing the subsets that hold the first point of a cycle
+        # with its image, a rule that, like the real one, splits over
+        # cycles; the oracle asks verify_marker, the transfer its part rule
         monkeypatch.setattr(finite, "MAX_MARKERS", 5000)
-        verify, is_marker = finite.verify_marker, finite._is_marker
+        verify, part_ok = finite.verify_marker, finite._part_ok
         verdicts = []
         for base, n, n_marker in self.seeded_transfers():
-            pair = (0, base.perm[0])
+            pairs = [{cycle[0], cycle[1 % len(cycle)]} for cycle in base.cycles]
             for fake in (False, True):
                 def rejects(s, u):
-                    return fake and s is base and set(pair) <= set(u)
+                    return fake and s is base and any(pair <= set(u) for pair in pairs)
 
                 monkeypatch.setattr(
                     finite, "verify_marker", lambda s, u, k: (False, ()) if rejects(s, u) else verify(s, u, k)
                 )
                 monkeypatch.setattr(
-                    finite, "_is_marker", lambda s, u, k: not rejects(s, u) and is_marker(s, u, k)
+                    finite,
+                    "_part_ok",
+                    lambda length, u, k: not (fake and {0, 1 % length} <= set(u)) and part_ok(length, u, k),
                 )
                 try:
                     expected_ok, count, failing = backward_transfer_by_enumeration(base, n, n_marker)
@@ -681,7 +690,14 @@ class TestMarkerTransfer:
                 if count:
                     if expected_ok:
                         assert backward["detail"].startswith(f"all {count} ")
-                    assert {tuple(v["projected"]) for v in backward["violations"]} <= set(failing)
+                    # each record is one cycle's share of a failing projection,
+                    # and every failing projection has a recorded share
+                    def shares(projected):
+                        return {tuple(i for i in projected if i in cycle) for cycle in base.cycles}
+
+                    recorded = {tuple(v["projected"]) for v in backward["violations"]}
+                    assert all(shares(f) & recorded for f in failing)
+                    assert recorded <= set().union(*map(shares, failing))
                 else:
                     assert "violations" not in backward
                 verdicts.append((bool(count), expected_ok))
@@ -690,11 +706,11 @@ class TestMarkerTransfer:
 
     def test_violations_are_real_markers(self, monkeypatch):
         monkeypatch.setattr(finite, "MAX_MARKERS", 5000)
-        verify, is_marker = finite.verify_marker, finite._is_marker
+        verify, part_ok = finite.verify_marker, finite._part_ok
         checked = 0
         for base, n, n_marker in self.seeded_transfers():
             monkeypatch.setattr(
-                finite, "_is_marker", lambda s, u, k: False if s is base and k == n_marker - 1 else is_marker(s, u, k)
+                finite, "_part_ok", lambda length, u, k: False if k == n_marker - 1 else part_ok(length, u, k)
             )
             try:
                 report = verify_marker_transfer(base, n, n_marker)
@@ -702,7 +718,11 @@ class TestMarkerTransfer:
                 continue
             divided = time_division(base, n)
             for v in report.backward.get("violations", []):
-                assert verify(divided, v["marker"], n * n_marker)[0], (base, n, n_marker, v)
+                # a record is one cycle's part: with the first point of every
+                # other cycle it is an extension marker
+                others = [cycle[0] for cycle in divided.cycles if not set(cycle) & set(v["marker"])]
+                assert len(others) == len(divided.cycles) - 1
+                assert verify(divided, v["marker"] + others, n * n_marker)[0], (base, n, n_marker, v)
                 assert projection_by_clock_walk(divided, v["marker"], n) == v["projected"]
                 checked += 1
         assert checked > 200
@@ -730,6 +750,20 @@ class TestMarkerTransfer:
                 pairs += 1
         assert pairs == 422
         assert finite._cycle_position_subsets(3, 4) == []
+
+    def test_part_rule_matches_the_scan(self):
+        # every nonempty position subset of every cycle up to length 10, at
+        # every N up to one past the length: the rule accepts exactly the
+        # parts the scan lists
+        for length in range(1, 11):
+            subsets = [
+                tuple(pos for pos in range(length) if mask >> pos & 1) for mask in range(1, 1 << length)
+            ]
+            for n_marker in range(1, length + 2):
+                accepted = set(cycle_position_subsets_by_scan(length, n_marker))
+                for positions in subsets:
+                    assert finite._part_ok(length, positions, n_marker) == (positions in accepted)
+
 
 class TestRandomGenerators:
     def test_deterministic(self):

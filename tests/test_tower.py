@@ -534,6 +534,19 @@ class TestAperiodicity:
         assert len(values) == 7
         assert "6/7" in witness_cert["statement"]
 
+    def test_witness_statement_names_the_realized_distance(self):
+        # the statement's distance is the smallest one between witness
+        # entries a gap apart: 1 for the period-2 witness, not 1 - 1/2
+        spec = TowerSpec(dim=2, delta=HALF, m_max=1)
+        stated = {}
+        for cert in tower_aperiodicity_report(spec, 13):
+            values = [TorusVec.of(*map(Fraction, v)) for v in cert["witness"]["values"]]
+            p, gap = len(values), cert["gap"]
+            realized = min(max_circle_dist(values[k], values[(k + gap) % p]) for k in range(p))
+            stated[p] = cert["statement"].split("realized distance ")[1].split(";")[0]
+            assert Fraction(stated[p]) == realized
+        assert stated[2] == "1/1" and stated[3] == "2/3"
+
     def test_p_max_validation(self):
         spec = TowerSpec(dim=1, delta=HALF, m_max=3)
         with pytest.raises(ValueError):
