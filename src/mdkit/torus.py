@@ -40,10 +40,9 @@ loops are the references in ``tests/oracles.py``.
 Only this module reads the integer encoding: other modules build vectors
 with :meth:`TorusVec.of` (or from integers, ``TorusVec(nums, den)``),
 sequences with :meth:`TorusSeq.of`, ``TorusSeq(columns, den)`` or a kernel,
-measure vectors with :func:`max_circle_dist` and test thresholds with
-:func:`dist_at_least`.  ``Fraction`` appears only at the edges:
-construction from rationals, JSON and :func:`max_circle_dist`.  Everything
-is exact: no floats, no tolerances.
+and measure vectors with :func:`max_circle_dist`.  ``Fraction`` appears
+only at the edges: construction from rationals, JSON and
+:func:`max_circle_dist`.  Everything is exact: no floats, no tolerances.
 """
 
 from __future__ import annotations
@@ -66,9 +65,15 @@ def frac_to_str(value: Fraction | int) -> str:
 
 
 def frac_from_str(text: str) -> Fraction:
-    """Parse ``"p/q"``; a bare integer string is accepted as ``p/1``."""
+    """Parse ``"p/q"``; a bare integer string is accepted as ``p/1``, and a
+    decimal as its exact value.  Exponent form is refused before ``Fraction``
+    sees it, since ``Fraction`` expands the exponent: ``1e-10000000`` takes
+    8-11 s to become a 33-million-bit integer (Python 3.11.7, 2-CPU x86-64 VM)."""
+    value = str(text).strip()
+    if "e" in value.lower():
+        raise ValueError(f"rational {text!r} is refused: exponent form is not read; write it as p/q")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"rational {text!r} has denominator zero") from None
 
@@ -165,8 +170,8 @@ def _lift(x: TorusVec, y: TorusVec) -> tuple[tuple[int, ...], tuple[int, ...], i
     return tuple(k * sa for k in x.nums), tuple(k * sb for k in y.nums), den
 
 
-def _max_dist_pair(x: TorusVec, y: TorusVec) -> tuple[int, int]:
-    """The alphabet metric as ``(num, den)``, value ``num/den`` (not in lowest terms)."""
+def max_circle_dist(x: TorusVec, y: TorusVec) -> Fraction:
+    """Alphabet metric: the max of coordinatewise circle distances; in [0, 1]."""
     a, b, den = _lift(x, y)
     full = 2 * den
     best = 0
@@ -176,18 +181,7 @@ def _max_dist_pair(x: TorusVec, y: TorusVec) -> tuple[int, int]:
             d = full - d
         if d > best:
             best = d
-    return best, den
-
-
-def max_circle_dist(x: TorusVec, y: TorusVec) -> Fraction:
-    """Alphabet metric: the max of coordinatewise circle distances; in [0, 1]."""
-    return Fraction(*_max_dist_pair(x, y))
-
-
-def dist_at_least(x: TorusVec, y: TorusVec, threshold: Fraction) -> bool:
-    """Whether ``max_circle_dist(x, y) >= threshold``, decided in integers."""
-    num, den = _max_dist_pair(x, y)
-    return num * threshold.denominator >= threshold.numerator * den
+    return Fraction(best, den)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from mdkit.complexes import HomologyGroup, smith_normal_form_diagonal
 from mdkit.finite import FiniteSystem, enumerate_markers, time_division
 from mdkit.shiftspace import Periodic, Window, check_membership, gap_space, random_torus_vec
 from mdkit.meandim import Cover, cover_ord, validate_cover
-from mdkit.torus import TorusSeq, TorusVec, dist_at_least, max_circle_dist
+from mdkit.torus import TorusSeq, TorusVec, max_circle_dist
 from mdkit.tower import DomainError, factor_map, section_map
 
 
@@ -159,7 +159,7 @@ def backward_transfer_by_enumeration(base: FiniteSystem, n: int, n_marker: int):
     for w in markers:
         projected = tuple(projection_by_clock_walk(divided, w, n))
         if projected not in verdicts:
-            verdicts[projected] = finite.verify_marker(base, projected, max(n_marker - 1, 1))[0]
+            verdicts[projected] = finite.verify_marker(base, projected, max(n_marker - 1, 1))
             if not verdicts[projected]:
                 failing[projected] = w
     return not failing, len(markers), failing
@@ -181,15 +181,16 @@ def sample_periodic_gap_point_whole_period(dim, gap, threshold, period, rng):
 
 def gap_draws_per_entry(rng, dim, length, gap, threshold, tries=None, draw=random_torus_vec):
     """Entries drawn one vector at a time with ``draw(rng, dim)``: entries
-    0 .. gap-1 as drawn, each later one redrawn until ``dist_at_least`` its
-    entry gap back, at most ``tries`` times (None: no limit).  Returns the
-    vectors and the number of draws, or None when an entry runs out."""
+    0 .. gap-1 as drawn, each later one redrawn until its ``max_circle_dist``
+    from the entry gap back reaches the threshold, at most ``tries`` times
+    (None: no limit).  Returns the vectors and the number of draws, or None
+    when an entry runs out."""
     values, drawn = [], 0
     for k in range(length):
         for _ in range(1 if k < gap else tries or 1 << 62):
             v = draw(rng, dim)
             drawn += 1
-            if k < gap or dist_at_least(v, values[k - gap], threshold):
+            if k < gap or max_circle_dist(v, values[k - gap]) >= threshold:
                 values.append(v)
                 break
         else:
@@ -214,7 +215,7 @@ def sample_periodic_gap_point_per_entry(dim, gap, threshold, period, rng):
     for first in range(cycles):
         while True:
             walk, _ = gap_draws_per_entry(rng, dim, length, 1, threshold)
-            if dist_at_least(walk[-1], walk[0], threshold):
+            if max_circle_dist(walk[-1], walk[0]) >= threshold:
                 break
         for step, v in enumerate(walk):
             values[(first + step * gap) % period] = v
@@ -578,7 +579,8 @@ def metric_violations(metric, size: int) -> list[str]:
 def epsilon_embedding_by_fractions(sys_: FiniteSystem, epsilon) -> finite.EmbeddingReport:
     """``finite.epsilon_embedding`` computed on a table of ``Fraction``
     distances: rescale, center choice, images and the pair tests each by
-    rational arithmetic, with ``max_circle_dist`` for every far pair."""
+    rational arithmetic, a far pair colliding when ``max_circle_dist`` puts
+    its images at distance 0."""
     epsilon = Fraction(epsilon)
     n, metric = sys_.size, sys_.metric
     diam = max((metric[i][j] for i in range(n) for j in range(n)), default=Fraction(0))
@@ -593,20 +595,15 @@ def epsilon_embedding_by_fractions(sys_: FiniteSystem, epsilon) -> finite.Embedd
             centers.append(i)
     images = tuple(TorusVec.of(*(dist[i][c] for c in centers)) for i in range(n))
     collision_ok = True
-    separation = None
     for i in range(n):
         for j in range(i + 1, n):
-            if images[i] == images[j] and dist[i][j] >= eps:
+            if dist[i][j] >= eps and max_circle_dist(images[i], images[j]) == 0:
                 collision_ok = False
-            if dist[i][j] >= eps:
-                gap = max_circle_dist(images[i], images[j])
-                separation = gap if separation is None else min(separation, gap)
     return finite.EmbeddingReport(
         centers=tuple(centers),
         images=images,
         scale=scale,
         epsilon=eps,
-        separation_gap=separation,
         collision_ok=collision_ok,
     )
 

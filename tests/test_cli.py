@@ -548,6 +548,33 @@ class TestExitCodes:
                 None,
                 "has 17179869184 points, over the cap of 10000 on a marker transfer",
             ),
+            # exponent form, refused before Fraction expands it to 33 million bits
+            (
+                ["shift", "witness", "--p", "3", "--m", "2", "--delta", "1e-10000000"],
+                None,
+                "'1e-10000000' is refused: exponent form",
+            ),
+            (
+                ["tower", "verify", "--m", "3", "--window=0:12", "--delta", "1e-10000000"],
+                None,
+                "'1e-10000000' is refused: exponent form",
+            ),
+            (["mdim", "pipeline", "--N", "1", "--eta", "1e-10000000"], None, "'1e-10000000' is refused: exponent form"),
+            (
+                ["embed", "--system", "cycles:3", "--metric", "random:1", "--epsilon", "1E-10000000"],
+                None,
+                "'1E-10000000' is refused: exponent form",
+            ),
+            (
+                ["embed", "--system", "cycles:3", "--metric", "uniform:1e-10000000", "--epsilon", "1/10"],
+                None,
+                "'1e-10000000' is refused: exponent form",
+            ),
+            (
+                ["embed", "--system", "cycles:2", "--epsilon", "1/10"],
+                ("--metric", [[0, 1e-05], [1e-05, 0]]),
+                "1e-05 is refused: exponent form",
+            ),
         ],
         ids=[
             "complex-without-n",
@@ -633,6 +660,12 @@ class TestExitCodes:
             "embed-epsilon-checked-before-system",
             "embed-over-point-cap",
             "transfer-over-point-cap",
+            "witness-delta-exponent-form",
+            "tower-delta-exponent-form",
+            "pipeline-eta-exponent-form",
+            "embed-epsilon-exponent-form",
+            "metric-uniform-exponent-form",
+            "metric-file-exponent-form",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):

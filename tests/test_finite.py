@@ -30,7 +30,7 @@ from mdkit.shiftspace import (
     shift,
     unit_step_space,
 )
-from mdkit.torus import TorusVec, frac_from_str
+from mdkit.torus import TorusVec, frac_from_str, max_circle_dist
 
 from oracles import (
     apply,
@@ -178,8 +178,7 @@ class TestMarkerSearch:
     def test_five_cycle_found(self):
         cert = marker_search(cycles(5), 5)
         assert cert.found and len(cert.subset) == 1
-        ok, _ = verify_marker(cycles(5), cert.subset, 5)
-        assert ok
+        assert verify_marker(cycles(5), cert.subset, 5) is True
 
     def test_five_cycle_none_at_six(self):
         assert marker_search(cycles(5), 6).verdict == "none"
@@ -221,7 +220,7 @@ class TestMarkerSearch:
                 cert = marker_search(sys_, n_marker)
                 assert cert.found == (n_marker <= shortest)
                 if cert.found:
-                    assert verify_marker(sys_, cert.subset, n_marker)[0]
+                    assert verify_marker(sys_, cert.subset, n_marker) is True
                     continue
                 # "none" names a cycle of the system, by length and first point
                 named = re.search(r"the (\d+)-cycle at (\w+):", cert.transcript[0]["condition"])
@@ -238,11 +237,25 @@ class TestMarkerSearch:
             sys_ = FiniteSystem(tuple(range(size)), tuple(perm))
             subset = rng.sample(range(size), rng.randint(1, size))
             n_marker = rng.randint(1, 2 * size + 1)
-            _, transcript = verify_marker(sys_, subset, n_marker)
-            returns = [entry["violations"] for entry in transcript[:-1]]
+            returns = [sorted(i) for _, i in finite._early_returns(sys_, sorted(set(subset)), n_marker)]
             assert returns == early_returns_by_powers(sys_, subset, n_marker)
 
-    def test_verdict_only_check_matches_the_transcript(self):
+    def test_verifier_stops_at_the_first_early_return(self):
+        # point 0 returns to (0, 1) in one step: the verdict is read after
+        # one step per point, where a walk to n = N - 1 takes 99,999
+        class CountingPerm(tuple):
+            reads = 0
+
+            def __getitem__(self, index):
+                CountingPerm.reads += 1
+                return super().__getitem__(index)
+
+        sys_ = cycles(100_000)
+        counted = FiniteSystem(sys_.points, CountingPerm(sys_.perm))
+        assert verify_marker(counted, (0, 1), 100_000) is False
+        assert CountingPerm.reads == 2
+
+    def test_verifier_verdict_matches_the_part_rule(self):
         rng = random.Random(27)
         verdicts = []
         for _ in range(400):
@@ -252,7 +265,7 @@ class TestMarkerSearch:
             if sys_.min_cycle_length() >= n_marker:
                 subsets += [sorted(u) for u in rng.sample(enumerate_markers(sys_, n_marker), 1)]
             for subset in subsets:
-                ok, _ = verify_marker(sys_, subset, n_marker)
+                ok = verify_marker(sys_, subset, n_marker)
                 # the marker rule split over cycles: U's positions in each
                 # one form a nonempty part the one-cycle rule accepts
                 chosen = set(subset)
@@ -408,24 +421,40 @@ class TestEmbeddings:
         report = epsilon_embedding(metric_points(3, Fraction(1, 4)), Fraction(1, 5))
         assert report.n_coords == 3
         assert len(set(report.images)) == 3
-        assert report.separation_gap == Fraction(1, 4)
-        assert report.passed
+        assert min(itertools.starmap(max_circle_dist, itertools.combinations(report.images, 2))) == Fraction(1, 4)
+        assert report.collision_ok
 
     def test_single_point(self):
         report = epsilon_embedding(metric_points(1, Fraction(0)), Fraction(1, 5))
         assert report.n_coords == 1
-        assert report.separation_gap is None
-        assert report.passed
+        assert report.collision_ok
 
     def test_two_close_points(self):
+        # 1/10 is not below epsilon/2, so each point is a center
         report = epsilon_embedding(metric_points(2, Fraction(1, 10)), Fraction(1, 5))
-        assert report.separation_gap is None
-        assert report.passed
+        assert len(set(report.images)) == 2
+        assert report.collision_ok
 
     def test_rescaling_recorded(self):
         report = epsilon_embedding(metric_points(2, Fraction(1)), Fraction(1, 5))
         assert report.scale == Fraction(1, 4)
-        assert report.passed
+        assert len(set(report.images)) == 2
+        assert report.collision_ok
+
+    def test_far_pair_with_one_image_is_a_collision(self):
+        # a table that is no metric (1/4 > 1/20 + 1/20): points 1 and 2 both
+        # lie 1/20 from the one center, 0, so they share an image, and lie
+        # 1/4 apart.  The embedding trusts its table and reports the collision
+        table = tuple(
+            tuple(Fraction(d) for d in row)
+            for row in (("0", "1/20", "1/20"), ("1/20", "0", "1/4"), ("1/20", "1/4", "0"))
+        )
+        sys_ = FiniteSystem((0, 1, 2), (0, 1, 2), table)
+        report = epsilon_embedding(sys_, Fraction(1, 5))
+        assert report.centers == (0,) and report.images[1] == report.images[2]
+        assert not report.collision_ok
+        # the same pair below epsilon is no collision
+        assert epsilon_embedding(sys_, Fraction(3, 10)).collision_ok
 
     def test_universal_two_cycle(self):
         sys_ = FiniteSystem.from_cycle_lengths([2], metric=uniform_metric(2, Fraction(1, 4)))
@@ -464,7 +493,7 @@ class TestEmbeddings:
         for sys_, epsilon in embedding_cases():
             report = epsilon_embedding(sys_, epsilon)
             expected = epsilon_embedding_by_fractions(sys_, epsilon)
-            for field in ("centers", "images", "scale", "epsilon", "separation_gap", "collision_ok"):
+            for field in ("centers", "images", "scale", "epsilon", "collision_ok"):
                 assert getattr(report, field) == getattr(expected, field), (field, epsilon)
             assert all(type(getattr(report, f)) is Fraction for f in ("scale", "epsilon"))
             rescaled += report.scale != 1
@@ -671,7 +700,7 @@ class TestMarkerTransfer:
                     return fake and s is base and any(pair <= set(u) for pair in pairs)
 
                 monkeypatch.setattr(
-                    finite, "verify_marker", lambda s, u, k: (False, ()) if rejects(s, u) else verify(s, u, k)
+                    finite, "verify_marker", lambda s, u, k: False if rejects(s, u) else verify(s, u, k)
                 )
                 monkeypatch.setattr(
                     finite,
@@ -722,7 +751,7 @@ class TestMarkerTransfer:
                 # other cycle it is an extension marker
                 others = [cycle[0] for cycle in divided.cycles if not set(cycle) & set(v["marker"])]
                 assert len(others) == len(divided.cycles) - 1
-                assert verify(divided, v["marker"] + others, n * n_marker)[0], (base, n, n_marker, v)
+                assert verify(divided, v["marker"] + others, n * n_marker), (base, n, n_marker, v)
                 assert projection_by_clock_walk(divided, v["marker"], n) == v["projected"]
                 checked += 1
         assert checked > 200

@@ -13,7 +13,6 @@ from mdkit.torus import (
     TorusSeq,
     TorusVec,
     concat,
-    dist_at_least,
     first_far,
     frac_from_str,
     frac_to_str,
@@ -151,6 +150,22 @@ def test_rational_serialization_round_trip():
     assert frac_from_str("3") == 3
 
 
+def test_exponent_form_is_refused_before_fraction_reads_it(monkeypatch):
+    # Fraction expands an exponent: "1e-10000000" is a 33-million-bit integer
+    assert [frac_from_str(text) for text in (" 1/4", "3", "0.25", "-1.5")] == [
+        Fraction(1, 4), 3, Fraction(1, 4), Fraction(-3, 2)
+    ]
+
+    def unread(*args):
+        raise AssertionError("Fraction read an exponent")
+
+    monkeypatch.setattr(torus, "Fraction", unread)
+    for text in ("1e-10000000", "1E5", " 2.5e3", 1e-05):
+        with pytest.raises(ValueError, match="exponent form") as refused:
+            frac_from_str(text)
+        assert repr(text) in str(refused.value)
+
+
 def test_torus_json_round_trip():
     elem = TorusVec.of(Fraction(-1, 3))
     assert TorusVec.of(*map(frac_from_str, elem.to_json())) == elem
@@ -247,22 +262,6 @@ def test_to_json_writes_reduced_fractions():
         for text, k in zip(v.to_json(), v.nums):
             p, q = (int(part) for part in text.split("/"))
             assert q > 0 and math.gcd(p, q) == 1 and Fraction(p, q) == Fraction(k, v.den)
-
-
-@given(vec_pairs(), st.fractions(min_value=0, max_value=1, max_denominator=500))
-def test_integer_threshold_test_matches_fraction_comparison(pair, t):
-    (xn, xd), (yn, yd) = pair
-    x, y = TorusVec(tuple(xn), xd), TorusVec(tuple(yn), yd)
-    assert dist_at_least(x, y, t) == (max_circle_dist(x, y) >= t)
-
-
-def test_integer_threshold_test_seeded_thresholds():
-    rng = random.Random(31)
-    for _ in range(2000):
-        x = TorusVec((rng.randrange(128), rng.randrange(128)), 64)
-        y = TorusVec((rng.randrange(128), rng.randrange(128)), rng.choice([64, 32, 3]))
-        t = Fraction(rng.randrange(0, 129), rng.choice([64, 128, 7]))
-        assert dist_at_least(x, y, t) == (max_circle_dist(x, y) >= t)
 
 
 def test_rational_numerators_are_refused():
@@ -521,7 +520,7 @@ def test_first_far_leaves_the_randrange_generator_state():
             gave_up += 1
             continue
         values, drawn = oracle
-        if closed and not dist_at_least(values[-1], values[0], t):
+        if closed and max_circle_dist(values[-1], values[0]) < t:
             assert found == (None, drawn)
             opened += 1
         else:
