@@ -170,7 +170,11 @@ def _parse_complex(text: str) -> FreeZpComplex:
 
 def _read_json(path: str):
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except ValueError as exc:  # a plain ValueError: an integer over Python's digit limit
+            reason = exc if isinstance(exc, json.JSONDecodeError) else "an integer is too long"
+            raise ValueError(f"JSON file {path!r} is not read: {reason}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ after its size cap).  Marker search decides every system in one pass
 over its cycles: a "found" subset is re-checked by an independent verifier,
 which returns only its verdict, and a "none" verdict names the cycle shorter
 than N that proves it.  The module also builds the backward first-entrance
-function of a marker, the induced sequences in the distance-one
-adjacent-step space, distance-coordinate embeddings of finite metric
-systems into gap subshifts, clock extensions that divide time by n, and the
-exhaustive two-way marker transfer check between a system and its clock
-extension.
+function of a marker, distance-coordinate embeddings of finite metric
+systems, orbit maps into the distance-one adjacent-step space and gap
+subshifts, one periodic point per cycle whose equivariance the cycle walk
+decides, clock extensions that divide time by n, and the exhaustive two-way
+marker transfer check between a system and its clock extension.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .shiftspace import (
     SubshiftSpec,
     check_membership,
     gap_space,
-    shift,
     unit_step_space,
 )
 from .torus import (
@@ -49,10 +48,10 @@ from .torus import (
 # hold them all: a 600-cycle has 2^600 - 1 1-markers.
 MAX_MARKERS = 200_000
 # Largest system an embedding takes, checked before its metric is built.  The
-# metric has n^2 entries, the collision test compares n^2/2 pairs of images and
-# the orbit map gathers n shifts of n coordinates: `embed --system cycles:n
-# --metric random:1 --epsilon 1/10` takes 0.35 s in process at 200 points and
-# 1.1 s at 300 (Python 3.11.7, 2-CPU x86-64 VM).
+# metric has n^2 entries and the collision test compares n^2/2 pairs of images;
+# the orbit map builds one periodic point per cycle: `embed --system cycles:n
+# --metric random:1 --epsilon 1/10` takes 0.06 s in process at 200 points and
+# 0.09 s at 300 (Python 3.11.7, 2-CPU x86-64 VM).
 MAX_EMBED_POINTS = 200
 # Largest clock extension, n*|X| points, a marker transfer builds, checked
 # before ``time_division``: at 10,000 points `markers transfer --system
@@ -106,12 +105,6 @@ class FiniteSystem:
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition, computed once (see ``permutation_cycles``)."""
         return permutation_cycles(self.perm)
-
-    def cycle_lengths(self) -> list[int]:
-        return [len(c) for c in self.cycles]
-
-    def min_cycle_length(self) -> int:
-        return min(self.cycle_lengths())
 
     def has_fixed_points(self) -> bool:
         return any(self.perm[i] == i for i in range(self.size))
@@ -516,27 +509,21 @@ def map_to_unit_step_space(sys_: FiniteSystem, n_marker: int = 2) -> UnitStepMap
 def _orbit_map(
     sys_: FiniteSystem, images: Sequence[TorusVec], space: SubshiftSpec | None
 ) -> tuple[tuple[Periodic, ...], bool, bool]:
-    """Each point's orbit read through ``images``, one period long; whether
-    every such sequence lies in ``space`` (never when there is none); and
-    whether the map intertwines the dynamics with the shift.  Membership is
-    checked on each cycle's first point alone: the others read shifts of
-    that periodic point, which ``check_membership`` checks at every residue
-    of the shift-invariant space, so they share its verdict.  Equivariance
-    is still compared at every point."""
-    unrolled: dict[int, Periodic] = {}
-    bases = []
-    for cycle in sys_.cycles:
-        bases.append(Periodic(TorusSeq.of(images[j] for j in cycle)))
-        for k, i in enumerate(cycle):
-            unrolled[i] = shift(bases[-1], k)
-    sequences = tuple(unrolled[i] for i in range(sys_.size))
+    """The orbit map: one periodic point per cycle, in ``sys_.cycles`` order,
+    the images read from the cycle's first point, so point k stands for the
+    k-th shift; whether each lies in ``space`` (never when there is none),
+    checked at every residue so its shifts share the verdict; and whether the
+    map intertwines the dynamics with the shift, which holds when T steps
+    every cycle's point k to point k + 1: entry n is then the image of T^n."""
+    cycles = sys_.cycles
+    orbits = tuple(Periodic(TorusSeq.of(images[j] for j in cycle)) for cycle in cycles)
     membership_ok = space is not None and all(
-        check_membership(space, base).passed for base in bases
+        check_membership(space, orbit).passed for orbit in orbits
     )
     equivariance_ok = all(
-        sequences[sys_.perm[i]] == shift(sequences[i], 1) for i in range(sys_.size)
+        sys_.perm[i] == j for cycle in cycles for i, j in zip(cycle, cycle[1:] + cycle[:1])
     )
-    return sequences, membership_ok, equivariance_ok
+    return orbits, membership_ok, equivariance_ok
 
 
 # ---------------------------------------------------------------------------

@@ -68,14 +68,18 @@ def frac_from_str(text: str) -> Fraction:
     """Parse ``"p/q"``; a bare integer string is accepted as ``p/1``, and a
     decimal as its exact value.  Exponent form is refused before ``Fraction``
     sees it, since ``Fraction`` expands the exponent: ``1e-10000000`` takes
-    8-11 s to become a 33-million-bit integer (Python 3.11.7, 2-CPU x86-64 VM)."""
+    8-11 s to become a 33-million-bit integer (Python 3.11.7, 2-CPU x86-64 VM).
+    A refusal names the text, cut short when long."""
     value = str(text).strip()
+    shown = repr(text) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
     if "e" in value.lower():
-        raise ValueError(f"rational {text!r} is refused: exponent form is not read; write it as p/q")
+        raise ValueError(f"rational {shown} is refused: exponent form is not read; write it as p/q")
     try:
         return Fraction(value)
     except ZeroDivisionError:
-        raise ValueError(f"rational {text!r} has denominator zero") from None
+        raise ValueError(f"rational {shown} has denominator zero") from None
+    except ValueError:  # also an integer over Python's digit limit
+        raise ValueError(f"rational {shown} is not read as p/q, an integer or a decimal") from None
 
 
 @dataclass(frozen=True, slots=True)

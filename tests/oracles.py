@@ -608,6 +608,24 @@ def epsilon_embedding_by_fractions(sys_: FiniteSystem, epsilon) -> finite.Embedd
     )
 
 
+def orbit_map_per_point(sys_: FiniteSystem, images, space):
+    """``finite._orbit_map`` unrolled at every point: point k of a cycle gets
+    the k-th shift of the images read along the cycle, every point's
+    sequence is checked against ``space``, and equivariance compares the
+    sequence of each point's image with the shift of its own."""
+    sequences = {}
+    for cycle in sys_.cycles:
+        base = Periodic(TorusSeq.of(images[j] for j in cycle))
+        for k, i in enumerate(cycle):
+            sequences[i] = shift_per_entry(base, k)
+    sequences = [sequences[i] for i in range(sys_.size)]
+    membership_ok = space is not None and all(check_membership(space, s).passed for s in sequences)
+    equivariance_ok = all(
+        sequences[sys_.perm[i]] == shift_per_entry(sequences[i], 1) for i in range(sys_.size)
+    )
+    return sequences, membership_ok, equivariance_ok
+
+
 def perm_is_bijection(sys_: FiniteSystem) -> bool:
     """A system's points and perm are tuples, and every point is the image
     of exactly one point."""

@@ -575,6 +575,23 @@ class TestExitCodes:
                 ("--metric", [[0, 1e-05], [1e-05, 0]]),
                 "1e-05 is refused: exponent form",
             ),
+            # integers over Python's digit limit, named in mdkit's own line
+            (
+                ["shift", "witness", "--p", "3", "--m", "2", "--delta", "1/" + "9" * 5000],
+                None,
+                "rational '1/999999999999999999'... (5002 characters) is not read as p/q",
+            ),
+            (
+                ["mdim", "pipeline", "--N", "1", "--eta", "1/" + "7" * 5000],
+                None,
+                "rational '1/777777777777777777'... (5002 characters) is not read as p/q",
+            ),
+            (
+                ["embed", "--system", "cycles:2", "--epsilon", "1/10"],
+                # written as text: json.dumps cannot print an int this long
+                ("--metric", "[[0, " + "1" * 5000 + "], [1, 0]]"),
+                "input.json' is not read: an integer is too long",
+            ),
         ],
         ids=[
             "complex-without-n",
@@ -666,13 +683,16 @@ class TestExitCodes:
             "embed-epsilon-exponent-form",
             "metric-uniform-exponent-form",
             "metric-file-exponent-form",
+            "witness-delta-over-digit-limit",
+            "pipeline-eta-over-digit-limit",
+            "metric-file-integer-over-digit-limit",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):
         if infile is not None:
             flag, content = infile
             path = tmp_path / "input.json"
-            path.write_text(json.dumps(content))
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
             argv = argv + [flag, str(path)]
         code = cli.main(argv)
         captured = capsys.readouterr()
@@ -681,6 +701,7 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("mdkit: error: ")
         assert named in lines[0]
+        assert len(lines[0].replace(str(tmp_path), "")) < 200
 
     def test_spent_search_cap_is_undetermined(self, capsys, monkeypatch):
         monkeypatch.setattr(complexes, "MAX_SEARCH_NODES", 5)

@@ -27,7 +27,6 @@ from mdkit.shiftspace import (
     check_membership,
     gap_space,
     half_step_space,
-    shift,
     unit_step_space,
 )
 from mdkit.torus import TorusVec, frac_from_str, max_circle_dist
@@ -42,6 +41,7 @@ from oracles import (
     marker_exists_bruteforce,
     marker_exists_vectorized,
     metric_violations,
+    orbit_map_per_point,
     perm_is_bijection,
     phi_by_backward_walk,
     projection_by_clock_walk,
@@ -60,8 +60,7 @@ def cycles(*lengths):
 class TestStructure:
     def test_cycle_decomposition(self):
         sys_ = cycles(3, 2)
-        assert sys_.cycle_lengths() == [3, 2]
-        assert sys_.min_cycle_length() == 2
+        assert list(map(len, sys_.cycles)) == [3, 2]
         assert not sys_.has_fixed_points()
         assert cycles(1, 4).has_fixed_points()
 
@@ -151,19 +150,19 @@ class TestStructure:
 
 class TestTimeDivision:
     def test_examples(self):
-        assert sorted(time_division(cycles(3), 2).cycle_lengths()) == [6]
-        assert sorted(time_division(cycles(2, 5), 3).cycle_lengths()) == [6, 15]
+        assert sorted(map(len, time_division(cycles(3), 2).cycles)) == [6]
+        assert sorted(map(len, time_division(cycles(2, 5), 3).cycles)) == [6, 15]
 
     def test_identity_for_n_one(self):
         sys_ = cycles(4)
         divided = time_division(sys_, 1)
-        assert divided.cycle_lengths() == sys_.cycle_lengths()
+        assert list(map(len, divided.cycles)) == list(map(len, sys_.cycles))
 
     def test_composition_multiplies(self):
         sys_ = cycles(2, 3)
         twice = time_division(time_division(sys_, 2), 3)
         once = time_division(sys_, 6)
-        assert sorted(twice.cycle_lengths()) == sorted(once.cycle_lengths())
+        assert sorted(map(len, twice.cycles)) == sorted(map(len, once.cycles))
 
     def test_base_conjugacy(self):
         # the phase-0 points under the n-th power step like the base: x -> (x, 0)
@@ -196,7 +195,7 @@ class TestMarkerSearch:
             for n_marker in range(1, 7):
                 verdict = marker_search(sys_, n_marker).found
                 assert verdict == marker_exists_bruteforce(sys_, n_marker)
-                assert verdict == (n_marker <= sys_.min_cycle_length())
+                assert verdict == (n_marker <= min(map(len, sys_.cycles)))
 
     def test_vectorized_oracle_agrees_with_pure_python(self):
         rng = random.Random(8)
@@ -215,7 +214,7 @@ class TestMarkerSearch:
                 lengths.append(min(total, rng.randint(1, 20)))
                 total -= lengths[-1]
             sys_ = cycles(*lengths)
-            shortest = sys_.min_cycle_length()
+            shortest = min(map(len, sys_.cycles))
             for n_marker in (1, 2, shortest, shortest + 1, 25):
                 cert = marker_search(sys_, n_marker)
                 assert cert.found == (n_marker <= shortest)
@@ -262,7 +261,7 @@ class TestMarkerSearch:
             sys_ = random_system(rng, max_points=10)
             n_marker = rng.randint(1, sys_.size + 1)
             subsets = [rng.sample(range(sys_.size), rng.randint(1, sys_.size)) for _ in range(3)]
-            if sys_.min_cycle_length() >= n_marker:
+            if min(map(len, sys_.cycles)) >= n_marker:
                 subsets += [sorted(u) for u in rng.sample(enumerate_markers(sys_, n_marker), 1)]
             for subset in subsets:
                 ok = verify_marker(sys_, subset, n_marker)
@@ -544,7 +543,13 @@ def embedding_cases():
             yield sys_, epsilon
 
 
-# both pipelines unroll their images along orbits through one orbit map
+def cycles_walked_backwards(perm):
+    """``permutation_cycles`` with each cycle walked from its first point
+    backwards, against the permutation on every cycle of three or more."""
+    return tuple(c[:1] + c[:0:-1] for c in permutation_cycles(perm))
+
+
+# both pipelines read their images along orbits through one orbit map
 ORBIT_PIPELINES = {
     "unit-step": lambda: map_to_unit_step_space(cycles(3, 5)),
     "universal": lambda: embed_into_universal(
@@ -563,30 +568,36 @@ class TestOrbitMap:
 
     @pytest.mark.parametrize("pipeline", sorted(ORBIT_PIPELINES))
     def test_failed_equivariance_is_reported(self, pipeline, monkeypatch):
-        # a shift off by one step: the orbit sequences are still rotations
-        # of one another, but no longer intertwine the dynamics
-        monkeypatch.setattr(finite, "shift", lambda x, k: shift(x, k + 1))
+        # cycles walked with their tails reversed: the orbit points still
+        # read every image of their cycle, but not in the order T visits them
+        monkeypatch.setattr(finite, "permutation_cycles", cycles_walked_backwards)
         report = ORBIT_PIPELINES[pipeline]()
         assert report.membership_ok and not report.equivariance_ok and not report.passed
 
     @pytest.mark.parametrize("pipeline", sorted(ORBIT_PIPELINES))
     def test_sequences_follow_the_orbits(self, pipeline):
+        # entry n of cycle c's point is the image of T^n(c[0])
         report = ORBIT_PIPELINES[pipeline]()
         assert report.passed
-        assert [s.period for s in report.sequences] == [3] * 3 + [5] * 5
-        # entry n of point i's sequence is entry 0 of the sequence of its n-th image
-        perm = cycles(3, 5).perm
-        for i, seq in enumerate(report.sequences):
-            j = i
-            for n in range(seq.period):
-                assert seq.value_at(n) == report.sequences[j].value_at(0)
-                j = perm[j]
+        sys_ = cycles(3, 5)
+        if pipeline == "unit-step":
+            phi = rokhlin_function(sys_, marker_search(sys_, 2).subset, 2).phi
+            images = [TorusVec.of(t) for t in phi]
+        else:
+            images = report.embedding.images
+        assert [s.period for s in report.sequences] == [3, 5]
+        for cycle, seq in zip(sys_.cycles, report.sequences):
+            assert [seq.value_at(n) for n in range(seq.period)] == [
+                images[apply(sys_, cycle[0], n)] for n in range(seq.period)
+            ]
 
-    def test_membership_per_cycle_matches_per_point(self):
+    def test_membership_per_cycle_matches_per_point(self, monkeypatch):
         # random images of random fixed-point-free systems in step, gap and
-        # word spaces: the verdict from each cycle's first point equals the
-        # verdict over every point, and in many systems one cycle fails
-        # beside one that passes
+        # word spaces, every other one with its cycles walked backwards:
+        # membership checked on each cycle's point equals the verdict over
+        # every point's sequence, and the cycle walk passes exactly where the
+        # walk is T's and the per-point shift comparison passes.  In many
+        # systems one cycle fails beside one that passes
         rng = random.Random(2203)
         spaces = [
             unit_step_space(),
@@ -595,19 +606,28 @@ class TestOrbitMap:
             gap_space(1, 1, Fraction(1, 4)),
             gap_space(1, 2, Fraction(1, 4)),
         ]
-        verdicts, mixed = [], 0
-        for _ in range(300):
-            sys_ = random_system(rng, max_points=12, min_cycle=2)
+        verdicts, mixed, misordered = [], 0, 0
+        for index in range(300):
+            with monkeypatch.context() as patch:
+                if index % 2:
+                    patch.setattr(finite, "permutation_cycles", cycles_walked_backwards)
+                sys_ = random_system(rng, max_points=12, min_cycle=2)
+                walked = sys_.cycles
             den = rng.choice((1, 2, 4))
             images = [TorusVec((rng.randrange(2 * den),), den) for _ in range(sys_.size)]
             space = rng.choice(spaces)
-            sequences, membership_ok, _ = finite._orbit_map(sys_, images, space)
-            per_point = [check_membership(space, seq).passed for seq in sequences]
-            assert membership_ok == all(per_point), (sys_.perm, images, space)
+            _, membership_ok, equivariance_ok = finite._orbit_map(sys_, images, space)
+            sequences, oracle_membership, oracle_equivariance = orbit_map_per_point(sys_, images, space)
+            assert membership_ok == oracle_membership, (sys_.perm, images, space)
+            true_walk = walked == permutation_cycles(sys_.perm)
+            assert equivariance_ok == (true_walk and oracle_equivariance), (walked, images)
+            misordered += not oracle_equivariance
             verdicts.append(membership_ok)
-            mixed += {all(per_point[i] for i in c) for c in sys_.cycles} == {True, False}
+            per_point = [check_membership(space, seq).passed for seq in sequences]
+            mixed += {all(per_point[i] for i in c) for c in walked} == {True, False}
         assert 20 < sum(verdicts) < len(verdicts) - 20
         assert mixed > 20
+        assert misordered > 50
 
 
 class TestMarkerTransfer:
@@ -804,7 +824,7 @@ class TestRandomGenerators:
         rng = random.Random(6)
         for _ in range(50):
             sys_ = random_system(rng, max_points=12, min_cycle=2)
-            assert sys_.min_cycle_length() >= 2
+            assert min(map(len, sys_.cycles)) >= 2
             assert sys_.size <= 12
 
     def test_random_metric_valid(self):
