@@ -68,12 +68,13 @@ from .shiftspace import (
     count_periodic_sft,
     count_periodic_sft_bruteforce,
     gap_space,
+    periodic_set_empty,
     periodic_witness,
     sample_gap_window,
     seq_to_json,
     verify_conjugacy_diagram,
 )
-from .torus import frac_from_str, frac_to_str
+from .torus import _shown, frac_from_str, frac_to_str
 from .tower import (
     TowerSpec,
     check_verify_size,
@@ -119,12 +120,20 @@ def _report(args: argparse.Namespace, checks: list[dict], **parsed) -> dict:
     }
 
 
+def _int(text: str) -> int:
+    """An integer option's value; argparse would echo a plain ValueError's text whole."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"integer {_shown(text)} is not read") from None
+
+
 def _parse_window(text: str) -> tuple[int, int]:
     """--window A:B denotes the half-open integer interval [A, B)."""
     try:
         lo, hi = (int(part) for part in text.split(":"))
     except ValueError:
-        raise ValueError(f"window {text!r} is not of the form A:B with integers A and B") from None
+        raise ValueError(f"window {_shown(text)} is not of the form A:B with integers A and B") from None
     if hi <= lo:
         raise ValueError("window must be a nonempty half-open interval A:B")
     return lo, hi
@@ -139,7 +148,7 @@ def _parse_system(text: str, check_size) -> FiniteSystem:
             lengths = [int(part) for part in text.split(":", 1)[1].split(",")]
         except ValueError:
             raise ValueError(
-                f"system shorthand {text!r} is not of the form cycles:L1,L2,... "
+                f"system shorthand {_shown(text)} is not of the form cycles:L1,L2,... "
                 "with integer cycle lengths"
             ) from None
         if min(lengths) < 1:
@@ -162,7 +171,7 @@ def _parse_complex(text: str) -> FreeZpComplex:
                 raise ValueError
         except ValueError:
             raise ValueError(
-                f"complex shorthand {text!r} is not of the form en-zp:p=P,n=N with integers"
+                f"complex shorthand {_shown(text)} is not of the form en-zp:p=P,n=N with integers"
             ) from None
         return build_en_zp(params["p"], params["n"])
     return FreeZpComplex.from_json(_read_json(text))
@@ -275,17 +284,20 @@ def _run_shift_conjugacy(args) -> dict:
 
 def _run_shift_witness(args) -> dict:
     delta = frac_from_str(args.delta)
-    witness = periodic_witness(args.N, args.m, delta, args.p)
-    membership = check_membership(gap_space(args.N, args.m, delta), witness)
-    checks = [
-        _check(
+    found = periodic_witness(args.N, args.m, delta, args.p)
+    if found.witness is None:
+        # checked by the rule's interval form, not by the comparison that decided it
+        statement = f"{found.statement}: the gap space has no period-{args.p} point"
+        check = _check("no-periodic-point", statement, periodic_set_empty(args.N, args.m, delta, args.p))
+    else:
+        membership = check_membership(gap_space(args.N, args.m, delta), found.witness)
+        check = _check(
             "witness-membership",
             "the explicit periodic point satisfies the gap constraint at every residue",
             membership.passed,
-            {"witness": seq_to_json(witness)},
+            {"witness": seq_to_json(found.witness)},
         )
-    ]
-    return _report(args, checks, delta=frac_to_str(delta))
+    return _report(args, [check], delta=frac_to_str(delta))
 
 
 def _run_complex_en_zp(args) -> dict:
@@ -386,7 +398,7 @@ def _parse_metric(text: str, size: int) -> tuple[tuple[Fraction, ...], ...]:
             seed = int(text.split(":", 1)[1])
         except ValueError:
             raise ValueError(
-                f"metric shorthand {text!r} is not of the form random:<seed> "
+                f"metric shorthand {_shown(text)} is not of the form random:<seed> "
                 "with an integer seed"
             ) from None
         return random_metric(random.Random(seed), size)
@@ -448,7 +460,7 @@ def _run_mdim_D(args) -> dict:
     elif args.model.startswith("en-zp:"):
         lattice = face_lattice(_parse_complex(args.model))
     else:
-        raise ValueError(f"unknown lattice model {args.model!r}")
+        raise ValueError(f"unknown lattice model {_shown(args.model)}")
     if args.cover == "stars":
         cover = star_cover(lattice)
     elif args.cover == "trivial":
@@ -541,51 +553,51 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.
     tower = groups.add_parser("tower", help="factor/section tower suites")
     tower_sub = tower.add_subparsers(dest="action", required=True)
     tv = tower_sub.add_parser("verify", help="section identity and range checks")
-    tv.add_argument("--m", type=int, required=True, help="tower level (>= 2)")
-    tv.add_argument("--N", type=int, default=1, help="alphabet dimension")
+    tv.add_argument("--m", type=_int, required=True, help="tower level (>= 2)")
+    tv.add_argument("--N", type=_int, default=1, help="alphabet dimension")
     tv.add_argument("--delta", default="1/2", help="distance threshold, e.g. 1/2")
     tv.add_argument(
         "--window",
         required=True,
         help="half-open index interval A:B for the sampled input windows",
     )
-    tv.add_argument("--samples", type=int, default=20)
-    tv.add_argument("--seed", type=int, default=0)
+    tv.add_argument("--samples", type=_int, default=20)
+    tv.add_argument("--seed", type=_int, default=0)
     tv.add_argument("--anchors", choices=["zero", "random"], default="zero")
     tv.set_defaults(runner=_run_tower_verify)
     ta = tower_sub.add_parser("aperiodicity", help="per-prime period certificates")
-    ta.add_argument("--m-max", dest="m_max", type=int, required=True)
-    ta.add_argument("--N", type=int, default=1)
+    ta.add_argument("--m-max", dest="m_max", type=_int, required=True)
+    ta.add_argument("--N", type=_int, default=1)
     ta.add_argument("--delta", default="1/2")
-    ta.add_argument("--p-max", dest="p_max", type=int, required=True)
+    ta.add_argument("--p-max", dest="p_max", type=_int, required=True)
     ta.set_defaults(runner=_run_tower_aperiodicity)
 
     shift_group = groups.add_parser("shift", help="sequence-space suites")
     shift_sub = shift_group.add_subparsers(dest="action", required=True)
     sc = shift_sub.add_parser("count-periodic", help="binary SFT periodic counts")
-    sc.add_argument("--n-max", dest="n_max", type=int, default=14)
+    sc.add_argument("--n-max", dest="n_max", type=_int, default=14)
     sc.add_argument("--forbidden", default="000,111")
     sc.set_defaults(runner=_run_shift_count_periodic)
     sj = shift_sub.add_parser("conjugacy", help="index-dilation conjugacy diagram")
-    sj.add_argument("--p", type=int, required=True)
-    sj.add_argument("--m", type=int, required=True)
-    sj.add_argument("--N", type=int, default=1)
+    sj.add_argument("--p", type=_int, required=True)
+    sj.add_argument("--m", type=_int, required=True)
+    sj.add_argument("--N", type=_int, default=1)
     sj.add_argument("--delta", default="1/2")
-    sj.add_argument("--samples", type=int, default=20)
-    sj.add_argument("--seed", type=int, default=0)
+    sj.add_argument("--samples", type=_int, default=20)
+    sj.add_argument("--seed", type=_int, default=0)
     sj.set_defaults(runner=_run_shift_conjugacy)
     sw = shift_sub.add_parser("witness", help="explicit periodic gap-space point")
-    sw.add_argument("--p", type=int, required=True)
-    sw.add_argument("--m", type=int, required=True)
-    sw.add_argument("--N", type=int, default=1)
+    sw.add_argument("--p", type=_int, required=True)
+    sw.add_argument("--m", type=_int, required=True)
+    sw.add_argument("--N", type=_int, default=1)
     sw.add_argument("--delta", default="1/2")
     sw.set_defaults(runner=_run_shift_witness)
 
     complex_group = groups.add_parser("complex", help="free complex suites")
     complex_sub = complex_group.add_subparsers(dest="action", required=True)
     ce = complex_sub.add_parser("en-zp", help="standard free complex battery")
-    ce.add_argument("--p", type=int, required=True)
-    ce.add_argument("--n", type=int, required=True)
+    ce.add_argument("--p", type=_int, required=True)
+    ce.add_argument("--n", type=_int, required=True)
     ce.set_defaults(runner=_run_complex_en_zp)
     cc = complex_sub.add_parser("coindex", help="sound coindex interval")
     cc.add_argument(
@@ -593,7 +605,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.
         required=True,
         help='shorthand "en-zp:p=3,n=2" or a complex JSON file',
     )
-    cc.add_argument("--n-max", dest="n_max", type=int, default=2)
+    cc.add_argument("--n-max", dest="n_max", type=_int, default=2)
     cc.set_defaults(runner=_run_complex_coindex)
 
     markers = groups.add_parser("markers", help="marker search and transfer")
@@ -606,12 +618,12 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.
         required=True,
         help='shorthand "cycles:3,5" or a FiniteSystem JSON file',
     )
-    ms.add_argument("--N", type=int, required=True)
+    ms.add_argument("--N", type=_int, required=True)
     ms.set_defaults(runner=_run_markers_search)
     mt = markers_sub.add_parser("transfer", help="two-way clock-extension transfer")
     mt.add_argument("--system", required=True)
-    mt.add_argument("--n", type=int, required=True)
-    mt.add_argument("--N", type=int, required=True)
+    mt.add_argument("--n", type=_int, required=True)
+    mt.add_argument("--N", type=_int, required=True)
     mt.set_defaults(runner=_run_markers_transfer)
 
     embed = groups.add_parser("embed", help="metric system into the gap-1 space")
@@ -629,12 +641,12 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.
     md = mdim_sub.add_parser("D", help="exact refinement order of a cover")
     md.add_argument("--model", default="interval", help='"interval" or "en-zp:p=2,n=1"')
     md.add_argument("--cover", default="stars", help='"stars", "trivial", or a JSON file')
-    md.add_argument("--cap", type=int, default=MAX_COVER_NODES)
+    md.add_argument("--cap", type=_int, default=MAX_COVER_NODES)
     md.set_defaults(runner=_run_mdim_D)
     mp = mdim_sub.add_parser("pipeline", help="headline interval arithmetic")
-    mp.add_argument("--N", type=int, required=True)
-    mp.add_argument("--levels", type=int, default=5)
-    mp.add_argument("--time-division", dest="time_division", type=int, default=1)
+    mp.add_argument("--N", type=_int, required=True)
+    mp.add_argument("--levels", type=_int, default=5)
+    mp.add_argument("--time-division", dest="time_division", type=_int, default=1)
     mp.add_argument("--eta", default=None, help="pick the clock division from a target")
     mp.set_defaults(runner=_run_mdim_pipeline)
 

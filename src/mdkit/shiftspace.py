@@ -14,10 +14,12 @@ order, of drawing one vector at a time with :func:`random_torus_vec`, so a
 seed gives the same points whatever the representation.
 :func:`~mdkit.torus.first_far` reproduces those calls through
 ``getrandbits``, and the tests compare it, generator end state included,
-with ``randrange`` oracles on every supported Python.  Subshift
-constraints are declarative: a minimum distance between entries a fixed gap
-apart, a minimum distance for one of the two adjacent steps, or a binary
-subshift of finite type given by its forbidden words.  Both distance
+with ``randrange`` oracles on every supported Python.  Whether a gap space
+has period-p points is decided by one rule, in ``periodic_witness``, which
+gives a witness or the statement that none exists; the sampler asks it too.
+Subshift constraints are declarative: a minimum distance between entries a
+fixed gap apart, a minimum distance for one of the two adjacent steps, or a
+binary subshift of finite type given by its forbidden words.  Both distance
 constraints are decided by :func:`~mdkit.torus.gap_failures`.  A membership
 check reports the range of indices at which a constraint was checkable and
 the indices at which it fails, and never conflates "nothing was checkable"
@@ -32,13 +34,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Union
+from typing import NamedTuple, Union
 
 from .torus import (
     TorusSeq,
     TorusVec,
     concat,
     first_far,
+    frac_to_str,
     gap_failures,
 )
 
@@ -336,19 +339,6 @@ def _draw_seq(
     return found
 
 
-def _grid_cycle_closes(dim: int, threshold: Fraction, length: int) -> bool:
-    """Whether a gap cycle of ``length`` entries has an admissible grid point.
-
-    Length 1 compares an entry with itself; for dim >= 2 the corners {0, 1}^dim
-    are pairwise at distance 1.  For dim = 1 the steps of a closed walk move by
-    a = ceil(threshold*GRID) to 2*GRID - a units and sum to a multiple of 2*GRID.
-    """
-    if length < 2 or dim >= 2:
-        return length >= 2
-    a, full = math.ceil(threshold * GRID), 2 * GRID
-    return length * (full - a) // full * full >= length * a
-
-
 def sample_periodic_gap_point(
     dim: int, gap: int, threshold: Fraction, period: int, rng: random.Random
 ) -> Periodic:
@@ -358,7 +348,8 @@ def sample_periodic_gap_point(
     gcd(gap, period) cycles.  Each cycle is walked entry by entry as in
     ``sample_gap_window`` and redrawn only when its closing edge fails; every
     grid vector has equally many admissible successors, so the result is
-    uniform.  Emptiness is decided on the grid before any draw.
+    uniform.  Emptiness is decided before any draw, by the rule that
+    decides ``periodic_witness``.
     """
     t, cycles, length, what = _periodic_plan(dim, gap, threshold, period)
     walks = []
@@ -382,8 +373,8 @@ def sample_periodic_gap_point(
 # 32 tables of at most MAX_PERIODIC_COORDINATES positions, 3.6 MB each at that cap
 @functools.lru_cache(maxsize=32)
 def _residue_positions(gap: int, period: int) -> itemgetter:
-    """The gather that puts the c = gcd(gap, period) walks of the sampler, one
-    after another, in residue order (period >= 2): step s of walk f sits at
+    """The gather that puts the c = gcd(gap, period) walks of the sampler or the
+    witness, one after another, in residue order (period >= 2): step s of walk f sits at
     r = (f + s*gap) % period, so f = r % c and s = (r // c) / (gap / c) mod period / c."""
     c = math.gcd(gap, period)
     length, inverse = period // c, pow(gap // c, -1, period // c)
@@ -394,14 +385,17 @@ def _residue_positions(gap: int, period: int) -> itemgetter:
 def _periodic_plan(dim: int, gap: int, threshold: Fraction, period: int) -> tuple[Fraction, int, int, str]:
     """What ``sample_periodic_gap_point`` decides before any draw: the
     threshold, the number and length of the cycles, and the point's
-    description; raises when no such point exists on the grid.  Decided once
-    per arguments, as a conjugacy diagram asks for every sample of one side
-    with the same ones."""
+    description.  Decided once per arguments, as a conjugacy diagram asks
+    for every sample of one side with the same ones.  The rule at the threshold
+    rounded up to the grid decides the grid exactly, as its distances are k/GRID."""
     t = gap_space(dim, gap, threshold).threshold
     cycles = math.gcd(gap, period)
     length = period // cycles
     what = f"period-{period} point with distance >= {t} at gap {gap}"
-    if not _grid_cycle_closes(dim, t, length):
+    if not _cycle_closes(dim, Fraction(math.ceil(t * GRID), GRID), length):
+        found = periodic_witness(dim, gap, t, period)
+        if found.witness is None:
+            raise ValueError(f"{found.statement}: no period-{period} point exists")
         raise ValueError(f"no {what} exists on the k/{GRID} grid")
     return t, cycles, length, what
 
@@ -483,17 +477,18 @@ def verify_conjugacy_diagram(
     if p <= m:
         raise ValueError("diagram requires p > m")
     if math.gcd(m, p) != 1:
-        raise ValueError(f"m must be coprime to p: gcd({m}, {p}) = {math.gcd(m, p)}")
+        raise ValueError(f"the diagram needs m and p coprime: gcd({m}, {p}) = {math.gcd(m, p)}")
     if samples < 1:
         raise ValueError("samples must be >= 1: zero samples would check nothing")
+    # the dimension and gap before the cap and the inverse, which m < 1 breaks
+    gap_m = gap_space(dim, m, threshold)
+    gap_1 = gap_space(dim, 1, threshold)
     check_periodic_coordinates(
         f"{samples} samples of period {p} in dimension {dim} from each space hold",
         2 * samples * p * dim,
     )
     k = pow(m % p, -1, p)
     rng = random.Random(seed)
-    gap_m = gap_space(dim, m, threshold)
-    gap_1 = gap_space(dim, 1, threshold)
     samples_m = [sample_periodic_gap_point(dim, m, threshold, p, rng) for _ in range(samples)]
     samples_1 = [sample_periodic_gap_point(dim, 1, threshold, p, rng) for _ in range(samples)]
     # each sample with its dilation, built once: by m on the gap-m side, by k on the gap-1 side
@@ -620,40 +615,73 @@ def count_periodic_sft_bruteforce(forbidden: frozenset[str] | set[str], n: int) 
 
 
 # ---------------------------------------------------------------------------
-# Explicit periodic witnesses for gap spaces
+# Period-p points of gap spaces: one rule decides them, a witness shows them
 
 
-def best_periodic_gap(p: int) -> Fraction:
-    """The distance realized by the explicit period-p witness: 1 for p = 2, else 1 - 1/p."""
-    return Fraction(1) if p == 2 else 1 - Fraction(1, p)
+def best_periodic_gap(length: int) -> Fraction:
+    """The largest distance d one coordinate keeps along a closed cycle of
+    ``length`` steps: each step moves by a value in [d, 2 - d], and the steps
+    sum to an even integer, so d = 1 for even length and 1 - 1/length for odd."""
+    return Fraction(1) if length % 2 == 0 else 1 - Fraction(1, length)
 
 
-def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> Periodic:
-    """An explicit period-p point of the gap space, built by a rotation orbit.
+def _cycle_closes(dim: int, threshold: Fraction, length: int) -> bool:
+    """Whether a gap cycle of ``length`` entries closes with every step at distance
+    >= threshold: length 1 compares an entry with itself, and for dim >= 2 the
+    corner walk of ``periodic_witness`` closes any longer cycle at distance 1."""
+    return length >= 2 and (dim >= 2 or threshold <= best_periodic_gap(length))
 
-    The point is x_n = (2*n*c*g / p mod 2) on every coordinate, where
-    c = floor(p/2) and g is the inverse of the gap mod p, so the gap must be
-    coprime to p.  Its entries a gap apart differ by exactly 2c/p in every
-    coordinate, so the realized distance is 1 for p = 2 and 1 - 1/p
-    otherwise.  The point is not checked here: each caller checks it once
-    with ``check_membership`` and reports that verdict.
+
+def periodic_set_empty(dim: int, gap: int, threshold: Fraction, p: int) -> bool:
+    """The rule in its interval form, which checks its verdicts: a cycle of
+    L = p/gcd(gap, p) entries closes in one coordinate exactly when an even
+    integer lies in [L*threshold, L*(2 - threshold)], and in two or more when L >= 2."""
+    length = p // math.gcd(gap, p)
+    return length * (2 - threshold) // 2 * 2 < length * threshold and (dim == 1 or length == 1)
+
+
+class PeriodicVerdict(NamedTuple):
+    """A period-p point and the least distance it keeps a gap apart, or none and the statement why."""
+
+    witness: Periodic | None
+    realized: Fraction | None
+    statement: str | None
+
+
+def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> PeriodicVerdict:
+    """An explicit period-p point of the gap space, or the statement that none exists.
+
+    The gap ties the residues mod p into gcd(gap, p) cycles of L = p/gcd(gap, p)
+    entries, each walked alike once ``_cycle_closes`` has decided: by the
+    rotation s -> 2*s*floor(L/2)/L on every coordinate, or, for a threshold
+    above ``best_periodic_gap(L)``, by the corner walk, where coordinate 1
+    alternates 0 and 1 and coordinate 2 is 1 at the first step only.  Each
+    caller checks the point once with ``check_membership``.
     """
-    threshold = Fraction(threshold)
     if p < 1:
         raise ValueError("a periodic point needs period >= 1")
-    # before the cap, which p * dim passes for any dim <= 0
-    if dim < 1:
-        raise ValueError("alphabet dimension must be positive")
+    # the dimension before the cap, which p * dim passes for any dim <= 0
+    t = gap_space(dim, gap, threshold).threshold
+    cycles = math.gcd(gap, p)
+    length = p // cycles
+    if length == 1:
+        return PeriodicVerdict(None, None, (
+            f"the gap {gap} is a multiple of {p}, so each entry of a period-{p} point lies "
+            f"{gap} apart from itself, at distance 0, below the threshold {frac_to_str(t)}"
+        ))
+    if not _cycle_closes(dim, t, length):
+        low, high, far = (frac_to_str(d) for d in (length * t, length * (2 - t), 2 - t))
+        return PeriodicVerdict(None, None, (
+            f"the gap {gap} ties the residues mod {p} into cycles of {length}, whose steps of "
+            f"{frac_to_str(t)} to {far} must sum to an even integer in [{low}, {high}]; there is none"
+        ))
     check_periodic_coordinates(f"a period-{p} point in dimension {dim} holds", p * dim)
-    if gap % p == 0:
-        raise ValueError("no period-p points exist when p divides the gap")
-    if math.gcd(gap, p) != 1:
-        raise ValueError(
-            f"the witness needs the gap m coprime to p: gcd({gap}, {p}) = {math.gcd(gap, p)}"
-        )
-    realized = best_periodic_gap(p)
-    if realized < threshold:
-        raise ValueError("witness construction insufficient for this threshold")
-    c = p // 2
-    g = pow(gap % p, -1, p)
-    return Periodic(TorusSeq((tuple(2 * n * c * g for n in range(p)),) * dim, p))
+    realized = best_periodic_gap(length)
+    if t <= realized:
+        walk = TorusSeq((tuple(2 * s * (length // 2) for s in range(length)),) * dim, length)
+    else:
+        realized = Fraction(1)
+        corner = (tuple(s % 2 for s in range(length)), (1,) + (0,) * (length - 1))
+        walk = TorusSeq(corner + ((0,) * length,) * (dim - 2), 1)
+    seq = walk if cycles == 1 else concat(*[walk] * cycles)
+    return PeriodicVerdict(Periodic(seq._gather(_residue_positions(gap, p), True)), realized, None)

@@ -64,6 +64,12 @@ def frac_to_str(value: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _shown(text) -> str:
+    """``text`` as an error line names it: its repr, or past 40 characters its first 20 and its length."""
+    value = str(text)
+    return repr(text) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
+
+
 def frac_from_str(text: str) -> Fraction:
     """Parse ``"p/q"``; a bare integer string is accepted as ``p/1``, and a
     decimal as its exact value.  Exponent form is refused before ``Fraction``
@@ -71,15 +77,14 @@ def frac_from_str(text: str) -> Fraction:
     8-11 s to become a 33-million-bit integer (Python 3.11.7, 2-CPU x86-64 VM).
     A refusal names the text, cut short when long."""
     value = str(text).strip()
-    shown = repr(text) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
     if "e" in value.lower():
-        raise ValueError(f"rational {shown} is refused: exponent form is not read; write it as p/q")
+        raise ValueError(f"rational {_shown(text)} is refused: exponent form is not read; write it as p/q")
     try:
         return Fraction(value)
     except ZeroDivisionError:
-        raise ValueError(f"rational {shown} has denominator zero") from None
+        raise ValueError(f"rational {_shown(text)} has denominator zero") from None
     except ValueError:  # also an integer over Python's digit limit
-        raise ValueError(f"rational {shown} is not read as p/q, an integer or a decimal") from None
+        raise ValueError(f"rational {_shown(text)} is not read as p/q, an integer or a decimal") from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,10 +23,10 @@ from .shiftspace import (
     Periodic,
     SeqPoint,
     Window,
-    best_periodic_gap,
     check_membership,
     check_periodic_coordinates,
     gap_space,
+    periodic_set_empty,
     periodic_witness,
     random_window,
     seq_to_json,
@@ -310,13 +310,13 @@ def _primes_up_to(n: int) -> list[int]:
 def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> tuple[dict, ...]:
     """Per-prime certificates about period-p points of the truncated tower.
 
-    For p within the truncation depth, level p has gap p! which p divides, so
-    every period-p point compares an entry with itself and fails the distance
-    constraint: the period-p point set of level p is empty, and no period-p
-    point survives to depth p.  For larger p an explicit period-p witness at
-    the top level shows the truncation itself cannot rule the period out; that
-    is reported honestly as undetermined at this depth.  The emptiness is index
-    arithmetic alone: only the witnesses hold coordinates.
+    Each prime p is decided by ``periodic_witness`` at level min(p, m_max).
+    Within the depth, p divides the level-p gap p!, so the period-p point set
+    of level p is empty and no period-p point survives to depth p.  Above it,
+    a witness at the top level shows the truncation cannot rule the period
+    out (reported as undetermined at this depth), or the rule's statement
+    shows the top level has no period-p point either.  Only witnesses hold
+    coordinates.
     """
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
@@ -330,45 +330,30 @@ def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> tuple[dict, ...]:
         f"the witnesses of the primes above {spec.m_max} up to {p_max} in dimension {spec.dim} hold",
         sum(p for p in primes if p > spec.m_max) * spec.dim,
     )
+    delta = frac_to_str(spec.delta)
     certificates: list[dict] = []
     for p in primes:
-        if p <= spec.m_max:
-            gap = LevelPlan.of(p).gap
-            certificates.append(
-                {
-                    "prime": p,
-                    "kind": "empty",
-                    "level": p,
-                    "gap": gap,
-                    "verified": gap % p == 0,
-                    "statement": (
-                        f"{p} divides the level-{p} gap {gap}, so any period-{p} "
-                        f"point has distance 0 between entries {gap} apart, below "
-                        f"the threshold {frac_to_str(spec.delta)}: the period-{p} "
-                        f"point set at level {p} is empty"
-                    ),
-                }
+        level = min(p, spec.m_max)
+        gap = LevelPlan.of(level).gap
+        found = periodic_witness(spec.dim, gap, spec.delta, p)
+        record = {"prime": p, "level": level, "gap": gap}
+        if found.witness is None:
+            # within the depth the reason is that p divides p!, in the report's own words
+            reason = found.statement if level < p else (
+                f"{p} divides the level-{p} gap {gap}, so any period-{p} point has distance 0 "
+                f"between entries {gap} apart, below the threshold {delta}"
             )
+            verified = periodic_set_empty(spec.dim, gap, spec.delta, p)
+            statement = f"{reason}: the period-{p} point set at level {level} is empty"
+            record.update(kind="empty", verified=verified, statement=statement)
         else:
-            gap = LevelPlan.of(spec.m_max).gap
-            witness = periodic_witness(spec.dim, gap, spec.delta, p)
-            verified = check_membership(
-                gap_space(spec.dim, gap, spec.delta), witness
-            ).passed
-            certificates.append(
-                {
-                    "prime": p,
-                    "kind": "witness",
-                    "level": spec.m_max,
-                    "gap": gap,
-                    "verified": verified,
-                    "statement": (
-                        f"a period-{p} point exists at level {spec.m_max} with "
-                        f"realized distance {frac_to_str(best_periodic_gap(p))}; "
-                        f"aperiodicity for period {p} is undetermined at depth "
-                        f"{spec.m_max}"
-                    ),
-                    "witness": seq_to_json(witness),
-                }
+            record.update(
+                kind="witness",
+                verified=check_membership(gap_space(spec.dim, gap, spec.delta), found.witness).passed,
+                statement=f"a period-{p} point exists at level {level} with realized distance "
+                f"{frac_to_str(found.realized)}; aperiodicity for period {p} is undetermined "
+                f"at depth {spec.m_max}",
+                witness=seq_to_json(found.witness),
             )
+        certificates.append(record)
     return tuple(certificates)

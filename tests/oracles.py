@@ -8,7 +8,7 @@ that the library code is checked against something it does not share.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import factorial, gcd, lcm
 
 import numpy as np
@@ -249,6 +249,21 @@ def closed_grid_walk_lengths(a: int, max_length: int, grid: int = 64) -> set[int
             moved |= ((reach << s) | (reach >> (full - s))) & mask
         reach = moved
         if reach & 1:
+            lengths.add(length)
+    return lengths
+
+
+def closed_product_walk_lengths(a: int, max_length: int, grid: int, dim: int = 2) -> set[int]:
+    """Lengths L <= max_length at which L steps on (Z/(2*grid))^dim, each of
+    circular size >= a in some coordinate, can return to 0, by a sweep of the
+    reachable states (tuples of residues)."""
+    full = 2 * grid
+    steps = [s for s in product(range(full), repeat=dim) if max(min(k, full - k) for k in s) >= a]
+    lengths = set()
+    reach = {(0,) * dim}
+    for length in range(1, max_length + 1):
+        reach = {tuple((x + k) % full for x, k in zip(state, s)) for state in reach for s in steps}
+        if (0,) * dim in reach:
             lengths.add(length)
     return lengths
 

@@ -356,8 +356,7 @@ class TestExitCodes:
             (["shift", "count-periodic", "--n-max", "-1"], None, "would check nothing"),
             (["shift", "count-periodic", "--n-max", "21"], None, "period 21 is over the cap of 20"),
             (["shift", "count-periodic", "--forbidden", "000000000,111111111"], None, "cap of 8 letters"),
-            (["shift", "witness", "--p", "4", "--m", "2"], None, "coprime to p: gcd(2, 4) = 2"),
-            (["shift", "conjugacy", "--p", "6", "--m", "2"], None, "m must be coprime to p"),
+            (["shift", "conjugacy", "--p", "6", "--m", "2"], None, "the diagram needs m and p coprime"),
             (["complex", "coindex", "--complex", "en-zp:p=3,n=2,x"], None, "en-zp:p=P,n=N"),
             (["markers", "search", "--system", "cycles:3,x", "--N", "1"], None, "cycles:L1,L2,..."),
             (["mdim", "D", "--model", "interval"], ("--cover", [1, 2]), "a JSON list of atom lists"),
@@ -592,6 +591,27 @@ class TestExitCodes:
                 ("--metric", "[[0, " + "1" * 5000 + "], [1, 0]]"),
                 "input.json' is not read: an integer is too long",
             ),
+            # shorthands over the digit limit, named by their first 20 characters
+            (
+                ["embed", "--system", "cycles:" + "9" * 5000, "--epsilon", "1/10"],
+                None,
+                "system shorthand 'cycles:9999999999999'... (5007 characters) is not of the form",
+            ),
+            (
+                ["complex", "coindex", "--complex", "en-zp:p=" + "9" * 5000 + ",n=2"],
+                None,
+                "complex shorthand 'en-zp:p=999999999999'... (5012 characters) is not of the form",
+            ),
+            (
+                ["tower", "verify", "--m", "3", "--window", "0:" + "9" * 5000],
+                None,
+                "window '0:999999999999999999'... (5002 characters) is not of the form A:B",
+            ),
+            (
+                ["embed", "--system", "cycles:3", "--metric", "random:" + "9" * 5000, "--epsilon", "1/10"],
+                None,
+                "metric shorthand 'random:9999999999999'... (5007 characters) is not of the form",
+            ),
         ],
         ids=[
             "complex-without-n",
@@ -613,7 +633,6 @@ class TestExitCodes:
             "count-periodic-negative-lengths",
             "count-periodic-period-over-cap",
             "count-periodic-word-over-cap",
-            "witness-gap-not-coprime",
             "conjugacy-m-not-coprime",
             "complex-shorthand-malformed",
             "system-shorthand-malformed",
@@ -686,6 +705,10 @@ class TestExitCodes:
             "witness-delta-over-digit-limit",
             "pipeline-eta-over-digit-limit",
             "metric-file-integer-over-digit-limit",
+            "system-shorthand-over-digit-limit",
+            "complex-shorthand-over-digit-limit",
+            "window-over-digit-limit",
+            "metric-seed-over-digit-limit",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):
@@ -885,6 +908,73 @@ class TestExitCodes:
             assert code == 2
             assert capsys.readouterr().err.splitlines() == ["mdkit: error: alphabet dimension must be positive"]
             assert elapsed < 1
+
+    def test_over_long_integer_option_is_cut(self, capsys):
+        # every integer option of every leaf, given 5,000 nines: argparse's
+        # usage and one error line naming the first 20 characters
+        long = "9" * 5000
+        tried = 0
+        for words, leaf in cli._parsers()[1].items():
+            required = [a for a in leaf._actions if a.required]
+            for action in leaf._actions:
+                if action.type is not cli._int:
+                    continue
+                argv = list(words)
+                for other in required:
+                    if other is not action:
+                        argv += [other.option_strings[0], "cycles:3" if other.dest == "system" else "1"]
+                argv += [action.option_strings[0], long]
+                with pytest.raises(SystemExit) as exited:
+                    cli.main(argv)
+                assert exited.value.code == 2
+                lines = capsys.readouterr().err.splitlines()
+                assert lines[0].startswith("usage: mdkit ") and all(len(line) < 200 for line in lines)
+                assert lines[-1].endswith(f"integer '{long[:20]}'... (5000 characters) is not read"), argv
+                tried += 1
+        assert tried == 26
+
+    @pytest.mark.parametrize(
+        "argv, check",
+        [
+            # once "needs the gap m coprime to p", though both sets are nonempty
+            (["shift", "witness", "--p", "4", "--m", "2"], "witness-membership"),
+            (["shift", "witness", "--p", "9", "--m", "3"], "witness-membership"),
+            # once "insufficient": the corner witness keeps 1 in two coordinates
+            (["shift", "witness", "--p", "3", "--m", "2", "--N", "2", "--delta", "4/5"], "witness-membership"),
+            # once "insufficient", though the even cycle (0, 1, 0, 1) keeps 1
+            (["shift", "witness", "--p", "4", "--m", "1", "--delta", "9/10"], "witness-membership"),
+            # once refused with the statement that proves the set empty
+            (["shift", "witness", "--p", "3", "--m", "3"], "no-periodic-point"),
+            (["shift", "witness", "--p", "3", "--m", "2", "--delta", "4/5"], "no-periodic-point"),
+            (["shift", "witness", "--p", str(2**31), "--m", str(2**31)], "no-periodic-point"),
+        ],
+        ids=["gcd-2", "gcd-3", "corner", "even-cycle", "gap-multiple-of-p", "odd-cycle-interval", "empty-over-cap"],
+    )
+    def test_witness_decides_every_period(self, capsys, argv, check):
+        code, report, _ = run_cli(capsys, *argv)
+        assert code == 0 and report["summary"]["verdict"] == "pass"
+        assert [c["name"] for c in report["checks"]] == [check]
+
+    @pytest.mark.parametrize(
+        "argv, kinds",
+        [
+            # p = 3's witness once refused the whole report ("insufficient")
+            (["tower", "aperiodicity", "--m-max", "2", "--p-max", "13", "--delta", "4/5"], ["empty"] * 2 + ["witness"] * 4),
+            # every prime within the depth: no coordinates, though p * N is over the cap
+            (["tower", "aperiodicity", "--m-max", "5", "--p-max", "5", "--N", "50000"], ["empty"] * 3),
+        ],
+        ids=["prime-3-empty-at-4/5", "over-cap-all-empty"],
+    )
+    def test_aperiodicity_gives_each_prime_its_verdict(self, capsys, argv, kinds):
+        code, report, _ = run_cli(capsys, *argv)
+        assert code == 0 and report["summary"]["verdict"] == "pass"
+        assert [c["witness"]["kind"] for c in report["checks"]] == kinds
+
+    def test_conjugacy_names_why_the_set_is_empty(self, capsys):
+        assert cli.main(["shift", "conjugacy", "--p", "3", "--m", "2", "--delta", "4/5"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.endswith("[12/5, 18/5]; there is none: no period-3 point exists")
+        assert "grid" not in line
 
     def test_aperiodicity_cap_refused_before_the_sieve(self, capsys, monkeypatch):
         def sieved(n):

@@ -17,6 +17,7 @@ from mdkit.shiftspace import (
     count_periodic_sft_bruteforce,
     gap_space,
     half_step_space,
+    periodic_set_empty,
     periodic_witness,
     power_map,
     random_torus_vec,
@@ -32,6 +33,7 @@ from mdkit.torus import TorusSeq, TorusVec, frac_from_str, max_circle_dist
 from mdkit.tower import random_anchor
 from oracles import (
     closed_grid_walk_lengths,
+    closed_product_walk_lengths,
     count_periodic_sft_strings,
     lane_edge_seq,
     mixed_den_vec,
@@ -250,8 +252,8 @@ class TestConjugacyDiagram:
     def test_sampler_decides_once_per_side(self, monkeypatch):
         # each side's threshold and grid emptiness are decided once, not per sample
         decided = []
-        closes = shiftspace._grid_cycle_closes
-        monkeypatch.setattr(shiftspace, "_grid_cycle_closes", lambda *args: decided.append(args) or closes(*args))
+        closes = shiftspace._cycle_closes
+        monkeypatch.setattr(shiftspace, "_cycle_closes", lambda *args: decided.append(args) or closes(*args))
         shiftspace._periodic_plan.cache_clear()
         report = verify_conjugacy_diagram(2, 3, Fraction(3, 8), 7, samples=6, seed=4)
         assert report.passed
@@ -357,30 +359,101 @@ class TestSftCounts:
         assert peak < 64 * 1024
 
 
+def realized_distance(x, gap):
+    """The least distance between entries of a periodic point a gap apart."""
+    return min(max_circle_dist(x.value_at(n), x.value_at(n + gap)) for n in range(x.period))
+
+
 class TestPeriodicWitness:
     def test_explicit_small_witness(self):
-        w = periodic_witness(1, 2, HALF, 3)
-        assert [Fraction(v.nums[0], v.den) for v in w.values] == [
+        found = periodic_witness(1, 2, HALF, 3)
+        assert [Fraction(v.nums[0], v.den) for v in found.witness.values] == [
             Fraction(0),
             Fraction(4, 3),
             Fraction(2, 3),
         ]
+        assert found.realized == Fraction(2, 3) and found.statement is None
 
     def test_antipodal_two_cycle(self):
-        w = periodic_witness(1, 1, HALF, 2)
-        assert [Fraction(v.nums[0], v.den) for v in w.values] == [Fraction(0), Fraction(1)]
+        found = periodic_witness(1, 1, HALF, 2)
+        assert [Fraction(v.nums[0], v.den) for v in found.witness.values] == [Fraction(0), Fraction(1)]
+        assert found.realized == 1
 
     def test_membership_and_constant_gap(self):
-        w = periodic_witness(2, 3, HALF, 5)
+        w = periodic_witness(2, 3, HALF, 5).witness
         report = check_membership(gap_space(2, 3, HALF), w)
         assert report.passed
         assert all(max_circle_dist(w.value_at(n), w.value_at(n + 3)) == Fraction(4, 5) for n in report.records)
 
     def test_errors(self):
-        with pytest.raises(ValueError, match="divides the gap"):
-            periodic_witness(1, 10, HALF, 5)
-        with pytest.raises(ValueError, match="insufficient"):
-            periodic_witness(1, 1, Fraction(9, 10), 3)
+        # refusals of the arguments, each before the set is decided
+        with pytest.raises(ValueError, match="period >= 1"):
+            periodic_witness(1, 2, HALF, 0)
+        with pytest.raises(ValueError, match="alphabet dimension must be positive"):
+            periodic_witness(0, 5, HALF, 5)
+        with pytest.raises(ValueError, match="gap must be >= 1"):
+            periodic_witness(1, 0, HALF, 5)
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\]"):
+            periodic_witness(1, 1, Fraction(3, 2), 3)
+        with pytest.raises(ValueError, match="over the cap of 100000"):
+            periodic_witness(1, 1, HALF, 100_001)
+
+    def test_empty_sets_are_verdicts(self):
+        # a gap that p divides, and an odd cycle above 1 - 1/L in one coordinate
+        found = periodic_witness(1, 10, HALF, 5)
+        assert found.witness is None and found.realized is None
+        assert found.statement.startswith("the gap 10 is a multiple of 5")
+        found = periodic_witness(1, 1, Fraction(9, 10), 3)
+        assert found.witness is None
+        assert "[27/10, 33/10]" in found.statement
+        # an empty set is decided before the coordinate cap
+        assert periodic_witness(50_000, 5, HALF, 5).witness is None
+
+    def test_witnesses_the_old_refusals_missed(self):
+        # an even cycle realizes 1: (0, 1, 0, 1) at 9/10
+        found = periodic_witness(1, 1, Fraction(9, 10), 4)
+        assert [v.to_json() for v in found.witness.values] == [["0/1"], ["1/1"], ["0/1"], ["1/1"]]
+        assert found.realized == 1
+        # gaps sharing a factor with p: one walk on each of the gcd cycles
+        for gap, p in ((2, 4), (3, 9), (4, 6)):
+            found = periodic_witness(1, gap, HALF, p)
+            assert found.witness.period == p
+            assert check_membership(gap_space(1, gap, HALF), found.witness).passed
+        # the corner walk keeps 1 in two coordinates, where one keeps 2/3
+        found = periodic_witness(2, 2, Fraction(4, 5), 3)
+        assert [v.to_json() for v in found.witness.values] == [["0/1", "1/1"], ["0/1", "0/1"], ["1/1", "0/1"]]
+        assert found.realized == 1
+
+    def test_rule_matches_closed_walks(self):
+        # on the 1/D grid with delta = a/D, a closed walk exists on the grid
+        # exactly when one exists on the circle
+        closing = {a: closed_grid_walk_lengths(a, 12, grid=12) for a in range(1, 13)}
+        for a, lengths in closing.items():
+            for length in range(1, 13):
+                assert shiftspace._cycle_closes(1, Fraction(a, 12), length) == (length in lengths), (a, length)
+        for a in range(1, 7):
+            lengths = closed_product_walk_lengths(a, 7, grid=6)
+            for length in range(1, 8):
+                assert shiftspace._cycle_closes(2, Fraction(a, 6), length) == (length in lengths), (a, length)
+
+    def test_every_verdict_is_checked(self):
+        # each witness is a point of the gap space and keeps the distance it
+        # states; each empty verdict agrees with the rule's interval form
+        empty = 0
+        for p in range(1, 13):
+            for gap in range(1, 2 * p + 1):
+                for a in range(1, 13):
+                    threshold = Fraction(a, 12)
+                    for dim in (1, 2, 3):
+                        found = periodic_witness(dim, gap, threshold, p)
+                        assert (found.witness is None) == periodic_set_empty(dim, gap, threshold, p)
+                        if found.witness is None:
+                            empty += 1
+                            continue
+                        assert found.witness.period == p and found.witness.dim == dim
+                        assert check_membership(gap_space(dim, gap, threshold), found.witness).passed
+                        assert realized_distance(found.witness, gap) == found.realized >= threshold
+        assert 0 < empty
 
 
 class TestSampling:
@@ -437,7 +510,7 @@ class TestSampling:
             threshold = rng.choice((Fraction(1, 4), HALF))
             seed = rng.randrange(1 << 30)
             if gap % period == 0:
-                with pytest.raises(ValueError, match="exists on the k/64 grid"):
+                with pytest.raises(ValueError, match=r"is a multiple of \d+, .*: no period-\d+ point exists$"):
                     sample_periodic_gap_point(dim, gap, threshold, period, random.Random(seed))
                 continue
             x = sample_periodic_gap_point(dim, gap, threshold, period, random.Random(seed))
@@ -477,13 +550,17 @@ class TestSampling:
         for a in range(1, 65):
             closing = closed_grid_walk_lengths(a, 13)
             for length in range(1, 14):
-                rule = shiftspace._grid_cycle_closes(1, Fraction(a, 64), length)
+                rule = shiftspace._cycle_closes(1, Fraction(a, 64), length)
                 assert rule == (length in closing), (a, length)
-        # off-grid thresholds round up to the next grid distance
-        assert not shiftspace._grid_cycle_closes(1, Fraction(2, 3), 3)
-        assert shiftspace._grid_cycle_closes(1, Fraction(41, 64) + Fraction(1, 1000), 3)
-        assert shiftspace._grid_cycle_closes(2, Fraction(1), 3)
-        assert not shiftspace._grid_cycle_closes(2, Fraction(1, 64), 1)
+        # off-grid thresholds round up to the next grid distance: 2/3 to 43/64
+        # leaves period 3 on the circle but not on the grid
+        plan = shiftspace._periodic_plan
+        with pytest.raises(ValueError, match="^no period-3 point with distance >= 2/3 at gap 1 exists on the k/64 grid$"):
+            plan(1, 1, Fraction(2, 3), 3)
+        assert plan(1, 1, Fraction(41, 64) + Fraction(1, 1000), 3)[1:3] == (1, 3)
+        assert plan(2, 1, Fraction(1), 3)[1:3] == (1, 3)
+        with pytest.raises(ValueError, match="^the gap 1 is a multiple of 1, .*: no period-1 point exists$"):
+            plan(2, 1, Fraction(1, 64), 1)
 
     @pytest.mark.parametrize(
         "dim, gap, threshold, period",
@@ -521,12 +598,13 @@ class TestSampling:
             assert check_membership(gap_space(dim, gap, threshold), x).passed
 
     def test_empty_grid_set_is_decided_before_drawing(self):
-        for dim, gap, threshold, period in [
-            (1, 2, Fraction(1), 3),
-            (1, 1, Fraction(2, 3), 3),
-            (2, 5, HALF, 5),
+        # the refusal names the grid only where the gap space has such points
+        for dim, gap, threshold, period, named in [
+            (1, 2, Fraction(1), 3, r"^the gap 2 ties the residues mod 3 into cycles of 3, .*: no period-3 point exists$"),
+            (1, 1, Fraction(2, 3), 3, r"^no period-3 point .* exists on the k/64 grid$"),
+            (2, 5, HALF, 5, r"^the gap 5 is a multiple of 5, .*: no period-5 point exists$"),
         ]:
-            with pytest.raises(ValueError, match=r"^no period-\d+ point .* exists on the k/64 grid$"):
+            with pytest.raises(ValueError, match=named):
                 sample_periodic_gap_point(dim, gap, threshold, period, random.Random(0))
 
     def test_exhausted_budget_is_undetermined(self, monkeypatch):

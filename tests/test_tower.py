@@ -142,7 +142,7 @@ class TestFactorChain:
         assert factor_chain(4, 1, x) == factor_chain(2, 1, factor_chain(4, 2, x))
 
     def test_witness_chains_to_gap_one(self):
-        w = periodic_witness(1, level_gap(4), HALF, 7)
+        w = periodic_witness(1, level_gap(4), HALF, 7).witness
         down = factor_chain(4, 1, w)
         assert check_membership(gap_space(1, 1, HALF), down).passed
 
@@ -218,7 +218,7 @@ class TestKernelsMatchPerEntry:
                     assert factor_map(m, x) == factor_map_per_entry(m, x)
                 # period-p witnesses, over denominator p
                 for p in (7, 11, 13):
-                    x = periodic_witness(dim, level_gap(m), HALF, p)
+                    x = periodic_witness(dim, level_gap(m), HALF, p).witness
                     assert factor_map(m, x) == factor_map_per_entry(m, x)
 
     def test_section_map(self):
@@ -546,6 +546,24 @@ class TestAperiodicity:
             stated[p] = cert["statement"].split("realized distance ")[1].split(";")[0]
             assert Fraction(stated[p]) == realized
         assert stated[2] == "1/1" and stated[3] == "2/3"
+
+    def test_each_prime_gets_its_own_verdict(self):
+        # at depth 2 (gap 2) and 4/5, period 3 is empty in one coordinate,
+        # where its witness once refused the whole report, and has the corner
+        # witness in two
+        for dim, kind_3 in ((1, "empty"), (2, "witness")):
+            by_prime = {c["prime"]: c for c in tower_aperiodicity_report(TowerSpec(dim, Fraction(4, 5), 2), 13)}
+            assert all(c["verified"] for c in by_prime.values())
+            assert [by_prime[p]["kind"] for p in (2, 3, 5, 7, 11, 13)] == ["empty", kind_3] + ["witness"] * 4
+            assert by_prime[3]["level"] == 2 and by_prime[3]["gap"] == 2
+        assert by_prime[3]["statement"].startswith("a period-3 point exists at level 2 with realized distance 1/1")
+        empty = tower_aperiodicity_report(TowerSpec(1, Fraction(4, 5), 2), 3)[1]
+        assert empty["statement"].endswith("[12/5, 18/5]; there is none: the period-3 point set at level 2 is empty")
+
+    def test_emptiness_is_decided_before_any_coordinate(self):
+        # p * N is over the cap for every prime, but each is empty within the depth
+        certificates = tower_aperiodicity_report(TowerSpec(50_000, HALF, 5), 5)
+        assert [(c["kind"], c["verified"]) for c in certificates] == [("empty", True)] * 3
 
     def test_p_max_validation(self):
         spec = TowerSpec(dim=1, delta=HALF, m_max=3)
