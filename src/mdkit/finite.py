@@ -36,6 +36,7 @@ from .shiftspace import (
 from .torus import (
     TorusSeq,
     TorusVec,
+    _shown,
     frac_from_str,
     frac_to_str,
     max_circle_dist,
@@ -337,7 +338,7 @@ def _cycle_position_subset_counts(length: int, n_marker: int):
 def check_search_size(size: int) -> None:
     """Refuse a marker search on ``size`` points over ``MAX_SEARCH_POINTS``."""
     if size > MAX_SEARCH_POINTS:
-        raise ValueError(f"markers search takes at most {MAX_SEARCH_POINTS} points, got {size}")
+        raise ValueError(f"markers search takes at most {MAX_SEARCH_POINTS} points, got {_shown(size)}")
 
 
 def marker_search(sys_: FiniteSystem, n_marker: int) -> MarkerCertificate:
@@ -547,7 +548,7 @@ def check_embed_size(size: int) -> None:
     """Refuse an embedding of ``size`` points over ``MAX_EMBED_POINTS``."""
     if size > MAX_EMBED_POINTS:
         raise ValueError(
-            f"embed takes at most {MAX_EMBED_POINTS} points, got {size}: "
+            f"embed takes at most {MAX_EMBED_POINTS} points, got {_shown(size)}: "
             "its metric and pair checks grow with the square of the size"
         )
 
@@ -674,7 +675,7 @@ def check_transfer_size(size: int, n: int) -> None:
     """Refuse a 1/n-time extension of ``size`` points over ``MAX_TRANSFER_POINTS``."""
     if n * size > MAX_TRANSFER_POINTS:
         raise ValueError(
-            f"the 1/{n}-time extension of {size} points has {n * size} points, "
+            f"the 1/{_shown(n)}-time extension of {_shown(size)} points has {_shown(n * size)} points, "
             f"over the cap of {MAX_TRANSFER_POINTS} on a marker transfer"
         )
 

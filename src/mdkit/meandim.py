@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence
 
-from .torus import frac_to_str
+from .torus import _shown, frac_to_str
 
 
 # Largest level count of ``headline_pipeline``, checked before any bound is
@@ -309,11 +309,11 @@ def headline_pipeline(width: int, levels: int, n: int) -> MdimBound:
     """
     if levels < 1:
         raise ValueError(
-            f"the pipeline needs levels >= 1, got {levels}: the inverse limit needs a level"
+            f"the pipeline needs levels >= 1, got {_shown(levels)}: the inverse limit needs a level"
         )
     if levels > MAX_PIPELINE_LEVELS:
         raise ValueError(
-            f"{levels} levels is over the cap of {MAX_PIPELINE_LEVELS} on the pipeline"
+            f"{_shown(levels)} levels is over the cap of {MAX_PIPELINE_LEVELS} on the pipeline"
         )
     level_bounds = [ambient_shift_bound(width) for _ in range(levels)]
     return time_division_bound(n, inverse_limit_bound(level_bounds))

@@ -39,6 +39,7 @@ from typing import NamedTuple, Union
 from .torus import (
     TorusSeq,
     TorusVec,
+    _shown,
     concat,
     first_far,
     frac_to_str,
@@ -433,7 +434,7 @@ def check_periodic_coordinates(holding: str, count: int) -> None:
     """Refuse periodic points of `count` coordinates over the cap; `holding` names them."""
     if count > MAX_PERIODIC_COORDINATES:
         cap = MAX_PERIODIC_COORDINATES
-        raise ValueError(f"{holding} {count} coordinates, over the cap of {cap} on periodic points")
+        raise ValueError(f"{holding} {_shown(count)} coordinates, over the cap of {cap} on periodic points")
 
 
 @dataclass(frozen=True)
@@ -477,14 +478,16 @@ def verify_conjugacy_diagram(
     if p <= m:
         raise ValueError("diagram requires p > m")
     if math.gcd(m, p) != 1:
-        raise ValueError(f"the diagram needs m and p coprime: gcd({m}, {p}) = {math.gcd(m, p)}")
+        raise ValueError(
+            f"the diagram needs m and p coprime: gcd({_shown(m)}, {_shown(p)}) = {_shown(math.gcd(m, p))}"
+        )
     if samples < 1:
         raise ValueError("samples must be >= 1: zero samples would check nothing")
     # the dimension and gap before the cap and the inverse, which m < 1 breaks
     gap_m = gap_space(dim, m, threshold)
     gap_1 = gap_space(dim, 1, threshold)
     check_periodic_coordinates(
-        f"{samples} samples of period {p} in dimension {dim} from each space hold",
+        f"{_shown(samples)} samples of period {_shown(p)} in dimension {_shown(dim)} from each space hold",
         2 * samples * p * dim,
     )
     k = pow(m % p, -1, p)
@@ -542,7 +545,7 @@ def capped_sft(forbidden: frozenset[str] | set[str], n: int) -> BinarySFT:
         raise ValueError("length must be >= 1")
     if n > MAX_PERIOD:
         raise ValueError(
-            f"period {n} is over the cap of {MAX_PERIOD} on periodic-point counts "
+            f"period {_shown(n)} is over the cap of {MAX_PERIOD} on periodic-point counts "
             f"(2^{MAX_PERIOD} circular words)"
         )
     if sft.word_length > MAX_WORD_LENGTH:
@@ -675,7 +678,7 @@ def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> Periodi
             f"the gap {gap} ties the residues mod {p} into cycles of {length}, whose steps of "
             f"{frac_to_str(t)} to {far} must sum to an even integer in [{low}, {high}]; there is none"
         ))
-    check_periodic_coordinates(f"a period-{p} point in dimension {dim} holds", p * dim)
+    check_periodic_coordinates(f"a period-{_shown(p)} point in dimension {_shown(dim)} holds", p * dim)
     realized = best_periodic_gap(length)
     if t <= realized:
         walk = TorusSeq((tuple(2 * s * (length // 2) for s in range(length)),) * dim, length)

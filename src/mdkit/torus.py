@@ -65,7 +65,18 @@ def frac_to_str(value: Fraction | int) -> str:
 
 
 def _shown(text) -> str:
-    """``text`` as an error line names it: its repr, or past 40 characters its first 20 and its length."""
+    """``text`` as an error line names it: its repr, or past 40 characters its
+    first 20 and its length.  An integer past 20 digits is named by its first
+    10 characters and its digit count, and one past Python's 4,300-digit limit
+    by the power of two its size reaches."""
+    if isinstance(text, int):
+        try:
+            value = str(text)
+        except ValueError:  # str() refuses an integer over 4,300 digits
+            power = f"2^{text.bit_length() - 1}"
+            return f"at least {power}" if text > 0 else f"at most -{power}"
+        digits = len(value.lstrip("-"))
+        return value if digits <= 20 else f"{value[:10]}... ({digits} digits)"
     value = str(text)
     return repr(text) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
 

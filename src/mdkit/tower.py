@@ -33,6 +33,7 @@ from .shiftspace import (
 )
 from .torus import (
     TorusSeq,
+    _shown,
     frac_to_str,
     solve_strided_sums,
     strided_sums,
@@ -138,8 +139,8 @@ def section_domain(m: int, lo: int, hi: int) -> tuple[int, int]:
         raise DomainError("output domain empty")
     if lo > 0 or hi < plan.stride - 1:
         raise DomainError(
-            f"section at level {m} needs the input window to cover [0, {plan.stride - 1}] "
-            f"and to start at or below 0 (got [{lo}, {hi}])"
+            f"section at level {_shown(m)} needs the input window to cover [0, {plan.stride - 1}] "
+            f"and to start at or below 0 (got [{_shown(lo)}, {_shown(hi)}])"
         )
     return lo, hi + plan.head
 
@@ -255,16 +256,16 @@ def check_verify_size(m: int, lo: int, hi: int, samples: int, dim: int) -> Level
     dimension ``dim``; a level over the cap is refused before its gap is formed."""
     if m > MAX_VERIFY_LEVEL:
         raise ValueError(
-            f"level {m} needs a window covering the {m - 1}! entries of the base "
+            f"level {_shown(m)} needs a window covering the {_shown(m - 1)}! entries of the base "
             f"block, over the cap of {MAX_VERIFY_ENTRIES} on tower verify"
         )
     out_lo, out_hi = section_domain(m, lo, hi - 1)
     coordinates = samples * (hi - lo + out_hi - out_lo + 1) * dim
     if coordinates > MAX_VERIFY_ENTRIES:
         raise ValueError(
-            f"{samples} samples of a {hi - lo}-entry window and its "
-            f"{out_hi - out_lo + 1}-entry section in dimension {dim} hold "
-            f"{coordinates} coordinates, over the cap of {MAX_VERIFY_ENTRIES} on tower verify"
+            f"{_shown(samples)} samples of a {_shown(hi - lo)}-entry window and its "
+            f"section in dimension {_shown(dim)} hold "
+            f"{_shown(coordinates)} coordinates, over the cap of {MAX_VERIFY_ENTRIES} on tower verify"
         )
     return LevelPlan.of(m)
 
@@ -322,12 +323,13 @@ def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> tuple[dict, ...]:
         raise ValueError("p_max must be >= 2")
     if p_max > MAX_APERIODICITY_PRIME:
         raise ValueError(
-            f"p_max {p_max} is over the cap of {MAX_APERIODICITY_PRIME} on "
+            f"p_max {_shown(p_max)} is over the cap of {MAX_APERIODICITY_PRIME} on "
             "aperiodicity certificates"
         )
     primes = _primes_up_to(p_max)
     check_periodic_coordinates(
-        f"the witnesses of the primes above {spec.m_max} up to {p_max} in dimension {spec.dim} hold",
+        f"the witnesses of the primes above {_shown(spec.m_max)} up to {p_max} in dimension "
+        f"{_shown(spec.dim)} hold",
         sum(p for p in primes if p > spec.m_max) * spec.dim,
     )
     delta = frac_to_str(spec.delta)

@@ -1,4 +1,5 @@
 import json
+import random
 import shlex
 import time
 from fractions import Fraction
@@ -612,6 +613,70 @@ class TestExitCodes:
                 None,
                 "metric shorthand 'random:9999999999999'... (5007 characters) is not of the form",
             ),
+            # integers an argument gives, and counts formed from them, named by
+            # their first 10 characters, or past Python's digit limit by the
+            # power of two they reach: each once printed 4-12 kB
+            (
+                ["shift", "witness", "--p", "1" + "0" * 4000, "--m", "3"],
+                None,
+                "a period-1000000000... (4001 digits) point in dimension 1 holds 1000000000... (4001 digits)",
+            ),
+            (
+                ["shift", "conjugacy", "--p", "1" + "0" * 4000, "--m", "3"],
+                None,
+                "20 samples of period 1000000000... (4001 digits) in dimension 1 from each space hold",
+            ),
+            (
+                ["tower", "verify", "--m", "3", "--window=0:1" + "0" * 4000],
+                None,
+                "of a 1000000000... (4001 digits)-entry window and its section in dimension 1 hold",
+            ),
+            (
+                ["shift", "conjugacy", "--p", "1" + "0" * 4000, "--m", "3", "--N", "1" + "0" * 4000],
+                None,
+                "in dimension 1000000000... (4001 digits) from each space hold at least 2^26580 coordinates",
+            ),
+            (
+                ["markers", "search", "--system", "cycles:1" + "0" * 4000, "--N", "2"],
+                None,
+                "takes at most 1000000 points, got 1000000000... (4001 digits)",
+            ),
+            (
+                ["embed", "--system", "cycles:1" + "0" * 4000, "--epsilon", "1/10"],
+                None,
+                "takes at most 200 points, got 1000000000... (4001 digits)",
+            ),
+            (
+                ["markers", "transfer", "--system", "cycles:3", "--n", "1" + "0" * 4000, "--N", "2"],
+                None,
+                "the 1/1000000000... (4001 digits)-time extension of 3 points has 3000000000... (4001 digits) points",
+            ),
+            (
+                ["mdim", "pipeline", "--N", "1", "--levels", "1" + "0" * 4000],
+                None,
+                "1000000000... (4001 digits) levels is over the cap of 1000",
+            ),
+            (
+                ["complex", "en-zp", "--p", "1" + "0" * 4000, "--n", "1"],
+                None,
+                "en-zp:p=1000000000... (4001 digits),n=1 would have 1000000000... (4001 digits)^2 - 1 simplices",
+            ),
+            (
+                ["shift", "count-periodic", "--n-max", "1" + "0" * 4000],
+                None,
+                "period 1000000000... (4001 digits) is over the cap of 20",
+            ),
+            (
+                ["tower", "aperiodicity", "--m-max", "3", "--p-max", "1" + "0" * 4000],
+                None,
+                "p_max 1000000000... (4001 digits) is over the cap of 1000",
+            ),
+            # a path that fails to open, named by its first 20 characters
+            (
+                ["embed", "--system", "a" * 300, "--epsilon", "1/10"],
+                None,
+                "File name too long: 'aaaaaaaaaaaaaaaaaaaa'... (300 characters)",
+            ),
         ],
         ids=[
             "complex-without-n",
@@ -709,6 +774,18 @@ class TestExitCodes:
             "complex-shorthand-over-digit-limit",
             "window-over-digit-limit",
             "metric-seed-over-digit-limit",
+            "witness-period-over-digit-echo",
+            "conjugacy-period-over-digit-echo",
+            "tower-window-over-digit-echo",
+            "conjugacy-count-over-digit-limit",
+            "search-size-over-digit-echo",
+            "embed-size-over-digit-echo",
+            "transfer-extension-over-digit-echo",
+            "pipeline-levels-over-digit-echo",
+            "en-zp-p-over-digit-echo",
+            "count-periodic-n-max-over-digit-echo",
+            "aperiodicity-p-max-over-digit-echo",
+            "unopened-path-cut",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):
@@ -1140,7 +1217,7 @@ class TestFileInputs:
         assert code == 2
 
 
-# argv lists for the parser entry: (argv, whether the leaf parser alone parses it)
+# argv lists for the parser entry: (argv, whether the leaf's option table reads it)
 PARSER_BATTERY = {
     **{name: (shlex.split(command)[1:], True) for name, command in COMMANDS.items()},
     "csv-before-group": (["--csv", "out.csv", "shift", "witness", "--p", "3", "--m", "2"], False),
@@ -1156,6 +1233,19 @@ PARSER_BATTERY = {
     "unknown-group": (["nonsense"], False),
     "unknown-leaf": (["tower", "nonsense"], False),
     "empty": ([], False),
+    # a separate value starting with "-": argparse reads -1 as a number and
+    # -2:4 as an option, so the tree decides both
+    "separate-negative-integer": (["tower", "verify", "--m", "-1", "--window", "0:5"], False),
+    "separate-negative-window": (["tower", "verify", "--m", "2", "--window", "-2:4"], False),
+    "empty-equals-value": (["shift", "witness", "--p", "3", "--m", "2", "--delta="], False),
+    "abbreviated-option": (["tower", "verify", "--m", "2", "--window", "0:5", "--sam", "1"], False),
+    "repeated-option": (["tower", "verify", "--m", "2", "--m", "3", "--window", "0:6"], True),
+    "equals-inside-equals-value": (["tower", "verify", "--m=5=6", "--window", "0:5"], False),
+    "trailing-double-dash": (["tower", "verify", "--m", "2", "--window", "0:5", "--"], False),
+    "equals-choice": (["tower", "verify", "--m", "2", "--window", "0:5", "--anchors=random"], True),
+    "equals-shorthand": (["complex", "coindex", "--complex=en-zp:p=3,n=2"], True),
+    # before 3.13 argparse reads "--" after "=" as no value at all, an empty list
+    "equals-double-dash": (["shift", "witness", "--p", "3", "--m", "2", "--delta=--"], False),
 }
 
 
@@ -1176,6 +1266,55 @@ class TestParserEntry:
         assert capsys.readouterr() == ("", "")
         tree = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
         assert _parse_outcome(cli._parse_args, argv, capsys) == tree
+
+    def test_generated_argv_match_the_tree(self, capsys):
+        # every leaf's options, given values drawn from pools of valid and
+        # malformed texts, in both forms, repeated, abbreviated or unknown
+        rng = random.Random(20261019)
+        pool = [
+            "2", "3", "7", "0", "-1", "9" * 5000, "1" + "0" * 4000, "1.5", "x", "", " 3", "-", "--", "-h",
+            "--m", "0:12", "-2:4", "0:", "1/2", "2/4", "1/0", "1e-3", "zero", "random", "all",
+            "cycles:3", "cycles:3,5", "en-zp:p=2,n=1", "interval", "stars", "a=b", "=",
+        ]
+
+        def drawn(action):
+            if rng.random() < 0.2:
+                return rng.choice(pool)
+            if action.type is cli._int:
+                return rng.choice(["2", "3", "7", " 3", str(10**30)])
+            return rng.choice(action.choices or ["1/2", "0:12", "-6:12", "cycles:3", "en-zp:p=2,n=1"])
+
+        table_read = tried = 0
+        for words, leaf in cli._parsers()[1].items():
+            options = [action for action in leaf._actions if action.option_strings]
+            for _ in range(200):
+                argv = list(words)
+                for action in options:
+                    if action.required and rng.random() < 0.95:
+                        argv += [action.option_strings[0], drawn(action)]
+                for _ in range(rng.randrange(3)):
+                    action = rng.choice(options)
+                    option = rng.choice(action.option_strings)
+                    value = drawn(action)
+                    form = rng.randrange(10)
+                    if form == 0:
+                        argv.append(f"{option}={value}")
+                    elif form == 1:
+                        argv += [option[: rng.randrange(2, len(option) + 1)], value]
+                    elif form == 2:
+                        argv += [rng.choice(["--nonsense", "-h", "--", "-x", "--=x"]), value]
+                    elif form == 3:
+                        argv.append(option)
+                    elif form == 4:
+                        argv.append(f"{option}={rng.choice(['', '--', '-', '-1', '-2:4'])}")
+                    else:
+                        argv += [option, value]
+                table_read += cli._parse_at_leaf(argv) is not None
+                tree = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+                assert _parse_outcome(cli._parse_args, argv, capsys) == tree, argv
+                tried += 1
+        # both paths are taken often: 952 of the 2,400 lists are read from the table
+        assert tried // 3 < table_read < tried - tried // 3
 
 
 json_text = st.text(st.characters() | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "\xe9", "\U0001f600"]))

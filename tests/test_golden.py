@@ -5,6 +5,7 @@ Each file in ``tests/golden`` holds the stdout of one command of the README
 to change; a representation change must leave every byte as it is.
 """
 
+import argparse
 import shlex
 from pathlib import Path
 
@@ -49,3 +50,14 @@ def test_report_is_byte_identical(name, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_golden_commands_are_read_from_the_option_table(capsys, monkeypatch):
+    # argparse parses no README command: each is read from its leaf's option table
+    def refused(self, args=None, namespace=None):
+        raise AssertionError(f"argparse parsed {args}")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refused)
+    for name, command in COMMANDS.items():
+        assert cli.main(shlex.split(command)[1:]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
