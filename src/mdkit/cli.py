@@ -25,6 +25,7 @@ text, byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -186,7 +187,7 @@ def _read_json(path: str):
             return json.load(handle)
         except ValueError as exc:  # a plain ValueError: an integer over Python's digit limit
             reason = exc if isinstance(exc, json.JSONDecodeError) else "an integer is too long"
-            raise ValueError(f"JSON file {path!r} is not read: {reason}") from None
+            raise ValueError(f"JSON file {_shown(path)} is not read: {reason}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +200,12 @@ def _run_tower_verify(args) -> dict:
         raise ValueError("tower verify needs --m >= 2: it samples windows of level m - 1 >= 1")
     if args.samples < 1:
         raise ValueError("tower verify needs --samples >= 1: zero samples would check nothing")
+    if args.N < 1:
+        # refused before any size product: zero_anchor repeats a tuple N times
+        raise ValueError(
+            "tower verify needs --N >= 1: the alphabet dimension must be positive, "
+            f"got {_shown(args.N)}"
+        )
     delta = frac_from_str(args.delta)
     lo, hi = _parse_window(args.window)
     plan = check_verify_size(m, lo, hi, args.samples, args.N)
@@ -489,7 +496,7 @@ def _load_cover(path: str) -> Cover:
             return Cover(tuple(frozenset(map(_json_atom, m)) for m in data))
         except TypeError:  # an atom that stays unhashable, such as a JSON object
             pass
-    raise ValueError(f"cover file {path} must hold a JSON list of atom lists")
+    raise ValueError(f"cover file {_shown(path)} must hold a JSON list of atom lists")
 
 
 def _json_atom(atom):
@@ -811,6 +818,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         report = args.runner(args)
+        # opened before the report is printed, so a path that fails to open
+        # prints no report
+        summary = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else None
     except (ValueError, SearchCapExceeded, OSError) as exc:
         reason = exc
         if isinstance(exc, OSError) and exc.filename is not None:
@@ -818,18 +828,18 @@ def main(argv: list[str] | None = None) -> int:
             reason = f"{exc.strerror}: {_shown(exc.filename)}"
         print(f"mdkit: error: {reason}", file=sys.stderr)
         return 2
-    # from 3.13 the C encoder indents, and is faster than the writer there
-    if sys.version_info >= (3, 13):
-        text = json.dumps(report, sort_keys=True, indent=2)
-    else:
-        text = _indented_json(report)
-    print(text)
-    for check in report["checks"]:
-        print(f"{check['name']}: {check['verdict']}", file=sys.stderr)
-    print(f"summary: {report['summary']['verdict']}", file=sys.stderr)
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
+    with summary or contextlib.nullcontext():
+        # from 3.13 the C encoder indents, and is faster than the writer there
+        if sys.version_info >= (3, 13):
+            text = json.dumps(report, sort_keys=True, indent=2)
+        else:
+            text = _indented_json(report)
+        print(text)
+        for check in report["checks"]:
+            print(f"{check['name']}: {check['verdict']}", file=sys.stderr)
+        print(f"summary: {report['summary']['verdict']}", file=sys.stderr)
+        if summary is not None:
+            writer = csv.writer(summary)
             writer.writerow(["name", "verdict", "witness"])
             for check in report["checks"]:
                 writer.writerow(

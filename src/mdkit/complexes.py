@@ -3,12 +3,16 @@
 A complex is its face table (every dimension's simplices as sorted vertex
 tuples, in sorted order) and a vertex permutation of order dividing p that
 maps simplices to simplices.  The builders emit the table, so the
-constructor trusts its caller; a complex file is closed under the simplex
-cap and validated once, in ``FreeZpComplex.from_json``.  Homology, the Euler
-characteristic and JSON read the table as it is; membership reads one set
-of its tuples.  Freeness (no power of the action fixing a simplex setwise)
-is checked, never assumed: ``check_free_action`` guards every search and
-every coindex bound, and decides it from the action's orbits alone.
+constructor trusts its caller: ``build_en_zp`` extends each sorted simplex
+by the vertices of the levels above its last, which leaves every dimension
+sorted as built.  A complex file is closed under the simplex cap and
+validated once, in ``FreeZpComplex.from_json``.  Homology, the Euler
+characteristic and JSON read the table as it is; validation, the map search
+and its checker test membership in one set of its tuples.  Freeness (no
+power of the action fixing a simplex setwise) is checked, never assumed:
+``check_free_action`` guards every search and every coindex bound, and
+decides it from the action's orbits alone, each looked up in the sorted
+table by binary search.
 Homology is integral and read through the coboundaries, the transposed
 boundaries: sparse columns reduced at their lowest rows from degree 0 up,
 each coboundary without the columns the one below pivoted on.  A lowest
@@ -22,9 +26,10 @@ the dimension, and every bound carries the rule chain that produced it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from math import gcd
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -207,10 +212,19 @@ def check_free_action(complex_: FreeZpComplex) -> bool:
     fixed by some nontrivial power is fixed by the generator.  Then it is a
     union of orbits, so it has a whole orbit as a face, and that orbit is a
     simplex fixed setwise.  So the action is free exactly when no orbit,
-    taken as a vertex set, is a simplex.
+    taken as a vertex set, is a simplex: one binary search of the sorted
+    table's entry of the orbit's size, and none for an orbit longer than
+    every simplex.
     """
-    faces = complex_.faces
-    return not any(tuple(sorted(orbit)) in faces for orbit in permutation_cycles(complex_.action))
+    table = complex_.face_table
+    for orbit in permutation_cycles(complex_.action):
+        if len(orbit) <= len(table):  # a longer orbit is no simplex
+            key = tuple(sorted(orbit))
+            faces = table[len(orbit) - 1]
+            at = bisect_left(faces, key)
+            if at < len(faces) and faces[at] == key:
+                return False
+    return True
 
 
 # Most simplices of a standard complex or a complex file, checked before it
@@ -218,8 +232,10 @@ def check_free_action(complex_: FreeZpComplex) -> bool:
 MAX_SIMPLICES = 20_000
 
 # Most nodes (candidate orbit images) one equivariant map search tries.  A
-# node costs 15-60 us as the target grows, so a spent cap takes 0.5-3 s;
-# no coindex search in the tests or the benchmark tries more than 42.
+# node costs 20-300 us as the source grows, from E_4 Z_2 to E_8 Z_2 searched
+# into the level below, so a spent cap takes 1-15 s (Python 3.11.7, 2-CPU
+# x86-64 VM); no coindex search in the tests or the benchmark tries more
+# than 42.
 MAX_SEARCH_NODES = 50_000
 
 
@@ -248,12 +264,17 @@ def build_en_zp(p: int, n: int) -> FreeZpComplex:
     if n < 0:
         raise ValueError("n must be >= 0")
     vertices = tuple((a, level) for level in range(n + 1) for a in range(p))
-    # one simplex per choice of "absent" or a in Z_p at each level; vertex
-    # (a, level) has index level * p + a, so each choice is a sorted tuple
-    levels = [[()] + [(level * p + a,) for a in range(p)] for level in range(n + 1)]
-    simplices = (tuple(chain.from_iterable(choice)) for choice in product(*levels))
+    # vertex (a, level) has index level * p + a.  Each size-(k+1) simplex is
+    # a size-k simplex s extended by one vertex of a higher level, one of
+    # tails[s[-1] // p + 1]; a sorted prefix followed by a larger last vertex
+    # is lexicographic order, so extending a sorted table leaves it sorted
+    singles = tuple((v,) for v in range(len(vertices)))
+    tails = [singles[level * p :] for level in range(n + 2)]
+    table = [singles]
+    while len(table) <= n:
+        table.append(tuple(s + t for s in table[-1] for t in tails[s[-1] // p + 1]))
     action = tuple(level * p + (a + 1) % p for (a, level) in vertices)
-    return FreeZpComplex(p, vertices, _face_table(s for s in simplices if s), action)
+    return FreeZpComplex(p, vertices, tuple(table), action)
 
 
 def join_complexes(k: FreeZpComplex, l: FreeZpComplex) -> FreeZpComplex:
@@ -550,8 +571,8 @@ def verify_equivariant_simplicial(
         if mapping[source.action[v]] != target.action[mapping[v]]:
             return False
     # a simplex may map onto a smaller one, so its image is a vertex set
-    faces = target.faces
-    return all(tuple(sorted({mapping[v] for v in s})) in faces for s in chain(*source.face_table))
+    faces, image_of = target.faces, mapping.__getitem__
+    return all(tuple(sorted(set(map(image_of, s)))) in faces for s in chain(*source.face_table))
 
 
 def equivariant_map_search(
@@ -590,10 +611,11 @@ def equivariant_map_search(
     # simplices grouped by the highest orbit index they touch
     by_last_orbit: list[list[Face]] = [[] for _ in orbits]
     for s in chain.from_iterable(source.face_table):
-        by_last_orbit[max(orbit_of[v] for v in s)].append(s)
+        by_last_orbit[max(map(orbit_of.__getitem__, s))].append(s)
     faces = target.faces
 
     assignment: dict[int, int] = {}
+    image_of = assignment.__getitem__
 
     def assign_orbit(oi: int) -> bool:
         if oi == len(orbits):
@@ -617,7 +639,7 @@ def equivariant_map_search(
                 image = target.action[image]
             assignment.update(trial)
             for s in by_last_orbit[oi]:
-                if tuple(sorted({assignment[v] for v in s})) not in faces:
+                if tuple(sorted(set(map(image_of, s)))) not in faces:
                     ok = False
                     break
             if ok and assign_orbit(oi + 1):

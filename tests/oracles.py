@@ -662,6 +662,20 @@ def mixed_den_vec(rng, dim, dens=(1, 2, 3, 64)):
 # Free complexes: freeness by every power, homology by dense matrices
 
 
+def en_zp_face_table_by_product(p: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The face table of the standard complex E_n Z_p by its definition: one
+    choice per level, absent or one of the level's p vertices (vertex
+    (a, level) has index level * p + a), each nonempty choice a simplex,
+    grouped by size and each size sorted."""
+    choices = [[None] + list(range(level * p, (level + 1) * p)) for level in range(n + 1)]
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for choice in product(*choices):
+        simplex = tuple(v for v in choice if v is not None)
+        if simplex:
+            by_size.setdefault(len(simplex), []).append(simplex)
+    return tuple(tuple(sorted(by_size[size])) for size in range(1, n + 2))
+
+
 def free_action_by_all_powers(complex_) -> bool:
     """Freeness by its definition: no power 1..p-1 of the action fixes a
     simplex setwise."""

@@ -524,10 +524,10 @@ class TestExitCodes:
                 None,
                 "metric must be nonnegative",
             ),
-            (["tower", "verify", "--m", "3", "--N", "0", "--window=-6:12"], None, "alphabet dimension must be positive"),
+            (["tower", "verify", "--m", "3", "--N", "0", "--window=-6:12"], None, "needs --N >= 1: the alphabet dimension must be positive, got 0"),
             (["tower", "aperiodicity", "--m-max", "3", "--p-max", "7", "--N", "0"], None, "alphabet dimension must be positive"),
             (["shift", "conjugacy", "--p", "5", "--m", "2", "--N", "0"], None, "alphabet dimension must be positive"),
-            (["tower", "verify", "--m", "3", "--N", "-1", "--window=-6:12"], None, "alphabet dimension must be positive"),
+            (["tower", "verify", "--m", "3", "--N", "-1", "--window=-6:12"], None, "needs --N >= 1: the alphabet dimension must be positive, got -1"),
             (["tower", "aperiodicity", "--m-max", "3", "--p-max", "7", "--N", "-1"], None, "alphabet dimension must be positive"),
             (["shift", "conjugacy", "--p", "5", "--m", "2", "--N", "-1"], None, "alphabet dimension must be positive"),
             # unbounded before their caps: a 10^10-entry metric table built
@@ -590,7 +590,7 @@ class TestExitCodes:
                 ["embed", "--system", "cycles:2", "--epsilon", "1/10"],
                 # written as text: json.dumps cannot print an int this long
                 ("--metric", "[[0, " + "1" * 5000 + "], [1, 0]]"),
-                "input.json' is not read: an integer is too long",
+                "characters) is not read: an integer is too long",
             ),
             # shorthands over the digit limit, named by their first 20 characters
             (
@@ -676,6 +676,19 @@ class TestExitCodes:
                 ["embed", "--system", "a" * 300, "--epsilon", "1/10"],
                 None,
                 "File name too long: 'aaaaaaaaaaaaaaaaaaaa'... (300 characters)",
+            ),
+            # a --csv path that fails to open, refused before the report is printed
+            (
+                ["shift", "witness", "--p", "3", "--m", "2", "--csv", "/nonexistent/" + "x" * 60 + ".csv"],
+                None,
+                "No such file or directory: '/nonexistent/xxxxxxx'... (77 characters)",
+            ),
+            # a dimension refused before any size product: zero_anchor repeats
+            # a tuple N times, which overflows at minus a 4,001-digit N
+            (
+                ["tower", "verify", "--m", "3", "--window=0:12", "--N=-1" + "0" * 4000],
+                None,
+                "tower verify needs --N >= 1: the alphabet dimension must be positive, got -100000000... (4001 digits)",
             ),
         ],
         ids=[
@@ -786,6 +799,8 @@ class TestExitCodes:
             "count-periodic-n-max-over-digit-echo",
             "aperiodicity-p-max-over-digit-echo",
             "unopened-path-cut",
+            "csv-path-unopened-before-the-report",
+            "tower-verify-dimension-over-digit-echo",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):
@@ -802,6 +817,26 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("mdkit: error: ")
         assert named in lines[0]
         assert len(lines[0].replace(str(tmp_path), "")) < 200
+
+    @pytest.mark.parametrize(
+        "argv, flag, content",
+        [
+            (["embed", "--epsilon", "1/10"], "--system", "{"),
+            (["mdim", "D", "--model", "interval"], "--cover", "{}"),
+        ],
+        ids=["json-file-not-parsed", "cover-file-not-atom-lists"],
+    )
+    def test_file_that_does_not_parse_is_named_cut(self, capsys, tmp_path, argv, flag, content):
+        path = tmp_path / ("a" * 200 + ".json")
+        path.write_text(content)
+        code = cli.main(argv + [flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("mdkit: error: ")
+        assert f"... ({len(str(path))} characters)" in lines[0]
+        assert len(lines[0]) < 200
 
     def test_spent_search_cap_is_undetermined(self, capsys, monkeypatch):
         monkeypatch.setattr(complexes, "MAX_SEARCH_NODES", 5)

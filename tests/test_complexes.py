@@ -29,6 +29,7 @@ from mdkit.complexes import _coboundary_columns, _invariant_factors, _validate_c
 
 from oracles import (
     complex_violations,
+    en_zp_face_table_by_product,
     free_action_by_all_powers,
     invariant_factors_by_minors,
     order_divides_by_all_powers,
@@ -72,6 +73,14 @@ class TestBuildStandardComplex:
             ]
             action = {(a, level): ((a + 1) % p, level) for a, level in vertices}
             assert build_en_zp(p, n) == FreeZpComplex.from_maximal(p, vertices, maximal, action)
+
+    def test_face_table_matches_the_product_oracle(self):
+        # every standard complex under the cap, up to en-zp(2, 8)
+        for p in (2, 3, 5, 7):
+            n = 0
+            while (p + 1) ** (n + 1) - 1 <= MAX_SIMPLICES:
+                assert build_en_zp(p, n).face_table == en_zp_face_table_by_product(p, n), (p, n)
+                n += 1
 
     def test_battery_dimensions_and_freeness(self):
         for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 3), (2, 6), (7, 2)]:
@@ -522,6 +531,22 @@ class TestMapSearch:
         found = equivariant_map_search(source, target)
         assert found is not None and found[0] == found[1]
         assert verify_equivariant_simplicial(found, source, target)
+
+    # nodes tried from E_k Z_p, k = 0..3, into every E_n Z_p with n >= k, as
+    # recorded from the product-and-sort builder and the set-comprehension
+    # image test; the count does not depend on n
+    STANDARD_NODES = {2: (1, 4, 9, 16), 3: (1, 5, 12, 22), 5: (1, 7, 18, 34)}
+
+    @pytest.mark.parametrize("p", sorted(STANDARD_NODES))
+    def test_standard_searches_pinned(self, p):
+        for n in range(4):
+            target = build_en_zp(p, n)
+            for k in range(n + 1):
+                work = {}
+                found = equivariant_map_search(build_en_zp(p, k), target, work)
+                assert work == {"nodes": self.STANDARD_NODES[p][k]}, (k, n)
+                # the inclusion of E_k Z_p as the first k + 1 levels
+                assert found == {v: v for v in range(p * (k + 1))}, (k, n)
 
     def test_node_count_and_cap(self, monkeypatch):
         source, target = build_en_zp(2, 4), build_en_zp(2, 3)
