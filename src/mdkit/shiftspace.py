@@ -9,12 +9,13 @@ built only when a caller reads one (``value_at``, ``values``) or a binary
 SFT reads its letters.  A shift or dilation of a periodic point is a cached
 index map i -> i*j + k mod p, one ``itemgetter`` per column; only a
 non-bijection, gcd(j, p) > 1, takes the gcd pass.  The samplers draw on the
-k/64 grid; their random stream is defined as the ``randrange`` calls, in
-order, of drawing one vector at a time with :func:`random_torus_vec`, so a
-seed gives the same points whatever the representation.
-:func:`~mdkit.torus.first_far` reproduces those calls through
-``getrandbits``, and the tests compare it, generator end state included,
-with ``randrange`` oracles on every supported Python.  Whether a gap space
+k/64 grid as random walks: the entries of a gap window past its first gap,
+and the steps of a periodic point's cycle, are the entry one gap back plus
+an increment uniform on the far offsets, the law of redrawing each entry
+until it is far enough.  Their random stream is that of
+:func:`~mdkit.torus.first_far`, bytes of ``rng.randbytes``, and the tests
+compare it, generator end state included, with a per-entry loop over the
+same bytes on every supported Python.  Whether a gap space
 has period-p points is decided by one rule, in ``periodic_witness``, which
 gives a witness or the statement that none exists; the sampler asks it too.
 Subshift constraints are declarative: a minimum distance between entries a
@@ -312,12 +313,19 @@ def check_membership(spec: SubshiftSpec, x: SeqPoint) -> MembershipReport:
 
 
 GRID = 64  # coordinates are drawn from {k/GRID : 0 <= k < 2*GRID}
-SLOT_TRIES = 10_000  # draws for one entry before a sampler gives up
-MAX_DRAWS = 100_000  # draws for one periodic point before the sampler gives up
+# vectors read for one periodic point before the sampler gives up, rejected
+# and unused ones included.  A round reads up to about 2.5 times the vectors a
+# short walk keeps (see torus._draw_count), so this admits about as many walks
+# as 100,000 vectors drawn one at a time did: at N = 1, distance 51/64 and
+# period 5 it runs out in about 18 ms, where those took 75 ms (Python 3.11.7,
+# 2-CPU x86-64 VM)
+MAX_DRAWS = 250_000
 
 
 def random_torus_vec(rng: random.Random, dim: int) -> TorusVec:
-    """A vector with coordinates uniform on the k/GRID grid."""
+    """A vector with coordinates uniform on the k/GRID grid, one ``randrange``
+    per coordinate.  The samplers do not draw through it: their stream is
+    :func:`~mdkit.torus.first_far`'s."""
     return TorusVec(tuple(rng.randrange(2 * GRID) for _ in range(dim)), GRID)
 
 
@@ -325,19 +333,11 @@ def _draw_seq(
     rng: random.Random, dim: int, length: int, gap: int = 1, threshold: Fraction = Fraction(0),
     closed: bool = False,
 ) -> tuple[TorusSeq | None, int]:
-    """Grid entries drawn in index order, each redrawn until it lies at distance
-    >= threshold from the entry ``gap`` back; and the draws it took.
-
-    With ``closed``, a walk whose last entry lies nearer than the threshold
-    to its first comes back as None.  The stream is that of ``random_torus_vec``, one
-    ``rng.randrange(2*GRID)`` per coordinate, which ``first_far`` reproduces
-    through ``getrandbits``, generator end state included; threshold 0 keeps
-    every draw, so the points match drawing vectors one by one.
-    """
-    found = first_far(rng, dim, length, gap, threshold, GRID, SLOT_TRIES, closed)
-    if found is None:
-        raise ValueError(f"sampling gave up after {SLOT_TRIES} draws of one entry")
-    return found
+    """Grid entries, each at distance >= threshold from the entry ``gap``
+    back, and the vectors read from the stream: :func:`~mdkit.torus.first_far`
+    on the k/GRID grid.  With ``closed``, a walk whose last entry lies nearer
+    than the threshold to its first comes back as None."""
+    return first_far(rng, dim, length, gap, threshold, GRID, closed)
 
 
 def sample_periodic_gap_point(
@@ -414,8 +414,9 @@ def sample_gap_window(
 
 
 def random_window(dim: int, start: int, length: int, rng: random.Random) -> Window:
-    """An unconstrained random window (no membership requirement)."""
-    return Window(start, _draw_seq(rng, dim, length)[0])
+    """An unconstrained random window (no membership requirement): every
+    entry is head, drawn at once."""
+    return Window(start, _draw_seq(rng, dim, length, max(length, 1))[0])
 
 
 # ---------------------------------------------------------------------------

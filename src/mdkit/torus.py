@@ -34,8 +34,11 @@ carries into or borrows from the next and the lanes hold exactly the
 integers a loop over the entries would.  A lane v in [0, 4*den) is
 reduced mod ``2*den`` by the guard bit: ``v + G - 2*den`` sets it exactly
 when ``v >= 2*den``, and ``2*den`` is subtracted from those lanes; a
-compare ``v >= c`` is the guard bit of ``v + G - c``.  The per-entry
-loops are the references in ``tests/oracles.py``.
+compare ``v >= c`` is the guard bit of ``v + G - c``.  :func:`first_far`,
+the samplers' kernel, draws a sequence as a random walk with far increments:
+its stream is ``rng.randbytes``, one byte per coordinate, near increments
+are dropped by ``bytes.translate`` and the walk is summed on 8-bit lanes.
+The per-entry loops are the references in ``tests/oracles.py``.
 
 Only this module reads the integer encoding: other modules build vectors
 with :meth:`TorusVec.of` (or from integers, ``TorusVec(nums, den)``),
@@ -289,13 +292,7 @@ class TorusSeq:
         """Each column read through ``getter``, which gives a tuple of entries.
         A ``bijection`` gives every entry once, which keeps their gcd with
         ``den`` and so the canonical form: the gcd pass is skipped."""
-        columns = tuple(map(getter, self.columns))
-        if not bijection:
-            return _seq(columns, self.den)
-        seq = object.__new__(TorusSeq)
-        object.__setattr__(seq, "columns", columns)
-        object.__setattr__(seq, "den", self.den)
-        return seq
+        return _seq(map(getter, self.columns), self.den, bijection)
 
     def __repr__(self) -> str:
         return f"TorusSeq({list(self)})"
@@ -315,10 +312,15 @@ def _canonical_seq(seq: TorusSeq, columns: tuple[tuple[int, ...], ...], den: int
     object.__setattr__(seq, "den", den)
 
 
-def _seq(columns: Iterable[tuple[int, ...]], den: int) -> TorusSeq:
-    """A sequence from reduced-range integer columns, skipping the type checks."""
+def _seq(columns: Iterable[tuple[int, ...]], den: int, canonical: bool = False) -> TorusSeq:
+    """A sequence from reduced-range integer columns, skipping the type checks;
+    ``canonical`` columns, known to be in lowest terms, skip the gcd pass too."""
     seq = object.__new__(TorusSeq)
-    _canonical_seq(seq, tuple(columns), den)
+    if canonical:
+        object.__setattr__(seq, "columns", tuple(columns))
+        object.__setattr__(seq, "den", den)
+    else:
+        _canonical_seq(seq, tuple(columns), den)
     return seq
 
 
@@ -549,54 +551,131 @@ def gap_failures(seq: TorusSeq, gap: int, threshold: Fraction, cyclic: bool) -> 
     return list(compress(range(count), (near >> top).to_bytes(count * width, "little")[::width]))
 
 
+def _draw_count(need: int, share: int) -> int:
+    """The vectors a round reads for ``need`` far ones, where ``share`` is
+    the share of near vectors in 64-bit fixed point, so a vector is far with
+    probability p = 1 - share/2**64: need/p and three standard deviations
+    more, plus 2(1-p)/p, so small needs at small p take few rounds."""
+    if not need:
+        return 0
+    one = 1 << 64
+    return -(-(need * one + 3 * math.isqrt(need * share * one) + 2 * share) // (one - share))
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(den: int, num: int, denom: int, dim: int, length: int, gap: int) -> tuple:
+    """What :func:`first_far` decides before it reads, at threshold ``num/denom``.
+
+    The bound in grid units: a residue mod ``2*den`` is far when it lies in
+    [bound, 2*den - bound].  A byte is read as its residue, its low bits:
+    the first table maps a byte to its residue, the second lists the bytes
+    whose residue is near and the third maps a byte to 1 when near, else 0.
+    Then the share of near vectors, floor((near/(2*den))**dim * 2**64),
+    exact up to 64 bits of vector (dim 9 at den 64) and 0 only once below
+    2**-64; the head's length; and the vectors of the first read.  Decided
+    once per arguments, as a sampler draws many windows or walks of one
+    shape.
+    """
+    if den & (den - 1) or not 1 <= den <= 64:
+        raise ValueError("first_far draws on the k/den grid for den a power of two up to 64")
+    if dim < 1:
+        raise ValueError("alphabet dimension must be positive")
+    if gap < 1:
+        raise ValueError("gap must be >= 1")
+    full = 2 * den
+    bound = max(-(-num * den // denom), 0)
+    if bound > den:
+        raise ValueError(f"no offset on the k/{den} grid lies at distance >= {Fraction(num, denom)}")
+    residue = bytes(b & (full - 1) for b in range(256))
+    near_flags = bytes(not bound <= r <= full - bound for r in residue)
+    share = (sum(near_flags[:full]) ** dim << 64) >> den.bit_length() * dim  # full is 2**den.bit_length()
+    head = min(gap, length)
+    return (
+        bound, residue, bytes(compress(range(256), near_flags)), near_flags, share,
+        head, head + _draw_count(length - head, share),
+    )
+
+
 def first_far(
-    rng: random.Random, dim: int, length: int, gap: int, threshold: Fraction, den: int, tries: int,
-    closed: bool = False,
-) -> tuple[TorusSeq | None, int] | None:
+    rng: random.Random, dim: int, length: int, gap: int, threshold: Fraction, den: int, closed: bool = False,
+) -> tuple[TorusSeq | None, int]:
     """A random sequence on the k/den grid whose entries ``gap`` apart are far apart.
 
-    Entries are drawn in index order, each as the ``dim`` values of
-    ``rng.randrange(2*den)``.  Entries 0 .. gap-1 are kept as drawn; every
-    later entry is the first of at most ``tries`` draws at distance
-    >= threshold from the entry ``gap`` back, tested in integers.  Returns
-    the sequence and the number of draws made, or None when some entry
-    finds no far draw within its tries.  Threshold 0 keeps every draw.
+    Entries 0 .. gap-1 are uniform on the grid, and each later entry k is
+    entry k - gap plus an increment uniform on the far offsets D, the
+    vectors with some coordinate at circle distance >= threshold from 0.
+    That is the law of redrawing entry k until it lies far from entry
+    k - gap, as the test reads only their difference.  Returns the sequence
+    and the number of vectors read from the stream, rejected ones included.
     ``closed`` also tests the last entry against the first; a walk that
-    fails returns ``(None, drawn)``.
+    fails returns ``(None, read)``.  ``den`` is a power of two up to 64.
 
-    The stream is ``randrange``'s, reproduced by the rule CPython 3.10-3.13
-    uses for ``randrange(n)``: ``getrandbits(n.bit_length())``, drawn again
-    while >= n.  Every coordinate of a draw is drawn, far or not, as
-    ``test_first_far_leaves_the_randrange_generator_state`` checks.
+    The stream is ``rng.randbytes``, one byte per coordinate read as its
+    residue mod ``2*den``, entry by entry in coordinate order.  The first
+    ``min(gap, length)`` vectors are the head.  The increments come in
+    rounds: a round that still needs r of them reads :func:`_draw_count`
+    vectors and keeps the far ones, in order, until r are kept.  The head
+    and the first round are one read.  A near vector is dropped at C speed:
+    at dimension 1 by ``bytes.translate``'s delete, past it by setting every
+    byte of a vector with no far coordinate to 0xff in one big integer and
+    deleting those bytes.  Each entry is then the head entry below it plus
+    the increments on its way down, a strided running sum, formed at once
+    on bytes as 8-bit lanes by doubling the lag (Hillis-Steele): two
+    residues below 128 add below 256, so no lane carries into the next, and
+    a mask reduces them mod ``2*den``.  ``tests/oracles.py`` replays the
+    stream one entry at a time.
     """
+    bound, residue, near_bytes, near_flags, share, head, count = _plan(
+        den, threshold.numerator, threshold.denominator, dim, length, gap
+    )
     full = 2 * den
-    # circular distance >= bound iff the difference lies in [bound, full - bound]
-    bound = -(-threshold.numerator * den // threshold.denominator)
-    high = full - bound
-    bits, getrandbits = full.bit_length(), rng.getrandbits
-    origin, once, attempts = (0,) * dim, range(1, 2), range(1, tries + 1)
-    rows = []
-    drawn = 0
-    for k in range(length):
-        # an entry with no partner gap back keeps its one draw: every
-        # difference lies in [0, full]
-        prev, lo, hi, limit = (origin, 0, full, once) if k < gap else (rows[k - gap], bound, high, attempts)
-        for tried in limit:
-            row = []
-            far = False
-            for v in prev:
-                u = getrandbits(bits)
-                while u >= full:
-                    u = getrandbits(bits)
-                row.append(u)
-                if not far and lo <= (u - v) % full <= hi:
-                    far = True
-            if far:
+    n = length * dim
+    # the first read opens with the head, whose ``keep`` bytes are kept as drawn
+    drawn, keep = count, head * dim
+    entries = bytearray()
+    while True:
+        raw = rng.randbytes(count * dim)
+        if dim == 1:
+            entries += raw[:keep].translate(residue)
+            entries += raw[keep:].translate(residue, near_bytes)
+        else:
+            # AND the near flags over each vector's bytes, into its first
+            # byte: a lane holding the AND over ``span`` bytes ANDed with the
+            # lane ``step <= span`` up holds it over ``span + step``
+            near = int.from_bytes(raw.translate(near_flags), "little") >> 8 * keep << 8 * keep
+            span = 1
+            while span < dim:
+                step = span if 2 * span <= dim else dim - span
+                near &= near >> 8 * step
+                span += step
+            # 0xff on every byte of a vector whose first byte holds 1 here
+            dropped = (near & _layout(count, dim)[1]) * ((1 << 8 * dim) - 1)
+            kept = int.from_bytes(raw.translate(residue), "little") | dropped
+            entries += kept.to_bytes(count * dim, "little").translate(None, b"\xff")
+        if len(entries) >= n:
+            break
+        count = _draw_count((n - len(entries)) // dim, share)
+        drawn += count
+        keep = 0
+    del entries[n:]
+    if closed:
+        # the last entry is its head entry plus every increment on its way down
+        last, step = (length - 1) % gap * dim, gap * dim
+        for i in range(dim):
+            if bound <= (sum(entries[last + i :: step]) - entries[i]) % full <= full - bound:
                 break
         else:
-            return None
-        rows.append(row)
-        drawn += tried
-    if closed and not any(bound <= (u - v) % full <= high for u, v in zip(rows[-1], rows[0])):
-        return None, drawn
-    return _seq(zip(*rows) if rows else ((),) * dim, den), drawn
+            return None, drawn
+    y = int.from_bytes(entries, "little")
+    ones = _layout(n, 1)[1]
+    lanes = ones * (full - 1)
+    lag = gap * dim * 8
+    while lag < n * 8:
+        y = (y + (y << lag)) & lanes
+        lag *= 2
+    data = y.to_bytes(n, "little")
+    columns = []
+    for i in range(dim):
+        columns.append(tuple(data[i::dim]))
+    # den is a power of two: an odd entry, or den 1, leaves it in lowest terms
+    return _seq(columns, den, den == 1 or y & ones != 0), drawn

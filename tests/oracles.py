@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import factorial, gcd, lcm
+from math import factorial, gcd, isqrt, lcm
 
 import numpy as np
 
@@ -179,34 +179,57 @@ def sample_periodic_gap_point_whole_period(dim, gap, threshold, period, rng):
     raise RuntimeError(f"no period-{period} point drawn in 500,000 tries")
 
 
-def gap_draws_per_entry(rng, dim, length, gap, threshold, tries=None, draw=random_torus_vec):
-    """Entries drawn one vector at a time with ``draw(rng, dim)``: entries
-    0 .. gap-1 as drawn, each later one redrawn until its ``max_circle_dist``
-    from the entry gap back reaches the threshold, at most ``tries`` times
-    (None: no limit).  Returns the vectors and the number of draws, or None
-    when an entry runs out."""
-    values, drawn = [], 0
-    for k in range(length):
-        for _ in range(1 if k < gap else tries or 1 << 62):
-            v = draw(rng, dim)
-            drawn += 1
-            if k < gap or max_circle_dist(v, values[k - gap]) >= threshold:
-                values.append(v)
-                break
-        else:
-            return None
-    return values, drawn
+def gap_draws_per_entry(rng, dim, length, gap, threshold, den=64):
+    """The draw stream of ``torus.first_far`` replayed one entry at a time.
+
+    Each vector is ``dim`` bytes of ``rng.randbytes``, each taken mod
+    2*den.  The first min(gap, length) vectors are entries 0 .. gap-1; the
+    increments follow in rounds, a round that still needs r of them reading
+    ceil((r*S + 3*isqrt(r*s*S) + 2*s) / (S - s)) vectors (none for r = 0),
+    where S = 2**64 and s = floor(S * (near share of a coordinate)**dim),
+    and keeping those at ``max_circle_dist`` >= threshold from zero.  The
+    head and the first round are one read.  Entry k is entry k - gap plus
+    the next kept increment, coordinate by coordinate mod 2*den.  Returns
+    the vectors and the number of vectors read."""
+    full = 2 * den
+    zero = TorusVec((0,) * dim, den)
+    near = sum(1 for k in range(full) if max_circle_dist(TorusVec((k,), den), TorusVec((0,), den)) < threshold)
+    one = 1 << 64
+    share = one * near**dim // full**dim
+
+    def round_size(need):
+        return -(-(need * one + 3 * isqrt(need * share * one) + 2 * share) // (one - share)) if need else 0
+
+    head = min(gap, length)
+    count = round_size(length - head)
+    data = rng.randbytes((head + count) * dim)
+    vectors = [tuple(b % full for b in data[i * dim : (i + 1) * dim]) for i in range(head + count)]
+    rows, drawn = vectors[:head], head + count
+    increments = []
+    while True:
+        for d in vectors[head:]:
+            if max_circle_dist(TorusVec(d, den), zero) >= threshold:
+                increments.append(d)
+        if len(rows) + len(increments) >= length:
+            break
+        count = round_size(length - len(rows) - len(increments))
+        drawn += count
+        data = rng.randbytes(count * dim)
+        vectors, head = [tuple(b % full for b in data[i * dim : (i + 1) * dim]) for i in range(count)], 0
+    for k in range(len(rows), length):
+        rows.append(tuple((u + d) % full for u, d in zip(rows[k - gap], increments[k - gap])))
+    return [TorusVec(row, den) for row in rows], drawn
 
 
 def sample_gap_window_per_entry(dim, gap, threshold, start, length, rng):
-    """The gap-window sampler vector by vector: one ``random_torus_vec`` per
-    draw, each entry kept once it is far enough from the entry one gap back."""
+    """The gap-window sampler entry by entry: each entry past the first gap is
+    the entry one gap back plus the next far increment of the stream."""
     return Window(start, TorusSeq.of(gap_draws_per_entry(rng, dim, length, gap, threshold)[0]))
 
 
 def sample_periodic_gap_point_per_entry(dim, gap, threshold, period, rng):
-    """The cycle-walk sampler vector by vector: each of the gcd(gap, period)
-    cycles is walked one ``random_torus_vec`` at a time and redrawn whole
+    """The cycle-walk sampler entry by entry: each of the gcd(gap, period)
+    cycles is walked one far increment at a time and redrawn whole
     until its closing edge is far enough; step s of cycle f sits at residue
     (f + s*gap) mod period."""
     cycles = gcd(gap, period)

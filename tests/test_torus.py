@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdkit import torus
-from mdkit.shiftspace import Window, random_torus_vec
+from mdkit.shiftspace import Window
 from mdkit.torus import (
     TorusSeq,
     TorusVec,
@@ -476,61 +476,78 @@ def test_packed_gap_failures_match_the_per_entry_loop():
         gap_failures(TorusSeq.zero(1, 3), 0, Fraction(1, 2), True)
 
 
-def grid_draw(den):
-    """A vector draw on the k/den grid, one ``randrange`` call per coordinate."""
-    return lambda rng, dim: TorusVec(tuple(rng.randrange(2 * den) for _ in range(dim)), den)
-
-
 def test_first_far_matches_dist_at_least():
     rng = random.Random(912)
     for _ in range(400):
         dim = rng.choice((1, 2))
-        den = rng.choice((1, 2, 3, 16, 64))
+        den = rng.choice((1, 2, 16, 64))
         t = Fraction(rng.randrange(0, 65), 64)
-        length, gap, tries = rng.randrange(1, 30), rng.randrange(1, 8), rng.choice((1, 2, 5, 10_000))
+        length, gap = rng.randrange(1, 30), rng.randrange(1, 8)
         seed = rng.randrange(1 << 30)
-        got = first_far(random.Random(seed), dim, length, gap, t, den, tries)
-        expected = gap_draws_per_entry(random.Random(seed), dim, length, gap, t, tries, grid_draw(den))
-        if expected is None:
-            assert got is None
-        else:
-            values, drawn = expected
-            assert got == (TorusSeq.of(values), drawn)
+        got = first_far(random.Random(seed), dim, length, gap, t, den)
+        values, drawn = gap_draws_per_entry(random.Random(seed), dim, length, gap, t, den)
+        assert got == (TorusSeq.of(values), drawn)
+        assert gap_failures(got[0], gap, t, False) == []
 
 
-def test_first_far_leaves_the_randrange_generator_state():
-    # the draw stream is randrange's; a kernel drawing one word more or less
-    # leaves the outputs right and the next sampler's input wrong.  A closed
-    # walk whose last entry is near its first is refused with its draws
+def test_first_far_leaves_the_per_entry_generator_state():
+    # the draw stream is the per-entry loop's; a kernel reading one byte
+    # more or less leaves the outputs right and the next sampler's input
+    # wrong.  A closed walk whose last entry is near its first is refused
+    # with its draws
     rng = random.Random(913)
-    gave_up = opened = 0
+    opened = 0
     for _ in range(600):
         dim = rng.choice((1, 2, 3))
-        den = rng.choice((1, 2, 3, 16, 64))
+        den = rng.choice((1, 2, 16, 64))
         t = Fraction(rng.randrange(0, 65), 64)
-        length, gap, tries = rng.randrange(1, 30), rng.randrange(1, 8), rng.choice((1, 2, 5, 10_000))
+        length, gap = rng.randrange(1, 30), rng.randrange(1, 8)
         closed = rng.random() < 0.5
         seed = rng.randrange(1 << 30)
         got, expected = random.Random(seed), random.Random(seed)
-        found = first_far(got, dim, length, gap, t, den, tries, closed)
-        oracle = gap_draws_per_entry(expected, dim, length, gap, t, tries, grid_draw(den))
+        found = first_far(got, dim, length, gap, t, den, closed)
+        values, drawn = gap_draws_per_entry(expected, dim, length, gap, t, den)
         assert got.getstate() == expected.getstate()
-        if oracle is None:
-            assert found is None
-            gave_up += 1
-            continue
-        values, drawn = oracle
         if closed and max_circle_dist(values[-1], values[0]) < t:
             assert found == (None, drawn)
             opened += 1
         else:
             assert found == (TorusSeq.of(values), drawn)
-    assert gave_up > 50 and opened > 50
+    assert opened > 50
 
 
 def test_first_far_keeps_every_draw_at_threshold_zero():
-    for dim, length in ((1, 1), (2, 17), (3, 40)):
-        seq, drawn = first_far(random.Random(dim), dim, length, 1, Fraction(0), 64, 1)
-        rng = random.Random(dim)
+    # every offset is far, so each entry costs one vector of the stream
+    for dim, length, gap in ((1, 1, 1), (2, 17, 1), (3, 40, 40), (2, 30, 7)):
+        seq, drawn = first_far(random.Random(dim), dim, length, gap, Fraction(0), 64)
         assert drawn == length
-        assert list(seq) == [random_torus_vec(rng, dim) for _ in range(length)]
+        if gap >= length:
+            data = random.Random(dim).randbytes(dim * length)
+            rows = [tuple(b % 128 for b in data[k * dim : (k + 1) * dim]) for k in range(length)]
+            assert list(seq) == [TorusVec(row, 64) for row in rows]
+
+
+def test_first_far_sizes_its_reads_from_the_far_share():
+    # at distance 1 one offset in 128 is far at N = 1, and 255 in 16,384 at
+    # N = 2: a window still takes a few rounds of reads, not hundreds
+    class Counting(random.Random):
+        rounds = 0
+
+        def randbytes(self, n):
+            self.rounds += 1
+            return super().randbytes(n)
+
+    for dim in (1, 2):
+        for seed in range(5):
+            rng = Counting(seed)
+            seq, _ = first_far(rng, dim, 360, 24, Fraction(1), 64)
+            assert gap_failures(seq, 24, Fraction(1), False) == []
+            assert rng.rounds <= 3
+
+
+def test_first_far_refuses_what_it_cannot_draw():
+    with pytest.raises(ValueError, match="no offset on the k/64 grid lies at distance >= 65/64"):
+        first_far(random.Random(0), 1, 5, 1, Fraction(65, 64), 64)
+    for den in (3, 128):
+        with pytest.raises(ValueError, match="den a power of two up to 64"):
+            first_far(random.Random(0), 1, 5, 1, Fraction(1, 2), den)
