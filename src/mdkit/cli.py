@@ -67,7 +67,6 @@ from .meandim import (
     star_cover,
 )
 from .shiftspace import (
-    capped_sft,
     check_membership,
     count_periodic_sft,
     count_periodic_sft_bruteforce,
@@ -264,19 +263,17 @@ def _run_shift_count_periodic(args) -> dict:
     if args.n_max < 1:
         raise ValueError("shift count-periodic needs --n-max >= 1: a smaller bound would check nothing")
     forbidden = frozenset(args.forbidden.split(","))
-    capped_sft(forbidden, args.n_max)
-    checks = []
-    for n in range(1, args.n_max + 1):
-        count = count_periodic_sft(forbidden, n)
-        brute = count_periodic_sft_bruteforce(forbidden, n)
-        checks.append(
-            _check(
-                f"count-n{n:02d}",
-                "transfer-matrix count equals exhaustive circular enumeration",
-                count == brute,
-                {"n": n, "count": count, "bruteforce": brute},
-            )
+    counts = count_periodic_sft(forbidden, args.n_max)
+    brutes = count_periodic_sft_bruteforce(forbidden, args.n_max)
+    checks = [
+        _check(
+            f"count-n{n:02d}",
+            "transfer-matrix count equals exhaustive circular enumeration",
+            count == brute,
+            {"n": n, "count": count, "bruteforce": brute},
         )
+        for n, (count, brute) in enumerate(zip(counts, brutes), 1)
+    ]
     return _report(args, checks, forbidden=sorted(forbidden))
 
 

@@ -8,8 +8,15 @@ membership checks and the samplers work on those columns, and a vector is
 built only when a caller reads one (``value_at``, ``values``) or a binary
 SFT reads its letters.  A shift or dilation of a periodic point is a cached
 index map i -> i*j + k mod p, one ``itemgetter`` per column; only a
-non-bijection, gcd(j, p) > 1, takes the gcd pass.  The samplers draw on the
-k/64 grid as random walks: the entries of a gap window past its first gap,
+non-bijection, gcd(j, p) > 1, takes the gcd pass.  The conjugacy diagram
+checks s samples of period p at once, by the Chinese remainder theorem
+(Z_s x Z_p is Z_sp for coprime s and p): entry i of sample b is entry n of
+one period-sp point, n = b mod s and n = i mod p, so a dilation or shift of
+every sample, or the gap constraint on every sample, is one dilation, shift
+or membership check of that point, with the multiplier 1 mod s and the
+shift or gap 0 mod s; a failing entry n belongs to sample n mod s.  The
+samplers draw on the k/64 grid as random walks: the entries of a gap window
+past its first gap,
 and the steps of a periodic point's cycle, are the entry one gap back plus
 an increment uniform on the far offsets, the law of redrawing each entry
 until it is far enough.  Their random stream is that of
@@ -34,7 +41,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from itertools import chain, cycle, repeat
+from operator import add, itemgetter, mod
 from typing import NamedTuple, Union
 
 from .torus import (
@@ -45,6 +53,7 @@ from .torus import (
     first_far,
     frac_to_str,
     gap_failures,
+    unequal_entries,
 )
 
 # ---------------------------------------------------------------------------
@@ -112,14 +121,18 @@ class Window:
 SeqPoint = Union[Periodic, Window]
 
 
-# 32 maps of at most MAX_PERIODIC_COORDINATES indices, 3.6 MB each at that cap
-@functools.lru_cache(maxsize=32)
+# 64 maps, enough for the four of each of 16 conjugacy diagrams, whose lifts
+# depend on the sample count; each of at most MAX_PERIODIC_COORDINATES / 2
+# indices, the period of a diagram's stacked point at the cap, 2 MB each there
+@functools.lru_cache(maxsize=64)
 def _affine_map(p: int, j: int, k: int) -> tuple[itemgetter, bool]:
     """The gather of the entries at i*j + k mod p, for i = 0 .. p-1, from a
     period; and whether it is a bijection, gcd(j, p) = 1."""
     if p == 1:
         return itemgetter(slice(None)), True  # itemgetter of one index gives no tuple
-    return itemgetter(*[(i * j + k) % p for i in range(p)]), math.gcd(j, p) == 1
+    # i*j + k for i < p is one range, reduced mod p at C speed
+    positions = map(mod, range(k, k + p * j, j), repeat(p)) if j else repeat(k, p)
+    return itemgetter(*positions), math.gcd(j, p) == 1
 
 
 def shift(x: SeqPoint, k: int) -> SeqPoint:
@@ -148,16 +161,8 @@ def power_map(j: int, x: Periodic) -> Periodic:
 
 def seq_to_json(x: SeqPoint) -> dict:
     if isinstance(x, Periodic):
-        return {
-            "kind": "periodic",
-            "period": x.period,
-            "values": [v.to_json() for v in x.values],
-        }
-    return {
-        "kind": "window",
-        "start": x.start,
-        "values": [v.to_json() for v in x.values],
-    }
+        return {"kind": "periodic", "period": x.period, "values": x.seq.to_json()}
+    return {"kind": "window", "start": x.start, "values": x.seq.to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +465,75 @@ class ConjugacyReport:
         return all(i.ok for i in self.identities)
 
 
+# the six identities of the diagram, in report order: name and statement
+_IDENTITIES = (
+    ("dilation_m_lands_in_gap1",
+     "dilation by m maps period-p points of the gap-m space into the gap-1 space"),
+    ("dilation_k_lands_in_gapm",
+     "dilation by k maps period-p points of the gap-1 space into the gap-m space"),
+    ("dilation_k_then_m_is_identity",
+     "composing the dilations by m and k is the identity on period-p points"),
+    ("dilation_m_then_k_is_identity",
+     "composing the dilations by k and m is the identity on period-p points"),
+    ("shift_intertwines_dilation_m",
+     "shift after dilation by m equals dilation by m after the m-th shift power"),
+    ("shift_intertwines_dilation_k",
+     "the m-th shift power after dilation by k equals dilation by k after the shift"),
+)
+
+
+# Longest stacked period a run of conjugacy samples is checked at, unless one
+# sample is longer.  A run's four index maps and its layout take about 0.3 us
+# per position to build, and each sample it stacks saves about 40 us of calls,
+# so a stack of periods past about 100 loses on a cold cache what it gains.
+MAX_STACKED_PERIOD = 256
+
+
+def _coprime_runs(samples: int, p: int) -> list[int]:
+    """The lengths of consecutive runs of ``samples``, each the longest left that
+    is coprime to p and stacks at most ``MAX_STACKED_PERIOD`` positions, or one
+    sample; a run of one is coprime to p, so the lengths sum to ``samples``."""
+    runs = []
+    while samples:
+        run = min(samples, max(1, MAX_STACKED_PERIOD // p))
+        while math.gcd(run, p) > 1:
+            run -= 1
+        runs.append(run)
+        samples -= run
+    return runs
+
+
+@functools.lru_cache(maxsize=64)
+def _lifts(s: int, p: int, m: int) -> tuple[int, ...]:
+    """The lifts to Z_sp, for s coprime to p, of the shift by 1 and the gap 1 and
+    of the shift by m and the gap m, all 0 mod s, and of the dilations by m and
+    by its inverse k mod p, both 1 mod s: n = b + s*((i - b)/s mod p) is b mod s and i mod p."""
+    inverse, k = pow(s, -1, p), pow(m, -1, p)
+    return tuple(b + s * ((i - b) * inverse % p) for b, i in ((0, 1), (0, m), (1, m), (1, k)))
+
+
+def _unequal(a: Periodic, b: Periodic) -> list[int]:
+    """The positions at which two points of one period differ."""
+    return [] if a == b else unequal_entries(a.seq, b.seq)
+
+
+# 16 tables of at most MAX_PERIODIC_COORDINATES / 2 positions, 2 MB each at that cap
+@functools.lru_cache(maxsize=16)
+def _stacked_positions(s: int, p: int) -> itemgetter:
+    """The gather from s period-p points, one after another, that puts entry i of
+    point b at the n in [0, s*p) with n = b (mod s) and n = i (mod p), for coprime s and p."""
+    # n % p runs through range(p) s times, (n % s)*p through the s block starts
+    return itemgetter(*map(add, chain.from_iterable(repeat(range(p), s)), cycle(range(0, s * p, p))))
+
+
+def _stacked(points: list[Periodic]) -> Periodic:
+    """The period-sp point that holds s coprime-to-p period-p ``points`` at once."""
+    if len(points) == 1:
+        return points[0]
+    seq = concat(*(x.seq for x in points))
+    return Periodic(seq._gather(_stacked_positions(len(points), points[0].period), True))
+
+
 def verify_conjugacy_diagram(
     dim: int,
     m: int,
@@ -475,6 +549,22 @@ def verify_conjugacy_diagram(
     back, the two dilations compose to the identity, and dilation by m
     intertwines the shift with its m-th power.  Every identity is checked by
     exact equality on seeded random samples from both spaces.
+
+    Each side's samples are checked together, as one point, by the Chinese
+    remainder theorem: Z_s x Z_p is Z_sp when gcd(s, p) = 1.  Entry i of
+    sample b sits at the position n of a period-sp point X with n = b mod s
+    and n = i mod p.  Then dilating every sample by j is dilating X by the
+    j' with j' = 1 mod s and j' = j mod p, since n*j' keeps n mod s and
+    multiplies n mod p by j; shifting every sample by k is shifting X by
+    the k' with k' = 0 mod s and k' = k mod p; and the gap-g constraint on
+    every sample is the gap-g' constraint on X, with g' = 0 mod s and
+    g' = g mod p, whose wrap mod sp is each sample's wrap mod p.  So each
+    identity is one dilation, shift or membership check per side, and a
+    failing position n belongs to sample n mod s.  The samples are checked
+    in consecutive runs whose lengths are coprime to p (a run of one sample
+    always is), which p need not be, and whose stacked periods stay within
+    ``MAX_STACKED_PERIOD``; a single sample is the point itself, with
+    j' = j, k' = k and g' = g.
     """
     if p <= m:
         raise ValueError("diagram requires p > m")
@@ -485,8 +575,8 @@ def verify_conjugacy_diagram(
     if samples < 1:
         raise ValueError("samples must be >= 1: zero samples would check nothing")
     # the dimension and gap before the cap and the inverse, which m < 1 breaks
-    gap_m = gap_space(dim, m, threshold)
-    gap_1 = gap_space(dim, 1, threshold)
+    gap_space(dim, m, threshold)
+    gap_space(dim, 1, threshold)
     check_periodic_coordinates(
         f"{_shown(samples)} samples of period {_shown(p)} in dimension {_shown(dim)} from each space hold",
         2 * samples * p * dim,
@@ -495,34 +585,29 @@ def verify_conjugacy_diagram(
     rng = random.Random(seed)
     samples_m = [sample_periodic_gap_point(dim, m, threshold, p, rng) for _ in range(samples)]
     samples_1 = [sample_periodic_gap_point(dim, 1, threshold, p, rng) for _ in range(samples)]
-    # each sample with its dilation, built once: by m on the gap-m side, by k on the gap-1 side
-    pairs_m = [(x, power_map(m, x)) for x in samples_m]
-    pairs_1 = [(z, power_map(k, z)) for z in samples_1]
-
-    # one row per identity: name, statement, pairs, predicate on a sample and its dilation
-    table = (
-        ("dilation_m_lands_in_gap1",
-         "dilation by m maps period-p points of the gap-m space into the gap-1 space",
-         pairs_m, lambda x, y: check_membership(gap_1, y).passed),
-        ("dilation_k_lands_in_gapm",
-         "dilation by k maps period-p points of the gap-1 space into the gap-m space",
-         pairs_1, lambda z, w: check_membership(gap_m, w).passed),
-        ("dilation_k_then_m_is_identity",
-         "composing the dilations by m and k is the identity on period-p points",
-         pairs_m, lambda x, y: power_map(k, y) == x),
-        ("dilation_m_then_k_is_identity",
-         "composing the dilations by k and m is the identity on period-p points",
-         pairs_1, lambda z, w: power_map(m, w) == z),
-        ("shift_intertwines_dilation_m",
-         "shift after dilation by m equals dilation by m after the m-th shift power",
-         pairs_m, lambda x, y: shift(y, 1) == power_map(m, shift(x, m))),
-        ("shift_intertwines_dilation_k",
-         "the m-th shift power after dilation by k equals dilation by k after the shift",
-         pairs_1, lambda z, w: shift(w, m) == power_map(k, shift(z, 1))),
-    )
+    # per identity, the samples where it fails, in order
+    failures: list[list[int]] = [[] for _ in _IDENTITIES]
+    first = 0
+    for s in _coprime_runs(samples, p):
+        one, by_m, dilate_m, dilate_k = _lifts(s, p, m)
+        x = _stacked(samples_m[first:first + s])
+        z = _stacked(samples_1[first:first + s])
+        y, w = power_map(dilate_m, x), power_map(dilate_k, z)
+        positions = (
+            check_membership(gap_space(dim, one, threshold), y).failures,
+            check_membership(gap_space(dim, by_m, threshold), w).failures,
+            _unequal(power_map(dilate_k, y), x),
+            _unequal(power_map(dilate_m, w), z),
+            _unequal(shift(y, one), power_map(dilate_m, shift(x, by_m))),
+            _unequal(shift(w, by_m), power_map(dilate_k, shift(z, one))),
+        )
+        for found, at in zip(failures, positions):
+            if at:
+                found += sorted({first + n % s for n in at})
+        first += s
     identities = tuple(
-        IdentityResult(name, statement, samples, tuple(i for i, pair in enumerate(pairs) if not ok(*pair)))
-        for name, statement, pairs, ok in table
+        IdentityResult(name, statement, samples, tuple(found))
+        for (name, statement), found in zip(_IDENTITIES, failures)
     )
     return ConjugacyReport(k=k, identities=identities)
 
@@ -535,18 +620,17 @@ MAX_PERIOD = 20  # longest circular word counted: 2^20 words, 128 KB per bit col
 MAX_WORD_LENGTH = 8  # longest forbidden word: 2^7 = 128 transfer states
 
 
-def capped_sft(forbidden: frozenset[str] | set[str], n: int) -> BinarySFT:
-    """The SFT of ``forbidden``, once length ``n`` and its words are within the caps.
+def capped_sft(forbidden: frozenset[str] | set[str], n_max: int) -> BinarySFT:
+    """The SFT of ``forbidden``, once lengths 1..``n_max`` and its words are within the caps.
 
-    Both counting routes call this before they allocate anything, so a caller
-    can also check a whole range of lengths up front by passing the largest.
+    Both counting routes call this once, before they allocate anything.
     """
     sft = BinarySFT(frozenset(forbidden))
-    if n < 1:
+    if n_max < 1:
         raise ValueError("length must be >= 1")
-    if n > MAX_PERIOD:
+    if n_max > MAX_PERIOD:
         raise ValueError(
-            f"period {_shown(n)} is over the cap of {MAX_PERIOD} on periodic-point counts "
+            f"period {_shown(n_max)} is over the cap of {MAX_PERIOD} on periodic-point counts "
             f"(2^{MAX_PERIOD} circular words)"
         )
     if sft.word_length > MAX_WORD_LENGTH:
@@ -558,17 +642,18 @@ def capped_sft(forbidden: frozenset[str] | set[str], n: int) -> BinarySFT:
     return sft
 
 
-def count_periodic_sft(forbidden: frozenset[str] | set[str], n: int) -> int:
-    """Number of circular binary words of length n avoiding the forbidden words.
+def count_periodic_sft(forbidden: frozenset[str] | set[str], n_max: int) -> list[int]:
+    """Numbers of circular binary words avoiding the forbidden words, of each length 1..n_max.
 
-    The count is trace(A^n) for the transfer matrix A on (L-1)-blocks, L the
-    forbidden word length, for every n >= 1: a closed walk of n steps reads
-    one period of a period-n point.  A is the de Bruijn graph less the
-    forbidden edges, so each block has at most two predecessors, and A^n is
-    reached by n sparse steps.  Raises ``ValueError`` above ``MAX_PERIOD`` or
-    ``MAX_WORD_LENGTH`` (see ``capped_sft``).
+    The count at length n is trace(A^n) for the transfer matrix A on
+    (L-1)-blocks, L the forbidden word length, for every n >= 1: a closed
+    walk of n steps reads one period of a period-n point.  A is the de
+    Bruijn graph less the forbidden edges, so each block has at most two
+    predecessors, and one walk of n_max sparse steps passes every A^n.
+    Raises ``ValueError`` above ``MAX_PERIOD`` or ``MAX_WORD_LENGTH`` (see
+    ``capped_sft``).
     """
-    sft = capped_sft(forbidden, n)
+    sft = capped_sft(forbidden, n_max)
     k = sft.word_length - 1
     size = 1 << k
     # block v (first letter most significant) follows u = (v >> 1) | b << (k-1)
@@ -581,22 +666,30 @@ def count_periodic_sft(forbidden: frozenset[str] | set[str], n: int) -> int:
     ]
     # walks[v][s]: walks of the current length from block s to block v
     walks = [[int(s == v) for s in range(size)] for v in range(size + 1)]
-    for _ in range(n):
+    counts = []
+    for _ in range(n_max):
         walks = [[a + b for a, b in zip(walks[u], walks[w])] for u, w in preds] + [walks[size]]
-    return sum(walks[s][s] for s in range(size))
+        counts.append(sum(walks[s][s] for s in range(size)))
+    return counts
 
 
-def count_periodic_sft_bruteforce(forbidden: frozenset[str] | set[str], n: int) -> int:
-    """Independent oracle: check all 2^n circular words at every position.
+def count_periodic_sft_bruteforce(forbidden: frozenset[str] | set[str], n_max: int) -> list[int]:
+    """Independent oracle: check all 2^n circular words of each length n = 1..n_max.
 
-    Word w gets bit w of a Python int, and its letter i is bit i of w.  So
-    column i, the words whose letter i is 1, repeats 2^i zeros and 2^i ones.
-    A forbidden word f sits at position i in exactly the AND over j of
-    column (i+j) mod n, complemented where f_j is "0"; the count is 2^n less
-    the words hit at any position.  It never uses the transfer matrix.
-    Raises ``ValueError`` above ``MAX_PERIOD`` or ``MAX_WORD_LENGTH``.
+    Each length is enumerated on its own.  Word w gets bit w of a Python
+    int, and its letter i is bit i of w.  So column i, the words whose
+    letter i is 1, repeats 2^i zeros and 2^i ones.  A forbidden word f sits
+    at position i in exactly the AND over j of column (i+j) mod n,
+    complemented where f_j is "0"; the count is 2^n less the words hit at
+    any position.  It never uses the transfer matrix.  Raises
+    ``ValueError`` above ``MAX_PERIOD`` or ``MAX_WORD_LENGTH``.
     """
-    sft = capped_sft(forbidden, n)
+    forbidden = capped_sft(forbidden, n_max).forbidden
+    return [_count_circular_words(forbidden, n) for n in range(1, n_max + 1)]
+
+
+def _count_circular_words(forbidden: frozenset[str], n: int) -> int:
+    """The circular words of length n in which no word of ``forbidden`` sits, bit-sliced."""
     words = 1 << n
     full = (1 << words) - 1
     ones = []
@@ -609,7 +702,7 @@ def count_periodic_sft_bruteforce(forbidden: frozenset[str] | set[str], n: int) 
         ones.append(column)
     letter = {"1": ones, "0": [full ^ column for column in ones]}
     bad = 0
-    for word in sft.forbidden:
+    for word in forbidden:
         for i in range(n):
             hit = full
             for j, c in enumerate(word):

@@ -18,8 +18,11 @@ periodic points hold one, and the sequence kernels take and return one
 on plain integers mod ``2*den``, lifts to a common denominator at most
 once and only when the denominators differ, and builds no vector.  A
 vector is built from a sequence only where one is read: by indexing or
-iterating it.  :func:`gap_failures` decides every distance test of a
-membership check, the gap constraints and the adjacent steps alike.
+iterating it.  JSON is written from the columns too:
+:meth:`TorusSeq.to_json` formats each distinct numerator once, as
+:meth:`TorusVec.to_json` would, and builds no vector.  :func:`gap_failures`
+decides every distance test of a membership check, the gap constraints and
+the adjacent steps alike.
 
 The column kernels :func:`strided_sums`, :func:`solve_strided_sums` (both
 directions from a given block, at once) and :func:`gap_failures` work on
@@ -44,7 +47,7 @@ Only this module reads the integer encoding: other modules build vectors
 with :meth:`TorusVec.of` (or from integers, ``TorusVec(nums, den)``),
 sequences with :meth:`TorusSeq.of`, ``TorusSeq(columns, den)`` or a kernel,
 and measure vectors with :func:`max_circle_dist`.  ``Fraction`` appears
-only at the edges: construction from rationals, JSON and
+only at the edges: construction from rationals, a vector's JSON and
 :func:`max_circle_dist`.  Everything is exact: no floats, no tolerances.
 """
 
@@ -293,6 +296,16 @@ class TorusSeq:
         A ``bijection`` gives every entry once, which keeps their gcd with
         ``den`` and so the canonical form: the gcd pass is skipped."""
         return _seq(map(getter, self.columns), self.den, bijection)
+
+    def to_json(self) -> list[list[str]]:
+        """The entries as :meth:`TorusVec.to_json` writes them, "p/q" in lowest
+        terms, read from the columns: each distinct numerator is formatted once."""
+        den = self.den
+        text = {}
+        for k in set().union(*self.columns):
+            g = math.gcd(k, den)
+            text[k] = f"{k // g}/{den // g}"
+        return [list(row) for row in zip(*(map(text.__getitem__, column) for column in self.columns))]
 
     def __repr__(self) -> str:
         return f"TorusSeq({list(self)})"

@@ -257,6 +257,26 @@ def power_map_per_entry(j, x):
     return Periodic(TorusSeq.of((x.value_at(n * j) for n in range(x.period)), x.dim))
 
 
+def conjugacy_failures_per_sample(samples_m, samples_1, m, k, threshold):
+    """Per identity of the conjugacy diagram, in report order, the indices of
+    the samples where it fails: each sample checked on its own, through the
+    per-entry maps and one ``max_circle_dist`` per pair."""
+
+    def far(x, gap):
+        return not gap_failures_per_entry(x.seq, gap, threshold, True)
+
+    dilate, step = power_map_per_entry, shift_per_entry
+    checks = (
+        (samples_m, lambda x: far(dilate(m, x), 1)),
+        (samples_1, lambda z: far(dilate(k, z), m)),
+        (samples_m, lambda x: dilate(k, dilate(m, x)) == x),
+        (samples_1, lambda z: dilate(m, dilate(k, z)) == z),
+        (samples_m, lambda x: step(dilate(m, x), 1) == dilate(m, step(x, m))),
+        (samples_1, lambda z: step(dilate(k, z), m) == dilate(k, step(z, 1))),
+    )
+    return [tuple(b for b, x in enumerate(samples) if not holds(x)) for samples, holds in checks]
+
+
 def closed_grid_walk_lengths(a: int, max_length: int, grid: int = 64) -> set[int]:
     """Lengths L <= max_length at which L steps of circular size >= a on the
     cycle Z/(2*grid) can return to 0, by a sweep of the reachable residues

@@ -236,8 +236,8 @@ class TestDispatch:
         for name, file in (("conjugacy", "shift-conjugacy"), ("witness", "shift-witness")):
             assert plain[name][1] == json.loads((golden / f"{file}.json").read_text(encoding="utf-8"))
         printed = len(plain["witness"][1]["checks"][0]["witness"]["witness"]["values"])
-        # the conjugacy report prints no vector, the witness report three
-        assert counts == {"tower": 0, "conjugacy": 0, "witness": printed} and printed == 3
+        # the witness report prints three vectors, written from its columns
+        assert counts == {"tower": 0, "conjugacy": 0, "witness": 0} and printed == 3
 
     def test_complex_validated_only_as_a_file(self, capsys, monkeypatch, tmp_path):
         # standard complexes are built valid; a complex file is validated
@@ -895,13 +895,20 @@ class TestExitCodes:
         assert capsys.readouterr().err.endswith("summary: pass\n")
 
     def test_count_periodic_caps_refused_before_counting(self, capsys, monkeypatch):
-        def counted(forbidden, n):
+        # each route checks the caps for its whole range of lengths first, so
+        # the transfer route, called once for all of them, refuses the command
+        # before either route counts a length
+        def counted(*args):
             raise AssertionError("counted before the caps were checked")
 
-        monkeypatch.setattr(cli, "count_periodic_sft", counted)
+        calls = []
+        transfer = cli.count_periodic_sft
+        monkeypatch.setattr(cli, "count_periodic_sft", lambda *args: calls.append(args) or transfer(*args))
         monkeypatch.setattr(cli, "count_periodic_sft_bruteforce", counted)
+        monkeypatch.setattr(shiftspace, "_count_circular_words", counted)
         assert cli.main(["shift", "count-periodic", "--n-max", "21"]) == 2
         assert "over the cap of 20" in capsys.readouterr().err
+        assert calls == [(frozenset({"000", "111"}), 21)]
 
     def test_tower_verify_checks_come_before_any_draw(self, capsys, monkeypatch):
         def drawn(*args):

@@ -35,6 +35,7 @@ from mdkit.tower import random_anchor
 from oracles import (
     closed_grid_walk_lengths,
     closed_product_walk_lengths,
+    conjugacy_failures_per_sample,
     count_periodic_sft_strings,
     gap_draws_per_entry,
     lane_edge_seq,
@@ -254,10 +255,13 @@ class TestConjugacyDiagram:
         }
 
     def test_failures_are_sample_indices(self, monkeypatch):
-        # with every membership check failing, the two membership identities
-        # fail at every sample and the four exact identities still hold
-        failed = type("FailedMembership", (), {"passed": False})()
-        monkeypatch.setattr(shiftspace, "check_membership", lambda spec, x: failed)
+        # with every sample a constant point, outside both spaces, the two
+        # membership identities fail at every sample and the four exact
+        # identities still hold
+        def constant(dim, gap, threshold, period, rng):
+            return Periodic(TorusSeq(((rng.randrange(128),) * period,) * dim, 64))
+
+        monkeypatch.setattr(shiftspace, "sample_periodic_gap_point", constant)
         report = verify_conjugacy_diagram(1, 2, HALF, 5, samples=4, seed=7)
         failures = {identity.name: identity.failures for identity in report.identities}
         assert failures.pop("dilation_m_lands_in_gap1") == (0, 1, 2, 3)
@@ -289,39 +293,100 @@ class TestConjugacyDiagram:
             verify_conjugacy_diagram(1, 5, HALF, 5, samples=1, seed=0)
 
 
+def loose_point(dim, gap, threshold, period, rng):
+    """A period point with coordinates 0 or 1, in the gap space or not."""
+    return Periodic(TorusSeq([[rng.randrange(2) for _ in range(period)] for _ in range(dim)], 1))
+
+
+class TestStackedDiagram:
+    """The diagram checks each side's samples at once, as one CRT-stacked point
+    per run; its failures must be the per-sample oracle's, sample by sample."""
+
+    @staticmethod
+    def failures(monkeypatch, sampler, dim, m, p, samples, seed):
+        drawn = []
+        monkeypatch.setattr(
+            shiftspace, "sample_periodic_gap_point", lambda *args: drawn.append(sampler(*args)) or drawn[-1]
+        )
+        report = verify_conjugacy_diagram(dim, m, HALF, p, samples, seed)
+        assert all(identity.checked == samples for identity in report.identities)
+        got = [identity.failures for identity in report.identities]
+        assert got == conjugacy_failures_per_sample(drawn[:samples], drawn[samples:], m, report.k, HALF), (
+            dim, m, p, samples, seed,
+        )
+        return got
+
+    @pytest.mark.parametrize("p, m", [(5, 2), (7, 3), (4, 3), (9, 2), (6, 5), (13, 4)])
+    def test_stacked_failures_equal_per_sample_failures(self, monkeypatch, p, m):
+        mixed = 0
+        for dim in (1, 2, 3):
+            for samples in sorted({1, 2, 3, p, 2 * p, 24}):
+                seed = 100 * p + 10 * dim + samples
+                seeded = self.failures(monkeypatch, sample_periodic_gap_point, dim, m, p, samples, seed)
+                assert seeded == [()] * 6
+                loose = self.failures(monkeypatch, loose_point, dim, m, p, samples, seed)
+                mixed += any(0 < len(found) < samples for found in loose)
+        # some runs hold both samples in the space and samples outside it
+        assert mixed
+
+    def test_runs_are_coprime_and_cover_the_samples(self):
+        for p in (2, 3, 4, 6, 9, 12, 30, 97, 300):
+            for samples in range(1, 50):
+                runs = shiftspace._coprime_runs(samples, p)
+                assert sum(runs) == samples
+                assert all(math.gcd(run, p) == 1 for run in runs)
+                assert all(run * p <= shiftspace.MAX_STACKED_PERIOD or run == 1 for run in runs)
+        # p = 3 divides 24 samples: a run of 23 and a run of 1
+        assert shiftspace._coprime_runs(24, 3) == [23, 1]
+
+    def test_one_call_per_identity_and_side(self, monkeypatch):
+        # 24 samples of period 5 stack into one period-120 point per side:
+        # two membership checks, four shifts and six dilations in all
+        calls = collections.Counter()
+        for name in ("check_membership", "power_map", "shift"):
+            original = getattr(shiftspace, name)
+            monkeypatch.setattr(
+                shiftspace, name, lambda *args, name=name, original=original: calls.update([name]) or original(*args)
+            )
+        assert shiftspace._coprime_runs(24, 5) == [24]
+        assert verify_conjugacy_diagram(2, 2, HALF, 5, samples=24, seed=3).passed
+        assert calls == {"check_membership": 2, "power_map": 6, "shift": 4}
+
+    def test_a_single_sample_is_the_point_itself(self, monkeypatch):
+        # one sample is not stacked: its lifts are m, k, 1 and m themselves
+        seen = []
+        power = shiftspace.power_map
+        monkeypatch.setattr(shiftspace, "power_map", lambda j, x: seen.append((j, x.period)) or power(j, x))
+        report = verify_conjugacy_diagram(1, 3, HALF, 7, samples=1, seed=2)
+        assert report.passed and report.k == 5
+        assert sorted(set(seen)) == [(3, 7), (5, 7)]
+
+
 class TestSftCounts:
     def test_frozen_counts(self):
         forbidden = {"000", "111"}
-        assert count_periodic_sft(forbidden, 1) == 0
-        assert count_periodic_sft(forbidden, 2) == 2
-        assert count_periodic_sft(forbidden, 3) == 6
-        assert count_periodic_sft(forbidden, 4) == 6
+        assert count_periodic_sft(forbidden, 4) == [0, 2, 6, 6]
 
     def test_transfer_equals_bruteforce(self):
         forbidden = {"000", "111"}
-        for n in range(1, 11):
-            assert count_periodic_sft(forbidden, n) == count_periodic_sft_bruteforce(
-                forbidden, n
-            )
+        assert count_periodic_sft(forbidden, 10) == count_periodic_sft_bruteforce(forbidden, 10)
 
     def test_counts_match_membership_enumeration(self):
         # dual route: enumerate binary periodic points and run the membership
         # checker on each
         sft = BinarySFT(frozenset({"000", "111"}))
+        counts = count_periodic_sft(sft.forbidden, 6)
         for n in range(1, 7):
             total = 0
             for mask in range(1 << n):
                 point = Periodic(TorusSeq.of(TorusVec.of((mask >> i) & 1) for i in range(n)))
                 if check_membership(sft, point).passed:
                     total += 1
-            assert total == count_periodic_sft(sft.forbidden, n)
+            assert total == counts[n - 1]
 
     def test_other_alphabet_of_words(self):
         forbidden = {"00", "11"}
-        for n in range(1, 9):
-            assert count_periodic_sft(forbidden, n) == count_periodic_sft_bruteforce(
-                forbidden, n
-            )
+        assert count_periodic_sft(forbidden, 8) == count_periodic_sft_bruteforce(forbidden, 8)
 
     def test_unequal_word_lengths_error(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -335,10 +400,8 @@ class TestSftCounts:
             sets += [{rng.choice(words)}, set(words)]
             sets += [set(rng.sample(words, rng.randint(1, len(words)))) for _ in range(4)]
         for forbidden in sets:
-            for n in range(1, 13):
-                assert count_periodic_sft_bruteforce(forbidden, n) == count_periodic_sft_strings(
-                    forbidden, n
-                ), (sorted(forbidden), n)
+            expected = [count_periodic_sft_strings(forbidden, n) for n in range(1, 13)]
+            assert count_periodic_sft_bruteforce(forbidden, 12) == expected, sorted(forbidden)
 
     def test_transfer_below_block_length(self):
         # n < L - 1: a period-n point is shorter than one transfer state
@@ -346,16 +409,35 @@ class TestSftCounts:
         for length in (4, 5, 6):
             words = ["".join(w) for w in itertools.product("01", repeat=length)]
             for forbidden in ({"0" * length}, {words[5]}, set(rng.sample(words, 5))):
-                for n in range(1, length - 1):
-                    assert count_periodic_sft(forbidden, n) == count_periodic_sft_strings(
-                        forbidden, n
-                    ), (sorted(forbidden), n)
+                expected = [count_periodic_sft_strings(forbidden, n) for n in range(1, length - 1)]
+                assert count_periodic_sft(forbidden, length - 2) == expected, sorted(forbidden)
+
+    def test_one_walk_counts_every_length(self):
+        # counting up to n_max gives the counts up to any smaller bound, by
+        # both routes, so neither depends on where its walk or enumeration stops
+        rng = random.Random(10)
+        words = ["".join(w) for w in itertools.product("01", repeat=5)]
+        for forbidden in ({"00"}, {"000", "111"}, set(rng.sample(words, 6))):
+            for count in (count_periodic_sft, count_periodic_sft_bruteforce):
+                full = count(forbidden, 12)
+                assert len(full) == 12
+                for n_max in (1, 2, 5, 11):
+                    assert count(forbidden, n_max) == full[:n_max], (sorted(forbidden), n_max)
+
+    def test_caps_checked_once_per_command(self, monkeypatch):
+        # each route validates the word set and the bound once, not per length
+        built = []
+        capped = shiftspace.capped_sft
+        monkeypatch.setattr(shiftspace, "capped_sft", lambda *args: built.append(args) or capped(*args))
+        count_periodic_sft({"000", "111"}, 14)
+        count_periodic_sft_bruteforce({"000", "111"}, 14)
+        assert [n_max for _, n_max in built] == [14, 14]
 
     @pytest.mark.parametrize("count", [count_periodic_sft, count_periodic_sft_bruteforce])
     def test_caps_accept_the_boundary(self, count):
         assert shiftspace.MAX_PERIOD == 20 and shiftspace.MAX_WORD_LENGTH == 8
-        assert count({"0" * 8}, 8) == 255
-        assert count({"00"}, 20) == 15127  # the Lucas number L_20
+        assert count({"0" * 8}, 8)[-1] == 255
+        assert count({"00"}, 20)[-1] == 15127  # the Lucas number L_20
 
     @pytest.mark.parametrize("count", [count_periodic_sft, count_periodic_sft_bruteforce])
     @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdkit import torus
-from mdkit.shiftspace import Window
+from mdkit.shiftspace import Window, periodic_witness
 from mdkit.torus import (
     TorusSeq,
     TorusVec,
@@ -290,6 +290,21 @@ def test_sequence_round_trips_its_vectors():
         assert list(seq.take(order)) == [values[i] for i in order]
         split = rng.randrange(len(values) + 1)
         assert concat(seq[:split], seq[split:]) == seq
+
+
+def test_sequence_json_is_the_vectors_json():
+    # the column writer formats each distinct numerator once; it must write
+    # exactly what the per-vector writer does, lowest terms included
+    rng = random.Random(907)
+    for den in (1, 2, 3, 64, 97):
+        for _ in range(60):
+            dim, length = rng.choice((1, 2, 3)), rng.randrange(0, 40)
+            columns = [[rng.randrange(2 * den) for _ in range(length)] for _ in range(dim)]
+            seq = TorusSeq(columns, den)
+            assert seq.to_json() == [v.to_json() for v in seq], (den, columns)
+    witness = periodic_witness(1, 2, Fraction(1, 2), 99_991).witness
+    assert witness.seq.den == 99_991
+    assert witness.seq.to_json() == [v.to_json() for v in witness.seq]
 
 
 def test_sequence_form_is_canonical():
