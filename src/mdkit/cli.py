@@ -82,10 +82,8 @@ from .tower import (
     TowerSpec,
     check_verify_size,
     random_anchor,
-    section_map,
     tower_aperiodicity_report,
-    verify_section_identity,
-    verify_section_range,
+    verify_section,
     zero_anchor,
 )
 
@@ -215,11 +213,10 @@ def _run_tower_verify(args) -> dict:
     for _ in range(args.samples):
         window = sample_gap_window(args.N, plan.stride, delta, lo, hi - lo, rng)
         head = zero if args.anchors == "zero" else random_anchor(args.N, m, rng)
-        section = section_map(m, head, window)
-        identity_failures += not verify_section_identity(m, window, section).passed
-        rng_report = verify_section_range(m, window, section, delta)
-        range_failures += not rng_report.passed
-        for key, value in rng_report.partition_counts.items():
+        report = verify_section(m, head, window, delta)
+        identity_failures += bool(report.identity_failures)
+        range_failures += bool(report.range_failures)
+        for key, value in report.partition_counts.items():
             partition_totals[key] += value
     checks = [
         _check(

@@ -357,7 +357,7 @@ def sample_periodic_gap_point(
     uniform.  Emptiness is decided before any draw, by the rule that
     decides ``periodic_witness``.
     """
-    t, cycles, length, what = _periodic_plan(dim, gap, threshold, period)
+    t, cycles, length, what = _periodic_plan(dim, gap, threshold.numerator, threshold.denominator, period)
     walks = []
     drawn = 0
     for _ in range(cycles):
@@ -388,13 +388,13 @@ def _residue_positions(gap: int, period: int) -> itemgetter:
 
 
 @functools.lru_cache
-def _periodic_plan(dim: int, gap: int, threshold: Fraction, period: int) -> tuple[Fraction, int, int, str]:
-    """What ``sample_periodic_gap_point`` decides before any draw: the
-    threshold, the number and length of the cycles, and the point's
-    description.  Decided once per arguments, as a conjugacy diagram asks
-    for every sample of one side with the same ones.  The rule at the threshold
-    rounded up to the grid decides the grid exactly, as its distances are k/GRID."""
-    t = gap_space(dim, gap, threshold).threshold
+def _periodic_plan(dim: int, gap: int, num: int, denom: int, period: int) -> tuple[Fraction, int, int, str]:
+    """What ``sample_periodic_gap_point`` decides before any draw at threshold
+    ``num/denom``: the threshold, the number and length of the cycles, and the
+    point's description.  Decided once per arguments, keyed on integers so a
+    sample hashes no ``Fraction``.  The rule at the threshold rounded up to
+    the grid decides the grid exactly, as its distances are k/GRID."""
+    t = gap_space(dim, gap, Fraction(num, denom)).threshold
     cycles = math.gcd(gap, period)
     length = period // cycles
     what = f"period-{period} point with distance >= {t} at gap {gap}"

@@ -25,10 +25,12 @@ decides every distance test of a membership check, the gap constraints and
 the adjacent steps alike.
 
 The column kernels :func:`strided_sums`, :func:`solve_strided_sums` (both
-directions from a given block, at once) and :func:`gap_failures` work on
-packed lanes (SIMD within a register): a column is packed once into one
-integer, entry k in lane k of W bits, a few big-integer adds, shifts and
-masks act on every lane at once, and the result is unpacked once.  W is
+directions from a given block, at once), :func:`gap_failures` and the tower
+check's :func:`check_solved_sums` work on packed lanes (SIMD within a
+register): a column is packed once into one integer, entry k in lane k of W
+bits, a few big-integer adds, shifts and masks act on every lane at once,
+and a result is unpacked once.  Each lane formula is one private helper the
+kernels share.  W is
 16, 32 or 64, or a multiple of 64 past that: the smallest that holds
 ``4*den - 1``, so ``2*den <= G = 2**(W-1)``, the lane's guard bit.  Every
 lane value a kernel forms, a sum or difference of two residues mod
@@ -357,7 +359,11 @@ def concat(*seqs: TorusSeq) -> TorusSeq:
     dim = _common_dim(*seqs)
     den = math.lcm(*(seq.den for seq in seqs))
     lifted = [_columns(seq, den) for seq in seqs]
-    return _seq((tuple(chain.from_iterable(cols[i] for cols in lifted)) for i in range(dim)), den)
+    # canonical with no gcd pass: part b is canonical over d_b (1 if empty or all
+    # zero), so lifted to L = lcm(d_b) the gcd of L and every entry is
+    # gcd_b(L/d_b) = 1, as each prime power of L divides some d_b whole
+    columns = (tuple(chain.from_iterable(cols[i] for cols in lifted)) for i in range(dim))
+    return _seq(columns, den, canonical=True)
 
 
 def unequal_entries(a: TorusSeq, b: TorusSeq) -> list[int]:
@@ -414,6 +420,11 @@ def _pack(column: Sequence[int], width: int) -> int:
     return int.from_bytes(packer.pack(*column), "little")
 
 
+def _packed(seq: TorusSeq, den: int, width: int) -> list[int]:
+    """Each column of ``seq``, over ``den``, packed into lanes of ``width`` bytes."""
+    return [_pack(column, width) for column in _columns(seq, den)]
+
+
 def _unpack(lanes: int, count: int, width: int) -> tuple[int, ...]:
     """The first ``count`` lanes of ``lanes`` as a column."""
     data = lanes.to_bytes(count * width, "little")
@@ -421,6 +432,97 @@ def _unpack(lanes: int, count: int, width: int) -> tuple[int, ...]:
     if packer is None:
         return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
     return packer.unpack(data)
+
+
+def _lanes(count: int, width: int, full: int) -> tuple[int, int, int, int, int]:
+    """For ``count`` lanes of ``width`` bytes holding residues mod ``full``:
+    the bits of a lane, its guard bit's position, and the integers with 1,
+    with ``2**top - full`` (the reduce lift) and with all bits in every lane."""
+    bits = 8 * width
+    ones = _layout(count, width)[1]
+    return bits, bits - 1, ones, ((1 << bits - 1) - full) * ones, (1 << count * bits) - 1
+
+
+def _strided_lanes(xs: list[int], count: int, stride: int, terms: int, width: int, full: int) -> list[int]:
+    """Lanes 0 .. count-1 of the strided sums of each packed column, reduced
+    mod ``full``: ``terms - 1`` times the column shifted one more stride is
+    added lane by lane."""
+    bits, top, ones, lift, mask = _lanes(count, width, full)
+    out = []
+    for x in xs:
+        total = x & mask
+        for t in range(1, terms):
+            total += (x >> t * stride * bits) & mask
+            # a lane at least full sets its guard bit once lifted: subtract full there
+            total -= (((total + lift) >> top) & ones) * full
+        out.append(total)
+    return out
+
+
+def _solve_lanes(
+    xs: list[int], heads: list[int], below: int, count: int, stride: int, terms: int, width: int, full: int
+) -> list[int]:
+    """The packed y of each column: its ``count`` packed sums and packed head
+    solved as :func:`solve_strided_sums` says, ``count + (terms-1)*stride`` lanes."""
+    c = (terms - 1) * stride
+    length = count + c
+    bits, top, ones, lift, mask = _lanes(length, width, full)
+    step = stride * bits
+    _, _, ones_h, lift_h, _ = _lanes(stride, width, full)  # the head terms are summed on one stride of lanes
+    start, stop = below * bits, (below + c) * bits  # the head's lanes
+    out = []
+    for x, head in zip(xs, heads):
+        given = x & (1 << start) - 1 | head << start | x >> start << stop
+        # the head terms of the sums within a stride of the head, either side
+        h = 0
+        for t in range(terms - 1):
+            h += (head >> t * step) & ((1 << step) - 1)
+            h -= (((h + lift_h) >> top) & ones_h) * full
+        # each sum less its own entry of y: those head terms, or the sum a
+        # stride nearer the head
+        up = (given >> stop << step | h) << stop & mask
+        down = (given & (1 << start) - 1 | h << start) >> step
+        y = given + full * ones - (up | down)
+        y -= (((y + lift) >> top) & ones) * full
+        span = terms * stride * bits
+        while span < max(length * bits - start, stop):
+            y += (y >> start << start + span) & mask | (y & (1 << stop) - 1) >> span
+            y -= (((y + lift) >> top) & ones) * full
+            span *= 2
+        out.append(y)
+    return out
+
+
+def _near_lanes(tests: Iterable[list], count: int, threshold: Fraction, width: int, den: int) -> list[int]:
+    """Per test, the guard bits of the lanes 0 .. count-1 at which none of its
+    pairs ``(x, partner)`` of packed columns is far: their difference d,
+    reduced mod ``2*den``, has ``bound <= d <= 2*den - bound``, two guard-bit compares."""
+    # distance d/den >= threshold iff d >= bound, in integers; no distance
+    # exceeds den, so a larger bound is taken as den + 1, inside the lane
+    bound = min(-(-threshold.numerator * den // threshold.denominator), den + 1)
+    if count < 1 or bound <= 0:
+        return [0 for _ in tests]
+    full = 2 * den
+    bits, top, ones, lift, mask = _lanes(count, width, full)
+    fulls = full * ones
+    low = lift + (full - bound) * ones  # lifts a lane d >= bound to its guard bit
+    high = lift + (bound - 1) * ones  # lifts a lane d > 2*den - bound to it
+    out = []
+    for pairs in tests:
+        far = 0
+        for x, partner in pairs:
+            d = (x & mask) + fulls - (partner & mask)
+            d -= (((d + lift) >> top) & ones) * full
+            far |= (d + low) & ~(d + high)
+        out.append(ones << top & ~far)
+    return out
+
+
+def _flagged(lanes: int, count: int, width: int) -> list[int]:
+    """The lanes 0 .. count-1 whose guard bit is set in ``lanes``, in increasing order."""
+    if not lanes:
+        return []
+    return list(compress(range(count), (lanes >> 8 * width - 1).to_bytes(count * width, "little")[::width]))
 
 
 def strided_sums(seq: TorusSeq, stride: int, terms: int) -> TorusSeq:
@@ -437,23 +539,23 @@ def strided_sums(seq: TorusSeq, stride: int, terms: int) -> TorusSeq:
     if count < 1:
         raise ValueError("strided sums need more values than their span")
     den = seq.den
-    full = 2 * den
     width = _lane_bytes(den)
-    bits = 8 * width
-    top = bits - 1
-    ones = _layout(count, width)[1]
-    lift = ((1 << top) - full) * ones
-    mask = (1 << count * bits) - 1
-    out_columns = []
-    for column in seq.columns:
-        x = _pack(column, width)
-        total = x & mask
-        for t in range(1, terms):
-            total += (x >> t * stride * bits) & mask
-            # a lane at least 2*den sets its guard bit once lifted: subtract 2*den there
-            total -= (((total + lift) >> top) & ones) * full
-        out_columns.append(_unpack(total, count, width))
-    return _seq(out_columns, den)
+    sums = _strided_lanes(_packed(seq, den, width), count, stride, terms, width, 2 * den)
+    return _seq([_unpack(x, count, width) for x in sums], den)
+
+
+def _solve_shape(head: TorusSeq, sums: TorusSeq, below: int, stride: int, terms: int) -> int:
+    """The common denominator of ``head`` and ``sums``, once they are checked
+    to be a head and sums that :func:`solve_strided_sums` solves."""
+    if stride < 1 or terms < 1:
+        raise ValueError("solving strided sums needs stride >= 1 and terms >= 1")
+    c = (terms - 1) * stride
+    if len(head) != c:
+        raise ValueError(f"solving strided sums needs a head of {c} entries")
+    if not 0 <= below <= len(sums):
+        raise ValueError("the head must sit within the sums")
+    _common_dim(head, sums)
+    return math.lcm(head.den, sums.den)
 
 
 def solve_strided_sums(head: TorusSeq, sums: TorusSeq, below: int, stride: int, terms: int) -> TorusSeq:
@@ -470,48 +572,40 @@ def solve_strided_sums(head: TorusSeq, sums: TorusSeq, below: int, stride: int, 
     packing of the sums with the head in their midst, in the same steps:
     they meet only on the head's lanes, to which neither adds.
     """
-    if stride < 1 or terms < 1:
-        raise ValueError("solving strided sums needs stride >= 1 and terms >= 1")
-    c = (terms - 1) * stride
-    if len(head) != c:
-        raise ValueError(f"solving strided sums needs a head of {c} entries")
-    if not 0 <= below <= len(sums):
-        raise ValueError("the head must sit within the sums")
-    _common_dim(head, sums)
-    den = math.lcm(head.den, sums.den)
-    full = 2 * den
-    length = len(sums) + c
+    den = _solve_shape(head, sums, below, stride, terms)
     width = _lane_bytes(den)
-    bits = 8 * width
-    top = bits - 1
-    ones = _layout(length, width)[1]
-    lift = ((1 << top) - full) * ones
-    mask = (1 << length * bits) - 1
-    step = stride * bits
-    ones_h = _layout(stride, width)[1]  # the head terms are summed on one stride of lanes
-    lift_h = ((1 << top) - full) * ones_h
-    start, stop = below * bits, (below + c) * bits  # the head's lanes
-    out_columns = []
-    for head_column, sums_column in zip(_columns(head, den), _columns(sums, den)):
-        given = _pack((*sums_column[:below], *head_column, *sums_column[below:]), width)
-        # the head terms of the sums within a stride of the head, either side
-        h = 0
-        for t in range(terms - 1):
-            h += (given >> start + t * step) & ((1 << step) - 1)
-            h -= (((h + lift_h) >> top) & ones_h) * full
-        # each sum less its own entry of y: those head terms, or the sum a
-        # stride nearer the head
-        up = (given >> stop << step | h) << stop & mask
-        down = (given & (1 << start) - 1 | h << start) >> step
-        y = given + full * ones - (up | down)
-        y -= (((y + lift) >> top) & ones) * full
-        span = terms * stride * bits
-        while span < max(length * bits - start, stop):
-            y += (y >> start << start + span) & mask | (y & (1 << stop) - 1) >> span
-            y -= (((y + lift) >> top) & ones) * full
-            span *= 2
-        out_columns.append(_unpack(y, length, width))
-    return _seq(out_columns, den)
+    count = len(sums)
+    xs, heads = _packed(sums, den, width), _packed(head, den, width)
+    ys = _solve_lanes(xs, heads, below, count, stride, terms, width, 2 * den)
+    return _seq([_unpack(y, count + len(head), width) for y in ys], den)
+
+
+def check_solved_sums(
+    head: TorusSeq, sums: TorusSeq, below: int, stride: int, terms: int, threshold: Fraction,
+) -> tuple[list[int], list[int], list[int]]:
+    """The y of :func:`solve_strided_sums`, checked on the lanes it is solved on.
+
+    Returns, in increasing order, the k at which ``strided_sums(y, stride,
+    terms)`` differs from ``sums[k]``, then the :func:`gap_failures` of the
+    sums at gap ``stride`` and of y at gap ``terms*stride``.  Each column of
+    the sums and the head is packed once; y is solved, summed back and
+    compared with the packed sums, one integer compare per column, and both
+    gap tests run on those lanes.  Only a failing position is unpacked.
+    """
+    den = _solve_shape(head, sums, below, stride, terms)
+    width = _lane_bytes(den)
+    full, bits, count = 2 * den, 8 * width, len(sums)
+    xs = _packed(sums, den, width)
+    ys = _solve_lanes(xs, _packed(head, den, width), below, count, stride, terms, width, full)
+    unequal = 0
+    for x, back in zip(xs, _strided_lanes(ys, count, stride, terms, width, full)):
+        unequal |= x ^ back
+    # both gap tests have count - stride positions, as y is (terms-1)*stride longer
+    checked, shift = count - stride, stride * bits
+    tests = [(x, x >> shift) for x in xs], [(y, y >> terms * shift) for y in ys]
+    own, near = _near_lanes(tests, checked, threshold, width, den)
+    mismatched = [k for k, lane in enumerate(_unpack(unequal, count, width)) if lane] if unequal else []
+    return mismatched, _flagged(own, checked, width), _flagged(near, checked, width)
 
 
 def gap_failures(seq: TorusSeq, gap: int, threshold: Fraction, cyclic: bool) -> list[int]:
@@ -519,49 +613,24 @@ def gap_failures(seq: TorusSeq, gap: int, threshold: Fraction, cyclic: bool) -> 
 
     Every k that has a partner is tested, or every k with the index taken
     mod ``len(seq)`` when ``cyclic``; the positions come in increasing
-    order.  Per coordinate, the differences of the packed column and its
-    shift are reduced mod ``2*den`` lane by lane and a lane is far when its
-    difference d has ``bound <= d <= 2*den - bound``, two guard-bit
-    compares; a position fails when no coordinate is far.
+    order.  Per coordinate, the packed column is tested against its shift
+    by ``gap`` lanes, or its rotation when ``cyclic``: a position fails
+    when no coordinate is far.
     """
     if gap < 1:
         raise ValueError("gap must be >= 1")
     n = len(seq)
     count = n if cyclic else n - gap
-    den = seq.den
-    # distance d/den >= threshold iff d >= bound, in integers; no distance
-    # exceeds den, so a larger bound is taken as den + 1, inside the lane
-    bound = min(-(-threshold.numerator * den // threshold.denominator), den + 1)
-    if count < 1 or bound <= 0:
+    if count < 1:
         return []
-    full = 2 * den
+    den = seq.den
     width = _lane_bytes(den)
     bits = 8 * width
-    top = bits - 1
-    guard = 1 << top
-    ones = _layout(count, width)[1]
-    guards = ones << top
-    lift = (guard - full) * ones
-    fulls = full * ones
-    low = (guard - bound) * ones  # lifts a lane d >= bound to its guard bit
-    high = (guard - full + bound - 1) * ones  # lifts a lane d > 2*den - bound to it
-    mask = (1 << count * bits) - 1
     shift = (gap % n if cyclic else gap) * bits
-    far = 0
-    for column in seq.columns:
-        x = _pack(column, width)
-        if cyclic:
-            partner = x >> shift | (x << n * bits - shift) & mask
-        else:
-            partner = x >> shift
-            x &= mask
-        d = x + fulls - partner
-        d -= (((d + lift) >> top) & ones) * full
-        far |= (d + low) & ~(d + high)
-    near = guards & ~far
-    if not near:
-        return []
-    return list(compress(range(count), (near >> top).to_bytes(count * width, "little")[::width]))
+    # the partner of a cyclic column is its rotation: the column twice over, shifted
+    xs = _packed(seq, den, width)
+    pairs = [(x, (x << n * bits | x) >> shift if cyclic else x >> shift) for x in xs]
+    return _flagged(_near_lanes((pairs,), count, threshold, width, den)[0], count, width)
 
 
 def _draw_count(need: int, share: int) -> int:

@@ -6,7 +6,8 @@ to level m-1 sums m translates spaced (m-1)! apart, and its one-sided inverse
 (the section) rebuilds a preimage from a head block of (m-1)*(m-1)! entries
 and telescoping sums.  Index bookkeeping is done on integer intervals before
 any value is touched, so failures surface as domain errors.  ``tower verify``
-checks the section identity and range at one level; ``tower aperiodicity``
+checks the section identity and range at one level with ``verify_section``,
+one torus kernel that builds neither map; ``tower aperiodicity``
 certifies period-p points up to a truncation depth given by a ``TowerSpec``.
 """
 
@@ -34,10 +35,10 @@ from .shiftspace import (
 from .torus import (
     TorusSeq,
     _shown,
+    check_solved_sums,
     frac_to_str,
     solve_strided_sums,
     strided_sums,
-    unequal_entries,
 )
 
 
@@ -145,6 +146,23 @@ def section_domain(m: int, lo: int, hi: int) -> tuple[int, int]:
     return lo, hi + plan.head
 
 
+def _section_plan(m: int, head: TorusSeq, x: Window) -> LevelPlan:
+    """The level-m plan, once ``x`` is a window the section is defined on and
+    ``head`` is a head block of the level's length and of its dimension."""
+    if not isinstance(x, Window):
+        raise TypeError(
+            "section consumes windows only; unroll periodic points first "
+            "(the section does not preserve periodicity)"
+        )
+    section_domain(m, x.start, x.end)
+    plan = LevelPlan.of(m)
+    if len(head) != plan.head:
+        raise ValueError(f"the level-{m} section needs a head block of {plan.head} entries")
+    if head.dim != x.dim:
+        raise ValueError("alphabet dimension mismatch")
+    return plan
+
+
 def section_map(m: int, head: TorusSeq, x: Window) -> Window:
     """One-sided inverse of the level-m factor map, with a prescribed head block.
 
@@ -155,100 +173,53 @@ def section_map(m: int, head: TorusSeq, x: Window) -> Window:
     differences of input entries one sub-gap apart.  Both directions are one
     ``solve_strided_sums``, on one packing of the window and head, built once.
     """
-    if not isinstance(x, Window):
-        raise TypeError(
-            "section consumes windows only; unroll periodic points first "
-            "(the section does not preserve periodicity)"
-        )
-    out_lo, _ = section_domain(m, x.start, x.end)
-    plan = LevelPlan.of(m)
-    if len(head) != plan.head:
-        raise ValueError(f"the level-{m} section needs a head block of {plan.head} entries")
-    return Window(out_lo, solve_strided_sums(head, x.seq, -x.start, plan.stride, plan.terms))
+    plan = _section_plan(m, head, x)
+    return Window(x.start, solve_strided_sums(head, x.seq, -x.start, plan.stride, plan.terms))
 
 
 # ---------------------------------------------------------------------------
-# Section identity and range verification
+# Section verification: identity and range at once
 
 
-@dataclass(frozen=True)
-class SectionIdentityReport:
-    overlap: tuple[int, int]
-    failures: tuple[int, ...]  # overlap indices where factor(y) != x
+class SectionReport(NamedTuple):
+    """Window indices where factor(section) != window, checkable section
+    indices per partition, and section indices failing the level's gap."""
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def windows_agree_on_overlap(a: Window, b: Window) -> tuple[bool, list[int]]:
-    """Exact equality of two windows on the intersection of their domains; a
-    window the intersection covers whole is compared as it is, unsliced."""
-    lo = max(a.start, b.start)
-    hi = min(a.end, b.end)
-    if hi < lo:
-        raise DomainError("empty overlap")
-    left, right = (
-        w.seq if (w.start, w.end) == (lo, hi) else w.seq[lo - w.start : hi - w.start + 1] for w in (a, b)
-    )
-    bad = unequal_entries(left, right)
-    return not bad, [lo + i for i in bad]
-
-
-def verify_section_identity(m: int, x: Window, y: Window) -> SectionIdentityReport:
-    """Assert factor(y) = x exactly on the overlap of their domains.
-
-    ``y`` is the level-m section of x, computed once by the caller.  The
-    identity is an algebraic telescoping fact: it needs no membership
-    assumption on x and holds for every head block.
-    """
-    back = factor_map(m, y)
-    overlap = (max(back.start, x.start), min(back.end, x.end))
-    return SectionIdentityReport(overlap, tuple(windows_agree_on_overlap(back, x)[1]))
-
-
-@dataclass(frozen=True)
-class SectionRangeReport:
+    identity_failures: tuple[int, ...]
     partition_counts: dict[str, int]
-    failures: tuple[int, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
+    range_failures: tuple[int, ...]
 
 
-def verify_section_range(
-    m: int,
-    x: Window,
-    y: Window,
-    threshold: Fraction,
-) -> SectionRangeReport:
-    """Check that the section y of a valid level-(m-1) window x is a valid level-m window.
+def verify_section(m: int, head: TorusSeq, x: Window, threshold: Fraction) -> SectionReport:
+    """Check the level-m section y of a valid level-(m-1) window x with head block ``head``.
 
-    ``y`` is the level-m section of x, computed once by the caller.
-    Requires the input to satisfy the gap-(m-1)! constraint on its domain.
-    Checkable output indices k are partitioned by where the pair (k, k+m!)
-    sits: the base block (k in [0, m!-1]), the upper tail (k >= m!) and the
-    lower tail (k < 0); counts per partition are reported so a caller can see
-    each case was exercised.
+    The identity factor(y) = x, exact on all of x, holds for every x and
+    head block; the range check, y a valid level-m window, requires x to
+    satisfy the gap-(m-1)! constraint.  Checkable section indices k are
+    counted by where the pair (k, k+m!) sits: the base block (k in
+    [0, m!-1]), the upper tail (k >= m!) and the lower tail (k < 0).  One
+    kernel, ``check_solved_sums``, makes all three checks on one packing.
     """
-    stride, _, big, _ = LevelPlan.of(m)
-    pre = check_membership(gap_space(x.dim, stride, threshold), x)
-    if pre.verdict == "vacuous":
+    stride, terms, big, _ = _section_plan(m, head, x)
+    if not 0 < threshold.numerator <= threshold.denominator:
+        raise ValueError("threshold must lie in (0, 1]")
+    length = len(x.seq)
+    if length <= stride:
         raise ValueError(
-            f"input window of {len(x.seq)} entries is too short to check anything: "
+            f"input window of {length} entries is too short to check anything: "
             f"the level-{m - 1} gap constraint needs more than {stride} entries"
         )
-    if not pre.passed:
+    mismatched, own, near = check_solved_sums(head, x.seq, -x.start, stride, terms, threshold)
+    if own:
         raise ValueError("input window does not satisfy its own gap constraint")
-    report = check_membership(gap_space(x.dim, big, threshold), y)
-    checked = report.records
+    # the checkable k run from lo to stop - 1, as y is (m-1)*(m-1)! longer than x
+    lo, stop = x.start, x.start + length - stride
     counts = {
-        "base_block": len(range(max(checked.start, 0), min(checked.stop, big))),
-        "upper_tail": len(range(max(checked.start, big), checked.stop)),
-        "lower_tail": len(range(checked.start, min(checked.stop, 0))),
+        "base_block": max(min(stop, big) - max(lo, 0), 0),
+        "upper_tail": max(stop - max(lo, big), 0),
+        "lower_tail": max(min(stop, 0) - lo, 0),
     }
-    return SectionRangeReport(partition_counts=counts, failures=report.failures)
+    return SectionReport(tuple(lo + k for k in mismatched), counts, tuple(lo + k for k in near))
 
 
 def check_verify_size(m: int, lo: int, hi: int, samples: int, dim: int) -> LevelPlan:

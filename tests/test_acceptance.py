@@ -38,6 +38,7 @@ from mdkit.shiftspace import (
     sample_gap_window,
     verify_conjugacy_diagram,
 )
+from mdkit.torus import unequal_entries
 from mdkit.tower import (
     TowerSpec,
     factor_map,
@@ -45,7 +46,7 @@ from mdkit.tower import (
     random_anchor,
     section_map,
     tower_aperiodicity_report,
-    windows_agree_on_overlap,
+    verify_section,
     zero_anchor,
 )
 
@@ -63,7 +64,8 @@ def conclude(number: int, label: str, failures: list):
 @pytest.fixture(scope="module")
 def section_battery():
     """Shared data for criteria 1 and 2: 100 seeded windows per (level, dim),
-    each pushed through the section with a zero and a random head block."""
+    each pushed through the section with a zero and a random head block, and
+    each checked by ``verify_section``, which must agree with the maps."""
     started = time.monotonic()
     results = {}
     rng = random.Random(20260810)
@@ -84,19 +86,32 @@ def section_battery():
                 ):
                     out = section_map(m, head, window)
                     back = factor_map(m, out)
-                    ok, bad = windows_agree_on_overlap(back, window)
-                    if not ok or (back.start, back.end) != (window.start, window.end):
-                        identity_failures.append((m, dim, idx, kind, bad[:3]))
+                    same_domain = (back.start, back.end) == (window.start, window.end)
+                    bad = (
+                        tuple(window.start + k for k in unequal_entries(back.seq, window.seq))
+                        if same_domain else None
+                    )
+                    if not same_domain or bad:
+                        identity_failures.append((m, dim, idx, kind, bad[:3] if bad else bad))
                     membership = check_membership(gap_space(dim, gap_out, HALF), out)
                     if not membership.passed:
                         range_failures.append((m, dim, idx, kind))
+                    counts = {"base_block": 0, "upper_tail": 0, "lower_tail": 0}
                     for index in membership.records:
                         if index < 0:
-                            partitions["lower_tail"] += 1
+                            counts["lower_tail"] += 1
                         elif index < gap_out:
-                            partitions["base_block"] += 1
+                            counts["base_block"] += 1
                         else:
-                            partitions["upper_tail"] += 1
+                            counts["upper_tail"] += 1
+                    for name, count in counts.items():
+                        partitions[name] += count
+                    # the one-kernel check against the maps' composition
+                    report = verify_section(m, head, window, HALF)
+                    if report.identity_failures != bad:
+                        identity_failures.append((m, dim, idx, kind, "verify_section", report.identity_failures))
+                    if report.range_failures != membership.failures or report.partition_counts != counts:
+                        range_failures.append((m, dim, idx, kind, "verify_section", report.range_failures))
             results[(m, dim)] = {
                 "identity_failures": identity_failures,
                 "range_failures": range_failures,

@@ -35,8 +35,7 @@ workloads = _load("workloads")
 COMMANDS = {
     "tower-sections": (
         ["tower", "verify"],
-        ["shiftspace.membership_calls", "shiftspace.membership_records",
-         "tower.section_calls", "tower.section_entries", "tower.factor_calls", "tower.factor_entries"],
+        ["torus.self_s", "tower.self_s", "shiftspace.sampler_self_s"],
     ),
     "periodic-points": (
         ["shift", "conjugacy"],

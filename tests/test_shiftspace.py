@@ -652,7 +652,10 @@ class TestSampling:
                 assert rule == (length in closing), (a, length)
         # off-grid thresholds round up to the next grid distance: 2/3 to 43/64
         # leaves period 3 on the circle but not on the grid
-        plan = shiftspace._periodic_plan
+        def plan(dim, gap, threshold, period):
+            # the plan is keyed on the threshold's numerator and denominator
+            return shiftspace._periodic_plan(dim, gap, threshold.numerator, threshold.denominator, period)
+
         with pytest.raises(ValueError, match="^no period-3 point with distance >= 2/3 at gap 1 exists on the k/64 grid$"):
             plan(1, 1, Fraction(2, 3), 3)
         assert plan(1, 1, Fraction(41, 64) + Fraction(1, 1000), 3)[1:3] == (1, 3)

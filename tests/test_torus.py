@@ -307,6 +307,28 @@ def test_sequence_json_is_the_vectors_json():
     assert witness.seq.to_json() == [v.to_json() for v in witness.seq]
 
 
+def test_concat_is_the_validating_constructor_of_its_columns():
+    # concat skips the gcd pass; the constructor, which runs it, must agree
+    rng = random.Random(908)
+    dens = (1, 2, 3, 64, 97)
+    for _ in range(300):
+        dim = rng.choice((1, 2, 3))
+        parts = []
+        for _ in range(rng.randrange(1, 5)):
+            den, length = rng.choice(dens), rng.randrange(0, 6)
+            parts.append(TorusSeq([[rng.randrange(2 * den) for _ in range(length)] for _ in range(dim)], den))
+        # a part of even numerators, which the constructor brings to lowest
+        # terms, and an empty one
+        even = rng.choice(dens)
+        parts.insert(rng.randrange(len(parts) + 1), TorusSeq([[2 * rng.randrange(even) for _ in range(3)]] * dim, even))
+        parts.insert(rng.randrange(len(parts) + 1), TorusSeq.zero(dim, 0))
+        rng.shuffle(parts)
+        den = math.lcm(*(part.den for part in parts))
+        columns = [[k * (den // part.den) for part in parts for k in part.columns[i]] for i in range(dim)]
+        got, expected = concat(*parts), TorusSeq(columns, den)
+        assert got == expected and (got.columns, got.den) == (expected.columns, expected.den)
+
+
 def test_sequence_form_is_canonical():
     rng = random.Random(906)
     for _ in range(300):

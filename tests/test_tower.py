@@ -20,7 +20,8 @@ from mdkit.shiftspace import (
     sample_periodic_gap_point,
     unit_step_space,
 )
-from mdkit.torus import TorusSeq, TorusVec, max_circle_dist
+from mdkit import torus
+from mdkit.torus import TorusSeq, TorusVec, max_circle_dist, unequal_entries
 from mdkit.tower import (
     MAX_VERIFY_ENTRIES,
     MAX_VERIFY_LEVEL,
@@ -33,15 +34,15 @@ from mdkit.tower import (
     section_domain,
     section_map,
     tower_aperiodicity_report,
-    verify_section_identity,
-    verify_section_range,
-    windows_agree_on_overlap,
+    verify_section,
     zero_anchor,
 )
 
 from oracles import (
     factor_chain,
     factor_map_per_entry,
+    gap_draws_per_entry,
+    gap_failures_per_entry,
     lane_edge_seq,
     mixed_den_vec,
     section_map_per_entry,
@@ -55,6 +56,14 @@ HALF = Fraction(1, 2)
 
 def seq_of(*values):
     return TorusSeq.of(TorusVec.of(Fraction(v)) for v in values)
+
+
+def identity_failures(m, x, y):
+    """The indices of x at which the level-m factor map of y differs from x,
+    once the factor map is checked to cover exactly the domain of x."""
+    back = factor_map(m, y)
+    assert (back.start, back.end) == (x.start, x.end)
+    return tuple(x.start + k for k in unequal_entries(back.seq, x.seq))
 
 
 class TestLevelGap:
@@ -241,7 +250,7 @@ class TestKernelsMatchPerEntry:
                             for head in heads:
                                 y = section_map(m, head, x)
                                 assert y == section_map_per_entry(m, head, x)
-                                assert verify_section_identity(m, x, y).passed
+                                assert identity_failures(m, x, y) == ()
                         y = section_map(m, heads[0], grid)
                         for k in range(y.start, y.end + 1, 5):
                             assert y.value_at(k) == section_value_oracle(m, heads[0], grid, k)
@@ -269,7 +278,7 @@ class TestKernelsMatchPerEntry:
                     y = section_map(m, head, x)
                     assert y == section_map_per_entry(m, head, x)
                     assert (y.start, y.end) == section_domain(m, lo, hi)
-                    assert verify_section_identity(m, x, y).passed
+                    assert identity_failures(m, x, y) == ()
 
     def test_gap_membership(self):
         rng = random.Random(604)
@@ -314,7 +323,7 @@ class TestKernelsMatchPerEntry:
                 head = lane_edge_seq(rng, dim, (m - 1) * q, den)
                 y = section_map(m, head, x)
                 assert y == section_map_per_entry(m, head, x)
-                assert verify_section_identity(m, x, y).passed
+                assert identity_failures(m, x, y) == ()
                 periodic = Periodic(lane_edge_seq(rng, dim, rng.randrange(1, 14), den))
                 assert factor_map(m, periodic) == factor_map_per_entry(m, periodic)
                 for point in (x, y, periodic):
@@ -365,33 +374,136 @@ class TestKernelsMatchPerEntry:
         rng = random.Random(606)
         for m in (2, 3, 4):
             q, big = level_gap(m - 1), level_gap(m)
-            x = sample_gap_window(1, q, HALF, -big, 3 * big, rng)
-            # outputs wholly below 0, straddling 0 and big, wholly above big,
-            # and too short to check anything
-            for start, length in ((-3 * big, 2 * big), (-big - 2, 3 * big + 5), (big + 1, 2 * big), (-1, big)):
-                for y in (
-                    random_window(1, start, length, rng),
-                    sample_gap_window(1, big, HALF, start, length, rng),
-                ):
-                    counts, failures = section_range_per_index(m, y, HALF)
-                    report = verify_section_range(m, x, y, HALF)
+            # checkable section indices k in [lo, hi - q]: wholly below 0,
+            # straddling 0 and big, from 0 up, and a single one
+            for lo, hi in ((-3 * big, q - 1), (-big - 2, 2 * big + q + 3), (0, big + q + 1), (0, q)):
+                x = sample_gap_window(1, q, HALF, lo, hi - lo + 1, rng)
+                for head in (zero_anchor(1, m), random_anchor(1, m, rng)):
+                    counts, failures = section_range_per_index(m, section_map(m, head, x), HALF)
+                    report = verify_section(m, head, x, HALF)
                     assert list(report.partition_counts.items()) == list(counts.items())
-                    assert report.failures == failures
+                    assert report.range_failures == failures == ()
+                    assert sum(counts.values()) == len(x.seq) - q
+
+
+class TestVerifySection:
+    """``verify_section``, one kernel, against the per-entry maps and range
+    loop of ``oracles``."""
+
+    def test_matches_the_per_entry_maps_and_range_loop(self):
+        rng = random.Random(610)
+        for m in (2, 3, 4, 5, 6):
+            q, big = level_gap(m - 1), level_gap(m)
+            # outputs below 0, in the base block and past it
+            lo, hi = -q - 1, big + q + 1
+            for dim in (1, 2, 3):
+                for den in (1, 3, 64):
+                    rows = gap_draws_per_entry(rng, dim, hi - lo + 1, q, HALF, den)[0]
+                    x = Window(lo, TorusSeq.of(rows))
+                    # heads over each denominator but the window's
+                    heads = [zero_anchor(dim, m)] + [
+                        lane_edge_seq(rng, dim, (m - 1) * q, d) for d in (3, 64) if d != den
+                    ]
+                    for head in heads:
+                        y = section_map_per_entry(m, head, x)
+                        back = factor_map_per_entry(m, y)
+                        expected = tuple(k for k in range(lo, hi + 1) if back.value_at(k) != x.value_at(k))
+                        counts, failures = section_range_per_index(m, y, HALF)
+                        report = verify_section(m, head, x, HALF)
+                        assert report.identity_failures == expected == ()
+                        assert report.partition_counts == counts
+                        assert report.range_failures == failures == ()
+                        assert all(counts.values())
+
+    def test_refusals_match_the_window_own_gap_test(self):
+        # windows on the k/den grid that fail their own constraint at some
+        # thresholds and not at others
+        rng = random.Random(611)
+        for m in (2, 3, 4):
+            q = level_gap(m - 1)
+            for den in (1, 3, 64):
+                for threshold in (Fraction(1, 3), HALF, Fraction(1)):
+                    x = Window(-q, lane_edge_seq(rng, 2, 3 * q + 1, den))
+                    head = zero_anchor(2, m)
+                    if gap_failures_per_entry(x.seq, q, threshold, False):
+                        with pytest.raises(ValueError, match="^input window does not satisfy its own gap constraint$"):
+                            verify_section(m, head, x, threshold)
+                    else:
+                        y = section_map_per_entry(m, head, x)
+                        assert verify_section(m, head, x, threshold).range_failures == section_range_per_index(
+                            m, y, threshold
+                        )[1]
+
+    def test_a_wrong_solved_lane_is_named_by_both_checks(self, monkeypatch):
+        # the window x[i] = floor((i - lo) / q) * 33/64 keeps every pair a
+        # sub-gap apart at +33/64, so does every pair of the section a gap
+        # apart; adding 1/64 to entry j of the solved section moves the pair
+        # (j, j + m!) to 32/64, below the threshold, and the pair (j - m!, j)
+        # to 34/64, and changes the factor sums at j - t*(m-1)!
+        threshold = Fraction(33, 64)
+        solve = torus._solve_lanes
+        for m in (2, 3, 4):
+            q, big = level_gap(m - 1), level_gap(m)
+            lo = -big
+            x = Window(lo, TorusSeq([[(i // q) * 33 for i in range(3 * big)]], 64))
+            head = random_anchor(1, m, random.Random(m))
+            report = verify_section(m, head, x, threshold)
+            assert report.identity_failures == report.range_failures == ()
+            for j in (0, big - 1, big + 1, 2 * big - 1):  # lower tail, base block, upper tail
+                def bumped(*args, j=j):
+                    ys = solve(*args)
+                    width, full = args[-2:]
+                    bits = 8 * width
+                    lane = ys[0] >> j * bits & (1 << bits) - 1
+                    ys[0] += ((lane + 1) % full - lane) << j * bits
+                    return ys
+
+                monkeypatch.setattr(torus, "_solve_lanes", bumped)
+                report = verify_section(m, head, x, threshold)
+                monkeypatch.undo()
+                at = lo + j
+                assert report.range_failures == (at,)
+                assert report.identity_failures == tuple(
+                    k for k in (at - t * q for t in range(m - 1, -1, -1)) if x.start <= k <= x.end
+                )
+
+    def test_window_too_short_is_refused(self):
+        for m in (2, 3, 4):
+            q = level_gap(m - 1)
+            x = Window(0, TorusSeq.zero(1, q))
+            with pytest.raises(ValueError, match=(
+                f"^input window of {q} entries is too short to check anything: "
+                f"the level-{m - 1} gap constraint needs more than {q} entries$"
+            )):
+                verify_section(m, zero_anchor(1, m), x, HALF)
+
+    def test_section_checks_come_first(self):
+        x = Window(0, seq_of(0, 1, 0, 1))
+        with pytest.raises(ValueError, match="level-2 section needs a head block of 1 entries"):
+            verify_section(2, zero_anchor(1, 3), x, HALF)
+        with pytest.raises(DomainError, match="section at level 3 needs"):
+            verify_section(3, zero_anchor(1, 3), Window(1, seq_of(0, 1, 0, 1)), HALF)
+        with pytest.raises(TypeError, match="unroll periodic points"):
+            verify_section(2, zero_anchor(1, 2), Periodic(seq_of(0, 1)), HALF)
+        for threshold in (Fraction(0), Fraction(-1, 2), Fraction(3, 2)):
+            with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\]"):
+                verify_section(2, zero_anchor(1, 2), x, threshold)
 
 
 class TestSectionIdentity:
     def test_small_example_full_overlap(self):
         x = Window(0, seq_of(0, 1, 0, 1))
-        report = verify_section_identity(2, x, section_map(2, zero_anchor(1, 2), x))
-        assert report.passed
-        assert report.overlap == (0, 3)
+        y = section_map(2, zero_anchor(1, 2), x)
+        assert verify_section(2, zero_anchor(1, 2), x, HALF).identity_failures == ()
+        back = factor_map(2, y)
+        assert (back.start, back.end) == (0, 3)
 
     def test_random_anchor_and_windows(self):
         rng = random.Random(55)
         head = random_anchor(1, 2, rng)
         windows = [random_window(1, -2, 10, rng) for _ in range(101)]
-        reports = [verify_section_identity(2, x, section_map(2, head, x)) for x in windows]
-        assert all(r.passed and r.overlap == (x.start, x.end) for r, x in zip(reports, windows))
+        # identity_failures also checks that the factor map covers the whole window
+        assert all(identity_failures(2, x, section_map(2, head, x)) == () for x in windows)
 
     def test_corrupted_entry_fails_at_its_indices(self):
         x = random_window(1, -2, 10, random.Random(57))
@@ -400,10 +512,8 @@ class TestSectionIdentity:
         values = list(y.values)
         values[k - y.start] = values[k - y.start] + TorusVec.of(Fraction(1, 4))
         corrupted = Window(y.start, TorusSeq.of(values))
-        report = verify_section_identity(2, x, corrupted)
-        _, mismatches = windows_agree_on_overlap(factor_map(2, corrupted), x)
-        assert report.failures == tuple(mismatches) == (k - 1, k)
-        assert not report.passed
+        mismatches = [x.start + i for i in unequal_entries(factor_map(2, corrupted).seq, x.seq)]
+        assert identity_failures(2, x, corrupted) == tuple(mismatches) == (k - 1, k)
 
     def test_corrupted_entry_is_named_below_zero_in_the_base_block_and_upper_tail(self):
         # output j of the level-m factor map sums entries j, j + q, ..,
@@ -417,15 +527,15 @@ class TestSectionIdentity:
             for k in (-big - 1, -1, 0, big - 1, big, y.end):
                 values = list(y.values)
                 values[k - y.start] = values[k - y.start] + TorusVec.of(0, Fraction(1, 4))
-                report = verify_section_identity(m, x, Window(y.start, TorusSeq.of(values)))
+                failures = identity_failures(m, x, Window(y.start, TorusSeq.of(values)))
                 named = tuple(j for j in (k - t * q for t in range(m - 1, -1, -1)) if x.start <= j <= x.end)
-                assert report.failures == named and named and not report.passed
+                assert failures == named and named
 
     def test_level_four(self):
         rng = random.Random(56)
         windows = [random_window(1, 0, 3 * level_gap(4), rng) for _ in range(21)]
         zero = zero_anchor(1, 4)
-        assert all(verify_section_identity(4, x, section_map(4, zero, x)).passed for x in windows)
+        assert all(identity_failures(4, x, section_map(4, zero, x)) == () for x in windows)
 
 
 class TestSectionRange:
@@ -433,33 +543,33 @@ class TestSectionRange:
         rng = random.Random(77)
         big = level_gap(3)
         x = sample_gap_window(1, level_gap(2), HALF, -big, 3 * big, rng)
-        report = verify_section_range(3, x, section_map(3, zero_anchor(1, 3), x), HALF)
-        assert report.passed
+        report = verify_section(3, zero_anchor(1, 3), x, HALF)
+        assert report.range_failures == ()
         assert all(count > 0 for count in report.partition_counts.values())
 
     def test_random_anchor_also_passes(self):
         rng = random.Random(78)
         big = level_gap(2)
         x = sample_gap_window(2, level_gap(1), HALF, -big, 3 * big, rng)
-        report = verify_section_range(2, x, section_map(2, random_anchor(2, 2, rng), x), HALF)
-        assert report.passed
+        report = verify_section(2, random_anchor(2, 2, rng), x, HALF)
+        assert report.range_failures == ()
 
     def test_invalid_input_rejected(self):
         x = Window(0, TorusSeq.zero(1, 12))
         with pytest.raises(ValueError, match="gap constraint"):
-            verify_section_range(2, x, section_map(2, zero_anchor(1, 2), x), HALF)
+            verify_section(2, zero_anchor(1, 2), x, HALF)
         # one entry of a valid window moved onto the entry one gap back; the
-        # gap space built for the valid window refuses it too
+        # check that passes the valid window refuses it
         rng = random.Random(79)
         for m in (2, 3, 4):
             q, big = level_gap(m - 1), level_gap(m)
             x = sample_gap_window(2, q, HALF, -big, 3 * big, rng)
-            assert verify_section_range(m, x, section_map(m, zero_anchor(2, m), x), HALF).passed
+            assert verify_section(m, zero_anchor(2, m), x, HALF).range_failures == ()
             values = list(x.values)
             values[big] = values[big - q]
             bad = Window(x.start, TorusSeq.of(values))
             with pytest.raises(ValueError, match="does not satisfy its own gap constraint"):
-                verify_section_range(m, bad, section_map(m, zero_anchor(2, m), bad), HALF)
+                verify_section(m, zero_anchor(2, m), bad, HALF)
 
 
 class TestTowerElement:
@@ -472,9 +582,7 @@ class TestTowerElement:
         components = tower_components(2, x, 3)
         assert sorted(components) == [1, 2, 3]
         assert components[2] == x
-        back = factor_map(3, components[3])
-        ok, _ = windows_agree_on_overlap(back, components[2])
-        assert ok
+        assert factor_map(3, components[3]) == components[2]
 
     def test_depth_one(self):
         x = Window(0, seq_of(0, 1))
@@ -504,11 +612,7 @@ class TestTowerElement:
             y = components[level]
             assert y.seq[-y.start : len(head) - y.start] == head
         for level in range(1, 4):
-            ok, _ = windows_agree_on_overlap(
-                factor_map(level + 1, components[level + 1]),
-                components[level],
-            )
-            assert ok
+            assert factor_map(level + 1, components[level + 1]) == components[level]
 
 
 class TestAperiodicity:
