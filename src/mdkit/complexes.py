@@ -29,9 +29,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, filterfalse, groupby, repeat
 from math import gcd
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .finite import permutation_cycles
 from .torus import _shown
@@ -232,10 +232,9 @@ def check_free_action(complex_: FreeZpComplex) -> bool:
 MAX_SIMPLICES = 20_000
 
 # Most nodes (candidate orbit images) one equivariant map search tries.  A
-# node costs 20-300 us as the source grows, from E_4 Z_2 to E_8 Z_2 searched
-# into the level below, so a spent cap takes 1-15 s (Python 3.11.7, 2-CPU
-# x86-64 VM); no coindex search in the tests or the benchmark tries more
-# than 42.
+# node costs 10-30 us as the source grows, from E_5 Z_2 to E_8 Z_2 searched
+# into the level below, so a spent cap takes 0.5-1.5 s (Python 3.11.7, 2-CPU
+# x86-64 VM); no coindex command of the benchmark tries more than 16.
 MAX_SEARCH_NODES = 50_000
 
 
@@ -389,18 +388,21 @@ def _coboundary_columns(
     transpose of the boundary: one sparse ``{row: +-1}`` column per simplex
     of ``lower`` whose index is not in ``dropped``, with a row for each
     simplex of ``upper`` that has it as a facet; a dropped column gets no
-    entry.  ``upper`` is walked once, so each column lists its rows in
-    increasing order.  ``combinations`` yields the facets of a sorted
-    simplex dropping its last vertex first, so the signs run backward."""
+    entry.  The facets are formed one dropped position at a time, all of
+    ``upper`` at once from its vertex columns, and the facet without
+    position j has the sign (-1)^j.  So a column lists its rows ascending
+    within each position, not overall."""
     columns: list[dict[int, int]] = [{} for _ in range(len(lower) - len(dropped))]
     index = dict(zip((s for j, s in enumerate(lower) if j not in dropped), columns))
-    size = len(upper[0]) if upper else 1
-    signs = [-1 if drop % 2 else 1 for drop in range(size - 1, -1, -1)]
-    for i, s in enumerate(upper):
-        for facet, sign in zip(combinations(s, size - 1), signs):
-            column = index.get(facet)
+    vertex_columns = list(zip(*upper))
+    for drop in range(len(vertex_columns)):
+        kept = vertex_columns[:drop] + vertex_columns[drop + 1 :]
+        # the vertices' only facet is the empty simplex
+        facets = zip(*kept) if kept else repeat((), len(upper))
+        sign = -1 if drop % 2 else 1
+        for row, column in enumerate(map(index.get, facets)):
             if column is not None:
-                column[i] = sign
+                column[row] = sign
     return columns
 
 
@@ -570,26 +572,37 @@ def verify_equivariant_simplicial(
     for v in range(len(source.vertices)):
         if mapping[source.action[v]] != target.action[mapping[v]]:
             return False
-    # a simplex may map onto a smaller one, so its image is a vertex set
-    faces, image_of = target.faces, mapping.__getitem__
-    return all(tuple(sorted(set(map(image_of, s)))) in faces for s in chain(*source.face_table))
+    tables = _size_tables(chain.from_iterable(source.face_table))
+    return _images_are_faces(tables, mapping.__getitem__, target.faces)
 
 
 def equivariant_map_search(
-    source: FreeZpComplex, target: FreeZpComplex, work: dict[str, int] | None = None
+    source: FreeZpComplex, target: FreeZpComplex, work: dict | None = None
 ) -> dict[int, int] | None:
     """Backtracking search for an equivariant simplicial vertex map.
 
-    One image is chosen per source vertex orbit and propagated along the
-    actions; a partial assignment is pruned as soon as some fully-assigned
-    source simplex has a non-simplex image.  Exhausting the space proves no
-    equivariant simplicial VERTEX map exists at this triangulation; it does
-    not bound continuous maps, so callers must treat failure as inconclusive.
+    One image is chosen per source vertex orbit, in the order of
+    ``permutation_cycles``, and propagated along the actions; a partial
+    assignment is pruned as soon as some fully-assigned source simplex has
+    a non-simplex image.  Exhausting the space proves no equivariant
+    simplicial VERTEX map exists at this triangulation; it does not bound
+    continuous maps, so callers must treat failure as inconclusive.
 
-    A node is one candidate image tried for a source orbit.  When ``work`` is
-    given, ``work["nodes"]`` is set to the number of nodes tried.  A search
-    that would try more than ``MAX_SEARCH_NODES`` raises ``ValueError``
-    naming the source's dimension (its level, for a standard complex): the
+    A node is one candidate image tried for a source orbit.  The simplices
+    whose highest orbit is orbit i are the ones a node of orbit i decides.
+    The target is closed downward, so only those that are a facet of no
+    other such simplex are tested: each of the others is a face of one of
+    them.
+
+    The search first completes the orbits 0..i exactly where a search from
+    their subcomplex alone would return: the two walk the same tree up to
+    there.  When ``work`` is given, ``work["nodes"]`` is set to the number
+    of nodes tried, and if it holds the key ``"completed"``, that is set to
+    the list of the node counts at which the orbits 0..i were first all
+    assigned, for i = 0, 1, ... in turn.  A search that would try more than
+    ``MAX_SEARCH_NODES`` raises ``ValueError`` naming the dimension of the
+    orbits 0..i, where i is the first orbit not yet completed (the level of
+    the search that would have spent the cap, for a standard source): the
     answer is undetermined, never "exhausted".
     """
     if source.p != target.p:
@@ -598,62 +611,102 @@ def equivariant_map_search(
         raise ValueError("search requires a free source action")
     if work is None:
         work = {}
+    completed: list[int] = []
+    if "completed" in work:
+        work["completed"] = completed
     work["nodes"] = 0
     if source.is_empty():
         return {}
     if target.is_empty():
         return None
     orbits = permutation_cycles(source.action)
-    orbit_of = {}
+    orbit_of = [0] * len(source.vertices)
     for oi, orbit in enumerate(orbits):
         for v in orbit:
             orbit_of[v] = oi
-    # simplices grouped by the highest orbit index they touch
+    # simplices grouped by the highest orbit index they touch, in table order
     by_last_orbit: list[list[Face]] = [[] for _ in orbits]
     for s in chain.from_iterable(source.face_table):
         by_last_orbit[max(map(orbit_of.__getitem__, s))].append(s)
+    # the tests of each orbit: its maximal simplices as vertex columns
+    tests = [_size_tables(_maximal_simplices(group)) for group in by_last_orbit]
     faces = target.faces
 
-    assignment: dict[int, int] = {}
-    image_of = assignment.__getitem__
+    # the images of an orbit walk the target's action from the one chosen:
+    # walks[w][k] is action^k(w), for k = 0..p
+    steps = [range(len(target.vertices))]
+    for _ in range(source.p):
+        steps.append(tuple(map(target.action.__getitem__, steps[-1])))
+    walks = list(zip(*steps))
+    images: dict[int, int] = {}  # entries of unassigned orbits are stale
+    image_of = images.__getitem__
 
     def assign_orbit(oi: int) -> bool:
+        if oi > len(completed):
+            completed.append(work["nodes"])
         if oi == len(orbits):
             return True
-        rep = orbits[oi][0]
-        for w in range(len(target.vertices)):
+        orbit = orbits[oi]
+        for walk in walks:
             work["nodes"] += 1
             if work["nodes"] > MAX_SEARCH_NODES:
+                searched = chain.from_iterable(by_last_orbit[: len(completed) + 1])
                 raise ValueError(
                     f"undetermined: the equivariant map search from a level-"
-                    f"{source.dimension()} source spent its cap of "
+                    f"{max(map(len, searched), default=0) - 1} source spent its cap of "
                     f"{MAX_SEARCH_NODES} nodes (complexes.MAX_SEARCH_NODES)"
                 )
-            image = w
-            trial = {}
-            vertex = rep
-            ok = True
-            for _ in range(len(orbits[oi])):
-                trial[vertex] = image
-                vertex = source.action[vertex]
-                image = target.action[image]
-            assignment.update(trial)
-            for s in by_last_orbit[oi]:
-                if tuple(sorted(set(map(image_of, s)))) not in faces:
-                    ok = False
-                    break
-            if ok and assign_orbit(oi + 1):
+            if walk[len(orbit)] != walk[0]:
+                continue  # a fixed source vertex needs a fixed image
+            images.update(zip(orbit, walk))
+            if _images_are_faces(tests[oi], image_of, faces) and assign_orbit(oi + 1):
                 return True
-            for v in trial:
-                del assignment[v]
         return False
 
-    if assign_orbit(0):
-        result = dict(assignment)
+    try:
+        found = assign_orbit(0)
+    finally:
+        # the function holds itself in its closure: break that cycle, so the
+        # search's tables are freed now and not at a later garbage collection
+        del assign_orbit
+    if found:
+        result = dict(images)
         if not verify_equivariant_simplicial(result, source, target):
             raise AssertionError("search returned a map its checker rejects")
         return result
     return None
+
+
+def _size_tables(simplices: Iterable[Face]) -> list[tuple]:
+    """Simplices listed by size as vertex columns, one table per size, the
+    largest first, since a simplex fails whenever one of its faces does."""
+    return [tuple(zip(*run)) for _, run in groupby(simplices, len)][::-1]
+
+
+def _images_are_faces(
+    tables: Sequence[tuple], image_of: Callable[[int], int], faces: Collection[Face]
+) -> bool:
+    """Whether every simplex of the tables has its image vertex set in
+    ``faces`` (a simplex may map onto a smaller one); the images are formed
+    and tested at C speed, in the tables' order, up to the first that
+    fails."""
+    for columns in tables:
+        images = zip(*map(map, repeat(image_of), columns))
+        if not all(map(faces.__contains__, map(tuple, map(sorted, map(set, images))))):
+            return False
+    return True
+
+
+def _maximal_simplices(group: Sequence[Face]) -> list[Face]:
+    """The simplices of a group in table order that are a facet of none of
+    the others, in that order."""
+    covered: set[Face] = set()
+    for size, simplices in groupby(group, len):
+        if size > 1:
+            vertex_columns = list(zip(*simplices))
+            for drop in range(size):
+                covered.update(zip(*vertex_columns[:drop], *vertex_columns[drop + 1 :]))
+    return list(filterfalse(covered.__contains__, group))
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +748,15 @@ def coindex_bounds(complex_: FreeZpComplex, search_depth: int) -> CoindexBound:
     first of them.  A failed search never tightens the upper bound (sources
     are not subdivided) and is recorded as unresolved in the provenance.
     Each search record carries the nodes its search tried.
+
+    One search serves every level.  Orbit i of E_d Z_p, d = min(search_depth,
+    dim), is level i, and its simplices on the levels 0..n are those of
+    E_n Z_p, so the search from E_d Z_p first completes level n exactly where
+    a search from E_n Z_p would return, and a level it never completes is
+    exhausted at the count that search would end on.  A found map is checked
+    in full, and its restriction to the levels 0..n is a map from E_n Z_p.
+    When a level is exhausted, a map from the level below is searched for
+    again, from its own standard complex, and checked.
     """
     if complex_.is_empty():
         return CoindexBound(
@@ -706,52 +768,54 @@ def coindex_bounds(complex_: FreeZpComplex, search_depth: int) -> CoindexBound:
     if not check_free_action(complex_):
         raise ValueError("coindex defined only for free actions")
     dim = complex_.dimension()
-    provenance: list[dict] = []
-    lower = -1
-    for n in range(0, min(search_depth, dim) + 1):
-        work: dict[str, int] = {}
-        found = equivariant_map_search(build_en_zp(complex_.p, n), complex_, work) is not None
-        if found:
-            lower = n
-            provenance.append(
-                {
-                    "rule": "vertex-map witness",
-                    "level": n,
-                    "nodes": work["nodes"],
-                    "statement": (
-                        f"an explicit equivariant simplicial map from the standard "
-                        f"level-{n} free complex exists, so coindex >= {n}"
-                    ),
-                }
-            )
-        else:
-            provenance.append(
-                {
-                    "rule": "search exhausted",
-                    "level": n,
-                    "nodes": work["nodes"],
-                    "statement": (
-                        f"no equivariant simplicial vertex map from the standard "
-                        f"level-{n} free complex at this triangulation; inconclusive "
-                        f"without subdivision, upper bound unchanged"
-                    ),
-                }
-            )
-            break
-    else:
-        if search_depth > dim:
-            provenance.append(
-                {
-                    "rule": "level theorem",
-                    "level": dim + 1,
-                    "statement": (
-                        f"no equivariant map from the standard level-{dim + 1} free "
-                        f"complex exists: composed with this complex's map into the "
-                        f"standard level-{dim} free complex it would raise the level "
-                        f"(Dold's theorem), so no level above {dim} is searched"
-                    ),
-                }
-            )
+    depth = min(search_depth, dim)
+    work: dict = {"completed": []}
+    found = depth < 0 or (
+        equivariant_map_search(build_en_zp(complex_.p, depth), complex_, work) is not None
+    )
+    completed = work["completed"]
+    lower = len(completed) - 1
+    if not found and lower >= 0:
+        if equivariant_map_search(build_en_zp(complex_.p, lower), complex_) is None:
+            raise AssertionError(f"no map from level {lower}, which the search completed")
+    provenance: list[dict] = [
+        {
+            "rule": "vertex-map witness",
+            "level": n,
+            "nodes": nodes,
+            "statement": (
+                f"an explicit equivariant simplicial map from the standard "
+                f"level-{n} free complex exists, so coindex >= {n}"
+            ),
+        }
+        for n, nodes in enumerate(completed)
+    ]
+    if not found:
+        provenance.append(
+            {
+                "rule": "search exhausted",
+                "level": lower + 1,
+                "nodes": work["nodes"],
+                "statement": (
+                    f"no equivariant simplicial vertex map from the standard "
+                    f"level-{lower + 1} free complex at this triangulation; inconclusive "
+                    f"without subdivision, upper bound unchanged"
+                ),
+            }
+        )
+    elif search_depth > dim:
+        provenance.append(
+            {
+                "rule": "level theorem",
+                "level": dim + 1,
+                "statement": (
+                    f"no equivariant map from the standard level-{dim + 1} free "
+                    f"complex exists: composed with this complex's map into the "
+                    f"standard level-{dim} free complex it would raise the level "
+                    f"(Dold's theorem), so no level above {dim} is searched"
+                ),
+            }
+        )
     provenance.append(
         {
             "rule": "dimension cap",

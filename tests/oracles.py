@@ -13,8 +13,8 @@ from math import factorial, gcd, isqrt, lcm
 
 import numpy as np
 
-from mdkit import finite
-from mdkit.complexes import HomologyGroup, smith_normal_form_diagonal
+from mdkit import complexes, finite
+from mdkit.complexes import CoindexBound, HomologyGroup, build_en_zp, smith_normal_form_diagonal
 from mdkit.finite import FiniteSystem, enumerate_markers, time_division
 from mdkit.shiftspace import Periodic, Window, check_membership, gap_space, random_torus_vec
 from mdkit.meandim import Cover, cover_ord, validate_cover
@@ -819,6 +819,140 @@ def reduced_homology_dense(complex_, k):
         rank=len(faces(k)) - len(factors(k)) - len(up),
         torsion=tuple(t for t in up if t > 1),
     )
+
+
+def coboundary_columns_by_combinations(lower, upper, dropped=()):
+    """The coboundary walked one simplex of ``upper`` at a time: its facets
+    by ``combinations``, which drops the last vertex first, each entered in
+    the column of the facet, if that is a simplex of ``lower`` not dropped."""
+    columns = [{} for _ in range(len(lower) - len(dropped))]
+    index = dict(zip((s for j, s in enumerate(lower) if j not in dropped), columns))
+    size = len(upper[0]) if upper else 1
+    signs = [-1 if drop % 2 else 1 for drop in range(size - 1, -1, -1)]
+    for i, s in enumerate(upper):
+        for facet, sign in zip(combinations(s, size - 1), signs):
+            column = index.get(facet)
+            if column is not None:
+                column[i] = sign
+    return columns
+
+
+def maximal_by_subsets(group):
+    """The simplices of a group that are a proper subset of none of its
+    others, by comparing every pair."""
+    sets = [frozenset(s) for s in group]
+    return [s for s, a in zip(group, sets) if not any(a < b for b in sets)]
+
+
+def map_search_testing_every_simplex(source, target):
+    """Backtracking over the source orbits, every image of an orbit tried in
+    target vertex order and every simplex whose highest orbit is the one
+    just assigned tested at each candidate: the map found (or None) and
+    the candidates tried, with no cap."""
+    orbits = finite.permutation_cycles(source.action)
+    orbit_of = {v: oi for oi, orbit in enumerate(orbits) for v in orbit}
+    by_last_orbit = [[] for _ in orbits]
+    for s in chain.from_iterable(source.face_table):
+        by_last_orbit[max(orbit_of[v] for v in s)].append(s)
+    faces = set(chain.from_iterable(target.face_table))
+    assignment = {}
+    nodes = 0
+
+    def assign(oi):
+        nonlocal nodes
+        if oi == len(orbits):
+            return True
+        for w in range(len(target.vertices)):
+            nodes += 1
+            trial, vertex, image = {}, orbits[oi][0], w
+            for _ in orbits[oi]:
+                trial[vertex] = image
+                vertex, image = source.action[vertex], target.action[image]
+            if image != w:  # the orbit's images do not close up
+                continue
+            assignment.update(trial)
+            if all(tuple(sorted({assignment[v] for v in s})) in faces for s in by_last_orbit[oi]):
+                if assign(oi + 1):
+                    return True
+            for v in trial:
+                del assignment[v]
+        return False
+
+    found = dict(assignment) if assign(0) else None
+    return found, nodes
+
+
+def coindex_bounds_per_level(complex_, search_depth):
+    """``coindex_bounds`` with one search per level: E_n Z_p is built and
+    searched into the complex for n = 0, 1, ... up to the depth and the
+    dimension, until a search finds no map."""
+    if complex_.is_empty():
+        return CoindexBound(
+            complex_.p,
+            -1,
+            -1,
+            ({"rule": "empty-space convention", "statement": "coindex of the empty space is -1"},),
+        )
+    if not complexes.check_free_action(complex_):
+        raise ValueError("coindex defined only for free actions")
+    dim = complex_.dimension()
+    provenance = []
+    lower = -1
+    for n in range(0, min(search_depth, dim) + 1):
+        work = {}
+        found = complexes.equivariant_map_search(build_en_zp(complex_.p, n), complex_, work) is not None
+        if found:
+            lower = n
+            provenance.append(
+                {
+                    "rule": "vertex-map witness",
+                    "level": n,
+                    "nodes": work["nodes"],
+                    "statement": (
+                        f"an explicit equivariant simplicial map from the standard "
+                        f"level-{n} free complex exists, so coindex >= {n}"
+                    ),
+                }
+            )
+        else:
+            provenance.append(
+                {
+                    "rule": "search exhausted",
+                    "level": n,
+                    "nodes": work["nodes"],
+                    "statement": (
+                        f"no equivariant simplicial vertex map from the standard "
+                        f"level-{n} free complex at this triangulation; inconclusive "
+                        f"without subdivision, upper bound unchanged"
+                    ),
+                }
+            )
+            break
+    else:
+        if search_depth > dim:
+            provenance.append(
+                {
+                    "rule": "level theorem",
+                    "level": dim + 1,
+                    "statement": (
+                        f"no equivariant map from the standard level-{dim + 1} free "
+                        f"complex exists: composed with this complex's map into the "
+                        f"standard level-{dim} free complex it would raise the level "
+                        f"(Dold's theorem), so no level above {dim} is searched"
+                    ),
+                }
+            )
+    provenance.append(
+        {
+            "rule": "dimension cap",
+            "statement": (
+                f"a free {dim}-dimensional complex maps equivariantly into the "
+                f"standard level-{dim} free complex, and equivariant maps between "
+                f"standard free complexes cannot raise the level, so coindex <= {dim}"
+            ),
+        }
+    )
+    return CoindexBound(complex_.p, lower, dim, tuple(provenance))
 
 
 # ---------------------------------------------------------------------------

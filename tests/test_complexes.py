@@ -26,12 +26,17 @@ from mdkit.complexes import (
     verify_equivariant_simplicial,
 )
 from mdkit.complexes import _coboundary_columns, _invariant_factors, _validate_complex
+from mdkit.finite import permutation_cycles
 
 from oracles import (
+    coboundary_columns_by_combinations,
+    coindex_bounds_per_level,
     complex_violations,
     en_zp_face_table_by_product,
     free_action_by_all_powers,
     invariant_factors_by_minors,
+    map_search_testing_every_simplex,
+    maximal_by_subsets,
     order_divides_by_all_powers,
     reduced_homology_dense,
 )
@@ -463,6 +468,24 @@ class TestSparseHomology:
                 _invariant_factors(columns, cleared)
         assert dropped_any
 
+    def test_coboundary_columns_match_the_combinations_walk(self):
+        # the same {row: sign} in every column, with and without the columns
+        # the degree below pivoted on; the rows' order is not compared
+        standard = [build_en_zp(p, n) for p, n in EN_ZP_HOMOLOGY + [(3, 3), (2, 5)]]
+        dropped_any = False
+        for k in (*standard, *homology_battery()):
+            faces = [((),), *k.face_table]
+            cleared = []
+            for lower, upper in zip(faces, faces[1:]):
+                dropped = set(cleared)
+                for leave_out in (set(), dropped):
+                    got = _coboundary_columns(lower, upper, leave_out)
+                    assert got == coboundary_columns_by_combinations(lower, upper, leave_out)
+                dropped_any |= bool(dropped)
+                cleared = []
+                _invariant_factors(_coboundary_columns(lower, upper, dropped), cleared)
+        assert dropped_any
+
     def test_fallback_only_for_the_projective_plane(self, monkeypatch):
         # every lowest entry of a standard complex's cleared coboundaries is
         # a unit; the projective plane's Z/2 needs the unit-pivot route
@@ -497,6 +520,40 @@ class TestSparseHomology:
         # far over the cap: the count is named without being formed
         with pytest.raises(ValueError, match=r"3\^1000000001 - 1 simplices"):
             build_en_zp(2, 10**9)
+
+
+def three_disjoint_edges() -> FreeZpComplex:
+    """Z_3 permuting three disjoint edges: level 0 maps in, level 1 does not."""
+    return FreeZpComplex.from_maximal(
+        3,
+        [(a, level) for a in range(3) for level in range(2)],
+        [[(a, 0), (a, 1)] for a in range(3)],
+        {(a, level): ((a + 1) % 3, level) for a in range(3) for level in range(2)},
+    )
+
+
+def random_free_complexes(seed: int, count: int) -> list[FreeZpComplex]:
+    """Unions of the orbits of a few random top and next-to-top simplices of
+    a standard complex, free as its subcomplexes, with the vertices
+    relabelled at random: the orbits are no longer the levels, and a
+    simplex's highest orbit need not hold its largest vertex."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = rng.choice([2, 3, 5])
+        n = rng.randint(1, {2: 4, 3: 3, 5: 2}[p])
+        base = build_en_zp(p, n)
+        relabel = list(range(len(base.vertices)))
+        rng.shuffle(relabel)
+        candidates = base.face_table[-1] + base.face_table[-2]
+        maximal = []
+        for s in rng.sample(candidates, rng.randint(1, 6)):
+            for _ in range(p):
+                maximal.append([relabel[v] for v in s])
+                s = [base.action[v] for v in s]
+        action = {relabel[v]: relabel[w] for v, w in enumerate(base.action)}
+        out.append(FreeZpComplex.from_maximal(p, range(len(relabel)), maximal, action))
+    return out
 
 
 class TestMapSearch:
@@ -563,7 +620,138 @@ class TestMapSearch:
             equivariant_map_search(source, target)
 
 
+    def test_completed_prefixes_are_the_level_searches(self):
+        # the orbits of E_3 Z_p are its levels: the search first completes
+        # level k where the search from E_k Z_p returns
+        for p, nodes in self.STANDARD_NODES.items():
+            work = {"completed": None}
+            equivariant_map_search(build_en_zp(p, 3), build_en_zp(p, 3), work)
+            assert work == {"completed": list(nodes), "nodes": nodes[3]}
+        work = {"completed": None}
+        assert equivariant_map_search(build_en_zp(2, 4), build_en_zp(2, 3), work) is None
+        assert work == {"completed": [1, 4, 9, 16], "nodes": 5064}
+
+    def test_maximal_simplices_by_subsets(self):
+        for k in (build_en_zp(2, 3), build_en_zp(3, 2), *random_free_complexes(5, 20)):
+            orbits = permutation_cycles(k.action)
+            orbit_of = {v: oi for oi, orbit in enumerate(orbits) for v in orbit}
+            simplices = list(itertools.chain.from_iterable(k.face_table))
+            groups = [simplices] + [
+                [s for s in simplices if max(orbit_of[v] for v in s) == oi]
+                for oi in range(len(orbits))
+            ]
+            for group in groups:
+                assert complexes._maximal_simplices(group) == maximal_by_subsets(group)
+
+    def test_nodes_and_maps_match_testing_every_simplex(self):
+        # testing only each orbit's maximal simplices prunes exactly where
+        # testing every simplex does
+        battery = random_free_complexes(11, 24)
+        battery += [build_en_zp(p, n) for p, n in [(2, 0), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]]
+        pairs = exhausted = 0
+        for source in battery:
+            for target in battery:
+                if source.p != target.p:
+                    continue
+                expected, nodes = map_search_testing_every_simplex(source, target)
+                if nodes > 20_000:
+                    continue
+                work = {}
+                assert equivariant_map_search(source, target, work) == expected
+                assert work == {"nodes": nodes}
+                pairs += 1
+                exhausted += expected is None
+        assert pairs > 200 and 0 < exhausted < pairs
+
+    def test_fixed_source_vertex_needs_a_fixed_image(self):
+        # an unused vertex may be fixed in a free complex; an equivariant map
+        # sends it to a fixed vertex, and with none there is no map
+        e1 = build_en_zp(2, 1)
+        with_fixed = FreeZpComplex(2, e1.vertices + ("x",), e1.face_table, e1.action + (4,))
+        assert check_free_action(with_fixed)
+        work = {}
+        assert equivariant_map_search(with_fixed, e1, work) is None
+        assert map_search_testing_every_simplex(with_fixed, e1) == (None, work["nodes"])
+        found = equivariant_map_search(with_fixed, with_fixed)
+        assert found is not None and found[4] == 4
+        assert verify_equivariant_simplicial(found, with_fixed, with_fixed)
+
+
+# every standard complex E_n Z_p for p in {2, 3, 5} and n <= 3, searched to
+# every depth up to n + 2
+STANDARD_COINDEX = [(p, n, n_max) for p in (2, 3, 5) for n in range(4) for n_max in range(n + 3)]
+
+
+def _outcome(bounds, k, n_max):
+    try:
+        return bounds(k, n_max)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestCoindexBounds:
+    def test_one_search_matches_a_search_per_level(self):
+        for p, n, n_max in STANDARD_COINDEX:
+            k = build_en_zp(p, n)
+            assert coindex_bounds(k, n_max) == coindex_bounds_per_level(k, n_max), (p, n, n_max)
+        for k in (three_disjoint_edges(), *random_free_complexes(3, 30)):
+            for n_max in range(k.dimension() + 3):
+                assert coindex_bounds(k, n_max) == coindex_bounds_per_level(k, n_max)
+
+    def test_spent_cap_names_the_level_a_search_per_level_would(self, monkeypatch):
+        # a cap of each level's count decides as before, and one fewer fails
+        # with the same message, naming that level
+        cases = [(build_en_zp(p, n), n_max) for p, n, n_max in STANDARD_COINDEX]
+        cases += [(three_disjoint_edges(), 3)]
+        counts = [
+            {rec["nodes"] for rec in coindex_bounds_per_level(k, n_max).provenance
+             if "nodes" in rec}
+            for k, n_max in cases
+        ]
+        raised = 0
+        for (k, n_max), nodes in zip(cases, counts):
+            for cap in sorted(nodes | {c - 1 for c in nodes}):
+                monkeypatch.setattr(complexes, "MAX_SEARCH_NODES", cap)
+                expected = _outcome(coindex_bounds_per_level, k, n_max)
+                got = _outcome(coindex_bounds, k, n_max)
+                assert got == expected, (k.p, k.dimension(), n_max, cap)
+                raised += isinstance(expected, str)
+        assert raised > 50
+
+    def test_the_checked_map_restricts_to_every_level(self, monkeypatch):
+        searches = []
+        search = complexes.equivariant_map_search
+
+        def recording(source, target, work=None):
+            found = search(source, target, work)
+            searches.append((source, found))
+            return found
+
+        monkeypatch.setattr(complexes, "equivariant_map_search", recording)
+        join = join_complexes(build_en_zp(2, 1), build_en_zp(2, 1))
+        targets = [build_en_zp(2, 3), build_en_zp(3, 2), join]
+        for k in (*targets, *random_free_complexes(17, 20)):
+            searches.clear()
+            bound = coindex_bounds(k, k.dimension())
+            assert len(searches) == 1 + (bound.lower < k.dimension())
+            found = next(found for source, found in searches if found is not None)
+            for level in range(bound.lower + 1):
+                restricted = {v: found[v] for v in range(k.p * (level + 1))}
+                assert verify_equivariant_simplicial(restricted, build_en_zp(k.p, level), k)
+
+    def test_exhausted_level_searches_the_level_below_again(self, monkeypatch):
+        searches = []
+        search = complexes.equivariant_map_search
+
+        def recording(source, target, work=None):
+            found = search(source, target, work)
+            searches.append((source.dimension(), found is not None))
+            return found
+
+        monkeypatch.setattr(complexes, "equivariant_map_search", recording)
+        coindex_bounds(three_disjoint_edges(), 3)
+        assert searches == [(1, False), (0, True)]
+
     def test_empty_convention(self):
         bound = coindex_bounds(FreeZpComplex.empty(5), 2)
         assert (bound.lower, bound.upper) == (-1, -1)
@@ -603,13 +791,7 @@ class TestCoindexBounds:
     def test_exhausted_search_at_the_dimension_cites_no_theorem(self):
         # Z_3 permutes three disjoint edges; the connected E_1 Z_3 has no
         # vertex map into them, so the search fails at the dimension itself
-        k = FreeZpComplex.from_maximal(
-            3,
-            [(a, level) for a in range(3) for level in range(2)],
-            [[(a, 0), (a, 1)] for a in range(3)],
-            {(a, level): ((a + 1) % 3, level) for a in range(3) for level in range(2)},
-        )
-        bound = coindex_bounds(k, 3)
+        bound = coindex_bounds(three_disjoint_edges(), 3)
         assert (bound.lower, bound.upper) == (0, 1)
         assert [(rec["rule"], rec.get("level")) for rec in bound.provenance] == [
             ("vertex-map witness", 0),
