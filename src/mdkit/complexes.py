@@ -406,9 +406,7 @@ def _coboundary_columns(
     return columns
 
 
-def _invariant_factors(
-    columns: list[dict[int, int]], pivot_rows: list[int] | None = None
-) -> list[int]:
+def _invariant_factors(columns: list[dict[int, int]], pivot_rows: list[int]) -> list[int]:
     """Smith normal form diagonal of a sparse integer matrix given by columns.
 
     One lowest-row reduction: each column in turn, while its lowest (largest)
@@ -421,8 +419,8 @@ def _invariant_factors(
     every invariant factor is 1: the result is [1] * pivots.  If some
     column's new lowest entry is not a unit, the original columns go to
     ``_unit_pivot_factors`` instead, the only route to a factor above 1.
-    When ``pivot_rows`` is given, the pivot rows are appended to it in the
-    order they were taken.
+    The pivot rows are appended to ``pivot_rows`` in the order they were
+    taken.
     """
     owners: dict[int, dict[int, int]] = {}
     for col in columns:
@@ -444,14 +442,11 @@ def _invariant_factors(
         if col[low] not in (1, -1):
             return _unit_pivot_factors(columns, pivot_rows)
         owners[low] = col
-    if pivot_rows is not None:
-        pivot_rows.extend(owners)
+    pivot_rows.extend(owners)
     return [1] * len(owners)
 
 
-def _unit_pivot_factors(
-    columns: list[dict[int, int]], pivot_rows: list[int] | None = None
-) -> list[int]:
+def _unit_pivot_factors(columns: list[dict[int, int]], pivot_rows: list[int]) -> list[int]:
     """Smith normal form diagonal by unit-pivot elimination, the fallback of
     ``_invariant_factors`` when a lowest entry is not a unit.
 
@@ -463,8 +458,8 @@ def _unit_pivot_factors(
     repeat while a pivot was found; what remains has no unit entry and goes
     to the dense ``smith_normal_form_diagonal``.  Since 1 divides every
     invariant factor, the result is [1] * pivots + the residual's diagonal.
-    When ``pivot_rows`` is given, the pivot rows are appended to it in the
-    order they were taken.
+    The pivot rows are appended to ``pivot_rows`` in the order they were
+    taken.
     """
     cols = [dict(c) for c in columns]
     rows: dict[int, set[int]] = {}
@@ -496,8 +491,7 @@ def _unit_pivot_factors(
                 rows[i].discard(c)
             pivot_col.clear()
             pivots += 1
-            if pivot_rows is not None:
-                pivot_rows.append(r)
+            pivot_rows.append(r)
             found = True
     rest_rows = sorted(i for i, js in rows.items() if js)
     rest_cols = [col for col in cols if col]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 from itertools import product as iter_product
 from math import comb, lcm
@@ -43,10 +43,11 @@ from .torus import (
 )
 
 # Largest marker count ``enumerate_markers`` lists or the marker transfer
-# decides, checked before any marker is built: listing the 167,760 2-markers
-# of a 25-cycle takes 0.9 s and 150 MB peak RSS (Python 3.11.7, 2-CPU x86-64
-# VM).  The transfer walks only each cycle's own subsets, but one cycle can
-# hold them all: a 600-cycle has 2^600 - 1 1-markers.
+# decides, checked before any marker is built: `markers transfer --system
+# cycles:25 --n 1 --N 2`, whose 25-cycle has 167,760 2-markers, takes 0.8 s
+# per process and 56 MB peak RSS (Python 3.11.7, 2-CPU x86-64 VM).  The
+# transfer walks only each cycle's own subsets, but one cycle can hold them
+# all: a 600-cycle has 2^600 - 1 1-markers.
 MAX_MARKERS = 200_000
 # Largest system an embedding takes, checked before its metric is built.  The
 # metric has n^2 entries and the collision test compares n^2/2 pairs of images;
@@ -61,7 +62,7 @@ MAX_EMBED_POINTS = 200
 MAX_TRANSFER_POINTS = 10_000
 # Largest system a marker search takes, checked before any point of a
 # shorthand is built: `markers search --system cycles:1000000 --N 2` answers
-# in 0.85 s per process, where cycles:20000000 ran out of memory (same VM).
+# in 0.7 s per process, where cycles:20000000 ran out of memory (same VM).
 MAX_SEARCH_POINTS = 1_000_000
 # Largest common denominator of a metric's values, checked before any value is
 # lifted to it: `embed` on 200 points at the cap takes 2.1 s in process, where 140
@@ -87,9 +88,7 @@ class FiniteSystem:
         return len(self.points)
 
     @classmethod
-    def from_cycle_lengths(
-        cls, lengths: list[int], metric=None
-    ) -> "FiniteSystem":
+    def from_cycle_lengths(cls, lengths: list[int]) -> "FiniteSystem":
         """Disjoint cycles of the given lengths; points named c<i>n<j>."""
         points = []
         perm = []
@@ -100,7 +99,7 @@ class FiniteSystem:
             points.extend(f"c{ci}n{j}" for j in range(length))
             perm.extend(offset + (j + 1) % length for j in range(length))
             offset += length
-        return cls(tuple(points), tuple(perm), metric)
+        return cls(tuple(points), tuple(perm))
 
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -258,14 +257,14 @@ class MarkerCertificate:
     def found(self) -> bool:
         return self.verdict == "found"
 
-    def to_json(self, sys_: FiniteSystem | None = None) -> dict:
+    def to_json(self, sys_: FiniteSystem) -> dict:
         out: dict = {
             "N": self.n_marker,
             "verdict": self.verdict,
             "subset": list(self.subset) if self.subset is not None else None,
             "transcript": list(self.transcript),
         }
-        if sys_ is not None and self.subset is not None:
+        if self.subset is not None:
             out["subset_points"] = [sys_.points[i] for i in self.subset]
         return out
 
@@ -765,29 +764,23 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
 # Random metrics
 
 
-@lru_cache(maxsize=8)
-def _metric_values(denominator: int) -> tuple[Fraction, ...]:
-    """The values ``random_metric`` draws from, k/(8*denominator) for k in
-    [denominator, 2*denominator]."""
-    return tuple(Fraction(k, 8 * denominator) for k in range(denominator, 2 * denominator + 1))
+# the values ``random_metric`` draws from, k/256 for k in [32, 64]
+_METRIC_VALUES = tuple(Fraction(k, 256) for k in range(32, 65))
 
 
-def random_metric(
-    rng: random.Random, size: int, denominator: int = 32
-) -> tuple[tuple[Fraction, ...], ...]:
+def random_metric(rng: random.Random, size: int) -> tuple[tuple[Fraction, ...], ...]:
     """A random exact metric with values in [1/8, 1/4] off the diagonal.
 
     Any symmetric table with a zero diagonal and off-diagonal values in
     [t, 2t] satisfies the triangle inequality: d(i, k) <= 2t <= d(i, j) +
     d(j, k) for distinct points, and the other cases have a zero term.  So
-    the table needs no repair step and no check.  The denominator + 1
-    possible values are built once per denominator and indexed by the draws.
+    the table needs no repair step and no check.  Each value is k/256 for
+    one draw k in [32, 64], read from the 33 values built once.
     """
-    values = _metric_values(denominator)
     rows = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            d = values[rng.randint(denominator, 2 * denominator) - denominator]
+            d = _METRIC_VALUES[rng.randint(32, 64) - 32]
             rows[i][j] = d
             rows[j][i] = d
     return tuple(tuple(row) for row in rows)

@@ -5,10 +5,10 @@ values) or a finite window (start index plus consecutive values).  Either
 holds its values as one :class:`~mdkit.torus.TorusSeq`, integer columns over
 one denominator; shifts, dilations, unrolling, the gap and adjacent-step
 membership checks and the samplers work on those columns, and a vector is
-built only when a caller reads one (``value_at``, ``values``) or a binary
-SFT reads its letters.  A shift or dilation of a periodic point is a cached
-index map i -> i*j + k mod p, one ``itemgetter`` per column; only a
-non-bijection, gcd(j, p) > 1, takes the gcd pass.  The conjugacy diagram
+built only when a caller reads one (``value_at``, ``values``).  A shift or
+dilation of a periodic point is a cached index map i -> i*j + k mod p, one
+``itemgetter`` per column; only a non-bijection, gcd(j, p) > 1, takes the
+gcd pass.  The conjugacy diagram
 checks s samples of period p at once, by the Chinese remainder theorem
 (Z_s x Z_p is Z_sp for coprime s and p): entry i of sample b is entry n of
 one period-sp point, n = b mod s and n = i mod p, so a dilation or shift of
@@ -26,12 +26,12 @@ same bytes on every supported Python.  Whether a gap space
 has period-p points is decided by one rule, in ``periodic_witness``, which
 gives a witness or the statement that none exists; the sampler asks it too.
 Subshift constraints are declarative: a minimum distance between entries a
-fixed gap apart, a minimum distance for one of the two adjacent steps, or a
-binary subshift of finite type given by its forbidden words.  Both distance
-constraints are decided by :func:`~mdkit.torus.gap_failures`.  A membership
-check reports the range of indices at which a constraint was checkable and
-the indices at which it fails, and never conflates "nothing was checkable"
-with "all checks passed".
+fixed gap apart, or a minimum distance for one of the two adjacent steps.
+Membership decides these two, both by :func:`~mdkit.torus.gap_failures`.
+Binary subshifts of finite type, given by their forbidden words, are
+counted, not checked as points.  A membership check reports the range of
+indices at which a constraint was checkable and the indices at which it
+fails, and never conflates "nothing was checkable" with "all checks passed".
 """
 
 from __future__ import annotations
@@ -199,33 +199,7 @@ class EitherOrAtLeast:
         object.__setattr__(self, "threshold", Fraction(self.threshold))
 
 
-@dataclass(frozen=True)
-class BinarySFT:
-    """Binary subshift of finite type: letters 0/1, forbidden equal-length words."""
-
-    forbidden: frozenset[str]
-    dim: int = 1
-
-    def __post_init__(self) -> None:
-        words = frozenset(self.forbidden)
-        if not words:
-            raise ValueError("at least one forbidden word is required")
-        lengths = {len(w) for w in words}
-        if len(lengths) != 1:
-            raise ValueError("forbidden words must all have equal length")
-        if min(lengths) < 2:
-            raise ValueError("forbidden words must have length >= 2")
-        for w in words:
-            if set(w) - {"0", "1"}:
-                raise ValueError(f"forbidden word {w!r} is not binary")
-        object.__setattr__(self, "forbidden", words)
-
-    @property
-    def word_length(self) -> int:
-        return len(next(iter(self.forbidden)))
-
-
-SubshiftSpec = Union[GapAtLeast, EitherOrAtLeast, BinarySFT]
+SubshiftSpec = Union[GapAtLeast, EitherOrAtLeast]
 
 
 @functools.lru_cache(maxsize=256)
@@ -276,7 +250,7 @@ def _checkable_range(x: SeqPoint, lo_off: int, hi_off: int) -> range:
 
 
 def check_membership(spec: SubshiftSpec, x: SeqPoint) -> MembershipReport:
-    """Check every spec constraint at every index where it is decidable.
+    """Check the gap or adjacent-step constraint at every index where it is decidable.
 
     Periodic points are checked at all residues with index arithmetic mod the
     period; windows only at indices whose referenced entries are all defined.
@@ -290,7 +264,7 @@ def check_membership(spec: SubshiftSpec, x: SeqPoint) -> MembershipReport:
     if isinstance(spec, GapAtLeast):
         checked = _checkable_range(x, 0, spec.gap)
         failures = [checked[k] for k in gap_failures(x.seq, spec.gap, spec.threshold, cyclic)]
-    elif isinstance(spec, EitherOrAtLeast):
+    else:
         checked = _checkable_range(x, -1, 1)
         # near[k]: the step from entry k to entry k + 1 is short, cyclically
         # for a periodic point, so near[-1] closes the period
@@ -298,16 +272,6 @@ def check_membership(spec: SubshiftSpec, x: SeqPoint) -> MembershipReport:
         for k in gap_failures(x.seq, 1, spec.threshold, cyclic):
             near[k] = True
         failures = [n for n in checked if near[n - 1 - first] and near[n - first]]
-    else:
-        checked = _checkable_range(x, 0, spec.word_length - 1)
-        letters = {TorusVec.zero(x.dim): "0", TorusVec.of(*[1] * x.dim): "1"}
-        letter = [letters.get(v, "?") for v in x.values]
-        size, length = len(letter), spec.word_length
-        failures = []
-        for n in checked:
-            word = "".join(letter[(n + j - first) % size] for j in range(length))
-            if "?" in word or word in spec.forbidden:
-                failures.append(n)
     if not checked:
         return MembershipReport("vacuous", checked, ())
     return MembershipReport("fail" if failures else "pass", checked, tuple(failures))
@@ -334,17 +298,6 @@ def random_torus_vec(rng: random.Random, dim: int) -> TorusVec:
     return TorusVec(tuple(rng.randrange(2 * GRID) for _ in range(dim)), GRID)
 
 
-def _draw_seq(
-    rng: random.Random, dim: int, length: int, gap: int = 1, threshold: Fraction = Fraction(0),
-    closed: bool = False,
-) -> tuple[TorusSeq | None, int]:
-    """Grid entries, each at distance >= threshold from the entry ``gap``
-    back, and the vectors read from the stream: :func:`~mdkit.torus.first_far`
-    on the k/GRID grid.  With ``closed``, a walk whose last entry lies nearer
-    than the threshold to its first comes back as None."""
-    return first_far(rng, dim, length, gap, threshold, GRID, closed)
-
-
 def sample_periodic_gap_point(
     dim: int, gap: int, threshold: Fraction, period: int, rng: random.Random
 ) -> Periodic:
@@ -362,7 +315,7 @@ def sample_periodic_gap_point(
     drawn = 0
     for _ in range(cycles):
         while drawn < MAX_DRAWS:
-            walk, tries = _draw_seq(rng, dim, length, 1, t, closed=True)
+            walk, tries = first_far(rng, dim, length, 1, t, GRID, closed=True)
             drawn += tries
             if walk is not None:
                 break
@@ -415,13 +368,13 @@ def sample_gap_window(
     left to right, each against the entry one gap back.
     """
     spec = gap_space(dim, gap, threshold)
-    return Window(start, _draw_seq(rng, dim, length, gap, spec.threshold)[0])
+    return Window(start, first_far(rng, dim, length, gap, spec.threshold, GRID)[0])
 
 
 def random_window(dim: int, start: int, length: int, rng: random.Random) -> Window:
     """An unconstrained random window (no membership requirement): every
     entry is head, drawn at once."""
-    return Window(start, _draw_seq(rng, dim, length, max(length, 1))[0])
+    return Window(start, first_far(rng, dim, length, max(length, 1), Fraction(0), GRID)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +383,9 @@ def random_window(dim: int, start: int, length: int, rng: random.Random) -> Wind
 
 # Coordinates a witness, a conjugacy diagram or an aperiodicity report may
 # build, period * dim per point, checked before any draw: a period-99,991
-# witness takes 1.9 s per process and prints 5.7 MB, 24 samples of period
-# 2,003 from each conjugacy space take 2.5 s (Python 3.11.7, 2-CPU x86-64
-# VM), and both grow linearly.
+# witness takes 0.35 s per process and prints 5.7 MB, 24 samples of period
+# 2,003 from each conjugacy space take 0.13 s, about 0.1 s of each the import
+# (Python 3.11.7, 2-CPU x86-64 VM), and both grow linearly.
 MAX_PERIODIC_COORDINATES = 100_000
 
 
@@ -510,11 +463,6 @@ def _lifts(s: int, p: int, m: int) -> tuple[int, ...]:
     by its inverse k mod p, both 1 mod s: n = b + s*((i - b)/s mod p) is b mod s and i mod p."""
     inverse, k = pow(s, -1, p), pow(m, -1, p)
     return tuple(b + s * ((i - b) * inverse % p) for b, i in ((0, 1), (0, m), (1, m), (1, k)))
-
-
-def _unequal(a: Periodic, b: Periodic) -> list[int]:
-    """The positions at which two points of one period differ."""
-    return [] if a == b else unequal_entries(a.seq, b.seq)
 
 
 # 16 tables of at most MAX_PERIODIC_COORDINATES / 2 positions, 2 MB each at that cap
@@ -596,10 +544,10 @@ def verify_conjugacy_diagram(
         positions = (
             check_membership(gap_space(dim, one, threshold), y).failures,
             check_membership(gap_space(dim, by_m, threshold), w).failures,
-            _unequal(power_map(dilate_k, y), x),
-            _unequal(power_map(dilate_m, w), z),
-            _unequal(shift(y, one), power_map(dilate_m, shift(x, by_m))),
-            _unequal(shift(w, by_m), power_map(dilate_k, shift(z, one))),
+            unequal_entries(power_map(dilate_k, y).seq, x.seq),
+            unequal_entries(power_map(dilate_m, w).seq, z.seq),
+            unequal_entries(shift(y, one).seq, power_map(dilate_m, shift(x, by_m)).seq),
+            unequal_entries(shift(w, by_m).seq, power_map(dilate_k, shift(z, one)).seq),
         )
         for found, at in zip(failures, positions):
             if at:
@@ -618,6 +566,31 @@ def verify_conjugacy_diagram(
 
 MAX_PERIOD = 20  # longest circular word counted: 2^20 words, 128 KB per bit column
 MAX_WORD_LENGTH = 8  # longest forbidden word: 2^7 = 128 transfer states
+
+
+@dataclass(frozen=True)
+class BinarySFT:
+    """Binary subshift of finite type: letters 0/1, forbidden equal-length words."""
+
+    forbidden: frozenset[str]
+
+    def __post_init__(self) -> None:
+        words = frozenset(self.forbidden)
+        if not words:
+            raise ValueError("at least one forbidden word is required")
+        lengths = {len(w) for w in words}
+        if len(lengths) != 1:
+            raise ValueError("forbidden words must all have equal length")
+        if min(lengths) < 2:
+            raise ValueError("forbidden words must have length >= 2")
+        for w in words:
+            if set(w) - {"0", "1"}:
+                raise ValueError(f"forbidden word {_shown(w)} is not binary")
+        object.__setattr__(self, "forbidden", words)
+
+    @property
+    def word_length(self) -> int:
+        return len(next(iter(self.forbidden)))
 
 
 def capped_sft(forbidden: frozenset[str] | set[str], n_max: int) -> BinarySFT:

@@ -70,7 +70,8 @@ class LevelPlan(NamedTuple):
 
 
 # Coordinates one `tower verify` command may hold, samples * N * (window +
-# section), checked before any draw: 98,000 take 0.75 s per process at N = 1
+# section), checked before any draw: 98,400 take 0.11 s per process at level 7
+# and N = 1 (`--window 0:7680 --samples 5`), about 0.1 s of it the import
 # (Python 3.11.7, 2-CPU x86-64 VM). Every window covers the (m-1)! entries of
 # the base block, so the last level it admits, ``MAX_VERIFY_LEVEL``, is the
 # first whose gap m! is over it; a higher level is refused before its gap is formed.
@@ -79,7 +80,7 @@ MAX_VERIFY_LEVEL = next(m for m in range(1, MAX_VERIFY_ENTRIES) if level_gap(m) 
 # Largest prime bound of an aperiodicity report, checked before the sieve.  Each
 # prime p above the depth lists a witness of p*N coordinates, their sum checked
 # after the sieve against ``MAX_PERIODIC_COORDINATES``: at depth 1 and N = 1,
-# p_max 1,000 lists 76,127 and prints 4.1 MB in 1.0 s per process (same VM).
+# p_max 1,000 lists 76,127 and prints 4.1 MB in 0.30 s per process (same VM).
 MAX_APERIODICITY_PRIME = 1000
 
 

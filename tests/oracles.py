@@ -579,12 +579,12 @@ def uniform_metric(size: int, value: Fraction) -> tuple[tuple[Fraction, ...], ..
     )
 
 
-def random_metric_per_entry(rng, size: int, denominator: int = 32):
+def random_metric_per_entry(rng, size: int):
     """``finite.random_metric`` with one ``Fraction`` built per draw."""
     rows = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            d = Fraction(rng.randint(denominator, 2 * denominator), 8 * denominator)
+            d = Fraction(rng.randint(32, 64), 256)
             rows[i][j] = d
             rows[j][i] = d
     return tuple(tuple(row) for row in rows)

@@ -190,7 +190,8 @@ class TestDispatch:
         # a system file's own metric is replaced by --metric, so only the
         # replacing file is validated
         system = tmp_path / "system.json"
-        data = FiniteSystem.from_cycle_lengths([7, 5], uniform_metric(12, Fraction(1, 4))).to_json()
+        base = FiniteSystem.from_cycle_lengths([7, 5])
+        data = FiniteSystem(base.points, base.perm, uniform_metric(12, Fraction(1, 4))).to_json()
         system.write_text(json.dumps(data))
         argv = ["embed", "--system", str(system), "--metric", str(path), "--epsilon", "1/10"]
         assert run_cli(capsys, *argv)[0] == 0
@@ -690,6 +691,14 @@ class TestExitCodes:
                 None,
                 "tower verify needs --N >= 1: the alphabet dimension must be positive, got -100000000... (4001 digits)",
             ),
+            # a word that is not binary, named by its first 20 characters
+            (
+                ["shift", "count-periodic", "--forbidden", "2" * 5000, "--n-max", "3"],
+                None,
+                "forbidden word '22222222222222222222'... (5000 characters) is not binary",
+            ),
+            (["shift", "count-periodic", "--forbidden", "0,1"], None, "must have length >= 2"),
+            (["shift", "count-periodic", "--forbidden", "0a1"], None, "forbidden word '0a1' is not binary"),
         ],
         ids=[
             "complex-without-n",
@@ -801,6 +810,9 @@ class TestExitCodes:
             "unopened-path-cut",
             "csv-path-unopened-before-the-report",
             "tower-verify-dimension-over-digit-echo",
+            "count-periodic-word-over-character-echo",
+            "count-periodic-one-letter-words",
+            "count-periodic-word-not-binary",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):

@@ -374,19 +374,19 @@ class TestSparseHomology:
                 rows, cols = rng.randint(0, 7), rng.randint(0, 7)
                 matrix = _random_matrix(rng, rows, cols, entries)
                 expected = smith_normal_form_diagonal(matrix)
-                assert _invariant_factors(_columns(matrix, cols)) == expected, matrix
+                assert _invariant_factors(_columns(matrix, cols), []) == expected, matrix
                 # a matrix and its transpose have the same invariant factors
                 transpose = [list(col) for col in zip(*matrix)]
-                assert _invariant_factors(_columns(transpose, rows)) == expected, matrix
+                assert _invariant_factors(_columns(transpose, rows), []) == expected, matrix
                 calls += 2
         # both routes ran: the lowest-row reduction and the unit-pivot fallback
         assert 0 < len(fallbacks) < calls
 
     def test_invariant_factors_empty_and_zero(self):
-        assert _invariant_factors([]) == []
-        assert _invariant_factors([{}, {}]) == []
-        assert _invariant_factors([{3: 2}, {}]) == [2]
-        assert _invariant_factors([{0: -1, 1: 1}, {0: 1, 1: 1}]) == [1, 2]
+        assert _invariant_factors([], []) == []
+        assert _invariant_factors([{}, {}], []) == []
+        assert _invariant_factors([{3: 2}, {}], []) == [2]
+        assert _invariant_factors([{0: -1, 1: 1}, {0: 1, 1: 1}], []) == [1, 2]
 
     def test_invariant_factors_against_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -403,7 +403,7 @@ class TestSparseHomology:
                     for i in range(min(rows, cols))
                     if reference[i, i] != 0
                 ]
-                assert _invariant_factors(_columns(matrix, cols)) == expected, matrix
+                assert _invariant_factors(_columns(matrix, cols), []) == expected, matrix
 
     def test_torsion_projective_plane(self):
         rp2 = FreeZpComplex.from_maximal(

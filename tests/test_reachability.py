@@ -9,6 +9,13 @@ the definition a ``from .x import y`` brought in under it.  Reaching a
 function reaches its body, decorators and annotations; reaching a class
 reaches its whole body.  A test helper or oracle belongs in
 ``tests/oracles.py``, not in the package.
+
+The same walk holds the parameters of the module-level functions it reaches
+from ``cli.main``.  A call made in a reached definition or a module-level
+statement resolves to its function as a name does.  A default that no such
+call leaves serves no command, and neither does a ``None``/``True``/``False``
+default that every such call overrides.  Methods stay outside this check, as
+the walk resolves names, not the classes of the objects methods are called on.
 """
 
 import ast
@@ -94,6 +101,51 @@ def _walk(modules, roots):
     return reached
 
 
+def _passed(arguments: ast.arguments, call: ast.Call) -> set[str]:
+    """The parameters ``call`` passes; a ``*`` or ``**`` argument may pass any."""
+    positional = [a.arg for a in arguments.posonlyargs + arguments.args]
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return {*positional, *(a.arg for a in arguments.kwonlyargs)}
+    return {*positional[: len(call.args)], *(k.arg for k in call.keywords)}
+
+
+def _default_faults(modules, reached):
+    """``module.function(parameter)`` for each defaulted parameter of a reached
+    function that no reached call passes, and each ``None``/``True``/``False``
+    default that every reached call overrides."""
+    sites = [(module, node) for module, (_, _, rest) in modules.items() for node in rest]
+    sites += [(module, modules[module][0][name]) for module, name in reached]
+    passes = {}
+    for module, node in sites:
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            ref = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            target = ref and _resolve(modules, module, ref)
+            definition = target and modules[target[0]][0][target[1]]
+            if isinstance(definition, ast.FunctionDef):
+                passes.setdefault(target, []).append(_passed(definition.args, call))
+    faults = []
+    for module, name in sorted(reached):
+        definition = modules[module][0][name]
+        if not isinstance(definition, ast.FunctionDef):
+            continue
+        arguments = definition.args
+        positional = arguments.posonlyargs + arguments.args
+        defaults = [
+            *zip(positional[len(positional) - len(arguments.defaults):], arguments.defaults),
+            *((a, d) for a, d in zip(arguments.kwonlyargs, arguments.kw_defaults) if d is not None),
+        ]
+        for parameter, default in defaults:
+            label = f"{module}.{name}({parameter.arg})"
+            passing = [parameter.arg in passed for passed in passes.get((module, name), [])]
+            switch = isinstance(default, ast.Constant) and any(default.value is c for c in (None, True, False))
+            if not any(passing) or switch and all(passing):
+                faults.append(label)
+    return faults
+
+
 MODULES = _modules()
 
 
@@ -116,6 +168,15 @@ def test_allowlist_names_definitions_no_command_reaches():
     for module, name in ALLOWLIST:
         assert name in MODULES[module][0], f"{module}.{name} is not a top-level definition"
         assert (module, name) not in from_main, f"{module}.{name} is reached from cli.main: drop it"
+
+
+def test_every_default_serves_a_command():
+    # main's argv is left to the console script and to ``python -m``
+    faults = _default_faults(MODULES, _walk(MODULES, [("cli", "main")]))
+    assert faults == ["cli.main(argv)"], (
+        "no command needs these defaults: drop each default that no call "
+        "leaves, and each switch that every call sets"
+    )
 
 
 def test_item_fifteen_entries_are_named_by_the_tracer():
@@ -157,3 +218,33 @@ def test_walk_follows_imports_attributes_and_class_bodies():
         ("lib", "inner"),
         ("lib", "method"),
     }
+
+
+def test_default_faults_name_unused_and_always_overridden_defaults():
+    source = """
+def main():
+    draw(1, closed=True)
+    draw(2, closed=True, scale=3)
+    pick(1)
+    pick(1, 2)
+    spread(*[1, 2])
+
+def draw(n, scale=2, closed=False, count=0):
+    pass
+
+def pick(n, k=None):
+    pass
+
+def spread(a, flag=None):
+    pass
+
+def unused(n, flag=True):
+    pass
+"""
+    tree = ast.parse(source)
+    modules = {"cli": ({node.name: node for node in tree.body}, {}, [])}
+    reached = _walk(modules, [("cli", "main")])
+    assert ("cli", "unused") not in reached
+    # draw's count is never passed and its closed always is; pick's k is
+    # passed once and left once; a starred argument may pass anything
+    assert _default_faults(modules, reached) == ["cli.draw(closed)", "cli.draw(count)", "cli.spread(flag)"]

@@ -9,7 +9,6 @@ import pytest
 
 from mdkit import shiftspace
 from mdkit.shiftspace import (
-    BinarySFT,
     GapAtLeast,
     Periodic,
     Window,
@@ -107,20 +106,6 @@ class TestMembership:
         assert report.verdict == "fail"
         assert report.failures == tuple(report.records) == (0, 1)
         assert all(max_circle_dist(x.value_at(n), x.value_at(n + 2)) == 0 for n in report.records)
-
-    def test_binary_sft_pass(self):
-        x = Periodic(seq_of(0, 1, 0, 1))
-        assert check_membership(BinarySFT(frozenset({"000", "111"})), x).verdict == "pass"
-
-    def test_binary_sft_circular_wrap_fail(self):
-        x = Periodic(seq_of(0))
-        report = check_membership(BinarySFT(frozenset({"000", "111"})), x)
-        assert report.verdict == "fail"
-        assert report.records == range(1) and report.failures == (0,)
-
-    def test_binary_sft_nonbinary_letter_fails(self):
-        x = Periodic(seq_of(0, Fraction(1, 2), 1, 0))
-        assert check_membership(BinarySFT(frozenset({"000", "111"})), x).verdict == "fail"
 
     def test_window_vacuous_distinct_from_pass(self):
         w = Window(0, seq_of(0, 1))
@@ -370,19 +355,6 @@ class TestSftCounts:
     def test_transfer_equals_bruteforce(self):
         forbidden = {"000", "111"}
         assert count_periodic_sft(forbidden, 10) == count_periodic_sft_bruteforce(forbidden, 10)
-
-    def test_counts_match_membership_enumeration(self):
-        # dual route: enumerate binary periodic points and run the membership
-        # checker on each
-        sft = BinarySFT(frozenset({"000", "111"}))
-        counts = count_periodic_sft(sft.forbidden, 6)
-        for n in range(1, 7):
-            total = 0
-            for mask in range(1 << n):
-                point = Periodic(TorusSeq.of(TorusVec.of((mask >> i) & 1) for i in range(n)))
-                if check_membership(sft, point).passed:
-                    total += 1
-            assert total == counts[n - 1]
 
     def test_other_alphabet_of_words(self):
         forbidden = {"00", "11"}
