@@ -262,7 +262,7 @@ def build_en_zp(p: int, n: int) -> FreeZpComplex:
         raise ValueError("p must be prime")
     if n < 0:
         raise ValueError("n must be >= 0")
-    vertices = tuple((a, level) for level in range(n + 1) for a in range(p))
+    vertices, action = _standard_vertices(p, n)
     # vertex (a, level) has index level * p + a.  Each size-(k+1) simplex is
     # a size-k simplex s extended by one vertex of a higher level, one of
     # tails[s[-1] // p + 1]; a sorted prefix followed by a larger last vertex
@@ -272,8 +272,35 @@ def build_en_zp(p: int, n: int) -> FreeZpComplex:
     table = [singles]
     while len(table) <= n:
         table.append(tuple(s + t for s in table[-1] for t in tails[s[-1] // p + 1]))
-    action = tuple(level * p + (a + 1) % p for (a, level) in vertices)
     return FreeZpComplex(p, vertices, tuple(table), action)
+
+
+def _standard_vertices(p: int, n: int) -> tuple[tuple, tuple[int, ...]]:
+    """The vertices (a, level) of E_n Z_p, in index order, and its action."""
+    vertices = tuple((a, level) for level in range(n + 1) for a in range(p))
+    return vertices, tuple(level * p + (a + 1) % p for (a, level) in vertices)
+
+
+def _is_standard(complex_: FreeZpComplex) -> bool:
+    """Whether ``complex_`` is ``build_en_zp(p, n)``, n its dimension.
+
+    Its vertices and action are those of E_n Z_p, and its top simplices are
+    all p^(n+1) that hold one vertex per level.  Closed downward, it then
+    holds every simplex of E_n Z_p, and with (p+1)^(n+1) - 1 simplices in
+    all, no other; its table is sorted, so it is the table built.
+    """
+    p, table = complex_.p, complex_.face_table
+    n = len(table) - 1
+    return (
+        len(complex_.vertices) == (n + 1) * p
+        and (complex_.vertices, complex_.action) == _standard_vertices(p, n)
+        and len(table[-1]) == p ** (n + 1)
+        and sum(map(len, table)) == (p + 1) ** (n + 1) - 1
+        and all(
+            level * p <= min(column) and max(column) < (level + 1) * p
+            for level, column in enumerate(zip(*table[-1]))
+        )
+    )
 
 
 def join_complexes(k: FreeZpComplex, l: FreeZpComplex) -> FreeZpComplex:
@@ -586,7 +613,10 @@ def equivariant_map_search(
     whose highest orbit is orbit i are the ones a node of orbit i decides.
     The target is closed downward, so only those that are a facet of no
     other such simplex are tested: each of the others is a face of one of
-    them.
+    them.  Of those, only the ones that hold the orbit's first vertex are
+    tested: the others are g^k s for one of them s, the map sends g^k s to
+    h^k of the image of s, where g and h are the two actions, and the
+    target's faces are closed under h.
 
     The search first completes the orbits 0..i exactly where a search from
     their subcomplex alone would return: the two walk the same tree up to
@@ -622,8 +652,12 @@ def equivariant_map_search(
     by_last_orbit: list[list[Face]] = [[] for _ in orbits]
     for s in chain.from_iterable(source.face_table):
         by_last_orbit[max(map(orbit_of.__getitem__, s))].append(s)
-    # the tests of each orbit: its maximal simplices as vertex columns
-    tests = [_size_tables(_maximal_simplices(group)) for group in by_last_orbit]
+    # the tests of each orbit: its maximal simplices that hold its first
+    # vertex, as vertex columns
+    tests = [
+        _size_tables(s for s in _maximal_simplices(group) if orbit[0] in s)
+        for orbit, group in zip(orbits, by_last_orbit)
+    ]
     faces = target.faces
 
     # the images of an orbit walk the target's action from the one chosen:
@@ -764,8 +798,10 @@ def coindex_bounds(complex_: FreeZpComplex, search_depth: int) -> CoindexBound:
     dim = complex_.dimension()
     depth = min(search_depth, dim)
     work: dict = {"completed": []}
+    # a standard complex searched to its own level is its own source
+    own = depth == dim and _is_standard(complex_)
     found = depth < 0 or (
-        equivariant_map_search(build_en_zp(complex_.p, depth), complex_, work) is not None
+        equivariant_map_search(complex_ if own else build_en_zp(complex_.p, depth), complex_, work) is not None
     )
     completed = work["completed"]
     lower = len(completed) - 1

@@ -202,11 +202,17 @@ class EitherOrAtLeast:
 SubshiftSpec = Union[GapAtLeast, EitherOrAtLeast]
 
 
-@functools.lru_cache(maxsize=256)
 def gap_space(dim: int, gap: int, threshold: Fraction) -> GapAtLeast:
     """The subshift demanding distance >= threshold between entries gap apart;
     built and validated once per arguments, as every sample of a level reuses it."""
-    return GapAtLeast(gap=gap, threshold=Fraction(threshold), dim=dim)
+    return _gap_space(dim, gap, threshold.numerator, threshold.denominator)
+
+
+@functools.lru_cache(maxsize=256)
+def _gap_space(dim: int, gap: int, num: int, denom: int) -> GapAtLeast:
+    """:func:`gap_space` at threshold ``num/denom``, keyed on integers so a
+    call hashes no ``Fraction``."""
+    return GapAtLeast(gap=gap, threshold=Fraction(num, denom), dim=dim)
 
 
 def half_step_space() -> EitherOrAtLeast:
@@ -347,10 +353,10 @@ def _periodic_plan(dim: int, gap: int, num: int, denom: int, period: int) -> tup
     point's description.  Decided once per arguments, keyed on integers so a
     sample hashes no ``Fraction``.  The rule at the threshold rounded up to
     the grid decides the grid exactly, as its distances are k/GRID."""
-    t = gap_space(dim, gap, Fraction(num, denom)).threshold
+    t = _gap_space(dim, gap, num, denom).threshold
     cycles = math.gcd(gap, period)
     length = period // cycles
-    what = f"period-{period} point with distance >= {t} at gap {gap}"
+    what = f"period-{period} point with distance >= {_shown(t)} at gap {gap}"
     if not _cycle_closes(dim, Fraction(math.ceil(t * GRID), GRID), length):
         found = periodic_witness(dim, gap, t, period)
         if found.witness is None:
@@ -734,16 +740,25 @@ def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> Periodi
     t = gap_space(dim, gap, threshold).threshold
     cycles = math.gcd(gap, p)
     length = p // cycles
+    # a long threshold is named once, cut, and the bounds it gives in its terms
+    shown = _shown(t)
+    cut = shown != str(t)
     if length == 1:
         return PeriodicVerdict(None, None, (
             f"the gap {gap} is a multiple of {p}, so each entry of a period-{p} point lies "
-            f"{gap} apart from itself, at distance 0, below the threshold {frac_to_str(t)}"
+            f"{gap} apart from itself, at distance 0, below the threshold {shown if cut else frac_to_str(t)}"
         ))
     if not _cycle_closes(dim, t, length):
-        low, high, far = (frac_to_str(d) for d in (length * t, length * (2 - t), 2 - t))
+        if cut:
+            steps = f"steps of t to 2 - t, t = {shown}, sum to no even integer"
+        else:
+            low, high, far = (frac_to_str(d) for d in (length * t, length * (2 - t), 2 - t))
+            steps = (
+                f"steps of {frac_to_str(t)} to {far} must sum to an even integer in [{low}, {high}]; "
+                f"there is none"
+            )
         return PeriodicVerdict(None, None, (
-            f"the gap {gap} ties the residues mod {p} into cycles of {length}, whose steps of "
-            f"{frac_to_str(t)} to {far} must sum to an even integer in [{low}, {high}]; there is none"
+            f"the gap {gap} ties the residues mod {p} into cycles of {length}, whose {steps}"
         ))
     check_periodic_coordinates(f"a period-{_shown(p)} point in dimension {_shown(dim)} holds", p * dim)
     realized = best_periodic_gap(length)

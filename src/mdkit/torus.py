@@ -31,7 +31,7 @@ register): a column is packed once into one integer, entry k in lane k of W
 bits, a few big-integer adds, shifts and masks act on every lane at once,
 and a result is unpacked once.  Each lane formula is one private helper the
 kernels share.  W is
-16, 32 or 64, or a multiple of 64 past that: the smallest that holds
+8, 16, 32 or 64, or a multiple of 64 past that: the smallest that holds
 ``4*den - 1``, so ``2*den <= G = 2**(W-1)``, the lane's guard bit.  Every
 lane value a kernel forms, a sum or difference of two residues mod
 ``2*den`` lifted by at most ``G``, stays below ``2**W``, so no lane
@@ -62,6 +62,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
+from numbers import Rational
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -73,10 +74,10 @@ def frac_to_str(value: Fraction | int) -> str:
 
 
 def _shown(text) -> str:
-    """``text`` as an error line names it: its repr, or past 40 characters its
-    first 20 and its length.  An integer past 20 digits is named by its first
-    10 characters and its digit count, and one past Python's 4,300-digit limit
-    by the power of two its size reaches."""
+    """``text`` as an error line names it: its repr, or a rational its ``str``,
+    or past 40 characters its first 20 and its length.  An integer past 20
+    digits is named by its first 10 characters and its digit count, and one
+    past Python's 4,300-digit limit by the power of two its size reaches."""
     if isinstance(text, int):
         try:
             value = str(text)
@@ -86,7 +87,9 @@ def _shown(text) -> str:
         digits = len(value.lstrip("-"))
         return value if digits <= 20 else f"{value[:10]}... ({digits} digits)"
     value = str(text)
-    return repr(text) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
+    if len(value) > 40:
+        return f"{value[:20]!r}... ({len(value)} characters)"
+    return value if isinstance(text, Rational) else repr(text)
 
 
 def frac_from_str(text: str) -> Fraction:
@@ -381,7 +384,7 @@ def unequal_entries(a: TorusSeq, b: TorusSeq) -> list[int]:
 # ---------------------------------------------------------------------------
 # Packed lanes: a column as one integer, entry k in bits [k*W, (k+1)*W)
 
-_FORMATS = {2: "H", 4: "I", 8: "Q"}
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _lane_bytes(den: int) -> int:
@@ -390,8 +393,12 @@ def _lane_bytes(den: int) -> int:
     A lane of W bits holds 4*den - 1, so 2*den <= 2**(W-1): every value a
     kernel forms, at most two residues mod 2*den plus the guard offset
     2**(W-1) - 2*den, stays below 2**W and never carries into the next lane.
+    So a denominator up to 64, every grid window's, gets one byte, up to
+    2**14 two, up to 2**30 four and up to 2**62 eight.
     """
     bits = (4 * den - 1).bit_length()
+    if bits <= 8:
+        return 1
     if bits <= 16:
         return 2
     if bits <= 32:

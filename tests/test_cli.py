@@ -699,6 +699,12 @@ class TestExitCodes:
             ),
             (["shift", "count-periodic", "--forbidden", "0,1"], None, "must have length >= 2"),
             (["shift", "count-periodic", "--forbidden", "0a1"], None, "forbidden word '0a1' is not binary"),
+            # a threshold of 8,002 characters with no period-3 point, named once, cut
+            (
+                ["shift", "conjugacy", "--p", "3", "--m", "2", "--delta", "9" * 4000 + "/1" + "0" * 4000],
+                None,
+                "steps of t to 2 - t, t = '99999999999999999999'... (8002 characters), sum to no even integer",
+            ),
         ],
         ids=[
             "complex-without-n",
@@ -813,6 +819,7 @@ class TestExitCodes:
             "count-periodic-word-over-character-echo",
             "count-periodic-one-letter-words",
             "count-periodic-word-not-binary",
+            "conjugacy-delta-over-character-echo",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mdkit import complexes
+from mdkit import cli, complexes
 from mdkit.complexes import (
     MAX_SIMPLICES,
     CoindexBound,
@@ -25,7 +25,7 @@ from mdkit.complexes import (
     smith_normal_form_diagonal,
     verify_equivariant_simplicial,
 )
-from mdkit.complexes import _coboundary_columns, _invariant_factors, _validate_complex
+from mdkit.complexes import _closure, _coboundary_columns, _invariant_factors, _is_standard, _validate_complex
 from mdkit.finite import permutation_cycles
 
 from oracles import (
@@ -751,6 +751,38 @@ class TestCoindexBounds:
         monkeypatch.setattr(complexes, "equivariant_map_search", recording)
         coindex_bounds(three_disjoint_edges(), 3)
         assert searches == [(1, False), (0, True)]
+
+    def test_a_standard_complex_is_its_own_source(self, monkeypatch):
+        # `complex coindex` on en-zp:p=2,n=3 builds E_3 Z_2 once when it is
+        # searched to its own level, and E_2 Z_2 besides when searched to 2
+        built = []
+        build = complexes.build_en_zp
+
+        def counting(p, n):
+            built.append((p, n))
+            return build(p, n)
+
+        monkeypatch.setattr(complexes, "build_en_zp", counting)
+        monkeypatch.setattr(cli, "build_en_zp", counting)
+        for n_max, searched in ((3, []), (4, []), (2, [(2, 2)])):
+            built.clear()
+            assert cli.main(["complex", "coindex", "--complex", "en-zp:p=2,n=3", "--n-max", str(n_max)]) == 0
+            assert built == [(2, 3), *searched]
+
+    def test_standard_complexes_are_told_from_lookalikes(self):
+        e1, e2 = build_en_zp(2, 1), build_en_zp(2, 2)
+        assert _is_standard(e1) and _is_standard(e2)
+        assert _is_standard(FreeZpComplex.from_json(json.loads(json.dumps(e2.to_json()))))
+        # the vertices and action of E_n Z_2, and one fact the check reads changed
+        lookalikes = [
+            # a top simplex fewer
+            FreeZpComplex(2, e2.vertices, _closure(e2.face_table[-1][1:]), e2.action),
+            # all top simplices and an edge within level 0
+            FreeZpComplex(2, e2.vertices, _closure([*e2.face_table[-1], (0, 1)]), e2.action),
+            # as many top simplices and simplices, two of them within a level
+            FreeZpComplex(2, e1.vertices, _closure([(0, 1), (0, 2), (1, 3), (2, 3)]), e1.action),
+        ]
+        assert not any(map(_is_standard, lookalikes))
 
     def test_empty_convention(self):
         bound = coindex_bounds(FreeZpComplex.empty(5), 2)

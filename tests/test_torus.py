@@ -436,17 +436,17 @@ def test_solve_strided_sums_needs_a_full_head():
             solve_strided_sums(TorusSeq.zero(1, 4), TorusSeq.zero(1, 1), below, 2, 3)
 
 
-# Denominators on both sides of every lane-width switch: 16-bit lanes hold
-# numerators over den up to 2**14, 32-bit up to 2**30, 64-bit up to 2**62 and
-# 128-bit lanes the rest.  A kernel whose intermediate values outgrow a lane
-# near a switch fails here only.
-LANE_DENS = (1, 2, 3, 64, 2**14 - 1, 2**14, 2**14 + 1, 2**30 - 1, 2**30, 2**30 + 1,
+# Denominators on both sides of every lane-width switch: 8-bit lanes hold
+# numerators over den up to 64, 16-bit up to 2**14, 32-bit up to 2**30,
+# 64-bit up to 2**62 and 128-bit lanes the rest.  A kernel whose intermediate
+# values outgrow a lane near a switch fails here only.
+LANE_DENS = (1, 2, 3, 63, 64, 65, 2**14 - 1, 2**14, 2**14 + 1, 2**30 - 1, 2**30, 2**30 + 1,
              2**61 + 1, 2**62, 2**62 + 1, 3**60)
 
 
 def test_lane_widths_switch_at_the_tested_denominators():
-    edges = (2**14, 2**14 + 1, 2**30, 2**30 + 1, 2**62, 2**62 + 1)
-    assert [torus._lane_bytes(den) for den in edges] == [2, 4, 4, 8, 8, 16]
+    edges = (64, 65, 2**14, 2**14 + 1, 2**30, 2**30 + 1, 2**62, 2**62 + 1)
+    assert [torus._lane_bytes(den) for den in edges] == [1, 2, 2, 4, 4, 8, 8, 16]
 
 
 def test_packed_strided_sums_match_the_per_entry_loop():

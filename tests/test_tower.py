@@ -313,7 +313,7 @@ class TestKernelsMatchPerEntry:
         # sides of each lane-width switch of the packed kernels, with
         # numerators next to 0, den and 2*den
         rng = random.Random(607)
-        for den in (2**14, 2**14 + 1, 2**30, 2**30 + 1, 2**61 + 1, 2**62 + 1):
+        for den in (64, 65, 2**14, 2**14 + 1, 2**30, 2**30 + 1, 2**61 + 1, 2**62 + 1):
             for m in (2, 3, 4):
                 q, big = level_gap(m - 1), level_gap(m)
                 dim = rng.choice((1, 2))
