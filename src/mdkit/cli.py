@@ -3,23 +3,23 @@
 Reports are deterministic JSON on stdout (same config, byte-identical
 output), a short human summary goes to stderr, and the exit code is 0 when
 every check passes, 1 when some verification fails, 2 on configuration or
-usage errors.  An optional CSV summary of the per-check records can be
-written alongside.  A report's ``config`` holds every option of its command
-as parsed (``--delta 2/4`` reads "1/2"), plus what the run worked out from
-them, such as the conjugacy's k; its ``command`` is the command's words.
+usage errors and on a stdout closed before the report is written.  An
+optional CSV summary of the per-check records can be written alongside.  A
+report's ``config`` holds every option of its command as parsed
+(``--delta 2/4`` reads "1/2"), plus what the run worked out from them, such
+as the conjugacy's k; its ``command`` is the command's words.
 
-Each command costs well under a millisecond, so the fixed cost of ``main``
-is kept small.  A command's options are read by one walk over argv against
-its leaf's option table, looked up by its leading words ("tower verify",
-..., "embed") and built on first use from that leaf parser's own actions and
-defaults: 4-6 us per command, where the leaf parser took 20-41 us (Python
-3.11.7, 2-CPU x86-64 VM).  The walk reads plain ``--opt value`` and
-``--opt=value`` options only; anything else, help and every usage error
-among them, goes to the whole parser tree, which prints its own text.
-Before Python 3.13 the indented report is written by a private one-pass
-writer instead of ``json.dumps``, whose indenting encoder is pure Python
-there.  The walk gives the tree's namespaces and the writer ``json.dumps``'s
-text, byte for byte.
+Every command and its options are declared once, in ``_COMMANDS``.  A
+command costs well under a millisecond, so ``main`` reads its options by one
+walk over argv against its leaf's option table, looked up by its leading
+words ("tower verify", ..., "embed") and built from the command's row on
+first use: 2-4 us per command (Python 3.11.7, 2-CPU x86-64 VM).  The walk
+reads plain ``--opt value`` and ``--opt=value`` options only; anything else,
+help and every usage error among them, goes to the argparse tree that
+``build_parser`` builds from the same table.  Before Python 3.13 the
+indented report is written by a private one-pass writer instead of
+``json.dumps``, whose indenting encoder is pure Python there.  The walk gives
+the tree's namespaces and the writer ``json.dumps``'s text, byte for byte.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import contextlib
 import csv
 import functools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -97,20 +98,17 @@ def _check(name: str, statement: str, ok: bool, witness=None) -> dict:
     }
 
 
-# what the parser tree puts in a namespace beside the leaf's options
-_NOT_OPTIONS = frozenset(("group", "action", "runner", "csv"))
-
-
 def _report(args: argparse.Namespace, checks: list[dict], **parsed) -> dict:
     """The report of a leaf's run: ``config`` holds every option of the leaf
     by its dest, with ``parsed`` giving the values the runner parsed or
     worked out in place of the text given, and ``command`` is the leaf's words."""
-    config = {key: value for key, value in vars(args).items() if key not in _NOT_OPTIONS}
+    words = (args.group,) if args.action is None else (args.group, args.action)
+    config = {dest: getattr(args, dest) for dest in _leaf_table(words)[2]}
     config.update(parsed)
     failures = sum(1 for c in checks if c["verdict"] != "pass")
     return {
         "toolkit": f"mdkit {__version__}",
-        "command": args.group if args.action is None else f"{args.group} {args.action}",
+        "command": " ".join(words),
         "config": config,
         "checks": checks,
         "summary": {
@@ -182,9 +180,13 @@ def _read_json(path: str):
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except ValueError as exc:  # a plain ValueError: an integer over Python's digit limit
-            reason = exc if isinstance(exc, json.JSONDecodeError) else "an integer is too long"
-            raise ValueError(f"JSON file {_shown(path)} is not read: {reason}") from None
+        except json.JSONDecodeError as exc:
+            reason = exc
+        except UnicodeDecodeError:
+            reason = "it is not UTF-8 text"
+        except ValueError:  # a plain ValueError: an integer over Python's digit limit
+            reason = "an integer is too long"
+    raise ValueError(f"JSON file {_shown(path)} is not read: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +534,88 @@ def _run_mdim_pipeline(args) -> dict:
 # Argument parsing and dispatch
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
-    return _parsers()[0]
+_REQUIRED = object()
+
+_CSV_HELP = "also write a CSV summary of the checks"
+
+# the help of each group of two-word commands
+_GROUPS = {
+    "tower": "factor/section tower suites",
+    "shift": "sequence-space suites",
+    "complex": "free complex suites",
+    "markers": "marker search and transfer",
+    "mdim": "cover calculus and bound pipeline",
+}
+
+# Every command, keyed by the words that select it, in the order help lists
+# them: its runner, its help, and each option as (flag, type or a tuple of
+# choices, default or _REQUIRED, help).  An option's dest is its flag's name,
+# as argparse derives it: "--m-max" is m_max.  ``build_parser`` builds the
+# parser tree from these rows and ``_leaf_table`` each leaf's option table,
+# so a command and its options are declared here once.
+_COMMANDS = {
+    ("tower", "verify"): (_run_tower_verify, "section identity and range checks",
+        ("--m", _int, _REQUIRED, "tower level (>= 2)"),
+        ("--N", _int, 1, "alphabet dimension"),
+        ("--delta", str, "1/2", "distance threshold, e.g. 1/2"),
+        ("--window", str, _REQUIRED, "half-open index interval A:B for the sampled input windows"),
+        ("--samples", _int, 20, None),
+        ("--seed", _int, 0, None),
+        ("--anchors", ("zero", "random"), "zero", None)),
+    ("tower", "aperiodicity"): (_run_tower_aperiodicity, "per-prime period certificates",
+        ("--m-max", _int, _REQUIRED, None),
+        ("--N", _int, 1, None),
+        ("--delta", str, "1/2", None),
+        ("--p-max", _int, _REQUIRED, None)),
+    ("shift", "count-periodic"): (_run_shift_count_periodic, "binary SFT periodic counts",
+        ("--n-max", _int, 14, None),
+        ("--forbidden", str, "000,111", None)),
+    ("shift", "conjugacy"): (_run_shift_conjugacy, "index-dilation conjugacy diagram",
+        ("--p", _int, _REQUIRED, None),
+        ("--m", _int, _REQUIRED, None),
+        ("--N", _int, 1, None),
+        ("--delta", str, "1/2", None),
+        ("--samples", _int, 20, None),
+        ("--seed", _int, 0, None)),
+    ("shift", "witness"): (_run_shift_witness, "explicit periodic gap-space point",
+        ("--p", _int, _REQUIRED, None),
+        ("--m", _int, _REQUIRED, None),
+        ("--N", _int, 1, None),
+        ("--delta", str, "1/2", None)),
+    ("complex", "en-zp"): (_run_complex_en_zp, "standard free complex battery",
+        ("--p", _int, _REQUIRED, None),
+        ("--n", _int, _REQUIRED, None)),
+    ("complex", "coindex"): (_run_complex_coindex, "sound coindex interval",
+        ("--complex", str, _REQUIRED, 'shorthand "en-zp:p=3,n=2" or a complex JSON file'),
+        ("--n-max", _int, 2, None)),
+    ("markers", "search"): (_run_markers_search, "find a marker or name the cycle that rules one out",
+        ("--system", str, _REQUIRED, 'shorthand "cycles:3,5" or a FiniteSystem JSON file'),
+        ("--N", _int, _REQUIRED, None)),
+    ("markers", "transfer"): (_run_markers_transfer, "two-way clock-extension transfer",
+        ("--system", str, _REQUIRED, None),
+        ("--n", _int, _REQUIRED, None),
+        ("--N", _int, _REQUIRED, None)),
+    ("embed",): (_run_embed, "metric system into the gap-1 space",
+        ("--system", str, _REQUIRED, None),
+        ("--metric", str, None, '"uniform:1/4", "random:<seed>", or a JSON distance matrix file'),
+        ("--epsilon", str, _REQUIRED, None)),
+    ("mdim", "D"): (_run_mdim_D, "exact refinement order of a cover",
+        ("--model", str, "interval", '"interval" or "en-zp:p=2,n=1"'),
+        ("--cover", str, "stars", '"stars", "trivial", or a JSON file'),
+        ("--cap", _int, MAX_COVER_NODES, None)),
+    ("mdim", "pipeline"): (_run_mdim_pipeline, "headline interval arithmetic",
+        ("--N", _int, _REQUIRED, None),
+        ("--levels", _int, 5, None),
+        ("--time-division", _int, 1, None),
+        ("--eta", str, None, "pick the clock division from a target")),
+}
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
-    """The parser tree and its leaf parsers, keyed by the words that select them."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser tree of ``_COMMANDS``, built on first use and shared by
+    later calls.  It parses the argv the leaf walk leaves, and prints every
+    help text and usage error."""
     parser = argparse.ArgumentParser(
         prog="mdkit",
         description=(
@@ -548,123 +624,46 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.
             "mean-dimension bounds."
         ),
     )
-    parser.add_argument(
-        "--csv", metavar="PATH", default=None,
-        help="also write a CSV summary of the checks",
-    )
+    parser.add_argument("--csv", metavar="PATH", default=None, help=_CSV_HELP)
     groups = parser.add_subparsers(dest="group", required=True)
+    actions = {}
+    for words, (runner, text, *options) in _COMMANDS.items():
+        if len(words) == 1:
+            leaf = groups.add_parser(words[0], help=text)
+            leaf.set_defaults(action=None)
+        else:
+            if words[0] not in actions:
+                group = groups.add_parser(words[0], help=_GROUPS[words[0]])
+                actions[words[0]] = group.add_subparsers(dest="action", required=True)
+            leaf = actions[words[0]].add_parser(words[1], help=text)
+        for flag, kind, default, option_help in options:
+            choices = kind if isinstance(kind, tuple) else None
+            leaf.add_argument(
+                flag, type=None if choices else kind, choices=choices, required=default is _REQUIRED,
+                default=None if default is _REQUIRED else default, help=option_help,
+            )
+        # accept --csv after the leaf too; SUPPRESS keeps a root-level value
+        leaf.add_argument("--csv", metavar="PATH", default=argparse.SUPPRESS, help=_CSV_HELP)
+        leaf.set_defaults(runner=runner)
+    return parser
 
-    tower = groups.add_parser("tower", help="factor/section tower suites")
-    tower_sub = tower.add_subparsers(dest="action", required=True)
-    tv = tower_sub.add_parser("verify", help="section identity and range checks")
-    tv.add_argument("--m", type=_int, required=True, help="tower level (>= 2)")
-    tv.add_argument("--N", type=_int, default=1, help="alphabet dimension")
-    tv.add_argument("--delta", default="1/2", help="distance threshold, e.g. 1/2")
-    tv.add_argument(
-        "--window",
-        required=True,
-        help="half-open index interval A:B for the sampled input windows",
-    )
-    tv.add_argument("--samples", type=_int, default=20)
-    tv.add_argument("--seed", type=_int, default=0)
-    tv.add_argument("--anchors", choices=["zero", "random"], default="zero")
-    tv.set_defaults(runner=_run_tower_verify)
-    ta = tower_sub.add_parser("aperiodicity", help="per-prime period certificates")
-    ta.add_argument("--m-max", dest="m_max", type=_int, required=True)
-    ta.add_argument("--N", type=_int, default=1)
-    ta.add_argument("--delta", default="1/2")
-    ta.add_argument("--p-max", dest="p_max", type=_int, required=True)
-    ta.set_defaults(runner=_run_tower_aperiodicity)
 
-    shift_group = groups.add_parser("shift", help="sequence-space suites")
-    shift_sub = shift_group.add_subparsers(dest="action", required=True)
-    sc = shift_sub.add_parser("count-periodic", help="binary SFT periodic counts")
-    sc.add_argument("--n-max", dest="n_max", type=_int, default=14)
-    sc.add_argument("--forbidden", default="000,111")
-    sc.set_defaults(runner=_run_shift_count_periodic)
-    sj = shift_sub.add_parser("conjugacy", help="index-dilation conjugacy diagram")
-    sj.add_argument("--p", type=_int, required=True)
-    sj.add_argument("--m", type=_int, required=True)
-    sj.add_argument("--N", type=_int, default=1)
-    sj.add_argument("--delta", default="1/2")
-    sj.add_argument("--samples", type=_int, default=20)
-    sj.add_argument("--seed", type=_int, default=0)
-    sj.set_defaults(runner=_run_shift_conjugacy)
-    sw = shift_sub.add_parser("witness", help="explicit periodic gap-space point")
-    sw.add_argument("--p", type=_int, required=True)
-    sw.add_argument("--m", type=_int, required=True)
-    sw.add_argument("--N", type=_int, default=1)
-    sw.add_argument("--delta", default="1/2")
-    sw.set_defaults(runner=_run_shift_witness)
-
-    complex_group = groups.add_parser("complex", help="free complex suites")
-    complex_sub = complex_group.add_subparsers(dest="action", required=True)
-    ce = complex_sub.add_parser("en-zp", help="standard free complex battery")
-    ce.add_argument("--p", type=_int, required=True)
-    ce.add_argument("--n", type=_int, required=True)
-    ce.set_defaults(runner=_run_complex_en_zp)
-    cc = complex_sub.add_parser("coindex", help="sound coindex interval")
-    cc.add_argument(
-        "--complex",
-        required=True,
-        help='shorthand "en-zp:p=3,n=2" or a complex JSON file',
-    )
-    cc.add_argument("--n-max", dest="n_max", type=_int, default=2)
-    cc.set_defaults(runner=_run_complex_coindex)
-
-    markers = groups.add_parser("markers", help="marker search and transfer")
-    markers_sub = markers.add_subparsers(dest="action", required=True)
-    ms = markers_sub.add_parser(
-        "search", help="find a marker or name the cycle that rules one out"
-    )
-    ms.add_argument(
-        "--system",
-        required=True,
-        help='shorthand "cycles:3,5" or a FiniteSystem JSON file',
-    )
-    ms.add_argument("--N", type=_int, required=True)
-    ms.set_defaults(runner=_run_markers_search)
-    mt = markers_sub.add_parser("transfer", help="two-way clock-extension transfer")
-    mt.add_argument("--system", required=True)
-    mt.add_argument("--n", type=_int, required=True)
-    mt.add_argument("--N", type=_int, required=True)
-    mt.set_defaults(runner=_run_markers_transfer)
-
-    embed = groups.add_parser("embed", help="metric system into the gap-1 space")
-    embed.add_argument("--system", required=True)
-    embed.add_argument(
-        "--metric",
-        default=None,
-        help='"uniform:1/4", "random:<seed>", or a JSON distance matrix file',
-    )
-    embed.add_argument("--epsilon", required=True)
-    embed.set_defaults(runner=_run_embed, group="embed", action=None)
-
-    mdim = groups.add_parser("mdim", help="cover calculus and bound pipeline")
-    mdim_sub = mdim.add_subparsers(dest="action", required=True)
-    md = mdim_sub.add_parser("D", help="exact refinement order of a cover")
-    md.add_argument("--model", default="interval", help='"interval" or "en-zp:p=2,n=1"')
-    md.add_argument("--cover", default="stars", help='"stars", "trivial", or a JSON file')
-    md.add_argument("--cap", type=_int, default=MAX_COVER_NODES)
-    md.set_defaults(runner=_run_mdim_D)
-    mp = mdim_sub.add_parser("pipeline", help="headline interval arithmetic")
-    mp.add_argument("--N", type=_int, required=True)
-    mp.add_argument("--levels", type=_int, default=5)
-    mp.add_argument("--time-division", dest="time_division", type=_int, default=1)
-    mp.add_argument("--eta", default=None, help="pick the clock division from a target")
-    mp.set_defaults(runner=_run_mdim_pipeline)
-
-    leaves = {}
-    for leaf in (tv, ta, sc, sj, sw, ce, cc, ms, mt, embed, md, mp):
-        # accept --csv after the subcommand too; SUPPRESS keeps a root-level value
-        leaf.add_argument(
-            "--csv", metavar="PATH", default=argparse.SUPPRESS,
-            help="also write a CSV summary of the checks",
-        )
-        # the prog "mdkit tower verify" names the words the tree selects it by
-        leaves[tuple(leaf.prog.split()[1:])] = leaf
-
-    return parser, leaves
+@functools.cache
+def _leaf_table(words: tuple[str, ...]) -> tuple[dict[str, tuple], dict, tuple[str, ...]]:
+    """The option table of the leaf ``words`` names, from its row of
+    ``_COMMANDS``: each option by flag as (dest, type, choices), --csv among
+    them; the namespace the parser tree builds before any option is read,
+    with _REQUIRED in place of the None a required option starts as; and the
+    dests of the leaf's own options."""
+    runner, _, *rows = _COMMANDS[words]
+    options, defaults = {"--csv": ("csv", None, None)}, {}
+    for flag, kind, default, _ in rows:
+        dest = flag[2:].replace("-", "_")
+        options[flag] = (dest, None, kind) if isinstance(kind, tuple) else (dest, kind, None)
+        defaults[dest] = default
+    action = words[1] if len(words) > 1 else None
+    namespace = {"csv": None, "group": words[0], "action": action, **defaults, "runner": runner}
+    return options, namespace, tuple(defaults)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
@@ -684,15 +683,13 @@ def _parse_at_leaf(argv: list[str]) -> argparse.Namespace | None:
     argv naming no leaf (--csv before the group, -h), -h or "--", an unknown
     or abbreviated option, a bad value or a missing required option.
     """
-    leaves = _parsers()[1]
     words = tuple(argv[:2])
-    if words not in leaves:
+    if words not in _COMMANDS:
         words = words[:1]
-        if words not in leaves:
+        if words not in _COMMANDS:
             return None
-    options, namespace, required = _option_table(words)
+    options, namespace, _ = _leaf_table(words)
     values = dict(namespace)
-    seen = set()
     rest = iter(argv[len(words):])
     for arg in rest:
         if arg in options:
@@ -703,47 +700,16 @@ def _parse_at_leaf(argv: list[str]) -> argparse.Namespace | None:
             option, _, value = arg.partition("=")
             if option not in options or value in ("", "--"):
                 return None
-        action = options[option]
-        if action.type is not None:
+        dest, type_, choices = options[option]
+        if type_ is not None:
             try:
-                value = action.type(value)
+                value = type_(value)
             except (argparse.ArgumentTypeError, TypeError, ValueError):
                 return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
-        seen.add(action.dest)
-    return argparse.Namespace(**values) if required <= seen else None
-
-
-@functools.cache
-def _option_table(words: tuple[str, ...]) -> tuple[dict[str, argparse.Action], dict, frozenset[str]]:
-    """The leaf's plain single-value options by option string, the namespace
-    the root, group and leaf parsers build before any option is read, and
-    the dests of the leaf's required options, all from the parsers' own
-    ``_actions`` and ``_defaults``."""
-    parser, namespace = build_parser(), {}
-    for word in words + (None,):
-        # each parser's defaults, then its subparsers' dest set to the word
-        # that selects the next parser, as argparse fills a namespace
-        namespace.update(
-            (action.dest, action.default)
-            for action in parser._actions
-            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
-        )
-        namespace.update(parser._defaults)
-        if word is not None:
-            subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            namespace[subparsers.dest] = word
-            parser = subparsers.choices[word]
-    options = {
-        option: action
-        for action in parser._actions
-        if type(action) is argparse._StoreAction and action.nargs is None
-        for option in action.option_strings
-    }
-    required = frozenset(action.dest for action in parser._actions if action.required)
-    return options, namespace, required
+        values[dest] = value
+    return None if _REQUIRED in values.values() else argparse.Namespace(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +794,16 @@ def main(argv: list[str] | None = None) -> int:
             text = json.dumps(report, sort_keys=True, indent=2)
         else:
             text = _indented_json(report)
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone: fd 1 goes to os.devnull, so the flush at exit prints nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print("mdkit: error: stdout was closed before the report was written", file=sys.stderr)
+            return 2
         for check in report["checks"]:
             print(f"{check['name']}: {check['verdict']}", file=sys.stderr)
         print(f"summary: {report['summary']['verdict']}", file=sys.stderr)

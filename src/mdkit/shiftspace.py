@@ -356,7 +356,10 @@ def _periodic_plan(dim: int, gap: int, num: int, denom: int, period: int) -> tup
     t = _gap_space(dim, gap, num, denom).threshold
     cycles = math.gcd(gap, period)
     length = period // cycles
-    what = f"period-{period} point with distance >= {_shown(t)} at gap {gap}"
+    shown = _shown(t)
+    if shown == str(t):  # short: named as the statements name it, 1 as "1/1"
+        shown = frac_to_str(t)
+    what = f"period-{period} point with distance >= {shown} at gap {gap}"
     if not _cycle_closes(dim, Fraction(math.ceil(t * GRID), GRID), length):
         found = periodic_witness(dim, gap, t, period)
         if found.witness is None:

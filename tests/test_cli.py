@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -320,6 +323,33 @@ class TestExitCodes:
         )
         assert code == 2
         assert "diagram requires p > m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["shift", "witness", "--p", "3", "--m", "2"],
+            # 242 kB, over the stdout buffer: print itself fails, not the flush
+            ["tower", "aperiodicity", "--m-max", "2", "--p-max", "200"],
+        ],
+        ids=["flush-fails", "print-fails"],
+    )
+    def test_closed_stdout_is_one_line_error(self, argv):
+        # the pipe's read end is closed before the child starts, so its first
+        # write fails: once exit 1 and a BrokenPipeError traceback.  Stdout is
+        # left buffered, so a short report fails only when it is flushed
+        read, write = os.pipe()
+        os.close(read)
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "mdkit.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == ["mdkit: error: stdout was closed before the report was written"]
 
     def test_verification_failure_is_one(self, capsys, monkeypatch):
         def failing_runner(args):
@@ -705,6 +735,14 @@ class TestExitCodes:
                 None,
                 "steps of t to 2 - t, t = '99999999999999999999'... (8002 characters), sum to no even integer",
             ),
+            # the threshold named as the statements name it, not "distance >= 1"
+            (
+                ["shift", "conjugacy", "--p", "13", "--m", "2", "--N", "2", "--delta", "1", "--samples", "24"],
+                None,
+                "a period-13 point with distance >= 1/1 at gap 1 exists on the k/64 grid, but none was drawn",
+            ),
+            # bytes ff fe: a file that is not UTF-8, once named "an integer is too long"
+            (["complex", "coindex"], ("--complex", b"\xff\xfe{}"), "is not read: it is not UTF-8 text"),
         ],
         ids=[
             "complex-without-n",
@@ -820,13 +858,18 @@ class TestExitCodes:
             "count-periodic-one-letter-words",
             "count-periodic-word-not-binary",
             "conjugacy-delta-over-character-echo",
+            "conjugacy-threshold-one-named-as-statements-name-it",
+            "complex-file-not-utf-8",
         ],
     )
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path, argv, infile, named):
         if infile is not None:
             flag, content = infile
             path = tmp_path / "input.json"
-            path.write_text(content if isinstance(content, str) else json.dumps(content))
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content if isinstance(content, str) else json.dumps(content))
             argv = argv + [flag, str(path)]
         code = cli.main(argv)
         captured = capsys.readouterr()
@@ -1052,16 +1095,16 @@ class TestExitCodes:
         # usage and one error line naming the first 20 characters
         long = "9" * 5000
         tried = 0
-        for words, leaf in cli._parsers()[1].items():
-            required = [a for a in leaf._actions if a.required]
-            for action in leaf._actions:
-                if action.type is not cli._int:
+        for words, (_, _, *options) in cli._COMMANDS.items():
+            required = [flag for flag, _, default, _ in options if default is cli._REQUIRED]
+            for flag, kind, _, _ in options:
+                if kind is not cli._int:
                     continue
                 argv = list(words)
                 for other in required:
-                    if other is not action:
-                        argv += [other.option_strings[0], "cycles:3" if other.dest == "system" else "1"]
-                argv += [action.option_strings[0], long]
+                    if other != flag:
+                        argv += [other, "cycles:3" if other == "--system" else "1"]
+                argv += [flag, long]
                 with pytest.raises(SystemExit) as exited:
                     cli.main(argv)
                 assert exited.value.code == 2
@@ -1168,9 +1211,9 @@ class TestReportContract:
     @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_config_holds_every_option(self, name, capsys):
         argv = shlex.split(COMMANDS[name])[1:]
-        leaves = cli._parsers()[1]
-        words = tuple(argv[:2]) if tuple(argv[:2]) in leaves else tuple(argv[:1])
-        dests = {a.dest for a in leaves[words]._actions} - {"help", "csv"}
+        words = tuple(argv[:2]) if tuple(argv[:2]) in cli._COMMANDS else tuple(argv[:1])
+        # each option's dest as argparse derives it from the flag
+        dests = {flag[2:].replace("-", "_") for flag, *_ in cli._COMMANDS[words][2:]}
         code, report, _ = run_cli(capsys, *argv)
         assert code == 0
         assert report["command"] == " ".join(words)
@@ -1338,25 +1381,29 @@ class TestParserEntry:
             "cycles:3", "cycles:3,5", "en-zp:p=2,n=1", "interval", "stars", "a=b", "=",
         ]
 
-        def drawn(action):
+        def drawn(kind):
             if rng.random() < 0.2:
                 return rng.choice(pool)
-            if action.type is cli._int:
+            if kind is cli._int:
                 return rng.choice(["2", "3", "7", " 3", str(10**30)])
-            return rng.choice(action.choices or ["1/2", "0:12", "-6:12", "cycles:3", "en-zp:p=2,n=1"])
+            return rng.choice(kind if isinstance(kind, tuple) else ["1/2", "0:12", "-6:12", "cycles:3", "en-zp:p=2,n=1"])
 
         table_read = tried = 0
-        for words, leaf in cli._parsers()[1].items():
-            options = [action for action in leaf._actions if action.option_strings]
+        for words, (_, _, *rows) in cli._COMMANDS.items():
+            # each option as (its strings, type or choices, required), in the
+            # order the leaf's help lists them: -h first and --csv last
+            options = [(("-h", "--help"), None, False)]
+            options += [((flag,), kind, default is cli._REQUIRED) for flag, kind, default, _ in rows]
+            options.append((("--csv",), None, False))
             for _ in range(200):
                 argv = list(words)
-                for action in options:
-                    if action.required and rng.random() < 0.95:
-                        argv += [action.option_strings[0], drawn(action)]
+                for strings, kind, required in options:
+                    if required and rng.random() < 0.95:
+                        argv += [strings[0], drawn(kind)]
                 for _ in range(rng.randrange(3)):
-                    action = rng.choice(options)
-                    option = rng.choice(action.option_strings)
-                    value = drawn(action)
+                    strings, kind, _ = rng.choice(options)
+                    option = rng.choice(strings)
+                    value = drawn(kind)
                     form = rng.randrange(10)
                     if form == 0:
                         argv.append(f"{option}={value}")

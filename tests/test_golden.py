@@ -53,10 +53,14 @@ def test_report_is_byte_identical(name, capsys, monkeypatch):
 
 
 def test_golden_commands_are_read_from_the_option_table(capsys, monkeypatch):
-    # argparse parses no README command: each is read from its leaf's option table
-    def refused(self, args=None, namespace=None):
-        raise AssertionError(f"argparse parsed {args}")
+    # argparse builds and parses nothing for a README command: each is read
+    # from its leaf's option table, which is built from the command table
+    def refused(self, *args, **kwargs):
+        raise AssertionError("argparse built or parsed for a README command")
 
+    cli.build_parser.cache_clear()
+    cli._leaf_table.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refused)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refused)
     for name, command in COMMANDS.items():
         assert cli.main(shlex.split(command)[1:]) == 0
