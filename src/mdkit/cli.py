@@ -31,6 +31,7 @@ import functools
 import json
 import os
 import random
+import stat
 import sys
 from fractions import Fraction
 
@@ -774,8 +775,27 @@ def _write_json(value, parts: list[str], newline: str) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _closed_stdout(lost: str) -> int:
+    """Exit 2 for a stdout whose reader is gone: fd 1 goes to os.devnull, so
+    the flush at exit prints nothing, and one line names what was lost."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    print(f"mdkit: error: stdout was closed before the {lost} was written", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except SystemExit:
+        # help is printed to a buffered stdout: flushed here, a closed reader
+        # gets the one line a report gets, not the exit-time flush's error
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            return _closed_stdout("help")
+        raise
     try:
         report = args.runner(args)
         # opened before the report is printed, so a path that fails to open
@@ -798,12 +818,15 @@ def main(argv: list[str] | None = None) -> int:
             print(text)
             sys.stdout.flush()
         except BrokenPipeError:
-            # the reader is gone: fd 1 goes to os.devnull, so the flush at exit prints nothing
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            print("mdkit: error: stdout was closed before the report was written", file=sys.stderr)
-            return 2
+            if summary is not None:
+                # no report, so no summary: a regular file opened for it goes;
+                # a device or pipe such as /dev/null is only closed
+                regular = stat.S_ISREG(os.fstat(summary.fileno()).st_mode)
+                summary.close()
+                if regular:
+                    with contextlib.suppress(OSError):
+                        os.remove(args.csv)
+            return _closed_stdout("report")
         for check in report["checks"]:
             print(f"{check['name']}: {check['verdict']}", file=sys.stderr)
         print(f"summary: {report['summary']['verdict']}", file=sys.stderr)

@@ -619,6 +619,12 @@ class TestMapSearch:
         ):
             equivariant_map_search(source, target)
 
+    def test_real_cap_is_spent_undetermined(self):
+        # from E_8 Z_2 into E_7 Z_2 no map exists, and the search spends its
+        # whole cap of MAX_SEARCH_NODES before it can say so
+        spent = rf"^undetermined: .* spent its cap of {complexes.MAX_SEARCH_NODES} nodes"
+        with pytest.raises(ValueError, match=spent):
+            equivariant_map_search(build_en_zp(2, 8), build_en_zp(2, 7))
 
     def test_completed_prefixes_are_the_level_searches(self):
         # the orbits of E_3 Z_p are its levels: the search first completes

@@ -282,10 +282,13 @@ class TestBoundRules:
             MdimBound(Fraction(2), Fraction(1))
 
     def test_provenance_chain_grows(self):
+        # one ambient record names every level
         bound = headline_pipeline(3, 5, 4)
         rules = [rec["rule"] for rec in bound.provenance]
-        assert rules.count("ambient-shift") == 5
-        assert rules[-2:] == ["inverse-limit", "time-division"]
+        assert rules == ["ambient-shift", "inverse-limit", "time-division"]
+        assert bound.provenance[0]["statement"].startswith("at each of the 5 levels, ")
+        (record, _, _) = headline_pipeline(3, 1, 4).provenance
+        assert record["statement"].startswith("at its 1 level, ")
 
 
 class TestSelection:
