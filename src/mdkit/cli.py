@@ -46,6 +46,7 @@ from .complexes import (
 )
 from .finite import (
     FiniteSystem,
+    Metric,
     _validate_metric,
     check_embed_size,
     check_search_size,
@@ -394,7 +395,7 @@ def _run_markers_transfer(args) -> dict:
     return _report(args, checks)
 
 
-def _parse_metric(text: str, size: int) -> tuple[tuple[Fraction, ...], ...]:
+def _parse_metric(text: str, size: int) -> Metric:
     """Shorthand "uniform:1/4" or "random:<seed>", or a path to a JSON
     distance matrix.  A random table is a metric by construction (see
     ``random_metric``); a uniform table is one exactly when it has fewer
@@ -413,9 +414,9 @@ def _parse_metric(text: str, size: int) -> tuple[tuple[Fraction, ...], ...]:
         value = frac_from_str(text.split(":", 1)[1])
         if size >= 2 and value < 0:
             raise ValueError("metric must be nonnegative")
-        return tuple(
-            tuple(Fraction(0) if i == j else value for j in range(size)) for i in range(size)
-        )
+        k = value.numerator
+        rows = tuple(tuple(0 if i == j else k for j in range(size)) for i in range(size))
+        return Metric(rows, value.denominator)
     metric = metric_from_json(_read_json(text))
     _validate_metric(metric, size)
     return metric
@@ -510,7 +511,7 @@ def _run_mdim_pipeline(args) -> dict:
     else:
         eta = None
         n = args.time_division
-    bound = headline_pipeline(width, args.levels, n)
+    bound = headline_pipeline(width, n)
     checks = [
         _check(
             "pipeline-bound",
@@ -606,7 +607,6 @@ _COMMANDS = {
         ("--cap", _int, MAX_COVER_NODES, None)),
     ("mdim", "pipeline"): (_run_mdim_pipeline, "headline interval arithmetic",
         ("--N", _int, _REQUIRED, None),
-        ("--levels", _int, 5, None),
         ("--time-division", _int, 1, None),
         ("--eta", str, None, "pick the clock division from a target")),
 }

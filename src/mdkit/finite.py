@@ -21,9 +21,10 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iter_product
 from math import comb, lcm
-from operator import sub
+from operator import itemgetter, sub
 from typing import Sequence
 
 from .shiftspace import (
@@ -39,21 +40,20 @@ from .torus import (
     _shown,
     frac_from_str,
     frac_to_str,
-    max_circle_dist,
 )
 
 # Largest marker count ``enumerate_markers`` lists or the marker transfer
 # decides, checked before any marker is built: `markers transfer --system
-# cycles:25 --n 1 --N 2`, whose 25-cycle has 167,760 2-markers, takes 0.8 s
-# per process and 56 MB peak RSS (Python 3.11.7, 2-CPU x86-64 VM).  The
-# transfer walks only each cycle's own subsets, but one cycle can hold them
-# all: a 600-cycle has 2^600 - 1 1-markers.
+# cycles:25 --n 1 --N 2`, whose 25-cycle has 167,760 2-markers, takes 0.43 s
+# per process and 35 MB peak RSS (Python 3.11.7, 2-CPU x86-64 VM).  The
+# transfer walks only each base cycle's own parts, but one cycle can hold
+# them all: a 600-cycle has 2^600 - 1 1-markers.
 MAX_MARKERS = 200_000
 # Largest system an embedding takes, checked before its metric is built.  The
-# metric has n^2 entries and the collision test compares n^2/2 pairs of images;
-# the orbit map builds one periodic point per cycle: `embed --system cycles:n
-# --metric random:1 --epsilon 1/10` takes 0.06 s in process at 200 points and
-# 0.09 s at 300 (Python 3.11.7, 2-CPU x86-64 VM).
+# metric has n^2 entries, the centers take up to n^2/2 tests and the images
+# up to n^2 coordinates; the orbit map builds one periodic point per cycle:
+# `embed --system cycles:n --metric random:1 --epsilon 1/10` takes 0.014 s in
+# process at 200 points and 0.03 s at 300 (Python 3.11.7, 2-CPU x86-64 VM).
 MAX_EMBED_POINTS = 200
 # Largest clock extension, n*|X| points, a marker transfer builds, checked
 # before ``time_division``: at 10,000 points `markers transfer --system
@@ -75,13 +75,40 @@ MAX_METRIC_DENOMINATOR = 2**64
 
 
 @dataclass(frozen=True)
+class Metric:
+    """An exact metric table on points 0 .. n-1, held as integer numerators
+    over one denominator: the distance from i to j is ``nums[i][j] / den``.
+    Stored unchecked, as a system is; ``_validate_metric`` checks the axioms."""
+
+    nums: tuple[tuple[int, ...], ...]
+    den: int
+
+    @classmethod
+    def of(cls, rows) -> "Metric":
+        """A table of rationals over the lcm of their denominators, which is
+        refused over ``MAX_METRIC_DENOMINATOR`` before any value is lifted."""
+        den = 1
+        for d in {d.denominator for row in rows for d in row}:
+            den = lcm(den, d)
+            if den > MAX_METRIC_DENOMINATOR:
+                cap = MAX_METRIC_DENOMINATOR
+                raise ValueError(f"the metric's values have a common denominator over the cap of {cap}")
+        return cls(tuple(tuple(d.numerator * (den // d.denominator) for d in row) for row in rows), den)
+
+    def fractions(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The table as ``Fraction`` values, built on each call."""
+        den = self.den
+        return tuple(tuple(Fraction(k, den) for k in row) for row in self.nums)
+
+
+@dataclass(frozen=True)
 class FiniteSystem:
     """A permutation of named points, with an optional exact metric table,
-    all tuples and stored unchecked."""
+    all stored unchecked."""
 
     points: tuple
     perm: tuple[int, ...]
-    metric: tuple[tuple[Fraction, ...], ...] | None = None
+    metric: Metric | None = None
 
     @property
     def size(self) -> int:
@@ -112,19 +139,20 @@ class FiniteSystem:
     def dist(self, i: int, j: int) -> Fraction:
         if self.metric is None:
             raise ValueError("metric required")
-        return self.metric[i][j]
+        return Fraction(self.metric.nums[i][j], self.metric.den)
 
     def to_json(self) -> dict:
         out: dict = {"points": list(self.points), "perm": list(self.perm)}
         if self.metric is not None:
-            out["metric"] = [[frac_to_str(d) for d in row] for row in self.metric]
+            out["metric"] = [[frac_to_str(d) for d in row] for row in self.metric.fractions()]
         return out
 
     @classmethod
     def from_json(cls, data) -> "FiniteSystem":
         """A system with a bijective perm and, if it carries one, a metric of
-        the right shape; ``_validate_metric`` checks the metric's values, for
-        the one command that reads them."""
+        the right shape over a common denominator within the cap;
+        ``_validate_metric`` checks the metric's values, for the one command
+        that reads them."""
         if not isinstance(data, dict):
             raise ValueError("system JSON must be an object")
         for key in ("points", "perm"):
@@ -144,7 +172,7 @@ class FiniteSystem:
         if sorted(perm) != list(range(len(points))):
             raise ValueError("perm must be a bijection of the points")
         if metric is not None:
-            _check_metric_shape(metric, len(points))
+            _check_metric_shape(metric.nums, len(points))
         return cls(tuple(points), tuple(perm), metric)
 
 
@@ -167,9 +195,9 @@ def permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def metric_from_json(rows) -> tuple[tuple[Fraction, ...], ...]:
-    """A metric table from JSON: a list of rows of rationals such as "1/4".
-    Each distinct string is parsed once per table."""
+def metric_from_json(rows) -> Metric:
+    """A metric table from JSON: a list of rows of rationals such as "1/4",
+    lifted by ``Metric.of``.  Each distinct string is parsed once per table."""
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError("metric JSON must be a list of rows of rationals")
     parsed: dict[str, Fraction] = {}
@@ -181,7 +209,7 @@ def metric_from_json(rows) -> tuple[tuple[Fraction, ...], ...]:
             return parsed[d]
         return frac_from_str(d)
 
-    return tuple(tuple(map(parse, row)) for row in rows)
+    return Metric.of(tuple(tuple(map(parse, row)) for row in rows))
 
 
 def _check_metric_shape(metric, n: int) -> None:
@@ -189,21 +217,15 @@ def _check_metric_shape(metric, n: int) -> None:
         raise ValueError(f"metric table must be {n} by {n}: one row and column per point")
 
 
-def _validate_metric(metric, n: int) -> None:
+def _validate_metric(metric: Metric, n: int) -> None:
     """Refuse a table that is not a metric on n points, naming the first
-    fault of a scan of i, then j, then k.  The values are compared as integer
-    numerators over one common denominator, so the triangle inequality for
-    (i, j) and every k is one max of row differences: a 200-point file is
-    checked in 0.9 s per process, where a Fraction sum per triple took 25 s
-    (Python 3.11.7, 2-CPU x86-64 VM)."""
-    _check_metric_shape(metric, n)
-    scale = 1
-    for den in {d.denominator for row in metric for d in row}:
-        scale = lcm(scale, den)
-        if scale > MAX_METRIC_DENOMINATOR:
-            cap = MAX_METRIC_DENOMINATOR
-            raise ValueError(f"the metric's values have a common denominator over the cap of {cap}")
-    rows = [[d.numerator * (scale // d.denominator) for d in row] for row in metric]
+    fault of a scan of i, then j, then k.  The values are compared as the
+    table holds them, integer numerators over one common denominator, so the
+    triangle inequality for (i, j) and every k is one max of row differences:
+    a 200-point file is checked in 0.9 s per process, where a Fraction sum
+    per triple took 25 s (Python 3.11.7, 2-CPU x86-64 VM)."""
+    rows = metric.nums
+    _check_metric_shape(rows, n)
     for i, row_i in enumerate(rows):
         if row_i[i] != 0:
             raise ValueError("metric diagonal must be zero")
@@ -502,21 +524,22 @@ def map_to_unit_step_space(sys_: FiniteSystem, n_marker: int = 2) -> UnitStepMap
             "no marker of the requested length: the system has a cycle shorter "
             f"than {n_marker}"
         )
-    images = [TorusVec.of(t) for t in rokhlin_function(sys_, cert.subset, n_marker).phi]
+    images = TorusSeq((rokhlin_function(sys_, cert.subset, n_marker).phi,), 1)
     return UnitStepMapReport(*_orbit_map(sys_, images, unit_step_space()))
 
 
 def _orbit_map(
-    sys_: FiniteSystem, images: Sequence[TorusVec], space: SubshiftSpec | None
+    sys_: FiniteSystem, images: TorusSeq, space: SubshiftSpec | None
 ) -> tuple[tuple[Periodic, ...], bool, bool]:
-    """The orbit map: one periodic point per cycle, in ``sys_.cycles`` order,
-    the images read from the cycle's first point, so point k stands for the
-    k-th shift; whether each lies in ``space`` (never when there is none),
-    checked at every residue so its shifts share the verdict; and whether the
-    map intertwines the dynamics with the shift, which holds when T steps
-    every cycle's point k to point k + 1: entry n is then the image of T^n."""
+    """The orbit map, for entry i of ``images`` the image of point i: one
+    periodic point per cycle, in ``sys_.cycles`` order, the images read from
+    the cycle's first point, so point k stands for the k-th shift; whether
+    each lies in ``space`` (never when there is none), checked at every
+    residue so its shifts share the verdict; and whether the map intertwines
+    the dynamics with the shift, which holds when T steps every cycle's
+    point k to point k + 1: entry n is then the image of T^n."""
     cycles = sys_.cycles
-    orbits = tuple(Periodic(TorusSeq.of(images[j] for j in cycle)) for cycle in cycles)
+    orbits = tuple(Periodic(images.take(cycle)) for cycle in cycles)
     membership_ok = space is not None and all(
         check_membership(space, orbit).passed for orbit in orbits
     )
@@ -532,8 +555,12 @@ def _orbit_map(
 
 @dataclass(frozen=True)
 class EmbeddingReport:
+    """Centers and the image of each point, ``coords[i]`` over ``den``: its
+    distances to the centers, rescaled."""
+
     centers: tuple[int, ...]
-    images: tuple[TorusVec, ...]
+    coords: tuple[tuple[int, ...], ...]
+    den: int
     scale: Fraction
     epsilon: Fraction
     collision_ok: bool
@@ -541,6 +568,11 @@ class EmbeddingReport:
     @property
     def n_coords(self) -> int:
         return len(self.centers)
+
+    @cached_property
+    def images(self) -> tuple[TorusVec, ...]:
+        """The image of each point as a vector, built on first read."""
+        return tuple(TorusVec(row, self.den) for row in self.coords)
 
 
 def check_embed_size(size: int) -> None:
@@ -562,45 +594,49 @@ def epsilon_embedding(sys_: FiniteSystem, epsilon: Fraction) -> EmbeddingReport:
     distance >= epsilon shares an image.  The system's metric is trusted:
     input metrics are validated where they are read.
 
-    The metric is lifted once to integer numerators over the lcm of its
-    denominators, and a rescale only changes that denominator.  So the
-    diameter, the center tests, the image coordinates and the pair tests
-    are integer arithmetic; ``Fraction`` appears only in the reported scale
-    and epsilon.
+    The metric's integer numerators are used as they are, and a rescale
+    only changes their denominator.  So the diameter, the center tests, the
+    image coordinates and the pair tests are integer arithmetic; ``Fraction``
+    appears only in the reported scale and epsilon.  A far pair collides
+    exactly when its coordinates are equal, so only the pairs within a group
+    of equal images are tested.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if sys_.metric is None:
         raise ValueError("metric required")
-    n, metric = sys_.size, sys_.metric
-    den = lcm(*{d.denominator for row in metric for d in row})
     # the distance from i to j is nums[i][j] / den, before and after a rescale
-    nums = [[d.numerator * (den // d.denominator) for d in row] for row in metric]
+    nums, den = sys_.metric.nums, sys_.metric.den
     diam = max(map(max, nums), default=0)
     scale = Fraction(1)
     if 4 * diam > den:
         scale = Fraction(den, 4 * diam)
         den = 4 * diam
     eps = epsilon * scale
-    # d < eps/2 iff 2 * eps_den * num < bound; d >= eps iff eps_den * num >= bound
+    # d < eps/2 iff num <= near; d >= eps iff num >= far
     bound, eps_den = eps.numerator * den, eps.denominator
+    near, far = (bound - 1) // (2 * eps_den), -(-bound // eps_den)
     centers: list[int] = []
-    for i in range(n):
-        row = nums[i]
-        if not any(2 * eps_den * row[c] < bound for c in centers):
+    for i, row in enumerate(nums):
+        if not any(map(near.__ge__, map(row.__getitem__, centers))):
             centers.append(i)
-    images = tuple(TorusVec(tuple(row[c] for c in centers), den) for row in nums)
-    # images are stored in canonical form: a far pair collides exactly when
-    # its images are equal, that is at distance 0
+    if len(centers) > 1:
+        coords = tuple(map(itemgetter(*centers), nums))
+    else:  # itemgetter of one index gives the entry, not a 1-tuple
+        coords = tuple((row[c],) for row in nums for c in centers)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, image in enumerate(coords):
+        groups.setdefault(image, []).append(i)
     collision_ok = not any(
-        eps_den * nums[i][j] >= bound and images[i] == images[j]
-        for i in range(n)
-        for j in range(i + 1, n)
+        nums[i][j] >= far
+        for group in groups.values()
+        for i, j in combinations(group, 2)
     )
     return EmbeddingReport(
         centers=tuple(centers),
-        images=images,
+        coords=coords,
+        den=den,
         scale=scale,
         epsilon=eps,
         collision_ok=collision_ok,
@@ -635,25 +671,29 @@ def embed_into_universal(sys_: FiniteSystem, epsilon: Fraction) -> UniversalEmbe
     Requires a fixed-point-free metric system and epsilon below the minimal
     displacement min d(x, Tx).  The realized threshold delta is the smallest
     image distance between a point and its successor; every output sequence
-    satisfies the gap-1 constraint at threshold delta, exactly.
+    satisfies the gap-1 constraint at threshold delta, exactly.  Every step
+    reads the embedding's integer coordinates: an image coordinate lies in
+    [0, den/4], so the circle distance of two images is their largest
+    coordinate difference, and the orbits are integer columns.
     """
     if sys_.metric is None:
         raise ValueError("metric required")
     if sys_.has_fixed_points():
         raise ValueError("system must be fixed-point free")
     epsilon = Fraction(epsilon)
-    min_move = min(sys_.dist(i, sys_.perm[i]) for i in range(sys_.size))
-    if epsilon >= min_move:
+    nums, perm = sys_.metric.nums, sys_.perm
+    min_move = min(nums[i][j] for i, j in enumerate(perm))
+    if epsilon.numerator * sys_.metric.den >= min_move * epsilon.denominator:
         raise ValueError(
             "epsilon must be smaller than the minimal displacement min d(x, Tx)"
         )
     emb = epsilon_embedding(sys_, epsilon)
-    delta = min(
-        max_circle_dist(emb.images[i], emb.images[sys_.perm[i]])
-        for i in range(sys_.size)
-    )
+    coords = emb.coords
+    steps = (max(map(abs, map(sub, coords[i], coords[j]))) for i, j in enumerate(perm))
+    delta = Fraction(min(steps), emb.den)
     space = gap_space(emb.n_coords, 1, delta) if delta > 0 else None
-    return UniversalEmbeddingReport(emb, delta, *_orbit_map(sys_, emb.images, space))
+    images = TorusSeq(tuple(zip(*coords)), emb.den)
+    return UniversalEmbeddingReport(emb, delta, *_orbit_map(sys_, images, space))
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +731,28 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
     projection of one cycle's marker parts once, on its own base cycle, never
     building the markers' product, and refuses a marker count over
     ``MAX_MARKERS`` before any part is built.
+
+    Those projections are exactly the base cycle's own N-parts, so the check
+    walks those and never lists an extension part.  Extension cycle c is base
+    cycle c of length L opened out to nL positions, and its position j
+    projects to q = ceil(j/n) mod L, so block q holds the positions
+    n(q-1)+1 .. nq, and block 0 holds position 0 and the last n - 1.
+    Before the reduction mod L, the values ceil(j/n) of an nN-part's
+    positions rise by at least N from each position to the next, as
+    ceil(j'/n) - ceil(j/n) >= floor((j' - j)/n) and j' - j >= nN, and by at
+    least N again around the wrap, from the last value to the first plus L.
+    So they are values on a circle of length L that lie N or more apart all
+    round: they stay distinct mod L, and the projection is an N-part.
+    Conversely, an N-part Q is the projection of {nq : q in Q}:
+    taking every position at the same offset in its block keeps every gap,
+    the wrap included, at n times the gap of Q.  A failing Q is recorded
+    with the first part, in the walk of the extension cycle's parts, that
+    projects onto it: the greedy part, whose position for q is the first of
+    block q (0 for q = 0) or the previous position plus nN, whichever is
+    larger.  Each greedy position lies within its block, as q minus the
+    previous q is at least N, and its offset in its block never grows along
+    Q, so the wrap gap holds too.  Greedy parts are ordered as their Q are,
+    so the records come in the order the extension walk would give them.
     """
     if n < 1 or n_marker < 1:
         raise ValueError("transfer requires n >= 1 and N >= 1")
@@ -724,19 +786,15 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
         # out: the first n clock images of its position j meet phase 0 once,
         # at position ceil(j/n) mod L of base cycle c
         threshold = max(n_marker - 1, 1)
-        bad = []
-        for base, cycle in zip(sys_.cycles, divided.cycles):
-            parts: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for part in _cycle_position_subsets(len(cycle), n * n_marker):
-                parts.setdefault(tuple(sorted({-(-j // n) % len(base) for j in part})), part)
-            bad += [
-                {
-                    "marker": sorted(cycle[j] for j in part),
-                    "projected": sorted(base[k] for k in projected),
-                }
-                for projected, part in parts.items()
-                if not _part_ok(len(base), projected, threshold)
-            ]
+        bad = [
+            {
+                "marker": sorted(cycle[j] for j in _first_lift(projected, n, n_marker)),
+                "projected": sorted(base[k] for k in projected),
+            }
+            for base, cycle in zip(sys_.cycles, divided.cycles)
+            for projected in _cycle_position_subsets(len(base), n_marker)
+            if not _part_ok(len(base), projected, threshold)
+        ]
         backward = {
             "ok": not bad,
             "detail": (
@@ -760,27 +818,55 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
     return TransferReport(forward=forward, backward=backward)
 
 
+def _first_lift(projected: Sequence[int], n: int, n_marker: int) -> list[int]:
+    """The first nN-part, in the walk of the extension cycle's parts, whose
+    positions project onto the base N-part ``projected``: each position the
+    first of its block, or nN past the previous one if that is later (see
+    ``verify_marker_transfer``)."""
+    positions: list[int] = []
+    for q in projected:
+        j = 0 if q == 0 else n * (q - 1) + 1
+        positions.append(max(j, positions[-1] + n * n_marker) if positions else j)
+    return positions
+
+
 # ---------------------------------------------------------------------------
 # Random metrics
 
 
-# the values ``random_metric`` draws from, k/256 for k in [32, 64]
-_METRIC_VALUES = tuple(Fraction(k, 256) for k in range(32, 65))
+# rng.randint(32, 64) is 32 plus the top 6 bits of one 32-bit word of the
+# generator, the word redrawn while they are 33 or more: the top byte b of a
+# word gives 32 + (b >> 2), and is redrawn when b >= 132
+_METRIC_DRAW = bytes(32 + (b >> 2) for b in range(256))
+_METRIC_REDRAWN = bytes(range(132, 256))
 
 
-def random_metric(rng: random.Random, size: int) -> tuple[tuple[Fraction, ...], ...]:
+def random_metric(rng: random.Random, size: int) -> Metric:
     """A random exact metric with values in [1/8, 1/4] off the diagonal.
 
     Any symmetric table with a zero diagonal and off-diagonal values in
     [t, 2t] satisfies the triangle inequality: d(i, k) <= 2t <= d(i, j) +
     d(j, k) for distinct points, and the other cases have a zero term.  So
     the table needs no repair step and no check.  Each value is k/256 for
-    one draw k in [32, 64], read from the 33 values built once.
+    one draw k = ``rng.randint(32, 64)``, pair by pair along the rows of the
+    upper triangle.  The draws are read as ``randint`` reads them, one word
+    of ``rng.getrandbits(32)`` per try, but in rounds: a round that still
+    needs r values reads the next r words at once and keeps the top bytes
+    that ``_METRIC_DRAW`` does not redraw.  Each value takes at least one
+    word, so a round never reads past the word of the last value, and
+    ``rng`` ends in the state the draws one by one leave it in.
     """
-    rows = [[Fraction(0)] * size for _ in range(size)]
+    drawn = bytearray()
+    need = size * (size - 1) // 2
+    while len(drawn) < need:
+        words = need - len(drawn)
+        tops = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        drawn += tops.translate(_METRIC_DRAW, _METRIC_REDRAWN)
+    rows: list[tuple[int, ...]] = []
+    start = 0
     for i in range(size):
-        for j in range(i + 1, size):
-            d = _METRIC_VALUES[rng.randint(32, 64) - 32]
-            rows[i][j] = d
-            rows[j][i] = d
-    return tuple(tuple(row) for row in rows)
+        stop = start + size - 1 - i
+        # entry j < i is entry i of row j, drawn as pair (j, i)
+        rows.append((*(row[i] for row in rows), 0, *drawn[start:stop]))
+        start = stop
+    return Metric(tuple(rows), 256)

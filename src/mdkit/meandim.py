@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence
 
-from .torus import _shown, frac_to_str
+from .torus import frac_to_str
 
 
 # Default node cap of ``cover_D`` and of ``mdim D --cap``: each candidate open
@@ -297,20 +297,15 @@ def time_division_bound(n: int, bound: MdimBound) -> MdimBound:
     return _ruled((bound,), bound.lower / n, upper, "time-division", statement)
 
 
-def headline_pipeline(width: int, levels: int, n: int) -> MdimBound:
+def headline_pipeline(width: int, n: int) -> MdimBound:
     """Ambient bound at every tower level, inverse limit, then time division.
 
-    Every level has the same ambient bound, so one record names the level
-    count: the provenance holds three records for any count.
+    Every level has the same ambient bound, so one record stands for every
+    level, however many the tower has: the provenance holds three records.
     """
-    if levels < 1:
-        raise ValueError(
-            f"the pipeline needs levels >= 1, got {_shown(levels)}: the inverse limit needs a level"
-        )
     ambient = ambient_shift_bound(width)
     (record,) = ambient.provenance
-    count = "at its 1 level" if levels == 1 else f"at each of the {_shown(levels)} levels"
-    statement = f"{count}, {record['statement']}"
+    statement = f"at each level, {record['statement']}"
     level = MdimBound(ambient.lower, ambient.upper, ({**record, "statement": statement},))
     return time_division_bound(n, inverse_limit_bound([level]))
 

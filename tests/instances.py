@@ -7,6 +7,7 @@ Each row of ``ROWS`` holds
 - ``err``: for a refusal, a fragment of its error line; for a usage
   fallback, what stderr starts with, ``usage: mdkit <words>``;
 - ``out_max``, where needed: stdout holds fewer bytes than this;
+- ``checks``, where needed: the names of an answer's checks, in order;
 - ``file``, where needed: ``(flag, content)``, an input file written to a
   temporary directory and given as ``flag PATH`` after the command.  Content
   is a JSON value, or text or bytes written as they are.
@@ -50,6 +51,7 @@ class Row(NamedTuple):
     err: str = ""
     out_max: int | None = None
     file: tuple[str, object] | None = None
+    checks: tuple[str, ...] | None = None
 
     @property
     def refused(self) -> bool:
@@ -85,6 +87,9 @@ def check(row: Row, code: int, out: str, err: str, directory) -> None:
         assert row.err in err, f"{row.err!r} not in {err[:300]!r}"
     else:
         assert err.endswith("summary: pass\n"), f"stderr ends {err[-100:]!r}"
+        if row.checks is not None:
+            names = tuple(c["name"] for c in json.loads(out)["checks"])
+            assert names == row.checks, f"checks {names}, expected {row.checks}"
 
 
 def run_in_process(row: Row, capsys, directory) -> None:
@@ -203,9 +208,10 @@ ROWS = [
     Row("witness-delta-over-digit-limit", f"shift witness --p 3 --m 2 --delta 1/{NINES}", 2,
         "rational '1/999999999999999999'... (5002 characters) is not read as p/q"),
     # one rule decides every period: once "needs the gap m coprime to p"
-    # and "witness construction insufficient"
-    Row("witness-gap-not-coprime", "shift witness --p 4 --m 2", 0),
-    Row("witness-empty-at-4/5", "shift witness --p 3 --m 2 --delta 4/5", 0),
+    # and "witness construction insufficient"; the first is decided by the
+    # witness, the second by the statement that proves the set empty
+    Row("witness-gap-not-coprime", "shift witness --p 4 --m 2", 0, checks=("witness-membership",)),
+    Row("witness-empty-at-4/5", "shift witness --p 3 --m 2 --delta 4/5", 0, checks=("no-periodic-point",)),
 
     # --- shift conjugacy ---
     Row("conjugacy-zero-samples", "shift conjugacy --p 5 --m 2 --samples 0", 2, "samples must be >= 1"),
@@ -332,11 +338,13 @@ ROWS = [
         "has 6000000 points, over the cap of 10000 on a marker transfer"),
     Row("transfer-extension-over-digit-echo", f"markers transfer --system cycles:3 --n {BIG} --N 2", 2,
         "the 1/1000000000... (4001 digits)-time extension of 3 points has 3000000000... (4001 digits) points"),
-    # 108,900 extension markers, checked per cycle
+    # 108,900 extension markers, checked per cycle: the 75 2-parts of each
+    # base 9-cycle are walked, not the 330 4-parts of each extension cycle
     Row("transfer-two-cycles-of-9", "markers transfer --system cycles:9,9 --n 2 --N 2", 0),
     # 10,000 projections of one cycle, each decided by the part rule
     Row("transfer-cycle-of-10000", "markers transfer --system cycles:10000 --n 1 --N 10000", 0),
-    # 167,760 parts, the worst single-cycle count the marker cap admits
+    # 167,760 parts, the worst single-cycle count the marker cap admits; at
+    # n = 1 the base cycle's parts are the extension cycle's, each walked once
     Row("transfer-cycle-of-25", "markers transfer --system cycles:25 --n 1 --N 2", 0),
 
     # --- embed ---
@@ -382,6 +390,13 @@ ROWS = [
         "common denominator over the cap of 18446744073709551616",
         file=("--metric", [["0", "1/4294967291", "1/4294967279"], ["1/4294967291", "0", "1/4294967231"],
                            ["1/4294967279", "1/4294967231", "0"]])),
+    # a system file's metric is held over one denominator by every command
+    # that reads the file, so the same table is refused by a marker search
+    Row("search-metric-denominator-over-cap", "markers search --N 1", 2,
+        "common denominator over the cap of 18446744073709551616",
+        file=("--system", {"points": [0, 1, 2], "perm": [1, 2, 0],
+                           "metric": [["0", "1/4294967291", "1/4294967279"], ["1/4294967291", "0", "1/4294967231"],
+                                      ["1/4294967279", "1/4294967231", "0"]]})),
     Row("metric-file-exponent-form", "embed --system cycles:2 --epsilon 1/10", 2, "1e-05 is refused: exponent form",
         file=("--metric", [[0, 1e-05], [1e-05, 0]])),
     # written as text: json.dumps cannot print an int this long
@@ -416,13 +431,6 @@ ROWS = [
     Row("pipeline-eta-over-digit-limit", f"mdim pipeline --N 1 --eta 1/{'7' * 5000}", 2,
         "rational '1/777777777777777777'... (5002 characters) is not read as p/q"),
     Row("pipeline-eta-negative-width", "mdim pipeline --N -3 --eta 1/2", 2, "alphabet dimension must be >= 1"),
-    Row("pipeline-levels-zero", "mdim pipeline --N 2 --levels 0", 2, "needs levels >= 1, got 0"),
-    Row("pipeline-levels-negative", "mdim pipeline --N 2 --levels -3", 2, "needs levels >= 1, got -3"),
-    # one record names every level, so the count needs no cap; the config
-    # echoes a 4,001-digit count, and the record names it cut
-    Row("pipeline-levels-1", "mdim pipeline --N 2 --levels 1", 0),
-    Row("pipeline-levels-1001", "mdim pipeline --N 2 --levels 1001", 0),
-    Row("pipeline-levels-named-cut", f"mdim pipeline --N 1 --levels {BIG}", 0, out_max=6000),
 
     # --- --csv ---
     # a --csv path that fails to open, refused before the report is printed

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import factorial, gcd, isqrt, lcm
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -634,13 +635,14 @@ def metric_violations(metric, size: int) -> list[str]:
     return [name for name, ok in checks.items() if not ok]
 
 
-def epsilon_embedding_by_fractions(sys_: FiniteSystem, epsilon) -> finite.EmbeddingReport:
+def epsilon_embedding_by_fractions(sys_: FiniteSystem, epsilon) -> SimpleNamespace:
     """``finite.epsilon_embedding`` computed on a table of ``Fraction``
     distances: rescale, center choice, images and the pair tests each by
     rational arithmetic, a far pair colliding when ``max_circle_dist`` puts
-    its images at distance 0."""
+    its images at distance 0.  The fields are the report's that a caller
+    reads: centers, n_coords, images, scale, epsilon and collision_ok."""
     epsilon = Fraction(epsilon)
-    n, metric = sys_.size, sys_.metric
+    n, metric = sys_.size, sys_.metric.fractions()
     diam = max((metric[i][j] for i in range(n) for j in range(n)), default=Fraction(0))
     scale = Fraction(1)
     if diam > Fraction(1, 4):
@@ -657,12 +659,29 @@ def epsilon_embedding_by_fractions(sys_: FiniteSystem, epsilon) -> finite.Embedd
         for j in range(i + 1, n):
             if dist[i][j] >= eps and max_circle_dist(images[i], images[j]) == 0:
                 collision_ok = False
-    return finite.EmbeddingReport(
+    return SimpleNamespace(
         centers=tuple(centers),
+        n_coords=len(centers),
         images=images,
         scale=scale,
         epsilon=eps,
         collision_ok=collision_ok,
+    )
+
+
+def embed_into_universal_by_fractions(sys_: FiniteSystem, epsilon) -> SimpleNamespace:
+    """``finite.embed_into_universal`` on ``Fraction`` distances, for a
+    fixed-point-free system and epsilon below its least displacement: the
+    embedding of ``epsilon_embedding_by_fractions``, delta as the least
+    ``max_circle_dist`` from a point's image to its successor's, and
+    membership and equivariance over every point's sequence by
+    ``orbit_map_per_point``."""
+    emb = epsilon_embedding_by_fractions(sys_, epsilon)
+    delta = min(max_circle_dist(emb.images[i], emb.images[sys_.perm[i]]) for i in range(sys_.size))
+    space = gap_space(emb.n_coords, 1, delta) if delta > 0 else None
+    _, membership_ok, equivariance_ok = orbit_map_per_point(sys_, emb.images, space)
+    return SimpleNamespace(
+        embedding=emb, delta=delta, membership_ok=membership_ok, equivariance_ok=equivariance_ok
     )
 
 

@@ -324,7 +324,7 @@ def test_criterion_12_headline_arithmetic(capsys):
     failures = []
     for width in range(1, 101):
         for n in range(1, 101):
-            bound = headline_pipeline(width, 5, n)
+            bound = headline_pipeline(width, n)
             if bound.lower != 0 or bound.upper != Fraction(width, n):
                 failures.append((width, n, str(bound.lower), str(bound.upper)))
     for num in range(1, 21):

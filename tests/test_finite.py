@@ -9,6 +9,7 @@ import pytest
 from mdkit import finite
 from mdkit.finite import (
     FiniteSystem,
+    Metric,
     embed_into_universal,
     enumerate_markers,
     epsilon_embedding,
@@ -28,13 +29,14 @@ from mdkit.shiftspace import (
     half_step_space,
     unit_step_space,
 )
-from mdkit.torus import TorusVec, frac_from_str, max_circle_dist
+from mdkit.torus import TorusSeq, TorusVec, frac_from_str, max_circle_dist
 
 from oracles import (
     apply,
     backward_transfer_by_enumeration,
     cycle_position_subsets_by_scan,
     early_returns_by_powers,
+    embed_into_universal_by_fractions,
     epsilon_embedding_by_fractions,
     first_metric_fault,
     marker_exists_bruteforce,
@@ -59,7 +61,7 @@ def cycles(*lengths):
 def quarter_apart(*lengths):
     """Cycles of the given lengths, every two distinct points 1/4 apart."""
     base = cycles(*lengths)
-    return FiniteSystem(base.points, base.perm, uniform_metric(base.size, Fraction(1, 4)))
+    return FiniteSystem(base.points, base.perm, Metric.of(uniform_metric(base.size, Fraction(1, 4))))
 
 
 class TestStructure:
@@ -96,14 +98,14 @@ class TestStructure:
     def test_metric_validation(self):
         bad = ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(0)))
         with pytest.raises(ValueError, match="symmetric"):
-            finite._validate_metric(bad, 2)
+            finite._validate_metric(Metric.of(bad), 2)
         skewed = (
             (Fraction(0), Fraction(1), Fraction(10)),
             (Fraction(1), Fraction(0), Fraction(1)),
             (Fraction(10), Fraction(1), Fraction(0)),
         )
         with pytest.raises(ValueError, match="triangle"):
-            finite._validate_metric(skewed, 3)
+            finite._validate_metric(Metric.of(skewed), 3)
 
     def test_metric_file_parses_as_each_entry_alone(self, monkeypatch):
         # repeated strings share one parse, and the first bad entry raises
@@ -111,7 +113,7 @@ class TestStructure:
         rows = [["0", "1/4", " 1/4"], ["1/4", "0", "2/8"], [" 1/4", "2/8", "0"]]
         parsed = []
         monkeypatch.setattr(finite, "frac_from_str", lambda d: parsed.append(d) or frac_from_str(d))
-        assert finite.metric_from_json(rows) == tuple(tuple(map(frac_from_str, row)) for row in rows)
+        assert finite.metric_from_json(rows).fractions() == tuple(tuple(map(frac_from_str, row)) for row in rows)
         assert sorted(parsed) == [" 1/4", "0", "1/4", "2/8"]
         for bad in (True, [1], "1/0", "x"):
             with pytest.raises(ValueError) as expected:
@@ -140,7 +142,7 @@ class TestStructure:
             expected = first_metric_fault(metric, size)
             messages.add(expected)
             try:
-                finite._validate_metric(metric, size)
+                finite._validate_metric(Metric.of(metric), size)
                 got = None
             except ValueError as exc:
                 got = str(exc)
@@ -417,7 +419,7 @@ class TestUnitStepMap:
 
 def metric_points(size: int, value: Fraction) -> FiniteSystem:
     """``size`` fixed points, pairwise at distance ``value``."""
-    return FiniteSystem(tuple(range(size)), tuple(range(size)), uniform_metric(size, value))
+    return FiniteSystem(tuple(range(size)), tuple(range(size)), Metric.of(uniform_metric(size, value)))
 
 
 class TestEmbeddings:
@@ -453,7 +455,7 @@ class TestEmbeddings:
             tuple(Fraction(d) for d in row)
             for row in (("0", "1/20", "1/20"), ("1/20", "0", "1/4"), ("1/20", "1/4", "0"))
         )
-        sys_ = FiniteSystem((0, 1, 2), (0, 1, 2), table)
+        sys_ = FiniteSystem((0, 1, 2), (0, 1, 2), Metric.of(table))
         report = epsilon_embedding(sys_, Fraction(1, 5))
         assert report.centers == (0,) and report.images[1] == report.images[2]
         assert not report.collision_ok
@@ -503,10 +505,52 @@ class TestEmbeddings:
             rescaled += report.scale != 1
             # a point exactly epsilon/2 from a center, and a pair exactly
             # epsilon apart (a rescale scales both sides)
-            metric = sys_.metric
+            metric = sys_.metric.fractions()
             at_half += any(2 * metric[i][c] == epsilon for i in range(sys_.size) for c in report.centers)
             at_epsilon += any(d == epsilon for row in metric for d in row)
         assert at_half > 10 and at_epsilon > 10 and rescaled > 10
+
+    def test_universal_embedding_matches_fraction_oracle(self):
+        # delta, membership and equivariance against the Fraction pipeline,
+        # and the embedding's size, scale and collisions against the Fraction
+        # embedding, on the embedding cases made fixed-point free and on
+        # random systems up to the point cap
+        compared = refused = 0
+        for sys_, epsilon in universal_cases():
+            if epsilon >= min(sys_.dist(i, j) for i, j in enumerate(sys_.perm)):
+                with pytest.raises(ValueError, match="minimal displacement"):
+                    embed_into_universal(sys_, epsilon)
+                refused += 1
+                continue
+            report = embed_into_universal(sys_, epsilon)
+            expected = embed_into_universal_by_fractions(sys_, epsilon)
+            for field in ("delta", "membership_ok", "equivariance_ok"):
+                assert getattr(report, field) == getattr(expected, field), (field, epsilon)
+            for field in ("n_coords", "scale", "collision_ok"):
+                assert getattr(report.embedding, field) == getattr(expected.embedding, field), (field, epsilon)
+            assert type(report.delta) is Fraction
+            compared += 1
+        assert (compared, refused) == (71, 96)
+
+
+def universal_cases():
+    """``embedding_cases`` with each system's points put on one cycle where
+    it has a fixed point, then random fixed-point-free systems of 2 to 40
+    points and one of ``MAX_EMBED_POINTS``, each with a random metric, at
+    epsilon 1/10 and at half their least displacement."""
+    for sys_, epsilon in embedding_cases():
+        if sys_.has_fixed_points():
+            n = sys_.size
+            sys_ = FiniteSystem(sys_.points, tuple((i + 1) % n for i in range(n)), sys_.metric)
+        yield sys_, epsilon
+    rng = random.Random(4049)
+    bases = [random_system(rng, max_points=40, min_cycle=2) for _ in range(30)]
+    bases.append(cycles(100, 60, 40))  # MAX_EMBED_POINTS points
+    for base in bases:
+        sys_ = FiniteSystem(base.points, base.perm, random_metric(rng, base.size))
+        least = min(sys_.dist(i, j) for i, j in enumerate(sys_.perm))
+        for epsilon in (Fraction(1, 10), least / 2):
+            yield sys_, epsilon
 
 
 def mixed_metric_json(rng: random.Random, size: int, low: Fraction) -> dict:
@@ -536,12 +580,12 @@ def embedding_cases():
         systems.append(FiniteSystem(base.points, base.perm, metric))
     for value in (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1), Fraction(3)):
         base = cycles(rng.randint(2, 40))
-        systems.append(FiniteSystem(base.points, base.perm, uniform_metric(base.size, value)))
+        systems.append(FiniteSystem(base.points, base.perm, Metric.of(uniform_metric(base.size, value))))
     for low in (Fraction(1, 16), Fraction(1, 9), Fraction(1, 5), Fraction(1, 3), Fraction(2)):
         for _ in range(2):
             systems.append(FiniteSystem.from_json(mixed_metric_json(rng, rng.randint(2, 16), low)))
     for sys_ in systems:
-        distances = sorted({d for row in sys_.metric for d in row if d})
+        distances = sorted({d for row in sys_.metric.fractions() for d in row if d})
         picked = rng.sample(distances, min(2, len(distances)))
         epsilons = {Fraction(rng.randint(1, 64), 64)} | set(picked) | {2 * d for d in picked}
         for epsilon in sorted(epsilons):
@@ -617,7 +661,7 @@ class TestOrbitMap:
             den = rng.choice((1, 2, 4))
             images = [TorusVec((rng.randrange(2 * den),), den) for _ in range(sys_.size)]
             space = rng.choice(spaces)
-            _, membership_ok, equivariance_ok = finite._orbit_map(sys_, images, space)
+            _, membership_ok, equivariance_ok = finite._orbit_map(sys_, TorusSeq.of(images, dim=1), space)
             sequences, oracle_membership, oracle_equivariance = orbit_map_per_point(sys_, images, space)
             assert membership_ok == oracle_membership, (sys_.perm, images, space)
             true_walk = walked == permutation_cycles(sys_.perm)
@@ -777,6 +821,51 @@ class TestMarkerTransfer:
                 checked += 1
         assert checked > 200
 
+    @staticmethod
+    def lemma_cases():
+        """(L, n, N) for L <= 12, n <= 4 and N <= 5 whose extension cycle
+        has at most 20,000 nN-parts."""
+        for length in range(1, 13):
+            for n in range(1, 5):
+                for n_marker in range(1, 6):
+                    if sum(finite._cycle_position_subset_counts(n * length, n * n_marker)) <= 20_000:
+                        yield length, n, n_marker
+
+    def test_projections_are_the_base_parts(self):
+        # the lemma the backward walk rests on: the distinct clock-walk
+        # projections of an extension cycle's nN-parts are the base cycle's
+        # N-parts.  On one cycle a point is its position in the walk
+        cases = 0
+        for length, n, n_marker in self.lemma_cases():
+            divided = time_division(cycles(length), n)
+            assert divided.cycles == (tuple(range(n * length)),)
+            projected = {
+                tuple(projection_by_clock_walk(divided, part, n))
+                for part in finite._cycle_position_subsets(n * length, n * n_marker)
+            }
+            assert projected == set(finite._cycle_position_subsets(length, n_marker)), (length, n, n_marker)
+            cases += 1
+        assert cases == 228
+
+    def test_records_name_the_first_marker_of_each_projection(self, monkeypatch):
+        # with every projection failing, the records are the oracle's failing
+        # projections, in its order, each with the first marker in sorted
+        # order that projects onto it: the greedy part
+        monkeypatch.setattr(finite, "MAX_MARKERS", 20_000)
+        compared = 0
+        for length, n, n_marker in self.lemma_cases():
+            base = cycles(length)
+            with monkeypatch.context() as patch:
+                patch.setattr(finite, "verify_marker", lambda s, u, k: False)
+                _, count, failing = backward_transfer_by_enumeration(base, n, n_marker)
+            with monkeypatch.context() as patch:
+                patch.setattr(finite, "_part_ok", lambda length, u, k: False)
+                backward = verify_marker_transfer(base, n, n_marker).backward
+            expected = [{"marker": w, "projected": list(q)} for q, w in failing.items()]
+            assert backward.get("violations", []) == expected, (length, n, n_marker)
+            compared += bool(count)
+        assert compared == 188
+
     def test_battery(self):
         for lengths in ([3], [5], [3, 5]):
             sys_ = FiniteSystem.from_cycle_lengths(lengths)
@@ -833,7 +922,7 @@ class TestRandomGenerators:
         # the metric axioms over many seeds
         for size in range(1, 17):
             for seed in range(20):
-                metric = random_metric(random.Random(seed), size)
+                metric = random_metric(random.Random(seed), size).fractions()
                 assert metric_violations(metric, size) == [], (size, seed)
                 values = {metric[i][j] for i in range(size) for j in range(size) if i != j}
                 assert all(Fraction(1, 8) <= v <= Fraction(1, 4) for v in values)
@@ -844,8 +933,14 @@ class TestRandomGenerators:
         for size in range(41):
             for seed in range(4):
                 ours, oracle = random.Random(seed), random.Random(seed)
-                assert random_metric(ours, size) == random_metric_per_entry(oracle, size)
+                assert random_metric(ours, size).fractions() == random_metric_per_entry(oracle, size)
                 assert ours.getstate() == oracle.getstate(), (size, seed)
+        # and 50 seeds at larger sizes, the embedding cap among them
+        for seed in range(50):
+            size = random.Random(seed).randint(41, 100) if seed else finite.MAX_EMBED_POINTS
+            ours, oracle = random.Random(seed), random.Random(seed)
+            assert random_metric(ours, size).fractions() == random_metric_per_entry(oracle, size)
+            assert ours.getstate() == oracle.getstate(), (size, seed)
 
     def test_system_builders_make_bijections(self):
         # cycle and clock systems are trusted at run time
@@ -887,7 +982,7 @@ class TestRandomGenerators:
             )
             bijective = perm_is_bijection(unchecked)
             valid = bijective and (
-                unchecked.metric is None or not metric_violations(unchecked.metric, size)
+                unchecked.metric is None or not metric_violations(unchecked.metric.fractions(), size)
             )
             verdicts.append(valid)
             if not bijective:
