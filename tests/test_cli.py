@@ -610,6 +610,7 @@ class TestExitCodes:
         "argv, check",
         [
             # once "needs the gap m coprime to p", though both sets are nonempty
+            (["shift", "witness", "--p", "4", "--m", "2"], "witness-membership"),
             (["shift", "witness", "--p", "9", "--m", "3"], "witness-membership"),
             # once "insufficient": the corner witness keeps 1 in two coordinates
             (["shift", "witness", "--p", "3", "--m", "2", "--N", "2", "--delta", "4/5"], "witness-membership"),
@@ -617,11 +618,10 @@ class TestExitCodes:
             (["shift", "witness", "--p", "4", "--m", "1", "--delta", "9/10"], "witness-membership"),
             # once refused with the statement that proves the set empty
             (["shift", "witness", "--p", "3", "--m", "3"], "no-periodic-point"),
+            (["shift", "witness", "--p", "3", "--m", "2", "--delta", "4/5"], "no-periodic-point"),
             (["shift", "witness", "--p", str(2**31), "--m", str(2**31)], "no-periodic-point"),
         ],
-        # gcd-2 and odd-cycle-interval are the rows witness-gap-not-coprime
-        # and witness-empty-at-4/5 of tests/instances.py
-        ids=["gcd-3", "corner", "even-cycle", "gap-multiple-of-p", "empty-over-cap"],
+        ids=["gcd-2", "gcd-3", "corner", "even-cycle", "gap-multiple-of-p", "odd-cycle-interval", "empty-over-cap"],
     )
     def test_witness_decides_every_period(self, capsys, argv, check):
         code, report, _ = run_cli(capsys, *argv)
