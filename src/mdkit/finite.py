@@ -57,8 +57,9 @@ MAX_MARKERS = 200_000
 MAX_EMBED_POINTS = 200
 # Largest clock extension, n*|X| points, a marker transfer builds, checked
 # before ``time_division``: at 10,000 points `markers transfer --system
-# cycles:10000 --n 1 --N 10000` takes 0.09 s in process, at 30,000 (`--n 3`)
-# 0.18 s (same VM); N adds no cost, as ``_part_ok`` reads one part's positions.
+# cycles:10000 --n 1 --N 10000` takes 0.07 s in process, and with the cap
+# raised to 30,000, `--n 3` takes 0.12 s (same VM); N adds no cost, as
+# ``_part_ok`` reads one part's positions.
 MAX_TRANSFER_POINTS = 10_000
 # Largest system a marker search takes, checked before any point of a
 # shorthand is built: `markers search --system cycles:1000000 --N 2` answers

@@ -11,9 +11,10 @@ dilation of a periodic point is a cached index map i -> i*j + k mod p, one
 gcd pass.  The conjugacy diagram
 checks s samples of period p at once, by the Chinese remainder theorem
 (Z_s x Z_p is Z_sp for coprime s and p): entry i of sample b is entry n of
-one period-sp point, n = b mod s and n = i mod p, so a dilation or shift of
-every sample, or the gap constraint on every sample, is one dilation, shift
-or membership check of that point, with the multiplier 1 mod s and the
+one period-sp point, n = b mod s and n = i mod p, gathered from the
+samples' walks at once, so a dilation or shift of every sample is one
+cached gather of that point's columns, and the gap constraint on every
+sample one membership check of it, with the multiplier 1 mod s and the
 shift or gap 0 mod s; a failing entry n belongs to sample n mod s.  The
 samplers draw on the k/64 grid as random walks: the entries of a gap window
 past its first gap,
@@ -53,7 +54,6 @@ from .torus import (
     first_far,
     frac_to_str,
     gap_failures,
-    unequal_entries,
 )
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,8 @@ SeqPoint = Union[Periodic, Window]
 
 # 64 maps, enough for the four of each of 16 conjugacy diagrams, whose lifts
 # depend on the sample count; each of at most MAX_PERIODIC_COORDINATES / 2
-# indices, the period of a diagram's stacked point at the cap, 2 MB each there
+# indices, the period of a one-sample diagram at the cap, 2.0 MB each there
+# (tracemalloc); a stacked run has at most MAX_STACKED_PERIOD
 @functools.lru_cache(maxsize=64)
 def _affine_map(p: int, j: int, k: int) -> tuple[itemgetter, bool]:
     """The gather of the entries at i*j + k mod p, for i = 0 .. p-1, from a
@@ -314,28 +315,40 @@ def sample_periodic_gap_point(
     ``sample_gap_window`` and redrawn only when its closing edge fails; every
     grid vector has equally many admissible successors, so the result is
     uniform.  Emptiness is decided before any draw, by the rule that
-    decides ``periodic_witness``.
+    decides ``periodic_witness``.  The walks are ``_periodic_walks``' for one
+    point, gathered into residue order.
     """
-    t, cycles, length, what = _periodic_plan(dim, gap, threshold.numerator, threshold.denominator, period)
-    walks = []
-    drawn = 0
-    for _ in range(cycles):
-        while drawn < MAX_DRAWS:
-            walk, tries = first_far(rng, dim, length, 1, t, GRID, closed=True)
-            drawn += tries
-            if walk is not None:
-                break
-        else:
-            raise ValueError(
-                f"sampling gave up after {drawn} draws: a {what} exists on the "
-                f"k/{GRID} grid, but none was drawn (undetermined)"
-            )
-        walks.append(walk)
-    seq = walks[0] if cycles == 1 else concat(*walks)
+    seq = concat(*_periodic_walks(dim, gap, threshold, period, 1, rng))
     return Periodic(seq._gather(_residue_positions(gap, period), True))
 
 
-# 32 tables of at most MAX_PERIODIC_COORDINATES positions, 3.6 MB each at that cap
+def _periodic_walks(
+    dim: int, gap: int, threshold: Fraction, period: int, points: int, rng: random.Random
+) -> list[TorusSeq]:
+    """The cycle walks of ``points`` period-``period`` points of the gap space,
+    as ``sample_periodic_gap_point`` draws them one point after another: each
+    point's gcd(gap, period) walks in order, drawn within ``MAX_DRAWS`` vectors
+    per point."""
+    t, cycles, length, what = _periodic_plan(dim, gap, threshold.numerator, threshold.denominator, period)
+    walks = []
+    for _ in range(points):
+        drawn = 0
+        for _ in range(cycles):
+            while drawn < MAX_DRAWS:
+                walk, tries = first_far(rng, dim, length, 1, t, GRID, closed=True)
+                drawn += tries
+                if walk is not None:
+                    break
+            else:
+                raise ValueError(
+                    f"sampling gave up after {drawn} draws: a {what} exists on the "
+                    f"k/{GRID} grid, but none was drawn (undetermined)"
+                )
+            walks.append(walk)
+    return walks
+
+
+# 32 tables of at most MAX_PERIODIC_COORDINATES positions, 4.0 MB each at that cap
 @functools.lru_cache(maxsize=32)
 def _residue_positions(gap: int, period: int) -> itemgetter:
     """The gather that puts the c = gcd(gap, period) walks of the sampler or the
@@ -445,9 +458,11 @@ _IDENTITIES = (
 
 
 # Longest stacked period a run of conjugacy samples is checked at, unless one
-# sample is longer.  A run's four index maps and its layout take about 0.3 us
-# per position to build, and each sample it stacks saves about 40 us of calls,
-# so a stack of periods past about 100 loses on a cold cache what it gains.
+# sample is longer.  A run's four index maps and its two layouts take 0.3 to
+# 0.7 us per position to build, and each sample it stacks saves 20 to 50 us
+# of calls at periods up to 13 and 5 to 20 us at 101 and 127, so a stack of
+# periods past about 60 loses on a cold cache what it gains (Python 3.11.7,
+# 2-CPU x86-64 VM).
 MAX_STACKED_PERIOD = 256
 
 
@@ -474,21 +489,27 @@ def _lifts(s: int, p: int, m: int) -> tuple[int, ...]:
     return tuple(b + s * ((i - b) * inverse % p) for b, i in ((0, 1), (0, m), (1, m), (1, k)))
 
 
-# 16 tables of at most MAX_PERIODIC_COORDINATES / 2 positions, 2 MB each at that cap
-@functools.lru_cache(maxsize=16)
-def _stacked_positions(s: int, p: int) -> itemgetter:
-    """The gather from s period-p points, one after another, that puts entry i of
-    point b at the n in [0, s*p) with n = b (mod s) and n = i (mod p), for coprime s and p."""
+# 32 tables, one per side of 16 run lengths: a stack of at most
+# MAX_STACKED_PERIOD positions, 3 KB, or a single sample's residue table,
+# which ``_residue_positions`` holds
+@functools.lru_cache(maxsize=32)
+def _stacked_positions(gap: int, s: int, p: int) -> itemgetter:
+    """The gather from the walks of s period-p points of the gap-``gap`` space, one
+    point after another, that puts entry i of point b, in residue order, at the n
+    in [0, s*p) with n = b (mod s) and n = i (mod p), for coprime s and p; one point
+    is gathered only into residue order."""
+    order = _residue_positions(gap, p)
+    if s == 1:
+        return order
     # n % p runs through range(p) s times, (n % s)*p through the s block starts
-    return itemgetter(*map(add, chain.from_iterable(repeat(range(p), s)), cycle(range(0, s * p, p))))
+    return itemgetter(*map(add, chain.from_iterable(repeat(order(range(p)), s)), cycle(range(0, s * p, p))))
 
 
-def _stacked(points: list[Periodic]) -> Periodic:
-    """The period-sp point that holds s coprime-to-p period-p ``points`` at once."""
-    if len(points) == 1:
-        return points[0]
-    seq = concat(*(x.seq for x in points))
-    return Periodic(seq._gather(_stacked_positions(len(points), points[0].period), True))
+def _unequal_positions(a: tuple[tuple[int, ...], ...], b: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The positions at which two tuples of equally long columns hold different entries."""
+    if a == b:
+        return []
+    return [n for n, (u, v) in enumerate(zip(zip(*a), zip(*b))) if u != v]
 
 
 def verify_conjugacy_diagram(
@@ -516,8 +537,12 @@ def verify_conjugacy_diagram(
     the k' with k' = 0 mod s and k' = k mod p; and the gap-g constraint on
     every sample is the gap-g' constraint on X, with g' = 0 mod s and
     g' = g mod p, whose wrap mod sp is each sample's wrap mod p.  So each
-    identity is one dilation, shift or membership check per side, and a
-    failing position n belongs to sample n mod s.  The samples are checked
+    side's walks are drawn in one call and stacked by one cached gather,
+    residue order and layout at once; each membership identity is one
+    dilation and one membership check of X, and each equality identity
+    compares X's columns, after the same cached gathers, by one tuple
+    ``==``, listing positions only where it fails.  A failing position n
+    belongs to sample n mod s.  The samples are checked
     in consecutive runs whose lengths are coprime to p (a run of one sample
     always is), which p need not be, and whose stacked periods stay within
     ``MAX_STACKED_PERIOD``; a single sample is the point itself, with
@@ -540,23 +565,31 @@ def verify_conjugacy_diagram(
     )
     k = pow(m % p, -1, p)
     rng = random.Random(seed)
-    samples_m = [sample_periodic_gap_point(dim, m, threshold, p, rng) for _ in range(samples)]
-    samples_1 = [sample_periodic_gap_point(dim, 1, threshold, p, rng) for _ in range(samples)]
+    # m and 1 are coprime to p, so each sample is one closed walk
+    walks_m = _periodic_walks(dim, m, threshold, p, samples, rng)
+    walks_1 = _periodic_walks(dim, 1, threshold, p, samples, rng)
     # per identity, the samples where it fails, in order
     failures: list[list[int]] = [[] for _ in _IDENTITIES]
     first = 0
     for s in _coprime_runs(samples, p):
         one, by_m, dilate_m, dilate_k = _lifts(s, p, m)
-        x = _stacked(samples_m[first:first + s])
-        z = _stacked(samples_1[first:first + s])
+        x = Periodic(concat(*walks_m[:s])._gather(_stacked_positions(m, s, p), True))
+        z = Periodic(concat(*walks_1[:s])._gather(_stacked_positions(1, s, p), True))
+        del walks_m[:s], walks_1[:s]  # x and z hold their entries: free the walks
         y, w = power_map(dilate_m, x), power_map(dilate_k, z)
+        # the same cached gathers, applied to the columns: every dilation is a
+        # bijection of Z_sp, so each keeps the stacked denominator
+        dilation_m, dilation_k, shift_1, shift_m = (
+            _affine_map(s * p, j, i)[0] for j, i in ((dilate_m, 0), (dilate_k, 0), (1, one), (1, by_m))
+        )
+        xs, ys, zs, ws = x.seq.columns, y.seq.columns, z.seq.columns, w.seq.columns
         positions = (
             check_membership(gap_space(dim, one, threshold), y).failures,
             check_membership(gap_space(dim, by_m, threshold), w).failures,
-            unequal_entries(power_map(dilate_k, y).seq, x.seq),
-            unequal_entries(power_map(dilate_m, w).seq, z.seq),
-            unequal_entries(shift(y, one).seq, power_map(dilate_m, shift(x, by_m)).seq),
-            unequal_entries(shift(w, by_m).seq, power_map(dilate_k, shift(z, one)).seq),
+            _unequal_positions(tuple(map(dilation_k, ys)), xs),
+            _unequal_positions(tuple(map(dilation_m, ws)), zs),
+            _unequal_positions(tuple(map(shift_1, ys)), tuple(map(dilation_m, map(shift_m, xs)))),
+            _unequal_positions(tuple(map(shift_m, ws)), tuple(map(dilation_k, map(shift_1, zs)))),
         )
         for found, at in zip(failures, positions):
             if at:
@@ -771,5 +804,5 @@ def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> Periodi
         realized = Fraction(1)
         corner = (tuple(s % 2 for s in range(length)), (1,) + (0,) * (length - 1))
         walk = TorusSeq(corner + ((0,) * length,) * (dim - 2), 1)
-    seq = walk if cycles == 1 else concat(*[walk] * cycles)
+    seq = concat(*[walk] * cycles)
     return PeriodicVerdict(Periodic(seq._gather(_residue_positions(gap, p), True)), realized, None)

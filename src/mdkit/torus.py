@@ -14,7 +14,7 @@ denominator and one column of numerators per coordinate, in lowest terms
 like a vector, so equal sequences compare and hash equal.  Windows and
 periodic points hold one, and the sequence kernels take and return one
 (:func:`strided_sums`, :func:`solve_strided_sums`, :func:`gap_failures`,
-:func:`first_far`, :func:`concat`, :func:`unequal_entries`): each works
+:func:`first_far`, :func:`concat`): each works
 on plain integers mod ``2*den``, lifts to a common denominator at most
 once and only when the denominators differ, and builds no vector.  A
 vector is built from a sequence only where one is read: by indexing or
@@ -358,7 +358,10 @@ def _common_dim(*seqs: TorusSeq) -> int:
 
 
 def concat(*seqs: TorusSeq) -> TorusSeq:
-    """The sequences one after another, lifted once to their common denominator."""
+    """The sequences one after another, lifted once to their common denominator;
+    one sequence is itself."""
+    if len(seqs) == 1:
+        return seqs[0]
     dim = _common_dim(*seqs)
     den = math.lcm(*(seq.den for seq in seqs))
     lifted = [_columns(seq, den) for seq in seqs]
@@ -367,18 +370,6 @@ def concat(*seqs: TorusSeq) -> TorusSeq:
     # gcd_b(L/d_b) = 1, as each prime power of L divides some d_b whole
     columns = (tuple(chain.from_iterable(cols[i] for cols in lifted)) for i in range(dim))
     return _seq(columns, den, canonical=True)
-
-
-def unequal_entries(a: TorusSeq, b: TorusSeq) -> list[int]:
-    """The positions at which two sequences of one length hold different vectors."""
-    if len(a) != len(b):
-        raise ValueError("sequence length mismatch")
-    _common_dim(a, b)
-    if a == b:
-        return []
-    den = math.lcm(a.den, b.den)
-    rows_a, rows_b = zip(*_columns(a, den)), zip(*_columns(b, den))
-    return [k for k, (u, v) in enumerate(zip(rows_a, rows_b)) if u != v]
 
 
 # ---------------------------------------------------------------------------

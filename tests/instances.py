@@ -244,6 +244,12 @@ ROWS = [
     # coordinates: periods too long to stack are cached gathers
     Row("conjugacy-period-2003", "shift conjugacy --p 2003 --m 2 --samples 24", 0),
     Row("conjugacy-period-1009-N-2", "shift conjugacy --p 1009 --m 7 --N 2 --samples 24", 0),
+    # the longest period under the coordinate cap, 99,998 coordinates: one
+    # sample per side, gathered into residue order and checked on its columns
+    Row("conjugacy-period-at-coordinate-cap", "shift conjugacy --p 49999 --m 2 --samples 1", 0, checks=(
+        "dilation_m_lands_in_gap1", "dilation_k_lands_in_gapm", "dilation_k_then_m_is_identity",
+        "dilation_m_then_k_is_identity", "shift_intertwines_dilation_m", "shift_intertwines_dilation_k",
+    )),
     # p divides the 24 samples, so they are stacked in runs of 23 and 1
     Row("conjugacy-samples-divisible-by-p", "shift conjugacy --p 3 --m 2 --delta 1/2 --samples 24", 0),
 

@@ -374,6 +374,16 @@ def solve_strided_sums_per_entry(head, sums, stride, terms):
     return TorusSeq(out_columns, den)
 
 
+def unequal_entries(a, b):
+    """The positions at which two sequences of one length hold different
+    vectors, compared vector by vector where the sequences differ."""
+    if len(a) != len(b):
+        raise ValueError("sequence length mismatch")
+    if a == b:
+        return []
+    return [k for k, (u, v) in enumerate(zip(a, b)) if u != v]
+
+
 def gap_failures_per_entry(seq, gap, threshold, cyclic):
     """The positions k whose entry gap on, cyclically when ``cyclic``, lies
     nearer than ``threshold``, by one ``max_circle_dist`` per pair."""

@@ -38,7 +38,6 @@ from mdkit.shiftspace import (
     sample_gap_window,
     verify_conjugacy_diagram,
 )
-from mdkit.torus import unequal_entries
 from mdkit.tower import (
     TowerSpec,
     factor_map,
@@ -50,7 +49,7 @@ from mdkit.tower import (
     zero_anchor,
 )
 
-from oracles import cover_D_bruteforce, cover_join, random_system
+from oracles import cover_D_bruteforce, cover_join, random_system, unequal_entries
 
 HALF = Fraction(1, 2)
 

@@ -442,7 +442,7 @@ class TestExitCodes:
         assert len(lines) == 1 and named in lines[0]
         assert elapsed < 1
 
-    @pytest.mark.parametrize("command", ["witness", "conjugacy", "tower-verify", "aperiodicity"])
+    @pytest.mark.parametrize("command", ["witness", "conjugacy", "conjugacy-period", "tower-verify", "aperiodicity"])
     def test_exactly_at_the_coordinate_cap_runs(self, capsys, tmp_path, command):
         # the rows one step under their over-cap refusals
         (row,) = [row for row in ROWS if row.name == f"{command}-at-coordinate-cap"]
@@ -559,13 +559,17 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_conjugacy_cap_comes_before_any_draw(self, capsys, monkeypatch):
-        def drawn(*args):
-            raise AssertionError("drew before the coordinate cap was checked")
-
-        monkeypatch.setattr(shiftspace, "sample_periodic_gap_point", drawn)
+        draws = []
+        walks = shiftspace._periodic_walks
+        monkeypatch.setattr(shiftspace, "_periodic_walks", lambda *args: draws.append(args[1]) or walks(*args))
         argv = ["shift", "conjugacy", "--p", "2003", "--m", "2", "--samples", "25"]
         assert cli.main(argv) == 2
         assert "100150 coordinates" in capsys.readouterr().err
+        assert draws == [], "drew before the coordinate cap was checked"
+        # the patched function is the one the diagram draws through
+        assert cli.main(["shift", "conjugacy", "--p", "5", "--m", "2", "--samples", "1"]) == 0
+        capsys.readouterr()
+        assert draws == [2, 1]
 
     def test_witness_dimension_comes_before_the_coordinate_cap(self, capsys, monkeypatch):
         def built(*args):

@@ -244,11 +244,16 @@ class TestConjugacyDiagram:
         # with every sample a constant point, outside both spaces, the two
         # membership identities fail at every sample and the four exact
         # identities still hold
-        def constant(dim, gap, threshold, period, rng):
-            return Periodic(TorusSeq(((rng.randrange(128),) * period,) * dim, 64))
+        drawn = []
 
-        monkeypatch.setattr(shiftspace, "sample_periodic_gap_point", constant)
+        def constant(dim, gap, threshold, period, points, rng):
+            drawn.append((gap, points))
+            return [TorusSeq(((rng.randrange(128),) * period,) * dim, 64) for _ in range(points)]
+
+        monkeypatch.setattr(shiftspace, "_periodic_walks", constant)
         report = verify_conjugacy_diagram(1, 2, HALF, 5, samples=4, seed=7)
+        # one draw call per side, the gap-m side first
+        assert drawn == [(2, 4), (1, 4)]
         failures = {identity.name: identity.failures for identity in report.identities}
         assert failures.pop("dilation_m_lands_in_gap1") == (0, 1, 2, 3)
         assert failures.pop("dilation_k_lands_in_gapm") == (0, 1, 2, 3)
@@ -279,9 +284,9 @@ class TestConjugacyDiagram:
             verify_conjugacy_diagram(1, 5, HALF, 5, samples=1, seed=0)
 
 
-def loose_point(dim, gap, threshold, period, rng):
-    """A period point with coordinates 0 or 1, in the gap space or not."""
-    return Periodic(TorusSeq([[rng.randrange(2) for _ in range(period)] for _ in range(dim)], 1))
+def loose_walks(dim, gap, threshold, period, points, rng):
+    """``points`` walks of ``period`` entries with coordinates 0 or 1, in the gap space or not."""
+    return [TorusSeq([[rng.randrange(2) for _ in range(period)] for _ in range(dim)], 1) for _ in range(points)]
 
 
 class TestStackedDiagram:
@@ -289,28 +294,37 @@ class TestStackedDiagram:
     per run; its failures must be the per-sample oracle's, sample by sample."""
 
     @staticmethod
-    def failures(monkeypatch, sampler, dim, m, p, samples, seed):
+    def failures(monkeypatch, walker, dim, m, p, samples, seed):
         drawn = []
-        monkeypatch.setattr(
-            shiftspace, "sample_periodic_gap_point", lambda *args: drawn.append(sampler(*args)) or drawn[-1]
-        )
+
+        def walks(*args):
+            drawn.append((args[1], walker(*args)))
+            return list(drawn[-1][1])  # the diagram consumes the list it is given
+
+        monkeypatch.setattr(shiftspace, "_periodic_walks", walks)
         report = verify_conjugacy_diagram(dim, m, HALF, p, samples, seed)
         assert all(identity.checked == samples for identity in report.identities)
+        assert [(gap, len(walks)) for gap, walks in drawn] == [(m, samples), (1, samples)]
+        # step t of a walk at gap g sits at residue t*g mod p, so residue i
+        # holds step i/g mod p
+        points = [
+            [Periodic(walk.take([i * pow(gap, -1, p) % p for i in range(p)])) for walk in walks]
+            for gap, walks in drawn
+        ]
         got = [identity.failures for identity in report.identities]
-        assert got == conjugacy_failures_per_sample(drawn[:samples], drawn[samples:], m, report.k, HALF), (
-            dim, m, p, samples, seed,
-        )
+        assert got == conjugacy_failures_per_sample(*points, m, report.k, HALF), (dim, m, p, samples, seed)
         return got
 
     @pytest.mark.parametrize("p, m", [(5, 2), (7, 3), (4, 3), (9, 2), (6, 5), (13, 4)])
     def test_stacked_failures_equal_per_sample_failures(self, monkeypatch, p, m):
         mixed = 0
+        walks = shiftspace._periodic_walks
         for dim in (1, 2, 3):
             for samples in sorted({1, 2, 3, p, 2 * p, 24}):
                 seed = 100 * p + 10 * dim + samples
-                seeded = self.failures(monkeypatch, sample_periodic_gap_point, dim, m, p, samples, seed)
+                seeded = self.failures(monkeypatch, walks, dim, m, p, samples, seed)
                 assert seeded == [()] * 6
-                loose = self.failures(monkeypatch, loose_point, dim, m, p, samples, seed)
+                loose = self.failures(monkeypatch, loose_walks, dim, m, p, samples, seed)
                 mixed += any(0 < len(found) < samples for found in loose)
         # some runs hold both samples in the space and samples outside it
         assert mixed
@@ -326,17 +340,18 @@ class TestStackedDiagram:
         assert shiftspace._coprime_runs(24, 3) == [23, 1]
 
     def test_one_call_per_identity_and_side(self, monkeypatch):
-        # 24 samples of period 5 stack into one period-120 point per side:
-        # two membership checks, four shifts and six dilations in all
+        # 24 samples of period 5 stack into one period-120 point per side,
+        # each side's walks drawn in one call: two membership checks of two
+        # dilated points, and the four equalities on their columns
         calls = collections.Counter()
-        for name in ("check_membership", "power_map", "shift"):
+        for name in ("_periodic_walks", "sample_periodic_gap_point", "check_membership", "power_map", "shift"):
             original = getattr(shiftspace, name)
             monkeypatch.setattr(
                 shiftspace, name, lambda *args, name=name, original=original: calls.update([name]) or original(*args)
             )
         assert shiftspace._coprime_runs(24, 5) == [24]
         assert verify_conjugacy_diagram(2, 2, HALF, 5, samples=24, seed=3).passed
-        assert calls == {"check_membership": 2, "power_map": 6, "shift": 4}
+        assert calls == {"_periodic_walks": 2, "check_membership": 2, "power_map": 2}
 
     def test_a_single_sample_is_the_point_itself(self, monkeypatch):
         # one sample is not stacked: its lifts are m, k, 1 and m themselves

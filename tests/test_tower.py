@@ -20,7 +20,7 @@ from mdkit.shiftspace import (
     unit_step_space,
 )
 from mdkit import torus
-from mdkit.torus import TorusSeq, TorusVec, max_circle_dist, unequal_entries
+from mdkit.torus import TorusSeq, TorusVec, max_circle_dist
 from mdkit.tower import (
     MAX_VERIFY_ENTRIES,
     MAX_VERIFY_LEVEL,
@@ -48,6 +48,7 @@ from oracles import (
     section_range_per_index,
     section_value_oracle,
     tower_components,
+    unequal_entries,
 )
 
 HALF = Fraction(1, 2)
