@@ -249,12 +249,8 @@ def _run_tower_aperiodicity(args) -> dict:
     delta = frac_from_str(args.delta)
     spec = TowerSpec(dim=args.N, delta=delta, m_max=args.m_max)
     checks = [
-        _check(
-            f"prime-{cert['prime']}",
-            cert["statement"],
-            cert["verified"],
-            {k: v for k, v in cert.items() if k not in ("statement",)},
-        )
+        # the statement is the check's own field; the rest of the fresh record is its witness
+        _check(f"prime-{cert['prime']}", cert.pop("statement"), cert["verified"], cert)
         for cert in tower_aperiodicity_report(spec, args.p_max)
     ]
     return _report(args, checks, delta=frac_to_str(delta))

@@ -43,12 +43,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, cycle, repeat
-from operator import add, itemgetter, mod
+from operator import add, and_, getitem, itemgetter, mod, or_
 from typing import NamedTuple, Union
 
 from .torus import (
     TorusSeq,
     TorusVec,
+    _seq,
     _shown,
     concat,
     first_far,
@@ -296,6 +297,23 @@ GRID = 64  # coordinates are drawn from {k/GRID : 0 <= k < 2*GRID}
 # period 5 it runs out in about 18 ms, where those took 75 ms (Python 3.11.7,
 # 2-CPU x86-64 VM)
 MAX_DRAWS = 250_000
+# Past MAX_DRAWS, a point still draws until it has tested MIN_CLOSING_TESTS
+# walks or read MAX_WALK_DRAWS vectors, so a long period gets the closing
+# tests a short one gets.  A walk of 49,999 entries at N = 1 and distance 1/2
+# reads about 99,400 vectors and closes about half the time: MAX_DRAWS alone
+# admitted three such walks, and 6 of seeds 0-19 gave up on
+# --p 49999 --m 2 --samples 1; now all 20 answer, in at most 43 ms.  Where
+# 40 walks read fewer than MAX_DRAWS vectors, as at period 11, a
+# point stops where it did.  The ceiling bounds a give-up, one side's point
+# reading at most MAX_WALK_DRAWS and one more walk: the slowest measured,
+# --p 16661 --m 2 --N 3 --delta 1 (733,000 vectors a walk), gives up in
+# 0.38 s for both sides, where MAX_DRAWS alone gave up in 0.03 s (Python
+# 3.11.7, 2-CPU x86-64 VM, in process).  What it does not fix: at N >= 2 and
+# distance 63/64 or more only 1.6% (distance 1) to 4.6% (63/64) of far walks
+# close, and 3% at N = 1 and 63/64, so such long periods still give up, as
+# undetermined.
+MIN_CLOSING_TESTS = 40
+MAX_WALK_DRAWS = 6_000_000
 
 
 def random_torus_vec(rng: random.Random, dim: int) -> TorusVec:
@@ -328,15 +346,18 @@ def _periodic_walks(
     """The cycle walks of ``points`` period-``period`` points of the gap space,
     as ``sample_periodic_gap_point`` draws them one point after another: each
     point's gcd(gap, period) walks in order, drawn within ``MAX_DRAWS`` vectors
-    per point."""
+    per point, or past them until the point has tested ``MIN_CLOSING_TESTS``
+    walks or read ``MAX_WALK_DRAWS`` vectors.  The budget only says where a
+    point stops: the stream up to there is the same."""
     t, cycles, length, what = _periodic_plan(dim, gap, threshold.numerator, threshold.denominator, period)
     walks = []
     for _ in range(points):
-        drawn = 0
+        drawn = tested = 0
         for _ in range(cycles):
-            while drawn < MAX_DRAWS:
+            while drawn < MAX_DRAWS or (tested < MIN_CLOSING_TESTS and drawn < MAX_WALK_DRAWS):
                 walk, tries = first_far(rng, dim, length, 1, t, GRID, closed=True)
                 drawn += tries
+                tested += 1
                 if walk is not None:
                     break
             else:
@@ -405,16 +426,19 @@ def random_window(dim: int, start: int, length: int, rng: random.Random) -> Wind
 
 # Coordinates a witness, a conjugacy diagram or an aperiodicity report may
 # build, period * dim per point, checked before any draw: a period-99,991
-# witness takes 0.35 s per process and prints 5.7 MB, 24 samples of period
+# witness takes 0.31 s per process and prints 5.7 MB, 24 samples of period
 # 2,003 from each conjugacy space take 0.13 s, about 0.1 s of each the import
-# (Python 3.11.7, 2-CPU x86-64 VM), and both grow linearly.
+# (Python 3.11.7, 2-CPU x86-64 VM, medians, bytecode not cached; with it
+# cached, 0.32 s and 0.10 s), and both grow linearly.
 MAX_PERIODIC_COORDINATES = 100_000
 
 
-def check_periodic_coordinates(holding: str, count: int) -> None:
-    """Refuse periodic points of `count` coordinates over the cap; `holding` names them."""
+def check_periodic_coordinates(count: int, holding: str, *numbers: int) -> None:
+    """Refuse periodic points of ``count`` coordinates over the cap.  ``holding``
+    names them, a ``str.format`` template whose fields are ``numbers``, each
+    named by ``_shown``; it is formatted only for a refusal."""
     if count > MAX_PERIODIC_COORDINATES:
-        cap = MAX_PERIODIC_COORDINATES
+        holding, cap = holding.format(*map(_shown, numbers)), MAX_PERIODIC_COORDINATES
         raise ValueError(f"{holding} {_shown(count)} coordinates, over the cap of {cap} on periodic points")
 
 
@@ -560,8 +584,7 @@ def verify_conjugacy_diagram(
     gap_space(dim, m, threshold)
     gap_space(dim, 1, threshold)
     check_periodic_coordinates(
-        f"{_shown(samples)} samples of period {_shown(p)} in dimension {_shown(dim)} from each space hold",
-        2 * samples * p * dim,
+        2 * samples * p * dim, "{} samples of period {} in dimension {} from each space hold", samples, p, dim
     )
     k = pow(m % p, -1, p)
     rng = random.Random(seed)
@@ -682,47 +705,55 @@ def count_periodic_sft(forbidden: frozenset[str] | set[str], n_max: int) -> list
     # walks[v][s]: walks of the current length from block s to block v
     walks = [[int(s == v) for s in range(size)] for v in range(size + 1)]
     counts = []
+    diagonal = range(size)
     for _ in range(n_max):
-        walks = [[a + b for a, b in zip(walks[u], walks[w])] for u, w in preds] + [walks[size]]
-        counts.append(sum(walks[s][s] for s in range(size)))
+        walks = [list(map(add, walks[u], walks[w])) for u, w in preds] + [walks[size]]
+        counts.append(sum(map(getitem, walks, diagonal)))
     return counts
 
 
 def count_periodic_sft_bruteforce(forbidden: frozenset[str] | set[str], n_max: int) -> list[int]:
     """Independent oracle: check all 2^n circular words of each length n = 1..n_max.
 
-    Each length is enumerated on its own.  Word w gets bit w of a Python
-    int, and its letter i is bit i of w.  So column i, the words whose
-    letter i is 1, repeats 2^i zeros and 2^i ones.  A forbidden word f sits
-    at position i in exactly the AND over j of column (i+j) mod n,
-    complemented where f_j is "0"; the count is 2^n less the words hit at
-    any position.  It never uses the transfer matrix.  Raises
-    ``ValueError`` above ``MAX_PERIOD`` or ``MAX_WORD_LENGTH``.
+    Word w gets bit w of a Python int, and its letter i is bit i of w.  So
+    column i, the words whose letter i is 1, repeats 2^i zeros and 2^i ones;
+    each column is built once, over the 2^n_max words, and its first 2^n bits
+    are column i at length n.  A forbidden word f sits at position i in
+    exactly the AND over j of column (i+j) mod n, complemented where f_j is
+    "0"; the count is 2^n less the words hit at any position.  Each length is
+    still a full enumeration of its own words.  It never uses the transfer
+    matrix.  Raises ``ValueError`` above ``MAX_PERIOD`` or ``MAX_WORD_LENGTH``.
     """
     forbidden = capped_sft(forbidden, n_max).forbidden
-    return [_count_circular_words(forbidden, n) for n in range(1, n_max + 1)]
-
-
-def _count_circular_words(forbidden: frozenset[str], n: int) -> int:
-    """The circular words of length n in which no word of ``forbidden`` sits, bit-sliced."""
-    words = 1 << n
-    full = (1 << words) - 1
     ones = []
-    for i in range(n):
+    for i in range(n_max):
         half = 1 << i
         column, width = ((1 << half) - 1) << half, 2 * half
-        while width < words:
+        while width < 1 << n_max:
             column |= column << width
             width *= 2
         ones.append(column)
-    letter = {"1": ones, "0": [full ^ column for column in ones]}
+    return [_count_circular_words(forbidden, ones, n) for n in range(1, n_max + 1)]
+
+
+def _count_circular_words(forbidden: frozenset[str], ones: list[int], n: int) -> int:
+    """The circular words of length n in which no word of ``forbidden`` sits,
+    bit-sliced on the first 2^n bits of the letter columns ``ones``: letter j
+    of a word at positions 0..n-1 reads columns j..j+n-1 mod n, one rotation of
+    the column list, so each letter is one C-speed AND over all positions."""
+    words = 1 << n
+    full = (1 << words) - 1
+    # the first 2^n bits of each column: at the longest length, the column itself
+    columns = ones if n == len(ones) else [column & full for column in ones[:n]]
+    letter = {"1": columns, "0": [full ^ column for column in columns]}
     bad = 0
     for word in forbidden:
-        for i in range(n):
-            hit = full
-            for j, c in enumerate(word):
-                hit &= letter[c][(i + j) % n]
-            bad |= hit
+        hits = None
+        for j, c in enumerate(word):
+            k = j % n
+            rotation = letter[c][k:] + letter[c][:k]
+            hits = rotation if hits is None else map(and_, hits, rotation)
+        bad = functools.reduce(or_, hits, bad)
     return words - bad.bit_count()
 
 
@@ -730,26 +761,28 @@ def _count_circular_words(forbidden: frozenset[str], n: int) -> int:
 # Period-p points of gap spaces: one rule decides them, a witness shows them
 
 
-def best_periodic_gap(length: int) -> Fraction:
-    """The largest distance d one coordinate keeps along a closed cycle of
-    ``length`` steps: each step moves by a value in [d, 2 - d], and the steps
-    sum to an even integer, so d = 1 for even length and 1 - 1/length for odd."""
-    return Fraction(1) if length % 2 == 0 else 1 - Fraction(1, length)
-
-
 def _cycle_closes(dim: int, threshold: Fraction, length: int) -> bool:
     """Whether a gap cycle of ``length`` entries closes with every step at distance
     >= threshold: length 1 compares an entry with itself, and for dim >= 2 the
-    corner walk of ``periodic_witness`` closes any longer cycle at distance 1."""
-    return length >= 2 and (dim >= 2 or threshold <= best_periodic_gap(length))
+    corner walk of ``periodic_witness`` closes any longer cycle at distance 1.
+    In one coordinate each step moves by a value in [t, 2 - t] and the steps sum
+    to an even integer, so the largest t that closes is 1 at even length and
+    1 - 1/length at odd length: decided on the threshold's numerator and
+    denominator, num * length <= den * (length - 1)."""
+    return length >= 2 and (
+        dim >= 2 or length % 2 == 0 or threshold.numerator * length <= threshold.denominator * (length - 1)
+    )
 
 
 def periodic_set_empty(dim: int, gap: int, threshold: Fraction, p: int) -> bool:
     """The rule in its interval form, which checks its verdicts: a cycle of
     L = p/gcd(gap, p) entries closes in one coordinate exactly when an even
-    integer lies in [L*threshold, L*(2 - threshold)], and in two or more when L >= 2."""
+    integer lies in [L*threshold, L*(2 - threshold)], and in two or more when L >= 2.
+    On integers, with threshold = num/den: floor(L*(2*den - num) / (2*den)) * 2*den
+    is the largest even integer times den under the upper end, compared with L*num."""
     length = p // math.gcd(gap, p)
-    return length * (2 - threshold) // 2 * 2 < length * threshold and (dim == 1 or length == 1)
+    num, twice = threshold.numerator, 2 * threshold.denominator
+    return length * (twice - num) // twice * twice < length * num and (dim == 1 or length == 1)
 
 
 class PeriodicVerdict(NamedTuple):
@@ -765,10 +798,13 @@ def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> Periodi
 
     The gap ties the residues mod p into gcd(gap, p) cycles of L = p/gcd(gap, p)
     entries, each walked alike once ``_cycle_closes`` has decided: by the
-    rotation s -> 2*s*floor(L/2)/L on every coordinate, or, for a threshold
-    above ``best_periodic_gap(L)``, by the corner walk, where coordinate 1
-    alternates 0 and 1 and coordinate 2 is 1 at the first step only.  Each
-    caller checks the point once with ``check_membership``.
+    rotation s -> 2*s*floor(L/2)/L on every coordinate, which keeps distance 1
+    at even L and 1 - 1/L at odd L, or, for a threshold above that, by the
+    corner walk, where coordinate 1 alternates 0 and 1 and coordinate 2 is 1
+    at the first step only, which keeps 1.  A witness is returned before any
+    statement text is formed; the statement, which names the threshold and the
+    bounds on the steps, is built only when there is none.  Each caller checks
+    the point once with ``check_membership``.
     """
     if p < 1:
         raise ValueError("a periodic point needs period >= 1")
@@ -776,6 +812,19 @@ def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> Periodi
     t = gap_space(dim, gap, threshold).threshold
     cycles = math.gcd(gap, p)
     length = p // cycles
+    if _cycle_closes(dim, t, length):
+        check_periodic_coordinates(p * dim, "a period-{} point in dimension {} holds", p, dim)
+        if _cycle_closes(1, t, length):  # the rotation closes in each coordinate
+            realized = Fraction(length - 1, length) if length % 2 else Fraction(1)
+            step, full = 2 * (length // 2), 2 * length
+            column = tuple(map(mod, range(0, length * step, step), repeat(full)))
+            walk = _seq((column,) * dim, length)
+        else:
+            realized = Fraction(1)
+            corner = (tuple(s % 2 for s in range(length)), (1,) + (0,) * (length - 1))
+            walk = _seq(corner + ((0,) * length,) * (dim - 2), 1, canonical=True)
+        seq = concat(*[walk] * cycles)
+        return PeriodicVerdict(Periodic(seq._gather(_residue_positions(gap, p), True)), realized, None)
     # a long threshold is named once, cut, and the bounds it gives in its terms
     shown = _shown(t)
     cut = shown != str(t)
@@ -784,25 +833,14 @@ def periodic_witness(dim: int, gap: int, threshold: Fraction, p: int) -> Periodi
             f"the gap {gap} is a multiple of {p}, so each entry of a period-{p} point lies "
             f"{gap} apart from itself, at distance 0, below the threshold {shown if cut else frac_to_str(t)}"
         ))
-    if not _cycle_closes(dim, t, length):
-        if cut:
-            steps = f"steps of t to 2 - t, t = {shown}, sum to no even integer"
-        else:
-            low, high, far = (frac_to_str(d) for d in (length * t, length * (2 - t), 2 - t))
-            steps = (
-                f"steps of {frac_to_str(t)} to {far} must sum to an even integer in [{low}, {high}]; "
-                f"there is none"
-            )
-        return PeriodicVerdict(None, None, (
-            f"the gap {gap} ties the residues mod {p} into cycles of {length}, whose {steps}"
-        ))
-    check_periodic_coordinates(f"a period-{_shown(p)} point in dimension {_shown(dim)} holds", p * dim)
-    realized = best_periodic_gap(length)
-    if t <= realized:
-        walk = TorusSeq((tuple(2 * s * (length // 2) for s in range(length)),) * dim, length)
+    if cut:
+        steps = f"steps of t to 2 - t, t = {shown}, sum to no even integer"
     else:
-        realized = Fraction(1)
-        corner = (tuple(s % 2 for s in range(length)), (1,) + (0,) * (length - 1))
-        walk = TorusSeq(corner + ((0,) * length,) * (dim - 2), 1)
-    seq = concat(*[walk] * cycles)
-    return PeriodicVerdict(Periodic(seq._gather(_residue_positions(gap, p), True)), realized, None)
+        low, high, far = (frac_to_str(d) for d in (length * t, length * (2 - t), 2 - t))
+        steps = (
+            f"steps of {frac_to_str(t)} to {far} must sum to an even integer in [{low}, {high}]; "
+            f"there is none"
+        )
+    return PeriodicVerdict(None, None, (
+        f"the gap {gap} ties the residues mod {p} into cycles of {length}, whose {steps}"
+    ))

@@ -191,6 +191,10 @@ ROWS = [
     # depth hold no coordinates, though p * N is over the cap
     Row("aperiodicity-prime-3-empty-at-4/5", "tower aperiodicity --m-max 2 --p-max 13 --delta 4/5", 0),
     Row("aperiodicity-over-cap-all-empty", "tower aperiodicity --m-max 5 --p-max 5 --N 50000", 0),
+    # the largest report: a witness for each of the 168 primes, 76,127
+    # coordinates in all, 4,121,631 bytes, about 0.27 s per process (Python
+    # 3.11.7, 2-CPU x86-64 VM)
+    Row("aperiodicity-depth-1-at-prime-cap", "tower aperiodicity --m-max 1 --p-max 1000", 0, out_max=4_200_000),
 
     # --- shift witness ---
     Row("witness-period-zero", "shift witness --p 0 --m 1", 2, "period >= 1"),
@@ -212,6 +216,10 @@ ROWS = [
     # witness, the second by the statement that proves the set empty
     Row("witness-gap-not-coprime", "shift witness --p 4 --m 2", 0, checks=("witness-membership",)),
     Row("witness-empty-at-4/5", "shift witness --p 3 --m 2 --delta 4/5", 0, checks=("no-periodic-point",)),
+    # the longest witness under the coordinate cap: 5,744,472 bytes, about
+    # 0.32 s per process (Python 3.11.7, 2-CPU x86-64 VM)
+    Row("witness-period-99991", "shift witness --p 99991 --m 2", 0, out_max=5_800_000,
+        checks=("witness-membership",)),
 
     # --- shift conjugacy ---
     Row("conjugacy-zero-samples", "shift conjugacy --p 5 --m 2 --samples 0", 2, "samples must be >= 1"),

@@ -313,6 +313,31 @@ def closed_product_walk_lengths(a: int, max_length: int, grid: int, dim: int = 2
 
 
 # ---------------------------------------------------------------------------
+# Period-p rules of gap spaces, on Fractions
+
+
+def best_periodic_gap(length: int) -> Fraction:
+    """The largest distance d one coordinate keeps along a closed cycle of
+    ``length`` steps: each step moves by a value in [d, 2 - d], and the steps
+    sum to an even integer, so d = 1 for even length and 1 - 1/length for odd."""
+    return Fraction(1) if length % 2 == 0 else 1 - Fraction(1, length)
+
+
+def cycle_closes_by_fractions(dim: int, threshold: Fraction, length: int) -> bool:
+    """Whether a gap cycle of ``length`` entries closes at distance >= threshold,
+    by comparing the threshold with ``best_periodic_gap`` as a Fraction."""
+    return length >= 2 and (dim >= 2 or threshold <= best_periodic_gap(length))
+
+
+def periodic_set_empty_by_fractions(dim: int, gap: int, threshold: Fraction, p: int) -> bool:
+    """Whether no even integer lies in [L*threshold, L*(2 - threshold)], for
+    L = p/gcd(gap, p), where one coordinate decides (dim 1 or L = 1): the
+    interval form with Fraction bounds."""
+    length = p // gcd(gap, p)
+    return length * (2 - threshold) // 2 * 2 < length * threshold and (dim == 1 or length == 1)
+
+
+# ---------------------------------------------------------------------------
 # Binary SFT periodic counts: one string per circular word
 
 
@@ -329,6 +354,31 @@ def count_periodic_sft_strings(forbidden: set[str], n: int) -> int:
         ):
             count += 1
     return count
+
+
+def count_circular_words_per_length(forbidden: set[str], n: int) -> int:
+    """The circular words of length n in which no forbidden word sits,
+    bit-sliced on letter columns built for this length alone: column i
+    repeats 2^i zeros and 2^i ones over the 2^n words."""
+    words = 1 << n
+    full = (1 << words) - 1
+    ones = []
+    for i in range(n):
+        half = 1 << i
+        column, width = ((1 << half) - 1) << half, 2 * half
+        while width < words:
+            column |= column << width
+            width *= 2
+        ones.append(column)
+    letter = {"1": ones, "0": [full ^ column for column in ones]}
+    bad = 0
+    for word in forbidden:
+        for i in range(n):
+            hit = full
+            for j, c in enumerate(word):
+                hit &= letter[c][(i + j) % n]
+            bad |= hit
+    return words - bad.bit_count()
 
 
 # ---------------------------------------------------------------------------

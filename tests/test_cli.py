@@ -576,8 +576,9 @@ class TestExitCodes:
             raise AssertionError("built the witness before its dimension was checked")
 
         # p * N is at most 0, under the cap, so a p-entry point was once
-        # built before the gap space refused the dimension
-        monkeypatch.setattr(shiftspace, "best_periodic_gap", built)
+        # built before the gap space refused the dimension; the cap check
+        # opens every witness build, before any column is formed
+        monkeypatch.setattr(shiftspace, "check_periodic_coordinates", built)
         for n in ("0", "-1"):
             started = time.monotonic()
             code = cli.main(["shift", "witness", "--p", str(2**31), "--m", "1", "--N", n])
@@ -585,6 +586,9 @@ class TestExitCodes:
             assert code == 2
             assert capsys.readouterr().err.splitlines() == ["mdkit: error: alphabet dimension must be positive"]
             assert elapsed < 1
+        # the patched function is the one a witness build calls
+        with pytest.raises(AssertionError, match="built the witness"):
+            cli.main(["shift", "witness", "--p", "3", "--m", "2"])
 
     def test_over_long_integer_option_is_cut(self, capsys):
         # every integer option of every leaf, given 5,000 nines: argparse's

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -32,13 +33,17 @@ from mdkit.shiftspace import (
 from mdkit.torus import TorusSeq, TorusVec, frac_from_str, max_circle_dist
 from mdkit.tower import random_anchor
 from oracles import (
+    best_periodic_gap,
     closed_grid_walk_lengths,
     closed_product_walk_lengths,
     conjugacy_failures_per_sample,
+    count_circular_words_per_length,
     count_periodic_sft_strings,
+    cycle_closes_by_fractions,
     gap_draws_per_entry,
     lane_edge_seq,
     mixed_den_vec,
+    periodic_set_empty_by_fractions,
     power_map_per_entry,
     sample_gap_window_per_entry,
     sample_periodic_gap_point_per_entry,
@@ -391,6 +396,16 @@ class TestSftCounts:
             expected = [count_periodic_sft_strings(forbidden, n) for n in range(1, 13)]
             assert count_periodic_sft_bruteforce(forbidden, 12) == expected, sorted(forbidden)
 
+    def test_columns_built_once_match_the_per_length_build(self):
+        # the letter columns are built at n_max and masked to each length's
+        # 2^n words: the counts of a build for each length alone, up to the cap
+        rng = random.Random(11)
+        words = ["".join(w) for w in itertools.product("01", repeat=8)]
+        n_max = shiftspace.MAX_PERIOD
+        for forbidden in ({"00"}, {"000", "111"}, {"0110", "1011"}, set(rng.sample(words, 3))):
+            expected = [count_circular_words_per_length(forbidden, n) for n in range(1, n_max + 1)]
+            assert count_periodic_sft_bruteforce(forbidden, n_max) == expected, sorted(forbidden)
+
     def test_transfer_below_block_length(self):
         # n < L - 1: a period-n point is shorter than one transfer state
         rng = random.Random(9)
@@ -521,6 +536,23 @@ class TestPeriodicWitness:
             lengths = closed_product_walk_lengths(a, 7, grid=6)
             for length in range(1, 8):
                 assert shiftspace._cycle_closes(2, Fraction(a, 6), length) == (length in lengths), (a, length)
+
+    def test_integer_rules_match_their_fraction_forms(self):
+        # the cycle rule and the interval form, decided on the threshold's
+        # numerator and denominator, against their Fraction forms: on the 1/12
+        # and 1/64 grids and at best(L) and best(L) +- 1/1000 for each odd L
+        thresholds = {Fraction(a, den) for den in (12, 64) for a in range(1, den + 1)}
+        for length in range(1, 14, 2):
+            best = best_periodic_gap(length)
+            thresholds |= {t for t in (best - Fraction(1, 1000), best, best + Fraction(1, 1000)) if 0 < t <= 1}
+        for dim, threshold in itertools.product((1, 2, 3), sorted(thresholds)):
+            for length in range(1, 14):
+                closes = shiftspace._cycle_closes(dim, threshold, length)
+                assert closes == cycle_closes_by_fractions(dim, threshold, length), (dim, threshold, length)
+            for p in range(1, 14):
+                for gap in range(1, 2 * p + 1):
+                    empty = periodic_set_empty(dim, gap, threshold, p)
+                    assert empty == periodic_set_empty_by_fractions(dim, gap, threshold, p), (dim, gap, threshold, p)
 
     def test_every_verdict_is_checked(self):
         # each witness is a point of the gap space and keeps the distance it
@@ -756,6 +788,15 @@ class TestSampling:
         ]:
             with pytest.raises(ValueError, match=named):
                 sample_periodic_gap_point(dim, gap, threshold, period, random.Random(0))
+
+    def test_long_period_gets_its_closing_tests(self):
+        # at the one-sample diagram's cap, 49,999 entries at N = 1, about half
+        # the walks close, and MAX_DRAWS alone admits three: seeds 7, 8, 11,
+        # 14, 17 and 18 gave up.  With MIN_CLOSING_TESTS walks every seed answers
+        for seed in range(20):
+            started = time.monotonic()
+            assert verify_conjugacy_diagram(1, 2, HALF, 49_999, 1, seed).passed, seed
+            assert time.monotonic() - started < 1, seed
 
     def test_exhausted_budget_is_undetermined(self, monkeypatch):
         # nonempty on the grid (5 steps of 51..77 units can sum to 256), but

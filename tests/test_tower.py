@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -19,7 +20,7 @@ from mdkit.shiftspace import (
     sample_periodic_gap_point,
     unit_step_space,
 )
-from mdkit import torus
+from mdkit import torus, tower
 from mdkit.torus import TorusSeq, TorusVec, max_circle_dist
 from mdkit.tower import (
     MAX_VERIFY_ENTRIES,
@@ -658,6 +659,23 @@ class TestAperiodicity:
         assert by_prime[3]["statement"].startswith("a period-3 point exists at level 2 with realized distance 1/1")
         empty = tower_aperiodicity_report(TowerSpec(1, Fraction(4, 5), 2), 3)[1]
         assert empty["statement"].endswith("[12/5, 18/5]; there is none: the period-3 point set at level 2 is empty")
+
+    def test_no_witness_is_built_within_the_depth(self, monkeypatch):
+        # within the depth p divides the level-p gap p!, which decides the
+        # prime: the witness finds none there, and the report asks it only
+        # for the primes above the depth
+        witness = tower.periodic_witness
+        asked = []
+        monkeypatch.setattr(tower, "periodic_witness", lambda *args: asked.append(args[3]) or witness(*args))
+        deltas = (Fraction(1, 64), HALF, Fraction(2, 3), Fraction(4, 5), Fraction(63, 64))
+        for dim, delta, m_max in itertools.product((1, 2, 3), deltas, range(1, 7)):
+            for p in (2, 3, 5):
+                if p <= m_max:
+                    assert witness(dim, level_gap(p), delta, p).witness is None, (dim, delta, p)
+            asked.clear()
+            certificates = tower_aperiodicity_report(TowerSpec(dim, delta, m_max), 13)
+            assert asked == [c["prime"] for c in certificates if c["prime"] > m_max], (dim, delta, m_max)
+            assert all(c["verified"] for c in certificates)
 
     def test_emptiness_is_decided_before_any_coordinate(self):
         # p * N is over the cap for every prime, but each is empty within the depth
