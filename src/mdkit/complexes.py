@@ -72,17 +72,6 @@ class FreeZpComplex:
     # -- structure ---------------------------------------------------------
 
     @classmethod
-    def from_maximal(
-        cls, p: int, vertices: Sequence, maximal: Iterable[Iterable], action: Mapping
-    ) -> "FreeZpComplex":
-        """Build from maximal faces given by vertex names; closure is computed."""
-        vertices = tuple(vertices)
-        index = {v: i for i, v in enumerate(vertices)}
-        table = _closure([index[v] for v in face] for face in maximal)
-        act = tuple(index[action[v]] for v in vertices)
-        return cls(p, vertices, table, act)
-
-    @classmethod
     def empty(cls, p: int) -> "FreeZpComplex":
         return cls(p, (), (), ())
 
@@ -400,10 +389,6 @@ class HomologyGroup:
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
 
-    def __str__(self) -> str:
-        parts = ["Z"] * self.rank + [f"Z/{t}" for t in self.torsion]
-        return " + ".join(parts) if parts else "0"
-
     def to_json(self) -> dict:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
@@ -621,13 +606,13 @@ def equivariant_map_search(
     The search first completes the orbits 0..i exactly where a search from
     their subcomplex alone would return: the two walk the same tree up to
     there.  When ``work`` is given, ``work["nodes"]`` is set to the number
-    of nodes tried, and if it holds the key ``"completed"``, that is set to
-    the list of the node counts at which the orbits 0..i were first all
-    assigned, for i = 0, 1, ... in turn.  A search that would try more than
-    ``MAX_SEARCH_NODES`` raises ``ValueError`` naming the dimension of the
-    orbits 0..i, where i is the first orbit not yet completed (the level of
-    the search that would have spent the cap, for a standard source): the
-    answer is undetermined, never "exhausted".
+    of nodes tried, and ``work["completed"]`` to the list of the node counts
+    at which the orbits 0..i were first all assigned, for i = 0, 1, ... in
+    turn.  A search that would try more than ``MAX_SEARCH_NODES`` raises
+    ``ValueError`` naming the dimension of the orbits 0..i, where i is the
+    first orbit not yet completed (the level of the search that would have
+    spent the cap, for a standard source): the answer is undetermined, never
+    "exhausted".
     """
     if source.p != target.p:
         raise ValueError("prime mismatch")
@@ -636,8 +621,7 @@ def equivariant_map_search(
     if work is None:
         work = {}
     completed: list[int] = []
-    if "completed" in work:
-        work["completed"] = completed
+    work["completed"] = completed
     work["nodes"] = 0
     if source.is_empty():
         return {}
@@ -797,13 +781,14 @@ def coindex_bounds(complex_: FreeZpComplex, search_depth: int) -> CoindexBound:
         raise ValueError("coindex defined only for free actions")
     dim = complex_.dimension()
     depth = min(search_depth, dim)
-    work: dict = {"completed": []}
+    work: dict = {}
     # a standard complex searched to its own level is its own source
     own = depth == dim and _is_standard(complex_)
     found = depth < 0 or (
         equivariant_map_search(complex_ if own else build_en_zp(complex_.p, depth), complex_, work) is not None
     )
-    completed = work["completed"]
+    # nothing is searched below level 0, the depth of vertices with no simplex
+    completed = work.get("completed", [])
     lower = len(completed) - 1
     if not found and lower >= 0:
         if equivariant_map_search(build_en_zp(complex_.p, lower), complex_) is None:

@@ -36,7 +36,6 @@ from .shiftspace import (
 )
 from .torus import (
     TorusSeq,
-    TorusVec,
     _shown,
     frac_from_str,
     frac_to_str,
@@ -136,11 +135,6 @@ class FiniteSystem:
 
     def has_fixed_points(self) -> bool:
         return any(self.perm[i] == i for i in range(self.size))
-
-    def dist(self, i: int, j: int) -> Fraction:
-        if self.metric is None:
-            raise ValueError("metric required")
-        return Fraction(self.metric.nums[i][j], self.metric.den)
 
     def to_json(self) -> dict:
         out: dict = {"points": list(self.points), "perm": list(self.perm)}
@@ -569,11 +563,6 @@ class EmbeddingReport:
     @property
     def n_coords(self) -> int:
         return len(self.centers)
-
-    @cached_property
-    def images(self) -> tuple[TorusVec, ...]:
-        """The image of each point as a vector, built on first read."""
-        return tuple(TorusVec(row, self.den) for row in self.coords)
 
 
 def check_embed_size(size: int) -> None:

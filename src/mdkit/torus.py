@@ -45,7 +45,10 @@ its stream is ``rng.randbytes``, one byte per coordinate, near increments
 are dropped by ``bytes.translate`` and the walk is summed on 8-bit lanes.
 The per-entry loops are the references in ``tests/oracles.py``.
 
-Only this module reads the integer encoding: other modules build vectors
+This module reads the integer encoding, and outside it only two functions
+of :mod:`mdkit.shiftspace` do: ``periodic_witness`` builds its walks'
+columns through ``_seq``, and ``verify_conjugacy_diagram`` gathers and
+compares the points' ``.columns``.  Other code builds vectors
 with :meth:`TorusVec.of` (or from integers, ``TorusVec(nums, den)``),
 sequences with :meth:`TorusSeq.of`, ``TorusSeq(columns, den)`` or a kernel,
 and measure vectors with :func:`max_circle_dist`.  ``Fraction`` appears

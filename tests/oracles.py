@@ -246,16 +246,26 @@ def sample_periodic_gap_point_per_entry(dim, gap, threshold, period, rng):
     return Periodic(TorusSeq.of(values[i] for i in range(period)))
 
 
+def value_at(x, n: int) -> TorusVec:
+    """Entry n of a sequence point as a vector: of a periodic point indexed
+    mod its period, of a window only inside it."""
+    if isinstance(x, Periodic):
+        return x.seq[n % x.period]
+    if not x.start <= n <= x.end:
+        raise IndexError(f"index {n} outside window [{x.start}, {x.end}]")
+    return x.seq[n - x.start]
+
+
 def shift_per_entry(x, k):
     """The k-fold shift of a periodic point, vector by vector: the value at n
     is x at n + k."""
-    return Periodic(TorusSeq.of((x.value_at(n + k) for n in range(x.period)), x.dim))
+    return Periodic(TorusSeq.of((value_at(x, n + k) for n in range(x.period)), x.dim))
 
 
 def power_map_per_entry(j, x):
     """The dilation by j of a periodic point, vector by vector: the value at n
     is x at n*j."""
-    return Periodic(TorusSeq.of((x.value_at(n * j) for n in range(x.period)), x.dim))
+    return Periodic(TorusSeq.of((value_at(x, n * j) for n in range(x.period)), x.dim))
 
 
 def conjugacy_failures_per_sample(samples_m, samples_1, m, k, threshold):
@@ -492,7 +502,7 @@ def factor_map_per_entry(m, x):
     return Window(
         x.start,
         TorusSeq.of(
-            vec_sum(x.value_at(k + t * q) for t in range(m))
+            vec_sum(value_at(x, k + t * q) for t in range(m))
             for k in range(x.start, new_end + 1)
         ),
     )
@@ -514,14 +524,14 @@ def section_map_per_entry(m, head, x):
     for k in range(0, c):
         values[k] = head[k]
     for k in range(c, big):
-        acc = x.value_at(k - c)
+        acc = value_at(x, k - c)
         for i in range(1, m):
             acc = acc - head[k - i * q]
         values[k] = acc
     for k in range(big, out_hi + 1):
-        values[k] = values[k - big] + (x.value_at(k - big + q) - x.value_at(k - big))
+        values[k] = values[k - big] + (value_at(x, k - big + q) - value_at(x, k - big))
     for k in range(-1, out_lo - 1, -1):
-        values[k] = values[k + big] + (x.value_at(k) - x.value_at(k + q))
+        values[k] = values[k + big] + (value_at(x, k) - value_at(x, k + q))
     return Window(out_lo, TorusSeq.of(values[k] for k in range(out_lo, out_hi + 1)))
 
 
@@ -560,7 +570,7 @@ def section_value_oracle(m, head, x, k):
     if 0 <= k <= c - 1:
         return head[k]
     if c <= k <= big - 1:
-        acc = x.value_at(k - c)
+        acc = value_at(x, k - c)
         for i in range(1, m):
             acc = acc - head[k - i * q]
         return acc
@@ -569,11 +579,11 @@ def section_value_oracle(m, head, x, k):
     if n > 0:
         acc = base
         for i in range(0, n):
-            acc = acc + (x.value_at(i * big + q + j) - x.value_at(i * big + j))
+            acc = acc + (value_at(x, i * big + q + j) - value_at(x, i * big + j))
         return acc
     acc = base
     for i in range(n, 0):
-        acc = acc + (x.value_at(i * big + j) - x.value_at(i * big + q + j))
+        acc = acc + (value_at(x, i * big + j) - value_at(x, i * big + q + j))
     return acc
 
 
@@ -591,7 +601,7 @@ def section_range_per_index(m, y, threshold):
             counts["base_block"] += 1
         else:
             counts["upper_tail"] += 1
-        if max_circle_dist(y.value_at(k), y.value_at(k + big)) < threshold:
+        if max_circle_dist(value_at(y, k), value_at(y, k + big)) < threshold:
             failures.append(k)
     return counts, tuple(failures)
 
@@ -631,6 +641,11 @@ def _det(matrix: list[list[int]]) -> int:
 
 # ---------------------------------------------------------------------------
 # Exact metrics and permutations: tables and the axioms by definition
+
+
+def metric_dist(sys_: FiniteSystem, i: int, j: int) -> Fraction:
+    """The metric entry from point i to point j of a system, as a ``Fraction``."""
+    return Fraction(sys_.metric.nums[i][j], sys_.metric.den)
 
 
 def uniform_metric(size: int, value: Fraction) -> tuple[tuple[Fraction, ...], ...]:
@@ -693,6 +708,11 @@ def metric_violations(metric, size: int) -> list[str]:
         ),
     }
     return [name for name, ok in checks.items() if not ok]
+
+
+def embedding_images(report) -> tuple[TorusVec, ...]:
+    """The image of each point of an ``EmbeddingReport`` as a vector."""
+    return tuple(TorusVec(row, report.den) for row in report.coords)
 
 
 def epsilon_embedding_by_fractions(sys_: FiniteSystem, epsilon) -> SimpleNamespace:

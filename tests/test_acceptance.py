@@ -49,7 +49,7 @@ from mdkit.tower import (
     zero_anchor,
 )
 
-from oracles import cover_D_bruteforce, cover_join, random_system, unequal_entries
+from oracles import cover_D_bruteforce, cover_join, metric_dist, random_system, unequal_entries
 
 HALF = Fraction(1, 2)
 
@@ -257,7 +257,7 @@ def test_criterion_10_embedding_pipeline():
     for index in range(50):
         base = random_system(rng, max_points=12, min_cycle=2)
         sys_ = FiniteSystem(base.points, base.perm, random_metric(rng, base.size))
-        min_move = min(sys_.dist(i, sys_.perm[i]) for i in range(sys_.size))
+        min_move = min(metric_dist(sys_, i, sys_.perm[i]) for i in range(sys_.size))
         report = embed_into_universal(sys_, min_move / 2)
         if report.delta <= 0:
             failures.append((index, "delta not positive"))

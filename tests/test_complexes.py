@@ -42,6 +42,22 @@ from oracles import (
 )
 
 
+def from_maximal_faces(p, vertices, maximal, action) -> FreeZpComplex:
+    """A complex file that lists only maximal faces, each by vertex names,
+    with the action as a map of names, read as ``complex coindex`` reads it:
+    closed downward and validated."""
+    vertices = list(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    return FreeZpComplex.from_json(
+        {
+            "p": p,
+            "vertices": vertices,
+            "simplices": [[index[v] for v in face] for face in maximal],
+            "action": [index[action[v]] for v in vertices],
+        }
+    )
+
+
 class TestBuildStandardComplex:
     def test_two_points_swapped(self):
         k = build_en_zp(2, 0)
@@ -68,8 +84,8 @@ class TestBuildStandardComplex:
         assert k.euler_characteristic() == 6 - 9
 
     def test_equals_closure_of_maximal_faces(self):
-        # every maximal face picks one a in Z_p per level; from_maximal closes
-        # them by enumerating every subset
+        # every maximal face picks one a in Z_p per level; a complex file of
+        # them is closed by enumerating every subset
         for p, n in [(2, 0), (2, 3), (3, 2), (5, 2), (3, 3), (7, 1)]:
             vertices = [(a, level) for level in range(n + 1) for a in range(p)]
             maximal = [
@@ -77,7 +93,7 @@ class TestBuildStandardComplex:
                 for choice in itertools.product(range(p), repeat=n + 1)
             ]
             action = {(a, level): ((a + 1) % p, level) for a, level in vertices}
-            assert build_en_zp(p, n) == FreeZpComplex.from_maximal(p, vertices, maximal, action)
+            assert build_en_zp(p, n) == from_maximal_faces(p, vertices, maximal, action)
 
     def test_face_table_matches_the_product_oracle(self):
         # every standard complex under the cap, up to en-zp(2, 8)
@@ -186,7 +202,7 @@ class TestFreeAction:
                     for _ in range(p):
                         maximal.append(face)
                         face = [action[v] for v in face]
-                k = FreeZpComplex.from_maximal(p, range(n), maximal, action)
+                k = from_maximal_faces(p, range(n), maximal, action)
                 assert complex_violations(k) == [], (p, action, maximal)
                 verdicts.append(check_free_action(k))
                 assert verdicts[-1] == free_action_by_all_powers(k), (p, action, maximal)
@@ -335,7 +351,7 @@ EN_ZP_HOMOLOGY = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1)
 
 
 def projective_plane() -> FreeZpComplex:
-    return FreeZpComplex.from_maximal(2, range(1, 7), RP2_TRIANGLES, {v: v for v in range(1, 7)})
+    return from_maximal_faces(2, range(1, 7), RP2_TRIANGLES, {v: v for v in range(1, 7)})
 
 
 def homology_battery() -> list[FreeZpComplex]:
@@ -346,7 +362,7 @@ def homology_battery() -> list[FreeZpComplex]:
     for _ in range(60):
         n = rng.randint(3, 8)
         maximal = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(1, 6))]
-        battery.append(FreeZpComplex.from_maximal(2, range(n), maximal, {v: v for v in range(n)}))
+        battery.append(from_maximal_faces(2, range(n), maximal, {v: v for v in range(n)}))
     return battery
 
 
@@ -406,9 +422,7 @@ class TestSparseHomology:
                 assert _invariant_factors(_columns(matrix, cols), []) == expected, matrix
 
     def test_torsion_projective_plane(self):
-        rp2 = FreeZpComplex.from_maximal(
-            2, range(1, 7), RP2_TRIANGLES, {v: v for v in range(1, 7)}
-        )
+        rp2 = projective_plane()
         assert rp2.euler_characteristic() == 1
         expected = [HomologyGroup(0), HomologyGroup(0, (2,)), HomologyGroup(0)]
         assert [reduced_homology_dense(rp2, k) for k in range(3)] == expected
@@ -524,7 +538,7 @@ class TestSparseHomology:
 
 def three_disjoint_edges() -> FreeZpComplex:
     """Z_3 permuting three disjoint edges: level 0 maps in, level 1 does not."""
-    return FreeZpComplex.from_maximal(
+    return from_maximal_faces(
         3,
         [(a, level) for a in range(3) for level in range(2)],
         [[(a, 0), (a, 1)] for a in range(3)],
@@ -552,7 +566,7 @@ def random_free_complexes(seed: int, count: int) -> list[FreeZpComplex]:
                 maximal.append([relabel[v] for v in s])
                 s = [base.action[v] for v in s]
         action = {relabel[v]: relabel[w] for v, w in enumerate(base.action)}
-        out.append(FreeZpComplex.from_maximal(p, range(len(relabel)), maximal, action))
+        out.append(from_maximal_faces(p, range(len(relabel)), maximal, action))
     return out
 
 
@@ -581,7 +595,7 @@ class TestMapSearch:
     def test_map_collapsing_a_simplex_found(self):
         # two swapped disjoint edges map onto a swapped pair of points only
         # by sending each edge to one vertex, a simplex as a vertex set
-        source = FreeZpComplex.from_maximal(
+        source = from_maximal_faces(
             2, "abcd", ["ab", "cd"], {"a": "c", "b": "d", "c": "a", "d": "b"}
         )
         target = build_en_zp(2, 0)
@@ -601,7 +615,8 @@ class TestMapSearch:
             for k in range(n + 1):
                 work = {}
                 found = equivariant_map_search(build_en_zp(p, k), target, work)
-                assert work == {"nodes": self.STANDARD_NODES[p][k]}, (k, n)
+                nodes = self.STANDARD_NODES[p]
+                assert work == {"completed": list(nodes[: k + 1]), "nodes": nodes[k]}, (k, n)
                 # the inclusion of E_k Z_p as the first k + 1 levels
                 assert found == {v: v for v in range(p * (k + 1))}, (k, n)
 
@@ -609,7 +624,7 @@ class TestMapSearch:
         source, target = build_en_zp(2, 4), build_en_zp(2, 3)
         work = {}
         assert equivariant_map_search(source, target, work) is None
-        assert work == {"nodes": 5064}
+        assert work == {"completed": [1, 4, 9, 16], "nodes": 5064}
         # a cap of exactly the nodes needed still decides; one fewer does not
         monkeypatch.setattr(complexes, "MAX_SEARCH_NODES", 5064)
         assert equivariant_map_search(source, target) is None
@@ -630,12 +645,9 @@ class TestMapSearch:
         # the orbits of E_3 Z_p are its levels: the search first completes
         # level k where the search from E_k Z_p returns
         for p, nodes in self.STANDARD_NODES.items():
-            work = {"completed": None}
+            work = {}
             equivariant_map_search(build_en_zp(p, 3), build_en_zp(p, 3), work)
             assert work == {"completed": list(nodes), "nodes": nodes[3]}
-        work = {"completed": None}
-        assert equivariant_map_search(build_en_zp(2, 4), build_en_zp(2, 3), work) is None
-        assert work == {"completed": [1, 4, 9, 16], "nodes": 5064}
 
     def test_maximal_simplices_by_subsets(self):
         for k in (build_en_zp(2, 3), build_en_zp(3, 2), *random_free_complexes(5, 20)):
@@ -664,7 +676,7 @@ class TestMapSearch:
                     continue
                 work = {}
                 assert equivariant_map_search(source, target, work) == expected
-                assert work == {"nodes": nodes}
+                assert work["nodes"] == nodes
                 pairs += 1
                 exhausted += expected is None
         assert pairs > 200 and 0 < exhausted < pairs
@@ -793,6 +805,11 @@ class TestCoindexBounds:
     def test_empty_convention(self):
         bound = coindex_bounds(FreeZpComplex.empty(5), 2)
         assert (bound.lower, bound.upper) == (-1, -1)
+        # a file may list vertices and no simplex: dimension -1, no search
+        vertices_only = FreeZpComplex.from_json({"p": 2, "vertices": [0, 1], "simplices": [], "action": [1, 0]})
+        bound = coindex_bounds(vertices_only, 2)
+        assert (bound.lower, bound.upper) == (-1, -1)
+        assert [record["rule"] for record in bound.provenance] == ["level theorem", "dimension cap"]
 
     def test_standard_complexes_exact(self):
         for p in (2, 3):

@@ -42,6 +42,11 @@ def test_golden_set_is_the_readme_block():
     assert readme_commands() == list(COMMANDS.values())
 
 
+def test_one_golden_file_per_command():
+    # an orphan golden file would be checked by nothing
+    assert sorted(path.stem for path in GOLDEN.glob("*.json")) == sorted(COMMANDS)
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_report_is_byte_identical(name, capsys, monkeypatch):
     # the environment reaches no report: MDKIT_SEED once set the default seed

@@ -1,21 +1,29 @@
-"""Every top-level definition in ``src/mdkit`` serves a command or a named
-ROADMAP item.
+"""Every top-level definition and every class member in ``src/mdkit`` serves
+a command or a named ROADMAP item.
 
 The walk is name-level and static.  It parses every module of the package
 and starts from ``cli.main``, from every module-level
-statement that is not a ``def`` or ``class``, and from ``ALLOWLIST``.  A
+statement that is not a ``def`` or ``class``, and from the two allowlists.  A
 ``Name`` or ``Attribute`` reaches the same-module definition of that name, or
 the definition a ``from .x import y`` brought in under it.  Reaching a
-function reaches its body, decorators and annotations; reaching a class
-reaches its whole body.  A test helper or oracle belongs in
-``tests/oracles.py``, not in the package.
+function reaches its body, decorators and annotations.  Reaching a class
+reaches its decorators, bases, field annotations and defaults, and its
+dunder methods, which the interpreter calls; any other method or property
+is reached when reached code names it as an attribute (``x.name``) or as a
+string, in any class, and reaching it walks it whole.  The walk runs to a
+fixed point.  A test helper or oracle belongs in ``tests/oracles.py``, not in
+the package.
+
+A member whose name is also one a command uses, such as ``to_json`` or
+``passed``, is reached by that name whatever calls it: the walk resolves
+names, not the classes of the objects they are read on.
 
 The same walk holds the parameters of the module-level functions it reaches
-from ``cli.main``.  A call made in a reached definition or a module-level
+from ``cli.main``.  A call made in reached code or a module-level
 statement resolves to its function as a name does.  A default that no such
 call leaves serves no command, and neither does a ``None``/``True``/``False``
-default that every such call overrides.  Methods stay outside this check, as
-the walk resolves names, not the classes of the objects methods are called on.
+default that every such call overrides.  Methods stay outside this check, for
+the same reason.
 """
 
 import ast
@@ -46,6 +54,13 @@ ALLOWLIST = {
     # walks in one call per side and shifts their columns by the same gathers
     ("shiftspace", "sample_periodic_gap_point"): 29,
     ("shiftspace", "shift"): 29,
+}
+
+# members no command names, ``Class.member``, each with the ROADMAP item that
+# will consume it
+MEMBER_ALLOWLIST = {
+    # bench/tracer.py counts a lattice's opens until item 29
+    ("meandim", "OpenLattice.opens"): 29,
 }
 
 
@@ -82,27 +97,88 @@ def _resolve(modules, module, name):
     return None
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _methods(node) -> dict:
+    """The methods and properties of a class that are not dunders, by name;
+    none for a function."""
+    if not isinstance(node, ast.ClassDef):
+        return {}
+    return {s.name: s for s in node.body if isinstance(s, FUNCTIONS) and not _is_dunder(s.name)}
+
+
+def _parts(node) -> list:
+    """What reaching a definition walks: a function whole; a class's
+    decorators, bases, fields and dunder methods, not its other methods."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    methods = _methods(node).values()
+    return [
+        *node.decorator_list,
+        *node.bases,
+        *node.keywords,
+        *(s for s in node.body if s not in methods),
+    ]
+
+
+def _definition(modules, module, name):
+    """The node of a top-level definition, or of a member named ``Class.member``."""
+    owner, _, member = name.rpartition(".")
+    if owner:
+        return _methods(modules[module][0][owner])[member]
+    return modules[module][0][name]
+
+
 def _walk(modules, roots):
     """Every (module, name) reached from the root definitions and from the
-    module-level statements that are not definitions."""
+    module-level statements that are not definitions; a member is named
+    ``Class.member``."""
     reached = set()
+    named = set()  # the attribute names and strings in reached code
+    waiting = {}  # name -> the members of reached classes no reached code names yet
     todo = [(module, node) for module, (_, _, rest) in modules.items() for node in rest]
-    for module, name in roots:
-        todo.append((module, modules[module][0][name]))
+
+    def reach(module, name):
+        if (module, name) in reached:
+            return
         reached.add((module, name))
+        node = _definition(modules, module, name)
+        todo.extend((module, part) for part in _parts(node))
+        for member in _methods(node):
+            if member in named:
+                reach(module, f"{name}.{member}")
+            else:
+                waiting.setdefault(member, []).append((module, f"{name}.{member}"))
+
+    def mention(ref):
+        if ref not in named:
+            named.add(ref)
+            for target in waiting.pop(ref, ()):
+                reach(*target)
+
+    for root in roots:
+        reach(*root)
     while todo:
         module, node = todo.pop()
         for sub in ast.walk(node):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                mention(sub.value)
+                continue
             if isinstance(sub, ast.Name):
                 ref = sub.id
             elif isinstance(sub, ast.Attribute):
                 ref = sub.attr
+                mention(ref)
             else:
                 continue
             target = _resolve(modules, module, ref)
-            if target is not None and target not in reached:
-                reached.add(target)
-                todo.append((target[0], modules[target[0]][0][target[1]]))
+            if target is not None:
+                reach(*target)
     return reached
 
 
@@ -119,7 +195,7 @@ def _default_faults(modules, reached):
     function that no reached call passes, and each ``None``/``True``/``False``
     default that every reached call overrides."""
     sites = [(module, node) for module, (_, _, rest) in modules.items() for node in rest]
-    sites += [(module, modules[module][0][name]) for module, name in reached]
+    sites += [(module, part) for module, name in reached for part in _parts(_definition(modules, module, name))]
     passes = {}
     for module, node in sites:
         for call in ast.walk(node):
@@ -133,7 +209,8 @@ def _default_faults(modules, reached):
                 passes.setdefault(target, []).append(_passed(definition.args, call))
     faults = []
     for module, name in sorted(reached):
-        definition = modules[module][0][name]
+        # a member, ``Class.member``, is no top-level definition
+        definition = modules[module][0].get(name)
         if not isinstance(definition, ast.FunctionDef):
             continue
         arguments = definition.args
@@ -151,11 +228,23 @@ def _default_faults(modules, reached):
     return faults
 
 
+def _members(modules):
+    """(module, ``Class.member``) for each method and property of every class
+    that is not a dunder."""
+    return [
+        (module, f"{owner}.{member}")
+        for module, (defs, _, _) in modules.items()
+        for owner, node in defs.items()
+        for member in _methods(node)
+    ]
+
+
 MODULES = _modules()
+ROOTS = [("cli", "main"), *ALLOWLIST, *MEMBER_ALLOWLIST]
 
 
 def test_every_definition_is_reached():
-    reached = _walk(MODULES, [("cli", "main"), *ALLOWLIST])
+    reached = _walk(MODULES, ROOTS)
     orphans = sorted(
         f"{module}.{name}"
         for module, (defs, _, _) in MODULES.items()
@@ -168,10 +257,22 @@ def test_every_definition_is_reached():
     )
 
 
+def test_every_member_is_reached():
+    reached = _walk(MODULES, ROOTS)
+    orphans = sorted(f"{module}.{name}" for module, name in _members(MODULES) if (module, name) not in reached)
+    assert orphans == [], (
+        "no command names these methods or properties: give each a command, "
+        "move a test reader to tests/oracles.py, or delete it"
+    )
+
+
 def test_allowlist_names_definitions_no_command_reaches():
     from_main = _walk(MODULES, [("cli", "main")])
     for module, name in ALLOWLIST:
         assert name in MODULES[module][0], f"{module}.{name} is not a top-level definition"
+        assert (module, name) not in from_main, f"{module}.{name} is reached from cli.main: drop it"
+    for module, name in MEMBER_ALLOWLIST:
+        assert (module, name) in _members(MODULES), f"{module}.{name} is not a method or property"
         assert (module, name) not in from_main, f"{module}.{name} is reached from cli.main: drop it"
 
 
@@ -186,11 +287,15 @@ def test_every_default_serves_a_command():
 
 def test_item_twenty_nine_entries_are_named_by_the_tracer():
     # item 29 deletes the tracer's name lookups; until then only a name the
-    # tracer reads is kept for it
+    # tracer reads is kept for it, and a member only if the tracer reads it
     tracer = (ROOT / "bench" / "tracer.py").read_text(encoding="utf-8")
     for (module, name), item in ALLOWLIST.items():
         if item == 29:
             assert f'"{module}.{name}"' in tracer, f"bench/tracer.py does not name {module}.{name}"
+    for (module, name), item in MEMBER_ALLOWLIST.items():
+        if item == 29:
+            member = name.rpartition(".")[2]
+            assert f".{member})" in tracer, f"bench/tracer.py does not read {module}.{name}"
 
 
 def test_walk_follows_imports_attributes_and_class_bodies():
@@ -205,7 +310,7 @@ def test_walk_follows_imports_attributes_and_class_bodies():
                 name: ast.parse(source).body[0]
                 for name, source in {
                     "helper": "def helper():\n    return Box().method\n",
-                    "Box": "class Box:\n    def m(self):\n        return inner()\n",
+                    "Box": "class Box:\n    def method(self):\n        return inner()\n",
                     "inner": "def inner():\n    pass\n",
                     "method": "def method():\n    pass\n",
                     "orphan": "def orphan():\n    helper()\n",
@@ -220,9 +325,116 @@ def test_walk_follows_imports_attributes_and_class_bodies():
         ("cli", "main"),
         ("lib", "helper"),
         ("lib", "Box"),
+        ("lib", "Box.method"),
         ("lib", "inner"),
         ("lib", "method"),
     }
+
+
+def _module_of(source: str):
+    """A module's walk entry from its source, which imports nothing."""
+    tree = ast.parse(source)
+    return {node.name: node for node in tree.body}, {}, []
+
+
+def test_walk_reaches_members_named_as_attributes_or_strings():
+    modules = {
+        "cli": _module_of("""
+def main():
+    box = Box()
+    return late.hook, box.read, getattr(box, "spelled")
+
+class Box:
+    def read(self):
+        return from_read()
+
+    def spelled(self):
+        return self.chained()
+
+    def chained(self):
+        return Late()
+
+    def unnamed(self):
+        return from_unnamed()
+
+class Late:
+    def hook(self):
+        return from_hook()
+
+def from_read():
+    pass
+
+def from_unnamed():
+    pass
+
+def from_hook():
+    pass
+"""),
+    }
+    reached = _walk(modules, [("cli", "main")])
+    # a method is reached by its name as an attribute or a string, also when
+    # the name comes before its class is reached, and its body is walked; a
+    # method named nowhere is not, nor what only its body names
+    assert reached == {
+        ("cli", "main"),
+        ("cli", "Box"),
+        ("cli", "Box.read"),
+        ("cli", "from_read"),
+        ("cli", "Box.spelled"),
+        ("cli", "Box.chained"),
+        ("cli", "Late"),
+        ("cli", "Late.hook"),
+        ("cli", "from_hook"),
+    }
+    assert _members(modules) == [
+        ("cli", "Box.read"),
+        ("cli", "Box.spelled"),
+        ("cli", "Box.chained"),
+        ("cli", "Box.unnamed"),
+        ("cli", "Late.hook"),
+    ]
+
+
+def test_walk_reaches_a_class_s_dunders_decorators_bases_and_fields():
+    modules = {
+        "cli": _module_of("""
+def main():
+    return Box()
+
+@wrap
+class Box(Base):
+    size: Size = default_size()
+
+    def __post_init__(self):
+        check()
+
+    def unnamed(self):
+        return from_unnamed()
+
+def wrap(cls):
+    return cls
+
+class Base:
+    pass
+
+class Size:
+    pass
+
+def default_size():
+    pass
+
+def check():
+    pass
+
+def from_unnamed():
+    pass
+"""),
+    }
+    reached = _walk(modules, [("cli", "main")])
+    assert reached == {
+        ("cli", name) for name in ("main", "Box", "wrap", "Base", "Size", "default_size", "check")
+    }
+    assert _members(modules) == [("cli", "Box.unnamed")]
 
 
 def test_default_faults_name_unused_and_always_overridden_defaults():

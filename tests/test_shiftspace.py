@@ -49,6 +49,7 @@ from oracles import (
     sample_periodic_gap_point_per_entry,
     sample_periodic_gap_point_whole_period,
     shift_per_entry,
+    value_at,
 )
 
 
@@ -103,14 +104,14 @@ class TestMembership:
         report = check_membership(gap_space(1, 1, HALF), x)
         assert report.verdict == "pass"
         assert report.records == range(2) and report.failures == ()
-        assert all(max_circle_dist(x.value_at(n), x.value_at(n + 1)) == 1 for n in report.records)
+        assert all(max_circle_dist(value_at(x, n), value_at(x, n + 1)) == 1 for n in report.records)
 
     def test_gap_dividing_period_fails_everywhere(self):
         x = Periodic(seq_of(0, 1))
         report = check_membership(gap_space(1, 2, HALF), x)
         assert report.verdict == "fail"
         assert report.failures == tuple(report.records) == (0, 1)
-        assert all(max_circle_dist(x.value_at(n), x.value_at(n + 2)) == 0 for n in report.records)
+        assert all(max_circle_dist(value_at(x, n), value_at(x, n + 2)) == 0 for n in report.records)
 
     def test_window_vacuous_distinct_from_pass(self):
         w = Window(0, seq_of(0, 1))
@@ -153,7 +154,7 @@ class TestMembership:
                     checkable = range(n) if isinstance(x, Periodic) else range(x.start + 1, x.end)
 
                     def step(k):
-                        return max_circle_dist(x.value_at(k), x.value_at(k + 1))
+                        return max_circle_dist(value_at(x, k), value_at(x, k + 1))
 
                     for spec, far in rules.items():
                         failing = tuple(k for k in checkable if not (far(step(k - 1)) or far(step(k))))
@@ -462,7 +463,7 @@ class TestSftCounts:
 
 def realized_distance(x, gap):
     """The least distance between entries of a periodic point a gap apart."""
-    return min(max_circle_dist(x.value_at(n), x.value_at(n + gap)) for n in range(x.period))
+    return min(max_circle_dist(value_at(x, n), value_at(x, n + gap)) for n in range(x.period))
 
 
 class TestPeriodicWitness:
@@ -484,7 +485,7 @@ class TestPeriodicWitness:
         w = periodic_witness(2, 3, HALF, 5).witness
         report = check_membership(gap_space(2, 3, HALF), w)
         assert report.passed
-        assert all(max_circle_dist(w.value_at(n), w.value_at(n + 3)) == Fraction(4, 5) for n in report.records)
+        assert all(max_circle_dist(value_at(w, n), value_at(w, n + 3)) == Fraction(4, 5) for n in report.records)
 
     def test_errors(self):
         # refusals of the arguments, each before the set is decided
@@ -837,4 +838,4 @@ def test_unroll_matches_values():
     w = unroll(x, -2, 4)
     assert w.start == -2
     for n in range(-2, 5):
-        assert w.value_at(n) == x.value_at(n)
+        assert value_at(w, n) == value_at(x, n)

@@ -50,6 +50,7 @@ from oracles import (
     section_value_oracle,
     tower_components,
     unequal_entries,
+    value_at,
 )
 
 HALF = Fraction(1, 2)
@@ -125,8 +126,8 @@ class TestFactorMap:
             x = random_window(2, -4, 4 + 3 * big, rng)
             y = factor_map(m, x)
             for k in range(y.start, y.end - q + 1):
-                assert max_circle_dist(y.value_at(k), y.value_at(k + q)) == \
-                    max_circle_dist(x.value_at(k), x.value_at(k + big))
+                assert max_circle_dist(value_at(y, k), value_at(y, k + q)) == \
+                    max_circle_dist(value_at(x, k), value_at(x, k + big))
 
     def test_membership_carried_to_next_level(self):
         rng = random.Random(31)
@@ -180,7 +181,7 @@ class TestSectionMap:
                 lo, hi = section_domain(m, x.start, x.end)
                 assert (y.start, y.end) == (lo, hi)
                 for k in range(lo, hi + 1):
-                    assert y.value_at(k) == section_value_oracle(m, head, x, k)
+                    assert value_at(y, k) == section_value_oracle(m, head, x, k)
 
     def test_domain_rule(self):
         assert section_domain(2, 0, 3) == (0, 4)
@@ -254,7 +255,7 @@ class TestKernelsMatchPerEntry:
                                 assert identity_failures(m, x, y) == ()
                         y = section_map(m, heads[0], grid)
                         for k in range(y.start, y.end + 1, 5):
-                            assert y.value_at(k) == section_value_oracle(m, heads[0], grid, k)
+                            assert value_at(y, k) == section_value_oracle(m, heads[0], grid, k)
 
     def test_one_lift_section_at_levels_two_to_six(self):
         rng = random.Random(608)
@@ -302,7 +303,7 @@ class TestKernelsMatchPerEntry:
                     else:
                         checkable = range(x.start, x.end - gap + 1)
                     failing = tuple(
-                        n for n in checkable if max_circle_dist(x.value_at(n), x.value_at(n + gap)) < third
+                        n for n in checkable if max_circle_dist(value_at(x, n), value_at(x, n + gap)) < third
                     )
                     report = check_membership(spec, x)
                     assert report.records == checkable and report.failures == failing
@@ -335,7 +336,7 @@ class TestKernelsMatchPerEntry:
                     for threshold in (Fraction(1, 3), Fraction(den - 1, den), Fraction(1)):
                         failing = tuple(
                             n for n in checkable
-                            if max_circle_dist(point.value_at(n), point.value_at(n + big)) < threshold
+                            if max_circle_dist(value_at(point, n), value_at(point, n + big)) < threshold
                         )
                         assert check_membership(gap_space(dim, big, threshold), point).failures == failing
 
@@ -344,7 +345,7 @@ class TestKernelsMatchPerEntry:
         half, unit = half_step_space(), unit_step_space()
 
         def ok_at(spec, x, n):
-            d_prev, d_next = (max_circle_dist(x.value_at(n + i), x.value_at(n + i + 1)) for i in (-1, 0))
+            d_prev, d_next = (max_circle_dist(value_at(x, n + i), value_at(x, n + i + 1)) for i in (-1, 0))
             if spec == half:
                 return d_prev >= half.threshold or d_next >= half.threshold
             return d_prev == 1 or d_next == 1
@@ -403,7 +404,7 @@ class TestVerifySection:
                     for head in heads:
                         y = section_map_per_entry(m, head, x)
                         back = factor_map_per_entry(m, y)
-                        expected = tuple(k for k in range(lo, hi + 1) if back.value_at(k) != x.value_at(k))
+                        expected = tuple(k for k in range(lo, hi + 1) if value_at(back, k) != value_at(x, k))
                         counts, failures = section_range_per_index(m, y, HALF)
                         report = verify_section(m, head, x, HALF)
                         assert report.identity_failures == expected == ()
