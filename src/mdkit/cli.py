@@ -280,7 +280,12 @@ def _run_shift_conjugacy(args) -> dict:
         args.N, args.m, delta, args.p, args.samples, args.seed
     )
     checks = [
-        _check(ident.name, ident.statement, ident.ok, {"checked": ident.checked})
+        _check(
+            ident.name,
+            ident.statement,
+            ident.ok,
+            {"checked": ident.checked, **({"failures": list(ident.failures)} if ident.failures else {})},
+        )
         for ident in report.identities
     ]
     return _report(args, checks, delta=frac_to_str(delta), k=report.k)
@@ -374,6 +379,7 @@ def _run_markers_search(args) -> dict:
 def _run_markers_transfer(args) -> dict:
     system = _parse_system(args.system, lambda size: check_transfer_size(size, args.n))
     report = verify_marker_transfer(system, args.n, args.N)
+    violations = report.backward.get("violations")
     checks = [
         _check(
             "forward",
@@ -385,7 +391,7 @@ def _run_markers_transfer(args) -> dict:
             "backward",
             "every extension marker projects to a marker of the phase-zero power subsystem",
             report.backward["ok"],
-            {"detail": report.backward["detail"]},
+            {"detail": report.backward["detail"], **({"violations": violations} if violations else {})},
         ),
     ]
     return _report(args, checks)

@@ -6,8 +6,8 @@ maps simplices to simplices.  The builders emit the table, so the
 constructor trusts its caller: ``build_en_zp`` extends each sorted simplex
 by the vertices of the levels above its last, which leaves every dimension
 sorted as built.  A complex file is closed under the simplex cap and
-validated once, in ``FreeZpComplex.from_json``.  Homology, the Euler
-characteristic and JSON read the table as it is; validation, the map search
+validated once, in ``FreeZpComplex.from_json``.  Homology and the Euler
+characteristic read the table as it is; validation, the map search
 and its checker test membership in one set of its tuples.  Freeness (no
 power of the action fixing a simplex setwise) is checked, never assumed:
 ``check_free_action`` guards every search and every coindex bound, and
@@ -71,10 +71,6 @@ class FreeZpComplex:
 
     # -- structure ---------------------------------------------------------
 
-    @classmethod
-    def empty(cls, p: int) -> "FreeZpComplex":
-        return cls(p, (), (), ())
-
     def is_empty(self) -> bool:
         return not self.vertices
 
@@ -89,18 +85,10 @@ class FreeZpComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(faces) for d, faces in enumerate(self.face_table))
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "vertices": [_name_to_json(v) for v in self.vertices],
-            "simplices": [list(s) for s in chain.from_iterable(self.face_table)],
-            "action": list(self.action),
-        }
-
     @classmethod
     def from_json(cls, data) -> "FreeZpComplex":
-        """Inverse of ``to_json``, validated; hand-written inputs may list
-        only the maximal faces, and the closure is computed."""
+        """A complex file's complex, validated; the file may list only the
+        maximal faces, and the closure is computed."""
         if not isinstance(data, dict):
             raise ValueError("complex JSON must be an object")
         for key in ("p", "vertices", "simplices", "action"):
@@ -139,6 +127,10 @@ def _validate_complex(complex_: FreeZpComplex) -> None:
     # the table is closed, so its first and last vertex bound every simplex's
     if table and (table[0][0][0] < 0 or table[0][-1][0] >= n):
         raise ValueError("simplex references an unknown vertex")
+    # the closed table's 0-simplices are the vertices some simplex holds
+    if len(table[0] if table else ()) < n:
+        vertex = next(v for v in range(n) if (v,) not in complex_.faces)
+        raise ValueError(f"vertex {vertex} lies in no simplex: list it as a 0-simplex or drop it")
     # the order of a permutation is the lcm of its cycle lengths
     if any(p % len(orbit) for orbit in permutation_cycles(action)):
         raise ValueError("action must have order dividing p")
@@ -175,12 +167,6 @@ def _face_table(simplices: Iterable[Face]) -> tuple[tuple[Face, ...], ...]:
     for s in simplices:
         by_size.setdefault(len(s), []).append(s)
     return tuple(tuple(sorted(by_size[size])) for size in range(1, len(by_size) + 1))
-
-
-def _name_to_json(name):
-    if isinstance(name, tuple):
-        return list(_name_to_json(x) for x in name)
-    return name
 
 
 def _name_from_json(name):
@@ -784,11 +770,8 @@ def coindex_bounds(complex_: FreeZpComplex, search_depth: int) -> CoindexBound:
     work: dict = {}
     # a standard complex searched to its own level is its own source
     own = depth == dim and _is_standard(complex_)
-    found = depth < 0 or (
-        equivariant_map_search(complex_ if own else build_en_zp(complex_.p, depth), complex_, work) is not None
-    )
-    # nothing is searched below level 0, the depth of vertices with no simplex
-    completed = work.get("completed", [])
+    found = equivariant_map_search(complex_ if own else build_en_zp(complex_.p, depth), complex_, work) is not None
+    completed = work["completed"]
     lower = len(completed) - 1
     if not found and lower >= 0:
         if equivariant_map_search(build_en_zp(complex_.p, lower), complex_) is None:

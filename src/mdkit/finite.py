@@ -38,7 +38,6 @@ from .torus import (
     TorusSeq,
     _shown,
     frac_from_str,
-    frac_to_str,
 )
 
 # Largest marker count ``enumerate_markers`` lists or the marker transfer
@@ -95,11 +94,6 @@ class Metric:
                 raise ValueError(f"the metric's values have a common denominator over the cap of {cap}")
         return cls(tuple(tuple(d.numerator * (den // d.denominator) for d in row) for row in rows), den)
 
-    def fractions(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The table as ``Fraction`` values, built on each call."""
-        den = self.den
-        return tuple(tuple(Fraction(k, den) for k in row) for row in self.nums)
-
 
 @dataclass(frozen=True)
 class FiniteSystem:
@@ -135,12 +129,6 @@ class FiniteSystem:
 
     def has_fixed_points(self) -> bool:
         return any(self.perm[i] == i for i in range(self.size))
-
-    def to_json(self) -> dict:
-        out: dict = {"points": list(self.points), "perm": list(self.perm)}
-        if self.metric is not None:
-            out["metric"] = [[frac_to_str(d) for d in row] for row in self.metric.fractions()]
-        return out
 
     @classmethod
     def from_json(cls, data) -> "FiniteSystem":
@@ -645,15 +633,6 @@ class UniversalEmbeddingReport:
     def n_coords(self) -> int:
         return self.embedding.n_coords
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.embedding.collision_ok
-            and self.delta > 0
-            and self.membership_ok
-            and self.equivariance_ok
-        )
-
 
 def embed_into_universal(sys_: FiniteSystem, epsilon: Fraction) -> UniversalEmbeddingReport:
     """Unroll a distance-coordinate embedding along orbits into the gap-1 space.
@@ -694,10 +673,6 @@ def embed_into_universal(sys_: FiniteSystem, epsilon: Fraction) -> UniversalEmbe
 class TransferReport:
     forward: dict
     backward: dict
-
-    @property
-    def passed(self) -> bool:
-        return self.forward["ok"] and self.backward["ok"]
 
 
 def check_transfer_size(size: int, n: int) -> None:

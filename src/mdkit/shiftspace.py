@@ -454,10 +454,6 @@ class ConjugacyReport:
     k: int
     identities: tuple[IdentityResult, ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(i.ok for i in self.identities)
-
 
 # the six identities of the diagram, in report order: name and statement
 _IDENTITIES = (

@@ -48,12 +48,12 @@ The per-entry loops are the references in ``tests/oracles.py``.
 This module reads the integer encoding, and outside it only two functions
 of :mod:`mdkit.shiftspace` do: ``periodic_witness`` builds its walks'
 columns through ``_seq``, and ``verify_conjugacy_diagram`` gathers and
-compares the points' ``.columns``.  Other code builds vectors
-with :meth:`TorusVec.of` (or from integers, ``TorusVec(nums, den)``),
-sequences with :meth:`TorusSeq.of`, ``TorusSeq(columns, den)`` or a kernel,
-and measure vectors with :func:`max_circle_dist`.  ``Fraction`` appears
-only at the edges: construction from rationals, a vector's JSON and
-:func:`max_circle_dist`.  Everything is exact: no floats, no tolerances.
+compares the points' ``.columns``.  Other code builds vectors from
+integers, ``TorusVec(nums, den)``, sequences with ``TorusSeq(columns, den)``,
+:meth:`TorusSeq.zero` or a kernel, and measures vectors with
+:func:`max_circle_dist`.  ``Fraction`` appears only at the edges: a
+sequence's JSON, a vector's ``repr`` and :func:`max_circle_dist`.
+Everything is exact: no floats, no tolerances.
 """
 
 from __future__ import annotations
@@ -116,9 +116,8 @@ def frac_from_str(text: str) -> Fraction:
 class TorusVec:
     """An element of the N-fold power of the circle (the sequence alphabet).
 
-    Coordinate i is ``nums[i]/den`` mod 2, with integer ``nums`` and ``den``;
-    build a vector from rationals with :meth:`TorusVec.of`.  The stored form
-    is canonical: every ``nums[i]`` lies in [0, 2*den) and
+    Coordinate i is ``nums[i]/den`` mod 2, with integer ``nums`` and ``den``.
+    The stored form is canonical: every ``nums[i]`` lies in [0, 2*den) and
     gcd(den, *nums) = 1, so ``==`` and ``hash`` agree with equality of
     values.  The group operations act coordinatewise and require equal
     dimension; operands with different denominators are lifted to the lcm.
@@ -134,24 +133,9 @@ class TorusVec:
         if not isinstance(den, int) or den < 1:
             raise ValueError("denominator must be a positive integer")
         if not all(isinstance(k, int) for k in nums):
-            raise TypeError("TorusVec takes integers; build from rationals with TorusVec.of")
+            raise TypeError("TorusVec takes integer numerators over an integer denominator")
         full = 2 * den
         _canonical(self, tuple(k % full for k in nums), den)
-
-    @property
-    def dim(self) -> int:
-        return len(self.nums)
-
-    @classmethod
-    def of(cls, *values: Fraction | int) -> "TorusVec":
-        """The vector with the given rational coordinates, reduced mod 2."""
-        fracs = [Fraction(v) for v in values]
-        den = math.lcm(*(f.denominator for f in fracs))
-        return cls(tuple(f.numerator * (den // f.denominator) for f in fracs), den)
-
-    @classmethod
-    def zero(cls, dim: int) -> "TorusVec":
-        return cls((0,) * dim)
 
     def __add__(self, other: "TorusVec") -> "TorusVec":
         a, b, den = _lift(self, other)
@@ -170,9 +154,6 @@ class TorusVec:
     def __repr__(self) -> str:
         inner = ", ".join(str(Fraction(k, self.den)) for k in self.nums)
         return f"TorusVec({inner})"
-
-    def to_json(self) -> list[str]:
-        return [frac_to_str(Fraction(k, self.den)) for k in self.nums]
 
 
 def _canonical(vec: TorusVec, nums: tuple[int, ...], den: int) -> None:
@@ -231,9 +212,9 @@ class TorusSeq:
     so a sequence of length 0 still has its dimension.  The stored form is
     canonical as a :class:`TorusVec`'s is: every numerator lies in
     [0, 2*den) and den shares no factor with all of them, so ``==`` and
-    ``hash`` agree with equality of the sequences of values.  Build one from
-    vectors with :meth:`TorusSeq.of`.  Indexing gives a vector, slicing a
-    sequence; only indexing and iteration build vectors.
+    ``hash`` agree with equality of the sequences of values.  Indexing
+    gives a vector, slicing a sequence; only indexing and iteration build
+    vectors.
     """
 
     columns: tuple[tuple[int, ...], ...]
@@ -248,29 +229,9 @@ class TorusSeq:
         if len({len(column) for column in columns}) > 1:
             raise ValueError("every column of a sequence needs the same length")
         if not all(isinstance(k, int) for column in columns for k in column):
-            raise TypeError("TorusSeq takes integers; build from vectors with TorusSeq.of")
+            raise TypeError("TorusSeq takes integer columns over an integer denominator")
         full = 2 * den
         _canonical_seq(self, tuple(tuple(k % full for k in column) for column in columns), den)
-
-    @classmethod
-    def of(cls, vectors: Iterable[TorusVec], dim: int | None = None) -> "TorusSeq":
-        """The sequence of ``vectors``, lifted once to their common denominator.
-
-        ``dim`` is needed only for an empty sequence; when given it must
-        agree with every vector.
-        """
-        vectors = tuple(vectors)
-        dims = {len(v.nums) for v in vectors}
-        if dim is not None:
-            dims.add(dim)
-        if not dims:
-            raise ValueError("an empty sequence needs its dimension")
-        if len(dims) > 1:
-            raise ValueError("alphabet dimension mismatch")
-        (dim,) = dims
-        den = math.lcm(*{v.den for v in vectors})
-        rows = [v.nums if v.den == den else tuple(k * (den // v.den) for k in v.nums) for v in vectors]
-        return _seq(tuple(zip(*rows)) if rows else ((),) * dim, den)
 
     @classmethod
     def zero(cls, dim: int, length: int) -> "TorusSeq":
@@ -306,8 +267,9 @@ class TorusSeq:
         return _seq(map(getter, self.columns), self.den, bijection)
 
     def to_json(self) -> list[list[str]]:
-        """The entries as :meth:`TorusVec.to_json` writes them, "p/q" in lowest
-        terms, read from the columns: each distinct numerator is formatted once."""
+        """Each entry as its coordinates' texts, "p/q" in lowest terms as
+        :func:`frac_to_str` writes them, read from the columns: each distinct
+        numerator is formatted once."""
         den = self.den
         text = {}
         for k in set().union(*self.columns):

@@ -127,6 +127,7 @@ ROWS = [
     Row("tower-window-too-short", "tower verify --m 3 --window 0:2", 2, "too short to check anything"),
     Row("window-three-parts", "tower verify --m 2 --window 1:2:3", 2, "form A:B"),
     Row("window-not-integers", "tower verify --m 2 --window a:b", 2, "form A:B"),
+    Row("window-empty", "tower verify --m 2 --window 5:5", 2, "nonempty half-open interval"),
     Row("tower-delta-above-one", "tower verify --m 2 --delta 3/2 --window 0:12", 2, "(0, 1]"),
     Row("tower-delta-zero-denominator", "tower verify --m 2 --delta 1/0 --window 0:12", 2, "'1/0' has denominator zero"),
     Row("tower-window-misses-base-block", "tower verify --m 9 --window=-2:10 --anchors random", 2,
@@ -180,6 +181,8 @@ ROWS = [
     Row("aperiodicity-dimension-zero", "tower aperiodicity --m-max 3 --p-max 7 --N 0", 2, "alphabet dimension must be positive"),
     Row("aperiodicity-dimension-negative", "tower aperiodicity --m-max 3 --p-max 7 --N -1", 2,
         "alphabet dimension must be positive"),
+    Row("aperiodicity-depth-zero", "tower aperiodicity --m-max 0 --p-max 5", 2, "truncation depth must be >= 1"),
+    Row("aperiodicity-delta-one", "tower aperiodicity --m-max 3 --p-max 5 --delta 1", 2, "strictly between 0 and 1"),
     # the witnesses' coordinates, counted after the sieve and before any is
     # built: 4,872,000 once printed a 124 MB report
     Row("aperiodicity-over-coordinate-cap", "tower aperiodicity --m-max 2 --p-max 5 --N 12501", 2,
@@ -310,6 +313,10 @@ ROWS = [
     Row("complex-file-p-not-prime", "complex coindex", 2, "p must be prime", file=("--complex", _complex(4, [[0], [1]], [1, 0]))),
     Row("complex-file-unknown-vertex", "complex coindex", 2, "simplex references an unknown vertex",
         file=("--complex", _complex(2, [[0, 2]], [1, 0]))),
+    # a vertex in no simplex once read as a -1-dimensional complex, with
+    # statements about "level--1"
+    Row("coindex-vertex-in-no-simplex", "complex coindex --n-max 2", 2, "vertex 0 lies in no simplex",
+        file=("--complex", _complex(2, [], [1, 0]))),
     Row("complex-file-action-not-a-permutation", "complex coindex", 2, "action must be a permutation of the vertices",
         file=("--complex", _complex(2, [[0], [1]], [0, 0]))),
     Row("complex-file-action-order-not-dividing-p", "complex coindex", 2, "action must have order dividing p",
@@ -435,9 +442,12 @@ ROWS = [
         "exceeded 65536 nodes; raise the cap (--cap on mdim D)"),
     Row("model-shorthand-unknown-key", "mdim D --model en-zp:p=2,n=1,q=3", 2, "en-zp:p=P,n=N"),
     Row("model-shorthand-repeated-key", "mdim D --model en-zp:p=2,n=1,n=2", 2, "en-zp:p=P,n=N"),
+    Row("model-unknown", "mdim D --model torus", 2, "unknown lattice model 'torus'"),
     Row("cover-not-list-of-lists", "mdim D --model interval", 2, "a JSON list of atom lists", file=("--cover", [1, 2])),
     Row("cover-json-object", "mdim D --model interval", 2, "a JSON list of atom lists", file=("--cover", {"a": ["e"]})),
     Row("cover-unhashable-atom", "mdim D --model interval", 2, "a JSON list of atom lists", file=("--cover", [[{"a": 1}]])),
+    Row("cover-member-not-open", "mdim D", 2, "is not an open of this lattice", file=("--cover", [["v0"]])),
+    Row("cover-not-covering", "mdim D", 2, "do not cover the ground set", file=("--cover", [["v0", "e"]])),
     # face_lattice on the 63-simplex table of en-zp(3, 2)
     Row("mdim-D-stars-of-en-zp-3-2", "mdim D --model en-zp:p=3,n=2 --cover stars", 0),
     Row("pipeline-eta-zero-denominator", "mdim pipeline --N 2 --eta 1/0", 2, "'1/0' has denominator zero"),
@@ -445,6 +455,8 @@ ROWS = [
     Row("pipeline-eta-over-digit-limit", f"mdim pipeline --N 1 --eta 1/{'7' * 5000}", 2,
         "rational '1/777777777777777777'... (5002 characters) is not read as p/q"),
     Row("pipeline-eta-negative-width", "mdim pipeline --N -3 --eta 1/2", 2, "alphabet dimension must be >= 1"),
+    Row("pipeline-eta-zero", "mdim pipeline --N 2 --eta 0", 2, "eta must be positive"),
+    Row("pipeline-time-division-zero", "mdim pipeline --N 2 --time-division 0", 2, "time division requires n >= 1"),
 
     # --- --csv ---
     # a --csv path that fails to open, refused before the report is printed

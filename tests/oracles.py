@@ -7,6 +7,7 @@ that the library code is checked against something it does not share.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import factorial, gcd, isqrt, lcm
@@ -21,6 +22,37 @@ from mdkit.shiftspace import Periodic, Window, check_membership, gap_space, rand
 from mdkit.meandim import Cover, cover_ord, validate_cover
 from mdkit.torus import TorusSeq, TorusVec, max_circle_dist
 from mdkit.tower import DomainError, factor_map, section_map
+
+
+# ---------------------------------------------------------------------------
+# Vectors and sequences from rationals
+
+
+def vec(*values) -> TorusVec:
+    """The vector with the given rational coordinates, reduced mod 2."""
+    fracs = [Fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in fracs))
+    return TorusVec(tuple(f.numerator * (den // f.denominator) for f in fracs), den)
+
+
+def seq(vectors, dim=None) -> TorusSeq:
+    """The sequence of ``vectors``, lifted once to their common denominator.
+
+    ``dim`` is needed only for an empty sequence; when given it must agree
+    with every vector.
+    """
+    vectors = tuple(vectors)
+    dims = {len(v.nums) for v in vectors}
+    if dim is not None:
+        dims.add(dim)
+    if not dims:
+        raise ValueError("an empty sequence needs its dimension")
+    if len(dims) > 1:
+        raise ValueError("alphabet dimension mismatch")
+    (dim,) = dims
+    den = lcm(*{v.den for v in vectors})
+    rows = [tuple(k * (den // v.den) for k in v.nums) for v in vectors]
+    return TorusSeq(tuple(zip(*rows)) if rows else ((),) * dim, den)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +206,7 @@ def sample_periodic_gap_point_whole_period(dim, gap, threshold, period, rng):
     """Redraw the whole period until it passes the gap constraint."""
     spec = gap_space(dim, gap, threshold)
     for _ in range(500_000):
-        cand = Periodic(TorusSeq.of(random_torus_vec(rng, dim) for _ in range(period)))
+        cand = Periodic(seq(random_torus_vec(rng, dim) for _ in range(period)))
         if check_membership(spec, cand).passed:
             return cand
     raise RuntimeError(f"no period-{period} point drawn in 500,000 tries")
@@ -225,7 +257,7 @@ def gap_draws_per_entry(rng, dim, length, gap, threshold, den=64):
 def sample_gap_window_per_entry(dim, gap, threshold, start, length, rng):
     """The gap-window sampler entry by entry: each entry past the first gap is
     the entry one gap back plus the next far increment of the stream."""
-    return Window(start, TorusSeq.of(gap_draws_per_entry(rng, dim, length, gap, threshold)[0]))
+    return Window(start, seq(gap_draws_per_entry(rng, dim, length, gap, threshold)[0]))
 
 
 def sample_periodic_gap_point_per_entry(dim, gap, threshold, period, rng):
@@ -243,7 +275,7 @@ def sample_periodic_gap_point_per_entry(dim, gap, threshold, period, rng):
                 break
         for step, v in enumerate(walk):
             values[(first + step * gap) % period] = v
-    return Periodic(TorusSeq.of(values[i] for i in range(period)))
+    return Periodic(seq(values[i] for i in range(period)))
 
 
 def value_at(x, n: int) -> TorusVec:
@@ -259,13 +291,13 @@ def value_at(x, n: int) -> TorusVec:
 def shift_per_entry(x, k):
     """The k-fold shift of a periodic point, vector by vector: the value at n
     is x at n + k."""
-    return Periodic(TorusSeq.of((value_at(x, n + k) for n in range(x.period)), x.dim))
+    return Periodic(seq((value_at(x, n + k) for n in range(x.period)), x.dim))
 
 
 def power_map_per_entry(j, x):
     """The dilation by j of a periodic point, vector by vector: the value at n
     is x at n*j."""
-    return Periodic(TorusSeq.of((value_at(x, n * j) for n in range(x.period)), x.dim))
+    return Periodic(seq((value_at(x, n * j) for n in range(x.period)), x.dim))
 
 
 def conjugacy_failures_per_sample(samples_m, samples_1, m, k, threshold):
@@ -491,7 +523,7 @@ def factor_map_per_entry(m, x):
     if isinstance(x, Periodic):
         p = x.period
         return Periodic(
-            TorusSeq.of(
+            seq(
                 vec_sum(x.values[(i + t * q) % p] for t in range(m))
                 for i in range(p)
             )
@@ -501,7 +533,7 @@ def factor_map_per_entry(m, x):
         raise DomainError("domain shrinks to empty")
     return Window(
         x.start,
-        TorusSeq.of(
+        seq(
             vec_sum(value_at(x, k + t * q) for t in range(m))
             for k in range(x.start, new_end + 1)
         ),
@@ -512,7 +544,7 @@ def section_map_per_entry(m, head, x):
     """The level-m section built entry by entry: the head block on the
     initial block, head sums on the rest of the base block, then one
     telescoping step per entry upward and downward."""
-    if any(v.dim != x.dim for v in head):
+    if any(len(v.nums) != x.dim for v in head):
         raise ValueError("alphabet dimension mismatch")
     q = factorial(m - 1)
     big = factorial(m)
@@ -532,7 +564,7 @@ def section_map_per_entry(m, head, x):
         values[k] = values[k - big] + (value_at(x, k - big + q) - value_at(x, k - big))
     for k in range(-1, out_lo - 1, -1):
         values[k] = values[k + big] + (value_at(x, k) - value_at(x, k + q))
-    return Window(out_lo, TorusSeq.of(values[k] for k in range(out_lo, out_hi + 1)))
+    return Window(out_lo, seq(values[k] for k in range(out_lo, out_hi + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +680,11 @@ def metric_dist(sys_: FiniteSystem, i: int, j: int) -> Fraction:
     return Fraction(sys_.metric.nums[i][j], sys_.metric.den)
 
 
+def metric_fractions(metric) -> tuple[tuple[Fraction, ...], ...]:
+    """A ``finite.Metric``'s table as ``Fraction`` values."""
+    return tuple(tuple(Fraction(k, metric.den) for k in row) for row in metric.nums)
+
+
 def uniform_metric(size: int, value: Fraction) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(
         tuple(Fraction(0) if i == j else Fraction(value) for j in range(size))
@@ -722,7 +759,7 @@ def epsilon_embedding_by_fractions(sys_: FiniteSystem, epsilon) -> SimpleNamespa
     its images at distance 0.  The fields are the report's that a caller
     reads: centers, n_coords, images, scale, epsilon and collision_ok."""
     epsilon = Fraction(epsilon)
-    n, metric = sys_.size, sys_.metric.fractions()
+    n, metric = sys_.size, metric_fractions(sys_.metric)
     diam = max((metric[i][j] for i in range(n) for j in range(n)), default=Fraction(0))
     scale = Fraction(1)
     if diam > Fraction(1, 4):
@@ -733,7 +770,7 @@ def epsilon_embedding_by_fractions(sys_: FiniteSystem, epsilon) -> SimpleNamespa
     for i in range(n):
         if not any(dist[i][c] < eps / 2 for c in centers):
             centers.append(i)
-    images = tuple(TorusVec.of(*(dist[i][c] for c in centers)) for i in range(n))
+    images = tuple(vec(*(dist[i][c] for c in centers)) for i in range(n))
     collision_ok = True
     for i in range(n):
         for j in range(i + 1, n):
@@ -772,7 +809,7 @@ def orbit_map_per_point(sys_: FiniteSystem, images, space):
     sequence of each point's image with the shift of its own."""
     sequences = {}
     for cycle in sys_.cycles:
-        base = Periodic(TorusSeq.of(images[j] for j in cycle))
+        base = Periodic(seq(images[j] for j in cycle))
         for k, i in enumerate(cycle):
             sequences[i] = shift_per_entry(base, k)
     sequences = [sequences[i] for i in range(sys_.size)]
@@ -801,7 +838,14 @@ def mixed_den_vec(rng, dim, dens=(1, 2, 3, 64)):
 
 
 # ---------------------------------------------------------------------------
-# Free complexes: freeness by every power, homology by dense matrices
+# Free complexes: files, freeness by every power, homology by dense matrices
+
+
+def complex_file(complex_) -> dict:
+    """A complex file that lists every simplex of ``complex_``, as JSON values."""
+    simplices = list(chain.from_iterable(complex_.face_table))
+    data = {"p": complex_.p, "vertices": complex_.vertices, "simplices": simplices, "action": complex_.action}
+    return json.loads(json.dumps(data))
 
 
 def en_zp_face_table_by_product(p: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -875,6 +919,7 @@ def complex_violations(complex_) -> list[str]:
         ),
         "no empty trailing entry": not table or bool(table[-1]),
         "vertices known": all(v in range(n) for s in simplices for v in s),
+        "every vertex in a simplex": {v for s in simplices for v in s} >= set(range(n)),
         "downward closed": all(
             tuple(u for u in s if u != v) in below
             for below, entry in zip(map(set, table), table[1:])

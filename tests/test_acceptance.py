@@ -233,7 +233,7 @@ def test_criterion_08_marker_transfer():
         for n in (2, 3):
             for n_marker in (2, 3, 5):
                 report = verify_marker_transfer(sys_, n, n_marker)
-                if not report.passed:
+                if not (report.forward["ok"] and report.backward["ok"]):
                     failures.append((lengths, n, n_marker))
     conclude(8, "marker-transfer", failures)
 

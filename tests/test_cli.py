@@ -16,7 +16,7 @@ from mdkit import cli, complexes, finite, shiftspace, torus, tower
 from mdkit.finite import FiniteSystem, Metric
 
 from instances import ROWS, run_in_process
-from oracles import uniform_metric
+from oracles import complex_file, metric_fractions, uniform_metric
 from test_golden import COMMANDS
 
 
@@ -180,7 +180,8 @@ class TestDispatch:
         # a random table is a metric by construction and a uniform one is
         # checked by the sign of its value; a metric file is validated once
         path = tmp_path / "metric.json"
-        path.write_text(json.dumps([["0" if i == j else "1/4" for j in range(12)] for i in range(12)]))
+        table = [["0" if i == j else "1/4" for j in range(12)] for i in range(12)]
+        path.write_text(json.dumps(table))
         calls = []
         validate = finite._validate_metric
         for module in (cli, finite):
@@ -195,8 +196,7 @@ class TestDispatch:
         # replacing file is validated
         system = tmp_path / "system.json"
         base = FiniteSystem.from_cycle_lengths([7, 5])
-        data = FiniteSystem(base.points, base.perm, Metric.of(uniform_metric(12, Fraction(1, 4)))).to_json()
-        system.write_text(json.dumps(data))
+        system.write_text(json.dumps({"points": list(base.points), "perm": list(base.perm), "metric": table}))
         argv = ["embed", "--system", str(system), "--metric", str(path), "--epsilon", "1/10"]
         assert run_cli(capsys, *argv)[0] == 0
         assert len(calls) - counts[-1] == 1
@@ -211,12 +211,12 @@ class TestDispatch:
                 except ValueError as exc:
                     expected = str(exc)
                 try:
-                    assert cli._parse_metric(f"uniform:{value}", size).fractions() == table
+                    assert metric_fractions(cli._parse_metric(f"uniform:{value}", size)) == table
                     got = None
                 except ValueError as exc:
                     got = str(exc)
                 assert got == expected, (size, value)
-        assert cli._parse_metric("uniform:-1/4", 1).fractions() == ((Fraction(0),),)
+        assert metric_fractions(cli._parse_metric("uniform:-1/4", 1)) == ((Fraction(0),),)
 
     def test_sequence_commands_build_vectors_only_to_print_them(self, capsys, monkeypatch):
         # windows, anchors, sections and periodic samples stay integer
@@ -248,7 +248,7 @@ class TestDispatch:
         # standard complexes are built valid; a complex file is validated
         # once, as it is read
         path = tmp_path / "complex.json"
-        path.write_text(json.dumps(complexes.build_en_zp(2, 1).to_json()))
+        path.write_text(json.dumps(complex_file(complexes.build_en_zp(2, 1))))
         calls = []
         validate = complexes._validate_complex
         monkeypatch.setattr(complexes, "_validate_complex", lambda k: calls.append(k) or validate(k))
@@ -750,6 +750,29 @@ class TestReportContract:
         witness = report["checks"][0]["witness"]["witness"]
         assert witness["kind"] == "periodic"
         assert witness["values"] == [["0/1"], ["4/3"], ["2/3"]]
+
+    def test_failing_transfer_witness_lists_its_violations(self, capsys, monkeypatch):
+        # every base 4-part rejected: the 15-markers of the extension of a
+        # 5-cycle at n = 3 are single points, and each record names the first
+        # one, in the extension cycle's walk, that projects onto its part
+        part_ok = finite._part_ok
+        monkeypatch.setattr(finite, "_part_ok", lambda length, u, k: False if k == 4 else part_ok(length, u, k))
+        code, report, _ = run_cli(capsys, "markers", "transfer", "--system", "cycles:5", "--n", "3", "--N", "5")
+        forward, backward = (check["witness"] for check in report["checks"])
+        assert code == 1 and "violations" not in forward
+        assert backward["violations"] == [{"marker": [j], "projected": [q]} for q, j in enumerate([0, 1, 4, 7, 10])]
+
+    def test_failing_identity_witness_lists_its_failing_samples(self, capsys, monkeypatch):
+        # the four equality identities fail at entry 0 of every stacked run
+        monkeypatch.setattr(shiftspace, "_unequal_positions", lambda a, b: [0])
+        argv = ["shift", "conjugacy", "--p", "7", "--m", "3", "--samples", "20", "--seed", "1"]
+        code, report, _ = run_cli(capsys, *argv)
+        expected = shiftspace.verify_conjugacy_diagram(1, 3, Fraction(1, 2), 7, 20, 1).identities
+        assert code == 1
+        assert [check["witness"].get("failures") for check in report["checks"]] == [
+            list(ident.failures) or None for ident in expected
+        ]
+        assert [check["verdict"] for check in report["checks"]] == ["pass"] * 2 + ["fail"] * 4
 
 
 class TestFileInputs:

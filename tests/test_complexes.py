@@ -31,6 +31,7 @@ from mdkit.finite import permutation_cycles
 from oracles import (
     coboundary_columns_by_combinations,
     coindex_bounds_per_level,
+    complex_file,
     complex_violations,
     en_zp_face_table_by_product,
     free_action_by_all_powers,
@@ -45,8 +46,11 @@ from oracles import (
 def from_maximal_faces(p, vertices, maximal, action) -> FreeZpComplex:
     """A complex file that lists only maximal faces, each by vertex names,
     with the action as a map of names, read as ``complex coindex`` reads it:
-    closed downward and validated."""
-    vertices = list(vertices)
+    closed downward and validated.  A file lists only the vertices of its
+    faces, so a vertex no face holds is left out; the faces here are closed
+    under the action, and so are the vertices they hold."""
+    held = {v for face in maximal for v in face}
+    vertices = [v for v in vertices if v in held]
     index = {v: i for i, v in enumerate(vertices)}
     return FreeZpComplex.from_json(
         {
@@ -137,8 +141,8 @@ class TestJoin:
 
     def test_join_with_empty_is_identity(self):
         k = build_en_zp(3, 1)
-        assert join_complexes(k, FreeZpComplex.empty(3)) is k
-        assert join_complexes(FreeZpComplex.empty(3), k) is k
+        assert join_complexes(k, FreeZpComplex(3, (), (), ())) is k
+        assert join_complexes(FreeZpComplex(3, (), (), ()), k) is k
 
     def test_join_two_sphere(self):
         j = join_complexes(build_en_zp(2, 1), build_en_zp(2, 0))
@@ -210,11 +214,10 @@ class TestFreeAction:
 
     def test_unused_fixed_vertex_keeps_the_action_free(self):
         # a vertex that no simplex uses is an orbit of its own, fixed by the
-        # action, but not a simplex: free by the definition and by the orbits
-        data = build_en_zp(3, 1).to_json()
-        data["vertices"].append("unused")
-        data["action"].append(len(data["action"]))
-        k = FreeZpComplex.from_json(data)
+        # action, but not a simplex: free by the definition and by the orbits.
+        # A complex file may not list one, so the complex is built unchecked
+        e = build_en_zp(3, 1)
+        k = FreeZpComplex(3, (*e.vertices, "unused"), e.face_table, (*e.action, 6))
         assert (len(k.vertices), k.action[-1]) == (7, 6)
         assert free_action_by_all_powers(k)
         assert check_free_action(k)
@@ -431,7 +434,7 @@ class TestSparseHomology:
 
     def test_groups_match_single_degrees(self):
         point = FreeZpComplex(2, ("a",), (((0,),),), (0,))
-        complexes = [FreeZpComplex.empty(3), point, build_en_zp(2, 0)] + [
+        complexes = [FreeZpComplex(3, (), (), ()), point, build_en_zp(2, 0)] + [
             build_en_zp(p, n) for p, n in [(2, 2), (3, 2), (5, 1)]
         ] + [join_complexes(build_en_zp(2, 1), build_en_zp(2, 0))]
         for k in complexes:
@@ -790,7 +793,7 @@ class TestCoindexBounds:
     def test_standard_complexes_are_told_from_lookalikes(self):
         e1, e2 = build_en_zp(2, 1), build_en_zp(2, 2)
         assert _is_standard(e1) and _is_standard(e2)
-        assert _is_standard(FreeZpComplex.from_json(json.loads(json.dumps(e2.to_json()))))
+        assert _is_standard(FreeZpComplex.from_json(complex_file(e2)))
         # the vertices and action of E_n Z_2, and one fact the check reads changed
         lookalikes = [
             # a top simplex fewer
@@ -803,13 +806,17 @@ class TestCoindexBounds:
         assert not any(map(_is_standard, lookalikes))
 
     def test_empty_convention(self):
-        bound = coindex_bounds(FreeZpComplex.empty(5), 2)
+        bound = coindex_bounds(FreeZpComplex(5, (), (), ()), 2)
         assert (bound.lower, bound.upper) == (-1, -1)
-        # a file may list vertices and no simplex: dimension -1, no search
-        vertices_only = FreeZpComplex.from_json({"p": 2, "vertices": [0, 1], "simplices": [], "action": [1, 0]})
-        bound = coindex_bounds(vertices_only, 2)
+        # a file that lists vertices and no simplex is refused by its first
+        # vertex in no simplex; it would read as a -1-dimensional complex
+        with pytest.raises(ValueError, match="^vertex 0 lies in no simplex"):
+            FreeZpComplex.from_json({"p": 2, "vertices": [0, 1], "simplices": [], "action": [1, 0]})
+        with pytest.raises(ValueError, match="^vertex 2 lies in no simplex"):
+            FreeZpComplex.from_json({"p": 2, "vertices": [0, 1, 2, 3], "simplices": [[0, 1]], "action": [1, 0, 3, 2]})
+        # with no vertex at all there is none to refuse
+        bound = coindex_bounds(FreeZpComplex.from_json({"p": 2, "vertices": [], "simplices": [], "action": []}), 2)
         assert (bound.lower, bound.upper) == (-1, -1)
-        assert [record["rule"] for record in bound.provenance] == ["level theorem", "dimension cap"]
 
     def test_standard_complexes_exact(self):
         for p in (2, 3):
@@ -913,7 +920,7 @@ class TestBuilderOutputs:
 
     def test_standard_complexes_valid(self):
         for p in (2, 3, 5, 7):
-            assert complex_violations(FreeZpComplex.empty(p)) == [], p
+            assert complex_violations(FreeZpComplex(p, (), (), ())) == [], p
             for n in range(4):
                 assert complex_violations(build_en_zp(p, n)) == [], (p, n)
 
@@ -968,9 +975,9 @@ class TestJsonAndInvariants:
     def test_complex_round_trip(self):
         for p, n in [(2, 0), (3, 1), (2, 3), (5, 2)]:
             k = build_en_zp(p, n)
-            assert FreeZpComplex.from_json(k.to_json()) == k
+            assert FreeZpComplex.from_json(complex_file(k)) == k
         j = join_complexes(build_en_zp(3, 0), build_en_zp(3, 1))
-        assert FreeZpComplex.from_json(json.loads(json.dumps(j.to_json()))) == j
+        assert FreeZpComplex.from_json(complex_file(j)) == j
 
     def test_from_json_closes_maximal_faces(self):
         data = {
@@ -984,7 +991,7 @@ class TestJsonAndInvariants:
 
     def test_face_table_lists_each_dimension_sorted(self):
         join = join_complexes(build_en_zp(2, 1), build_en_zp(2, 0))
-        for k in [FreeZpComplex.empty(2), projective_plane(), build_en_zp(3, 2), join]:
+        for k in [FreeZpComplex(2, (), (), ()), projective_plane(), build_en_zp(3, 2), join]:
             table = k.face_table
             assert table is k.face_table
             assert len(table) == k.dimension() + 1
@@ -1025,7 +1032,7 @@ class TestJsonAndInvariants:
             ),
         ]
         for k, digest in cases:
-            assert hashlib.sha256(json.dumps(k.to_json()).encode()).hexdigest() == digest
+            assert hashlib.sha256(json.dumps(complex_file(k)).encode()).hexdigest() == digest
 
     def test_coindex_bound_json(self):
         bound = CoindexBound(3, 1, None, ({"rule": "x", "statement": "y"},))

@@ -29,7 +29,7 @@ from mdkit.shiftspace import (
     half_step_space,
     unit_step_space,
 )
-from mdkit.torus import TorusSeq, TorusVec, frac_from_str, max_circle_dist
+from mdkit.torus import TorusVec, frac_from_str, frac_to_str, max_circle_dist
 
 from oracles import (
     apply,
@@ -43,6 +43,7 @@ from oracles import (
     marker_exists_bruteforce,
     marker_exists_vectorized,
     metric_dist,
+    metric_fractions,
     metric_violations,
     orbit_map_per_point,
     perm_is_bijection,
@@ -50,8 +51,10 @@ from oracles import (
     projection_by_clock_walk,
     random_metric_per_entry,
     random_system,
+    seq,
     uniform_metric,
     value_at,
+    vec,
 )
 
 HALF = Fraction(1, 2)
@@ -59,6 +62,16 @@ HALF = Fraction(1, 2)
 
 def cycles(*lengths):
     return FiniteSystem.from_cycle_lengths(list(lengths))
+
+
+def embedded(report) -> bool:
+    """Whether ``embed`` passes each check it reports on ``report``."""
+    return report.embedding.collision_ok and report.delta > 0 and report.membership_ok and report.equivariance_ok
+
+
+def transferred(report) -> bool:
+    """Whether ``markers transfer`` passes both checks it reports on ``report``."""
+    return report.forward["ok"] and report.backward["ok"]
 
 
 def quarter_apart(*lengths):
@@ -116,7 +129,7 @@ class TestStructure:
         rows = [["0", "1/4", " 1/4"], ["1/4", "0", "2/8"], [" 1/4", "2/8", "0"]]
         parsed = []
         monkeypatch.setattr(finite, "frac_from_str", lambda d: parsed.append(d) or frac_from_str(d))
-        assert finite.metric_from_json(rows).fractions() == tuple(tuple(map(frac_from_str, row)) for row in rows)
+        assert metric_fractions(finite.metric_from_json(rows)) == tuple(tuple(map(frac_from_str, row)) for row in rows)
         assert sorted(parsed) == [" 1/4", "0", "1/4", "2/8"]
         for bad in (True, [1], "1/0", "x"):
             with pytest.raises(ValueError) as expected:
@@ -153,9 +166,11 @@ class TestStructure:
         assert len(messages) == 5
 
     def test_json_round_trip(self):
+        # a system file written from a system's fields reads back as it
         sys_ = quarter_apart(2)
-        restored = FiniteSystem.from_json(sys_.to_json())
-        assert restored == sys_
+        metric = [[frac_to_str(d) for d in row] for row in metric_fractions(sys_.metric)]
+        data = {"points": list(sys_.points), "perm": list(sys_.perm), "metric": metric}
+        assert FiniteSystem.from_json(data) == sys_
 
 
 class TestTimeDivision:
@@ -471,15 +486,15 @@ class TestEmbeddings:
         sys_ = quarter_apart(2)
         report = embed_into_universal(sys_, Fraction(1, 5))
         assert report.delta > 0
-        assert report.passed
+        assert embedded(report)
 
     def test_universal_five_cycle(self):
         sys_ = quarter_apart(5)
         report = embed_into_universal(sys_, Fraction(1, 5))
-        assert report.passed
+        assert embedded(report)
         space = gap_space(report.n_coords, 1, report.delta)
-        for seq in report.sequences:
-            assert check_membership(space, seq).passed
+        for x in report.sequences:
+            assert check_membership(space, x).passed
 
     def test_fixed_point_error(self):
         sys_ = quarter_apart(1, 2)
@@ -511,7 +526,7 @@ class TestEmbeddings:
             rescaled += report.scale != 1
             # a point exactly epsilon/2 from a center, and a pair exactly
             # epsilon apart (a rescale scales both sides)
-            metric = sys_.metric.fractions()
+            metric = metric_fractions(sys_.metric)
             at_half += any(2 * metric[i][c] == epsilon for i in range(sys_.size) for c in report.centers)
             at_epsilon += any(d == epsilon for row in metric for d in row)
         assert at_half > 10 and at_epsilon > 10 and rescaled > 10
@@ -591,7 +606,7 @@ def embedding_cases():
         for _ in range(2):
             systems.append(FiniteSystem.from_json(mixed_metric_json(rng, rng.randint(2, 16), low)))
     for sys_ in systems:
-        distances = sorted({d for row in sys_.metric.fractions() for d in row if d})
+        distances = sorted({d for row in metric_fractions(sys_.metric) for d in row if d})
         picked = rng.sample(distances, min(2, len(distances)))
         epsilons = {Fraction(rng.randint(1, 64), 64)} | set(picked) | {2 * d for d in picked}
         for epsilon in sorted(epsilons):
@@ -616,7 +631,7 @@ class TestOrbitMap:
     def test_failed_membership_is_reported(self, pipeline, monkeypatch):
         monkeypatch.setattr(finite, "check_membership", lambda space, x: MembershipReport("fail", range(1), (0,)))
         report = ORBIT_PIPELINES[pipeline]()
-        assert not report.membership_ok and report.equivariance_ok and not report.passed
+        assert not report.membership_ok and report.equivariance_ok
 
     @pytest.mark.parametrize("pipeline", sorted(ORBIT_PIPELINES))
     def test_failed_equivariance_is_reported(self, pipeline, monkeypatch):
@@ -624,17 +639,17 @@ class TestOrbitMap:
         # read every image of their cycle, but not in the order T visits them
         monkeypatch.setattr(finite, "permutation_cycles", cycles_walked_backwards)
         report = ORBIT_PIPELINES[pipeline]()
-        assert report.membership_ok and not report.equivariance_ok and not report.passed
+        assert report.membership_ok and not report.equivariance_ok
 
     @pytest.mark.parametrize("pipeline", sorted(ORBIT_PIPELINES))
     def test_sequences_follow_the_orbits(self, pipeline):
         # entry n of cycle c's point is the image of T^n(c[0])
         report = ORBIT_PIPELINES[pipeline]()
-        assert report.passed
+        assert report.membership_ok and report.equivariance_ok
         sys_ = cycles(3, 5)
         if pipeline == "unit-step":
             phi = rokhlin_function(sys_, marker_search(sys_, 2).subset, 2).phi
-            images = [TorusVec.of(t) for t in phi]
+            images = [vec(t) for t in phi]
         else:
             images = embedding_images(report.embedding)
         assert [s.period for s in report.sequences] == [3, 5]
@@ -667,7 +682,7 @@ class TestOrbitMap:
             den = rng.choice((1, 2, 4))
             images = [TorusVec((rng.randrange(2 * den),), den) for _ in range(sys_.size)]
             space = rng.choice(spaces)
-            _, membership_ok, equivariance_ok = finite._orbit_map(sys_, TorusSeq.of(images, dim=1), space)
+            _, membership_ok, equivariance_ok = finite._orbit_map(sys_, seq(images, dim=1), space)
             sequences, oracle_membership, oracle_equivariance = orbit_map_per_point(sys_, images, space)
             assert membership_ok == oracle_membership, (sys_.perm, images, space)
             true_walk = walked == permutation_cycles(sys_.perm)
@@ -684,21 +699,21 @@ class TestOrbitMap:
 class TestMarkerTransfer:
     def test_forward_three_cycle(self):
         report = verify_marker_transfer(cycles(3), 2, 3)
-        assert report.passed
+        assert transferred(report)
         assert "6-marker" in report.forward["detail"]
 
     def test_backward_five_cycle(self):
         report = verify_marker_transfer(cycles(5), 3, 5)
-        assert report.passed
+        assert transferred(report)
         assert "15" in report.backward["detail"]
 
     def test_degenerate_n_one(self):
         report = verify_marker_transfer(cycles(2), 1, 2)
-        assert report.passed
+        assert transferred(report)
 
     def test_no_marker_consistency(self):
         report = verify_marker_transfer(cycles(3), 2, 5)
-        assert report.passed
+        assert transferred(report)
         assert "no base" in report.forward["detail"]
 
     def test_one_violation_record_per_projection(self, monkeypatch):
@@ -708,7 +723,7 @@ class TestMarkerTransfer:
         part_ok = finite._part_ok
         monkeypatch.setattr(finite, "_part_ok", lambda length, u, k: False if k == 4 else part_ok(length, u, k))
         report = verify_marker_transfer(cycles(5), 3, 5)
-        assert not report.passed
+        assert report.forward["ok"] and not report.backward["ok"]
         violations = report.backward["violations"]
         assert [v["projected"] for v in violations] == [[0], [1], [2], [3], [4]]
         # each names the first marker, in the cycle's walk, with that projection
@@ -877,7 +892,7 @@ class TestMarkerTransfer:
             sys_ = FiniteSystem.from_cycle_lengths(lengths)
             for n in (2, 3):
                 for n_marker in (2, 3, 5):
-                    assert verify_marker_transfer(sys_, n, n_marker).passed
+                    assert transferred(verify_marker_transfer(sys_, n, n_marker))
 
 
     def test_cycle_position_subsets_match_the_scan(self):
@@ -928,7 +943,7 @@ class TestRandomGenerators:
         # the metric axioms over many seeds
         for size in range(1, 17):
             for seed in range(20):
-                metric = random_metric(random.Random(seed), size).fractions()
+                metric = metric_fractions(random_metric(random.Random(seed), size))
                 assert metric_violations(metric, size) == [], (size, seed)
                 values = {metric[i][j] for i in range(size) for j in range(size) if i != j}
                 assert all(Fraction(1, 8) <= v <= Fraction(1, 4) for v in values)
@@ -939,13 +954,13 @@ class TestRandomGenerators:
         for size in range(41):
             for seed in range(4):
                 ours, oracle = random.Random(seed), random.Random(seed)
-                assert random_metric(ours, size).fractions() == random_metric_per_entry(oracle, size)
+                assert metric_fractions(random_metric(ours, size)) == random_metric_per_entry(oracle, size)
                 assert ours.getstate() == oracle.getstate(), (size, seed)
         # and 50 seeds at larger sizes, the embedding cap among them
         for seed in range(50):
             size = random.Random(seed).randint(41, 100) if seed else finite.MAX_EMBED_POINTS
             ours, oracle = random.Random(seed), random.Random(seed)
-            assert random_metric(ours, size).fractions() == random_metric_per_entry(oracle, size)
+            assert metric_fractions(random_metric(ours, size)) == random_metric_per_entry(oracle, size)
             assert ours.getstate() == oracle.getstate(), (size, seed)
 
     def test_system_builders_make_bijections(self):
@@ -988,7 +1003,7 @@ class TestRandomGenerators:
             )
             bijective = perm_is_bijection(unchecked)
             valid = bijective and (
-                unchecked.metric is None or not metric_violations(unchecked.metric.fractions(), size)
+                unchecked.metric is None or not metric_violations(metric_fractions(unchecked.metric), size)
             )
             verdicts.append(valid)
             if not bijective:

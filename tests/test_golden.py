@@ -7,6 +7,7 @@ to change; a representation change must leave every byte as it is.
 
 import argparse
 import shlex
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -16,30 +17,17 @@ from mdkit import cli
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-COMMANDS = {
-    "tower-verify": "mdkit tower verify --m 3 --N 1 --delta 1/2 --window 0:36 --samples 100 --seed 7",
-    "tower-aperiodicity": "mdkit tower aperiodicity --m-max 5 --p-max 13",
-    "shift-count-periodic": "mdkit shift count-periodic --n-max 14",
-    "shift-conjugacy": "mdkit shift conjugacy --p 7 --m 3 --N 2 --delta 1/2 --samples 20 --seed 1",
-    "shift-witness": "mdkit shift witness --p 3 --m 2",
-    "complex-en-zp": "mdkit complex en-zp --p 3 --n 2",
-    "complex-coindex": "mdkit complex coindex --complex en-zp:p=2,n=1 --n-max 2",
-    "markers-search": "mdkit markers search --system cycles:5 --N 6",
-    "markers-transfer": "mdkit markers transfer --system cycles:3,5 --n 2 --N 3",
-    "embed": "mdkit embed --system cycles:5 --metric uniform:1/4 --epsilon 1/5",
-    "mdim-D": "mdkit mdim D --model en-zp:p=2,n=1 --cover stars",
-    "mdim-pipeline": "mdkit mdim pipeline --N 3 --eta 1/7",
-}
 
-
-def readme_commands() -> list[str]:
+def _readme_commands() -> dict[str, str]:
+    """The commands of the README "Command line" block, each named by its
+    words joined by "-", such as ``mdim-D``."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    return [line.split("#", 1)[0].strip() for line in block.strip().splitlines()]
+    lines = [line.split("#", 1)[0].strip() for line in block.strip().splitlines()]
+    return {"-".join(takewhile(lambda word: not word.startswith("-"), line.split()[1:])): line for line in lines}
 
 
-def test_golden_set_is_the_readme_block():
-    assert readme_commands() == list(COMMANDS.values())
+COMMANDS = _readme_commands()
 
 
 def test_one_golden_file_per_command():

@@ -1,33 +1,49 @@
 """Every top-level definition and every class member in ``src/mdkit`` serves
 a command or a named ROADMAP item.
 
-The walk is name-level and static.  It parses every module of the package
-and starts from ``cli.main``, from every module-level
-statement that is not a ``def`` or ``class``, and from the two allowlists.  A
-``Name`` or ``Attribute`` reaches the same-module definition of that name, or
-the definition a ``from .x import y`` brought in under it.  Reaching a
-function reaches its body, decorators and annotations.  Reaching a class
-reaches its decorators, bases, field annotations and defaults, and its
-dunder methods, which the interpreter calls; any other method or property
-is reached when reached code names it as an attribute (``x.name``) or as a
-string, in any class, and reaching it walks it whole.  The walk runs to a
-fixed point.  A test helper or oracle belongs in ``tests/oracles.py``, not in
-the package.
+Definitions are checked by a walk that is name-level and static.  It parses
+every module of the package and starts from ``cli.main``, from every
+module-level statement that is not a ``def`` or ``class``, and from
+``ALLOWLIST``.  A ``Name`` or ``Attribute`` reaches the same-module
+definition of that name, or the definition a ``from .x import y`` brought in
+under it.  Reaching a function reaches its body, decorators and
+annotations; reaching a class reaches its whole body.  A test helper or
+oracle belongs in ``tests/oracles.py``, not in the package.
 
-A member whose name is also one a command uses, such as ``to_json`` or
-``passed``, is reached by that name whatever calls it: the walk resolves
-names, not the classes of the objects they are read on.
+Class members are checked by the commands that run them, since a name does
+not say which class an attribute is read on.  A census wraps each method,
+property, classmethod, staticmethod and cached_property that a class of the
+package defines in its source, runs every row of ``tests/instances.py`` and
+every golden command through ``cli.main`` in a fresh interpreter, removes
+the wrappers, and lists each member that was never looked up.  A member
+runs when it is looked up, whatever its kind, and a wrapper sits outside
+any ``lru_cache``, so a warm cache hides no call.  Members of a class that
+the walk reaches only from ``ALLOWLIST`` are exempt, and so are the entries
+of ``MEMBER_ALLOWLIST``.  Run as a script, this module prints the census.
 
 The same walk holds the parameters of the module-level functions it reaches
 from ``cli.main``.  A call made in reached code or a module-level
 statement resolves to its function as a name does.  A default that no such
 call leaves serves no command, and neither does a ``None``/``True``/``False``
-default that every such call overrides.  Methods stay outside this check, for
-the same reason.
+default that every such call overrides.  Methods stay outside this check, as
+the walk resolves names, not the classes of the objects methods are called on.
 """
 
 import ast
+import contextlib
+import importlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
+
+import pytest
+from instances import ROWS, Row, check
+from test_golden import COMMANDS
+
+from mdkit import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mdkit"
@@ -56,11 +72,13 @@ ALLOWLIST = {
     ("shiftspace", "shift"): 29,
 }
 
-# members no command names, ``Class.member``, each with the ROADMAP item that
+# members no command runs, ``Class.member``, each with the ROADMAP item that
 # will consume it
 MEMBER_ALLOWLIST = {
-    # bench/tracer.py counts a lattice's opens until item 29
+    # bench/tracer.py counts a lattice's opens and a point's values until item 29
     ("meandim", "OpenLattice.opens"): 29,
+    ("shiftspace", "Periodic.values"): 29,
+    ("shiftspace", "Window.values"): 29,
 }
 
 
@@ -97,88 +115,27 @@ def _resolve(modules, module, name):
     return None
 
 
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _is_dunder(name: str) -> bool:
-    return name.startswith("__") and name.endswith("__")
-
-
-def _methods(node) -> dict:
-    """The methods and properties of a class that are not dunders, by name;
-    none for a function."""
-    if not isinstance(node, ast.ClassDef):
-        return {}
-    return {s.name: s for s in node.body if isinstance(s, FUNCTIONS) and not _is_dunder(s.name)}
-
-
-def _parts(node) -> list:
-    """What reaching a definition walks: a function whole; a class's
-    decorators, bases, fields and dunder methods, not its other methods."""
-    if not isinstance(node, ast.ClassDef):
-        return [node]
-    methods = _methods(node).values()
-    return [
-        *node.decorator_list,
-        *node.bases,
-        *node.keywords,
-        *(s for s in node.body if s not in methods),
-    ]
-
-
-def _definition(modules, module, name):
-    """The node of a top-level definition, or of a member named ``Class.member``."""
-    owner, _, member = name.rpartition(".")
-    if owner:
-        return _methods(modules[module][0][owner])[member]
-    return modules[module][0][name]
-
-
 def _walk(modules, roots):
     """Every (module, name) reached from the root definitions and from the
-    module-level statements that are not definitions; a member is named
-    ``Class.member``."""
+    module-level statements that are not definitions."""
     reached = set()
-    named = set()  # the attribute names and strings in reached code
-    waiting = {}  # name -> the members of reached classes no reached code names yet
     todo = [(module, node) for module, (_, _, rest) in modules.items() for node in rest]
-
-    def reach(module, name):
-        if (module, name) in reached:
-            return
+    for module, name in roots:
+        todo.append((module, modules[module][0][name]))
         reached.add((module, name))
-        node = _definition(modules, module, name)
-        todo.extend((module, part) for part in _parts(node))
-        for member in _methods(node):
-            if member in named:
-                reach(module, f"{name}.{member}")
-            else:
-                waiting.setdefault(member, []).append((module, f"{name}.{member}"))
-
-    def mention(ref):
-        if ref not in named:
-            named.add(ref)
-            for target in waiting.pop(ref, ()):
-                reach(*target)
-
-    for root in roots:
-        reach(*root)
     while todo:
         module, node = todo.pop()
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                mention(sub.value)
-                continue
             if isinstance(sub, ast.Name):
                 ref = sub.id
             elif isinstance(sub, ast.Attribute):
                 ref = sub.attr
-                mention(ref)
             else:
                 continue
             target = _resolve(modules, module, ref)
-            if target is not None:
-                reach(*target)
+            if target is not None and target not in reached:
+                reached.add(target)
+                todo.append((target[0], modules[target[0]][0][target[1]]))
     return reached
 
 
@@ -195,7 +152,7 @@ def _default_faults(modules, reached):
     function that no reached call passes, and each ``None``/``True``/``False``
     default that every reached call overrides."""
     sites = [(module, node) for module, (_, _, rest) in modules.items() for node in rest]
-    sites += [(module, part) for module, name in reached for part in _parts(_definition(modules, module, name))]
+    sites += [(module, modules[module][0][name]) for module, name in reached]
     passes = {}
     for module, node in sites:
         for call in ast.walk(node):
@@ -209,8 +166,7 @@ def _default_faults(modules, reached):
                 passes.setdefault(target, []).append(_passed(definition.args, call))
     faults = []
     for module, name in sorted(reached):
-        # a member, ``Class.member``, is no top-level definition
-        definition = modules[module][0].get(name)
+        definition = modules[module][0][name]
         if not isinstance(definition, ast.FunctionDef):
             continue
         arguments = definition.args
@@ -228,19 +184,75 @@ def _default_faults(modules, reached):
     return faults
 
 
-def _members(modules):
-    """(module, ``Class.member``) for each method and property of every class
-    that is not a dunder."""
+MODULES = _modules()
+ROOTS = [("cli", "main"), *ALLOWLIST]
+
+
+def _members():
+    """(module, ``Class.member``) for each method and property, not a dunder,
+    that a class of the package defines in its source: a NamedTuple's
+    generated ``_make`` and ``_replace`` are not listed."""
     return [
-        (module, f"{owner}.{member}")
-        for module, (defs, _, _) in modules.items()
+        (module, f"{owner}.{member.name}")
+        for module, (defs, _, _) in MODULES.items()
         for owner, node in defs.items()
-        for member in _methods(node)
+        if isinstance(node, ast.ClassDef)
+        for member in node.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (member.name.startswith("__") and member.name.endswith("__"))
     ]
 
 
-MODULES = _modules()
-ROOTS = [("cli", "main"), *ALLOWLIST, *MEMBER_ALLOWLIST]
+class _Counted:
+    """A class attribute that records each lookup, then gives what the
+    attribute it stands in for gives; it sets nothing, so a value that a
+    cached_property stores on an instance is read from there."""
+
+    def __init__(self, attribute, key, called: set):
+        self.attribute, self.key, self.called = attribute, key, called
+
+    def __get__(self, instance, owner=None):
+        self.called.add(self.key)
+        return self.attribute.__get__(instance, owner)
+
+
+def _census() -> list:
+    """The members no row of ``tests/instances.py`` and no golden command
+    looks up, each run through ``cli.main`` and checked as its row expects."""
+    rows = ROWS + [Row(name, command.removeprefix("mdkit "), 0) for name, command in COMMANDS.items()]
+    called, originals = set(), []
+    for module, name in _members():
+        owner, _, member = name.partition(".")
+        cls = getattr(importlib.import_module(f"mdkit.{module}"), owner)
+        originals.append((cls, member, vars(cls)[member]))
+        setattr(cls, member, _Counted(vars(cls)[member], (module, name), called))
+    try:
+        # an input path over 40 characters, as in ``python tests/instances.py``
+        with tempfile.TemporaryDirectory(prefix="mdkit-instances-census-") as directory:
+            for row in rows:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main(row.argv(directory))
+                    except SystemExit as exc:  # the parser tree's usage fallback
+                        code = exc.code
+                check(row, code, out.getvalue(), err.getvalue(), directory)
+    finally:
+        for cls, member, attribute in originals:
+            setattr(cls, member, attribute)
+    return [key for key in _members() if key not in called]
+
+
+@pytest.fixture(scope="module")
+def never_called():
+    """The census, taken in a fresh interpreter: no cache or stored value
+    that earlier tests left can stand in for a lookup."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, __file__], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr[-3000:]
+    return {tuple(line.split()) for line in run.stdout.splitlines()}
 
 
 def test_every_definition_is_reached():
@@ -257,23 +269,27 @@ def test_every_definition_is_reached():
     )
 
 
-def test_every_member_is_reached():
-    reached = _walk(MODULES, ROOTS)
-    orphans = sorted(f"{module}.{name}" for module, name in _members(MODULES) if (module, name) not in reached)
+def test_every_member_is_called_by_a_command(never_called):
+    allowlisted = _walk(MODULES, ROOTS) - _walk(MODULES, [("cli", "main")])
+    orphans = sorted(
+        f"{module}.{name}"
+        for module, name in never_called
+        if (module, name.partition(".")[0]) not in allowlisted and (module, name) not in MEMBER_ALLOWLIST
+    )
     assert orphans == [], (
-        "no command names these methods or properties: give each a command, "
+        "no command calls these methods or properties: give each a command, "
         "move a test reader to tests/oracles.py, or delete it"
     )
 
 
-def test_allowlist_names_definitions_no_command_reaches():
+def test_allowlist_names_definitions_no_command_reaches(never_called):
     from_main = _walk(MODULES, [("cli", "main")])
     for module, name in ALLOWLIST:
         assert name in MODULES[module][0], f"{module}.{name} is not a top-level definition"
         assert (module, name) not in from_main, f"{module}.{name} is reached from cli.main: drop it"
     for module, name in MEMBER_ALLOWLIST:
-        assert (module, name) in _members(MODULES), f"{module}.{name} is not a method or property"
-        assert (module, name) not in from_main, f"{module}.{name} is reached from cli.main: drop it"
+        assert (module, name) in _members(), f"{module}.{name} is not a method or property"
+        assert (module, name) in never_called, f"{module}.{name} is called by a command: drop it"
 
 
 def test_every_default_serves_a_command():
@@ -325,116 +341,9 @@ def test_walk_follows_imports_attributes_and_class_bodies():
         ("cli", "main"),
         ("lib", "helper"),
         ("lib", "Box"),
-        ("lib", "Box.method"),
         ("lib", "inner"),
         ("lib", "method"),
     }
-
-
-def _module_of(source: str):
-    """A module's walk entry from its source, which imports nothing."""
-    tree = ast.parse(source)
-    return {node.name: node for node in tree.body}, {}, []
-
-
-def test_walk_reaches_members_named_as_attributes_or_strings():
-    modules = {
-        "cli": _module_of("""
-def main():
-    box = Box()
-    return late.hook, box.read, getattr(box, "spelled")
-
-class Box:
-    def read(self):
-        return from_read()
-
-    def spelled(self):
-        return self.chained()
-
-    def chained(self):
-        return Late()
-
-    def unnamed(self):
-        return from_unnamed()
-
-class Late:
-    def hook(self):
-        return from_hook()
-
-def from_read():
-    pass
-
-def from_unnamed():
-    pass
-
-def from_hook():
-    pass
-"""),
-    }
-    reached = _walk(modules, [("cli", "main")])
-    # a method is reached by its name as an attribute or a string, also when
-    # the name comes before its class is reached, and its body is walked; a
-    # method named nowhere is not, nor what only its body names
-    assert reached == {
-        ("cli", "main"),
-        ("cli", "Box"),
-        ("cli", "Box.read"),
-        ("cli", "from_read"),
-        ("cli", "Box.spelled"),
-        ("cli", "Box.chained"),
-        ("cli", "Late"),
-        ("cli", "Late.hook"),
-        ("cli", "from_hook"),
-    }
-    assert _members(modules) == [
-        ("cli", "Box.read"),
-        ("cli", "Box.spelled"),
-        ("cli", "Box.chained"),
-        ("cli", "Box.unnamed"),
-        ("cli", "Late.hook"),
-    ]
-
-
-def test_walk_reaches_a_class_s_dunders_decorators_bases_and_fields():
-    modules = {
-        "cli": _module_of("""
-def main():
-    return Box()
-
-@wrap
-class Box(Base):
-    size: Size = default_size()
-
-    def __post_init__(self):
-        check()
-
-    def unnamed(self):
-        return from_unnamed()
-
-def wrap(cls):
-    return cls
-
-class Base:
-    pass
-
-class Size:
-    pass
-
-def default_size():
-    pass
-
-def check():
-    pass
-
-def from_unnamed():
-    pass
-"""),
-    }
-    reached = _walk(modules, [("cli", "main")])
-    assert reached == {
-        ("cli", name) for name in ("main", "Box", "wrap", "Base", "Size", "default_size", "check")
-    }
-    assert _members(modules) == [("cli", "Box.unnamed")]
 
 
 def test_default_faults_name_unused_and_always_overridden_defaults():
@@ -465,3 +374,8 @@ def unused(n, flag=True):
     # draw's count is never passed and its closed always is; pick's k is
     # passed once and left once; a starred argument may pass anything
     assert _default_faults(modules, reached) == ["cli.draw(closed)", "cli.draw(count)", "cli.spread(flag)"]
+
+
+if __name__ == "__main__":
+    for module, name in _census():
+        print(module, name)

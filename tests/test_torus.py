@@ -27,8 +27,10 @@ from oracles import (
     gap_failures_per_entry,
     lane_edge_seq,
     mixed_den_vec,
+    seq,
     solve_strided_sums_per_entry,
     strided_sums_per_entry,
+    vec,
     vec_sum,
 )
 
@@ -40,45 +42,50 @@ def value(v):
     return Fraction(v.nums[0], v.den)
 
 
+def vectors_json(x):
+    """Each vector of a sequence as its coordinates' ``frac_to_str`` texts."""
+    return [[frac_to_str(Fraction(k, v.den)) for k in v.nums] for v in x]
+
+
 def test_reduce_examples():
-    assert value(TorusVec.of(0)) == 0
-    assert value(TorusVec.of(Fraction(8, 3))) == Fraction(2, 3)
-    assert value(TorusVec.of(Fraction(-1, 2))) == Fraction(3, 2)
+    assert value(vec(0)) == 0
+    assert value(vec(Fraction(8, 3))) == Fraction(2, 3)
+    assert value(vec(Fraction(-1, 2))) == Fraction(3, 2)
 
 
 @given(rationals)
 def test_reduce_canonical_range(q):
-    r = value(TorusVec.of(q))
+    r = value(vec(q))
     assert 0 <= r < 2
     assert (q - r) % 2 == 0
 
 
 @given(rationals)
 def test_reduce_is_2_periodic(q):
-    base = TorusVec.of(q)
+    base = vec(q)
     for k in range(-3, 4):
-        assert TorusVec.of(q + 2 * k) == base
+        assert vec(q + 2 * k) == base
 
 
 @given(rationals, rationals)
 def test_group_add_then_subtract(x, y):
-    a, b = TorusVec.of(x), TorusVec.of(y)
+    a, b = vec(x), vec(y)
     assert (a + b) - b == a
-    assert a + (-a) == TorusVec.of(0)
+    assert a + (-a) == vec(0)
 
 
 def test_circle_dist_examples():
-    x = TorusVec.of(Fraction(7, 5))
+    x = vec(Fraction(7, 5))
     assert max_circle_dist(x, x) == 0
-    assert max_circle_dist(TorusVec.of(0), TorusVec.of(1)) == 1
-    assert max_circle_dist(TorusVec.of(Fraction(1, 3)), TorusVec.of(Fraction(5, 3))) == Fraction(2, 3)
+    assert max_circle_dist(vec(0), vec(1)) == 1
+    assert max_circle_dist(vec(Fraction(1, 3)), vec(Fraction(5, 3))) == Fraction(2, 3)
 
 
 def test_circle_dist_translation_invariance_1000_triples():
     rng = random.Random(20260810)
     for _ in range(1000):
         x, y, z = (
-            TorusVec.of(Fraction(rng.randrange(-400, 400), rng.randrange(1, 64)))
+            vec(Fraction(rng.randrange(-400, 400), rng.randrange(1, 64)))
             for _ in range(3)
         )
         assert max_circle_dist(x + z, y + z) == max_circle_dist(x, y)
@@ -88,7 +95,7 @@ def test_circle_dist_triangle_inequality_1000_triples():
     rng = random.Random(9157)
     for _ in range(1000):
         x, y, z = (
-            TorusVec.of(Fraction(rng.randrange(-400, 400), rng.randrange(1, 64)))
+            vec(Fraction(rng.randrange(-400, 400), rng.randrange(1, 64)))
             for _ in range(3)
         )
         assert max_circle_dist(x, z) <= max_circle_dist(x, y) + max_circle_dist(y, z)
@@ -96,46 +103,46 @@ def test_circle_dist_triangle_inequality_1000_triples():
 
 @given(rationals, rationals)
 def test_circle_dist_symmetric_and_bounded(x, y):
-    a, b = TorusVec.of(x), TorusVec.of(y)
+    a, b = vec(x), vec(y)
     d = max_circle_dist(a, b)
     assert d == max_circle_dist(b, a)
     assert 0 <= d <= 1
 
 
 def test_max_dist_examples():
-    v = TorusVec.of(Fraction(1, 7), Fraction(3, 2))
+    v = vec(Fraction(1, 7), Fraction(3, 2))
     assert max_circle_dist(v, v) == 0
-    assert max_circle_dist(TorusVec.of(0, 0), TorusVec.of(1, Fraction(1, 2))) == 1
-    assert max_circle_dist(TorusVec.of(Fraction(1, 3), 0), TorusVec.of(Fraction(5, 3), 0)) == Fraction(2, 3)
+    assert max_circle_dist(vec(0, 0), vec(1, Fraction(1, 2))) == 1
+    assert max_circle_dist(vec(Fraction(1, 3), 0), vec(Fraction(5, 3), 0)) == Fraction(2, 3)
 
 
 def test_max_dist_attains_one_on_antipodal_coordinate():
     rng = random.Random(4)
     for _ in range(200):
         coords = [Fraction(rng.randrange(128), 64) for _ in range(3)]
-        x = TorusVec.of(*coords)
-        flipped = TorusVec.of(*(c + 1 for c in coords))
+        x = vec(*coords)
+        flipped = vec(*(c + 1 for c in coords))
         assert max_circle_dist(x, flipped) == 1
 
 
 @given(rationals, rationals, rationals)
 def test_max_dist_translation_invariance(x, y, z):
-    a = TorusVec.of(x, y)
-    b = TorusVec.of(y, x)
-    c = TorusVec.of(z, z)
+    a = vec(x, y)
+    b = vec(y, x)
+    c = vec(z, z)
     assert max_circle_dist(a + c, b + c) == max_circle_dist(a, b)
 
 
 def test_dimension_mismatch_errors():
     with pytest.raises(ValueError, match="alphabet dimension mismatch"):
-        max_circle_dist(TorusVec.of(0), TorusVec.of(0, 0))
+        max_circle_dist(vec(0), vec(0, 0))
     with pytest.raises(ValueError, match="alphabet dimension mismatch"):
-        TorusVec.of(0) + TorusVec.of(0, 0)
+        vec(0) + vec(0, 0)
 
 
 def test_vec_sum_and_zero():
-    vs = [TorusVec.of(Fraction(1, 2), 1), TorusVec.of(Fraction(3, 2), 1), TorusVec.zero(2)]
-    assert vec_sum(vs) == TorusVec.of(0, 0)
+    vs = [vec(Fraction(1, 2), 1), vec(Fraction(3, 2), 1), TorusVec((0, 0))]
+    assert vec_sum(vs) == vec(0, 0)
     with pytest.raises(ValueError):
         vec_sum([])
 
@@ -164,13 +171,6 @@ def test_exponent_form_is_refused_before_fraction_reads_it(monkeypatch):
         with pytest.raises(ValueError, match="exponent form") as refused:
             frac_from_str(text)
         assert repr(text) in str(refused.value)
-
-
-def test_torus_json_round_trip():
-    elem = TorusVec.of(Fraction(-1, 3))
-    assert TorusVec.of(*map(frac_from_str, elem.to_json())) == elem
-    vec = TorusVec.of(Fraction(1, 3), Fraction(9, 5))
-    assert TorusVec.of(*map(frac_from_str, vec.to_json())) == vec
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,7 @@ def test_integer_form_is_canonical(pair):
     assert math.gcd(x.den, *x.nums) == 1
     scaled = TorusVec(tuple(7 * k for k in xn), 7 * xd)
     assert scaled == x and hash(scaled) == hash(x)
-    assert TorusVec.of(*(Fraction(k, xd) for k in xn)) == x
+    assert vec(*(Fraction(k, xd) for k in xn)) == x
 
 
 def test_integer_ops_seeded_mixed_denominators():
@@ -235,41 +235,41 @@ def test_integer_ops_seeded_mixed_denominators():
         assert math.lcm(x.den, y.den) % total.den == 0
         assert as_fractions(total) == [mod2(a + b) for a, b in zip(xs, ys)]
         assert as_fractions(x - y) == [mod2(a - b) for a, b in zip(xs, ys)]
-        assert (x - y) + y == x and x + (-x) == TorusVec.zero(dim)
+        assert (x - y) + y == x and x + (-x) == TorusVec((0,) * dim)
         assert max_circle_dist(x, y) == oracle_dist(xs, ys)
 
 
 def test_equal_values_built_differently_are_equal_and_hash_equal():
     half = TorusVec((32,), 64)
     one = half + half
-    assert one == TorusVec.of(1) == TorusVec((1,)) == TorusVec((3,)) == TorusVec((-1,))
+    assert one == vec(1) == TorusVec((1,)) == TorusVec((3,)) == TorusVec((-1,))
     assert one.nums == (1,) and one.den == 1
-    assert hash(one) == hash(TorusVec.of(1))
-    assert len({one, TorusVec.of(1), TorusVec((384,), 128)}) == 1
-    mixed = TorusVec.of(Fraction(1, 3), Fraction(1, 4)) + TorusVec.of(Fraction(2, 3), Fraction(3, 4))
-    assert mixed == TorusVec.of(1, 1) == TorusVec((1, 1))
+    assert hash(one) == hash(vec(1))
+    assert len({one, vec(1), TorusVec((384,), 128)}) == 1
+    mixed = vec(Fraction(1, 3), Fraction(1, 4)) + vec(Fraction(2, 3), Fraction(3, 4))
+    assert mixed == vec(1, 1) == TorusVec((1, 1))
     assert hash(mixed) == hash(TorusVec((1, 1)))
-    read = TorusVec.of(*map(frac_from_str, ["0/1", "2/4"]))
-    assert TorusVec((0, 6), 12) == TorusVec.of(0, Fraction(1, 2)) == read
+    read = vec(*map(frac_from_str, ["0/1", "2/4"]))
+    assert TorusVec((0, 6), 12) == vec(0, Fraction(1, 2)) == read
 
 
 def test_to_json_writes_reduced_fractions():
-    assert TorusVec((0, 64, 32, 96, 127), 64).to_json() == ["0/1", "1/1", "1/2", "3/2", "127/64"]
-    assert TorusVec.of(Fraction(-1, 3), 5, Fraction(8, 6)).to_json() == ["5/3", "1/1", "4/3"]
+    assert TorusSeq(((0, 64, 32, 96, 127),), 64).to_json() == [["0/1"], ["1/1"], ["1/2"], ["3/2"], ["127/64"]]
+    assert seq([vec(Fraction(-1, 3), 5, Fraction(8, 6))]).to_json() == [["5/3", "1/1", "4/3"]]
     rng = random.Random(7)
     for _ in range(500):
         v = TorusVec(tuple(rng.randrange(-500, 500) for _ in range(3)), rng.randrange(1, 100))
-        for text, k in zip(v.to_json(), v.nums):
+        for text, k in zip(seq([v]).to_json()[0], v.nums):
             p, q = (int(part) for part in text.split("/"))
             assert q > 0 and math.gcd(p, q) == 1 and Fraction(p, q) == Fraction(k, v.den)
 
 
 def test_rational_numerators_are_refused():
-    with pytest.raises(TypeError, match=r"TorusVec\.of"):
+    with pytest.raises(TypeError, match="integer numerators"):
         TorusVec((Fraction(1, 2),))
-    with pytest.raises(TypeError, match=r"TorusVec\.of"):
+    with pytest.raises(TypeError, match="integer numerators"):
         TorusVec((1, Fraction(1, 3)), 3)
-    assert TorusVec.of(Fraction(1, 2)) == TorusVec((1,), 2)
+    assert vec(Fraction(1, 2)) == TorusVec((1,), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -281,30 +281,30 @@ def test_sequence_round_trips_its_vectors():
     for _ in range(300):
         dim = rng.choice((1, 2, 3))
         values = [mixed_den_vec(rng, dim) for _ in range(rng.randrange(0, 12))]
-        seq = TorusSeq.of(values, dim)
-        assert len(seq) == len(values) and seq.dim == dim
-        assert list(seq) == values
-        assert [seq[k] for k in range(-len(values), len(values))] == values + values
-        assert list(seq[2:7:2]) == values[2:7:2] and list(seq[::-1]) == values[::-1]
+        x = seq(values, dim)
+        assert len(x) == len(values) and x.dim == dim
+        assert list(x) == values
+        assert [x[k] for k in range(-len(values), len(values))] == values + values
+        assert list(x[2:7:2]) == values[2:7:2] and list(x[::-1]) == values[::-1]
         order = [rng.randrange(len(values)) for _ in range(5)] if values else []
-        assert list(seq.take(order)) == [values[i] for i in order]
+        assert list(x.take(order)) == [values[i] for i in order]
         split = rng.randrange(len(values) + 1)
-        assert concat(seq[:split], seq[split:]) == seq
+        assert concat(x[:split], x[split:]) == x
 
 
 def test_sequence_json_is_the_vectors_json():
     # the column writer formats each distinct numerator once; it must write
-    # exactly what the per-vector writer does, lowest terms included
+    # each vector's coordinates as frac_to_str does, lowest terms included
     rng = random.Random(907)
     for den in (1, 2, 3, 64, 97):
         for _ in range(60):
             dim, length = rng.choice((1, 2, 3)), rng.randrange(0, 40)
             columns = [[rng.randrange(2 * den) for _ in range(length)] for _ in range(dim)]
-            seq = TorusSeq(columns, den)
-            assert seq.to_json() == [v.to_json() for v in seq], (den, columns)
+            x = TorusSeq(columns, den)
+            assert x.to_json() == vectors_json(x), (den, columns)
     witness = periodic_witness(1, 2, Fraction(1, 2), 99_991).witness
     assert witness.seq.den == 99_991
-    assert witness.seq.to_json() == [v.to_json() for v in witness.seq]
+    assert witness.seq.to_json() == vectors_json(witness.seq)
 
 
 def test_concat_is_the_validating_constructor_of_its_columns():
@@ -334,45 +334,38 @@ def test_sequence_form_is_canonical():
     for _ in range(300):
         dim = rng.choice((1, 2))
         values = [mixed_den_vec(rng, dim) for _ in range(rng.randrange(1, 10))]
-        seq = TorusSeq.of(values)
-        assert all(0 <= k < 2 * seq.den for column in seq.columns for k in column)
-        assert math.gcd(seq.den, *(k for column in seq.columns for k in column)) == 1
-        assert seq.den == math.lcm(*(v.den for v in values))
+        x = seq(values)
+        assert all(0 <= k < 2 * x.den for column in x.columns for k in column)
+        assert math.gcd(x.den, *(k for column in x.columns for k in column)) == 1
+        assert x.den == math.lcm(*(v.den for v in values))
 
 
 def test_equal_sequences_built_differently_are_equal_and_hash_equal():
-    half, one = TorusVec.of(Fraction(1, 2)), TorusVec.of(1)
+    half, one = vec(Fraction(1, 2)), vec(1)
     built = [
-        TorusSeq.of([half, one, TorusVec.zero(1)]),
+        seq([half, one, TorusVec((0,))]),
         TorusSeq(((64, 128, 0),), 128),
         TorusSeq(((1, 6, 4),), 2),
-        TorusSeq.of([TorusVec((32,), 64), half + half, one + one]),
-        strided_sums(TorusSeq.of([TorusVec.of(Fraction(1, 6)), TorusVec.of(Fraction(1, 3)),
-                                  TorusVec.of(Fraction(2, 3)), TorusVec.of(Fraction(4, 3))]), 1, 2),
-        concat(TorusSeq.of([half]), TorusSeq.of([one]), TorusSeq.zero(1, 1)),
+        seq([TorusVec((32,), 64), half + half, one + one]),
+        strided_sums(seq([vec(Fraction(1, 6)), vec(Fraction(1, 3)), vec(Fraction(2, 3)), vec(Fraction(4, 3))]), 1, 2),
+        concat(seq([half]), seq([one]), TorusSeq.zero(1, 1)),
     ]
-    assert all(seq == built[0] and hash(seq) == hash(built[0]) for seq in built)
+    assert all(x == built[0] and hash(x) == hash(built[0]) for x in built)
     assert built[0].den == 2 and len(set(built)) == 1
-    windows = [Window(-3, seq) for seq in built]
+    windows = [Window(-3, x) for x in built]
     assert all(w == windows[0] and hash(w) == hash(windows[0]) for w in windows)
     assert Window(-2, built[0]) != windows[0]
-    assert TorusSeq.of([half, one]) != built[0] and TorusSeq.zero(1, 3) != TorusSeq.zero(2, 3)
+    assert seq([half, one]) != built[0] and TorusSeq.zero(1, 3) != TorusSeq.zero(2, 3)
 
 
 def test_sequence_constructor_checks_its_input():
-    with pytest.raises(ValueError, match="alphabet dimension mismatch"):
-        TorusSeq.of([TorusVec.zero(1), TorusVec.zero(2)])
-    with pytest.raises(ValueError, match="alphabet dimension mismatch"):
-        TorusSeq.of([TorusVec.zero(1)], 2)
-    with pytest.raises(ValueError, match="needs its dimension"):
-        TorusSeq.of([])
     with pytest.raises(ValueError, match="same length"):
         TorusSeq(((0, 1), (0,)), 2)
     with pytest.raises(ValueError, match="dimension must be positive"):
         TorusSeq((), 2)
-    with pytest.raises(TypeError, match=r"TorusSeq\.of"):
+    with pytest.raises(TypeError, match="integer columns"):
         TorusSeq(((Fraction(1, 2),),))
-    assert TorusSeq(((-1, 5),), 2) == TorusSeq.of([TorusVec.of(Fraction(3, 2)), TorusVec.of(Fraction(1, 2))])
+    assert TorusSeq(((-1, 5),), 2) == seq([vec(Fraction(3, 2)), vec(Fraction(1, 2))])
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +380,7 @@ def test_strided_sums_match_vec_sums():
         values = [mixed_den_vec(rng, dim) for _ in range((terms - 1) * stride + rng.randrange(1, 30))]
         count = len(values) - (terms - 1) * stride
         expected = [vec_sum(values[k + t * stride] for t in range(terms)) for k in range(count)]
-        assert strided_sums(TorusSeq.of(values), stride, terms) == TorusSeq.of(expected)
+        assert strided_sums(seq(values), stride, terms) == seq(expected)
 
 
 def test_strided_sums_refuse_short_input():
@@ -406,11 +399,11 @@ def test_solve_strided_sums_inverts_strided_sums():
         head = [mixed_den_vec(rng, dim) for _ in range(c)]
         sums = [mixed_den_vec(rng, dim) for _ in range(rng.randrange(0, 40))]
         below = rng.randrange(len(sums) + 1)
-        y = solve_strided_sums(TorusSeq.of(head, dim), TorusSeq.of(sums, dim), below, stride, terms)
+        y = solve_strided_sums(seq(head, dim), seq(sums, dim), below, stride, terms)
         assert len(y) == len(sums) + c and y.dim == dim
         assert list(y[below : below + c]) == head
         if sums:
-            assert strided_sums(y, stride, terms) == TorusSeq.of(sums)
+            assert strided_sums(y, stride, terms) == seq(sums)
         # entry by entry: each entry past the head is its sum less the terms
         # before it, each entry before the head its sum less the terms after it
         up = list(head)
@@ -523,7 +516,7 @@ def test_first_far_matches_dist_at_least():
         seed = rng.randrange(1 << 30)
         got = first_far(random.Random(seed), dim, length, gap, t, den)
         values, drawn = gap_draws_per_entry(random.Random(seed), dim, length, gap, t, den)
-        assert got == (TorusSeq.of(values), drawn)
+        assert got == (seq(values), drawn)
         assert gap_failures(got[0], gap, t, False) == []
 
 
@@ -549,7 +542,7 @@ def test_first_far_leaves_the_per_entry_generator_state():
             assert found == (None, drawn)
             opened += 1
         else:
-            assert found == (TorusSeq.of(values), drawn)
+            assert found == (seq(values), drawn)
     assert opened > 50
 
 

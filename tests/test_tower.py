@@ -48,16 +48,18 @@ from oracles import (
     section_map_per_entry,
     section_range_per_index,
     section_value_oracle,
+    seq,
     tower_components,
     unequal_entries,
     value_at,
+    vec,
 )
 
 HALF = Fraction(1, 2)
 
 
 def seq_of(*values):
-    return TorusSeq.of(TorusVec.of(Fraction(v)) for v in values)
+    return seq(vec(Fraction(v)) for v in values)
 
 
 def identity_failures(m, x, y):
@@ -106,7 +108,7 @@ class TestFactorMap:
     def test_zero_window_stays_zero(self):
         w = Window(0, TorusSeq.zero(2, 8))
         y = factor_map(2, w)
-        assert all(v == TorusVec.zero(2) for v in y.values)
+        assert all(v == TorusVec((0, 0)) for v in y.values)
         assert (y.start, y.end) == (0, 6)
 
     def test_window_domain_shrink_and_error(self):
@@ -168,7 +170,7 @@ class TestSectionMap:
     def test_zero_input_zero_anchor(self):
         x = Window(0, TorusSeq.zero(1, 6))
         y = section_map(2, zero_anchor(1, 2), x)
-        assert all(v == TorusVec.zero(1) for v in y.values)
+        assert all(v == TorusVec((0,)) for v in y.values)
 
     def test_matches_literal_case_formula(self):
         rng = random.Random(41)
@@ -196,7 +198,7 @@ class TestSectionMap:
         assert len(zero_anchor(1, 3)) == 4
         for size in (0, 1, 3, 5):
             with pytest.raises(ValueError, match="level-3 section needs a head block of 4 entries"):
-                section_map(3, (TorusVec.of(0),) * size, x)
+                section_map(3, (vec(0),) * size, x)
 
     def test_periodic_input_rejected(self):
         with pytest.raises(TypeError, match="unroll periodic points"):
@@ -217,7 +219,7 @@ class TestKernelsMatchPerEntry:
             span = (m - 1) * level_gap(m - 1)
             for dim in (1, 2):
                 for extra in (0, 1, 7, level_gap(m) + 3):
-                    x = Window(rng.randrange(-9, 9), TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(span + 1 + extra)))
+                    x = Window(rng.randrange(-9, 9), seq(mixed_den_vec(rng, dim) for _ in range(span + 1 + extra)))
                     assert factor_map(m, x) == factor_map_per_entry(m, x)
 
     def test_factor_map_on_periodic_points(self):
@@ -225,7 +227,7 @@ class TestKernelsMatchPerEntry:
         for m in (2, 3, 4, 5):
             for dim in (1, 2):
                 for p in (1, 2, 3, 5, 6, 7, 13, 24, 31):
-                    x = Periodic(TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(p)))
+                    x = Periodic(seq(mixed_den_vec(rng, dim) for _ in range(p)))
                     assert factor_map(m, x) == factor_map_per_entry(m, x)
                 # period-p witnesses, over denominator p
                 for p in (7, 11, 13):
@@ -241,11 +243,11 @@ class TestKernelsMatchPerEntry:
                 heads = (
                     zero_anchor(dim, m),
                     random_anchor(dim, m, rng),
-                    TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(c)),
+                    seq(mixed_den_vec(rng, dim) for _ in range(c)),
                 )
                 for lo in (0, -1, -q, -big - 3):
                     for hi in (q - 1, big, 2 * big + 1):
-                        mixed = Window(lo, TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(hi - lo + 1)))
+                        mixed = Window(lo, seq(mixed_den_vec(rng, dim) for _ in range(hi - lo + 1)))
                         # a grid window (denominator 64) under a zero anchor (denominator 1)
                         grid = sample_gap_window(dim, q, HALF, lo, hi - lo + 1, rng)
                         for x in (mixed, grid):
@@ -290,11 +292,11 @@ class TestKernelsMatchPerEntry:
             for gap in (1, 2, 6, 24):
                 spec = gap_space(dim, gap, third)
                 points = [
-                    Window(rng.randrange(-9, 9), TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(gap + 20))),
-                    Window(rng.randrange(-9, 9), TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(gap))),
+                    Window(rng.randrange(-9, 9), seq(mixed_den_vec(rng, dim) for _ in range(gap + 20))),
+                    Window(rng.randrange(-9, 9), seq(mixed_den_vec(rng, dim) for _ in range(gap))),
                     sample_gap_window(dim, gap, third, rng.randrange(-9, 9), gap + 20, rng),
-                    Periodic(TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(6))),
-                    Periodic(TorusSeq.of(mixed_den_vec(rng, dim) for _ in range(7))),
+                    Periodic(seq(mixed_den_vec(rng, dim) for _ in range(6))),
+                    Periodic(seq(mixed_den_vec(rng, dim) for _ in range(7))),
                     sample_periodic_gap_point(dim, gap, third, 7, rng),
                 ]
                 for x in points:
@@ -353,8 +355,8 @@ class TestKernelsMatchPerEntry:
         seen = {}
         for _ in range(60):
             # entries 0 and 1 make both outcomes of each test common
-            draw = [lambda: mixed_den_vec(rng, 1), lambda: TorusVec.of(rng.randrange(2))]
-            values = TorusSeq.of(rng.choice(draw)() for _ in range(rng.randrange(1, 12)))
+            draw = [lambda: mixed_den_vec(rng, 1), lambda: vec(rng.randrange(2))]
+            values = seq(rng.choice(draw)() for _ in range(rng.randrange(1, 12)))
             for x in (Window(rng.randrange(-5, 5), values), Periodic(values)):
                 for spec in (half, unit):
                     if isinstance(x, Periodic):
@@ -396,7 +398,7 @@ class TestVerifySection:
             for dim in (1, 2, 3):
                 for den in (1, 3, 64):
                     rows = gap_draws_per_entry(rng, dim, hi - lo + 1, q, HALF, den)[0]
-                    x = Window(lo, TorusSeq.of(rows))
+                    x = Window(lo, seq(rows))
                     # heads over each denominator but the window's
                     heads = [zero_anchor(dim, m)] + [
                         lane_edge_seq(rng, dim, (m - 1) * q, d) for d in (3, 64) if d != den
@@ -507,8 +509,8 @@ class TestSectionIdentity:
         y = section_map(2, zero_anchor(1, 2), x)
         k = 3  # at level 2 output j sums entries j and j + 1: entry k feeds outputs k - 1 and k
         values = list(y.values)
-        values[k - y.start] = values[k - y.start] + TorusVec.of(Fraction(1, 4))
-        corrupted = Window(y.start, TorusSeq.of(values))
+        values[k - y.start] = values[k - y.start] + vec(Fraction(1, 4))
+        corrupted = Window(y.start, seq(values))
         mismatches = [x.start + i for i in unequal_entries(factor_map(2, corrupted).seq, x.seq)]
         assert identity_failures(2, x, corrupted) == tuple(mismatches) == (k - 1, k)
 
@@ -523,8 +525,8 @@ class TestSectionIdentity:
             y = section_map(m, random_anchor(2, m, rng), x)
             for k in (-big - 1, -1, 0, big - 1, big, y.end):
                 values = list(y.values)
-                values[k - y.start] = values[k - y.start] + TorusVec.of(0, Fraction(1, 4))
-                failures = identity_failures(m, x, Window(y.start, TorusSeq.of(values)))
+                values[k - y.start] = values[k - y.start] + vec(0, Fraction(1, 4))
+                failures = identity_failures(m, x, Window(y.start, seq(values)))
                 named = tuple(j for j in (k - t * q for t in range(m - 1, -1, -1)) if x.start <= j <= x.end)
                 assert failures == named and named
 
@@ -564,7 +566,7 @@ class TestSectionRange:
             assert verify_section(m, zero_anchor(2, m), x, HALF).range_failures == ()
             values = list(x.values)
             values[big] = values[big - q]
-            bad = Window(x.start, TorusSeq.of(values))
+            bad = Window(x.start, seq(values))
             with pytest.raises(ValueError, match="does not satisfy its own gap constraint"):
                 verify_section(m, zero_anchor(2, m), bad, HALF)
 
@@ -589,7 +591,7 @@ class TestTowerElement:
         x = Window(-6, TorusSeq.zero(1, 20))
         components = tower_components(3, x, 4)
         for level in range(1, 5):
-            assert all(v == TorusVec.zero(1) for v in components[level].values)
+            assert all(v == TorusVec((0,)) for v in components[level].values)
 
     def test_domain_failure_names_level(self):
         # too short for the chain down to level 1: the level-2 factor map
@@ -641,7 +643,7 @@ class TestAperiodicity:
         spec = TowerSpec(dim=2, delta=HALF, m_max=1)
         stated = {}
         for cert in tower_aperiodicity_report(spec, 13):
-            values = [TorusVec.of(*map(Fraction, v)) for v in cert["witness"]["values"]]
+            values = [vec(*map(Fraction, v)) for v in cert["witness"]["values"]]
             p, gap = len(values), cert["gap"]
             realized = min(max_circle_dist(values[k], values[(k + gap) % p]) for k in range(p))
             stated[p] = cert["statement"].split("realized distance ")[1].split(";")[0]
