@@ -82,7 +82,6 @@ from .shiftspace import (
 )
 from .torus import _shown, frac_from_str, frac_to_str
 from .tower import (
-    TowerSpec,
     check_verify_size,
     random_anchor,
     tower_aperiodicity_report,
@@ -247,11 +246,10 @@ def _run_tower_verify(args) -> dict:
 
 def _run_tower_aperiodicity(args) -> dict:
     delta = frac_from_str(args.delta)
-    spec = TowerSpec(dim=args.N, delta=delta, m_max=args.m_max)
     checks = [
         # the statement is the check's own field; the rest of the fresh record is its witness
         _check(f"prime-{cert['prime']}", cert.pop("statement"), cert["verified"], cert)
-        for cert in tower_aperiodicity_report(spec, args.p_max)
+        for cert in tower_aperiodicity_report(args.N, delta, args.m_max, args.p_max)
     ]
     return _report(args, checks, delta=frac_to_str(delta))
 
@@ -276,9 +274,7 @@ def _run_shift_count_periodic(args) -> dict:
 
 def _run_shift_conjugacy(args) -> dict:
     delta = frac_from_str(args.delta)
-    report = verify_conjugacy_diagram(
-        args.N, args.m, delta, args.p, args.samples, args.seed
-    )
+    k, identities = verify_conjugacy_diagram(args.N, args.m, delta, args.p, args.samples, args.seed)
     checks = [
         _check(
             ident.name,
@@ -286,9 +282,9 @@ def _run_shift_conjugacy(args) -> dict:
             ident.ok,
             {"checked": ident.checked, **({"failures": list(ident.failures)} if ident.failures else {})},
         )
-        for ident in report.identities
+        for ident in identities
     ]
-    return _report(args, checks, delta=frac_to_str(delta), k=report.k)
+    return _report(args, checks, delta=frac_to_str(delta), k=k)
 
 
 def _run_shift_witness(args) -> dict:
@@ -378,20 +374,20 @@ def _run_markers_search(args) -> dict:
 
 def _run_markers_transfer(args) -> dict:
     system = _parse_system(args.system, lambda size: check_transfer_size(size, args.n))
-    report = verify_marker_transfer(system, args.n, args.N)
-    violations = report.backward.get("violations")
+    forward, backward = verify_marker_transfer(system, args.n, args.N)
+    violations = backward.get("violations")
     checks = [
         _check(
             "forward",
             "a base marker placed at phase zero is a marker of the clock extension",
-            report.forward["ok"],
-            {"detail": report.forward["detail"]},
+            forward["ok"],
+            {"detail": forward["detail"]},
         ),
         _check(
             "backward",
             "every extension marker projects to a marker of the phase-zero power subsystem",
-            report.backward["ok"],
-            {"detail": report.backward["detail"], **({"violations": violations} if violations else {})},
+            backward["ok"],
+            {"detail": backward["detail"], **({"violations": violations} if violations else {})},
         ),
     ]
     return _report(args, checks)
@@ -440,7 +436,7 @@ def _run_embed(args) -> dict:
             "embedding-collisions",
             "image collisions happen only below epsilon",
             report.embedding.collision_ok,
-            {"n_coords": report.n_coords, "scale": frac_to_str(report.embedding.scale)},
+            {"n_coords": report.embedding.n_coords, "scale": frac_to_str(report.embedding.scale)},
         ),
         _check(
             "delta-positive",

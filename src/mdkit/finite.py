@@ -629,10 +629,6 @@ class UniversalEmbeddingReport:
     membership_ok: bool
     equivariance_ok: bool
 
-    @property
-    def n_coords(self) -> int:
-        return self.embedding.n_coords
-
 
 def embed_into_universal(sys_: FiniteSystem, epsilon: Fraction) -> UniversalEmbeddingReport:
     """Unroll a distance-coordinate embedding along orbits into the gap-1 space.
@@ -669,12 +665,6 @@ def embed_into_universal(sys_: FiniteSystem, epsilon: Fraction) -> UniversalEmbe
 # Marker transfer between a system and its clock extension
 
 
-@dataclass(frozen=True)
-class TransferReport:
-    forward: dict
-    backward: dict
-
-
 def check_transfer_size(size: int, n: int) -> None:
     """Refuse a 1/n-time extension of ``size`` points over ``MAX_TRANSFER_POINTS``."""
     if n * size > MAX_TRANSFER_POINTS:
@@ -684,8 +674,9 @@ def check_transfer_size(size: int, n: int) -> None:
         )
 
 
-def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> TransferReport:
-    """Exhaustively verify both directions of the marker transfer.
+def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> tuple[dict, dict]:
+    """Exhaustively verify both directions of the marker transfer, as the
+    records ``(forward, backward)``.
 
     Forward: an N-marker of the base, placed at phase 0, is an nN-marker of
     the clock extension.  Backward: every nN-marker W of the extension
@@ -780,7 +771,7 @@ def verify_marker_transfer(sys_: FiniteSystem, n: int, n_marker: int) -> Transfe
                 else "extension has no marker but the base does: transfer violated"
             ),
         }
-    return TransferReport(forward=forward, backward=backward)
+    return forward, backward
 
 
 def _first_lift(projected: Sequence[int], n: int, n_marker: int) -> list[int]:

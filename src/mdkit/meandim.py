@@ -5,9 +5,10 @@ given by its cells and their cofaces.  The order of a cover is its maximal
 overlap count minus one, and the refinement dimension of a cover is the
 exact minimum order over all covers refining it, found by feasibility search
 with a node cap.  Mean dimension itself is never computed for infinite
-systems: it is only bracketed by exact rational interval rules (ambient
-bound for subshifts of the full torus shift, inverse limits, clock
-extensions), each application appended to a provenance chain.
+systems: it is only bracketed by exact rational interval rules, each
+application appended to a provenance chain.  Every chain starts at the
+finite ambient bound for subshifts of the full torus shift, and inverse
+limits and clock extensions keep both ends finite.
 """
 
 from __future__ import annotations
@@ -230,21 +231,18 @@ def cover_D(lattice: OpenLattice, cover: Cover, cap: int = MAX_COVER_NODES) -> i
 
 @dataclass(frozen=True)
 class MdimBound:
-    """An exact rational interval [lower, upper] with its derivation chain.
-
-    ``upper = None`` means unbounded above.
-    """
+    """An exact rational interval [lower, upper] with its derivation chain."""
 
     lower: Fraction
-    upper: Fraction | None
+    upper: Fraction
     provenance: tuple[dict, ...] = ()
 
     def __post_init__(self) -> None:
         lower = Fraction(self.lower)
-        upper = None if self.upper is None else Fraction(self.upper)
+        upper = Fraction(self.upper)
         if lower < 0:
             raise ValueError("mean dimension is nonnegative")
-        if upper is not None and lower > upper:
+        if lower > upper:
             raise ValueError("bound interval inverted")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
@@ -253,13 +251,13 @@ class MdimBound:
     def to_json(self) -> dict:
         return {
             "lower": frac_to_str(self.lower),
-            "upper": frac_to_str(self.upper) if self.upper is not None else "inf",
+            "upper": frac_to_str(self.upper),
             "provenance": list(self.provenance),
         }
 
 
 def _ruled(
-    inputs: Sequence[MdimBound], lower: Fraction, upper: Fraction | None, rule: str, statement: str
+    inputs: Sequence[MdimBound], lower: Fraction, upper: Fraction, rule: str, statement: str
 ) -> MdimBound:
     """The interval [lower, upper] with the inputs' provenance and one record for the rule."""
     chain = tuple(rec for b in inputs for rec in b.provenance)
@@ -280,8 +278,7 @@ def ambient_shift_bound(width: int) -> MdimBound:
 def inverse_limit_bound(bounds: Sequence[MdimBound]) -> MdimBound:
     if not bounds:
         raise ValueError("inverse limit needs at least one level bound")
-    uppers = [b.upper for b in bounds]
-    upper = None if any(u is None for u in uppers) else max(uppers)
+    upper = max(b.upper for b in bounds)
     statement = (
         "the mean dimension of an inverse limit is at most the supremum "
         "of the level mean dimensions"
@@ -292,9 +289,8 @@ def inverse_limit_bound(bounds: Sequence[MdimBound]) -> MdimBound:
 def time_division_bound(n: int, bound: MdimBound) -> MdimBound:
     if n < 1:
         raise ValueError("time division requires n >= 1")
-    upper = None if bound.upper is None else bound.upper / n
     statement = f"the 1/{n}-time clock extension divides mean dimension by {n}"
-    return _ruled((bound,), bound.lower / n, upper, "time-division", statement)
+    return _ruled((bound,), bound.lower / n, bound.upper / n, "time-division", statement)
 
 
 def headline_pipeline(width: int, n: int) -> MdimBound:

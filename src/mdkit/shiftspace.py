@@ -189,9 +189,6 @@ class EitherOrAtLeast:
     threshold: Fraction
     dim: int = 1
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "threshold", Fraction(self.threshold))
-
 
 SubshiftSpec = Union[GapAtLeast, EitherOrAtLeast]
 
@@ -449,12 +446,6 @@ class IdentityResult:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
-    k: int
-    identities: tuple[IdentityResult, ...]
-
-
 # the six identities of the diagram, in report order: name and statement
 _IDENTITIES = (
     ("dilation_m_lands_in_gap1",
@@ -534,8 +525,9 @@ def verify_conjugacy_diagram(
     p: int,
     samples: int,
     seed: int,
-) -> ConjugacyReport:
-    """Exactly verify the index-dilation conjugacy between period-p point sets.
+) -> tuple[int, tuple[IdentityResult, ...]]:
+    """Exactly verify the index-dilation conjugacy between period-p point sets,
+    giving k and the diagram's identities in report order.
 
     With k the inverse of m mod p, the dilation by m carries period-p points
     of the gap-m space to the gap-1 space, the dilation by k carries them
@@ -609,11 +601,10 @@ def verify_conjugacy_diagram(
             if at:
                 found += sorted({first + n % s for n in at})
         first += s
-    identities = tuple(
+    return k, tuple(
         IdentityResult(name, statement, samples, tuple(found))
         for (name, statement), found in zip(_IDENTITIES, failures)
     )
-    return ConjugacyReport(k=k, identities=identities)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ compares the points' ``.columns``.  Other code builds vectors from
 integers, ``TorusVec(nums, den)``, sequences with ``TorusSeq(columns, den)``,
 :meth:`TorusSeq.zero` or a kernel, and measures vectors with
 :func:`max_circle_dist`.  ``Fraction`` appears only at the edges: a
-sequence's JSON, a vector's ``repr`` and :func:`max_circle_dist`.
+sequence's JSON and :func:`max_circle_dist`.
 Everything is exact: no floats, no tolerances.
 """
 
@@ -150,10 +150,6 @@ class TorusVec:
     def __neg__(self) -> "TorusVec":
         full = 2 * self.den
         return _vec(tuple(-k % full for k in self.nums), self.den)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(str(Fraction(k, self.den)) for k in self.nums)
-        return f"TorusVec({inner})"
 
 
 def _canonical(vec: TorusVec, nums: tuple[int, ...], den: int) -> None:
@@ -276,9 +272,6 @@ class TorusSeq:
             g = math.gcd(k, den)
             text[k] = f"{k // g}/{den // g}"
         return [list(row) for row in zip(*(map(text.__getitem__, column) for column in self.columns))]
-
-    def __repr__(self) -> str:
-        return f"TorusSeq({list(self)})"
 
 
 def _canonical_seq(seq: TorusSeq, columns: tuple[tuple[int, ...], ...], den: int) -> None:

@@ -8,7 +8,7 @@ and telescoping sums.  Index bookkeeping is done on integer intervals before
 any value is touched, so failures surface as domain errors.  ``tower verify``
 checks the section identity and range at one level with ``verify_section``,
 one torus kernel that builds neither map; ``tower aperiodicity``
-certifies period-p points up to a truncation depth given by a ``TowerSpec``.
+certifies period-p points up to a truncation depth.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from .complexes import is_prime
 from .shiftspace import (
     Periodic,
     SeqPoint,
@@ -77,9 +77,9 @@ class LevelPlan(NamedTuple):
 # first whose gap m! is over it; a higher level is refused before its gap is formed.
 MAX_VERIFY_ENTRIES = 100_000
 MAX_VERIFY_LEVEL = next(m for m in range(1, MAX_VERIFY_ENTRIES) if level_gap(m) > MAX_VERIFY_ENTRIES)
-# Largest prime bound of an aperiodicity report, checked before the sieve.  Each
-# prime p above the depth lists a witness of p*N coordinates, their sum checked
-# after the sieve against ``MAX_PERIODIC_COORDINATES``: at depth 1 and N = 1,
+# Largest prime bound of an aperiodicity report, checked before any prime is
+# listed.  Each prime p above the depth lists a witness of p*N coordinates, their
+# sum checked against ``MAX_PERIODIC_COORDINATES`` next: at depth 1 and N = 1,
 # p_max 1,000 lists 76,127 and prints 4.1 MB in 0.25 s per process, about 0.1 s
 # of it the import (same VM, medians, bytecode cached or not).
 MAX_APERIODICITY_PRIME = 1000
@@ -244,45 +244,12 @@ def check_verify_size(m: int, lo: int, hi: int, samples: int, dim: int) -> Level
 
 
 # ---------------------------------------------------------------------------
-# Tower specification
-
-
-@dataclass(frozen=True)
-class TowerSpec:
-    """Alphabet dimension, distance threshold and truncation depth."""
-
-    dim: int
-    delta: Fraction
-    m_max: int
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("alphabet dimension must be positive")
-        delta = Fraction(self.delta)
-        if not 0 < delta < 1:
-            raise ValueError("threshold must lie strictly between 0 and 1")
-        if self.m_max < 1:
-            raise ValueError("truncation depth must be >= 1")
-        object.__setattr__(self, "delta", delta)
-
-
-# ---------------------------------------------------------------------------
 # Aperiodicity certificates at a truncation depth
 
 
-def _primes_up_to(n: int) -> list[int]:
-    sieve = [True] * (n + 1)
-    primes = []
-    for i in range(2, n + 1):
-        if sieve[i]:
-            primes.append(i)
-            for j in range(i * i, n + 1, i):
-                sieve[j] = False
-    return primes
-
-
-def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> tuple[dict, ...]:
-    """Per-prime certificates about period-p points of the truncated tower.
+def tower_aperiodicity_report(dim: int, delta: Fraction, m_max: int, p_max: int) -> tuple[dict, ...]:
+    """Per-prime certificates about period-p points of the tower truncated at
+    depth ``m_max``, in alphabet dimension ``dim`` at threshold ``delta``.
 
     Each prime p is decided at level min(p, m_max).  Within the depth, p
     divides the level-p gap p!, so the period-p point set of level p is empty
@@ -293,6 +260,12 @@ def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> tuple[dict, ...]:
     depth), or the rule's statement that the top level has no period-p point
     either.  Only witnesses hold coordinates.
     """
+    if dim < 1:
+        raise ValueError("alphabet dimension must be positive")
+    if not 0 < delta < 1:
+        raise ValueError("threshold must lie strictly between 0 and 1")
+    if m_max < 1:
+        raise ValueError("truncation depth must be >= 1")
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
     if p_max > MAX_APERIODICITY_PRIME:
@@ -300,16 +273,15 @@ def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> tuple[dict, ...]:
             f"p_max {_shown(p_max)} is over the cap of {MAX_APERIODICITY_PRIME} on "
             "aperiodicity certificates"
         )
-    dim, delta, depth = spec.dim, spec.delta, spec.m_max
-    primes = _primes_up_to(p_max)
+    primes = [p for p in range(2, p_max + 1) if is_prime(p)]
     check_periodic_coordinates(
-        sum(p for p in primes if p > depth) * dim,
-        "the witnesses of the primes above {} up to {} in dimension {} hold", depth, p_max, dim,
+        sum(p for p in primes if p > m_max) * dim,
+        "the witnesses of the primes above {} up to {} in dimension {} hold", m_max, p_max, dim,
     )
     shown = frac_to_str(delta)
     certificates: list[dict] = []
     for p in primes:
-        level = min(p, depth)
+        level = min(p, m_max)
         gap = LevelPlan.of(level).gap
         record = {"prime": p, "level": level, "gap": gap}
         if level == p:
@@ -329,7 +301,7 @@ def tower_aperiodicity_report(spec: TowerSpec, p_max: int) -> tuple[dict, ...]:
                 verified=check_membership(gap_space(dim, gap, delta), witness).passed,
                 statement=f"a period-{p} point exists at level {level} with realized distance "
                 f"{realized.numerator}/{realized.denominator}; aperiodicity for period {p} is "
-                f"undetermined at depth {depth}",
+                f"undetermined at depth {m_max}",
                 witness=seq_to_json(witness),
             )
         else:

@@ -21,27 +21,52 @@ A comment above each row, or above a group of rows, says what it guards.
 Tier-1 runs every row in process through ``cli.main``:
 ``tests/test_cli.py`` the refusals, as
 ``TestExitCodes::test_malformed_config_is_one_line_error``, and the
-``*-at-coordinate-cap`` rows; ``tests/test_instances.py`` the rest.  This
-module is not a test module, so pytest does not collect it.  Run as a
-script::
+``*-at-coordinate-cap`` rows; ``tests/test_instances.py`` the rest.
+
+``COMMANDS`` holds the commands of the README "Command line" block, whose
+stdouts ``GOLDEN`` holds, one file each; ``tests/test_golden.py`` checks
+them in process.
+
+This module is not a test module, so pytest does not collect it, and it
+imports only the standard library and ``mdkit``.  Run as a script::
 
     python tests/instances.py
 
 it runs every row in a fresh ``python -m mdkit.cli`` process with a 10 s
-timeout, against the ``mdkit`` that Python imports, and exits 1 if any row
-fails.  Its input files go to a temporary directory.
+timeout, then every golden command, whose stdout must equal its golden file
+byte for byte, against the ``mdkit`` that Python imports, and exits 1 if
+any fails.  Its input files go to a temporary directory.  So
+``PYTHONPATH=src python tests/instances.py`` checks an interpreter that has
+no pytest.
 """
 
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
 import tempfile
+from itertools import takewhile
 from pathlib import Path
 from typing import NamedTuple
 
 from mdkit import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def _readme_commands() -> dict[str, str]:
+    """The commands of the README "Command line" block, each named by its
+    words joined by "-", such as ``mdim-D``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.strip().splitlines()]
+    return {"-".join(takewhile(lambda word: not word.startswith("-"), line.split()[1:])): line for line in lines}
+
+
+COMMANDS = _readme_commands()
 
 
 class Row(NamedTuple):
@@ -183,7 +208,8 @@ ROWS = [
         "alphabet dimension must be positive"),
     Row("aperiodicity-depth-zero", "tower aperiodicity --m-max 0 --p-max 5", 2, "truncation depth must be >= 1"),
     Row("aperiodicity-delta-one", "tower aperiodicity --m-max 3 --p-max 5 --delta 1", 2, "strictly between 0 and 1"),
-    # the witnesses' coordinates, counted after the sieve and before any is
+    Row("aperiodicity-p-max-one", "tower aperiodicity --m-max 2 --p-max 1", 2, "p_max must be >= 2"),
+    # the witnesses' coordinates, counted once the primes are listed and before any is
     # built: 4,872,000 once printed a 124 MB report
     Row("aperiodicity-over-coordinate-cap", "tower aperiodicity --m-max 2 --p-max 5 --N 12501", 2,
         "primes above 2 up to 5 in dimension 12501 hold 100008 coordinates, over the cap of 100000 on periodic points"),
@@ -201,6 +227,7 @@ ROWS = [
 
     # --- shift witness ---
     Row("witness-period-zero", "shift witness --p 0 --m 1", 2, "period >= 1"),
+    Row("witness-gap-zero", "shift witness --p 3 --m 0", 2, "gap must be >= 1"),
     Row("witness-over-coordinate-cap", "shift witness --p 5 --m 2 --N 20001", 2,
         "100005 coordinates, over the cap of 100000 on periodic points"),
     Row("witness-at-coordinate-cap", "shift witness --p 5 --m 2 --N 20000", 0),
@@ -219,6 +246,10 @@ ROWS = [
     # witness, the second by the statement that proves the set empty
     Row("witness-gap-not-coprime", "shift witness --p 4 --m 2", 0, checks=("witness-membership",)),
     Row("witness-empty-at-4/5", "shift witness --p 3 --m 2 --delta 4/5", 0, checks=("no-periodic-point",)),
+    # at threshold 1 in two coordinates, the corner walk; a gap that is a
+    # multiple of p puts distance 0 between entries a gap apart
+    Row("witness-corner-walk", "shift witness --p 3 --m 2 --N 2 --delta 1", 0, checks=("witness-membership",)),
+    Row("witness-gap-multiple-of-period", "shift witness --p 3 --m 3", 0, checks=("no-periodic-point",)),
     # the longest witness under the coordinate cap: 5,744,472 bytes, about
     # 0.32 s per process (Python 3.11.7, 2-CPU x86-64 VM)
     Row("witness-period-99991", "shift witness --p 99991 --m 2", 0, out_max=5_800_000,
@@ -272,6 +303,7 @@ ROWS = [
         "period 1000000000... (4001 digits) is over the cap of 20"),
     Row("count-periodic-word-over-cap", "shift count-periodic --forbidden 000000000,111111111", 2, "cap of 8 letters"),
     Row("count-periodic-one-letter-words", "shift count-periodic --forbidden 0,1", 2, "must have length >= 2"),
+    Row("count-periodic-words-of-unequal-length", "shift count-periodic --forbidden 00,111", 2, "equal length"),
     Row("count-periodic-word-not-binary", "shift count-periodic --forbidden 0a1", 2, "forbidden word '0a1' is not binary"),
     Row("count-periodic-word-over-character-echo", f"shift count-periodic --forbidden {'2' * 5000} --n-max 3", 2,
         "forbidden word '22222222222222222222'... (5000 characters) is not binary"),
@@ -294,6 +326,14 @@ ROWS = [
     Row("coindex-p-2-level-above-dimension", "complex coindex --complex en-zp:p=2,n=5 --n-max 6", 0),
     Row("coindex-n-max-minus-one", "complex coindex --complex en-zp:p=2,n=1 --n-max -1", 2, "would search nothing"),
     Row("coindex-n-max-negative", "complex coindex --complex en-zp:p=2,n=1 --n-max -4", 2, "would search nothing"),
+    # files the walk over the levels reads to its ends: two swapped edges,
+    # where the search for level 1 is exhausted, bounds [0, 1]; no vertex,
+    # the empty complex, bounds [-1, -1]; and an edge whose swap fixes it
+    Row("coindex-search-exhausted", "complex coindex --n-max 2", 0, checks=("coindex-bounds",),
+        file=("--complex", _complex(2, [[0, 1], [2, 3]], [2, 3, 0, 1]))),
+    Row("coindex-empty-complex", "complex coindex", 0, checks=("coindex-bounds",), file=("--complex", _complex(2, [], []))),
+    Row("coindex-action-not-free", "complex coindex", 2, "coindex defined only for free actions",
+        file=("--complex", _complex(2, [[0, 1]], [1, 0]))),
     # malformed shorthands
     Row("complex-without-n", "complex coindex --complex en-zp:p=3", 2, "en-zp:p=P,n=N"),
     Row("complex-shorthand-malformed", "complex coindex --complex en-zp:p=3,n=2,x", 2, "en-zp:p=P,n=N"),
@@ -367,6 +407,10 @@ ROWS = [
     # 167,760 parts, the worst single-cycle count the marker cap admits; at
     # n = 1 the base cycle's parts are the extension cycle's, each walked once
     Row("transfer-cycle-of-25", "markers transfer --system cycles:25 --n 1 --N 2", 0),
+    # one cycle more is over the marker cap
+    Row("transfer-cycle-of-26", "markers transfer --system cycles:26 --n 1 --N 2", 2, "more than 200000 markers"),
+    # a 2-cycle has no 3-marker, and its extension no 6-marker
+    Row("transfer-base-without-marker", "markers transfer --system cycles:2 --n 2 --N 3", 0, checks=("forward", "backward")),
 
     # --- embed ---
     Row("embed-epsilon-zero-denominator", "embed --system cycles:3 --metric random:1 --epsilon 1/0", 2,
@@ -376,6 +420,14 @@ ROWS = [
         "'1/0' has denominator zero"),
     Row("embed-epsilon-exponent-form", "embed --system cycles:3 --metric random:1 --epsilon 1E-10000000", 2,
         "'1E-10000000' is refused: exponent form"),
+    Row("embed-epsilon-zero", "embed --system cycles:3 --metric uniform:1/4 --epsilon 0", 2, "epsilon must be positive"),
+    Row("embed-epsilon-at-displacement", "embed --system cycles:3 --metric uniform:1/4 --epsilon 1/4", 2,
+        "smaller than the minimal displacement"),
+    Row("embed-metric-missing", "embed --system cycles:3 --epsilon 1/10", 2, "metric required"),
+    Row("embed-fixed-point", "embed --system cycles:1,2 --metric uniform:1/4 --epsilon 1/10", 2, "fixed-point free"),
+    # a diameter of 1/2, over 1/4, rescales the metric and epsilon
+    Row("embed-rescaled-diameter", "embed --system cycles:3 --metric uniform:1/2 --epsilon 1/5", 0,
+        checks=("embedding-collisions", "delta-positive", "membership", "equivariance")),
     # the point cap, checked before the metric is built or read
     Row("embed-over-point-cap", "embed --system cycles:3000 --metric random:1 --epsilon 1/10", 2,
         "embed takes at most 200 points, got 3000"),
@@ -438,6 +490,8 @@ ROWS = [
     Row("mdim-over-cap", "mdim D --model en-zp:p=2,n=1 --cap 1", 2, "exceeded 1 nodes; raise the cap"),
     Row("mdim-cap-zero", "mdim D --model interval --cap 0", 2, "--cap must be >= 1"),
     Row("mdim-cap-negative", "mdim D --model interval --cap -5", 2, "--cap must be >= 1"),
+    # the estimate fits under the cap, the count of listed opens passes it
+    Row("mdim-listed-opens-over-cap", "mdim D --cap 5", 2, "candidate enumeration exceeded 5 nodes"),
     Row("mdim-candidates-over-cap", "mdim D --model en-zp:p=5,n=2 --cover stars", 2,
         "exceeded 65536 nodes; raise the cap (--cap on mdim D)"),
     Row("model-shorthand-unknown-key", "mdim D --model en-zp:p=2,n=1,q=3", 2, "en-zp:p=P,n=N"),
@@ -482,7 +536,15 @@ def main() -> int:
                 failed += 1
                 print(f"FAIL {row.name}: {exc}", file=sys.stderr)
     print(f"{len(ROWS) - failed} of {len(ROWS)} rows pass")
-    return 1 if failed else 0
+    differ = 0
+    for name, command in COMMANDS.items():
+        argv = [sys.executable, "-m", "mdkit.cli", *shlex.split(command)[1:]]
+        done = subprocess.run(argv, capture_output=True, text=True)
+        if done.returncode != 0 or done.stdout != (GOLDEN / f"{name}.json").read_text(encoding="utf-8"):
+            differ += 1
+            print(f"FAIL golden {name}: exit {done.returncode}, stdout differs from {name}.json", file=sys.stderr)
+    print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} golden reports are byte-identical")
+    return 1 if failed or differ else 0
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ from mdkit.shiftspace import (
     verify_conjugacy_diagram,
 )
 from mdkit.tower import (
-    TowerSpec,
     factor_map,
     level_gap,
     random_anchor,
@@ -148,10 +147,10 @@ def test_criterion_03_conjugacy_diagram():
     failures = []
     for p, m in [(5, 2), (5, 3), (7, 2), (7, 3), (11, 4)]:
         for dim in (1, 2):
-            report = verify_conjugacy_diagram(
+            _, identities = verify_conjugacy_diagram(
                 dim, m, HALF, p, samples=20, seed=1000 * p + 10 * m + dim
             )
-            for identity in report.identities:
+            for identity in identities:
                 if not identity.ok:
                     failures.append((p, m, dim, identity.name))
     conclude(3, "conjugacy-diagram", failures)
@@ -173,8 +172,7 @@ def test_criterion_04_sft_counts():
 
 def test_criterion_05_tower_aperiodicity():
     failures = []
-    spec = TowerSpec(dim=1, delta=HALF, m_max=5)
-    by_prime = {c["prime"]: c for c in tower_aperiodicity_report(spec, 13)}
+    by_prime = {c["prime"]: c for c in tower_aperiodicity_report(1, HALF, 5, 13)}
     for p in (2, 3, 5):
         cert = by_prime.get(p)
         if cert is None or cert["kind"] != "empty" or cert["level"] != p or not cert["verified"]:
@@ -232,8 +230,8 @@ def test_criterion_08_marker_transfer():
         sys_ = FiniteSystem.from_cycle_lengths(lengths)
         for n in (2, 3):
             for n_marker in (2, 3, 5):
-                report = verify_marker_transfer(sys_, n, n_marker)
-                if not (report.forward["ok"] and report.backward["ok"]):
+                forward, backward = verify_marker_transfer(sys_, n, n_marker)
+                if not (forward["ok"] and backward["ok"]):
                     failures.append((lengths, n, n_marker))
     conclude(8, "marker-transfer", failures)
 

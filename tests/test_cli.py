@@ -658,14 +658,14 @@ class TestExitCodes:
         assert "grid" not in line
 
     def test_aperiodicity_cap_refused_before_the_sieve(self, capsys, monkeypatch):
-        def sieved(n):
-            raise AssertionError("sieved before the cap was checked")
+        def listed(n):
+            raise AssertionError("primes listed before the cap was checked")
 
-        monkeypatch.setattr(tower, "_primes_up_to", sieved)
+        monkeypatch.setattr(tower, "is_prime", listed)
         assert cli.main(["tower", "aperiodicity", "--m-max", "5", "--p-max", "100000000"]) == 2
         assert "over the cap of 1000" in capsys.readouterr().err
         # the witnesses, of the primes 7, 11 and 13 above the depth, hold
-        # 31 * N coordinates, refused after the sieve and before any is built
+        # 31 * N coordinates, refused once the primes are listed and before any is built
         monkeypatch.undo()
         monkeypatch.setattr(tower, "periodic_witness", lambda *args: pytest.fail("built a witness over the cap"))
         argv = ["tower", "aperiodicity", "--m-max", "5", "--p-max", "13", "--N", "3226"]
@@ -767,7 +767,7 @@ class TestReportContract:
         monkeypatch.setattr(shiftspace, "_unequal_positions", lambda a, b: [0])
         argv = ["shift", "conjugacy", "--p", "7", "--m", "3", "--samples", "20", "--seed", "1"]
         code, report, _ = run_cli(capsys, *argv)
-        expected = shiftspace.verify_conjugacy_diagram(1, 3, Fraction(1, 2), 7, 20, 1).identities
+        _, expected = shiftspace.verify_conjugacy_diagram(1, 3, Fraction(1, 2), 7, 20, 1)
         assert code == 1
         assert [check["witness"].get("failures") for check in report["checks"]] == [
             list(ident.failures) or None for ident in expected

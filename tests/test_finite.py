@@ -70,8 +70,10 @@ def embedded(report) -> bool:
 
 
 def transferred(report) -> bool:
-    """Whether ``markers transfer`` passes both checks it reports on ``report``."""
-    return report.forward["ok"] and report.backward["ok"]
+    """Whether ``markers transfer`` passes both checks it reports on
+    ``report``, the records ``(forward, backward)``."""
+    forward, backward = report
+    return forward["ok"] and backward["ok"]
 
 
 def quarter_apart(*lengths):
@@ -492,7 +494,7 @@ class TestEmbeddings:
         sys_ = quarter_apart(5)
         report = embed_into_universal(sys_, Fraction(1, 5))
         assert embedded(report)
-        space = gap_space(report.n_coords, 1, report.delta)
+        space = gap_space(report.embedding.n_coords, 1, report.delta)
         for x in report.sequences:
             assert check_membership(space, x).passed
 
@@ -700,12 +702,12 @@ class TestMarkerTransfer:
     def test_forward_three_cycle(self):
         report = verify_marker_transfer(cycles(3), 2, 3)
         assert transferred(report)
-        assert "6-marker" in report.forward["detail"]
+        assert "6-marker" in report[0]["detail"]
 
     def test_backward_five_cycle(self):
         report = verify_marker_transfer(cycles(5), 3, 5)
         assert transferred(report)
-        assert "15" in report.backward["detail"]
+        assert "15" in report[1]["detail"]
 
     def test_degenerate_n_one(self):
         report = verify_marker_transfer(cycles(2), 1, 2)
@@ -714,7 +716,7 @@ class TestMarkerTransfer:
     def test_no_marker_consistency(self):
         report = verify_marker_transfer(cycles(3), 2, 5)
         assert transferred(report)
-        assert "no base" in report.forward["detail"]
+        assert "no base" in report[0]["detail"]
 
     def test_one_violation_record_per_projection(self, monkeypatch):
         # reject every base part at N = 4: the 15 extension 15-markers of a
@@ -722,9 +724,9 @@ class TestMarkerTransfer:
         # points
         part_ok = finite._part_ok
         monkeypatch.setattr(finite, "_part_ok", lambda length, u, k: False if k == 4 else part_ok(length, u, k))
-        report = verify_marker_transfer(cycles(5), 3, 5)
-        assert report.forward["ok"] and not report.backward["ok"]
-        violations = report.backward["violations"]
+        forward, backward = verify_marker_transfer(cycles(5), 3, 5)
+        assert forward["ok"] and not backward["ok"]
+        violations = backward["violations"]
         assert [v["projected"] for v in violations] == [[0], [1], [2], [3], [4]]
         # each names the first marker, in the cycle's walk, with that projection
         assert [v["marker"] for v in violations] == [[0], [1], [4], [7], [10]]
@@ -744,11 +746,11 @@ class TestMarkerTransfer:
                         "_part_ok",
                         lambda length, u, k: False if k == n_marker - 1 else part_ok(length, u, k),
                     )
-                    report = verify_marker_transfer(base, n, n_marker)
+                    _, backward = verify_marker_transfer(base, n, n_marker)
                     divided = time_division(base, n)
                     markers = {frozenset(w) for w in enumerate_markers(divided, n * n_marker)}
                     parts = {w.intersection(cycle) for w in markers for cycle in divided.cycles}
-                    got = report.backward.get("violations", [])
+                    got = backward.get("violations", [])
                     for v in got:
                         assert frozenset(v["marker"]) in parts
                         assert projection_by_clock_walk(divided, v["marker"], n) == v["projected"]
@@ -800,7 +802,7 @@ class TestMarkerTransfer:
                         verify_marker_transfer(base, n, n_marker)
                     verdicts.append("refused")
                     continue
-                backward = verify_marker_transfer(base, n, n_marker).backward
+                _, backward = verify_marker_transfer(base, n, n_marker)
                 assert backward["ok"] == expected_ok, (base, n, n_marker, fake)
                 if count:
                     if expected_ok:
@@ -828,11 +830,11 @@ class TestMarkerTransfer:
                 finite, "_part_ok", lambda length, u, k: False if k == n_marker - 1 else part_ok(length, u, k)
             )
             try:
-                report = verify_marker_transfer(base, n, n_marker)
+                _, backward = verify_marker_transfer(base, n, n_marker)
             except ValueError:
                 continue
             divided = time_division(base, n)
-            for v in report.backward.get("violations", []):
+            for v in backward.get("violations", []):
                 # a record is one cycle's part: with the first point of every
                 # other cycle it is an extension marker
                 others = [cycle[0] for cycle in divided.cycles if not set(cycle) & set(v["marker"])]
@@ -881,7 +883,7 @@ class TestMarkerTransfer:
                 _, count, failing = backward_transfer_by_enumeration(base, n, n_marker)
             with monkeypatch.context() as patch:
                 patch.setattr(finite, "_part_ok", lambda length, u, k: False)
-                backward = verify_marker_transfer(base, n, n_marker).backward
+                _, backward = verify_marker_transfer(base, n, n_marker)
             expected = [{"marker": w, "projected": list(q)} for q, w in failing.items()]
             assert backward.get("violations", []) == expected, (length, n, n_marker)
             compared += bool(count)

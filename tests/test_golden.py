@@ -7,27 +7,11 @@ to change; a representation change must leave every byte as it is.
 
 import argparse
 import shlex
-from itertools import takewhile
-from pathlib import Path
 
 import pytest
+from instances import COMMANDS, GOLDEN
 
 from mdkit import cli
-
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
-def _readme_commands() -> dict[str, str]:
-    """The commands of the README "Command line" block, each named by its
-    words joined by "-", such as ``mdim-D``."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    lines = [line.split("#", 1)[0].strip() for line in block.strip().splitlines()]
-    return {"-".join(takewhile(lambda word: not word.startswith("-"), line.split()[1:])): line for line in lines}
-
-
-COMMANDS = _readme_commands()
 
 
 def test_one_golden_file_per_command():

@@ -264,16 +264,19 @@ class TestBoundRules:
         assert (bound.lower, bound.upper) == (0, 3)
 
     def test_unbounded_propagates(self):
-        top = MdimBound(Fraction(0), None)
-        assert inverse_limit_bound([top, ambient_shift_bound(1)]).upper is None
-        assert time_division_bound(3, top).upper is None
+        # every chain starts at the finite ambient bound, and each rule keeps
+        # its upper end finite: the largest level end, divided by the clock
+        top = MdimBound(Fraction(0), Fraction(5))
+        assert inverse_limit_bound([top, ambient_shift_bound(1)]).upper == 5
+        assert time_division_bound(3, top).upper == Fraction(5, 3)
+        assert time_division_bound(3, top).to_json()["upper"] == "5/3"
 
     def test_interval_never_inverts(self):
-        starts = (ambient_shift_bound(4), MdimBound(Fraction(1, 2), Fraction(4)), MdimBound(Fraction(1), None))
+        starts = (ambient_shift_bound(4), MdimBound(Fraction(1, 2), Fraction(4)), MdimBound(Fraction(1), Fraction(1)))
         for bound in starts:
             for step in range(1, 10):
                 bound = time_division_bound(step, bound)
-                assert bound.upper is None or bound.lower <= bound.upper
+                assert bound.lower <= bound.upper
 
     def test_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -236,7 +236,10 @@ def _census() -> list:
                         code = cli.main(row.argv(directory))
                     except SystemExit as exc:  # the parser tree's usage fallback
                         code = exc.code
-                check(row, code, out.getvalue(), err.getvalue(), directory)
+                try:
+                    check(row, code, out.getvalue(), err.getvalue(), directory)
+                except AssertionError as exc:  # named as ``python tests/instances.py`` names it
+                    raise AssertionError(f"FAIL {row.name}: {exc}") from None
     finally:
         for cls, member, attribute in originals:
             setattr(cls, member, attribute)

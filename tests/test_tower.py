@@ -27,7 +27,6 @@ from mdkit.tower import (
     MAX_VERIFY_LEVEL,
     DomainError,
     LevelPlan,
-    TowerSpec,
     factor_map,
     level_gap,
     random_anchor,
@@ -616,8 +615,7 @@ class TestTowerElement:
 
 class TestAperiodicity:
     def test_certificates(self):
-        spec = TowerSpec(dim=1, delta=HALF, m_max=5)
-        certificates = tower_aperiodicity_report(spec, 13)
+        certificates = tower_aperiodicity_report(1, HALF, 5, 13)
         assert all(c["verified"] for c in certificates)
         by_prime = {c["prime"]: c for c in certificates}
         assert set(by_prime) == {2, 3, 5, 7, 11, 13}
@@ -631,8 +629,7 @@ class TestAperiodicity:
             assert "undetermined" in by_prime[p]["statement"]
 
     def test_witness_gap_value(self):
-        spec = TowerSpec(dim=1, delta=HALF, m_max=5)
-        witness_cert = [c for c in tower_aperiodicity_report(spec, 7) if c["prime"] == 7][0]
+        witness_cert = [c for c in tower_aperiodicity_report(1, HALF, 5, 7) if c["prime"] == 7][0]
         values = witness_cert["witness"]["values"]
         assert len(values) == 7
         assert "6/7" in witness_cert["statement"]
@@ -640,9 +637,8 @@ class TestAperiodicity:
     def test_witness_statement_names_the_realized_distance(self):
         # the statement's distance is the smallest one between witness
         # entries a gap apart: 1 for the period-2 witness, not 1 - 1/2
-        spec = TowerSpec(dim=2, delta=HALF, m_max=1)
         stated = {}
-        for cert in tower_aperiodicity_report(spec, 13):
+        for cert in tower_aperiodicity_report(2, HALF, 1, 13):
             values = [vec(*map(Fraction, v)) for v in cert["witness"]["values"]]
             p, gap = len(values), cert["gap"]
             realized = min(max_circle_dist(values[k], values[(k + gap) % p]) for k in range(p))
@@ -655,12 +651,12 @@ class TestAperiodicity:
         # where its witness once refused the whole report, and has the corner
         # witness in two
         for dim, kind_3 in ((1, "empty"), (2, "witness")):
-            by_prime = {c["prime"]: c for c in tower_aperiodicity_report(TowerSpec(dim, Fraction(4, 5), 2), 13)}
+            by_prime = {c["prime"]: c for c in tower_aperiodicity_report(dim, Fraction(4, 5), 2, 13)}
             assert all(c["verified"] for c in by_prime.values())
             assert [by_prime[p]["kind"] for p in (2, 3, 5, 7, 11, 13)] == ["empty", kind_3] + ["witness"] * 4
             assert by_prime[3]["level"] == 2 and by_prime[3]["gap"] == 2
         assert by_prime[3]["statement"].startswith("a period-3 point exists at level 2 with realized distance 1/1")
-        empty = tower_aperiodicity_report(TowerSpec(1, Fraction(4, 5), 2), 3)[1]
+        empty = tower_aperiodicity_report(1, Fraction(4, 5), 2, 3)[1]
         assert empty["statement"].endswith("[12/5, 18/5]; there is none: the period-3 point set at level 2 is empty")
 
     def test_no_witness_is_built_within_the_depth(self, monkeypatch):
@@ -676,32 +672,33 @@ class TestAperiodicity:
                 if p <= m_max:
                     assert witness(dim, level_gap(p), delta, p).witness is None, (dim, delta, p)
             asked.clear()
-            certificates = tower_aperiodicity_report(TowerSpec(dim, delta, m_max), 13)
+            certificates = tower_aperiodicity_report(dim, delta, m_max, 13)
             assert asked == [c["prime"] for c in certificates if c["prime"] > m_max], (dim, delta, m_max)
             assert all(c["verified"] for c in certificates)
 
     def test_emptiness_is_decided_before_any_coordinate(self):
         # p * N is over the cap for every prime, but each is empty within the depth
-        certificates = tower_aperiodicity_report(TowerSpec(50_000, HALF, 5), 5)
+        certificates = tower_aperiodicity_report(50_000, HALF, 5, 5)
         assert [(c["kind"], c["verified"]) for c in certificates] == [("empty", True)] * 3
 
     def test_p_max_validation(self):
-        spec = TowerSpec(dim=1, delta=HALF, m_max=3)
-        with pytest.raises(ValueError):
-            tower_aperiodicity_report(spec, 1)
+        with pytest.raises(ValueError, match="p_max must be >= 2"):
+            tower_aperiodicity_report(1, HALF, 3, 1)
         with pytest.raises(ValueError, match="over the cap of 1000"):
-            tower_aperiodicity_report(spec, 1001)
+            tower_aperiodicity_report(1, HALF, 3, 1001)
 
 
 class TestTowerSpec:
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            TowerSpec(dim=1, delta=Fraction(3, 2), m_max=2)
-        with pytest.raises(ValueError):
-            TowerSpec(dim=1, delta=HALF, m_max=0)
+        # the report refuses its dimension, threshold and depth before its
+        # p_max, which 1 would fail too
+        with pytest.raises(ValueError, match="threshold must lie strictly between 0 and 1"):
+            tower_aperiodicity_report(1, Fraction(3, 2), 2, 1)
+        with pytest.raises(ValueError, match="truncation depth must be >= 1"):
+            tower_aperiodicity_report(1, HALF, 0, 1)
         for dim in (0, -1):
             with pytest.raises(ValueError, match="alphabet dimension must be positive"):
-                TowerSpec(dim=dim, delta=HALF, m_max=2)
+                tower_aperiodicity_report(dim, HALF, 0, 1)
 
 
 class TestLevelSeven:
